@@ -42,6 +42,8 @@ _ENTRIES = [
     CatalogEntry("C8", "cyclic of order 8", lambda: gc.cyclic(8), 4, "computed"),
     CatalogEntry("EA_2_2", "elementary abelian (C2)^2", lambda: gc.elementary_abelian(2, 2), 2, "theorem"),
     CatalogEntry("EA_3_2", "elementary abelian (C3)^2", lambda: gc.elementary_abelian(3, 2), 2, "theorem"),
+    CatalogEntry("EA_2_5", "elementary abelian (C2)^5", lambda: gc.elementary_abelian(2, 5), 2, "theorem"),
+    CatalogEntry("EA_2_6", "elementary abelian (C2)^6", lambda: gc.elementary_abelian(2, 6), 2, "theorem"),
     CatalogEntry("S3", "symmetric group on 3 points", lambda: gc.symmetric(3), 3, "computed"),
     CatalogEntry("D4", "dihedral group of order 8", lambda: gc.dihedral(4), 4, "computed"),
     CatalogEntry("D5", "dihedral group of order 10", lambda: gc.dihedral(5), 3, "computed"),

@@ -68,7 +68,7 @@ class GroupTable:
     """
 
     __slots__ = ("order", "table", "labels", "_inverses", "_orders", "_abelian",
-                 "_aut_cache", "_orbit_cache")
+                 "_orbit_cache")
 
     def __init__(self, table, labels):
         rows = tuple(tuple(int(x) for x in row) for row in table)
@@ -84,7 +84,6 @@ class GroupTable:
         object.__setattr__(self, "_inverses", tuple(int(x) for x in np.argmin(arr, axis=1)))
         object.__setattr__(self, "_orders", None)
         object.__setattr__(self, "_abelian", None)
-        object.__setattr__(self, "_aut_cache", None)
         object.__setattr__(self, "_orbit_cache", None)
 
     def __setattr__(self, name, value):

@@ -28,6 +28,123 @@ def brute_force_automorphisms(g) -> set[tuple[int, ...]]:
     return found
 
 
+def enumerate_automorphisms(g) -> list[tuple[int, ...]]:
+    """Every automorphism of g, sorted, by generator-image backtracking.
+
+    This is the search the package used before its stabilizer chain: the
+    images of a generating set are chosen among elements of the same order,
+    and each choice is closed under products over all pairs of elements with
+    known images, which is O(n^2) per candidate. It lists the whole of Aut(G),
+    so keep |Aut(G)| to a few tens of thousands."""
+    t = g.table
+    n = g.order
+    orders = [independent_element_order(g, i) for i in range(n)]
+
+    # the first element outside the subgroup generated so far, until it is all of g
+    gens: list[int] = []
+    sub = {0}
+    while len(sub) < n:
+        gens.append(min(x for x in range(n) if x not in sub))
+        frontier = set(sub)
+        while frontier:
+            frontier = {t[x][s] for x in frontier for s in gens} - sub
+            sub |= frontier
+
+    by_order: dict[int, list[int]] = {}
+    for i, o in enumerate(orders):
+        by_order.setdefault(o, []).append(i)
+
+    img = [-1] * n
+    rev = [-1] * n
+    img[0] = 0
+    rev[0] = 0
+    known: list[int] = [0]
+    trail: list[int] = []
+    found: list[tuple[int, ...]] = []
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            x = trail.pop()
+            rev[img[x]] = -1
+            img[x] = -1
+            known.pop()
+
+    def assign(x0: int, y0: int) -> bool:
+        # extend the partial map with x0 -> y0 and close it under products;
+        # every ordered pair inside the closure gets its product checked when
+        # the later of the two elements is processed
+        if img[x0] != -1:
+            return img[x0] == y0
+        if rev[y0] != -1:
+            return False
+        img[x0] = y0
+        rev[y0] = x0
+        trail.append(x0)
+        known.append(x0)
+        queue = [x0]
+        while queue:
+            a = queue.pop()
+            fa = img[a]
+            i = 0
+            while i < len(known):
+                b = known[i]
+                i += 1
+                fb = img[b]
+                for u, fu in ((t[a][b], t[fa][fb]), (t[b][a], t[fb][fa])):
+                    known_img = img[u]
+                    if known_img == -1:
+                        if rev[fu] != -1:
+                            return False
+                        img[u] = fu
+                        rev[fu] = u
+                        trail.append(u)
+                        known.append(u)
+                        queue.append(u)
+                    elif known_img != fu:
+                        return False
+        return True
+
+    def backtrack(depth: int) -> None:
+        if depth == len(gens):
+            found.append(tuple(img))
+            return
+        x = gens[depth]
+        mark = len(trail)
+        for y in by_order[orders[x]]:
+            if assign(x, y):
+                backtrack(depth + 1)
+            undo(mark)
+
+    backtrack(0)
+    return sorted(found)
+
+
+def orbit_classes(n: int, perms) -> set[frozenset[int]]:
+    """The orbits of the group generated by the given permutations of range(n)."""
+    classes = []
+    seen: set[int] = set()
+    for x in range(n):
+        if x in seen:
+            continue
+        orbit = {x}
+        frontier = {x}
+        while frontier:
+            frontier = {p[y] for y in frontier for p in perms} - orbit
+            orbit |= frontier
+        seen |= orbit
+        classes.append(frozenset(orbit))
+    return set(classes)
+
+
+def gl_order(k: int, q: int) -> int:
+    """|GL(k, q)| = (q^k - 1)(q^k - q)...(q^k - q^(k-1)), the order of
+    Aut((C_q)^k)."""
+    out = 1
+    for i in range(k):
+        out *= q**k - q**i
+    return out
+
+
 def independent_element_order(g, i: int) -> int:
     """Order of an element by walking the table, written separately from the
     packaged implementation."""

@@ -173,14 +173,17 @@ def test_trivialize_satisfies_relation_independently():
 
 def test_trivialize_need_not_recover_the_cochain():
     # the averaged e trivializes, but it is a different cochain than the one
-    # the coboundary was built from
+    # the coboundary was built from. Two trivializers of one cocycle differ
+    # by a 1-cocycle, so this needs Z^1 != 0: under the trivial action
+    # Z^1(C2, Q) = Hom(C2, Q) = 0 would force e == f. Under the sign action
+    # (M_g = -1) f = (0, 7) is itself a 1-cocycle, c vanishes and e = 0.
     c2 = gc.cyclic(2)
-    action = gc.trivial_action(c2, 1)
+    action = gc.cyclic_matrix_action(c2, [[-1]])
     f = [QVector.zero(1), QVector.of(7)]
     c = cs.coboundary(f, c2, action)
     e = cs.trivialize(c)
     assert e[1] != f[1]
-    assert c.values[1][1] == e[0] - e[1] - e[1]
+    assert c.values[1][1] == e[0] - e[1] * action.matrices[1] - e[1]
 
 
 # ---------------------------------------------------------------------------
