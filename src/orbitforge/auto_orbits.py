@@ -44,16 +44,6 @@ class Automorphism:
     def __call__(self, i: int) -> int:
         return self.perm[i]
 
-    def compose(self, other: "Automorphism") -> "Automorphism":
-        """self after other: (self.compose(other))(x) = self(other(x))."""
-        return Automorphism(tuple(self.perm[j] for j in other.perm))
-
-    def inverse(self) -> "Automorphism":
-        out = [0] * len(self.perm)
-        for i, j in enumerate(self.perm):
-            out[j] = i
-        return Automorphism(tuple(out))
-
 
 def is_automorphism(g: GroupTable, perm) -> bool:
     """Exhaustive check of the homomorphism law on all pairs, plus bijectivity

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .arith import factorize, is_prime_power
 from .auto_orbits import omega
-from .group_core import GroupTable, exponent, is_elementary_abelian
+from .group_core import GroupTable, is_elementary_abelian
 
 VERDICT_TRIVIAL = "trivial"
 VERDICT_ELEMENTARY_ABELIAN = "elementary_abelian"
@@ -35,23 +35,6 @@ class ClassificationReport:
 
     def to_json(self) -> dict:
         return {"omega": self.omega, "verdict": self.verdict, "evidence": self.evidence}
-
-
-def check_omega_two(g: GroupTable) -> bool:
-    """True iff g has exactly two automorphism orbits.
-
-    Cross-checked against the structural criterion (elementary abelian); any
-    mismatch is a hard failure.
-    """
-    if g.order == 1:
-        raise ValueError("check_omega_two requires a nontrivial group")
-    two = omega(g) == 2
-    structural, _ = is_elementary_abelian(g)
-    if two != structural:
-        raise TheoremContradictionError(
-            f"omega == 2 is {two} but elementary abelian is {structural}"
-        )
-    return two
 
 
 def _pq_structure_evidence(g: GroupTable, p: int, q: int, nexp: int) -> dict | None:
@@ -164,16 +147,3 @@ def classify_group(g: GroupTable) -> ClassificationReport:
         return check_laffey_machale(g)
     return ClassificationReport(om, VERDICT_OTHER, {"order": g.order})
 
-
-def finite_torsion_check(g: GroupTable) -> int:
-    """Exponent of a finite abelian group, verified to divide the order.
-
-    The bounded-exponent observation behind the finiteness of torsion in the
-    abelian finite-rank setting, in its finite shadow.
-    """
-    if not g.is_abelian:
-        raise ValueError("finite_torsion_check requires an abelian group")
-    e = exponent(g)
-    if g.order % e != 0:
-        raise TheoremContradictionError(f"exponent {e} does not divide order {g.order}")
-    return e

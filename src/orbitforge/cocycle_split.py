@@ -81,13 +81,16 @@ class Cocycle:
     def from_json(cls, data: dict) -> "Cocycle":
         from .exact_linear import QMatrix
 
-        base = GroupTable.from_json(data["base"])
-        n = int(data["module_dim"])
-        matrices = tuple(QMatrix.from_json(m) for m in data["action"])
-        action = FiniteAction(base, n, 0, matrices)
-        values = tuple(
-            tuple(QVector.from_json(v) for v in row) for row in data["values"]
-        )
+        try:
+            base = GroupTable.from_json(data["base"])
+            n = int(data["module_dim"])
+            matrices = tuple(QMatrix.from_json(m) for m in data["action"])
+            action = FiniteAction(base, n, 0, matrices)
+            values = tuple(
+                tuple(QVector.from_json(v) for v in row) for row in data["values"]
+            )
+        except TypeError as exc:
+            raise ValueError(f"malformed cocycle JSON: {exc}") from exc
         return cls(base, action, values)
 
 

@@ -22,10 +22,6 @@ from typing import Iterable, Sequence
 
 from .arith import is_prime
 
-#: Exact rational scalar. Reduced numerator/denominator pairs of unbounded
-#: size; the denominator is always positive.
-Rat = Fraction
-
 
 def format_rat(x: Fraction) -> str:
     """Canonical "num/den" form, e.g. ``-1/2`` or ``3/1``."""
@@ -110,7 +106,10 @@ class QVector:
 
     @classmethod
     def from_json(cls, data: Sequence[str | int]) -> "QVector":
-        return cls(tuple(parse_rat(e) for e in data))
+        try:
+            return cls(tuple(parse_rat(e) for e in data))
+        except TypeError as exc:
+            raise ValueError(f"vector must be a list of rationals: {exc}") from exc
 
     def __repr__(self) -> str:
         return "QVector(" + ", ".join(str(e) for e in self.entries) + ")"
@@ -284,7 +283,10 @@ class QMatrix:
 
     @classmethod
     def from_json(cls, data: Sequence[Sequence[str | int]]) -> "QMatrix":
-        return cls(tuple(tuple(parse_rat(e) for e in row) for row in data))
+        try:
+            return cls(tuple(tuple(parse_rat(e) for e in row) for row in data))
+        except TypeError as exc:
+            raise ValueError(f"matrix must be a list of rows of rationals: {exc}") from exc
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(e) for e in row) for row in self.rows)
@@ -435,25 +437,6 @@ def minimal_polynomial(m: QMatrix) -> QPoly:
     raise AssertionError("powers of an n x n matrix must be dependent by degree n")
 
 
-def is_fixed_point_free(m: QMatrix, p: int) -> bool:
-    """True iff m generates a cyclic group of order p none of whose nontrivial
-    powers fixes a nonzero rational vector.
-
-    Realized exactly: m**p = I, m != I, and det(m**k - I) != 0 for k = 1..p-1.
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    ident = QMatrix.identity(m.n)
-    if m == ident:
-        return False
-    power = m
-    for _ in range(1, p):
-        if (power - ident).det() == 0:
-            return False
-        power = power * m
-    return power == ident
-
-
 def cyclic_decomposition(m: QMatrix, p: int, seed: QVector) -> list[QVector]:
     """Seeds b_1 = seed, b_2, ..., b_t whose orbit blocks {b_i * m^k, 0 <= k <= p-2}
     together form a basis of the whole space.
@@ -462,8 +445,15 @@ def cyclic_decomposition(m: QMatrix, p: int, seed: QVector) -> list[QVector]:
     nonzero vector generates a cyclic subspace of dimension exactly p-1 and any
     block starting outside the current span extends it directly. Later seeds
     are chosen greedily: the first standard basis vector outside the span.
+
+    The blocks certify that precondition as they are built: each must be
+    independent of the span so far, and each seed must satisfy
+    seed * (I + m + ... + m^(p-1)) = 0. That sum commutes with m, so it then
+    kills every block and hence a basis; it is zero, and the irreducible
+    1 + x + ... + x^(p-1) is the minimal polynomial. Either failure raises.
     """
-    phi = cyclotomic_prime(p)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     n = m.n
     if seed.dim != n:
         raise ValueError(f"seed dimension {seed.dim} does not match matrix size {n}")
@@ -471,18 +461,20 @@ def cyclic_decomposition(m: QMatrix, p: int, seed: QVector) -> list[QVector]:
         raise ValueError("seed must be nonzero")
     if n % (p - 1) != 0:
         raise ValueError(f"dimension {n} is not divisible by {p - 1}")
-    if minimal_polynomial(m) != phi:
-        raise ValueError("minimal polynomial is not the prime cyclotomic polynomial")
+    not_cyclotomic = "minimal polynomial is not the prime cyclotomic polynomial"
 
     ech = _Echelon()
     seeds: list[QVector] = []
 
     def add_block(v: QVector) -> None:
-        w = v
+        w = total = v
         for _ in range(p - 1):
             if not ech.add(w.entries):
-                raise AssertionError("orbit block unexpectedly dependent")
+                raise ValueError(not_cyclotomic)
             w = w * m
+            total = total + w
+        if not total.is_zero:
+            raise ValueError(not_cyclotomic)
 
     add_block(seed)
     seeds.append(seed)

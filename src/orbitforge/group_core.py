@@ -71,11 +71,14 @@ class GroupTable:
                  "_orbit_cache")
 
     def __init__(self, table, labels):
-        rows = tuple(tuple(int(x) for x in row) for row in table)
+        try:
+            rows = tuple(tuple(int(x) for x in row) for row in table)
+            labels = tuple(str(x) for x in labels)
+        except TypeError as exc:
+            raise ValueError(f"table must be a list of rows of integers: {exc}") from exc
         arr = np.asarray(rows, dtype=np.int64)
         _validate_table(arr)
         n = arr.shape[0]
-        labels = tuple(str(x) for x in labels)
         if len(labels) != n:
             raise ValueError(f"expected {n} labels, got {len(labels)}")
         object.__setattr__(self, "order", n)
@@ -133,10 +136,11 @@ class GroupTable:
             table = data["table"]
             labels = data.get("labels") or [str(i) for i in range(len(table))]
             declared = data.get("order")
+            declared = None if declared is None else int(declared)
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed group JSON: {exc}") from exc
         g = cls(table, labels)
-        if declared is not None and int(declared) != g.order:
+        if declared is not None and declared != g.order:
             raise ValueError(f"declared order {declared} does not match table size {g.order}")
         return g
 

@@ -42,8 +42,8 @@ RELEASE_SAMPLES = 8
 
 
 class SpecValidationError(ValueError):
-    """The supplied action matrix fails an order, fixed-point-freeness, or
-    minimal polynomial requirement."""
+    """The supplied parameters or action matrix do not define Q^n x| C_p
+    with a fixed-point-free action."""
 
 
 class AutomorphismVerificationError(RuntimeError):
@@ -89,9 +89,16 @@ class Certificate:
 class MixedGroupSpec:
     """A validated instance of Q^n x| C_p.
 
+    Validity is the single identity Phi_p(M) = I + M + ... + M^(p-1) = 0.
+    Phi_p is irreducible, so it is then the minimal polynomial of M; hence
+    M^p = I, M != I, and no M^k with 0 < k < p fixes a nonzero vector
+    (x^k - 1 and Phi_p are coprime).
+
     ``powers[k]`` caches M^k for 0 <= k < p and ``telescopes[k]`` caches
     I + M^k + M^(2k) + ... + M^((p-1)k), the matrix behind the order-p proof
-    for every element outside A (it vanishes for k = 1..p-1).
+    for every element outside A. ``telescopes[0]`` is p * I; every later
+    entry is one shared matrix, the zero sum Phi_p(M) itself: for k != 0,
+    j -> k*j mod p permutes 0..p-1, so the telescope sums the same powers.
     """
 
     p: int
@@ -121,19 +128,13 @@ class MixedGroupSpec:
             powers.append(powers[-1] * m)
         if powers[-1] * m != ident:
             raise SpecValidationError(f"action matrix does not have order {p}")
-        if minimal_polynomial(m) != cyclotomic_prime(p):
+        # the two checks above only name common failures; this one decides
+        phi_m = sum(powers[1:], ident)
+        if not phi_m.is_zero:
             raise SpecValidationError(
-                "minimal polynomial of the action is not 1 + x + ... + x^(p-1)"
+                "I + M + ... + M^(p-1) is not zero: some power of the action fixes a nonzero vector"
             )
-        for k in range(1, p):
-            if (powers[k] - ident).det() == 0:
-                raise SpecValidationError(f"action power {k} fixes a nonzero vector")
-        telescopes = []
-        for k in range(p):
-            acc = QMatrix.zeros(n)
-            for j in range(p):
-                acc = acc + powers[(k * j) % p]
-            telescopes.append(acc)
+        telescopes = (ident * p,) + (phi_m,) * (p - 1)
         power_cols = tuple(
             tuple(
                 tuple((i, m.rows[i][j]) for i in range(n) if m.rows[i][j])
@@ -142,7 +143,7 @@ class MixedGroupSpec:
             for m in powers
         )
         object.__setattr__(self, "powers", tuple(powers))
-        object.__setattr__(self, "telescopes", tuple(telescopes))
+        object.__setattr__(self, "telescopes", telescopes)
         object.__setattr__(self, "_power_cols", power_cols)
 
     @property

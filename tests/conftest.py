@@ -12,6 +12,8 @@ from itertools import permutations
 import pytest
 
 from orbitforge import catalog
+from orbitforge.arith import is_prime
+from orbitforge.exact_linear import QMatrix
 
 
 def brute_force_automorphisms(g) -> set[tuple[int, ...]]:
@@ -143,6 +145,37 @@ def gl_order(k: int, q: int) -> int:
     for i in range(k):
         out *= q**k - q**i
     return out
+
+
+def compose_perms(a, b) -> tuple[int, ...]:
+    """a after b, as permutations of range(n): x -> a[b[x]]."""
+    return tuple(a[j] for j in b)
+
+
+def inverse_perm(a) -> tuple[int, ...]:
+    out = [0] * len(a)
+    for i, j in enumerate(a):
+        out[j] = i
+    return tuple(out)
+
+
+def is_fixed_point_free(m: QMatrix, p: int) -> bool:
+    """True iff m generates a cyclic group of order p none of whose nontrivial
+    powers fixes a nonzero rational vector.
+
+    Realized exactly: m**p = I, m != I, and det(m**k - I) != 0 for k = 1..p-1.
+    """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    ident = QMatrix.identity(m.n)
+    if m == ident:
+        return False
+    power = m
+    for _ in range(1, p):
+        if (power - ident).det() == 0:
+            return False
+        power = power * m
+    return power == ident
 
 
 def independent_element_order(g, i: int) -> int:

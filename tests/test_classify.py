@@ -1,6 +1,7 @@
 import pytest
 
 from orbitforge import group_core as gc
+from orbitforge.auto_orbits import omega
 from orbitforge.classify import (
     VERDICT_ELEMENTARY_ABELIAN,
     VERDICT_LAFFEY_MACHALE,
@@ -8,19 +9,19 @@ from orbitforge.classify import (
     VERDICT_PRIME_POWER,
     VERDICT_TRIVIAL,
     check_laffey_machale,
-    check_omega_two,
     classify_group,
-    finite_torsion_check,
 )
 
 
-def test_check_omega_two():
-    assert check_omega_two(gc.elementary_abelian(5, 1)) is True
-    assert check_omega_two(gc.elementary_abelian(2, 2)) is True
-    assert check_omega_two(gc.cyclic(4)) is False
-    assert check_omega_two(gc.symmetric(3)) is False
-    with pytest.raises(ValueError, match="nontrivial"):
-        check_omega_two(gc.cyclic(1))
+def test_omega_two_iff_elementary_abelian():
+    for g, two in [
+        (gc.elementary_abelian(5, 1), True),
+        (gc.elementary_abelian(2, 2), True),
+        (gc.cyclic(4), False),
+        (gc.symmetric(3), False),
+    ]:
+        assert (omega(g) == 2) is two
+        assert gc.is_elementary_abelian(g)[0] is two
 
 
 def test_laffey_machale_s3():
@@ -120,9 +121,7 @@ def test_report_json():
     assert data["evidence"]["q"] == 3
 
 
-def test_finite_torsion_check():
-    assert finite_torsion_check(gc.cyclic(4)) == 4
-    assert finite_torsion_check(gc.elementary_abelian(3, 2)) == 3
-    assert finite_torsion_check(gc.direct_product(gc.cyclic(2), gc.cyclic(4))) == 4
-    with pytest.raises(ValueError, match="abelian"):
-        finite_torsion_check(gc.symmetric(3))
+def test_exponent_of_abelian_groups():
+    assert gc.exponent(gc.cyclic(4)) == 4
+    assert gc.exponent(gc.elementary_abelian(3, 2)) == 3
+    assert gc.exponent(gc.direct_product(gc.cyclic(2), gc.cyclic(4))) == 4

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import is_fixed_point_free
 from orbitforge.exact_linear import (
     QMatrix,
     QPoly,
@@ -14,7 +15,6 @@ from orbitforge.exact_linear import (
     cyclic_decomposition,
     cyclotomic_prime,
     format_rat,
-    is_fixed_point_free,
     minimal_polynomial,
     parse_rat,
     poly_eval,
@@ -295,3 +295,11 @@ def test_cyclic_decomposition_errors():
         cyclic_decomposition(QMatrix.identity(2), 3, QVector.of(1, 0))
     with pytest.raises(ValueError, match="divisible"):
         cyclic_decomposition(QMatrix.block_diag([QMatrix.of([[-1]])] * 3), 3, QVector.of(1, 0, 0))
+
+
+def test_cyclic_decomposition_certifies_the_seed_sum():
+    # the swap has order 2: its block {(1,0), (0,1)} is independent, but
+    # (1,0) * (I + m + m^2) = (2, 1), so only the seed-sum check rejects it
+    swap = QMatrix.of([[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="minimal polynomial"):
+        cyclic_decomposition(swap, 3, QVector.of(1, 0))

@@ -59,6 +59,34 @@ def test_spec_checks_certificate(s32):
     }
 
 
+def test_build_rejects_order_p_action_with_fixed_vectors():
+    # order 3 and not the identity, but the I_2 block fixes every vector in it
+    m = QMatrix.block_diag([companion(cyclotomic_prime(3)), QMatrix.identity(2)])
+    assert m != QMatrix.identity(4) and m**3 == QMatrix.identity(4)
+    with pytest.raises(mg.SpecValidationError, match="fixes a nonzero vector"):
+        mg.build(3, m=m)
+
+
+def test_build_accepts_rational_conjugate_of_companion():
+    c = companion(cyclotomic_prime(5))
+    q = QMatrix.of([[1, "1/2", 0, 0], [0, 1, 0, -3], [2, 0, 1, 0], [0, 0, "1/3", 1]])
+    m = q.inverse() * c * q
+    # every companion matrix has the shifted identity in its first n - 1 columns
+    assert [r[:3] for r in m.rows] != [r[:3] for r in c.rows]
+    spec = mg.build(5, m=m)
+    assert spec.t == 1
+    assert mg.spec_checks(spec).ok
+
+
+def test_telescopes_match_their_definition():
+    spec = mg.build(5, 2)
+    for k in range(5):
+        total = QMatrix.zeros(spec.n)
+        for j in range(5):
+            total = total + spec.powers[(k * j) % 5]
+        assert spec.telescopes[k] == total
+
+
 # ---------------------------------------------------------------------------
 # arithmetic
 
