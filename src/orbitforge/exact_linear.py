@@ -437,9 +437,11 @@ def minimal_polynomial(m: QMatrix) -> QPoly:
     raise AssertionError("powers of an n x n matrix must be dependent by degree n")
 
 
-def cyclic_decomposition(m: QMatrix, p: int, seed: QVector) -> list[QVector]:
-    """Seeds b_1 = seed, b_2, ..., b_t whose orbit blocks {b_i * m^k, 0 <= k <= p-2}
-    together form a basis of the whole space.
+def cyclic_decomposition(m: QMatrix, p: int, seed: QVector) -> QMatrix:
+    """The basis b_1, b_1 * m, ..., b_1 * m^(p-2), ..., b_t * m^(p-2) of the
+    whole space made of the orbit blocks {b_i * m^k, 0 <= k <= p-2} of seeds
+    b_1 = seed, b_2, ..., b_t, as the rows of a matrix; the seeds are the rows
+    0, p-1, 2(p-1), ....
 
     Requires the minimal polynomial of m to be 1 + x + ... + x^(p-1), so each
     nonzero vector generates a cyclic subspace of dimension exactly p-1 and any
@@ -464,23 +466,21 @@ def cyclic_decomposition(m: QMatrix, p: int, seed: QVector) -> list[QVector]:
     not_cyclotomic = "minimal polynomial is not the prime cyclotomic polynomial"
 
     ech = _Echelon()
-    seeds: list[QVector] = []
+    rows: list[tuple] = []
 
     def add_block(v: QVector) -> None:
         w = total = v
         for _ in range(p - 1):
             if not ech.add(w.entries):
                 raise ValueError(not_cyclotomic)
+            rows.append(w.entries)
             w = w * m
             total = total + w
         if not total.is_zero:
             raise ValueError(not_cyclotomic)
 
     add_block(seed)
-    seeds.append(seed)
     while ech.rank < n:
         nxt = next(i for i in range(n) if not ech.contains(QVector.unit(n, i).entries))
-        e = QVector.unit(n, nxt)
-        add_block(e)
-        seeds.append(e)
-    return seeds
+        add_block(QVector.unit(n, nxt))
+    return QMatrix(tuple(rows))

@@ -10,6 +10,7 @@ and ``table[i][j]`` is the product i*j. Group actions on vector modules are
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -21,13 +22,56 @@ from .exact_linear import QMatrix
 #: Hard cap on group order for every constructor.
 MAX_ORDER = 4096
 
-# Associativity is checked in full up to this order and by random triples
-# above it (a guardrail for imported tables, where full O(n^3) gets costly).
-_FULL_ASSOC_LIMIT = 512
-_RANDOM_TRIPLES = 10_000
+#: Rows per block in the associativity check; bounds its temporaries at
+#: 2 * 256 * n int64 entries (8 MB at n = 2048).
+_ASSOC_BLOCK = 256
 
 
-def _validate_table(arr: np.ndarray) -> None:
+def _generators(arr: np.ndarray) -> tuple[int, ...]:
+    """The least element outside the closure so far, repeated until the
+    closure is everything. The closure is that of the identity under right
+    multiplication by the chosen elements; on a group it is the subgroup they
+    generate, on any magma it holds every left-bracketed product of them."""
+    n = arr.shape[0]
+    inside = bytearray(n)
+    inside[0] = 1
+    members = [0]
+    gens: list[int] = []
+    cols: list[list[int]] = []
+    while len(members) < n:
+        least = inside.index(0)
+        gens.append(least)
+        cols.append(arr[:, least].tolist())
+        # the old members are closed under the old generators, so they need
+        # only the new one; every new member needs all of them
+        i = len(members)
+        new = cols[-1]
+        for x in members[:i]:
+            y = new[x]
+            if not inside[y]:
+                inside[y] = 1
+                members.append(y)
+        while i < len(members):
+            x = members[i]
+            i += 1
+            for col in cols:
+                y = col[x]
+                if not inside[y]:
+                    inside[y] = 1
+                    members.append(y)
+    return tuple(gens)
+
+
+def _validate_table(arr: np.ndarray) -> tuple[int, ...]:
+    """Check that arr is the Cayley table of a group with identity 0 and
+    return the generating set of :func:`_generators`.
+
+    Associativity is exact at every order, by Light's test (Clifford and
+    Preston 1961, section 1.2): the elements a with (x*a)*y == x*(a*y) for
+    all x, y are closed under products, so checking every a in a set whose
+    left-bracketed products reach every element proves it for all a. That is
+    O(n^2 * d) for d generators, not O(n^3), done in blocks of rows.
+    """
     n = arr.shape[0]
     if arr.shape != (n, n):
         raise ValueError(f"table must be square, got shape {arr.shape}")
@@ -38,52 +82,71 @@ def _validate_table(arr: np.ndarray) -> None:
     idx = np.arange(n)
     if not (np.array_equal(arr[0], idx) and np.array_equal(arr[:, 0], idx)):
         raise ValueError("index 0 is not a two-sided identity")
-    expect_rows = np.tile(idx, (n, 1))
-    if not np.array_equal(np.sort(arr, axis=1), expect_rows):
+    if not np.array_equal(np.sort(arr, axis=1), np.broadcast_to(idx, (n, n))):
         raise ValueError("some row is not a permutation (Latin square violated)")
-    if not np.array_equal(np.sort(arr, axis=0), expect_rows.T):
+    if not np.array_equal(np.sort(arr, axis=0), np.broadcast_to(idx[:, None], (n, n))):
         raise ValueError("some column is not a permutation (Latin square violated)")
     right_inv = np.argmin(arr, axis=1)  # unique 0 per row by the Latin property
     if not np.array_equal(arr[right_inv, idx], np.zeros(n, dtype=arr.dtype)):
         raise ValueError("some element lacks a two-sided inverse")
-    if n <= _FULL_ASSOC_LIMIT:
-        for i in range(n):
-            if not np.array_equal(arr[arr[i], :], arr[i][arr]):
-                raise ValueError(f"associativity fails for triples with first factor {i}")
-    else:
-        rng = np.random.default_rng(0)
-        ijk = rng.integers(0, n, size=(_RANDOM_TRIPLES, 3))
-        lhs = arr[arr[ijk[:, 0], ijk[:, 1]], ijk[:, 2]]
-        rhs = arr[ijk[:, 0], arr[ijk[:, 1], ijk[:, 2]]]
-        if not np.array_equal(lhs, rhs):
-            raise ValueError("associativity fails on sampled triples")
+    gens = _generators(arr)
+    for a in gens:
+        right = arr[a]
+        for lo in range(0, n, _ASSOC_BLOCK):
+            block = arr[lo:lo + _ASSOC_BLOCK]
+            lhs = arr[block[:, a]]  # (x*a)*y
+            rhs = block[:, right]   # x*(a*y)
+            if not np.array_equal(lhs, rhs):
+                x, y = np.argwhere(lhs != rhs)[0]
+                raise ValueError(
+                    f"associativity fails: ({lo + x}*{a})*{y} != {lo + x}*({a}*{y})"
+                )
+    return gens
+
+
+_EXACT_INT = frozenset({int})
+
+
+def _int_row(row) -> tuple[int, ...]:
+    """One table row as a tuple of ints. A float or a bool is rejected, not
+    truncated; other integer types (numpy's) go through ``operator.index``."""
+    r = tuple(row)
+    if not _EXACT_INT.issuperset(map(type, r)):
+        if any(issubclass(t, bool) for t in set(map(type, r))):
+            raise ValueError("table entries must be integers, not booleans")
+        r = tuple(map(operator.index, r))
+    return r
 
 
 class GroupTable:
     """A finite group as an immutable Cayley table.
 
     All structural invariants (identity at index 0, Latin square, two-sided
-    inverses, associativity) are verified at construction time, so holding a
-    GroupTable is itself a certificate that the table is a group.
+    inverses, associativity) are verified exactly at construction time, at
+    every order, so holding a GroupTable is itself a certificate that the
+    table is a group. ``generators`` is the generating set the associativity
+    check used: the least element outside the subgroup generated so far,
+    repeated until that subgroup is everything.
     """
 
-    __slots__ = ("order", "table", "labels", "_inverses", "_orders", "_abelian",
-                 "_orbit_cache")
+    __slots__ = ("order", "table", "labels", "generators", "_inverses", "_orders",
+                 "_abelian", "_orbit_cache")
 
     def __init__(self, table, labels):
         try:
-            rows = tuple(tuple(int(x) for x in row) for row in table)
+            rows = tuple(_int_row(row) for row in table)
             labels = tuple(str(x) for x in labels)
-        except TypeError as exc:
+            arr = np.asarray(rows, dtype=np.int64)
+        except (TypeError, OverflowError) as exc:
             raise ValueError(f"table must be a list of rows of integers: {exc}") from exc
-        arr = np.asarray(rows, dtype=np.int64)
-        _validate_table(arr)
+        gens = _validate_table(arr)
         n = arr.shape[0]
         if len(labels) != n:
             raise ValueError(f"expected {n} labels, got {len(labels)}")
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "table", rows)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "_inverses", tuple(int(x) for x in np.argmin(arr, axis=1)))
         object.__setattr__(self, "_orders", None)
         object.__setattr__(self, "_abelian", None)
@@ -106,10 +169,10 @@ class GroupTable:
     @property
     def is_abelian(self) -> bool:
         if self._abelian is None:
+            # the centralizer of each element is a subgroup, so it is all of
+            # the group once it holds every generator
             t = self.table
-            result = all(
-                t[i][j] == t[j][i] for i in range(self.order) for j in range(i + 1, self.order)
-            )
+            result = all(t[s][x] == t[x][s] for s in self.generators for x in range(self.order))
             object.__setattr__(self, "_abelian", result)
         return self._abelian
 
@@ -298,7 +361,10 @@ class FiniteAction:
     For characteristic q the matrices are integer tuples reduced mod q, for
     characteristic 0 they are exact QMatrix values. Validation enforces that
     the identity acts trivially and that ``matrices[x] * matrices[y] ==
-    matrices[x*y]``; together these make every matrix invertible.
+    matrices[x*y]``; together these make every matrix invertible. The
+    product rule is checked for y in ``domain.generators`` only: the y for
+    which it holds at every x are closed under products, since
+    M_x M_(yz) = M_x M_y M_z = M_(xy) M_z = M_(xyz).
     """
 
     domain: GroupTable
@@ -320,12 +386,8 @@ class FiniteAction:
             mats = self.matrices
             if any(not isinstance(m, QMatrix) or m.n != n for m in mats):
                 raise ValueError("characteristic-0 action needs n x n QMatrix values")
-            if mats[0] != QMatrix.identity(n):
-                raise ValueError("identity element must act as the identity matrix")
-            for x in range(b.order):
-                for y in range(b.order):
-                    if mats[x] * mats[y] != mats[b.table[x][y]]:
-                        raise ValueError(f"action is not a homomorphism at pair ({x}, {y})")
+            ident = QMatrix.identity(n)
+            mul = QMatrix.__mul__
         else:
             mats = tuple(
                 tuple(tuple(int(e) % q for e in row) for row in m) for m in self.matrices
@@ -334,12 +396,18 @@ class FiniteAction:
             ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
             if any(len(m) != n or any(len(r) != n for r in m) for m in mats):
                 raise ValueError("matrices must be n x n")
-            if mats[0] != ident:
-                raise ValueError("identity element must act as the identity matrix")
-            for x in range(b.order):
-                for y in range(b.order):
-                    if _mat_mul_mod(mats[x], mats[y], q) != mats[b.table[x][y]]:
-                        raise ValueError(f"action is not a homomorphism at pair ({x}, {y})")
+
+            def mul(a, c):
+                return _mat_mul_mod(a, c, q)
+        if mats[0] != ident:
+            raise ValueError("identity element must act as the identity matrix")
+        t = b.table
+        order = range(b.order)
+        if any(mul(mats[x], mats[y]) != mats[t[x][y]] for y in b.generators for x in order):
+            # name the first failing pair of the full scan
+            x, y = next((x, y) for x in order for y in order
+                        if mul(mats[x], mats[y]) != mats[t[x][y]])
+            raise ValueError(f"action is not a homomorphism at pair ({x}, {y})")
 
 
 def trivial_action(b: GroupTable, dim: int, characteristic: int = 0) -> FiniteAction:

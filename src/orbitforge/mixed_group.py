@@ -416,21 +416,7 @@ def build_automorphism(
         raise ValueError("alpha and beta must lie outside A")
     pm = conjugation_matrix(alpha, spec)
     rm = conjugation_matrix(beta, spec)
-    b_seeds = cyclic_decomposition(pm, p, b)
-    c_seeds = cyclic_decomposition(rm, p, c)
-
-    def basis_rows(seeds, m):
-        rows = []
-        for s in seeds:
-            w = s
-            for _ in range(p - 1):
-                rows.append(w.entries)
-                w = w * m
-        return QMatrix(tuple(rows))
-
-    bmat = basis_rows(b_seeds, pm)
-    cmat = basis_rows(c_seeds, rm)
-    linear = bmat.inverse() * cmat
+    linear = cyclic_decomposition(pm, p, b).inverse() * cyclic_decomposition(rm, p, c)
     phi = MixedAutomorphism(linear=linear, alpha=alpha, image_of_alpha=beta)
     cert = verify_automorphism(phi, spec, samples=samples)
     if not cert.ok:

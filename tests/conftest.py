@@ -196,6 +196,45 @@ def independent_order_profile(g) -> dict[int, int]:
     return profile
 
 
+def intercalate_loop() -> list[list[int]]:
+    """cyclic(1024) with one intercalate swapped: rows 3 and 515, columns 5
+    and 517 hold the values 8 and 520 in a 2x2 Latin subsquare. Swapping them
+    keeps the Latin property and the identity but breaks associativity on
+    16,336 of the 1024^3 triples."""
+    n = 1024
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    for r, c in ((3, 5), (3, 517), (515, 5), (515, 517)):
+        table[r][c] = 520 if table[r][c] == 8 else 8
+    return table
+
+
+def brute_force_associative(table) -> bool:
+    """Every triple of a small table, with no shortcut."""
+    n = len(table)
+    return all(table[table[x][y]][z] == table[x][table[y][z]]
+               for x in range(n) for y in range(n) for z in range(n))
+
+
+def brute_force_cocycle(c) -> tuple[bool, tuple[int, int, int] | None]:
+    """The cocycle identity c(xy, z) + c(x, y) M_z == c(x, yz) + c(y, z) over
+    all |B|^3 triples in lexicographic order, with the first failure."""
+    t, v, mats = c.base.table, c.values, c.action.matrices
+    n = c.base.order
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if v[t[x][y]][z] + v[x][y] * mats[z] != v[x][t[y][z]] + v[y][z]:
+                    return False, (x, y, z)
+    return True, None
+
+
+def first_non_homomorphic_pair(g, mats, mul) -> tuple[int, int] | None:
+    """The first (x, y) over all pairs with mul(M_x, M_y) != M_xy."""
+    t = g.table
+    return next(((x, y) for x in range(g.order) for y in range(g.order)
+                 if mul(mats[x], mats[y]) != mats[t[x][y]]), None)
+
+
 @pytest.fixture(scope="session")
 def catalog_groups():
     """One shared instance per catalog entry so orbit caches are reused."""

@@ -86,6 +86,9 @@ def _cocycle_json(**override) -> dict:
     (["cocycle", "verify"], _cocycle_json(action=5)),
     (["cocycle", "verify"], _cocycle_json(values=[[5, 5, 5]] * 3)),
     (["cocycle", "verify"], _cocycle_json(base={"table": [1, 2, 3]})),
+    (["omega"], {"table": [[0, 1.9], [1, 0]]}),  # rejected, not truncated to 1
+    (["omega"], {"table": [[0, True], [1, 0]]}),
+    (["omega"], {"table": [[0, 10**30], [1, 0]]}),  # beyond int64
 ])
 def test_malformed_group_and_cocycle_files_exit_2(capsys, tmp_path, command, data):
     code, _, err = _run(capsys, command + [_write(tmp_path, data)])

@@ -1,10 +1,14 @@
+import ast
 import json
 import random
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import brute_force_cocycle
 from orbitforge import cocycle_split as cs
 from orbitforge import group_core as gc
 from orbitforge.exact_linear import QMatrix, QVector
@@ -71,6 +75,90 @@ def test_corrupted_cocycle_fails_with_witness():
     lhs = c.values[c3.table[x][y]][z] + c.values[x][y]
     rhs = c.values[x][c3.table[y][z]] + c.values[y][z]
     assert lhs != rhs
+
+
+def _permutation_action(g: gc.GroupTable) -> gc.FiniteAction:
+    """Q^d permuted through the permutation labels of symmetric() or
+    alternating(): M_p[i][j] = 1 iff p(j) = i, so M_p M_q = M_pq."""
+    perms = [ast.literal_eval(lab) for lab in g.labels]
+    d = len(perms[0])
+    mats = tuple(QMatrix.of([[1 if p[j] == i else 0 for j in range(d)] for i in range(d)])
+                 for p in perms)
+    return gc.FiniteAction(g, d, 0, mats)
+
+
+def _small_actions():
+    c6 = gc.cyclic(6)
+    s3 = gc.symmetric(3)
+    a4 = gc.alternating(4)
+    return {
+        "C6_sign": (c6, gc.cyclic_matrix_action(c6, [[-1]])),
+        "S3_sign": _sign_action_s3(2),
+        "S3_perm": (s3, _permutation_action(s3)),
+        "A4_perm": (a4, _permutation_action(a4)),
+        "A4_trivial": (a4, gc.trivial_action(a4, 1)),
+    }
+
+
+SMALL_ACTIONS = _small_actions()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_verify_cocycle_matches_all_triples_oracle(data):
+    # verify_cocycle checks generator middles first and scans every triple
+    # only after a failure; verdict and witness must match the full scan
+    name = data.draw(st.sampled_from(sorted(SMALL_ACTIONS)), label="action")
+    b, action = SMALL_ACTIONS[name]
+    c = cs.random_cocycle(b, action, seed=data.draw(st.integers(0, 999), label="seed"))
+    rows = [list(r) for r in c.values]
+    cells = data.draw(st.lists(st.tuples(st.integers(1, b.order - 1), st.integers(1, b.order - 1)),
+                               min_size=1, max_size=2), label="cells")
+    for x, y in cells:
+        bump = [Fraction(data.draw(st.integers(-3, 3), label="bump")) for _ in range(action.module_dim)]
+        rows[x][y] = rows[x][y] + QVector(tuple(bump))
+    bad = cs.Cocycle(b, action, tuple(tuple(r) for r in rows))
+    assert cs.verify_cocycle(bad) == brute_force_cocycle(bad)
+
+
+def test_every_generator_is_checked_as_a_middle():
+    # on C2 x C2 (generators 1, 2) with c(2, 3) = c(3, 2) = 1, the identity
+    # holds whenever y = 1 but not for every y: a check that skipped a
+    # generator would accept it
+    v4 = gc.elementary_abelian(2, 2)
+    assert v4.generators == (1, 2)
+    zero, one = QVector.zero(1), QVector.of(1)
+    rows = [[zero] * 4 for _ in range(4)]
+    rows[2][3] = rows[3][2] = one
+    c = cs.Cocycle(v4, gc.trivial_action(v4, 1), tuple(tuple(r) for r in rows))
+    t, v = v4.table, c.values
+    assert all(v[t[x][1]][z] + v[x][1] == v[x][t[1][z]] + v[1][z] for x in range(4) for z in range(4))
+    ok, witness = brute_force_cocycle(c)
+    assert not ok
+    assert cs.verify_cocycle(c) == (False, witness)
+
+
+def test_verify_and_trivialize_work_is_bounded_by_generators(monkeypatch):
+    # one vector-matrix product per checked triple: |B|^2 * d for d
+    # generators; a silent return to the |B|^3 scan would take 20x more on A5
+    a5 = gc.alternating(5)
+    c = cs.random_cocycle(a5, gc.trivial_action(a5, 2), seed=5)
+    d = len(a5.generators)
+    calls = 0
+    mul = QVector.__mul__
+
+    def counting_mul(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(QVector, "__mul__", counting_mul)
+    assert cs.verify_cocycle(c) == (True, None)
+    assert 0 < calls <= a5.order ** 2 * d
+    calls = 0
+    cs.trivialize(c)  # already verified by random_cocycle
+    # one scaling per averaged value plus |B| * d relation checks
+    assert 0 < calls <= a5.order * (d + 1)
 
 
 def test_normalization_enforced_at_construction():

@@ -252,20 +252,20 @@ def test_companion_power_identities(p):
 # cyclic decomposition
 
 def test_cyclic_decomposition_frozen_examples():
-    seeds = cyclic_decomposition(QMatrix.of([[-1]]), 2, QVector.of(3))
-    assert seeds == [QVector.of(3)]
+    basis = cyclic_decomposition(QMatrix.of([[-1]]), 2, QVector.of(3))
+    assert basis == QMatrix.of([[3]])
 
     m = companion(cyclotomic_prime(3))
-    seeds = cyclic_decomposition(m, 3, QVector.of(1, 0))
-    assert seeds == [QVector.of(1, 0)]
+    basis = cyclic_decomposition(m, 3, QVector.of(1, 0))
     # the orbit block is {seed, seed*m} = {(1,0), (0,-1)}; its determinant is -1
-    basis = QMatrix((seeds[0].entries, (seeds[0] * m).entries))
-    assert (seeds[0] * m) == QVector.of(0, -1)
+    assert basis == QMatrix.of([[1, 0], [0, -1]])
+    assert (QVector.of(1, 0) * m) == QVector.of(0, -1)
     assert basis.det() == -1
 
     big = QMatrix.block_diag([m, m])
-    seeds = cyclic_decomposition(big, 3, QVector.unit(4, 0))
-    assert seeds == [QVector.unit(4, 0), QVector.unit(4, 2)]
+    basis = cyclic_decomposition(big, 3, QVector.unit(4, 0))
+    # seeds are the rows 0 and p - 1 = 2
+    assert [basis.rows[0], basis.rows[2]] == [QVector.unit(4, 0).entries, QVector.unit(4, 2).entries]
 
 
 def test_cyclic_decomposition_change_of_basis_invertible():
@@ -275,14 +275,16 @@ def test_cyclic_decomposition_change_of_basis_invertible():
         seed = QVector(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)))
         if seed.is_zero:
             continue
-        seeds = cyclic_decomposition(m, 3, seed)
+        basis = cyclic_decomposition(m, 3, seed)
         rows = []
-        for s in seeds:
+        for s in (QVector(basis.rows[0]), QVector(basis.rows[2])):
             w = s
             for _ in range(2):
                 rows.append(w.entries)
                 w = w * m
-        assert QMatrix(tuple(rows)).det() != 0
+        assert basis.rows[0] == seed.entries
+        assert basis == QMatrix(tuple(rows))
+        assert basis.det() != 0
 
 
 def test_cyclic_decomposition_errors():

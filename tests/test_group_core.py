@@ -1,8 +1,16 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import independent_element_order, independent_order_profile
+from conftest import (
+    brute_force_associative,
+    first_non_homomorphic_pair,
+    independent_element_order,
+    independent_order_profile,
+    intercalate_loop,
+)
 from orbitforge import group_core as gc
 from orbitforge.exact_linear import QMatrix
 
@@ -113,6 +121,48 @@ def test_action_must_be_homomorphism():
         gc.FiniteAction(c2, 1, 0, (QMatrix.identity(1), QMatrix.of([[2]])))
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_non_homomorphic_action_names_the_first_failing_pair(data):
+    # the check runs on generators only; its error must still name the first
+    # failing pair of the all-pairs scan
+    name = data.draw(st.sampled_from(["C6", "S3", "A4"]), label="base")
+    b = {"C6": gc.cyclic(6), "S3": gc.symmetric(3), "A4": gc.alternating(4)}[name]
+    q = data.draw(st.sampled_from([0, 5]), label="characteristic")
+    k = data.draw(st.integers(1, b.order - 1), label="element")
+    scalar = data.draw(st.sampled_from([-1, 2, 3]), label="scalar")
+    if q == 0:
+        mats = [QMatrix.identity(2)] * b.order
+        mats[k] = QMatrix.identity(2) * scalar
+        mul = QMatrix.__mul__
+    else:
+        mats = [((1, 0), (0, 1))] * b.order
+        mats[k] = ((scalar % q, 0), (0, 1))
+
+        def mul(a, c):
+            return tuple(tuple(sum(a[i][r] * c[r][j] for r in range(2)) % q for j in range(2))
+                         for i in range(2))
+    expected = first_non_homomorphic_pair(b, mats, mul)
+    if expected is None:
+        gc.FiniteAction(b, 2, q, tuple(mats))
+    else:
+        with pytest.raises(ValueError, match=rf"homomorphism at pair \({expected[0]}, {expected[1]}\)"):
+            gc.FiniteAction(b, 2, q, tuple(mats))
+
+
+def test_every_generator_is_checked_in_an_action():
+    # on C2 x C2 (generators 1, 2), M = (1, 1, 2, 2) respects every product
+    # with the generator 1 but not 2 * 2 = 0; a check that skipped a
+    # generator would accept it
+    v4 = gc.elementary_abelian(2, 2)
+    assert v4.generators == (1, 2)
+    mats = tuple(QMatrix.of([[k]]) for k in (1, 1, 2, 2))
+    with pytest.raises(ValueError, match=r"homomorphism at pair \(2, 2\)"):
+        gc.FiniteAction(v4, 1, 0, mats)
+    with pytest.raises(ValueError, match=r"homomorphism at pair \(2, 2\)"):
+        gc.FiniteAction(v4, 1, 5, tuple(((k,),) for k in (1, 1, 2, 2)))
+
+
 def test_quaternion_and_dihedral_profiles():
     q8 = gc.quaternion()
     assert independent_order_profile(q8) == {1: 1, 2: 1, 4: 6}
@@ -164,6 +214,12 @@ def test_is_elementary_abelian():
     assert gc.is_elementary_abelian(gc.symmetric(3)) == (False, None)
     assert gc.is_elementary_abelian(gc.cyclic(1)) == (True, None)
     assert gc.is_elementary_abelian(gc.cyclic(5)) == (True, 5)
+
+
+def test_generators_generate_everything(catalog_groups):
+    for name, g in catalog_groups.items():
+        assert gc.subgroup_closure(g, g.generators) == tuple(range(g.order)), name
+        assert 0 not in g.generators
 
 
 def test_subgroup_closure():
@@ -218,3 +274,42 @@ def test_group_table_is_immutable():
     g = gc.cyclic(3)
     with pytest.raises(AttributeError):
         g.order = 5
+
+
+def test_order_1024_loop_is_rejected():
+    # 16,336 of its 1024^3 triples fail: a sampled check misses them
+    with pytest.raises(ValueError, match="associativity"):
+        gc.GroupTable(intercalate_loop(), [str(i) for i in range(1024)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_small_loops_are_rejected(data):
+    # swap one intercalate of a small group table (a 2x2 Latin subsquare off
+    # the identity row and column, without the value 0), then relabel it so
+    # the bad triples move relative to the generators. The result is a Latin
+    # square with identity and inverses; brute force finds a non-associative
+    # triple in every such swap of these groups, and so must the check.
+    name = data.draw(st.sampled_from(["C6", "C8", "EA_2_3", "D4", "Q8", "S3", "A4"]), label="group")
+    g = {"C6": gc.cyclic(6), "C8": gc.cyclic(8), "EA_2_3": gc.elementary_abelian(2, 3),
+         "D4": gc.dihedral(4), "Q8": gc.quaternion(), "S3": gc.symmetric(3),
+         "A4": gc.alternating(4)}[name]
+    t, n = g.table, g.order
+    squares = [
+        (r1, c1, r2, c2)
+        for r1 in range(1, n) for r2 in range(r1 + 1, n)
+        for c1 in range(1, n) for c2 in range(c1 + 1, n)
+        if t[r1][c1] == t[r2][c2] != 0 and t[r1][c2] == t[r2][c1] != 0
+    ]
+    r1, c1, r2, c2 = data.draw(st.sampled_from(squares), label="intercalate")
+    swapped = [list(row) for row in t]
+    swapped[r1][c1], swapped[r1][c2] = swapped[r1][c2], swapped[r1][c1]
+    swapped[r2][c1], swapped[r2][c2] = swapped[r2][c2], swapped[r2][c1]
+    sigma = (0,) + tuple(data.draw(st.permutations(range(1, n)), label="sigma"))
+    table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            table[sigma[i]][sigma[j]] = sigma[swapped[i][j]]
+    assert not brute_force_associative(table)
+    with pytest.raises(ValueError, match="associativity"):
+        gc.GroupTable(table, g.labels)
