@@ -208,23 +208,23 @@ def complement(c: Cocycle) -> list[ExtensionElement]:
     Multiplicativity of x -> s_x = (x, e(x)) is, term for term, the relation
     c(y, z) = e(yz) - e(y) * M_z - e(z) that :func:`trivialize` has just
     proved for every pair (on generators, by Light's argument), so it is not
-    checked again. Verifies: that only the base identity lands in A (so H
-    meets A trivially), and that every extension element factors uniquely as
-    (1, a) * s_x, which amounts to the action matrices being invertible.
+    checked again. Verifies that only the base identity lands in A (so H
+    meets A trivially) and spot-checks that an extension element factors
+    as (1, a) * s_x. That factorization is unique because every M_x is
+    invertible: ``FiniteAction`` has proved M_1 = I and M_x M_y = M_xy, so
+    M_x M_(x^-1) = I. The inverse is read off the table, not computed.
     """
     e = trivialize(c)
     nb = c.base.order
+    mats = c.action.matrices
     h = [ExtensionElement(x, e[x]) for x in range(nb)]
     if not h[0].a.is_zero:
         raise ComplementError("section at the identity is not the extension identity")
-    for x in range(nb):
-        if c.action.matrices[x].det() == 0:
-            raise ComplementError(f"action matrix of element {x} is singular")
-    # spot-check the unique factorization (1, a) * s_x = (x, a * M_x + e(x))
+    # spot-check the factorization (1, a) * s_x = (x, a * M_x + e(x))
     probe = QVector.of(*range(1, c.module_dim + 1))
     for x in range(nb):
         target = ExtensionElement(x, probe)
-        u = (target.a - e[x]) * c.action.matrices[x].inverse()
+        u = (target.a - e[x]) * mats[c.base.inv(x)]
         if extension_multiply(ExtensionElement(0, u), h[x], c) != target:
             raise ComplementError(f"factorization through s_{x} failed")
     return h

@@ -1,8 +1,17 @@
 """Exact rational linear algebra: vectors, matrices, polynomials.
 
-Everything here is built on ``fractions.Fraction`` (arbitrary-precision,
-always reduced, positive denominator), so every result is exact; no
-floating point is used anywhere in the package.
+Entries are ``fractions.Fraction`` values (arbitrary-precision, always
+reduced, positive denominator), so every result is exact; no floating point
+is used anywhere in the package. ``Fraction`` is the API boundary only: the
+kernels compute on integers. A matrix computes its least common denominator
+and its sparse rows of integer numerators once and keeps them; a product
+sums integer numerators over one common denominator per operand and makes
+one ``Fraction`` per result entry. Determinant, inverse, echelon form and
+minimal polynomial share one elimination routine, ``_clear``, on integer
+rows that are divided by the gcd of their entries after every update
+(primitive rows, in the fraction-free style of Bareiss, 1968), so entries
+grow with the minors of the input and not with a power of its common
+denominator.
 
 Convention: linear maps act on *row* vectors from the right, ``v * m``.
 Matrix products therefore compose left to right, which matches the
@@ -18,6 +27,8 @@ import math
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .arith import is_prime
@@ -31,6 +42,21 @@ def format_rat(x: Fraction) -> str:
 def parse_rat(s: str | int) -> Fraction:
     """Accepts "num/den", a bare integer string, or an int."""
     return Fraction(str(s))
+
+
+_ZERO = Fraction(0)
+
+
+def _numerators(entries: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(nums, d) with d the least common denominator of the entries and
+    nums[i] = d * entries[i], an integer."""
+    d = math.lcm(*(e.denominator for e in entries))
+    return [e.numerator * (d // e.denominator) for e in entries], d
+
+
+def _over(nums: Iterable[int], d: int) -> tuple[Fraction, ...]:
+    """The entries nums[i] / d, one reduced Fraction each."""
+    return tuple(Fraction(x, d) if x else _ZERO for x in nums)
 
 
 @dataclass(frozen=True)
@@ -74,20 +100,14 @@ class QVector:
         if isinstance(other, QMatrix):
             if self.dim != other.n:
                 raise ValueError(f"dimension mismatch: vector {self.dim}, matrix {other.n}")
-            acc = [Fraction(0)] * other.n
-            for i, v in enumerate(self.entries):
-                if not v:
-                    continue
-                row = other.rows[i]
-                if v == 1:
-                    for j, w in enumerate(row):
-                        if w:
-                            acc[j] += w
-                else:
-                    for j, w in enumerate(row):
-                        if w:
-                            acc[j] += v * w
-            return QVector(tuple(acc))
+            den, rows = other._sparse
+            nums, d = _numerators(self.entries)
+            acc = [0] * other.n
+            for v, row in zip(nums, rows):
+                if v:
+                    for j, w in row:
+                        acc[j] += v * w
+            return QVector(_over(acc, d * den))
         if isinstance(other, (int, Fraction)):
             return QVector(tuple(a * other for a in self.entries))
         return NotImplemented
@@ -161,6 +181,16 @@ class QMatrix:
     def row(self, i: int) -> QVector:
         return QVector(self.rows[i])
 
+    @cached_property
+    def _sparse(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+        """(D, rows): D the least common denominator of all entries and, per
+        row, the (column, D * entry) pairs of its nonzero entries."""
+        den = math.lcm(*(e.denominator for row in self.rows for e in row))
+        return den, tuple(
+            tuple((j, e.numerator * (den // e.denominator)) for j, e in enumerate(row) if e)
+            for row in self.rows
+        )
+
     def __add__(self, other: "QMatrix") -> "QMatrix":
         self._check_dim(other)
         return QMatrix(
@@ -179,27 +209,19 @@ class QMatrix:
     def __mul__(self, other):
         if isinstance(other, QMatrix):
             self._check_dim(other)
-            # row-by-row accumulation, skipping zero entries in both factors;
-            # same exact result as the textbook triple loop but fast on the
-            # sparse matrices (companion powers) this package lives on
+            # row-by-row accumulation over the nonzero numerators of both
+            # factors: linear in the nonzeros on the sparse matrices
+            # (companion powers) this package lives on
             n = self.n
-            orows = other.rows
+            den_a, rows_a = self._sparse
+            den_b, rows_b = other._sparse
             out = []
-            for ra in self.rows:
-                acc = [Fraction(0)] * n
-                for k, v in enumerate(ra):
-                    if not v:
-                        continue
-                    rk = orows[k]
-                    if v == 1:
-                        for j, w in enumerate(rk):
-                            if w:
-                                acc[j] += w
-                    else:
-                        for j, w in enumerate(rk):
-                            if w:
-                                acc[j] += v * w
-                out.append(tuple(acc))
+            for ra in rows_a:
+                acc = [0] * n
+                for k, v in ra:
+                    for j, w in rows_b[k]:
+                        acc[j] += v * w
+                out.append(_over(acc, den_a * den_b))
             return QMatrix(tuple(out))
         if isinstance(other, (int, Fraction)):
             return QMatrix(tuple(tuple(a * other for a in row) for row in self.rows))
@@ -224,55 +246,43 @@ class QMatrix:
         return result
 
     def det(self) -> Fraction:
-        """Exact determinant: denominators are cleared and the integer matrix
-        is reduced by fraction-free Bareiss elimination (no gcd churn)."""
+        """Exact determinant: the product of the pivots of Gaussian
+        elimination, each read off one primitive integer row of ``_clear``
+        (rows are stored by pivot column, so the sign is the parity of the
+        pivot order)."""
         n = self.n
-        if n == 0:
-            return Fraction(1)
-        den = 1
-        for row in self.rows:
-            for e in row:
-                den = den * e.denominator // math.gcd(den, e.denominator)
-        a = [[int(e * den) for e in row] for row in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                piv = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-                if piv is None:
-                    return Fraction(0)
-                a[k], a[piv] = a[piv], a[k]
-                sign = -sign
-            akk = a[k][k]
-            for i in range(k + 1, n):
-                aik = a[i][k]
-                row_i = a[i]
-                row_k = a[k]
-                for j in range(k + 1, n):
-                    row_i[j] = (row_i[j] * akk - aik * row_k[j]) // prev
-                row_i[k] = 0
-            prev = akk
-        return Fraction(sign * a[n - 1][n - 1], den**n)
+        rows: list[tuple[int, list[int]]] = []
+        pivots = []
+        result = Fraction(1)
+        for r in self.rows:
+            nums, d = _numerators(r)
+            v, s, t = _clear(nums, rows)
+            piv = _insert(rows, v, n)
+            if piv is None:
+                return Fraction(0)
+            pivots.append(piv)
+            # v = (s / t) * d * (the eliminated rational row)
+            result *= Fraction(t * v[piv], s * d)
+        inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:])
+        return -result if inversions % 2 else result
 
     def inverse(self) -> "QMatrix":
-        """Exact inverse by Gauss-Jordan elimination; raises on singular input."""
+        """Exact inverse: ``_clear`` reduces the integer rows of [A | I] until
+        the left half is diagonal; raises on singular input."""
         n = self.n
-        a = [
-            list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-            for i, row in enumerate(self.rows)
-        ]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if piv is None:
+        rows: list[tuple[int, list[int]]] = []
+        for i, r in enumerate(self.rows):
+            nums, d = _numerators(r)
+            tail = [0] * n
+            tail[i] = d
+            v = _clear(nums + tail, rows)[0]
+            if _insert(rows, v, n) is None:
                 raise ValueError("matrix is singular")
-            a[col], a[piv] = a[piv], a[col]
-            pval = a[col][col]
-            a[col] = [x / pval for x in a[col]]
-            for r in range(n):
-                if r != col and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return QMatrix(tuple(tuple(row[n:]) for row in a))
+        # the pivots are now 0..n-1; clear above each, last first, so every
+        # row is reduced by rows whose left half is zero off their pivot
+        for k in range(n - 2, -1, -1):
+            rows[k] = (k, _clear(rows[k][1], rows[k + 1:])[0])
+        return QMatrix(tuple(_over(row[n:], row[k]) for k, row in rows))
 
     def _check_dim(self, other: "QMatrix") -> None:
         if self.n != other.n:
@@ -336,15 +346,6 @@ class QPoly:
         return "QPoly(" + " + ".join(terms) + ")"
 
 
-def poly_eval(f: QPoly, m: QMatrix) -> QMatrix:
-    """Evaluate f at the matrix m (Horner), exactly."""
-    acc = QMatrix.zeros(m.n)
-    ident = QMatrix.identity(m.n)
-    for c in reversed(f.coeffs):
-        acc = acc * m + ident * c
-    return acc
-
-
 def cyclotomic_prime(p: int) -> QPoly:
     """1 + x + ... + x^(p-1) for prime p (irreducible over the rationals)."""
     if not is_prime(p):
@@ -371,35 +372,66 @@ def companion(f: QPoly) -> QMatrix:
     return QMatrix(tuple(tuple(r) for r in rows))
 
 
+_PIVOT = itemgetter(0)
+
+
+def _clear(v: list[int], rows: Sequence[tuple[int, list[int]]]) -> tuple[list[int], int, int]:
+    """The one elimination step behind every kernel in this module.
+
+    ``rows`` are (pivot, row) pairs of integer rows sorted by pivot, each
+    row zero before its pivot. v is made primitive, then cleared at each
+    pivot in turn: v <- (a * v - b * row) / g, with a and b the pivot
+    entries of row and v divided by their gcd, and g the gcd of the result.
+    One pass clears every pivot: each row is zero before its pivot, so
+    clearing one pivot never refills an earlier one. Returns (w, s, t) with w = (s / t) * (v - a combination of
+    the rows); w is primitive.
+    """
+    s = t = 1
+    g = math.gcd(*v)
+    if g > 1:
+        v = [x // g for x in v]
+        t = g
+    for piv, row in rows:
+        b = v[piv]
+        if b:
+            a = row[piv]
+            g = math.gcd(a, b)
+            a //= g
+            b //= g
+            v = [a * x - b * y for x, y in zip(v, row)]
+            s *= a
+            g = math.gcd(*v)
+            if g > 1:
+                v = [x // g for x in v]
+                t *= g
+    return v, s, t
+
+
+def _insert(rows: list[tuple[int, list[int]]], v: list[int], width: int) -> int | None:
+    """Store v under its pivot, the first nonzero among its first ``width``
+    entries, keeping rows sorted; None, storing nothing, if those are zero."""
+    piv = next((i for i in range(width) if v[i]), None)
+    if piv is not None:
+        insort(rows, (piv, v), key=_PIVOT)
+    return piv
+
+
 class _Echelon:
-    """Incremental exact row echelon; rows kept sorted by pivot column."""
+    """Incremental exact row echelon form on primitive integer rows."""
 
     def __init__(self) -> None:
-        self._rows: list[tuple[int, list[Fraction]]] = []
+        self._rows: list[tuple[int, list[int]]] = []
 
-    def _reduce(self, v: list[Fraction]) -> list[Fraction]:
-        # rows are sorted by pivot and have zeros before their pivot, so one
-        # forward pass fully clears every pivot position
-        for piv, row in self._rows:
-            f = v[piv]
-            if f:
-                for i in range(piv, len(v)):
-                    if row[i]:
-                        v[i] -= f * row[i]
-        return v
+    def _reduce(self, entries: Sequence[Fraction]) -> list[int]:
+        return _clear(_numerators(entries)[0], self._rows)[0]
 
     def contains(self, entries: Sequence[Fraction]) -> bool:
-        return not any(self._reduce(list(entries)))
+        return not any(self._reduce(entries))
 
     def add(self, entries: Sequence[Fraction]) -> bool:
         """Insert a vector; False if it was already in the span."""
-        v = self._reduce(list(entries))
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
-            return False
-        pval = v[piv]
-        insort(self._rows, (piv, [x / pval for x in v]), key=lambda r: r[0])
-        return True
+        v = self._reduce(entries)
+        return _insert(self._rows, v, len(v)) is not None
 
     @property
     def rank(self) -> int:
@@ -410,29 +442,22 @@ def minimal_polynomial(m: QMatrix) -> QPoly:
     """Monic minimal polynomial, via exact elimination on the Krylov flats I, m, m^2, ...
 
     The first power that is linearly dependent on the earlier ones yields the
-    (unique) monic annihilating polynomial of least degree.
+    (unique) monic annihilating polynomial of least degree. Each flat carries
+    a unit tail that records, through the elimination, which combination of
+    powers it is; a flat that reduces to zero leaves those coefficients.
     """
     n = m.n
-    rows: list[tuple[int, list[Fraction], list[Fraction]]] = []
+    width = n * n
+    rows: list[tuple[int, list[int]]] = []
     power = QMatrix.identity(n)
     for k in range(n + 1):
-        vec = [e for row in power.rows for e in row]
-        combo = [Fraction(0)] * k + [Fraction(1)]
-        for piv, rvec, rcombo in rows:
-            f = vec[piv]
-            if f:
-                for i in range(piv, len(vec)):
-                    if rvec[i]:
-                        vec[i] -= f * rvec[i]
-                for i, c in enumerate(rcombo):
-                    if c:
-                        combo[i] -= f * c
-        piv = next((i for i, x in enumerate(vec) if x), None)
-        if piv is None:
-            return QPoly(tuple(combo))
-        pval = vec[piv]
-        entry = (piv, [x / pval for x in vec], [c / pval for c in combo])
-        insort(rows, entry, key=lambda r: r[0])
+        nums, d = _numerators([e for row in power.rows for e in row])
+        tail = [0] * (n + 1)
+        tail[k] = d
+        v = _clear(nums + tail, rows)[0]
+        if _insert(rows, v, width) is None:
+            combo = v[width:width + k + 1]
+            return QPoly(_over(combo, combo[k]))
         power = power * m
     raise AssertionError("powers of an n x n matrix must be dependent by degree n")
 

@@ -99,6 +99,8 @@ class MixedGroupSpec:
     for every element outside A. ``telescopes[0]`` is p * I; every later
     entry is one shared matrix, the zero sum Phi_p(M) itself: for k != 0,
     j -> k*j mod p permutes 0..p-1, so the telescope sums the same powers.
+    Applying M^k to a vector is ``a * powers[k]``: each power computes its
+    sparse integer rows once, at its first product, and keeps them.
     """
 
     p: int
@@ -106,10 +108,6 @@ class MixedGroupSpec:
     action: QMatrix
     powers: tuple[QMatrix, ...] = field(init=False, repr=False, compare=False)
     telescopes: tuple[QMatrix, ...] = field(init=False, repr=False, compare=False)
-    # sparse column form of each power: per column, the nonzero (row, coeff)
-    # pairs; companion-block powers have ~2n nonzeros, so applying them this
-    # way is linear instead of quadratic in n
-    _power_cols: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p, t, m = self.p, self.t, self.action
@@ -135,16 +133,8 @@ class MixedGroupSpec:
                 "I + M + ... + M^(p-1) is not zero: some power of the action fixes a nonzero vector"
             )
         telescopes = (ident * p,) + (phi_m,) * (p - 1)
-        power_cols = tuple(
-            tuple(
-                tuple((i, m.rows[i][j]) for i in range(n) if m.rows[i][j])
-                for j in range(n)
-            )
-            for m in powers
-        )
         object.__setattr__(self, "powers", tuple(powers))
         object.__setattr__(self, "telescopes", telescopes)
-        object.__setattr__(self, "_power_cols", power_cols)
 
     @property
     def n(self) -> int:
@@ -194,21 +184,7 @@ def _check_dim(g: MixedElement, spec: MixedGroupSpec) -> None:
 
 
 def _apply_power(a: QVector, spec: MixedGroupSpec, k: int) -> QVector:
-    if k == 0:
-        return a
-    entries = a.entries
-    out = []
-    for col in spec._power_cols[k]:
-        acc = Fraction(0)
-        for i, coeff in col:
-            if coeff == 1:
-                acc += entries[i]
-            elif coeff == -1:
-                acc -= entries[i]
-            else:
-                acc += entries[i] * coeff
-        out.append(acc)
-    return QVector(tuple(out))
+    return a * spec.powers[k] if k else a
 
 
 def multiply(g1: MixedElement, g2: MixedElement, spec: MixedGroupSpec) -> MixedElement:
@@ -248,9 +224,9 @@ def element_order(g: MixedElement, spec: MixedGroupSpec) -> int | float:
     for _ in range(spec.p - 1):
         acc = multiply(acc, g, spec)
     if acc != identity_element(spec):
-        raise AssertionError("element outside A failed to have order p; spec invalid")
+        raise SpecValidationError("element outside A failed to have order p; spec invalid")
     if not (g.a * spec.telescopes[k]).is_zero:
-        raise AssertionError("telescoping annihilation failed; spec invalid")
+        raise SpecValidationError("telescoping annihilation failed; spec invalid")
     return spec.p
 
 
@@ -272,17 +248,29 @@ class MixedAutomorphism:
     linear: QMatrix
     alpha: MixedElement
     image_of_alpha: MixedElement
+    # (spec, alpha^m for 0 <= m < p, image_of_alpha^m for 0 <= m < p), built
+    # by the first apply_automorphism with that spec
+    _anchor_powers: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+
+def _powers_of(g: MixedElement, spec: MixedGroupSpec) -> tuple[MixedElement, ...]:
+    """g^m for 0 <= m < p, by p - 1 products."""
+    out = [identity_element(spec)]
+    for _ in range(spec.p - 1):
+        out.append(multiply(out[-1], g, spec))
+    return tuple(out)
 
 
 def apply_automorphism(phi: MixedAutomorphism, g: MixedElement, spec: MixedGroupSpec) -> MixedElement:
     _check_dim(g, spec)
     p = spec.p
-    j = phi.alpha.k % p
-    m = (g.k * pow(j, -1, p)) % p
-    anchor_m = power(phi.alpha, m, spec)
-    u = g.a - anchor_m.a
-    image_m = power(phi.image_of_alpha, m, spec)
-    return multiply(image_m, MixedElement(0, u * phi.linear), spec)
+    tables = phi._anchor_powers
+    if tables is None or tables[0] is not spec:
+        tables = (spec, _powers_of(phi.alpha, spec), _powers_of(phi.image_of_alpha, spec))
+        object.__setattr__(phi, "_anchor_powers", tables)
+    m = (g.k * pow(phi.alpha.k % p, -1, p)) % p
+    u = g.a - tables[1][m].a
+    return multiply(tables[2][m], MixedElement(0, u * phi.linear), spec)
 
 
 def compose_automorphisms(

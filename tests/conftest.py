@@ -7,13 +7,16 @@ so the frozen constants in the test modules stay honest.
 
 from __future__ import annotations
 
+import math
+from bisect import insort
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
 from orbitforge import catalog
 from orbitforge.arith import is_prime
-from orbitforge.exact_linear import QMatrix
+from orbitforge.exact_linear import QMatrix, QPoly, QVector
 
 
 def brute_force_automorphisms(g) -> set[tuple[int, ...]]:
@@ -233,6 +236,152 @@ def first_non_homomorphic_pair(g, mats, mul) -> tuple[int, int] | None:
     t = g.table
     return next(((x, y) for x in range(g.order) for y in range(g.order)
                  if mul(mats[x], mats[y]) != mats[t[x][y]]), None)
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracles for the integer kernels of exact_linear: the package's
+# earlier implementations, which did every step in Fraction arithmetic
+
+def fraction_vecmul(v: QVector, m: QMatrix) -> QVector:
+    """v * m, accumulated entry by entry in Fractions."""
+    acc = [Fraction(0)] * m.n
+    for i, x in enumerate(v.entries):
+        if x:
+            for j, w in enumerate(m.rows[i]):
+                if w:
+                    acc[j] += x * w
+    return QVector(tuple(acc))
+
+
+def fraction_matmul(a: QMatrix, b: QMatrix) -> QMatrix:
+    """a * b, row by row in Fractions."""
+    return QMatrix(tuple(fraction_vecmul(QVector(row), b).entries for row in a.rows))
+
+
+def bareiss_det(m: QMatrix) -> Fraction:
+    """Determinant: every entry is scaled by one global common denominator
+    D, and the integer matrix is reduced by Bareiss elimination, so the
+    k-th pivot carries D^k."""
+    n = m.n
+    if n == 0:
+        return Fraction(1)
+    den = 1
+    for row in m.rows:
+        for e in row:
+            den = den * e.denominator // math.gcd(den, e.denominator)
+    a = [[int(e * den) for e in row] for row in m.rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if piv is None:
+                return Fraction(0)
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        akk = a[k][k]
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            row_i = a[i]
+            row_k = a[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * akk - aik * row_k[j]) // prev
+            row_i[k] = 0
+        prev = akk
+    return Fraction(sign * a[n - 1][n - 1], den**n)
+
+
+def gauss_jordan_inverse(m: QMatrix) -> QMatrix:
+    """Inverse by Gauss-Jordan elimination in Fractions; raises ValueError
+    "matrix is singular"."""
+    n = m.n
+    a = [
+        list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
+        for i, row in enumerate(m.rows)
+    ]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        a[col], a[piv] = a[piv], a[col]
+        pval = a[col][col]
+        a[col] = [x / pval for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return QMatrix(tuple(tuple(row[n:]) for row in a))
+
+
+class FractionEchelon:
+    """Incremental row echelon form in Fractions, rows normalized to a
+    leading 1 and sorted by pivot column."""
+
+    def __init__(self) -> None:
+        self._rows: list[tuple[int, list[Fraction]]] = []
+
+    def _reduce(self, v: list[Fraction]) -> list[Fraction]:
+        for piv, row in self._rows:
+            f = v[piv]
+            if f:
+                for i in range(piv, len(v)):
+                    if row[i]:
+                        v[i] -= f * row[i]
+        return v
+
+    def contains(self, entries) -> bool:
+        return not any(self._reduce(list(entries)))
+
+    def add(self, entries) -> bool:
+        """Insert a vector; False if it was already in the span."""
+        v = self._reduce(list(entries))
+        piv = next((i for i, x in enumerate(v) if x), None)
+        if piv is None:
+            return False
+        pval = v[piv]
+        insort(self._rows, (piv, [x / pval for x in v]), key=lambda r: r[0])
+        return True
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+
+def fraction_minimal_polynomial(m: QMatrix) -> QPoly:
+    """Monic minimal polynomial by Fraction elimination on the Krylov flats
+    I, m, m^2, ..., with the combination of powers carried per row."""
+    n = m.n
+    rows: list[tuple[int, list[Fraction], list[Fraction]]] = []
+    power = QMatrix.identity(n)
+    for k in range(n + 1):
+        vec = [e for row in power.rows for e in row]
+        combo = [Fraction(0)] * k + [Fraction(1)]
+        for piv, rvec, rcombo in rows:
+            f = vec[piv]
+            if f:
+                for i in range(piv, len(vec)):
+                    if rvec[i]:
+                        vec[i] -= f * rvec[i]
+                for i, c in enumerate(rcombo):
+                    if c:
+                        combo[i] -= f * c
+        piv = next((i for i, x in enumerate(vec) if x), None)
+        if piv is None:
+            return QPoly(tuple(combo))
+        pval = vec[piv]
+        insort(rows, (piv, [x / pval for x in vec], [c / pval for c in combo]),
+               key=lambda r: r[0])
+        power = fraction_matmul(power, m)
+    raise AssertionError("powers of an n x n matrix must be dependent by degree n")
+
+
+def poly_eval(f: QPoly, m: QMatrix) -> QMatrix:
+    """Evaluate f at the matrix m (Horner), exactly."""
+    acc = QMatrix.zeros(m.n)
+    ident = QMatrix.identity(m.n)
+    for c in reversed(f.coeffs):
+        acc = acc * m + ident * c
+    return acc
 
 
 @pytest.fixture(scope="session")

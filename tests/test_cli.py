@@ -111,8 +111,11 @@ def test_malformed_or_invalid_matrix_exits_2(capsys, tmp_path, matrix):
 # ---------------------------------------------------------------------------
 # certificates are frozen byte for byte
 
-#: SHA-256 of the --json output at --seed 0, recorded before the spec
-#: validity check was reduced to the single identity I + M + ... + M^(p-1) = 0.
+#: SHA-256 of the --json output at --seed 0. The first three were recorded
+#: before the spec validity check was reduced to the single identity
+#: I + M + ... + M^(p-1) = 0, the last before exact_linear moved from Fraction
+#: elimination to integer kernels; that certificate prints det(L) and builds
+#: two orbit blocks, the second from a greedy seed.
 FROZEN_SHA256 = [
     (["mixed", "verify", "--p", "5", "--t", "2"],
      "34a2d494bc54cbbbbaf23018d205fb7bba70f0b074ed6f0d728754df67a16440"),
@@ -120,6 +123,8 @@ FROZEN_SHA256 = [
      "f3968f3df380c3bed74d1ce30f1c4c36d7fc4a6aa4014cc11442a4e85e37e513"),
     (["mixed", "auto", "--p", "5", "--t", "1"],
      "263c4d4bdd5316b2cc823e84a65501fcac5be4ec91a1008d7480aa09b2594624"),
+    (["mixed", "auto", "--p", "7", "--t", "2"],
+     "9c356c5f45e95dc83af691c4a1439d079a756bbbfe315b8acf3cbb19091079c9"),
 ]
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import brute_force_cocycle
 from orbitforge import cocycle_split as cs
 from orbitforge import group_core as gc
-from orbitforge.exact_linear import QMatrix, QVector
+from orbitforge.exact_linear import QMatrix, QVector, companion, cyclotomic_prime
 
 
 def _c2_instance():
@@ -302,6 +302,25 @@ def test_complement_is_multiplicative_section():
     for y in range(6):
         for z in range(6):
             assert cs.extension_multiply(h[y], h[z], c) == h[s3.table[y][z]]
+
+
+def test_complement_reads_inverse_matrices_off_the_table(monkeypatch):
+    # C3 acting on Q^2 by the companion matrix of 1 + x + x^2, so that
+    # M_g^-1 = M_(g^2) differs from M_g; complement may not eliminate
+    c3 = gc.cyclic(3)
+    m = companion(cyclotomic_prime(3))
+    action = gc.FiniteAction(c3, 2, 0, (QMatrix.identity(2), m, m * m))
+    c = cs.random_cocycle(c3, action, seed=4)
+
+    def no_elimination(self):
+        raise AssertionError("complement must not compute a determinant or an inverse")
+
+    monkeypatch.setattr(QMatrix, "det", no_elimination)
+    monkeypatch.setattr(QMatrix, "inverse", no_elimination)
+    h = cs.complement(c)
+    for y in range(3):
+        for z in range(3):
+            assert cs.extension_multiply(h[y], h[z], c) == h[c3.table[y][z]]
 
 
 def test_trivialize_and_complement_across_bases():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -6,18 +7,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import is_fixed_point_free
+from conftest import (
+    FractionEchelon,
+    bareiss_det,
+    fraction_matmul,
+    fraction_minimal_polynomial,
+    fraction_vecmul,
+    gauss_jordan_inverse,
+    is_fixed_point_free,
+    poly_eval,
+)
+from orbitforge import mixed_group as mg
 from orbitforge.exact_linear import (
     QMatrix,
     QPoly,
     QVector,
+    _Echelon,
     companion,
     cyclic_decomposition,
     cyclotomic_prime,
     format_rat,
     minimal_polynomial,
     parse_rat,
-    poly_eval,
 )
 
 
@@ -305,3 +316,108 @@ def test_cyclic_decomposition_certifies_the_seed_sum():
     swap = QMatrix.of([[0, 1], [1, 0]])
     with pytest.raises(ValueError, match="minimal polynomial"):
         cyclic_decomposition(swap, 3, QVector.of(1, 0))
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels against the Fraction oracles in conftest
+
+#: denominators up to 10^6, and small entries that make zeros and sparsity
+_ENTRIES = st.one_of(
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+    st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3)),
+)
+
+
+@st.composite
+def _matrices(draw, sizes=st.integers(1, 5), entries=_ENTRIES):
+    """Square matrices: generic ones, ones with a zero row, and singular ones
+    with a row that is a combination of two others."""
+    n = draw(sizes)
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    kind = draw(st.sampled_from(["generic", "zero_row", "dependent"]))
+    k = draw(st.integers(0, n - 1))
+    if kind == "zero_row" or (kind == "dependent" and n == 1):
+        rows[k] = [Fraction(0)] * n
+    elif kind == "dependent":
+        others = [i for i in range(n) if i != k]
+        i, j = draw(st.sampled_from(others)), draw(st.sampled_from(others))
+        q, r = draw(entries), draw(entries)
+        rows[k] = [q * x + r * y for x, y in zip(rows[i], rows[j])]
+    return QMatrix(tuple(tuple(row) for row in rows))
+
+
+@given(m=_matrices())
+@settings(max_examples=150, deadline=None)
+def test_det_and_inverse_match_fraction_oracles(m):
+    det = bareiss_det(m)
+    assert m.det() == det
+    if det == 0:
+        with pytest.raises(ValueError, match="singular"):
+            gauss_jordan_inverse(m)
+        with pytest.raises(ValueError, match="singular"):
+            m.inverse()
+    else:
+        assert m.inverse() == gauss_jordan_inverse(m)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_products_match_fraction_oracles(data):
+    a = data.draw(_matrices())
+    b = data.draw(_matrices(sizes=st.just(a.n)))
+    v = QVector(tuple(data.draw(_ENTRIES) for _ in range(a.n)))
+    assert a * b == fraction_matmul(a, b)
+    assert v * a == fraction_vecmul(v, a)
+    assert QVector.zero(a.n) * a == QVector.zero(a.n)
+
+
+@given(
+    vectors=st.lists(st.lists(_ENTRIES, min_size=4, max_size=4), max_size=7),
+    combos=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), _ENTRIES), max_size=3),
+)
+@settings(max_examples=100, deadline=None)
+def test_echelon_matches_fraction_oracle(vectors, combos):
+    # combinations of earlier vectors must be found in the span
+    for i, j, q in combos:
+        if i < len(vectors) and j < len(vectors):
+            vectors.append([x + q * y for x, y in zip(vectors[i], vectors[j])])
+    ech, oracle = _Echelon(), FractionEchelon()
+    for v in vectors:
+        assert ech.add(v) == oracle.add(v)
+    assert ech.rank == oracle.rank
+    for i in range(4):
+        unit = QVector.unit(4, i).entries
+        assert ech.contains(unit) == oracle.contains(unit)
+
+
+@given(m=_matrices(sizes=st.integers(1, 4), entries=st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))),
+       twice=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_minimal_polynomial_matches_fraction_oracle(m, twice):
+    if twice:  # a repeated block: the minimal polynomial has degree below n
+        m = QMatrix.block_diag([m, m])
+    assert minimal_polynomial(m) == fraction_minimal_polynomial(m)
+
+
+def test_kernels_on_the_p13_witness_match_fraction_oracles():
+    # L of `mixed auto --p 13 --t 2 --seed 0`: its entries share a common
+    # denominator of more than 500 bits, the case the primitive rows are for
+    spec = mg.build(13, 2)
+    rng = random.Random(0)
+    alpha = mg.random_element(rng, spec, outside=True)
+    beta = mg.random_element(rng, spec, outside=True)
+    b = mg.random_vector(rng, spec.n, nonzero=True)
+    c = mg.random_vector(rng, spec.n, nonzero=True)
+    left = cyclic_decomposition(spec.powers[alpha.k], 13, b)
+    right = cyclic_decomposition(spec.powers[beta.k], 13, c)
+    linear = left.inverse() * right
+    assert linear == fraction_matmul(gauss_jordan_inverse(left), right)
+    den = 1
+    for row in linear.rows:
+        for e in row:
+            den = math.lcm(den, e.denominator)
+    assert den.bit_length() > 500
+    assert linear.det() == bareiss_det(linear) != 0
+    assert linear.inverse() == gauss_jordan_inverse(linear)
+    assert linear * linear == fraction_matmul(linear, linear)
+    assert b * linear == fraction_vecmul(b, linear)

@@ -140,6 +140,16 @@ def test_element_orders(s21, s32):
         assert mg.power(g, 2, s32) != mg.identity_element(s32)
 
 
+def test_element_order_raises_typed_error_on_a_tampered_spec():
+    # a spec whose cached telescope no longer annihilates: the CLI catches
+    # SpecValidationError (a ValueError) instead of printing a traceback
+    spec = mg.build(3, 1)
+    ident = QMatrix.identity(2)
+    object.__setattr__(spec, "telescopes", (spec.telescopes[0], ident, ident))
+    with pytest.raises(mg.SpecValidationError, match="telescoping"):
+        mg.element_order(E(1, QVector.of(1, 0)), spec)
+
+
 def test_telescoping_matrix_identity():
     for p, t in [(2, 1), (3, 1), (5, 1), (7, 1), (3, 2)]:
         spec = mg.build(p, t)
@@ -210,6 +220,32 @@ def test_random_admissible_automorphisms_verify(s32):
         assert mg.apply_automorphism(phi, alpha, s32) == beta
         cert = mg.verify_automorphism(phi, s32, samples=10, seed=3)
         assert cert.ok
+
+
+def test_verify_automorphism_work_is_bounded(monkeypatch):
+    # the anchor tables alpha^m and phi(alpha)^m cost p - 1 products each and
+    # the image-order check p - 1; each sample costs five: g1 * g2, three
+    # applications of phi (one product each) and phi(g1) * phi(g2)
+    p, samples = 13, 8
+    spec = mg.build(p, 2)
+    rng = random.Random(0)
+    alpha = mg.random_element(rng, spec, outside=True)
+    beta = mg.random_element(rng, spec, outside=True)
+    b = mg.random_vector(rng, spec.n, nonzero=True)
+    c = mg.random_vector(rng, spec.n, nonzero=True)
+    built = mg.build_automorphism(b, c, alpha, beta, spec, samples=1)
+    phi = mg.MixedAutomorphism(built.linear, built.alpha, built.image_of_alpha)
+    calls = 0
+    real = mg.multiply
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(mg, "multiply", counting)
+    assert mg.verify_automorphism(phi, spec, samples=samples).ok
+    assert calls <= 3 * (p - 1) + 5 * samples
 
 
 def test_build_automorphism_rejections(s21):
