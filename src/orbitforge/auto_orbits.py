@@ -1,15 +1,16 @@
 """Automorphism groups of small finite groups as a stabilizer chain, and the
 induced orbit partition.
 
-The base of the chain is a small generating set g_1..g_d, picked greedily.
-An automorphism is fixed by the images of the g_i. Images for a prefix
-g_1..g_k extend to an injective homomorphism of <g_1..g_k> exactly when the
-map they induce along a breadth-first spanning tree of the Cayley graph of
-<g_1..g_k> respects every edge and is injective. This extension check costs
-O(|<g_1..g_k>| * k); it prunes the search, and at full depth it proves that
-the candidate is an automorphism. Automorphisms keep cheap invariants of
-every element (its order and its number of square roots), so the check also
-rejects a map that changes the invariant of any element of <g_1..g_k>.
+The base of the chain is the generating set g_1..g_d that table validation
+computed, ``GroupTable.generators``. An automorphism is fixed by the images
+of the g_i. Images for a prefix g_1..g_k extend to an injective homomorphism
+of <g_1..g_k> exactly when the map they induce along a breadth-first spanning
+tree of the Cayley graph of <g_1..g_k> respects every edge and is injective.
+This extension check costs O(|<g_1..g_k>| * k); it prunes the search, and at
+full depth it proves that the candidate is an automorphism. Automorphisms
+keep cheap invariants of every element (its order and its number of square
+roots), so the check also rejects a map that changes the invariant of any
+element of <g_1..g_k>.
 
 The chain is built from the deepest level up. At level i, for each image y of
 g_i (same invariants) that is not yet in the orbit of g_i under the strong
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import prod
 
-from .group_core import GroupTable, subgroup_closure
+from .group_core import GroupTable
 
 #: The automorphism search is only attempted up to this order.
 MAX_AUT_ORDER = 512
@@ -43,37 +44,6 @@ class Automorphism:
 
     def __call__(self, i: int) -> int:
         return self.perm[i]
-
-
-def is_automorphism(g: GroupTable, perm) -> bool:
-    """Exhaustive check of the homomorphism law on all pairs, plus bijectivity
-    and fixing the identity. Deliberately independent of the search."""
-    n = g.order
-    if len(perm) != n or sorted(perm) != list(range(n)) or perm[0] != 0:
-        return False
-    t = g.table
-    return all(perm[t[i][j]] == t[perm[i]][perm[j]] for i in range(n) for j in range(n))
-
-
-def _greedy_generators(g: GroupTable) -> list[int]:
-    # repeatedly add the element whose addition generates the largest
-    # subgroup; ties go to the lowest element index
-    gens: list[int] = []
-    sub: tuple[int, ...] = (0,)
-    while len(sub) < g.order:
-        best_size, best_e, best_sub = 0, -1, sub
-        inside = set(sub)
-        for e in range(1, g.order):
-            if e in inside:
-                continue
-            cl = subgroup_closure(g, gens + [e])
-            if len(cl) > best_size:
-                best_size, best_e, best_sub = len(cl), e, cl
-                if best_size == g.order:
-                    break
-        gens.append(best_e)
-        sub = best_sub
-    return gens
 
 
 def _spanning_edges(g: GroupTable, gens: list[int]) -> tuple[list, list]:
@@ -103,7 +73,7 @@ class _Search:
     def __init__(self, g: GroupTable):
         self.table = g.table
         self.order = g.order
-        self.base = _greedy_generators(g)
+        self.base = list(g.generators)
         self.edges = [_spanning_edges(g, self.base[:k]) for k in range(len(self.base) + 1)]
         # Aut-invariants of each element: its order and its number of square roots
         roots = [0] * g.order

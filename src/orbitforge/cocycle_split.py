@@ -19,10 +19,11 @@ generality and makes the complement meet A trivially by construction.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from .exact_linear import QVector
 from .group_core import FiniteAction, GroupTable
@@ -53,7 +54,7 @@ class Cocycle:
         b, act = self.base, self.action
         if act.characteristic != 0:
             raise ValueError("cocycle values live in Q^n; the action must have characteristic 0")
-        if act.domain.table != b.table:
+        if not np.array_equal(act.domain.array, b.array):
             raise ValueError("action domain must be the base group")
         n = act.module_dim
         if len(self.values) != b.order or any(len(row) != b.order for row in self.values):
@@ -151,10 +152,6 @@ class ExtensionElement:
     a: QVector
 
 
-def extension_identity(c: Cocycle) -> ExtensionElement:
-    return ExtensionElement(0, QVector.zero(c.module_dim))
-
-
 def extension_multiply(e1: ExtensionElement, e2: ExtensionElement, c: Cocycle) -> ExtensionElement:
     """(x, a)(y, b) = (xy, a * M_y + b + c(x, y)); requires a verified cocycle,
     since the cocycle identity is exactly associativity of this product."""
@@ -244,22 +241,3 @@ def coboundary(f: Sequence[QVector], base: GroupTable, action: FiniteAction) -> 
         for x in range(base.order)
     )
     return Cocycle(base, action, values)
-
-
-def random_cocycle(base: GroupTable, action: FiniteAction, seed: int) -> Cocycle:
-    """Seeded random coboundary; same seed, same cocycle.
-
-    Over Q^n every cocycle of a finite group is a coboundary (that is what
-    trivialize computes), so coboundaries are fully representative test
-    inputs. The result is still run through verify_cocycle.
-    """
-    rng = random.Random(seed)
-    n = action.module_dim
-    f = [QVector.zero(n)]
-    for _ in range(base.order - 1):
-        f.append(
-            QVector(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)))
-        )
-    c = coboundary(f, base, action)
-    ensure_verified(c)
-    return c

@@ -232,19 +232,6 @@ class QMatrix:
             return self.__mul__(scalar)
         return NotImplemented
 
-    def __pow__(self, k: int) -> "QMatrix":
-        if not isinstance(k, int):
-            return NotImplemented
-        base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        result = QMatrix.identity(self.n)
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
     def det(self) -> Fraction:
         """Exact determinant: the product of the pivots of Gaussian
         elimination, each read off one primitive integer row of ``_clear``
@@ -332,12 +319,6 @@ class QPoly:
     @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __call__(self, x: Fraction | int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def __repr__(self) -> str:
         if self.is_zero:

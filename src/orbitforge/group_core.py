@@ -2,29 +2,56 @@
 and structural queries the rest of the package needs.
 
 Conventions: elements are the indices 0..order-1, index 0 is the identity,
-and ``table[i][j]`` is the product i*j. Group actions on vector modules are
-*right* actions on row vectors (``a * M``), so action matrices compose as
-``M[x] * M[y] == M[x*y]``.
+and ``array[i, j]`` is the product i*j. That read-only int16 array is the one
+stored form of a table; the constructors build it by index arithmetic and the
+queries run on it. ``table``, the same entries as tuples of ints, is derived
+from it on first use for the loops that walk a table in Python. Group actions
+on vector modules are *right* actions on row vectors (``a * M``), so action
+matrices compose as ``M[x] * M[y] == M[x*y]``.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import islice, permutations
 
 import numpy as np
 
-from .arith import is_prime
+from .arith import factorize, is_prime
 from .exact_linear import QMatrix
 
-#: Hard cap on group order for every constructor.
+#: Hard cap on group order for every table; it keeps entries inside int16.
 MAX_ORDER = 4096
 
 #: Rows per block in the associativity check; bounds its temporaries at
-#: 2 * 256 * n int64 entries (8 MB at n = 2048).
+#: 2 * 256 * n int16 entries (4 MB at n = 4096).
 _ASSOC_BLOCK = 256
+
+
+def _check_order(n: int) -> None:
+    if n > MAX_ORDER:
+        raise ValueError(f"order {n} exceeds cap {MAX_ORDER}")
+
+
+def _close(members: list[int], inside: bytearray, cols: list[list[int]], start: int) -> None:
+    """Extend members (flagged in inside) to their closure under right
+    multiplication by the elements whose table columns are cols. The first
+    start members must be closed under all but the last column already, so
+    they need only that one; every later member needs all of them."""
+    for x in members[:start]:
+        y = cols[-1][x]
+        if not inside[y]:
+            inside[y] = 1
+            members.append(y)
+    for x in islice(members, start, None):  # grows while it is walked
+        for col in cols:
+            y = col[x]
+            if not inside[y]:
+                inside[y] = 1
+                members.append(y)
 
 
 def _generators(arr: np.ndarray) -> tuple[int, ...]:
@@ -32,39 +59,22 @@ def _generators(arr: np.ndarray) -> tuple[int, ...]:
     closure is everything. The closure is that of the identity under right
     multiplication by the chosen elements; on a group it is the subgroup they
     generate, on any magma it holds every left-bracketed product of them."""
-    n = arr.shape[0]
-    inside = bytearray(n)
+    inside = bytearray(len(arr))
     inside[0] = 1
     members = [0]
     gens: list[int] = []
     cols: list[list[int]] = []
-    while len(members) < n:
-        least = inside.index(0)
-        gens.append(least)
-        cols.append(arr[:, least].tolist())
-        # the old members are closed under the old generators, so they need
-        # only the new one; every new member needs all of them
-        i = len(members)
-        new = cols[-1]
-        for x in members[:i]:
-            y = new[x]
-            if not inside[y]:
-                inside[y] = 1
-                members.append(y)
-        while i < len(members):
-            x = members[i]
-            i += 1
-            for col in cols:
-                y = col[x]
-                if not inside[y]:
-                    inside[y] = 1
-                    members.append(y)
+    while len(members) < len(arr):
+        gens.append(inside.index(0))
+        cols.append(arr[:, gens[-1]].tolist())
+        _close(members, inside, cols, len(members))
     return tuple(gens)
 
 
-def _validate_table(arr: np.ndarray) -> tuple[int, ...]:
-    """Check that arr is the Cayley table of a group with identity 0 and
-    return the generating set of :func:`_generators`.
+def _validate_table(arr: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Check that the integer array arr is the Cayley table of a group with
+    identity 0; return it as a read-only int16 array, checked in place, and
+    the generating set of :func:`_generators`.
 
     Associativity is exact at every order, by Light's test (Clifford and
     Preston 1961, section 1.2): the elements a with (x*a)*y == x*(a*y) for
@@ -72,14 +82,19 @@ def _validate_table(arr: np.ndarray) -> tuple[int, ...]:
     left-bracketed products reach every element proves it for all a. That is
     O(n^2 * d) for d generators, not O(n^3), done in blocks of rows.
     """
-    n = arr.shape[0]
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"table entries must be integers, got {arr.dtype}")
+    n = len(arr)
     if arr.shape != (n, n):
         raise ValueError(f"table must be square, got shape {arr.shape}")
     if n == 0:
         raise ValueError("empty table")
+    _check_order(n)
     if arr.min() < 0 or arr.max() >= n:
         raise ValueError("table entries must be element indices")
-    idx = np.arange(n)
+    arr = arr.astype(np.int16, copy=False)
+    arr.flags.writeable = False
+    idx = np.arange(n, dtype=arr.dtype)
     if not (np.array_equal(arr[0], idx) and np.array_equal(arr[:, 0], idx)):
         raise ValueError("index 0 is not a two-sided identity")
     if not np.array_equal(np.sort(arr, axis=1), np.broadcast_to(idx, (n, n))):
@@ -101,7 +116,7 @@ def _validate_table(arr: np.ndarray) -> tuple[int, ...]:
                 raise ValueError(
                     f"associativity fails: ({lo + x}*{a})*{y} != {lo + x}*({a}*{y})"
                 )
-    return gens
+    return arr, gens
 
 
 _EXACT_INT = frozenset({int})
@@ -118,8 +133,26 @@ def _int_row(row) -> tuple[int, ...]:
     return r
 
 
+def _powers(arr: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
+    """x_i^m for every element x_i of x and m >= 1, by repeated squaring."""
+    out = None
+    while True:
+        if m & 1:
+            out = x if out is None else arr[out, x]
+        m >>= 1
+        if not m:
+            return out
+        x = arr[x, x]
+
+
 class GroupTable:
     """A finite group as an immutable Cayley table.
+
+    The one stored form is ``array``, read-only int16, with ``array[i, j]``
+    the index of i*j; ``table``, its rows as tuples of ints, is derived on
+    first use for the loops that walk the table in Python. Rows (as JSON
+    gives them) are checked for integer entries; an int16 array is frozen
+    and kept without a copy.
 
     All structural invariants (identity at index 0, Latin square, two-sided
     inverses, associativity) are verified exactly at construction time, at
@@ -129,31 +162,39 @@ class GroupTable:
     repeated until that subgroup is everything.
     """
 
-    __slots__ = ("order", "table", "labels", "generators", "_inverses", "_orders",
+    __slots__ = ("order", "array", "labels", "generators", "_rows", "_inverses", "_orders",
                  "_abelian", "_orbit_cache")
 
     def __init__(self, table, labels):
         try:
-            rows = tuple(_int_row(row) for row in table)
+            if not isinstance(table, np.ndarray):
+                table = np.array([_int_row(row) for row in table], dtype=np.int64)
             labels = tuple(str(x) for x in labels)
-            arr = np.asarray(rows, dtype=np.int64)
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"table must be a list of rows of integers: {exc}") from exc
-        gens = _validate_table(arr)
+        arr, gens = _validate_table(table)
         n = arr.shape[0]
         if len(labels) != n:
             raise ValueError(f"expected {n} labels, got {len(labels)}")
         object.__setattr__(self, "order", n)
-        object.__setattr__(self, "table", rows)
+        object.__setattr__(self, "array", arr)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "_inverses", tuple(int(x) for x in np.argmin(arr, axis=1)))
+        object.__setattr__(self, "_rows", None)
+        object.__setattr__(self, "_inverses", tuple(np.argmin(arr, axis=1).tolist()))
         object.__setattr__(self, "_orders", None)
         object.__setattr__(self, "_abelian", None)
         object.__setattr__(self, "_orbit_cache", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupTable is immutable")
+
+    @property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """The rows of ``array`` as tuples of ints, built on first use."""
+        if self._rows is None:
+            object.__setattr__(self, "_rows", tuple(map(tuple, self.array.tolist())))
+        return self._rows
 
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
@@ -171,27 +212,28 @@ class GroupTable:
         if self._abelian is None:
             # the centralizer of each element is a subgroup, so it is all of
             # the group once it holds every generator
-            t = self.table
-            result = all(t[s][x] == t[x][s] for s in self.generators for x in range(self.order))
+            a = self.array
+            result = all(np.array_equal(a[s], a[:, s]) for s in self.generators)
             object.__setattr__(self, "_abelian", result)
         return self._abelian
 
     def element_orders(self) -> tuple[int, ...]:
         if self._orders is None:
-            t = self.table
-            orders = []
-            for i in range(self.order):
-                x, k = i, 1
-                while x != 0:
-                    x = t[x][i]
-                    k += 1
-                orders.append(k)
-            object.__setattr__(self, "_orders", tuple(orders))
+            # for p^e exactly dividing n, x^(n / p^e) has the p-part of the
+            # order of x as its order (Lagrange), found by taking p-th powers
+            n = self.order
+            orders = np.ones(n, dtype=np.int64)
+            for p, e in factorize(n).items():
+                y = _powers(self.array, np.arange(n), n // p**e)
+                while y.any():
+                    orders[y != 0] *= p
+                    y = _powers(self.array, y, p)
+            object.__setattr__(self, "_orders", tuple(orders.tolist()))
         return self._orders
 
     def to_json(self) -> dict:
         return {"order": self.order, "labels": list(self.labels),
-                "table": [list(r) for r in self.table]}
+                "table": self.array.tolist()}
 
     @classmethod
     def from_json(cls, data: dict) -> "GroupTable":
@@ -214,18 +256,38 @@ class GroupTable:
 # ---------------------------------------------------------------------------
 # constructors
 
+def _cyclic_array(n: int) -> np.ndarray:
+    idx = np.arange(n, dtype=np.int16)
+    return (idx[:, None] + idx) % n
+
+
+def _product_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The direct product of the tables a and b; the pair (i, j) gets index
+    i*|b| + j."""
+    m, k = len(a), len(b)
+    return (a[:, None, :, None] * k + b[None, :, None, :]).reshape(m * k, m * k)
+
+
 def cyclic(n: int) -> GroupTable:
     """The cyclic group C_n with labels g^0..g^(n-1)."""
     if n < 1:
         raise ValueError("cyclic group order must be positive")
-    if n > MAX_ORDER:
-        raise ValueError(f"order {n} exceeds cap {MAX_ORDER}")
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return GroupTable(table, [f"g^{k}" for k in range(n)])
+    _check_order(n)
+    return GroupTable(_cyclic_array(n), [f"g^{k}" for k in range(n)])
 
 
 def _digits(v: int, q: int, k: int) -> tuple[int, ...]:
     return tuple((v // q**i) % q for i in range(k))
+
+
+def _elementary_abelian_array(q: int, k: int) -> np.ndarray:
+    # (C_q)^k is C_q x ... x C_q; every factor is C_q, so the digit order of
+    # the folded product index agrees with the vector index sum v_i * q^i
+    cq = _cyclic_array(q)
+    arr = cq
+    for _ in range(k - 1):
+        arr = _product_array(arr, cq)
+    return arr
 
 
 def elementary_abelian(q: int, k: int) -> GroupTable:
@@ -235,113 +297,75 @@ def elementary_abelian(q: int, k: int) -> GroupTable:
     if k < 1:
         raise ValueError("rank must be positive")
     n = q**k
-    if n > MAX_ORDER:
-        raise ValueError(f"order {n} exceeds cap {MAX_ORDER}")
-    vecs = [_digits(v, q, k) for v in range(n)]
-    powers = [q**s for s in range(k)]
-    table = [
-        [sum(((vi + wi) % q) * p for vi, wi, p in zip(vecs[v], vecs[w], powers)) for w in range(n)]
-        for v in range(n)
-    ]
-    return GroupTable(table, [str(v) for v in vecs])
+    _check_order(n)
+    return GroupTable(_elementary_abelian_array(q, k), [str(_digits(v, q, k)) for v in range(n)])
 
 
 def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
     """Componentwise product; element (i, j) gets index i*|h| + j."""
-    n = g.order * h.order
-    if n > MAX_ORDER:
-        raise ValueError(f"order {n} exceeds cap {MAX_ORDER}")
-    hn = h.order
-    table = [
-        [g.table[i1][j1] * hn + h.table[i2][j2] for j1 in range(g.order) for j2 in range(hn)]
-        for i1 in range(g.order)
-        for i2 in range(hn)
-    ]
-    labels = [f"({g.labels[i1]}, {h.labels[i2]})" for i1 in range(g.order) for i2 in range(hn)]
-    return GroupTable(table, labels)
+    _check_order(g.order * h.order)
+    labels = [f"({a}, {b})" for a in g.labels for b in h.labels]
+    return GroupTable(_product_array(g.array, h.array), labels)
 
 
 def dihedral(n: int) -> GroupTable:
     """Dihedral group of order 2n; elements s^f r^a with index f*n + a."""
     if n < 1:
         raise ValueError("rotation order must be positive")
-    if 2 * n > MAX_ORDER:
-        raise ValueError(f"order {2 * n} exceeds cap {MAX_ORDER}")
-    table = []
-    for f1 in range(2):
-        for a1 in range(n):
-            row = []
-            for f2 in range(2):
-                for a2 in range(n):
-                    f = f1 ^ f2
-                    a = (a1 * (-1 if f2 else 1) + a2) % n
-                    row.append(f * n + a)
-            table.append(row)
+    _check_order(2 * n)
+    # (f1, a1)(f2, a2) = (f1 ^ f2, (-1)^f2 * a1 + a2 mod n)
+    idx = np.arange(2 * n, dtype=np.int16)
+    f, a = idx // n, idx % n
+    table = (f[:, None] ^ f) * n + (a[:, None] * (1 - 2 * f) + a) % n
     labels = [f"r^{a}" for a in range(n)] + [f"sr^{a}" for a in range(n)]
     return GroupTable(table, labels)
 
 
-_QUAT_AXIS = (
+#: (sign, axis) of the product of two unit quaternions 1, i, j, k
+_QUAT_AXIS = np.array([
     ((0, 0), (0, 1), (0, 2), (0, 3)),
     ((0, 1), (1, 0), (0, 3), (1, 2)),
     ((0, 2), (1, 3), (1, 0), (0, 1)),
     ((0, 3), (0, 2), (1, 1), (1, 0)),
-)
+], dtype=np.int16)
 
 
 def quaternion() -> GroupTable:
     """The quaternion group Q8 with labels 1, -1, i, -i, j, -j, k, -k."""
     # element index = axis*2 + sign, axes ordered 1, i, j, k
-    table = []
-    for a1 in range(4):
-        for s1 in range(2):
-            row = []
-            for a2 in range(4):
-                for s2 in range(2):
-                    s3, a3 = _QUAT_AXIS[a1][a2]
-                    row.append(a3 * 2 + (s1 ^ s2 ^ s3))
-            table.append(row)
+    axis, sign = np.divmod(np.arange(8, dtype=np.int16), 2)
+    sign3, axis3 = np.moveaxis(_QUAT_AXIS[axis[:, None], axis], -1, 0)
+    table = axis3 * 2 + (sign[:, None] ^ sign ^ sign3)
     labels = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
     return GroupTable(table, labels)
 
 
-def _perm_group(perms: list[tuple[int, ...]]) -> GroupTable:
-    index = {p: i for i, p in enumerate(perms)}
-    table = [
-        [index[tuple(p[q[x]] for x in range(len(p)))] for q in perms]
-        for p in perms
-    ]
-    return GroupTable(table, [str(p) for p in perms])
-
-
-def _perm_sign(p: tuple[int, ...]) -> int:
-    seen = [False] * len(p)
-    sign = 1
-    for i in range(len(p)):
-        if not seen[i]:
-            j, length = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = p[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-    return sign
+def _perm_group(n: int, even_only: bool) -> GroupTable:
+    """The permutations of n points, or the even ones, sorted, under
+    composition (p * q)(x) = p(q(x))."""
+    p = np.array(sorted(permutations(range(n))), dtype=np.int64)
+    if even_only:
+        inversions = np.triu(p[:, :, None] > p[:, None, :]).sum(axis=(1, 2))
+        p = p[inversions % 2 == 0]
+    # a permutation's base-n number orders codes as the tuples are ordered
+    weights = n ** np.arange(n - 1, -1, -1)
+    composed = p[:, p]  # [i, j, x] = p_i(p_j(x))
+    table = np.searchsorted(p @ weights, composed @ weights)
+    return GroupTable(table, [str(tuple(q)) for q in p.tolist()])
 
 
 def symmetric(n: int) -> GroupTable:
     """Symmetric group on n points as a Cayley table (n <= 5)."""
     if not 1 <= n <= 5:
         raise ValueError("symmetric(n) supports 1 <= n <= 5")
-    return _perm_group(sorted(permutations(range(n))))
+    return _perm_group(n, even_only=False)
 
 
 def alternating(n: int) -> GroupTable:
     """Alternating group on n points as a Cayley table (n <= 5)."""
     if not 1 <= n <= 5:
         raise ValueError("alternating(n) supports 1 <= n <= 5")
-    perms = sorted(p for p in permutations(range(n)) if _perm_sign(p) == 1)
-    return _perm_group(perms)
+    return _perm_group(n, even_only=True)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +447,7 @@ def cyclic_matrix_action(base: GroupTable, generator_matrix, characteristic: int
     """Action of a cyclic(n) table where index k acts by the k-th power of the
     given generator matrix. The base must come from :func:`cyclic`."""
     n = base.order
-    if base.table != cyclic(n).table:
+    if not np.array_equal(base.array, _cyclic_array(n)):
         raise ValueError("base must be a cyclic() table (index = exponent)")
     if characteristic == 0:
         gen = generator_matrix if isinstance(generator_matrix, QMatrix) else QMatrix.of(generator_matrix)
@@ -455,26 +479,18 @@ def finite_semidirect(q: int, n: int, action: FiniteAction, b: GroupTable) -> Gr
         raise ValueError("action characteristic must equal q")
     if action.module_dim != n:
         raise ValueError("action dimension must equal n")
-    if action.domain.table != b.table:
+    if not np.array_equal(action.domain.array, b.array):
         raise ValueError("action domain must be the base group")
     qn = q**n
-    size = qn * b.order
-    if size > MAX_ORDER:
-        raise ValueError(f"order {size} exceeds cap {MAX_ORDER}")
-    vecs = [_digits(v, q, n) for v in range(qn)]
-    table = []
-    for k in range(b.order):
-        for v in vecs:
-            row = []
-            for l in range(b.order):
-                m = action.matrices[l]
-                moved = tuple(sum(v[r] * m[r][c] for r in range(n)) % q for c in range(n))
-                kl = b.table[k][l]
-                for w in vecs:
-                    combined = sum(((moved[c] + w[c]) % q) * q**c for c in range(n))
-                    row.append(kl * qn + combined)
-            table.append(row)
-    labels = [f"({b.labels[k]}, {v})" for k in range(b.order) for v in vecs]
+    _check_order(qn * b.order)
+    # moved[v, l] is the index of v * M_l, for the digit vector v of index v
+    digits = np.arange(qn)[:, None] // q ** np.arange(n) % q
+    mats = np.array(action.matrices, dtype=np.int64)
+    moved = (digits @ mats % q @ q ** np.arange(n)).T
+    # (k, v)(l, w) = (k*l, v*M_l + w), at index (k*l)*q^n + (v*M_l + w)
+    ea = _elementary_abelian_array(q, n)
+    table = (b.array[:, None, :, None] * qn + ea[moved][None]).reshape(qn * b.order, -1)
+    labels = [f"({k}, {_digits(v, q, n)})" for k in b.labels for v in range(qn)]
     return GroupTable(table, labels)
 
 
@@ -490,10 +506,7 @@ def element_order(g: GroupTable, i: int) -> int:
 
 def order_profile(g: GroupTable) -> dict[int, int]:
     """Counts of elements by order; an Aut-invariant fingerprint."""
-    profile: dict[int, int] = {}
-    for o in g.element_orders():
-        profile[o] = profile.get(o, 0) + 1
-    return dict(sorted(profile.items()))
+    return dict(sorted(Counter(g.element_orders()).items()))
 
 
 def exponent(g: GroupTable) -> int:
@@ -502,33 +515,18 @@ def exponent(g: GroupTable) -> int:
 
 def subgroup_closure(g: GroupTable, seeds) -> tuple[int, ...]:
     """The subgroup generated by the given element indices, as a sorted tuple."""
-    t = g.table
-    seen = {0}
-    frontier = [0]
-    gens = [s for s in set(seeds) if s != 0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            row = t[x]
-            for s in gens:
-                y = row[s]
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return tuple(sorted(seen))
+    inside = bytearray(g.order)
+    inside[0] = 1
+    members = [0]
+    _close(members, inside, [g.array[:, s].tolist() for s in set(seeds) if s != 0], 0)
+    return tuple(sorted(members))
 
 
 def derived_subgroup(g: GroupTable) -> tuple[int, ...]:
     """The subgroup generated by all commutators, as a sorted index tuple."""
-    t = g.table
-    inv = g._inverses
-    comms = {
-        t[t[inv[a]][inv[b]]][t[a][b]]
-        for a in range(g.order)
-        for b in range(a + 1, g.order)
-    }
-    return subgroup_closure(g, comms)
+    a, inv = g.array, np.array(g._inverses)
+    comms = a[a[inv[:, None], inv], a]  # a^-1 * b^-1 * (a * b) at [a, b]
+    return subgroup_closure(g, np.unique(comms).tolist())
 
 
 def is_elementary_abelian(g: GroupTable) -> tuple[bool, int | None]:

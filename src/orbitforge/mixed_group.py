@@ -261,16 +261,23 @@ def _powers_of(g: MixedElement, spec: MixedGroupSpec) -> tuple[MixedElement, ...
     return tuple(out)
 
 
-def apply_automorphism(phi: MixedAutomorphism, g: MixedElement, spec: MixedGroupSpec) -> MixedElement:
-    _check_dim(g, spec)
-    p = spec.p
+def _anchor_tables(phi: MixedAutomorphism, spec: MixedGroupSpec) -> tuple:
+    """(alpha^m, phi(alpha)^m for 0 <= m < p), built once per spec and cached
+    on phi."""
     tables = phi._anchor_powers
     if tables is None or tables[0] is not spec:
         tables = (spec, _powers_of(phi.alpha, spec), _powers_of(phi.image_of_alpha, spec))
         object.__setattr__(phi, "_anchor_powers", tables)
+    return tables[1:]
+
+
+def apply_automorphism(phi: MixedAutomorphism, g: MixedElement, spec: MixedGroupSpec) -> MixedElement:
+    _check_dim(g, spec)
+    p = spec.p
+    alpha_powers, image_powers = _anchor_tables(phi, spec)
     m = (g.k * pow(phi.alpha.k % p, -1, p)) % p
-    u = g.a - tables[1][m].a
-    return multiply(tables[2][m], MixedElement(0, u * phi.linear), spec)
+    u = g.a - alpha_powers[m].a
+    return multiply(image_powers[m], MixedElement(0, u * phi.linear), spec)
 
 
 def compose_automorphisms(
@@ -308,12 +315,15 @@ def verify_automorphism(
     Checks: the restriction to A is invertible; the intertwining relation
     phi(u * P) == phi(u) * R holds on the standard basis (a finite check that
     implies the homomorphism law on all A-conjugations); the image of the
-    anchor has order p under repeated multiplication; and the homomorphism
-    law holds exactly on sampled random pairs.
+    anchor has order p (its (p-1)-th power from the anchor table, times it
+    once more); and the homomorphism law holds exactly on sampled random
+    pairs.
     """
     p = spec.p
     if phi.alpha.k % p == 0:
         raise ValueError("anchor element must lie outside A")
+    if samples < 0:
+        raise ValueError(f"sample count must be nonnegative, got {samples}")
     checks: list[CheckResult] = []
 
     det = phi.linear.det()
@@ -344,9 +354,7 @@ def verify_automorphism(
         )
 
     image = phi.image_of_alpha
-    acc = image
-    for _ in range(p - 1):
-        acc = multiply(acc, image, spec)
+    acc = multiply(_anchor_tables(phi, spec)[1][p - 1], image, spec)
     order_ok = acc == identity_element(spec) and image.k % p != 0
     checks.append(
         CheckResult("image_order", order_ok, f"phi(alpha)^{p} == identity: {order_ok}")

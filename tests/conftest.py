@@ -8,6 +8,7 @@ so the frozen constants in the test modules stay honest.
 from __future__ import annotations
 
 import math
+import random
 from bisect import insort
 from fractions import Fraction
 from itertools import permutations
@@ -15,6 +16,8 @@ from itertools import permutations
 import pytest
 
 from orbitforge import catalog
+from orbitforge import cocycle_split as cs
+from orbitforge import group_core as gc
 from orbitforge.arith import is_prime
 from orbitforge.exact_linear import QMatrix, QPoly, QVector
 
@@ -162,11 +165,65 @@ def inverse_perm(a) -> tuple[int, ...]:
     return tuple(out)
 
 
+def is_automorphism(g, perm) -> bool:
+    """Exhaustive check of the homomorphism law on all pairs, plus bijectivity
+    and fixing the identity. Deliberately independent of the search."""
+    n = g.order
+    if len(perm) != n or sorted(perm) != list(range(n)) or perm[0] != 0:
+        return False
+    t = g.table
+    return all(perm[t[i][j]] == t[perm[i]][perm[j]] for i in range(n) for j in range(n))
+
+
+def matrix_power(m: QMatrix, k: int) -> QMatrix:
+    """m^k by repeated squaring; a negative k powers the inverse."""
+    base = m if k >= 0 else m.inverse()
+    k = abs(k)
+    result = QMatrix.identity(m.n)
+    while k:
+        if k & 1:
+            result = result * base
+        base = base * base if k > 1 else base
+        k >>= 1
+    return result
+
+
+def poly_value(f: QPoly, x: Fraction | int) -> Fraction:
+    """f(x) at a rational x (Horner)."""
+    acc = Fraction(0)
+    for c in reversed(f.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def random_cocycle(base, action, seed: int):
+    """Seeded random coboundary; same seed, same cocycle.
+
+    Over Q^n every cocycle of a finite group is a coboundary (that is what
+    trivialize computes), so coboundaries are fully representative test
+    inputs. The result is still run through verify_cocycle.
+    """
+    rng = random.Random(seed)
+    n = action.module_dim
+    f = [QVector.zero(n)]
+    for _ in range(base.order - 1):
+        f.append(
+            QVector(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)))
+        )
+    c = cs.coboundary(f, base, action)
+    cs.ensure_verified(c)
+    return c
+
+
+def extension_identity(c) -> "cs.ExtensionElement":
+    return cs.ExtensionElement(0, QVector.zero(c.module_dim))
+
+
 def is_fixed_point_free(m: QMatrix, p: int) -> bool:
     """True iff m generates a cyclic group of order p none of whose nontrivial
     powers fixes a nonzero rational vector.
 
-    Realized exactly: m**p = I, m != I, and det(m**k - I) != 0 for k = 1..p-1.
+    Realized exactly: m^p = I, m != I, and det(m^k - I) != 0 for k = 1..p-1.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -382,6 +439,128 @@ def poly_eval(f: QPoly, m: QMatrix) -> QMatrix:
     for c in reversed(f.coeffs):
         acc = acc * m + ident * c
     return acc
+
+
+# ---------------------------------------------------------------------------
+# loop oracles for the array constructors of group_core: the package's
+# earlier implementations, which filled the rows one entry at a time
+
+def loop_cyclic(n: int) -> gc.GroupTable:
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    return gc.GroupTable(table, [f"g^{k}" for k in range(n)])
+
+
+def _digits(v: int, q: int, k: int) -> tuple[int, ...]:
+    return tuple((v // q**i) % q for i in range(k))
+
+
+def loop_elementary_abelian(q: int, k: int) -> gc.GroupTable:
+    n = q**k
+    vecs = [_digits(v, q, k) for v in range(n)]
+    powers = [q**s for s in range(k)]
+    table = [
+        [sum(((vi + wi) % q) * p for vi, wi, p in zip(vecs[v], vecs[w], powers)) for w in range(n)]
+        for v in range(n)
+    ]
+    return gc.GroupTable(table, [str(v) for v in vecs])
+
+
+def loop_direct_product(g: gc.GroupTable, h: gc.GroupTable) -> gc.GroupTable:
+    hn = h.order
+    table = [
+        [g.table[i1][j1] * hn + h.table[i2][j2] for j1 in range(g.order) for j2 in range(hn)]
+        for i1 in range(g.order)
+        for i2 in range(hn)
+    ]
+    labels = [f"({g.labels[i1]}, {h.labels[i2]})" for i1 in range(g.order) for i2 in range(hn)]
+    return gc.GroupTable(table, labels)
+
+
+def loop_dihedral(n: int) -> gc.GroupTable:
+    table = []
+    for f1 in range(2):
+        for a1 in range(n):
+            row = []
+            for f2 in range(2):
+                for a2 in range(n):
+                    f = f1 ^ f2
+                    a = (a1 * (-1 if f2 else 1) + a2) % n
+                    row.append(f * n + a)
+            table.append(row)
+    labels = [f"r^{a}" for a in range(n)] + [f"sr^{a}" for a in range(n)]
+    return gc.GroupTable(table, labels)
+
+
+_QUAT_AXIS = (
+    ((0, 0), (0, 1), (0, 2), (0, 3)),
+    ((0, 1), (1, 0), (0, 3), (1, 2)),
+    ((0, 2), (1, 3), (1, 0), (0, 1)),
+    ((0, 3), (0, 2), (1, 1), (1, 0)),
+)
+
+
+def loop_quaternion() -> gc.GroupTable:
+    table = []
+    for a1 in range(4):
+        for s1 in range(2):
+            row = []
+            for a2 in range(4):
+                for s2 in range(2):
+                    s3, a3 = _QUAT_AXIS[a1][a2]
+                    row.append(a3 * 2 + (s1 ^ s2 ^ s3))
+            table.append(row)
+    return gc.GroupTable(table, ["1", "-1", "i", "-i", "j", "-j", "k", "-k"])
+
+
+def loop_perm_group(perms: list[tuple[int, ...]]) -> gc.GroupTable:
+    index = {p: i for i, p in enumerate(perms)}
+    table = [
+        [index[tuple(p[q[x]] for x in range(len(p)))] for q in perms]
+        for p in perms
+    ]
+    return gc.GroupTable(table, [str(p) for p in perms])
+
+
+def loop_symmetric(n: int) -> gc.GroupTable:
+    return loop_perm_group(sorted(permutations(range(n))))
+
+
+def _perm_sign(p: tuple[int, ...]) -> int:
+    seen = [False] * len(p)
+    sign = 1
+    for i in range(len(p)):
+        if not seen[i]:
+            j, length = i, 0
+            while not seen[j]:
+                seen[j] = True
+                j = p[j]
+                length += 1
+            if length % 2 == 0:
+                sign = -sign
+    return sign
+
+
+def loop_alternating(n: int) -> gc.GroupTable:
+    return loop_perm_group(sorted(p for p in permutations(range(n)) if _perm_sign(p) == 1))
+
+
+def loop_finite_semidirect(q: int, n: int, action, b: gc.GroupTable) -> gc.GroupTable:
+    qn = q**n
+    vecs = [_digits(v, q, n) for v in range(qn)]
+    table = []
+    for k in range(b.order):
+        for v in vecs:
+            row = []
+            for l in range(b.order):
+                m = action.matrices[l]
+                moved = tuple(sum(v[r] * m[r][c] for r in range(n)) % q for c in range(n))
+                kl = b.table[k][l]
+                for w in vecs:
+                    combined = sum(((moved[c] + w[c]) % q) * q**c for c in range(n))
+                    row.append(kl * qn + combined)
+            table.append(row)
+    labels = [f"({b.labels[k]}, {v})" for k in range(b.order) for v in vecs]
+    return gc.GroupTable(table, labels)
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ from conftest import (
     enumerate_automorphisms,
     gl_order,
     inverse_perm,
+    is_automorphism,
     orbit_classes,
 )
 from orbitforge import catalog
@@ -15,7 +16,6 @@ from orbitforge import group_core as gc
 from orbitforge.auto_orbits import (
     Automorphism,
     automorphism_group,
-    is_automorphism,
     omega,
     orbit_partition,
 )

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from conftest import random_cocycle
 from orbitforge import cocycle_split as cs
 from orbitforge import group_core as gc
 from orbitforge.cli import main
@@ -25,7 +26,7 @@ def _c3_cocycle(corrupt: bool) -> cs.Cocycle:
     c3 = gc.cyclic(3)
     action = gc.trivial_action(c3, 1)
     if not corrupt:
-        return cs.random_cocycle(c3, action, seed=0)
+        return random_cocycle(c3, action, seed=0)
     zero = QVector.zero(1)
     rows = [[zero] * 3 for _ in range(3)]
     rows[1][1] = QVector.of(1)  # c(g, g) = 1 is not a cocycle over C3
@@ -94,6 +95,15 @@ def test_malformed_group_and_cocycle_files_exit_2(capsys, tmp_path, command, dat
     code, _, err = _run(capsys, command + [_write(tmp_path, data)])
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_negative_pairs_exits_2(capsys):
+    # a negative sample count certified "-4/-4 sampled pairs" before
+    code, out, err = _run(capsys, ["--json", "mixed", "auto", "--p", "3", "--t", "1",
+                                   "--pairs", "-4"])
+    assert code == 2 and not out
+    assert err.startswith("error:")
+    assert _run(capsys, ["mixed", "auto", "--p", "3", "--t", "1", "--pairs", "0"])[0] == 0
 
 
 @pytest.mark.parametrize("matrix", [

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_cocycle
+from conftest import brute_force_cocycle, extension_identity, random_cocycle
 from orbitforge import cocycle_split as cs
 from orbitforge import group_core as gc
 from orbitforge.exact_linear import QMatrix, QVector, companion, cyclotomic_prime
@@ -59,7 +59,7 @@ def test_zero_cocycle_verifies():
 def test_coboundaries_verify():
     for seed, (name, build) in enumerate(BASES.items()):
         b = build()
-        c = cs.random_cocycle(b, gc.trivial_action(b, 2), seed=seed)
+        c = random_cocycle(b, gc.trivial_action(b, 2), seed=seed)
         assert cs.verify_cocycle(c) == (True, None), name
 
 
@@ -110,7 +110,7 @@ def test_verify_cocycle_matches_all_triples_oracle(data):
     # only after a failure; verdict and witness must match the full scan
     name = data.draw(st.sampled_from(sorted(SMALL_ACTIONS)), label="action")
     b, action = SMALL_ACTIONS[name]
-    c = cs.random_cocycle(b, action, seed=data.draw(st.integers(0, 999), label="seed"))
+    c = random_cocycle(b, action, seed=data.draw(st.integers(0, 999), label="seed"))
     rows = [list(r) for r in c.values]
     cells = data.draw(st.lists(st.tuples(st.integers(1, b.order - 1), st.integers(1, b.order - 1)),
                                min_size=1, max_size=2), label="cells")
@@ -142,7 +142,7 @@ def test_verify_and_trivialize_work_is_bounded_by_generators(monkeypatch):
     # one vector-matrix product per checked triple: |B|^2 * d for d
     # generators; a silent return to the |B|^3 scan would take 20x more on A5
     a5 = gc.alternating(5)
-    c = cs.random_cocycle(a5, gc.trivial_action(a5, 2), seed=5)
+    c = random_cocycle(a5, gc.trivial_action(a5, 2), seed=5)
     d = len(a5.generators)
     calls = 0
     mul = QVector.__mul__
@@ -203,7 +203,7 @@ def test_zero_cocycle_is_semidirect_law():
 
 def test_extension_multiply_associative_for_verified_cocycle():
     s3, action = _sign_action_s3(2)
-    c = cs.random_cocycle(s3, action, seed=77)
+    c = random_cocycle(s3, action, seed=77)
     rng = random.Random(8)
     for _ in range(20):
         es = [
@@ -252,7 +252,7 @@ def test_trivialize_zero_cocycle():
 
 def test_trivialize_satisfies_relation_independently():
     s3, action = _sign_action_s3(3)
-    c = cs.random_cocycle(s3, action, seed=123)
+    c = random_cocycle(s3, action, seed=123)
     e = cs.trivialize(c)
     for y in range(6):
         for z in range(6):
@@ -282,7 +282,7 @@ def test_complement_frozen_c2_example():
     h = cs.complement(c)
     assert h == [cs.ExtensionElement(0, QVector.zero(1)),
                  cs.ExtensionElement(1, QVector.of(Fraction(-1, 2)))]
-    assert cs.extension_multiply(h[1], h[1], c) == cs.extension_identity(c)
+    assert cs.extension_multiply(h[1], h[1], c) == extension_identity(c)
 
 
 def test_complement_zero_cocycle_is_obvious():
@@ -295,7 +295,7 @@ def test_complement_zero_cocycle_is_obvious():
 
 def test_complement_is_multiplicative_section():
     s3, action = _sign_action_s3(2)
-    c = cs.random_cocycle(s3, action, seed=31)
+    c = random_cocycle(s3, action, seed=31)
     h = cs.complement(c)
     assert len(h) == 6
     assert len({s.x for s in h}) == 6  # injective
@@ -310,7 +310,7 @@ def test_complement_reads_inverse_matrices_off_the_table(monkeypatch):
     c3 = gc.cyclic(3)
     m = companion(cyclotomic_prime(3))
     action = gc.FiniteAction(c3, 2, 0, (QMatrix.identity(2), m, m * m))
-    c = cs.random_cocycle(c3, action, seed=4)
+    c = random_cocycle(c3, action, seed=4)
 
     def no_elimination(self):
         raise AssertionError("complement must not compute a determinant or an inverse")
@@ -328,23 +328,23 @@ def test_trivialize_and_complement_across_bases():
         b = build()
         for n in (1, 2, 3):
             for seed in (0, 1):
-                c = cs.random_cocycle(b, gc.trivial_action(b, n), seed=seed_base * 10 + seed)
+                c = random_cocycle(b, gc.trivial_action(b, n), seed=seed_base * 10 + seed)
                 h = cs.complement(c)
                 assert len(h) == b.order, (name, n)
 
 
 def test_random_cocycle_deterministic():
     s3, action = _sign_action_s3(2)
-    c1 = cs.random_cocycle(s3, action, seed=9)
-    c2 = cs.random_cocycle(s3, action, seed=9)
-    c3 = cs.random_cocycle(s3, action, seed=10)
+    c1 = random_cocycle(s3, action, seed=9)
+    c2 = random_cocycle(s3, action, seed=9)
+    c3 = random_cocycle(s3, action, seed=10)
     assert c1.values == c2.values
     assert c1.values != c3.values
 
 
 def test_cocycle_json_roundtrip():
     s3, action = _sign_action_s3(2)
-    c = cs.random_cocycle(s3, action, seed=2)
+    c = random_cocycle(s3, action, seed=2)
     data = json.loads(json.dumps(c.to_json()))
     back = cs.Cocycle.from_json(data)
     assert back.values == c.values

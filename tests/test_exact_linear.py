@@ -15,7 +15,9 @@ from conftest import (
     fraction_vecmul,
     gauss_jordan_inverse,
     is_fixed_point_free,
+    matrix_power,
     poly_eval,
+    poly_value,
 )
 from orbitforge import mixed_group as mg
 from orbitforge.exact_linear import (
@@ -151,9 +153,9 @@ def test_det_and_inverse_special_cases():
     m = QMatrix.of([[1, "1/2"], [0, 3]])
     assert m * m.inverse() == QMatrix.identity(2)
     assert m.inverse() * m == QMatrix.identity(2)
-    assert m**0 == QMatrix.identity(2)
-    assert m**-1 == m.inverse()
-    assert m**3 == m * m * m
+    assert matrix_power(m, 0) == QMatrix.identity(2)
+    assert matrix_power(m, -1) == m.inverse()
+    assert matrix_power(m, 3) == m * m * m
 
 
 def test_matrix_json_roundtrip():
@@ -177,7 +179,7 @@ def test_qpoly_normalization():
     assert f.degree == 1
     assert QPoly.of().is_zero and QPoly.of(0, 0).is_zero
     assert QPoly.of(2, 1).is_monic and not QPoly.of(1, 2).is_monic
-    assert QPoly.of(1, 1, 1)(2) == 7
+    assert poly_value(QPoly.of(1, 1, 1), 2) == 7
 
 
 def test_cyclotomic_prime_values():
@@ -195,7 +197,7 @@ def test_companion_frozen_examples():
     assert companion(QPoly.of(-1, 1)) == QMatrix.of([[1]])
     m = companion(cyclotomic_prime(3))
     assert m == QMatrix.of([[0, -1], [1, -1]])
-    assert m**3 == QMatrix.identity(2)
+    assert matrix_power(m, 3) == QMatrix.identity(2)
     assert m.det() == 1
 
 
@@ -248,7 +250,7 @@ def test_companion_power_identities(p):
     m = companion(cyclotomic_prime(p))
     ident = QMatrix.identity(p - 1)
     assert m != ident
-    assert m**p == ident
+    assert matrix_power(m, p) == ident
     total = QMatrix.zeros(p - 1)
     power = ident
     for _ in range(p):

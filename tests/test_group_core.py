@@ -1,9 +1,14 @@
+import importlib.util
 import json
+import pathlib
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conftest
 from conftest import (
     brute_force_associative,
     first_non_homomorphic_pair,
@@ -13,6 +18,8 @@ from conftest import (
 )
 from orbitforge import group_core as gc
 from orbitforge.exact_linear import QMatrix
+
+INPUTS_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +70,92 @@ def test_size_caps():
         gc.cyclic(5000)
     with pytest.raises(ValueError, match="cap"):
         gc.direct_product(gc.cyclic(100), gc.cyclic(100))
+
+
+# ---------------------------------------------------------------------------
+# the array constructors against their loop oracles
+
+def _same(g: gc.GroupTable, oracle: gc.GroupTable) -> None:
+    assert g.table == oracle.table
+    assert g.labels == oracle.labels
+
+
+@pytest.mark.parametrize("n", [*range(1, 65), 512])
+def test_cyclic_matches_loop_oracle(n):
+    _same(gc.cyclic(n), conftest.loop_cyclic(n))
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_dihedral_matches_loop_oracle(n):
+    _same(gc.dihedral(n), conftest.loop_dihedral(n))
+
+
+@pytest.mark.parametrize("q, k", [(q, k) for q in (2, 3, 5, 7) for k in range(1, 10)
+                                  if q**k <= 729])
+def test_elementary_abelian_matches_loop_oracle(q, k):
+    _same(gc.elementary_abelian(q, k), conftest.loop_elementary_abelian(q, k))
+
+
+def test_direct_product_matches_loop_oracle(catalog_groups):
+    # every ordered pair of catalog groups up to order 128, which takes in
+    # every catalog group
+    groups = list(catalog_groups.values())
+    for g in groups:
+        for h in groups:
+            if g.order * h.order <= 128:
+                _same(gc.direct_product(g, h), conftest.loop_direct_product(g, h))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_permutation_groups_match_loop_oracle(n):
+    _same(gc.symmetric(n), conftest.loop_symmetric(n))
+    _same(gc.alternating(n), conftest.loop_alternating(n))
+
+
+def test_quaternion_matches_loop_oracle():
+    _same(gc.quaternion(), conftest.loop_quaternion())
+
+
+def _perfbench_inputs():
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", INPUTS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_finite_semidirect_matches_loop_oracle():
+    c3 = gc.cyclic(3)
+    cases = [(7, 1, c3, gc.cyclic_matrix_action(c3, ((2,),), characteristic=7))]  # G21
+    for _, q, n, p, matrix in _perfbench_inputs().SEMIDIRECT_SPECS:
+        base = gc.cyclic(p)
+        cases.append((q, n, base, gc.cyclic_matrix_action(base, matrix, characteristic=q)))
+    for q, n, base, action in cases:
+        _same(gc.finite_semidirect(q, n, action, base),
+              conftest.loop_finite_semidirect(q, n, action, base))
+
+
+def test_array_is_read_only_int16(catalog_groups):
+    for g in [*catalog_groups.values(), gc.GroupTable([[0, 1], [1, 0]], ["e", "a"])]:
+        assert g.array.dtype == np.int16
+        assert not g.array.flags.writeable
+        with pytest.raises(ValueError):
+            g.array[0, 0] = 1
+
+
+def test_order_4096_builds_and_queries_in_bounded_memory():
+    # int16 storage with no Python rows; the tuple rows took about 1.2 GB
+    tracemalloc.start()
+    try:
+        g = gc.cyclic(4096)
+        assert g.element_orders()[1] == 4096
+        assert g.is_abelian
+        assert gc.exponent(g) == 4096
+        assert gc.is_elementary_abelian(g) == (False, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+    assert g._rows is None
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import matrix_power
 from orbitforge import mixed_group as mg
 from orbitforge.exact_linear import QMatrix, QVector, companion, cyclotomic_prime
 
@@ -62,7 +63,7 @@ def test_spec_checks_certificate(s32):
 def test_build_rejects_order_p_action_with_fixed_vectors():
     # order 3 and not the identity, but the I_2 block fixes every vector in it
     m = QMatrix.block_diag([companion(cyclotomic_prime(3)), QMatrix.identity(2)])
-    assert m != QMatrix.identity(4) and m**3 == QMatrix.identity(4)
+    assert m != QMatrix.identity(4) and matrix_power(m, 3) == QMatrix.identity(4)
     with pytest.raises(mg.SpecValidationError, match="fixes a nonzero vector"):
         mg.build(3, m=m)
 
@@ -224,8 +225,9 @@ def test_random_admissible_automorphisms_verify(s32):
 
 def test_verify_automorphism_work_is_bounded(monkeypatch):
     # the anchor tables alpha^m and phi(alpha)^m cost p - 1 products each and
-    # the image-order check p - 1; each sample costs five: g1 * g2, three
-    # applications of phi (one product each) and phi(g1) * phi(g2)
+    # the image-order check one more, phi(alpha)^(p-1) * phi(alpha); each
+    # sample costs five: g1 * g2, three applications of phi (one product
+    # each) and phi(g1) * phi(g2)
     p, samples = 13, 8
     spec = mg.build(p, 2)
     rng = random.Random(0)
@@ -245,7 +247,7 @@ def test_verify_automorphism_work_is_bounded(monkeypatch):
 
     monkeypatch.setattr(mg, "multiply", counting)
     assert mg.verify_automorphism(phi, spec, samples=samples).ok
-    assert calls <= 3 * (p - 1) + 5 * samples
+    assert calls <= 2 * (p - 1) + 1 + 5 * samples
 
 
 def test_build_automorphism_rejections(s21):
