@@ -34,7 +34,3 @@ def factorize(n: int) -> dict[int, int]:
         out[n] = out.get(n, 0) + 1
     return out
 
-
-def is_prime_power(n: int) -> bool:
-    """True iff n = p**k for a single prime p and k >= 1."""
-    return len(factorize(n)) == 1 if n > 1 else False

@@ -2,15 +2,15 @@
 induced orbit partition.
 
 The base of the chain is the generating set g_1..g_d that table validation
-computed, ``GroupTable.generators``. An automorphism is fixed by the images
-of the g_i. Images for a prefix g_1..g_k extend to an injective homomorphism
-of <g_1..g_k> exactly when the map they induce along a breadth-first spanning
-tree of the Cayley graph of <g_1..g_k> respects every edge and is injective.
-This extension check costs O(|<g_1..g_k>| * k); it prunes the search, and at
-full depth it proves that the candidate is an automorphism. Automorphisms
-keep cheap invariants of every element (its order and its number of square
-roots), so the check also rejects a map that changes the invariant of any
-element of <g_1..g_k>.
+computed, ``GroupTable.generators``, sorted by element order, largest first.
+An automorphism is fixed by the images of the g_i. Images for a prefix
+g_1..g_k extend to an injective homomorphism of <g_1..g_k> exactly when the
+map they induce along a breadth-first spanning tree of the Cayley graph of
+<g_1..g_k> respects every edge and is injective. This extension check costs
+O(|<g_1..g_k>| * k); it prunes the search, and at full depth it proves that
+the candidate is an automorphism. Automorphisms keep cheap invariants of
+every element (its order and its number of square roots), so the check also
+rejects a map that changes the invariant of any element of <g_1..g_k>.
 
 The chain is built from the deepest level up. At level i, for each image y of
 g_i (same invariants) that is not yet in the orbit of g_i under the strong
@@ -20,17 +20,19 @@ none exists, no image in the orbit of y under the strong generators found so
 far is reachable either, and those are skipped. The level orbits are the
 basic orbits of the chain, so |Aut(G)| is their product (Holt, Eick and
 O'Brien, *Handbook of Computational Group Theory*, 2005; Seress, *Permutation
-Group Algorithms*, 2003). The orbits of Aut(G) on the elements, with a
-witness automorphism for each member, come from Schreier trees over the
-strong generators; only ``automorphism_group`` lists Aut(G).
+Group Algorithms*, 2003). Every orbit is a plain point set, closed under
+the strong generators by ``group_core._close``: a level orbit grows by one
+closure step each time a strong generator joins, and each orbit of Aut(G) on
+the elements is the closure of its least element. Only
+``automorphism_group`` lists Aut(G).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 
-from .group_core import GroupTable
+from .group_core import GroupTable, _close
 
 #: The automorphism search is only attempted up to this order.
 MAX_AUT_ORDER = 512
@@ -73,13 +75,16 @@ class _Search:
     def __init__(self, g: GroupTable):
         self.table = g.table
         self.order = g.order
-        self.base = list(g.generators)
+        orders = g.element_orders()
+        # largest order first: long prefixes generate large subgroups early,
+        # so the extension check prunes failed searches near the root
+        self.base = sorted(g.generators, key=lambda x: -orders[x])
         self.edges = [_spanning_edges(g, self.base[:k]) for k in range(len(self.base) + 1)]
         # Aut-invariants of each element: its order and its number of square roots
         roots = [0] * g.order
         for x in range(g.order):
             roots[self.table[x][x]] += 1
-        self.invariant = list(zip(g.element_orders(), roots))
+        self.invariant = list(zip(orders, roots))
         self.candidates = [[y for y in range(g.order) if self.invariant[y] == self.invariant[x]]
                            for x in self.base]
 
@@ -122,64 +127,57 @@ class _Search:
         return None
 
 
-def _schreier_tree(point: int, perms, n: int) -> dict[int, tuple[int, ...]]:
-    """The orbit of point under <perms>, each member y mapped to a product
-    of perms that sends point to y."""
-    reach = {point: tuple(range(n))}
-    frontier = [point]
-    for x in frontier:  # grows while it is walked
-        w = reach[x]
-        for p in perms:
-            y = p[x]
-            if y not in reach:
-                reach[y] = tuple(p[v] for v in w)
-                frontier.append(y)
-    return reach
+def _orbit(point: int, perms, inside: bytearray) -> list[int]:
+    """The orbit of point under <perms>, skipping and flagging in inside."""
+    members = [point]
+    inside[point] = 1
+    _close(members, inside, perms, 0)
+    return members
 
 
-@dataclass(frozen=True)
-class _Chain:
-    #: strong generators, deepest level first
-    strong: tuple[tuple[int, ...], ...]
-    #: transversals[i] is the Schreier tree of base point i under its level's
-    #: group, the pointwise stabilizer of the earlier base points
-    transversals: tuple[dict[int, tuple[int, ...]], ...]
-
-
-def _stabilizer_chain(g: GroupTable) -> _Chain:
+def _stabilizer_chain(g: GroupTable) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The strong generators, deepest level first, and the level orbit sizes."""
     if g.order > MAX_AUT_ORDER:
         raise ValueError(f"order {g.order} exceeds automorphism search cap {MAX_AUT_ORDER}")
     search = _Search(g)
     base = search.base
     strong: list[tuple[int, ...]] = []
-    transversals: list[dict] = [{}] * len(base)
+    sizes: list[int] = []
     for i in reversed(range(len(base))):
-        # the strong generators of deeper levels fix base[i]
-        orbit = {base[i]: tuple(range(g.order))}
+        # the strong generators of deeper levels fix base[i], so its orbit
+        # starts as {base[i]} and grows by one closure step per new generator
+        inside = bytearray(g.order)
+        orbit = _orbit(base[i], strong, inside)
         # images known to be out of reach: a failed image's whole orbit under
         # the strong generators so far, which all fix base[:i]
         unreachable: set[int] = set()
         for y in search.candidates[i]:
-            if y in orbit or y in unreachable:
+            if inside[y] or y in unreachable:
                 continue
             phi = search.find(base[:i] + [y])
             if phi is None:
-                unreachable.update(_schreier_tree(y, strong, g.order))
+                unreachable.update(_orbit(y, strong, bytearray(g.order)))
             else:
                 strong.append(phi)
-                orbit = _schreier_tree(base[i], strong, g.order)
-        transversals[i] = orbit
-    return _Chain(tuple(strong), tuple(transversals))
+                _close(orbit, inside, strong, len(orbit))
+        sizes.append(len(orbit))
+    return strong, sizes
 
 
 def automorphism_group(g: GroupTable) -> list[Automorphism]:
     """All automorphisms of g, as explicit permutations sorted for determinism.
 
-    Lists the whole group from the stabilizer chain, as products of one
-    transversal element per level; orbit computations never need it."""
-    perms = [tuple(range(g.order))]
-    for transversal in reversed(_stabilizer_chain(g).transversals):
-        perms = [tuple(u[x] for x in h) for u in transversal.values() for h in perms]
+    Lists the whole group as the closure of the identity under composition
+    with the strong generators; orbit computations never need it."""
+    strong, _ = _stabilizer_chain(g)
+    perms = {tuple(range(g.order))}
+    frontier = list(perms)
+    for h in frontier:  # grows while it is walked
+        for s in strong:
+            p = tuple(s[x] for x in h)
+            if p not in perms:
+                perms.add(p)
+                frontier.append(p)
     return [Automorphism(p) for p in sorted(perms)]
 
 
@@ -189,15 +187,12 @@ class OrbitPartition:
 
     classes are sorted by (element order, class size, least index) and each
     class is internally sorted, so output is deterministic. generators are
-    the strong generators of the stabilizer chain, aut_order is |Aut(G)|,
-    and witnesses maps (representative, member) to an automorphism carrying
-    one to the other.
+    the strong generators of the stabilizer chain and aut_order is |Aut(G)|.
     """
 
     classes: tuple[tuple[int, ...], ...]
     generators: tuple[Automorphism, ...]
     aut_order: int
-    witnesses: dict[tuple[int, int], Automorphism] = field(repr=False)
 
     @property
     def omega(self) -> int:
@@ -212,33 +207,20 @@ class OrbitPartition:
 
 
 def orbit_partition(g: GroupTable) -> OrbitPartition:
-    """Aut(G)-orbits as Schreier trees over the strong generators, one from
-    the least element of each orbit."""
+    """Aut(G)-orbits as closures under the strong generators, one from the
+    least element of each orbit."""
     if g._orbit_cache is not None:
         return g._orbit_cache
 
-    chain = _stabilizer_chain(g)
-    trees: list[dict[int, tuple[int, ...]]] = []
-    seen: set[int] = set()
-    for x in range(g.order):
-        if x not in seen:
-            trees.append(_schreier_tree(x, chain.strong, g.order))
-            seen.update(trees[-1])
+    strong, sizes = _stabilizer_chain(g)
+    seen = bytearray(g.order)
+    classes = [sorted(_orbit(x, strong, seen)) for x in range(g.order) if not seen[x]]
     orders = g.element_orders()
-    trees.sort(key=lambda tree: (orders[min(tree)], len(tree), min(tree)))
-
-    witnesses: dict[tuple[int, int], Automorphism] = {}
-    for tree in trees:
-        rep = min(tree)
-        for x in sorted(tree):
-            if x != rep:
-                witnesses[(rep, x)] = Automorphism(tree[x])
-
+    classes.sort(key=lambda c: (orders[c[0]], len(c), c[0]))
     part = OrbitPartition(
-        classes=tuple(tuple(sorted(tree)) for tree in trees),
-        generators=tuple(Automorphism(p) for p in chain.strong),
-        aut_order=prod(len(t) for t in chain.transversals),
-        witnesses=witnesses,
+        classes=tuple(map(tuple, classes)),
+        generators=tuple(Automorphism(p) for p in strong),
+        aut_order=prod(sizes),
     )
     object.__setattr__(g, "_orbit_cache", part)
     return part

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import factorize, is_prime_power
+from .arith import factorize
 from .auto_orbits import omega
 from .group_core import GroupTable, is_elementary_abelian
 
@@ -78,49 +78,13 @@ def _pq_structure_evidence(g: GroupTable, p: int, q: int, nexp: int) -> dict | N
     }
 
 
-def check_laffey_machale(g: GroupTable) -> ClassificationReport:
-    """Classify a group of non-prime-power order by its orbit count.
-
-    With three orbits the p * q^n structure is located and verified in full;
-    three orbits without that structure would contradict the classification
-    of such groups and raises.
-    """
-    if is_prime_power(g.order):
-        raise ValueError(f"order {g.order} is a prime power; outside this classification")
-    om = omega(g)
-    fact = factorize(g.order)
-    base_evidence = {
-        "order": g.order,
-        "factorization": {str(r): e for r, e in sorted(fact.items())},
-    }
-    if om == 1:
-        return ClassificationReport(1, VERDICT_TRIVIAL, base_evidence)
-    if om == 2:
-        # two orbits force elementary abelian, which has prime power order
-        raise TheoremContradictionError(
-            f"omega == 2 for non-prime-power order {g.order}"
-        )
-    if om != 3:
-        return ClassificationReport(om, VERDICT_OTHER, base_evidence)
-
-    candidates = []
-    if len(fact) == 2:
-        r, s = sorted(fact)
-        if fact[r] == 1:
-            candidates.append((r, s, fact[s]))
-        if fact[s] == 1:
-            candidates.append((s, r, fact[r]))
-    for p, q, nexp in candidates:
-        evidence = _pq_structure_evidence(g, p, q, nexp)
-        if evidence is not None:
-            return ClassificationReport(3, VERDICT_LAFFEY_MACHALE, evidence)
-    raise TheoremContradictionError(
-        f"omega == 3 but no p * q^n fixed-point-free structure found (order {g.order})"
-    )
-
-
 def classify_group(g: GroupTable) -> ClassificationReport:
-    """Full dispatch over the orbit count, for any valid GroupTable."""
+    """Full dispatch over the orbit count, for any valid GroupTable.
+
+    With three orbits at non-prime-power order the p * q^n structure is
+    located and verified in full; three orbits without that structure would
+    contradict the classification of such groups and raises.
+    """
     om = omega(g)
     if om == 1:
         return ClassificationReport(1, VERDICT_TRIVIAL, {"order": g.order})
@@ -132,18 +96,22 @@ def classify_group(g: GroupTable) -> ClassificationReport:
         return ClassificationReport(
             2, VERDICT_ELEMENTARY_ABELIAN, {"order": g.order, "prime": prime, "rank": rank}
         )
-    if om == 3:
-        if is_prime_power(g.order):
-            return ClassificationReport(
-                3,
-                VERDICT_PRIME_POWER,
-                {
-                    "order": g.order,
-                    "factorization": {
-                        str(r): e for r, e in sorted(factorize(g.order).items())
-                    },
-                },
-            )
-        return check_laffey_machale(g)
-    return ClassificationReport(om, VERDICT_OTHER, {"order": g.order})
-
+    if om != 3:
+        return ClassificationReport(om, VERDICT_OTHER, {"order": g.order})
+    fact = factorize(g.order)
+    if len(fact) == 1:
+        return ClassificationReport(
+            3,
+            VERDICT_PRIME_POWER,
+            {"order": g.order, "factorization": {str(r): e for r, e in sorted(fact.items())}},
+        )
+    if len(fact) == 2:
+        r, s = sorted(fact)
+        for p, q in ((r, s), (s, r)):
+            if fact[p] == 1:
+                evidence = _pq_structure_evidence(g, p, q, fact[q])
+                if evidence is not None:
+                    return ClassificationReport(3, VERDICT_LAFFEY_MACHALE, evidence)
+    raise TheoremContradictionError(
+        f"omega == 3 but no p * q^n fixed-point-free structure found (order {g.order})"
+    )

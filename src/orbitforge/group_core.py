@@ -81,6 +81,12 @@ def _validate_table(arr: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     all x, y are closed under products, so checking every a in a set whose
     left-bracketed products reach every element proves it for all a. That is
     O(n^2 * d) for d generators, not O(n^3), done in blocks of rows.
+
+    The columns and the inverses need no check of their own. Once 0 is a
+    two-sided identity and every row is a permutation, each x has a right
+    inverse r (x*r = 0, the 0 in row x). An associative table is then a
+    monoid in which every element has a right inverse, which is a group, so
+    r is also a left inverse and every column is a permutation too.
     """
     if arr.dtype.kind not in "iu":
         raise ValueError(f"table entries must be integers, got {arr.dtype}")
@@ -99,11 +105,6 @@ def _validate_table(arr: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
         raise ValueError("index 0 is not a two-sided identity")
     if not np.array_equal(np.sort(arr, axis=1), np.broadcast_to(idx, (n, n))):
         raise ValueError("some row is not a permutation (Latin square violated)")
-    if not np.array_equal(np.sort(arr, axis=0), np.broadcast_to(idx[:, None], (n, n))):
-        raise ValueError("some column is not a permutation (Latin square violated)")
-    right_inv = np.argmin(arr, axis=1)  # unique 0 per row by the Latin property
-    if not np.array_equal(arr[right_inv, idx], np.zeros(n, dtype=arr.dtype)):
-        raise ValueError("some element lacks a two-sided inverse")
     gens = _generators(arr)
     for a in gens:
         right = arr[a]
@@ -154,12 +155,12 @@ class GroupTable:
     gives them) are checked for integer entries; an int16 array is frozen
     and kept without a copy.
 
-    All structural invariants (identity at index 0, Latin square, two-sided
-    inverses, associativity) are verified exactly at construction time, at
-    every order, so holding a GroupTable is itself a certificate that the
-    table is a group. ``generators`` is the generating set the associativity
-    check used: the least element outside the subgroup generated so far,
-    repeated until that subgroup is everything.
+    Identity at index 0, permutation rows and associativity are verified
+    exactly at construction time, at every order; together they imply Latin
+    columns and two-sided inverses, so holding a GroupTable is itself a
+    certificate that the table is a group. ``generators`` is the generating
+    set the associativity check used: the least element outside the subgroup
+    generated so far, repeated until that subgroup is everything.
     """
 
     __slots__ = ("order", "array", "labels", "generators", "_rows", "_inverses", "_orders",

@@ -268,6 +268,16 @@ def intercalate_loop() -> list[list[int]]:
     return table
 
 
+def relabeled_table(table, sigma) -> list[list[int]]:
+    """The table with every index x renamed to sigma[x]."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            out[sigma[i]][sigma[j]] = sigma[table[i][j]]
+    return out
+
+
 def brute_force_associative(table) -> bool:
     """Every triple of a small table, with no shortcut."""
     n = len(table)

@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,11 +13,13 @@ from conftest import (
     inverse_perm,
     is_automorphism,
     orbit_classes,
+    relabeled_table,
 )
 from orbitforge import catalog
 from orbitforge import group_core as gc
 from orbitforge.auto_orbits import (
     Automorphism,
+    _Search,
     automorphism_group,
     omega,
     orbit_partition,
@@ -101,15 +106,6 @@ def test_omega_invariant_under_trivial_factor(catalog_groups):
         assert omega(padded) == omega(g)
 
 
-def test_witnesses_map_representative_into_class(catalog_groups):
-    for name in ("S3", "Q8"):
-        g = catalog_groups[name]
-        part = orbit_partition(g)
-        for (rep, target), a in part.witnesses.items():
-            assert a.perm[rep] == target
-            assert is_automorphism(g, a.perm)
-
-
 def test_generators_generate_everything(catalog_groups):
     # the strong generators are automorphisms and generate all of Aut(G)
     for name, aut_order in (("Q8", 24), ("G21", 42)):
@@ -183,8 +179,10 @@ TOO_LARGE_TO_LIST = ("EA_2_5", "EA_2_6")
 def test_chain_matches_enumerator_on_catalog(catalog_groups, name):
     g = catalog_groups[name]
     autos = enumerate_automorphisms(g)
+    part = orbit_partition(g)
     assert [a.perm for a in automorphism_group(g)] == autos
-    assert orbit_partition(g).aut_order == len(autos)
+    assert part.aut_order == len(autos)
+    assert {frozenset(c) for c in part.classes} == orbit_classes(g.order, autos)
 
 
 def _c3_squared_by_c2():
@@ -210,6 +208,46 @@ def test_chain_classes_and_aut_order_match_enumerator(build):
     assert [a.perm for a in automorphism_group(g)] == autos
     assert part.aut_order == len(autos)
     assert {frozenset(c) for c in part.classes} == orbit_classes(g.order, autos)
+
+
+@pytest.mark.parametrize("seed", [None, 1])
+def test_search_work_is_bounded_on_d4_cubed(monkeypatch, seed):
+    # with the base in index order D4 x D4 x D4 took 5,170,833 extension
+    # checks; largest order first needs 6,971, and 9,572 relabeled by seed 1
+    d4 = gc.dihedral(4)
+    g = gc.direct_product(gc.direct_product(d4, d4), d4)
+    if seed is not None:
+        rest = list(range(1, g.order))
+        random.Random(seed).shuffle(rest)
+        g = gc.GroupTable(relabeled_table(g.table, [0] + rest), g.labels)
+    calls = 0
+    real = _Search.extend
+
+    def counting(self, images):
+        nonlocal calls
+        calls += 1
+        return real(self, images)
+
+    monkeypatch.setattr(_Search, "extend", counting)
+    part = orbit_partition(g)
+    assert part.omega == 13
+    assert part.aut_order == 12_582_912
+    assert calls <= 20_000
+
+
+def test_orbit_partition_memory_is_bounded():
+    # strong generators and level orbits as point sets; one permutation per
+    # orbit point peaked at 18.9 MiB on this group
+    g = gc.elementary_abelian(2, 9)
+    g.table  # the row view belongs to the table, not to the search
+    tracemalloc.start()
+    try:
+        part = orbit_partition(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert part.aut_order == gl_order(9, 2)
+    assert peak < 4 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +276,7 @@ def test_relabeling_preserves_orbits(catalog_groups, data):
     g = catalog_groups[name]
     n = g.order
     sigma = (0,) + tuple(data.draw(st.permutations(range(1, n)), label="sigma"))
-    table = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            table[sigma[i]][sigma[j]] = sigma[g.table[i][j]]
-    relabeled = gc.GroupTable(table, [str(x) for x in range(n)])
+    relabeled = gc.GroupTable(relabeled_table(g.table, sigma), [str(x) for x in range(n)])
     part, moved = orbit_partition(g), orbit_partition(relabeled)
     assert moved.omega == part.omega
     assert moved.aut_order == part.aut_order

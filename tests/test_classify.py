@@ -1,6 +1,5 @@
-import pytest
-
 from orbitforge import group_core as gc
+from orbitforge.arith import factorize
 from orbitforge.auto_orbits import omega
 from orbitforge.classify import (
     VERDICT_ELEMENTARY_ABELIAN,
@@ -8,7 +7,6 @@ from orbitforge.classify import (
     VERDICT_OTHER,
     VERDICT_PRIME_POWER,
     VERDICT_TRIVIAL,
-    check_laffey_machale,
     classify_group,
 )
 
@@ -25,7 +23,7 @@ def test_omega_two_iff_elementary_abelian():
 
 
 def test_laffey_machale_s3():
-    report = check_laffey_machale(gc.symmetric(3))
+    report = classify_group(gc.symmetric(3))
     assert report.omega == 3
     assert report.verdict == VERDICT_LAFFEY_MACHALE
     ev = report.evidence
@@ -35,16 +33,16 @@ def test_laffey_machale_s3():
 
 
 def test_laffey_machale_a4_and_d5():
-    a4 = check_laffey_machale(gc.alternating(4))
+    a4 = classify_group(gc.alternating(4))
     assert a4.verdict == VERDICT_LAFFEY_MACHALE
     assert (a4.evidence["p"], a4.evidence["q"], a4.evidence["n"]) == (3, 2, 2)
-    d5 = check_laffey_machale(gc.dihedral(5))
+    d5 = classify_group(gc.dihedral(5))
     assert d5.verdict == VERDICT_LAFFEY_MACHALE
     assert (d5.evidence["p"], d5.evidence["q"], d5.evidence["n"]) == (2, 5, 1)
 
 
 def test_laffey_machale_sylow_evidence_is_exhaustively_fpf():
-    report = check_laffey_machale(gc.alternating(4))
+    report = classify_group(gc.alternating(4))
     g = gc.alternating(4)
     ev = report.evidence
     qset = set(ev["sylow_q"])
@@ -60,22 +58,15 @@ def test_laffey_machale_sylow_evidence_is_exhaustively_fpf():
 
 
 def test_laffey_machale_c6_is_other():
-    report = check_laffey_machale(gc.cyclic(6))
+    report = classify_group(gc.cyclic(6))
     assert report.omega == 4
     assert report.verdict == VERDICT_OTHER
-
-
-def test_laffey_machale_rejects_prime_powers():
-    with pytest.raises(ValueError, match="prime power"):
-        check_laffey_machale(gc.cyclic(4))
-    with pytest.raises(ValueError, match="prime power"):
-        check_laffey_machale(gc.quaternion())
 
 
 def test_g21_is_not_in_the_three_orbit_family(catalog_groups):
     # omega(G21) = 4 (see the orbit tests), so the structural check reports
     # "other" even though G21 does have the p * q^n shape
-    report = check_laffey_machale(catalog_groups["G21"])
+    report = classify_group(catalog_groups["G21"])
     assert report.omega == 4
     assert report.verdict == VERDICT_OTHER
 
@@ -106,12 +97,9 @@ def test_classify_verdict_invariants(catalog_groups):
 
 
 def test_catalog_three_orbit_groups_all_classify(catalog_groups):
-    from orbitforge.arith import is_prime_power
-    from orbitforge.auto_orbits import omega
-
     for name, g in catalog_groups.items():
-        if omega(g) == 3 and not is_prime_power(g.order):
-            assert check_laffey_machale(g).verdict == VERDICT_LAFFEY_MACHALE, name
+        if omega(g) == 3 and len(factorize(g.order)) > 1:
+            assert classify_group(g).verdict == VERDICT_LAFFEY_MACHALE, name
 
 
 def test_report_json():

@@ -15,6 +15,7 @@ from conftest import (
     independent_element_order,
     independent_order_profile,
     intercalate_loop,
+    relabeled_table,
 )
 from orbitforge import group_core as gc
 from orbitforge.exact_linear import QMatrix
@@ -363,6 +364,31 @@ def test_associativity_enforced():
         gc.GroupTable(loop, list("abcde"))
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_permutation_rows_accepted_iff_latin_and_associative(data):
+    # a relabeled group table of order n <= 6 with some rows redrawn as random
+    # permutations that keep the identity column; identity, permutation rows
+    # and associativity imply a group, so the check skips the columns and the
+    # inverses, and must still accept exactly the Latin associative tables
+    groups = [gc.cyclic(n) for n in range(1, 7)] + [gc.elementary_abelian(2, 2), gc.symmetric(3)]
+    g = data.draw(st.sampled_from(groups), label="group")
+    n = g.order
+    sigma = (0,) + tuple(data.draw(st.permutations(range(1, n)), label="sigma"))
+    table = relabeled_table(g.table, sigma)
+    for i in range(1, n):
+        if data.draw(st.booleans(), label=f"redraw row {i}"):
+            rest = [x for x in range(n) if x != i]
+            table[i] = [i] + list(data.draw(st.permutations(rest), label=f"row {i}"))
+    latin_columns = all(sorted(col) == list(range(n)) for col in zip(*table))
+    try:
+        gc.GroupTable(table, [str(x) for x in range(n)])
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == (latin_columns and brute_force_associative(table))
+
+
 def test_group_table_is_immutable():
     g = gc.cyclic(3)
     with pytest.raises(AttributeError):
@@ -399,10 +425,7 @@ def test_small_loops_are_rejected(data):
     swapped[r1][c1], swapped[r1][c2] = swapped[r1][c2], swapped[r1][c1]
     swapped[r2][c1], swapped[r2][c2] = swapped[r2][c2], swapped[r2][c1]
     sigma = (0,) + tuple(data.draw(st.permutations(range(1, n)), label="sigma"))
-    table = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            table[sigma[i]][sigma[j]] = sigma[swapped[i][j]]
+    table = relabeled_table(swapped, sigma)
     assert not brute_force_associative(table)
     with pytest.raises(ValueError, match="associativity"):
         gc.GroupTable(table, g.labels)
