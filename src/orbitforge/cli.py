@@ -188,6 +188,8 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    if args.max_order < 0:
+        raise ValueError(f"--max-order must be nonnegative, got {args.max_order}")
     failures = 0
     results = []
     for e in catalog.entries():

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .exact_linear import QVector
-from .group_core import FiniteAction, GroupTable
+from .group_core import FiniteAction, GroupTable, exact_int
 
 
 class CocycleError(ValueError):
@@ -84,7 +84,7 @@ class Cocycle:
 
         try:
             base = GroupTable.from_json(data["base"])
-            n = int(data["module_dim"])
+            n = exact_int(data["module_dim"])
             matrices = tuple(QMatrix.from_json(m) for m in data["action"])
             action = FiniteAction(base, n, 0, matrices)
             values = tuple(

@@ -123,14 +123,19 @@ def _validate_table(arr: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
 _EXACT_INT = frozenset({int})
 
 
+def exact_int(x) -> int:
+    """x as an int. A float or a bool is rejected (TypeError), not truncated;
+    other integer types (numpy's) go through ``operator.index``."""
+    if isinstance(x, bool):
+        raise TypeError("a boolean is not an integer")
+    return operator.index(x)
+
+
 def _int_row(row) -> tuple[int, ...]:
-    """One table row as a tuple of ints. A float or a bool is rejected, not
-    truncated; other integer types (numpy's) go through ``operator.index``."""
+    """One table row as a tuple of ints, each entry checked by ``exact_int``."""
     r = tuple(row)
     if not _EXACT_INT.issuperset(map(type, r)):
-        if any(issubclass(t, bool) for t in set(map(type, r))):
-            raise ValueError("table entries must be integers, not booleans")
-        r = tuple(map(operator.index, r))
+        r = tuple(map(exact_int, r))
     return r
 
 
@@ -242,7 +247,7 @@ class GroupTable:
             table = data["table"]
             labels = data.get("labels") or [str(i) for i in range(len(table))]
             declared = data.get("order")
-            declared = None if declared is None else int(declared)
+            declared = None if declared is None else exact_int(declared)
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed group JSON: {exc}") from exc
         g = cls(table, labels)

@@ -18,6 +18,7 @@ import pytest
 from orbitforge import catalog
 from orbitforge import cocycle_split as cs
 from orbitforge import group_core as gc
+from orbitforge import mixed_group as mg
 from orbitforge.arith import is_prime
 from orbitforge.exact_linear import QMatrix, QPoly, QVector
 
@@ -236,6 +237,36 @@ def is_fixed_point_free(m: QMatrix, p: int) -> bool:
             return False
         power = power * m
     return power == ident
+
+
+def mixed_element_order(g: "mg.MixedElement", spec: "mg.MixedGroupSpec") -> int | float:
+    """Order of an element of Q^n x| C_p: 1 for the identity, infinite inside
+    A, and exactly p outside A.
+
+    The order-p case is established by actually multiplying g with itself
+    p times and, independently, by checking that the translation part is
+    annihilated by the telescoping sum I + M^k + ... + M^((p-1)k).
+    """
+    k = g.k % spec.p
+    if k == 0:
+        return 1 if g.a.is_zero else math.inf
+    acc = g
+    for _ in range(spec.p - 1):
+        acc = mg.multiply(acc, g, spec)
+    if acc != mg.identity_element(spec):
+        raise mg.SpecValidationError("element outside A failed to have order p; spec invalid")
+    if not (g.a * spec.telescopes[k]).is_zero:
+        raise mg.SpecValidationError("telescoping annihilation failed; spec invalid")
+    return spec.p
+
+
+def compose_automorphisms(first, second, spec) -> "mg.MixedAutomorphism":
+    """The map applying first, then second; anchored at first.alpha."""
+    return mg.MixedAutomorphism(
+        linear=first.linear * second.linear,
+        alpha=first.alpha,
+        image_of_alpha=mg.apply_automorphism(second, first.image_of_alpha, spec),
+    )
 
 
 def independent_element_order(g, i: int) -> int:

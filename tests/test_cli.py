@@ -90,6 +90,10 @@ def _cocycle_json(**override) -> dict:
     (["omega"], {"table": [[0, 1.9], [1, 0]]}),  # rejected, not truncated to 1
     (["omega"], {"table": [[0, True], [1, 0]]}),
     (["omega"], {"table": [[0, 10**30], [1, 0]]}),  # beyond int64
+    (["omega"], {"order": 1.9, "table": [[0]]}),  # header integers follow the entry rule
+    (["omega"], {"order": True, "table": [[0]]}),
+    (["cocycle", "verify"], _cocycle_json(module_dim=1.5)),
+    (["cocycle", "verify"], _cocycle_json(module_dim=True)),
 ])
 def test_malformed_group_and_cocycle_files_exit_2(capsys, tmp_path, command, data):
     code, _, err = _run(capsys, command + [_write(tmp_path, data)])
@@ -104,6 +108,13 @@ def test_negative_pairs_exits_2(capsys):
     assert code == 2 and not out
     assert err.startswith("error:")
     assert _run(capsys, ["mixed", "auto", "--p", "3", "--t", "1", "--pairs", "0"])[0] == 0
+
+
+def test_negative_max_order_exits_2(capsys):
+    # a negative bound skipped every catalog group and printed "all passed"
+    code, out, err = _run(capsys, ["selftest", "--max-order", "-1"])
+    assert code == 2 and not out
+    assert err.startswith("error:")
 
 
 @pytest.mark.parametrize("matrix", [

@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import matrix_power
+from conftest import compose_automorphisms, matrix_power, mixed_element_order
 from orbitforge import mixed_group as mg
 from orbitforge.exact_linear import QMatrix, QVector, companion, cyclotomic_prime
 
@@ -126,16 +128,16 @@ def test_dimension_mismatch(s21, s32):
 # element orders
 
 def test_element_orders(s21, s32):
-    assert mg.element_order(mg.identity_element(s21), s21) == 1
-    assert mg.element_order(E(0, QVector.of(5)), s21) == math.inf
-    assert mg.element_order(E(1, QVector.of(3)), s21) == 2
+    assert mixed_element_order(mg.identity_element(s21), s21) == 1
+    assert mixed_element_order(E(0, QVector.of(5)), s21) == math.inf
+    assert mixed_element_order(E(1, QVector.of(3)), s21) == 2
     # 3 * (I + M) = 0 is the telescoping identity at p = 2
     assert (QVector.of(3) * s21.telescopes[1]).is_zero
 
     rng = random.Random(1)
     for _ in range(10):
         g = E(2, mg.random_vector(rng, 4))
-        assert mg.element_order(g, s32) == 3
+        assert mixed_element_order(g, s32) == 3
         assert mg.power(g, 3, s32) == mg.identity_element(s32)
         assert mg.power(g, 1, s32) != mg.identity_element(s32)
         assert mg.power(g, 2, s32) != mg.identity_element(s32)
@@ -148,7 +150,7 @@ def test_element_order_raises_typed_error_on_a_tampered_spec():
     ident = QMatrix.identity(2)
     object.__setattr__(spec, "telescopes", (spec.telescopes[0], ident, ident))
     with pytest.raises(mg.SpecValidationError, match="telescoping"):
-        mg.element_order(E(1, QVector.of(1, 0)), spec)
+        mixed_element_order(E(1, QVector.of(1, 0)), spec)
 
 
 def test_telescoping_matrix_identity():
@@ -223,6 +225,29 @@ def test_random_admissible_automorphisms_verify(s32):
         assert cert.ok
 
 
+def _witness_inputs(spec, seed):
+    """(b, c, alpha, beta) for build_automorphism, drawn from one seed."""
+    rng = random.Random(seed)
+    alpha = mg.random_element(rng, spec, outside=True)
+    beta = mg.random_element(rng, spec, outside=True)
+    b = mg.random_vector(rng, spec.n, nonzero=True)
+    c = mg.random_vector(rng, spec.n, nonzero=True)
+    return b, c, alpha, beta
+
+
+def _count_multiply(monkeypatch) -> list[int]:
+    """Patch mg.multiply to count its calls in the one-element list returned."""
+    calls = [0]
+    real = mg.multiply
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(mg, "multiply", counting)
+    return calls
+
+
 def test_verify_automorphism_work_is_bounded(monkeypatch):
     # the anchor tables alpha^m and phi(alpha)^m cost p - 1 products each and
     # the image-order check one more, phi(alpha)^(p-1) * phi(alpha); each
@@ -230,24 +255,55 @@ def test_verify_automorphism_work_is_bounded(monkeypatch):
     # each) and phi(g1) * phi(g2)
     p, samples = 13, 8
     spec = mg.build(p, 2)
-    rng = random.Random(0)
-    alpha = mg.random_element(rng, spec, outside=True)
-    beta = mg.random_element(rng, spec, outside=True)
-    b = mg.random_vector(rng, spec.n, nonzero=True)
-    c = mg.random_vector(rng, spec.n, nonzero=True)
-    built = mg.build_automorphism(b, c, alpha, beta, spec, samples=1)
+    built = mg.build_automorphism(*_witness_inputs(spec, 0), spec)
     phi = mg.MixedAutomorphism(built.linear, built.alpha, built.image_of_alpha)
-    calls = 0
-    real = mg.multiply
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
-
-    monkeypatch.setattr(mg, "multiply", counting)
+    calls = _count_multiply(monkeypatch)
     assert mg.verify_automorphism(phi, spec, samples=samples).ok
-    assert calls <= 2 * (p - 1) + 1 + 5 * samples
+    assert calls[0] <= 2 * (p - 1) + 1 + 5 * samples
+
+
+def test_build_automorphism_work_is_bounded(monkeypatch):
+    # the release check is the three exact identities: two anchor tables of
+    # p - 1 products and phi(alpha)^(p-1) * phi(alpha), with no sampled pairs
+    p = 13
+    spec = mg.build(p, 2)
+    calls = _count_multiply(monkeypatch)
+    mg.build_automorphism(*_witness_inputs(spec, 0), spec)
+    assert calls[0] <= 2 * (p - 1) + 1
+
+
+_SPECS = {(p, t): mg.build(p, t) for p in (2, 3, 5) for t in (1, 2)}
+_FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sampled_pairs_never_overrule_the_exact_identities(data):
+    # L * q(R) still intertwines, since q(R) commutes with R, and stays
+    # invertible: R has the irreducible minimal polynomial Phi_p, of degree
+    # p - 1 > deg q. A one-entry bump of L usually breaks the intertwining.
+    # Either way, sampled pairs must not change the exact verdict.
+    p = data.draw(st.sampled_from([2, 3, 5]), label="p")
+    t = data.draw(st.sampled_from([1, 2]), label="t")
+    spec = _SPECS[p, t]
+    b, c, alpha, beta = _witness_inputs(spec, data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    linear = mg.build_automorphism(b, c, alpha, beta, spec).linear
+
+    q = data.draw(st.lists(_FRACTIONS, min_size=p - 1, max_size=p - 1).filter(any), label="q")
+    q_of_r = QMatrix.zeros(spec.n)
+    for j, coeff in enumerate(q):
+        q_of_r = q_of_r + spec.powers[(beta.k * j) % p] * coeff
+    rows = [list(r) for r in linear.rows]
+    i = data.draw(st.integers(0, spec.n - 1), label="row")
+    j = data.draw(st.integers(0, spec.n - 1), label="column")
+    rows[i][j] += data.draw(_FRACTIONS.filter(bool), label="bump")
+
+    for varied, must_pass in ((linear * q_of_r, True), (QMatrix.of(rows), False)):
+        phi = mg.MixedAutomorphism(varied, alpha, beta)
+        exact = mg.verify_automorphism(phi, spec, samples=0).ok
+        if must_pass:
+            assert exact
+        assert mg.verify_automorphism(phi, spec, samples=10, seed=p * t).ok == exact
 
 
 def test_build_automorphism_rejections(s21):
@@ -290,7 +346,7 @@ def test_compose_automorphisms(s32):
     alpha = E(1, QVector.zero(4))
     phi = mg.build_automorphism(QVector.unit(4, 0), QVector.unit(4, 2), alpha, alpha, s32)
     psi = mg.build_automorphism(QVector.unit(4, 1), QVector.of(1, 1, 1, 1), alpha, alpha, s32)
-    chained = mg.compose_automorphisms(phi, psi, s32)
+    chained = compose_automorphisms(phi, psi, s32)
     for _ in range(10):
         g = mg.random_element(rng, s32)
         step = mg.apply_automorphism(psi, mg.apply_automorphism(phi, g, s32), s32)
