@@ -195,36 +195,22 @@ def trivialize(c: Cocycle) -> tuple[QVector, ...]:
     return e
 
 
-class ComplementError(RuntimeError):
-    """The candidate complement failed one of its verification checks."""
-
-
 def complement(c: Cocycle) -> list[ExtensionElement]:
     """A verified complement H = {(x, e(x))} with s_y s_z = s_yz.
 
-    Multiplicativity of x -> s_x = (x, e(x)) is, term for term, the relation
-    c(y, z) = e(yz) - e(y) * M_z - e(z) that :func:`trivialize` has just
-    proved for every pair (on generators, by Light's argument), so it is not
-    checked again. Verifies that only the base identity lands in A (so H
-    meets A trivially) and spot-checks that an extension element factors
-    as (1, a) * s_x. That factorization is unique because every M_x is
-    invertible: ``FiniteAction`` has proved M_1 = I and M_x M_y = M_xy, so
-    M_x M_(x^-1) = I. The inverse is read off the table, not computed.
+    Every property of H is proved by :func:`trivialize` and the checks
+    behind it, so nothing is checked again here:
+
+    - Multiplicativity of x -> s_x = (x, e(x)) is, term for term, the
+      relation c(y, z) = e(yz) - e(y) * M_z - e(z) that ``trivialize``
+      proves for every pair (on generators, by Light's argument).
+    - H meets A trivially: e(1) = -(1/|B|) * sum_x c(x, 1) = 0, because
+      ``Cocycle`` checks c(x, 1) = 0 when it is built.
+    - Every extension element factors uniquely as (1, a) * s_x, because
+      ``FiniteAction`` has proved M_1 = I and M_x M_y = M_xy, so every M_x is
+      invertible with inverse M_(x^-1).
     """
-    e = trivialize(c)
-    nb = c.base.order
-    mats = c.action.matrices
-    h = [ExtensionElement(x, e[x]) for x in range(nb)]
-    if not h[0].a.is_zero:
-        raise ComplementError("section at the identity is not the extension identity")
-    # spot-check the factorization (1, a) * s_x = (x, a * M_x + e(x))
-    probe = QVector.of(*range(1, c.module_dim + 1))
-    for x in range(nb):
-        target = ExtensionElement(x, probe)
-        u = (target.a - e[x]) * mats[c.base.inv(x)]
-        if extension_multiply(ExtensionElement(0, u), h[x], c) != target:
-            raise ComplementError(f"factorization through s_{x} failed")
-    return h
+    return [ExtensionElement(x, v) for x, v in enumerate(trivialize(c))]
 
 
 def coboundary(f: Sequence[QVector], base: GroupTable, action: FiniteAction) -> Cocycle:

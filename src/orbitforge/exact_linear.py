@@ -155,10 +155,6 @@ class QMatrix:
         return cls(tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)))
 
     @classmethod
-    def zeros(cls, n: int) -> "QMatrix":
-        return cls(tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n)))
-
-    @classmethod
     def block_diag(cls, blocks: Sequence["QMatrix"]) -> "QMatrix":
         n = sum(b.n for b in blocks)
         rows = [[Fraction(0)] * n for _ in range(n)]
@@ -177,9 +173,6 @@ class QMatrix:
     @property
     def is_zero(self) -> bool:
         return all(e == 0 for row in self.rows for e in row)
-
-    def row(self, i: int) -> QVector:
-        return QVector(self.rows[i])
 
     @cached_property
     def _sparse(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:

@@ -245,7 +245,10 @@ class GroupTable:
     def from_json(cls, data: dict) -> "GroupTable":
         try:
             table = data["table"]
-            labels = data.get("labels") or [str(i) for i in range(len(table))]
+            labels = data.get("labels")
+            if not isinstance(labels, (list, type(None))):
+                raise TypeError(f"labels must be a list, got {type(labels).__name__}")
+            labels = labels or [str(i) for i in range(len(table))]
             declared = data.get("order")
             declared = None if declared is None else exact_int(declared)
         except (TypeError, KeyError) as exc:

@@ -20,7 +20,7 @@ from orbitforge import cocycle_split as cs
 from orbitforge import group_core as gc
 from orbitforge import mixed_group as mg
 from orbitforge.arith import is_prime
-from orbitforge.exact_linear import QMatrix, QPoly, QVector
+from orbitforge.exact_linear import QMatrix, QPoly, QVector, cyclotomic_prime, minimal_polynomial
 
 
 def brute_force_automorphisms(g) -> set[tuple[int, ...]]:
@@ -176,6 +176,10 @@ def is_automorphism(g, perm) -> bool:
     return all(perm[t[i][j]] == t[perm[i]][perm[j]] for i in range(n) for j in range(n))
 
 
+def zero_matrix(n: int) -> QMatrix:
+    return QMatrix(tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n)))
+
+
 def matrix_power(m: QMatrix, k: int) -> QMatrix:
     """m^k by repeated squaring; a negative k powers the inverse."""
     base = m if k >= 0 else m.inverse()
@@ -239,24 +243,52 @@ def is_fixed_point_free(m: QMatrix, p: int) -> bool:
     return power == ident
 
 
+def telescope(spec: "mg.MixedGroupSpec", k: int) -> QMatrix:
+    """I + M^k + M^(2k) + ... + M^((p-1)k), summed from ``spec.powers``."""
+    p = spec.p
+    return sum((spec.powers[(k * j) % p] for j in range(1, p)), spec.powers[0])
+
+
+def spec_checks_oracle(spec: "mg.MixedGroupSpec") -> dict:
+    """The JSON that ``mg.spec_checks`` must print, with every check
+    recomputed from the matrices: the minimal polynomial of M, the p - 1
+    determinants det(M^k - I), M^p and each telescope. This is how the
+    package derived these checks before they were read off the validity
+    identity Phi_p(M) = 0."""
+    p, m = spec.p, spec.action
+    ident = QMatrix.identity(spec.n)
+    dets = [(spec.powers[k] - ident).det() for k in range(1, p)]
+    checks = [
+        ("order_p", spec.powers[p - 1] * m == ident and m != ident, f"M^{p} == I and M != I"),
+        ("minimal_polynomial", minimal_polynomial(m) == cyclotomic_prime(p),
+         "minimal polynomial is 1 + x + ... + x^(p-1)"),
+        ("fixed_point_free", all(d != 0 for d in dets),
+         f"det(M^k - I) for k=1..{p - 1}: {[str(d) for d in dets]}"),
+        ("telescoping", all(telescope(spec, k).is_zero for k in range(1, p)),
+         f"I + M^k + ... + M^((p-1)k) == 0 for k=1..{p - 1}"),
+    ]
+    return mg.Certificate("mixed-spec", spec.to_json(),
+                          [mg.CheckResult(*c) for c in checks]).to_json()
+
+
 def mixed_element_order(g: "mg.MixedElement", spec: "mg.MixedGroupSpec") -> int | float:
     """Order of an element of Q^n x| C_p: 1 for the identity, infinite inside
     A, and exactly p outside A.
 
-    The order-p case is established by actually multiplying g with itself
-    p times and, independently, by checking that the translation part is
-    annihilated by the telescoping sum I + M^k + ... + M^((p-1)k).
+    The order-p case is established by checking that the translation part is
+    annihilated by the telescoping sum I + M^k + ... + M^((p-1)k) and,
+    independently, by actually multiplying g with itself p times.
     """
     k = g.k % spec.p
     if k == 0:
         return 1 if g.a.is_zero else math.inf
+    if not (g.a * telescope(spec, k)).is_zero:
+        raise mg.SpecValidationError("telescoping annihilation failed; spec invalid")
     acc = g
     for _ in range(spec.p - 1):
         acc = mg.multiply(acc, g, spec)
     if acc != mg.identity_element(spec):
         raise mg.SpecValidationError("element outside A failed to have order p; spec invalid")
-    if not (g.a * spec.telescopes[k]).is_zero:
-        raise mg.SpecValidationError("telescoping annihilation failed; spec invalid")
     return spec.p
 
 
@@ -475,7 +507,7 @@ def fraction_minimal_polynomial(m: QMatrix) -> QPoly:
 
 def poly_eval(f: QPoly, m: QMatrix) -> QMatrix:
     """Evaluate f at the matrix m (Horner), exactly."""
-    acc = QMatrix.zeros(m.n)
+    acc = zero_matrix(m.n)
     ident = QMatrix.identity(m.n)
     for c in reversed(f.coeffs):
         acc = acc * m + ident * c

@@ -94,6 +94,7 @@ def _cocycle_json(**override) -> dict:
     (["omega"], {"order": True, "table": [[0]]}),
     (["cocycle", "verify"], _cocycle_json(module_dim=1.5)),
     (["cocycle", "verify"], _cocycle_json(module_dim=True)),
+    (["omega"], {"table": [[0, 1], [1, 0]], "labels": "ab"}),  # not split into "a", "b"
 ])
 def test_malformed_group_and_cocycle_files_exit_2(capsys, tmp_path, command, data):
     code, _, err = _run(capsys, command + [_write(tmp_path, data)])
@@ -108,6 +109,29 @@ def test_negative_pairs_exits_2(capsys):
     assert code == 2 and not out
     assert err.startswith("error:")
     assert _run(capsys, ["mixed", "auto", "--p", "3", "--t", "1", "--pairs", "0"])[0] == 0
+
+
+def test_json_selftest_prints_one_json_document(capsys):
+    code, out, _ = _run(capsys, ["--json", "selftest", "--max-order", "8"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ok"] is True
+    assert payload["results"] and all(r["ok"] for r in payload["results"])
+
+
+def test_mixed_auto_verifies_its_witness_once(capsys, monkeypatch):
+    # one certificate, so one determinant of L
+    calls = [0]
+    real = QMatrix.det
+
+    def counting(self):
+        calls[0] += 1
+        return real(self)
+
+    monkeypatch.setattr(QMatrix, "det", counting)
+    code, _, _ = _run(capsys, ["mixed", "auto", "--p", "13", "--t", "2"])
+    assert code == 0
+    assert calls[0] == 1
 
 
 def test_negative_max_order_exits_2(capsys):

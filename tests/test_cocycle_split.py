@@ -323,6 +323,22 @@ def test_complement_reads_inverse_matrices_off_the_table(monkeypatch):
             assert cs.extension_multiply(h[y], h[z], c) == h[c3.table[y][z]]
 
 
+def test_complement_multiplies_no_extension_elements(monkeypatch):
+    # every property of H is proved by trivialize and the checks behind it
+    s3 = gc.symmetric(3)
+    c = random_cocycle(s3, gc.trivial_action(s3, 2), seed=6)
+    calls = [0]
+    real = cs.extension_multiply
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(cs, "extension_multiply", counting)
+    cs.complement(c)
+    assert calls[0] == 0
+
+
 def test_trivialize_and_complement_across_bases():
     for seed_base, (name, build) in enumerate(BASES.items()):
         b = build()

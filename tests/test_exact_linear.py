@@ -18,6 +18,7 @@ from conftest import (
     matrix_power,
     poly_eval,
     poly_value,
+    zero_matrix,
 )
 from orbitforge import mixed_group as mg
 from orbitforge.exact_linear import (
@@ -251,7 +252,7 @@ def test_companion_power_identities(p):
     ident = QMatrix.identity(p - 1)
     assert m != ident
     assert matrix_power(m, p) == ident
-    total = QMatrix.zeros(p - 1)
+    total = zero_matrix(p - 1)
     power = ident
     for _ in range(p):
         total = total + power

@@ -3,10 +3,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import compose_automorphisms, matrix_power, mixed_element_order
+from conftest import (
+    compose_automorphisms,
+    matrix_power,
+    mixed_element_order,
+    spec_checks_oracle,
+    telescope,
+    zero_matrix,
+)
+from orbitforge import exact_linear
 from orbitforge import mixed_group as mg
 from orbitforge.exact_linear import QMatrix, QVector, companion, cyclotomic_prime
 
@@ -82,12 +90,55 @@ def test_build_accepts_rational_conjugate_of_companion():
 
 
 def test_telescopes_match_their_definition():
+    # the oracle sums the cached powers; the definition powers M afresh
     spec = mg.build(5, 2)
     for k in range(5):
-        total = QMatrix.zeros(spec.n)
+        total = zero_matrix(spec.n)
         for j in range(5):
-            total = total + spec.powers[(k * j) % 5]
-        assert spec.telescopes[k] == total
+            total = total + matrix_power(spec.action, k * j)
+        assert telescope(spec, k) == total
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("t", [1, 2])
+def test_spec_checks_match_the_recomputed_oracle(p, t):
+    spec = mg.build(p, t)
+    assert mg.spec_checks(spec).to_json() == spec_checks_oracle(spec)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_spec_checks_of_rational_conjugates_match_the_oracle(data):
+    p = data.draw(st.sampled_from([2, 3, 5]), label="p")
+    t = data.draw(st.sampled_from([1, 2]), label="t")
+    n = t * (p - 1)
+    entries = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    q = QMatrix.of(data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                      min_size=n, max_size=n), label="Q"))
+    assume(q.det() != 0)
+    c = QMatrix.block_diag([companion(cyclotomic_prime(p))] * t)
+    spec = mg.build(p, m=q.inverse() * c * q)
+    assert mg.spec_checks(spec).to_json() == spec_checks_oracle(spec)
+
+
+def test_spec_checks_do_no_matrix_work(monkeypatch):
+    # every check is read off Phi_p(M) = 0, proved when the spec was built
+    spec = mg.build(31, 1)
+    calls = {"det": 0, "minimal_polynomial": 0, "mul": 0}
+
+    def counting(key, real):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(QMatrix, "det", counting("det", QMatrix.det))
+    monkeypatch.setattr(QMatrix, "__mul__", counting("mul", QMatrix.__mul__))
+    counted = counting("minimal_polynomial", exact_linear.minimal_polynomial)
+    monkeypatch.setattr(exact_linear, "minimal_polynomial", counted)
+    monkeypatch.setattr(mg, "minimal_polynomial", counted, raising=False)
+    assert mg.spec_checks(spec).ok
+    assert calls == {"det": 0, "minimal_polynomial": 0, "mul": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +183,7 @@ def test_element_orders(s21, s32):
     assert mixed_element_order(E(0, QVector.of(5)), s21) == math.inf
     assert mixed_element_order(E(1, QVector.of(3)), s21) == 2
     # 3 * (I + M) = 0 is the telescoping identity at p = 2
-    assert (QVector.of(3) * s21.telescopes[1]).is_zero
+    assert (QVector.of(3) * telescope(s21, 1)).is_zero
 
     rng = random.Random(1)
     for _ in range(10):
@@ -144,11 +195,12 @@ def test_element_orders(s21, s32):
 
 
 def test_element_order_raises_typed_error_on_a_tampered_spec():
-    # a spec whose cached telescope no longer annihilates: the CLI catches
-    # SpecValidationError (a ValueError) instead of printing a traceback
+    # a spec whose cached powers no longer make a vanishing telescope: the
+    # CLI catches SpecValidationError (a ValueError) instead of printing a
+    # traceback
     spec = mg.build(3, 1)
     ident = QMatrix.identity(2)
-    object.__setattr__(spec, "telescopes", (spec.telescopes[0], ident, ident))
+    object.__setattr__(spec, "powers", (ident, ident, ident))
     with pytest.raises(mg.SpecValidationError, match="telescoping"):
         mixed_element_order(E(1, QVector.of(1, 0)), spec)
 
@@ -157,7 +209,7 @@ def test_telescoping_matrix_identity():
     for p, t in [(2, 1), (3, 1), (5, 1), (7, 1), (3, 2)]:
         spec = mg.build(p, t)
         for k in range(1, p):
-            assert spec.telescopes[k].is_zero
+            assert telescope(spec, k).is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -249,27 +301,26 @@ def _count_multiply(monkeypatch) -> list[int]:
 
 
 def test_verify_automorphism_work_is_bounded(monkeypatch):
-    # the anchor tables alpha^m and phi(alpha)^m cost p - 1 products each and
-    # the image-order check one more, phi(alpha)^(p-1) * phi(alpha); each
-    # sample costs five: g1 * g2, three applications of phi (one product
-    # each) and phi(g1) * phi(g2)
+    # the three exact identities use no group products; the sampled pairs
+    # build the anchor tables alpha^m and phi(alpha)^m of apply_automorphism,
+    # p - 1 products each, and then cost five each: g1 * g2, three
+    # applications of phi (one product each) and phi(g1) * phi(g2)
     p, samples = 13, 8
     spec = mg.build(p, 2)
-    built = mg.build_automorphism(*_witness_inputs(spec, 0), spec)
-    phi = mg.MixedAutomorphism(built.linear, built.alpha, built.image_of_alpha)
+    phi = mg.build_automorphism(*_witness_inputs(spec, 0), spec)
     calls = _count_multiply(monkeypatch)
+    assert mg.verify_automorphism(phi, spec, samples=0).ok
+    assert calls[0] == 0
     assert mg.verify_automorphism(phi, spec, samples=samples).ok
-    assert calls[0] <= 2 * (p - 1) + 1 + 5 * samples
+    assert calls[0] == 2 * (p - 1) + 5 * samples
 
 
 def test_build_automorphism_work_is_bounded(monkeypatch):
-    # the release check is the three exact identities: two anchor tables of
-    # p - 1 products and phi(alpha)^(p-1) * phi(alpha), with no sampled pairs
-    p = 13
-    spec = mg.build(p, 2)
+    # the witness is linear algebra on A alone, released unverified
+    spec = mg.build(13, 2)
     calls = _count_multiply(monkeypatch)
     mg.build_automorphism(*_witness_inputs(spec, 0), spec)
-    assert calls[0] <= 2 * (p - 1) + 1
+    assert calls[0] == 0
 
 
 _SPECS = {(p, t): mg.build(p, t) for p in (2, 3, 5) for t in (1, 2)}
@@ -290,7 +341,7 @@ def test_sampled_pairs_never_overrule_the_exact_identities(data):
     linear = mg.build_automorphism(b, c, alpha, beta, spec).linear
 
     q = data.draw(st.lists(_FRACTIONS, min_size=p - 1, max_size=p - 1).filter(any), label="q")
-    q_of_r = QMatrix.zeros(spec.n)
+    q_of_r = zero_matrix(spec.n)
     for j, coeff in enumerate(q):
         q_of_r = q_of_r + spec.powers[(beta.k * j) % p] * coeff
     rows = [list(r) for r in linear.rows]
@@ -362,6 +413,15 @@ def test_omega_certificate_small(s21):
     assert cert.meta["omega"] == 3
     names = [c.name for c in cert.checks]
     assert names == ["order_separation", "transitivity_inside_A", "transitivity_outside_A"]
+
+
+def test_omega_certificate_makes_no_group_products(monkeypatch):
+    # separation is the spec's identity and each witness is certified by
+    # det L, P*L == L*R and beta outside A, none of which multiplies
+    spec = mg.build(7, 2)
+    calls = _count_multiply(monkeypatch)
+    assert mg.omega_certificate(spec, 20).ok
+    assert calls[0] == 0
 
 
 def test_omega_certificate_deterministic(s21):
