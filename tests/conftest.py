@@ -7,6 +7,7 @@ so the frozen constants in the test modules stay honest.
 
 from __future__ import annotations
 
+import ast
 import math
 import random
 from bisect import insort
@@ -218,6 +219,16 @@ def random_cocycle(base, action, seed: int):
     c = cs.coboundary(f, base, action)
     cs.ensure_verified(c)
     return c
+
+
+def permutation_action(g) -> "gc.FiniteAction":
+    """Q^d permuted through the permutation labels of symmetric() or
+    alternating(): M_p[i][j] = 1 iff p(j) = i, so M_p M_q = M_pq."""
+    perms = [ast.literal_eval(lab) for lab in g.labels]
+    d = len(perms[0])
+    mats = tuple(QMatrix.of([[1 if p[j] == i else 0 for j in range(d)] for i in range(d)])
+                 for p in perms)
+    return gc.FiniteAction(g, d, 0, mats)
 
 
 def extension_identity(c) -> "cs.ExtensionElement":

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from conftest import random_cocycle
+from conftest import permutation_action, random_cocycle
 from orbitforge import cocycle_split as cs
 from orbitforge import group_core as gc
 from orbitforge.cli import main
@@ -176,5 +176,40 @@ FROZEN_SHA256 = [
 @pytest.mark.parametrize("argv, digest", FROZEN_SHA256)
 def test_mixed_certificates_are_frozen(capsys, argv, digest):
     code, out, _ = _run(capsys, ["--json", "--seed", "0"] + argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+#: SHA-256 of the cocycle commands on one seeded S4 permutation coboundary,
+#: and of that input document itself, recorded while QVector still stored
+#: one Fraction per entry; the integer kernels must print the same bytes.
+COCYCLE_INPUT_SHA256 = "68b1a5bac5325597b587ad81a7680e83abeabe013aded4b99ce67f504c6707c7"
+COCYCLE_SHA256 = [
+    (["--json", "cocycle", "verify"],
+     "f3d813fe7165bb1e12c0780d3441fef8c9dee9a58f61c27d41fecf368e41ea78"),
+    (["--json", "cocycle", "trivialize"],
+     "5b20033cc3c70caac9abb0997ad083fd49d8db18bee5e485e204c8848247e434"),
+    (["--json", "cocycle", "complement"],
+     "f649c2339d069202e13172712c95c43af7cf8b20ec41e6b42e353ebdd0491224"),
+    (["cocycle", "trivialize"],
+     "caf2f344b1036d969bc8b49206569de614073bf414f348ffe2bc8137227a4442"),
+]
+
+
+@pytest.fixture(scope="module")
+def s4_cocycle_document() -> str:
+    s4 = gc.symmetric(4)
+    return json.dumps(random_cocycle(s4, permutation_action(s4), seed=11).to_json())
+
+
+def test_cocycle_input_is_frozen(s4_cocycle_document):
+    assert hashlib.sha256(s4_cocycle_document.encode()).hexdigest() == COCYCLE_INPUT_SHA256
+
+
+@pytest.mark.parametrize("argv, digest", COCYCLE_SHA256)
+def test_cocycle_outputs_are_frozen(capsys, tmp_path, s4_cocycle_document, argv, digest):
+    path = tmp_path / "cocycle.json"
+    path.write_text(s4_cocycle_document)
+    code, out, _ = _run(capsys, argv + [str(path)])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

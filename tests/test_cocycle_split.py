@@ -1,4 +1,3 @@
-import ast
 import json
 import random
 from fractions import Fraction
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_cocycle, extension_identity, random_cocycle
+from conftest import brute_force_cocycle, extension_identity, permutation_action, random_cocycle
 from orbitforge import cocycle_split as cs
 from orbitforge import group_core as gc
 from orbitforge.exact_linear import QMatrix, QVector, companion, cyclotomic_prime
@@ -77,16 +76,6 @@ def test_corrupted_cocycle_fails_with_witness():
     assert lhs != rhs
 
 
-def _permutation_action(g: gc.GroupTable) -> gc.FiniteAction:
-    """Q^d permuted through the permutation labels of symmetric() or
-    alternating(): M_p[i][j] = 1 iff p(j) = i, so M_p M_q = M_pq."""
-    perms = [ast.literal_eval(lab) for lab in g.labels]
-    d = len(perms[0])
-    mats = tuple(QMatrix.of([[1 if p[j] == i else 0 for j in range(d)] for i in range(d)])
-                 for p in perms)
-    return gc.FiniteAction(g, d, 0, mats)
-
-
 def _small_actions():
     c6 = gc.cyclic(6)
     s3 = gc.symmetric(3)
@@ -94,8 +83,8 @@ def _small_actions():
     return {
         "C6_sign": (c6, gc.cyclic_matrix_action(c6, [[-1]])),
         "S3_sign": _sign_action_s3(2),
-        "S3_perm": (s3, _permutation_action(s3)),
-        "A4_perm": (a4, _permutation_action(a4)),
+        "S3_perm": (s3, permutation_action(s3)),
+        "A4_perm": (a4, permutation_action(a4)),
         "A4_trivial": (a4, gc.trivial_action(a4, 1)),
     }
 
