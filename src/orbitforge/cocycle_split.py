@@ -15,17 +15,22 @@ multiply as (x, a)(y, b) = (xy, a * M_y + b + c(x, y)).
 
 Cocycles here are normalized, c(1, y) = c(x, 1) = 0; that loses no
 generality and makes the complement meet A trivially by construction.
+
+The checks run on plain integers. A cocycle scales its values once to one
+common denominator D and its action matrices to one common denominator E,
+and every identity is checked multiplied through by those; a
+vector-matrix product is then ``int_vecmul`` on integer rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .exact_linear import QVector
+from .exact_linear import QMatrix, QVector, int_vecmul
 from .group_core import FiniteAction, GroupTable, exact_int
 
 
@@ -65,6 +70,7 @@ class Cocycle:
             if not self.values[0][y].is_zero or not self.values[y][0].is_zero:
                 raise ValueError("cocycle must be normalized: c(1, y) = c(x, 1) = 0")
         object.__setattr__(self, "_verified", None)
+        object.__setattr__(self, "_ints", None)
 
     @property
     def module_dim(self) -> int:
@@ -80,8 +86,6 @@ class Cocycle:
 
     @classmethod
     def from_json(cls, data: dict) -> "Cocycle":
-        from .exact_linear import QMatrix
-
         try:
             base = GroupTable.from_json(data["base"])
             n = exact_int(data["module_dim"])
@@ -95,19 +99,40 @@ class Cocycle:
         return cls(base, action, values)
 
 
-def _first_failure(c: Cocycle, middles) -> tuple[int, int, int] | None:
+def _integer_form(c: Cocycle) -> tuple[int, list, int, list]:
+    """(D, vals, E, rows), built on first use and cached on c: D and E are
+    the least common denominators of the values and of the action
+    matrices, vals[x][y] = D * c(x, y), and rows[z] holds the sparse rows
+    of E * M_z, as (column, entry) pairs of integers."""
+    if c._ints is None:
+        d = math.lcm(*(v.den for row in c.values for v in row))
+        vals = [[v.nums if v.den == d else tuple([x * (d // v.den) for x in v.nums])
+                 for v in row] for row in c.values]
+        sparse = [m._sparse for m in c.action.matrices]
+        e = math.lcm(*(den for den, _ in sparse))
+        rows = [r if den == e else [[(j, w * (e // den)) for j, w in row] for row in r]
+                for den, r in sparse]
+        object.__setattr__(c, "_ints", (d, vals, e, rows))
+    return c._ints
+
+
+def _first_failure(c: Cocycle, middles: Sequence[int]) -> tuple[int, int, int] | None:
     """The first (x, y, z) in lexicographic order, y drawn from middles, at
-    which the cocycle identity fails; None if there is none."""
-    t = c.base.table
-    vals = c.values
-    mats = c.action.matrices
+    which E * (c(xy, z) - c(x, yz) - c(y, z)) + c(x, y) * (E * M_z) != 0,
+    the cocycle identity times E; None if there is none."""
+    _, vals, e, rows = _integer_form(c)
+    arr = c.base.array
     order = range(c.base.order)
+    vecmul = int_vecmul
+    # per middle y: the column x -> xy and the row z -> yz
+    by_y = [(y, arr[:, y].tolist(), arr[y].tolist()) for y in middles]
     for x in order:
-        vx, tx = vals[x], t[x]
-        for y in middles:
-            cxy, vxy, vy, ty = vx[y], vals[tx[y]], vals[y], t[y]
+        vx = vals[x]
+        for y, col_y, row_y in by_y:
+            cxy, vxy, vy = vx[y], vals[col_y[x]], vals[y]
             for z in order:
-                if vxy[z] + cxy * mats[z] != vx[ty[z]] + vy[z]:
+                if any(e * (u - v - w) + q
+                       for u, v, w, q in zip(vxy[z], vx[row_y[z]], vy[z], vecmul(cxy, rows[z]))):
                     return x, y, z
     return None
 
@@ -134,12 +159,9 @@ def verify_cocycle(c: Cocycle) -> tuple[bool, tuple[int, int, int] | None]:
 
 def ensure_verified(c: Cocycle) -> None:
     """Verify once and cache; raises CocycleError with a witness on failure."""
-    state = getattr(c, "_verified", None)
-    if state is None:
-        ok, witness = verify_cocycle(c)
-        object.__setattr__(c, "_verified", (ok, witness))
-        state = (ok, witness)
-    ok, witness = state
+    if c._verified is None:
+        object.__setattr__(c, "_verified", verify_cocycle(c))
+    ok, witness = c._verified
     if not ok:
         raise CocycleError(witness)
 
@@ -160,7 +182,7 @@ def extension_multiply(e1: ExtensionElement, e2: ExtensionElement, c: Cocycle) -
         raise ValueError("extension element dimension mismatch")
     x, y = e1.x, e2.x
     return ExtensionElement(
-        c.base.table[x][y], e1.a * c.action.matrices[y] + e2.a + c.values[x][y]
+        int(c.base.array[x, y]), e1.a * c.action.matrices[y] + e2.a + c.values[x][y]
     )
 
 
@@ -176,23 +198,23 @@ def trivialize(c: Cocycle) -> tuple[QVector, ...]:
     associative): s_y s_(zw) = (s_y s_z) s_w = s_(yzw). They include the
     identity (e(1) = 0, as c is normalized), so checking z in
     ``base.generators`` proves the relation for every pair.
+
+    On integers, e(y) = -s(y) / (|B| * D) for s(y) = sum_x D * c(x, y), and
+    the relation times |B| * D * E is
+    E * (|B| * D * c(y, z) + s(yz) - s(z)) - s(y) * (E * M_z) == 0.
     """
     ensure_verified(c)
-    t = c.base.table
+    d, vals, e, rows = _integer_form(c)
     nb = c.base.order
-    mats = c.action.matrices
-    scale = Fraction(-1, nb)
-    e = tuple(
-        sum((c.values[x][y] for x in range(nb)), QVector.zero(c.module_dim)) * scale
-        for y in range(nb)
-    )
+    vecmul = int_vecmul
+    sums = [[sum(col) for col in zip(*column)] for column in zip(*vals)]
+    by_z = [(z, c.base.array[:, z].tolist()) for z in c.base.generators]
     for y in range(nb):
-        for z in c.base.generators:
-            if c.values[y][z] != e[t[y][z]] - e[y] * mats[z] - e[z]:
-                raise TrivializationError(
-                    f"trivialization relation fails at pair ({y}, {z})"
-                )
-    return e
+        for z, col_z in by_z:
+            if any(e * (nb * v + a - b) - q for v, a, b, q
+                   in zip(vals[y][z], sums[col_z[y]], sums[z], vecmul(sums[y], rows[z]))):
+                raise TrivializationError(f"trivialization relation fails at pair ({y}, {z})")
+    return tuple(QVector.from_ints([-x for x in sy], nb * d) for sy in sums)
 
 
 def complement(c: Cocycle) -> list[ExtensionElement]:
@@ -220,10 +242,9 @@ def coboundary(f: Sequence[QVector], base: GroupTable, action: FiniteAction) -> 
         raise ValueError("need one cochain value per group element")
     if not f[0].is_zero:
         raise ValueError("cochain must vanish at the identity")
-    t = base.table
     mats = action.matrices
     values = tuple(
-        tuple(f[t[x][y]] - f[x] * mats[y] - f[y] for y in range(base.order))
-        for x in range(base.order)
+        tuple(f[xy] - fx * mats[y] - f[y] for y, xy in enumerate(row))
+        for fx, row in zip(f, base.array.tolist())
     )
     return Cocycle(base, action, values)

@@ -1,12 +1,12 @@
 """Exact rational linear algebra: vectors, matrices, polynomials.
 
-Entries are ``fractions.Fraction`` values (arbitrary-precision, always
-reduced, positive denominator), so every result is exact; no floating point
-is used anywhere in the package. ``Fraction`` is the API boundary only: the
-kernels compute on integers. A matrix computes its least common denominator
-and its sparse rows of integer numerators once and keeps them; a product
-sums integer numerators over one common denominator per operand and makes
-one ``Fraction`` per result entry. Determinant, inverse, echelon form and
+Every result is exact; no floating point is used anywhere in the package.
+A vector is stored as integer numerators over one positive denominator,
+reduced so the form is unique, and its arithmetic is integer arithmetic
+with one lcm per operation; ``entries`` derives ``Fraction``s from it for
+output. A matrix keeps ``Fraction`` entries, and computes its least common
+denominator and its sparse rows of integer numerators once, on its first
+use on the right of a product. Determinant, inverse, echelon form and
 minimal polynomial share one elimination routine, ``_clear``, on integer
 rows that are divided by the gcd of their entries after every update
 (primitive rows, in the fraction-free style of Bareiss, 1968), so entries
@@ -39,9 +39,22 @@ def format_rat(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _num_den(s: str | int) -> tuple[int, int]:
+    """(num, den > 0), not reduced, of a string or int as ``parse_rat`` accepts."""
+    if isinstance(s, str):
+        num, slash, den = s.partition("/")
+        d = int(den) if den.isdigit() else 0 if slash else 1
+        if d:
+            return int(num), d
+    elif isinstance(s, int) and not isinstance(s, bool):
+        return s, 1
+    raise ValueError(f"invalid rational {s!r}: expected \"num/den\", an integer string or an int")
+
+
 def parse_rat(s: str | int) -> Fraction:
-    """Accepts "num/den", a bare integer string, or an int."""
-    return Fraction(str(s))
+    """Accepts "num/den", a bare integer string, or an int; anything else,
+    a float or a bool included, is a ValueError."""
+    return Fraction(*_num_den(s))
 
 
 _ZERO = Fraction(0)
@@ -59,67 +72,110 @@ def _over(nums: Iterable[int], d: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(x, d) if x else _ZERO for x in nums)
 
 
-@dataclass(frozen=True)
-class QVector:
-    """Immutable rational row vector."""
+def int_vecmul(v: Sequence[int], rows: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
+    """The integer row vector v times the square integer matrix given by its
+    sparse rows of (column, entry) pairs, as in ``QMatrix._sparse``."""
+    acc = [0] * len(rows)
+    for a, row in zip(v, rows):
+        if a:
+            for j, w in row:
+                acc[j] += a * w
+    return acc
 
-    entries: tuple[Fraction, ...]
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _vector(nums: Sequence[int], den: int, v: "QVector | None" = None) -> "QVector":
+    """nums / den for den > 0, divided through by their gcd, set in v or in
+    a new QVector."""
+    g = math.gcd(den, *nums) if den > 1 else 1
+    if g > 1:
+        nums, den = [x // g for x in nums], den // g
+    v = _new(QVector) if v is None else v
+    _set(v, "nums", tuple(nums))
+    _set(v, "den", den)
+    return v
+
+
+@dataclass(frozen=True, slots=True, init=False, repr=False)
+class QVector:
+    """Immutable rational row vector: the integers ``nums`` over the one
+    denominator ``den`` > 0, with gcd(nums, den) = 1. The form is unique,
+    so equality and hashing compare the fields."""
+
+    nums: tuple[int, ...]
+    den: int
+
+    def __init__(self, entries: Iterable) -> None:
+        """The vector of the given ints and Fractions."""
+        _vector(*_numerators(tuple(entries)), self)
 
     @classmethod
     def of(cls, *entries) -> "QVector":
         return cls(tuple(Fraction(e) for e in entries))
 
     @classmethod
+    def from_ints(cls, nums: Sequence[int], den: int) -> "QVector":
+        if den <= 0:
+            raise ValueError(f"denominator must be positive, got {den}")
+        return _vector(nums, den)
+
+    @classmethod
     def zero(cls, n: int) -> "QVector":
-        return cls(tuple(Fraction(0) for _ in range(n)))
+        return _vector((0,) * n, 1)
 
     @classmethod
     def unit(cls, n: int, i: int) -> "QVector":
-        return cls(tuple(Fraction(1 if j == i else 0) for j in range(n)))
+        return _vector(tuple(1 if j == i else 0 for j in range(n)), 1)
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        """The entries as Fractions, built on each call; for output."""
+        return _over(self.nums, self.den)
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return len(self.nums)
 
     @property
     def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
+        return not any(self.nums)
+
+    def _combine(self, other: "QVector", sign: int) -> "QVector":
+        """self + sign * other over the lcm of the two denominators."""
+        if self.dim != other.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        a, b = self.den, other.den
+        d = math.lcm(a, b)
+        ma, mb = d // a, sign * (d // b)
+        return _vector([x * ma + y * mb for x, y in zip(self.nums, other.nums)], d)
 
     def __add__(self, other: "QVector") -> "QVector":
-        self._check_dim(other)
-        return QVector(tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "QVector") -> "QVector":
-        self._check_dim(other)
-        return QVector(tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return self._combine(other, -1)
 
     def __neg__(self) -> "QVector":
-        return QVector(tuple(-a for a in self.entries))
+        return _vector([-x for x in self.nums], self.den)
 
     def __mul__(self, other):
         if isinstance(other, QMatrix):
             if self.dim != other.n:
                 raise ValueError(f"dimension mismatch: vector {self.dim}, matrix {other.n}")
             den, rows = other._sparse
-            nums, d = _numerators(self.entries)
-            acc = [0] * other.n
-            for v, row in zip(nums, rows):
-                if v:
-                    for j, w in row:
-                        acc[j] += v * w
-            return QVector(_over(acc, d * den))
+            return _vector(int_vecmul(self.nums, rows), self.den * den)
         if isinstance(other, (int, Fraction)):
-            return QVector(tuple(a * other for a in self.entries))
+            k = other.numerator
+            return _vector([x * k for x in self.nums], self.den * other.denominator)
         return NotImplemented
 
     def __rmul__(self, scalar):
         if isinstance(scalar, (int, Fraction)):
-            return QVector(tuple(scalar * a for a in self.entries))
+            return self.__mul__(scalar)
         return NotImplemented
-
-    def _check_dim(self, other: "QVector") -> None:
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
     def to_json(self) -> list[str]:
         return [format_rat(e) for e in self.entries]
@@ -127,9 +183,11 @@ class QVector:
     @classmethod
     def from_json(cls, data: Sequence[str | int]) -> "QVector":
         try:
-            return cls(tuple(parse_rat(e) for e in data))
+            pairs = [_num_den(e) for e in data]
         except TypeError as exc:
             raise ValueError(f"vector must be a list of rationals: {exc}") from exc
+        d = math.lcm(*(den for _, den in pairs))
+        return _vector([num * (d // den) for num, den in pairs], d)
 
     def __repr__(self) -> str:
         return "QVector(" + ", ".join(str(e) for e in self.entries) + ")"
@@ -202,20 +260,10 @@ class QMatrix:
     def __mul__(self, other):
         if isinstance(other, QMatrix):
             self._check_dim(other)
-            # row-by-row accumulation over the nonzero numerators of both
-            # factors: linear in the nonzeros on the sparse matrices
-            # (companion powers) this package lives on
-            n = self.n
-            den_a, rows_a = self._sparse
-            den_b, rows_b = other._sparse
-            out = []
-            for ra in rows_a:
-                acc = [0] * n
-                for k, v in ra:
-                    for j, w in rows_b[k]:
-                        acc[j] += v * w
-                out.append(_over(acc, den_a * den_b))
-            return QMatrix(tuple(out))
+            # row by row, over the nonzero numerators of both factors
+            den, rows = other._sparse
+            return QMatrix(tuple(_over(int_vecmul(nums, rows), d * den)
+                                 for nums, d in map(_numerators, self.rows)))
         if isinstance(other, (int, Fraction)):
             return QMatrix(tuple(tuple(a * other for a in row) for row in self.rows))
         return NotImplemented
@@ -396,16 +444,17 @@ class _Echelon:
     def __init__(self) -> None:
         self._rows: list[tuple[int, list[int]]] = []
 
-    def _reduce(self, entries: Sequence[Fraction]) -> list[int]:
-        return _clear(_numerators(entries)[0], self._rows)[0]
+    def _reduce(self, v: QVector) -> list[int]:
+        # the span of v is that of its numerators
+        return _clear(list(v.nums), self._rows)[0]
 
-    def contains(self, entries: Sequence[Fraction]) -> bool:
-        return not any(self._reduce(entries))
+    def contains(self, v: QVector) -> bool:
+        return not any(self._reduce(v))
 
-    def add(self, entries: Sequence[Fraction]) -> bool:
+    def add(self, v: QVector) -> bool:
         """Insert a vector; False if it was already in the span."""
-        v = self._reduce(entries)
-        return _insert(self._rows, v, len(v)) is not None
+        w = self._reduce(v)
+        return _insert(self._rows, w, len(w)) is not None
 
     @property
     def rank(self) -> int:
@@ -470,7 +519,7 @@ def cyclic_decomposition(m: QMatrix, p: int, seed: QVector) -> QMatrix:
     def add_block(v: QVector) -> None:
         w = total = v
         for _ in range(p - 1):
-            if not ech.add(w.entries):
+            if not ech.add(w):
                 raise ValueError(not_cyclotomic)
             rows.append(w.entries)
             w = w * m
@@ -480,6 +529,6 @@ def cyclic_decomposition(m: QMatrix, p: int, seed: QVector) -> QMatrix:
 
     add_block(seed)
     while ech.rank < n:
-        nxt = next(i for i in range(n) if not ech.contains(QVector.unit(n, i).entries))
+        nxt = next(i for i in range(n) if not ech.contains(QVector.unit(n, i)))
         add_block(QVector.unit(n, nxt))
     return QMatrix(tuple(rows))

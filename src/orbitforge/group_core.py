@@ -434,12 +434,12 @@ class FiniteAction:
                 return _mat_mul_mod(a, c, q)
         if mats[0] != ident:
             raise ValueError("identity element must act as the identity matrix")
-        t = b.table
-        order = range(b.order)
-        if any(mul(mats[x], mats[y]) != mats[t[x][y]] for y in b.generators for x in order):
+        arr = b.array
+        if any(mul(mats[x], mats[y]) != mats[xy]
+               for y in b.generators for x, xy in enumerate(arr[:, y].tolist())):
             # name the first failing pair of the full scan
-            x, y = next((x, y) for x in order for y in order
-                        if mul(mats[x], mats[y]) != mats[t[x][y]])
+            x, y = next((x, y) for x, row in enumerate(arr.tolist()) for y, xy in enumerate(row)
+                        if mul(mats[x], mats[y]) != mats[xy])
             raise ValueError(f"action is not a homomorphism at pair ({x}, {y})")
 
 

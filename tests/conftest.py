@@ -361,13 +361,18 @@ def brute_force_associative(table) -> bool:
 
 def brute_force_cocycle(c) -> tuple[bool, tuple[int, int, int] | None]:
     """The cocycle identity c(xy, z) + c(x, y) M_z == c(x, yz) + c(y, z) over
-    all |B|^3 triples in lexicographic order, with the first failure."""
-    t, v, mats = c.base.table, c.values, c.action.matrices
-    n = c.base.order
+    all |B|^3 triples in lexicographic order, with the first failure; in
+    plain Fractions read off ``entries`` and ``rows``, with no QVector
+    arithmetic."""
+    t, mats = c.base.table, [m.rows for m in c.action.matrices]
+    v = [[list(e.entries) for e in row] for row in c.values]
+    n, d = c.base.order, c.module_dim
     for x in range(n):
         for y in range(n):
             for z in range(n):
-                if v[t[x][y]][z] + v[x][y] * mats[z] != v[x][t[y][z]] + v[y][z]:
+                moved = [sum(v[x][y][i] * mats[z][i][j] for i in range(d)) for j in range(d)]
+                lhs = [a + b for a, b in zip(v[t[x][y]][z], moved)]
+                if lhs != [a + b for a, b in zip(v[x][t[y][z]], v[y][z])]:
                     return False, (x, y, z)
     return True, None
 
@@ -392,6 +397,16 @@ def fraction_vecmul(v: QVector, m: QMatrix) -> QVector:
                 if w:
                     acc[j] += x * w
     return QVector(tuple(acc))
+
+
+def fraction_vecadd(v: QVector, w: QVector) -> QVector:
+    """v + w, added entry by entry in Fractions."""
+    return QVector(tuple(a + b for a, b in zip(v.entries, w.entries)))
+
+
+def fraction_vecsub(v: QVector, w: QVector) -> QVector:
+    """v - w, subtracted entry by entry in Fractions."""
+    return QVector(tuple(a - b for a, b in zip(v.entries, w.entries)))
 
 
 def fraction_matmul(a: QMatrix, b: QMatrix) -> QMatrix:

@@ -77,6 +77,14 @@ def _cocycle_json(**override) -> dict:
     return data
 
 
+def _cocycle_json_with_value(entry) -> dict:
+    """The valid C3 cocycle with c(g, g) replaced by [entry], off the
+    identity row and column, so only the entry itself can be wrong."""
+    data = _cocycle_json()
+    data["values"][1][1] = [entry]
+    return data
+
+
 @pytest.mark.parametrize("command, data", [
     (["omega"], {"table": [1, 2]}),
     (["omega"], {"table": [[0, 1], [1, 0]], "labels": 5}),
@@ -95,6 +103,11 @@ def _cocycle_json(**override) -> dict:
     (["cocycle", "verify"], _cocycle_json(module_dim=1.5)),
     (["cocycle", "verify"], _cocycle_json(module_dim=True)),
     (["omega"], {"table": [[0, 1], [1, 0]], "labels": "ab"}),  # not split into "a", "b"
+    (["cocycle", "verify"], _cocycle_json_with_value(0.5)),  # not read as 1/2
+    (["cocycle", "verify"], _cocycle_json_with_value(True)),
+    (["cocycle", "verify"], _cocycle_json_with_value("1/0")),
+    (["cocycle", "verify"], _cocycle_json(action=[[[1.0]]] * 3)),  # not read as 1
+    (["cocycle", "verify"], _cocycle_json(action=[[[True]]] * 3)),
 ])
 def test_malformed_group_and_cocycle_files_exit_2(capsys, tmp_path, command, data):
     code, _, err = _run(capsys, command + [_write(tmp_path, data)])

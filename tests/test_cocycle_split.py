@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_cocycle, extension_identity, permutation_action, random_cocycle
+from conftest import (
+    brute_force_cocycle,
+    extension_identity,
+    fraction_vecmul,
+    fraction_vecsub,
+    permutation_action,
+    random_cocycle,
+)
 from orbitforge import cocycle_split as cs
 from orbitforge import group_core as gc
 from orbitforge.exact_linear import QMatrix, QVector, companion, cyclotomic_prime
@@ -76,6 +83,16 @@ def test_corrupted_cocycle_fails_with_witness():
     assert lhs != rhs
 
 
+#: a rational change of basis with det 3, for an action with fractional entries
+_P = QMatrix.of([[2, "1/2", 0, 0], [0, 1, "1/3", 0], [0, 0, "3/2", 1], [0, 0, 0, 1]])
+
+
+def _conjugated(g: gc.GroupTable, action: gc.FiniteAction, p: QMatrix) -> gc.FiniteAction:
+    """x -> P^-1 M_x P, an action isomorphic to the given one."""
+    p_inv = p.inverse()
+    return gc.FiniteAction(g, action.module_dim, 0, tuple(p_inv * m * p for m in action.matrices))
+
+
 def _small_actions():
     c6 = gc.cyclic(6)
     s3 = gc.symmetric(3)
@@ -85,6 +102,7 @@ def _small_actions():
         "S3_sign": _sign_action_s3(2),
         "S3_perm": (s3, permutation_action(s3)),
         "A4_perm": (a4, permutation_action(a4)),
+        "A4_perm_rational": (a4, _conjugated(a4, permutation_action(a4), _P)),
         "A4_trivial": (a4, gc.trivial_action(a4, 1)),
     }
 
@@ -110,6 +128,29 @@ def test_verify_cocycle_matches_all_triples_oracle(data):
     assert cs.verify_cocycle(bad) == brute_force_cocycle(bad)
 
 
+def test_rational_action_has_matrices_over_different_denominators():
+    # the common denominator E of the action is only exercised when the
+    # matrices have non-integer entries, and unequal denominators
+    _, action = SMALL_ACTIONS["A4_perm_rational"]
+    dens = {max(e.denominator for row in m.rows for e in row) for m in action.matrices}
+    assert 1 in dens and len(dens) > 2
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_ACTIONS))
+def test_trivializer_satisfies_relation_in_fractions(name):
+    # c(y, z) = e(yz) - e(y) M_z - e(z) at every pair, recomputed with the
+    # entry-wise Fraction oracles
+    b, action = SMALL_ACTIONS[name]
+    c = random_cocycle(b, action, seed=len(name))
+    e = cs.trivialize(c)
+    t = b.table
+    for y in range(b.order):
+        for z in range(b.order):
+            rhs = fraction_vecsub(fraction_vecsub(e[t[y][z]], fraction_vecmul(e[y], action.matrices[z])),
+                                  e[z])
+            assert c.values[y][z] == rhs, (y, z)
+
+
 def test_every_generator_is_checked_as_a_middle():
     # on C2 x C2 (generators 1, 2) with c(2, 3) = c(3, 2) = 1, the identity
     # holds whenever y = 1 but not for every y: a check that skipped a
@@ -129,24 +170,25 @@ def test_every_generator_is_checked_as_a_middle():
 
 def test_verify_and_trivialize_work_is_bounded_by_generators(monkeypatch):
     # one vector-matrix product per checked triple: |B|^2 * d for d
-    # generators; a silent return to the |B|^3 scan would take 20x more on A5
+    # generators; a silent return to the |B|^3 scan would take 20x more on A5.
+    # Every such product of the cocycle kernels goes through int_vecmul.
     a5 = gc.alternating(5)
     c = random_cocycle(a5, gc.trivial_action(a5, 2), seed=5)
     d = len(a5.generators)
     calls = 0
-    mul = QVector.__mul__
+    vecmul = cs.int_vecmul
 
-    def counting_mul(self, other):
+    def counting_vecmul(v, rows):
         nonlocal calls
         calls += 1
-        return mul(self, other)
+        return vecmul(v, rows)
 
-    monkeypatch.setattr(QVector, "__mul__", counting_mul)
+    monkeypatch.setattr(cs, "int_vecmul", counting_vecmul)
     assert cs.verify_cocycle(c) == (True, None)
     assert 0 < calls <= a5.order ** 2 * d
     calls = 0
     cs.trivialize(c)  # already verified by random_cocycle
-    # one scaling per averaged value plus |B| * d relation checks
+    # |B| * d relation checks; the averaging itself is a plain sum
     assert 0 < calls <= a5.order * (d + 1)
 
 

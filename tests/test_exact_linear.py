@@ -12,7 +12,9 @@ from conftest import (
     bareiss_det,
     fraction_matmul,
     fraction_minimal_polynomial,
+    fraction_vecadd,
     fraction_vecmul,
+    fraction_vecsub,
     gauss_jordan_inverse,
     is_fixed_point_free,
     matrix_power,
@@ -55,6 +57,31 @@ def test_rat_format_parse_roundtrip():
         assert parse_rat(format_rat(x)) == x
     assert format_rat(Fraction(3)) == "3/1"
     assert parse_rat("7") == Fraction(7)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1e30, 2.0])
+def test_parse_rat_rejects_floats(bad):
+    # a JSON float is not an exact rational: 0.5 is not read as 1/2
+    with pytest.raises(ValueError):
+        parse_rat(bad)
+    with pytest.raises(ValueError):
+        QVector.from_json([bad])
+
+
+@pytest.mark.parametrize("bad", [True, False])
+def test_parse_rat_rejects_bools(bad):
+    with pytest.raises(ValueError):
+        parse_rat(bad)
+    with pytest.raises(ValueError):
+        QVector.from_json([bad])
+
+
+@pytest.mark.parametrize("bad", ["1/0", "1/-2", "1/", "0.5", "1e3", "x", None, [1]])
+def test_parse_rat_rejects_what_is_not_num_over_den(bad):
+    with pytest.raises(ValueError):
+        parse_rat(bad)
+    with pytest.raises(ValueError):
+        QVector.from_json([bad])
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +401,27 @@ def test_products_match_fraction_oracles(data):
     assert QVector.zero(a.n) * a == QVector.zero(a.n)
 
 
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_vector_ops_match_fraction_oracles(data):
+    # one denominator per vector: sums, negation and scalar products must
+    # land on the same reduced rationals as entry-wise Fraction arithmetic
+    n = data.draw(st.integers(0, 5), label="dim")
+    v, w = (QVector(tuple(data.draw(_ENTRIES) for _ in range(n))) for _ in range(2))
+    k = data.draw(_ENTRIES, label="scalar")
+    assert v + w == fraction_vecadd(v, w)
+    assert v - w == fraction_vecsub(v, w)
+    assert v - v == QVector.zero(n)
+    assert (-v).entries == tuple(-e for e in v.entries)
+    assert v * k == k * v == QVector(tuple(k * e for e in v.entries))
+    for u in (v, w, v + w, v * k):
+        # the stored form is the unique reduced one, so equality is structural
+        assert u.den > 0 and math.gcd(u.den, *u.nums) == 1
+        assert QVector(u.entries) == u and hash(QVector(u.entries)) == hash(u)
+        assert QVector.from_json(u.to_json()) == u
+        assert u.to_json() == [format_rat(e) for e in u.entries]
+
+
 @given(
     vectors=st.lists(st.lists(_ENTRIES, min_size=4, max_size=4), max_size=7),
     combos=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), _ENTRIES), max_size=3),
@@ -386,11 +434,11 @@ def test_echelon_matches_fraction_oracle(vectors, combos):
             vectors.append([x + q * y for x, y in zip(vectors[i], vectors[j])])
     ech, oracle = _Echelon(), FractionEchelon()
     for v in vectors:
-        assert ech.add(v) == oracle.add(v)
+        assert ech.add(QVector(v)) == oracle.add(v)
     assert ech.rank == oracle.rank
     for i in range(4):
-        unit = QVector.unit(4, i).entries
-        assert ech.contains(unit) == oracle.contains(unit)
+        unit = QVector.unit(4, i)
+        assert ech.contains(unit) == oracle.contains(unit.entries)
 
 
 @given(m=_matrices(sizes=st.integers(1, 4), entries=st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))),
