@@ -43,6 +43,7 @@ def _num_den(s: str | int) -> tuple[int, int]:
     """(num, den > 0), not reduced, of a string or int as ``parse_rat`` accepts."""
     if isinstance(s, str):
         num, slash, den = s.partition("/")
+        # a denominator is digits only: no sign, no space, not empty
         d = int(den) if den.isdigit() else 0 if slash else 1
         if d:
             return int(num), d
@@ -118,6 +119,7 @@ class QVector:
 
     @classmethod
     def from_ints(cls, nums: Sequence[int], den: int) -> "QVector":
+        """The vector nums / den, for integers nums and den > 0."""
         if den <= 0:
             raise ValueError(f"denominator must be positive, got {den}")
         return _vector(nums, den)

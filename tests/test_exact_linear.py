@@ -59,24 +59,11 @@ def test_rat_format_parse_roundtrip():
     assert parse_rat("7") == Fraction(7)
 
 
-@pytest.mark.parametrize("bad", [0.5, 1e30, 2.0])
-def test_parse_rat_rejects_floats(bad):
-    # a JSON float is not an exact rational: 0.5 is not read as 1/2
-    with pytest.raises(ValueError):
-        parse_rat(bad)
-    with pytest.raises(ValueError):
-        QVector.from_json([bad])
-
-
-@pytest.mark.parametrize("bad", [True, False])
-def test_parse_rat_rejects_bools(bad):
-    with pytest.raises(ValueError):
-        parse_rat(bad)
-    with pytest.raises(ValueError):
-        QVector.from_json([bad])
-
-
-@pytest.mark.parametrize("bad", ["1/0", "1/-2", "1/", "0.5", "1e3", "x", None, [1]])
+@pytest.mark.parametrize("bad", [
+    0.5, 1e30, 2.0,  # a JSON float is not an exact rational: 0.5 is not read as 1/2
+    True, False,
+    "1/0", "1/-2", "1/", "0.5", "1e3", "x", None, [1],
+])
 def test_parse_rat_rejects_what_is_not_num_over_den(bad):
     with pytest.raises(ValueError):
         parse_rat(bad)
