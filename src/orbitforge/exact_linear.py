@@ -4,14 +4,14 @@ Every result is exact; no floating point is used anywhere in the package.
 A vector is stored as integer numerators over one positive denominator,
 reduced so the form is unique, and its arithmetic is integer arithmetic
 with one lcm per operation; ``entries`` derives ``Fraction``s from it for
-output. A matrix keeps ``Fraction`` entries, and computes its least common
-denominator and its sparse rows of integer numerators once, on its first
-use on the right of a product. Determinant, inverse, echelon form and
-minimal polynomial share one elimination routine, ``_clear``, on integer
-rows that are divided by the gcd of their entries after every update
-(primitive rows, in the fraction-free style of Bareiss, 1968), so entries
-grow with the minors of the input and not with a power of its common
-denominator.
+output. A matrix keeps ``Fraction`` entries; it computes its least common
+denominator and its sparse rows of integer numerators once and keeps them,
+and a matrix product makes one ``Fraction`` per result entry. Determinant,
+inverse, echelon form and minimal polynomial share one elimination
+routine, ``_clear``, on integer rows that are divided by the gcd of their
+entries after every update (primitive rows, in the fraction-free style of
+Bareiss, 1968), so entries grow with the minors of the input and not with
+a power of its common denominator.
 
 Convention: linear maps act on *row* vectors from the right, ``v * m``.
 Matrix products therefore compose left to right, which matches the
@@ -262,10 +262,20 @@ class QMatrix:
     def __mul__(self, other):
         if isinstance(other, QMatrix):
             self._check_dim(other)
-            # row by row, over the nonzero numerators of both factors
-            den, rows = other._sparse
-            return QMatrix(tuple(_over(int_vecmul(nums, rows), d * den)
-                                 for nums, d in map(_numerators, self.rows)))
+            # row-by-row accumulation over the nonzero numerators of both
+            # factors: linear in the nonzeros on the sparse matrices
+            # (companion powers) this package lives on
+            n = self.n
+            den_a, rows_a = self._sparse
+            den_b, rows_b = other._sparse
+            out = []
+            for ra in rows_a:
+                acc = [0] * n
+                for k, v in ra:
+                    for j, w in rows_b[k]:
+                        acc[j] += v * w
+                out.append(_over(acc, den_a * den_b))
+            return QMatrix(tuple(out))
         if isinstance(other, (int, Fraction)):
             return QMatrix(tuple(tuple(a * other for a in row) for row in self.rows))
         return NotImplemented
