@@ -108,10 +108,10 @@ def _integer_form(c: Cocycle) -> tuple[int, list, int, list]:
         d = math.lcm(*(v.den for row in c.values for v in row))
         vals = [[v.nums if v.den == d else tuple([x * (d // v.den) for x in v.nums])
                  for v in row] for row in c.values]
-        sparse = [m._sparse for m in c.action.matrices]
-        e = math.lcm(*(den for den, _ in sparse))
-        rows = [r if den == e else [[(j, w * (e // den)) for j, w in row] for row in r]
-                for den, r in sparse]
+        mats = c.action.matrices
+        e = math.lcm(*(m.den for m in mats))
+        rows = [m._sparse if m.den == e else [[(j, w * (e // m.den)) for j, w in row]
+                                              for row in m._sparse] for m in mats]
         object.__setattr__(c, "_ints", (d, vals, e, rows))
     return c._ints
 

@@ -2,16 +2,15 @@
 
 Every result is exact; no floating point is used anywhere in the package.
 A vector is stored as integer numerators over one positive denominator,
-reduced so the form is unique, and its arithmetic is integer arithmetic
-with one lcm per operation; ``entries`` derives ``Fraction``s from it for
-output. A matrix keeps ``Fraction`` entries; it computes its least common
-denominator and its sparse rows of integer numerators once and keeps them,
-and a matrix product makes one ``Fraction`` per result entry. Determinant,
-inverse, echelon form and minimal polynomial share one elimination
-routine, ``_clear``, on integer rows that are divided by the gcd of their
-entries after every update (primitive rows, in the fraction-free style of
-Bareiss, 1968), so entries grow with the minors of the input and not with
-a power of its common denominator.
+and a matrix as integer rows over one positive denominator, each reduced
+so the form is unique; their arithmetic is integer arithmetic with one lcm
+per operation, and ``entries`` and ``rows`` derive ``Fraction``s for output
+only. A matrix keeps the sparse form of its rows once it is first used in
+a product. Determinant, inverse, echelon form and minimal polynomial share
+one elimination routine, ``_clear``, on integer rows that are divided by
+the gcd of their entries after every update (primitive rows, in the
+fraction-free style of Bareiss, 1968), so entries grow with the minors of
+the input and not with a power of its common denominator.
 
 Convention: linear maps act on *row* vectors from the right, ``v * m``.
 Matrix products therefore compose left to right, which matches the
@@ -28,6 +27,7 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -37,6 +37,11 @@ from .arith import is_prime
 def format_rat(x: Fraction) -> str:
     """Canonical "num/den" form, e.g. ``-1/2`` or ``3/1``."""
     return f"{x.numerator}/{x.denominator}"
+
+
+def _format_row(nums: Iterable[int], d: int) -> list[str]:
+    """``format_rat`` of each x / d, for d > 0, with no Fraction built."""
+    return [f"{x // g}/{d // g}" for x in nums for g in (math.gcd(x, d),)]
 
 
 def _num_den(s: str | int) -> tuple[int, int]:
@@ -58,14 +63,7 @@ def parse_rat(s: str | int) -> Fraction:
     return Fraction(*_num_den(s))
 
 
-_ZERO = Fraction(0)
-
-
-def _numerators(entries: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(nums, d) with d the least common denominator of the entries and
-    nums[i] = d * entries[i], an integer."""
-    d = math.lcm(*(e.denominator for e in entries))
-    return [e.numerator * (d // e.denominator) for e in entries], d
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _over(nums: Iterable[int], d: int) -> tuple[Fraction, ...]:
@@ -75,7 +73,7 @@ def _over(nums: Iterable[int], d: int) -> tuple[Fraction, ...]:
 
 def int_vecmul(v: Sequence[int], rows: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
     """The integer row vector v times the square integer matrix given by its
-    sparse rows of (column, entry) pairs, as in ``QMatrix._sparse``."""
+    sparse rows of (column, entry) pairs, as ``QMatrix._sparse`` holds them."""
     acc = [0] * len(rows)
     for a, row in zip(v, rows):
         if a:
@@ -111,7 +109,9 @@ class QVector:
 
     def __init__(self, entries: Iterable) -> None:
         """The vector of the given ints and Fractions."""
-        _vector(*_numerators(tuple(entries)), self)
+        es = tuple(entries)
+        d = math.lcm(*(e.denominator for e in es))
+        _vector([e.numerator * (d // e.denominator) for e in es], d, self)
 
     @classmethod
     def of(cls, *entries) -> "QVector":
@@ -167,27 +167,23 @@ class QVector:
         if isinstance(other, QMatrix):
             if self.dim != other.n:
                 raise ValueError(f"dimension mismatch: vector {self.dim}, matrix {other.n}")
-            den, rows = other._sparse
-            return _vector(int_vecmul(self.nums, rows), self.den * den)
+            return _vector(int_vecmul(self.nums, other._sparse), self.den * other.den)
         if isinstance(other, (int, Fraction)):
             k = other.numerator
             return _vector([x * k for x in self.nums], self.den * other.denominator)
         return NotImplemented
 
     def __rmul__(self, scalar):
-        if isinstance(scalar, (int, Fraction)):
-            return self.__mul__(scalar)
-        return NotImplemented
+        return self.__mul__(scalar) if isinstance(scalar, (int, Fraction)) else NotImplemented
 
     def to_json(self) -> list[str]:
-        return [format_rat(e) for e in self.entries]
+        return _format_row(self.nums, self.den)
 
     @classmethod
-    def from_json(cls, data: Sequence[str | int]) -> "QVector":
-        try:
-            pairs = [_num_den(e) for e in data]
-        except TypeError as exc:
-            raise ValueError(f"vector must be a list of rationals: {exc}") from exc
+    def from_json(cls, data: list[str | int]) -> "QVector":
+        if not isinstance(data, list):
+            raise ValueError(f"vector must be a list of rationals, got {type(data).__name__}")
+        pairs = [_num_den(e) for e in data]
         d = math.lcm(*(den for _, den in pairs))
         return _vector([num * (d // den) for num, den in pairs], d)
 
@@ -195,16 +191,35 @@ class QVector:
         return "QVector(" + ", ".join(str(e) for e in self.entries) + ")"
 
 
-@dataclass(frozen=True)
+def _matrix(nums: Sequence[Sequence[int]], den: int, m: "QMatrix | None" = None) -> "QMatrix":
+    """nums / den for den > 0, divided through by the gcd of all entries and
+    den, set in m or in a new QMatrix."""
+    g = math.gcd(den, *chain.from_iterable(nums)) if den > 1 else 1
+    if g > 1:
+        nums, den = [[x // g for x in row] for row in nums], den // g
+    m = _new(QMatrix) if m is None else m
+    _set(m, "nums", tuple(map(tuple, nums)))
+    _set(m, "den", den)
+    return m
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class QMatrix:
-    """Immutable square rational matrix acting on row vectors from the right."""
+    """Immutable square rational matrix acting on row vectors from the right:
+    the integer rows ``nums`` over the one denominator ``den`` > 0, with
+    gcd(all entries, den) = 1. The form is unique, so equality and hashing
+    compare the fields."""
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    nums: tuple[tuple[int, ...], ...]
+    den: int
 
-    def __post_init__(self):
-        n = len(self.rows)
-        if any(len(r) != n for r in self.rows):
+    def __init__(self, rows: Iterable[Iterable]) -> None:
+        """The matrix of the given rows of ints and Fractions."""
+        rows = [tuple(r) for r in rows]
+        if any(len(r) != len(rows) for r in rows):
             raise ValueError("matrix must be square")
+        d = math.lcm(*(e.denominator for r in rows for e in r))
+        _matrix([[e.numerator * (d // e.denominator) for e in r] for r in rows], d, self)
 
     @classmethod
     def of(cls, rows: Iterable[Iterable]) -> "QMatrix":
@@ -212,96 +227,84 @@ class QMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls(tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)))
+        return _matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], 1)
 
     @classmethod
     def block_diag(cls, blocks: Sequence["QMatrix"]) -> "QMatrix":
-        n = sum(b.n for b in blocks)
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        off = 0
+        n, den = sum(b.n for b in blocks), math.lcm(*(b.den for b in blocks))
+        rows, off = [], 0
         for b in blocks:
-            for i in range(b.n):
-                for j in range(b.n):
-                    rows[off + i][off + j] = b.rows[i][j]
+            rows += [[0] * off + [x * (den // b.den) for x in r] + [0] * (n - off - b.n)
+                     for r in b.nums]
             off += b.n
-        return cls(tuple(tuple(r) for r in rows))
+        return _matrix(rows, den)
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as Fractions, built on each call; for output."""
+        return tuple(_over(row, self.den) for row in self.nums)
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self.nums)
 
     @property
     def is_zero(self) -> bool:
-        return all(e == 0 for row in self.rows for e in row)
+        return not any(map(any, self.nums))
 
     @cached_property
-    def _sparse(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
-        """(D, rows): D the least common denominator of all entries and, per
-        row, the (column, D * entry) pairs of its nonzero entries."""
-        den = math.lcm(*(e.denominator for row in self.rows for e in row))
-        return den, tuple(
-            tuple((j, e.numerator * (den // e.denominator)) for j, e in enumerate(row) if e)
-            for row in self.rows
-        )
+    def _sparse(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per row, the (column, numerator) pairs of its nonzero entries."""
+        return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in self.nums)
+
+    def _combine(self, other: "QMatrix", sign: int) -> "QMatrix":
+        """self + sign * other over the lcm of the two denominators."""
+        self._check_dim(other)
+        d = math.lcm(self.den, other.den)
+        ma, mb = d // self.den, sign * (d // other.den)
+        return _matrix([[x * ma + y * mb for x, y in zip(ra, rb)]
+                        for ra, rb in zip(self.nums, other.nums)], d)
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
-        self._check_dim(other)
-        return QMatrix(
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
-        self._check_dim(other)
-        return QMatrix(
-            tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
-        )
+        return self._combine(other, -1)
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix(tuple(tuple(-a for a in row) for row in self.rows))
+        return _matrix([[-x for x in row] for row in self.nums], self.den)
 
     def __mul__(self, other):
         if isinstance(other, QMatrix):
             self._check_dim(other)
-            # row-by-row accumulation over the nonzero numerators of both
-            # factors: linear in the nonzeros on the sparse matrices
-            # (companion powers) this package lives on
-            n = self.n
-            den_a, rows_a = self._sparse
-            den_b, rows_b = other._sparse
-            out = []
-            for ra in rows_a:
-                acc = [0] * n
-                for k, v in ra:
-                    for j, w in rows_b[k]:
-                        acc[j] += v * w
-                out.append(_over(acc, den_a * den_b))
-            return QMatrix(tuple(out))
+            # each row of self times the cached sparse rows of other, so the
+            # sparse companion powers this package lives on stay cheap
+            rows = other._sparse
+            return _matrix([int_vecmul(r, rows) for r in self.nums], self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            return QMatrix(tuple(tuple(a * other for a in row) for row in self.rows))
+            k = other.numerator
+            return _matrix([[x * k for x in row] for row in self.nums], self.den * other.denominator)
         return NotImplemented
 
     def __rmul__(self, scalar):
-        if isinstance(scalar, (int, Fraction)):
-            return self.__mul__(scalar)
-        return NotImplemented
+        return self.__mul__(scalar) if isinstance(scalar, (int, Fraction)) else NotImplemented
 
     def det(self) -> Fraction:
         """Exact determinant: the product of the pivots of Gaussian
         elimination, each read off one primitive integer row of ``_clear``
         (rows are stored by pivot column, so the sign is the parity of the
         pivot order)."""
-        n = self.n
+        n, d = self.n, self.den
         rows: list[tuple[int, list[int]]] = []
         pivots = []
-        result = Fraction(1)
-        for r in self.rows:
-            nums, d = _numerators(r)
-            v, s, t = _clear(nums, rows)
+        result = _ONE
+        for r in self.nums:
+            v, s, t = _clear(r, rows)
             piv = _insert(rows, v, n)
             if piv is None:
-                return Fraction(0)
+                return _ZERO
             pivots.append(piv)
-            # v = (s / t) * d * (the eliminated rational row)
+            # v = (s / t) * d * (eliminated rational row); per-row Fractions stay reduced
             result *= Fraction(t * v[piv], s * d)
         inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:])
         return -result if inversions % 2 else result
@@ -309,34 +312,32 @@ class QMatrix:
     def inverse(self) -> "QMatrix":
         """Exact inverse: ``_clear`` reduces the integer rows of [A | I] until
         the left half is diagonal; raises on singular input."""
-        n = self.n
+        n, d = self.n, self.den
         rows: list[tuple[int, list[int]]] = []
-        for i, r in enumerate(self.rows):
-            nums, d = _numerators(r)
-            tail = [0] * n
-            tail[i] = d
-            v = _clear(nums + tail, rows)[0]
+        for i, r in enumerate(self.nums):
+            v = _clear([*r, *(d if j == i else 0 for j in range(n))], rows)[0]
             if _insert(rows, v, n) is None:
                 raise ValueError("matrix is singular")
         # the pivots are now 0..n-1; clear above each, last first, so every
         # row is reduced by rows whose left half is zero off their pivot
         for k in range(n - 2, -1, -1):
             rows[k] = (k, _clear(rows[k][1], rows[k + 1:])[0])
-        return QMatrix(tuple(_over(row[n:], row[k]) for k, row in rows))
+        # row k of the inverse is row[n:] / row[k], put over the lcm of the pivots
+        den = math.lcm(*(row[k] for k, row in rows))
+        return _matrix([[x * (den // row[k]) for x in row[n:]] for k, row in rows], den)
 
     def _check_dim(self, other: "QMatrix") -> None:
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
 
     def to_json(self) -> list[list[str]]:
-        return [[format_rat(e) for e in row] for row in self.rows]
+        return [_format_row(row, self.den) for row in self.nums]
 
     @classmethod
-    def from_json(cls, data: Sequence[Sequence[str | int]]) -> "QMatrix":
-        try:
-            return cls(tuple(tuple(parse_rat(e) for e in row) for row in data))
-        except TypeError as exc:
-            raise ValueError(f"matrix must be a list of rows of rationals: {exc}") from exc
+    def from_json(cls, data: list[list[str | int]]) -> "QMatrix":
+        if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+            raise ValueError("matrix must be a list of rows of rationals")
+        return cls([[parse_rat(e) for e in row] for row in data])
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(e) for e in row) for row in self.rows)
@@ -384,7 +385,7 @@ def cyclotomic_prime(p: int) -> QPoly:
     """1 + x + ... + x^(p-1) for prime p (irreducible over the rationals)."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return QPoly(tuple(Fraction(1) for _ in range(p)))
+    return QPoly((_ONE,) * p)
 
 
 def companion(f: QPoly) -> QMatrix:
@@ -398,12 +399,11 @@ def companion(f: QPoly) -> QMatrix:
         raise ValueError("companion requires degree >= 1")
     if not f.is_monic:
         raise ValueError("companion requires a monic polynomial")
-    rows = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(d):
-        rows[i][d - 1] = -f.coeffs[i]
-    for i in range(1, d):
-        rows[i][i - 1] = Fraction(1)
-    return QMatrix(tuple(tuple(r) for r in rows))
+    den = math.lcm(*(c.denominator for c in f.coeffs))
+    rows = [[den if j == i - 1 else 0 for j in range(d)] for i in range(d)]
+    for i, c in enumerate(f.coeffs[:d]):
+        rows[i][d - 1] = -c.numerator * (den // c.denominator)
+    return _matrix(rows, den)
 
 
 _PIVOT = itemgetter(0)
@@ -486,10 +486,9 @@ def minimal_polynomial(m: QMatrix) -> QPoly:
     rows: list[tuple[int, list[int]]] = []
     power = QMatrix.identity(n)
     for k in range(n + 1):
-        nums, d = _numerators([e for row in power.rows for e in row])
         tail = [0] * (n + 1)
-        tail[k] = d
-        v = _clear(nums + tail, rows)[0]
+        tail[k] = power.den
+        v = _clear([x for row in power.nums for x in row] + tail, rows)[0]
         if _insert(rows, v, width) is None:
             combo = v[width:width + k + 1]
             return QPoly(_over(combo, combo[k]))
@@ -526,14 +525,14 @@ def cyclic_decomposition(m: QMatrix, p: int, seed: QVector) -> QMatrix:
     not_cyclotomic = "minimal polynomial is not the prime cyclotomic polynomial"
 
     ech = _Echelon()
-    rows: list[tuple] = []
+    rows: list[QVector] = []
 
     def add_block(v: QVector) -> None:
         w = total = v
         for _ in range(p - 1):
             if not ech.add(w):
                 raise ValueError(not_cyclotomic)
-            rows.append(w.entries)
+            rows.append(w)
             w = w * m
             total = total + w
         if not total.is_zero:
@@ -543,4 +542,5 @@ def cyclic_decomposition(m: QMatrix, p: int, seed: QVector) -> QMatrix:
     while ech.rank < n:
         nxt = next(i for i in range(n) if not ech.contains(QVector.unit(n, i)))
         add_block(QVector.unit(n, nxt))
-    return QMatrix(tuple(rows))
+    den = math.lcm(*(w.den for w in rows))
+    return _matrix([[x * (den // w.den) for x in w.nums] for w in rows], den)

@@ -293,8 +293,8 @@ def verify_automorphism(
     if rm is None:
         checks.append(CheckResult("intertwining", False, "image of anchor lies inside A"))
     else:
-        lhs, rhs = (pm * phi.linear).rows, (phi.linear * rm).rows
-        bad = next((i for i in range(spec.n) if lhs[i] != rhs[i]), None)
+        diff = pm * phi.linear - phi.linear * rm
+        bad = next((i for i, row in enumerate(diff.nums) if any(row)), None)
         checks.append(
             CheckResult(
                 "intertwining",

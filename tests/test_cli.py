@@ -85,6 +85,12 @@ def _cocycle_json_with_value(entry) -> dict:
     return data
 
 
+#: A C2 cocycle file whose action matrices and values are strings where
+#: lists belong.
+_C2_STRINGS = {"base": {"order": 2, "table": [[0, 1], [1, 0]]}, "module_dim": 1,
+               "action": ["1", "1"], "values": [["0", "0"], ["0", "7"]]}
+
+
 @pytest.mark.parametrize("command, data", [
     (["omega"], {"table": [1, 2]}),
     (["omega"], {"table": [[0, 1], [1, 0]], "labels": 5}),
@@ -108,6 +114,13 @@ def _cocycle_json_with_value(entry) -> dict:
     (["cocycle", "verify"], _cocycle_json_with_value("1/0")),
     (["cocycle", "verify"], _cocycle_json(action=[[[1.0]]] * 3)),  # not read as 1
     (["cocycle", "verify"], _cocycle_json(action=[[[True]]] * 3)),
+    # a string is not read as the list of its characters, at any level
+    (["cocycle", "verify"], _C2_STRINGS),  # certified ok: true before
+    (["cocycle", "trivialize"], _C2_STRINGS),  # printed e(1) = (-7/2) before
+    (["cocycle", "verify"], dict(_C2_STRINGS, action=[[["1"]], [["1"]]])),  # vectors
+    (["cocycle", "verify"], dict(_C2_STRINGS, action=[["1"], ["1"]],
+                                 values=[[["0"], ["0"]], [["0"], ["7"]]])),  # rows
+    (["cocycle", "verify"], dict(_C2_STRINGS, values=[[["0"], ["0"]], [["0"], ["7"]]])),  # matrices
 ])
 def test_malformed_group_and_cocycle_files_exit_2(capsys, tmp_path, command, data):
     code, _, err = _run(capsys, command + [_write(tmp_path, data)])
@@ -164,6 +177,14 @@ def test_malformed_or_invalid_matrix_exits_2(capsys, tmp_path, matrix):
     code, _, err = _run(capsys, ["mixed", "build", "--p", "3", "--matrix", _write(tmp_path, matrix)])
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_matrix_of_strings_exits_2(capsys, tmp_path):
+    # ["10", "01"] was read as the identity [[1, 0], [0, 1]]
+    code, out, err = _run(capsys, ["mixed", "verify", "--p", "3", "--matrix",
+                                   _write(tmp_path, ["10", "01"])])
+    assert code == 2 and not out
+    assert err.startswith("error: matrix must be a list of rows")
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -69,6 +70,23 @@ def test_parse_rat_rejects_what_is_not_num_over_den(bad):
         parse_rat(bad)
     with pytest.raises(ValueError):
         QVector.from_json([bad])
+    with pytest.raises(ValueError):
+        QMatrix.from_json([[bad]])
+
+
+@pytest.mark.parametrize("parse, data", [
+    # a string is not the list of its characters: these read as (1, 2, 3)
+    # and [[1, 2], [3, 4]] before
+    (QVector.from_json, "123"),
+    (QMatrix.from_json, ["12", "34"]),
+    (QMatrix.from_json, "1"),
+    (QMatrix.from_json, [["1", "2"], "34"]),
+    (QVector.from_json, ("1", "2")),
+    (QMatrix.from_json, 5),
+])
+def test_from_json_requires_lists(parse, data):
+    with pytest.raises(ValueError, match="must be a list"):
+        parse(data)
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +425,55 @@ def test_vector_ops_match_fraction_oracles(data):
         assert QVector(u.entries) == u and hash(QVector(u.entries)) == hash(u)
         assert QVector.from_json(u.to_json()) == u
         assert u.to_json() == [format_rat(e) for e in u.entries]
+
+
+def _entrywise(op, *ms: QMatrix) -> QMatrix:
+    """op applied to the Fraction entries of equal-size matrices, entry by entry."""
+    return QMatrix(tuple(tuple(op(*es) for es in zip(*rows)) for rows in zip(*(m.rows for m in ms))))
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_matrix_ops_match_fraction_oracles(data):
+    # one denominator per matrix: sums, negation and scalar products must
+    # land on the same reduced rationals as entry-wise Fraction arithmetic
+    a = data.draw(_matrices(), label="a")
+    b = data.draw(_matrices(sizes=st.just(a.n)), label="b")
+    k = data.draw(_ENTRIES, label="scalar")
+    assert a + b == _entrywise(operator.add, a, b)
+    assert a - b == _entrywise(operator.sub, a, b)
+    assert a - a == zero_matrix(a.n) and (a - a).is_zero
+    assert -a == _entrywise(operator.neg, a)
+    assert a * k == k * a == _entrywise(lambda e: k * e, a)
+    for m in (a, b, a + b, -a, a * k, a * b):
+        # the stored form is the unique reduced one, so equality is structural
+        assert m.den > 0 and math.gcd(m.den, *(x for row in m.nums for x in row)) == 1
+        assert QMatrix(m.rows) == m and hash(QMatrix(m.rows)) == hash(m)
+        assert QMatrix.from_json(m.to_json()) == m
+        assert m.to_json() == [[format_rat(e) for e in row] for row in m.rows]
+
+
+@given(m=_matrices(), scales=st.lists(st.integers(1, 10**4), min_size=25, max_size=25))
+@settings(max_examples=100, deadline=None)
+def test_equal_matrices_written_differently_are_equal(m, scales):
+    # each entry num/den written as (c * num)/(c * den), one c per entry
+    n = m.n
+    data = [[f"{e.numerator * c}/{e.denominator * c}" for e, c in zip(row, scales[i * n:])]
+            for i, row in enumerate(m.rows)]
+    other = QMatrix.from_json(data)
+    assert other == m and hash(other) == hash(m)
+    assert (other.nums, other.den) == (m.nums, m.den)
+
+
+def test_matrix_canonical_form_frozen_example():
+    m = QMatrix.of([["2/4", "-3/6"], [0, "10/5"]])
+    assert (m.nums, m.den) == (((1, -1), (0, 4)), 2)
+    for other in (QMatrix.from_json([["1/2", "-1/2"], ["0/7", "2"]]),
+                  QMatrix(((Fraction(1, 2), Fraction(-1, 2)), (0, 2))),
+                  m * 6 * Fraction(1, 6), m + m - m, m.inverse().inverse()):
+        assert other == m and hash(other) == hash(m)
+    assert QMatrix.of([[4, 0], [0, 8]]).den == 1
+    assert QMatrix.of([[4, 0], [0, 8]]) * Fraction(1, 4) == QMatrix.of([[1, 0], [0, 2]])
 
 
 @given(

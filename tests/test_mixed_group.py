@@ -323,6 +323,28 @@ def test_build_automorphism_work_is_bounded(monkeypatch):
     assert calls[0] == 0
 
 
+def test_spec_and_witness_build_no_fraction(monkeypatch):
+    # matrices are integer rows over one denominator: the powers of M, the
+    # M^p = I check, the Phi_p(M) sum, the cyclic bases, the inverse and the
+    # product of a witness make no Fraction in exact_linear
+    made = []
+
+    class Counting(type):
+        def __instancecheck__(cls, obj):
+            return isinstance(obj, Fraction)
+
+        def __call__(cls, *args):
+            made.append(args)
+            return Fraction(*args)
+
+    monkeypatch.setattr(exact_linear, "Fraction", Counting("Fraction", (), {}))
+    mg.build(31, 1)
+    assert made == []
+    spec = mg.build(13, 2)
+    mg.build_automorphism(*_witness_inputs(spec, 0), spec)
+    assert made == []
+
+
 _SPECS = {(p, t): mg.build(p, t) for p in (2, 3, 5) for t in (1, 2)}
 _FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
