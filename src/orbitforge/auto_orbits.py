@@ -10,7 +10,9 @@ map they induce along a breadth-first spanning tree of the Cayley graph of
 O(|<g_1..g_k>| * k); it prunes the search, and at full depth it proves that
 the candidate is an automorphism. Automorphisms keep cheap invariants of
 every element (its order and its number of square roots), so the check also
-rejects a map that changes the invariant of any element of <g_1..g_k>.
+rejects a map that changes the invariant of any element of <g_1..g_k>. The
+search reads the table through its columns, one contiguous int16 buffer
+each (``cols[y][x]`` is x*y), and builds no Python rows.
 
 The chain is built from the deepest level up. At level i, for each image y of
 g_i (same invariants) that is not yet in the orbit of g_i under the strong
@@ -32,6 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
+import numpy as np
+
 from .group_core import GroupTable, _close
 
 #: The automorphism search is only attempted up to this order.
@@ -48,18 +52,17 @@ class Automorphism:
         return self.perm[i]
 
 
-def _spanning_edges(g: GroupTable, gens: list[int]) -> tuple[list, list]:
+def _spanning_edges(cols: list, gens: list[int]) -> tuple[list, list]:
     """The Cayley graph of <gens> as edges (x, j, x * gens[j]), split into the
     edges of a breadth-first spanning tree from the identity, in visiting
-    order, and the remaining edges."""
-    t = g.table
+    order, and the remaining edges. ``cols[y][x]`` is x * y."""
+    gen_cols = [cols[s] for s in gens]
     seen = {0}
     visit = [0]
     tree, rest = [], []
     for x in visit:  # grows while it is walked
-        row = t[x]
-        for j, s in enumerate(gens):
-            z = row[s]
+        for j, col in enumerate(gen_cols):
+            z = col[x]
             if z in seen:
                 rest.append((x, j, z))
             else:
@@ -73,17 +76,17 @@ class _Search:
     """Depth-first search over generator images, pruned by the extension check."""
 
     def __init__(self, g: GroupTable):
-        self.table = g.table
+        # the columns as int16 buffers, cols[y][x] = x * y; as lists of ints
+        # they doubled the peak memory of the search on EA(2, 9)
+        self.cols = list(map(memoryview, np.ascontiguousarray(g.array.T)))
         self.order = g.order
         orders = g.element_orders()
         # largest order first: long prefixes generate large subgroups early,
         # so the extension check prunes failed searches near the root
         self.base = sorted(g.generators, key=lambda x: -orders[x])
-        self.edges = [_spanning_edges(g, self.base[:k]) for k in range(len(self.base) + 1)]
+        self.edges = [_spanning_edges(self.cols, self.base[:k]) for k in range(len(self.base) + 1)]
         # Aut-invariants of each element: its order and its number of square roots
-        roots = [0] * g.order
-        for x in range(g.order):
-            roots[self.table[x][x]] += 1
+        roots = np.bincount(g.array.diagonal(), minlength=g.order).tolist()
         self.invariant = list(zip(orders, roots))
         self.candidates = [[y for y in range(g.order) if self.invariant[y] == self.invariant[x]]
                            for x in self.base]
@@ -93,20 +96,20 @@ class _Search:
         images[j], as a list indexed by element (exact on the subgroup only),
         or None when the images extend to none that keeps the invariant of
         every element, as the restriction of an automorphism must."""
-        t = self.table
+        cols = self.cols
         tree, rest = self.edges[len(images)]
         phi = [0] * self.order
         used = bytearray(self.order)
         used[0] = 1
         inv = self.invariant
         for x, j, z in tree:
-            v = t[phi[x]][images[j]]
+            v = cols[images[j]][phi[x]]
             if used[v] or inv[v] != inv[z]:
                 return None
             used[v] = 1
             phi[z] = v
         for x, j, z in rest:
-            if t[phi[x]][images[j]] != phi[z]:
+            if cols[images[j]][phi[x]] != phi[z]:
                 return None
         return phi
 

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .arith import factorize
 from .auto_orbits import omega
-from .group_core import GroupTable, is_elementary_abelian
+from .group_core import GroupTable, _generators, is_elementary_abelian
 
 VERDICT_TRIVIAL = "trivial"
 VERDICT_ELEMENTARY_ABELIAN = "elementary_abelian"
@@ -39,32 +41,28 @@ class ClassificationReport:
 
 def _pq_structure_evidence(g: GroupTable, p: int, q: int, nexp: int) -> dict | None:
     """Witnesses for |G| = p * q^n with normal elementary abelian Sylow
-    q-subgroup and fixed-point-free Sylow p-action, or None if that fails."""
-    t = g.table
+    q-subgroup and fixed-point-free Sylow p-action, or None if that fails.
+
+    Q is the set of elements of order 1 or q; its generators are chosen by
+    ``group_core._generators``, so their closure holds Q. Commuting elements
+    of order q generate an abelian group of exponent q, which lies in Q, so
+    the generators commute exactly when Q is an elementary abelian subgroup;
+    it is normal, as conjugation keeps orders. h is the least element of
+    order p; each h^k with 0 < k < p generates <h>, so it centralizes what h
+    does: the action is fixed-point-free when h commutes with no u != 1 in Q.
+    """
     orders = g.element_orders()
     qsub = [x for x in range(g.order) if orders[x] in (1, q)]
     if len(qsub) != q**nexp:
         return None
-    qset = set(qsub)
-    for a in qsub:
-        for b in qsub:
-            if t[a][b] not in qset:
-                return None
-            if t[a][b] != t[b][a]:
-                return None
-    for u in qsub:
-        for x in range(g.order):
-            if g.conjugate(u, x) not in qset:
-                return None
-    h = next((x for x in range(g.order) if orders[x] == p), None)
-    if h is None:
+    a = g.array
+    gens = _generators(a, qsub)
+    commutes = a[np.ix_(gens, gens)]
+    if not np.array_equal(commutes, commutes.T):
         return None
-    hk = h
-    for _ in range(1, p):
-        for u in qsub:
-            if u != 0 and g.conjugate(u, hk) == u:
-                return None
-        hk = t[hk][h]
+    h = next((x for x in range(g.order) if orders[x] == p), None)
+    if h is None or np.count_nonzero(a[qsub, h] == a[h, qsub]) > 1:
+        return None
     return {
         "order": g.order,
         "factorization": {str(r): e for r, e in sorted(factorize(g.order).items())},

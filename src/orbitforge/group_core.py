@@ -3,11 +3,10 @@ and structural queries the rest of the package needs.
 
 Conventions: elements are the indices 0..order-1, index 0 is the identity,
 and ``array[i, j]`` is the product i*j. That read-only int16 array is the one
-stored form of a table; the constructors build it by index arithmetic and the
-queries run on it. ``table``, the same entries as tuples of ints, is derived
-from it on first use for the loops that walk a table in Python. Group actions
-on vector modules are *right* actions on row vectors (``a * M``), so action
-matrices compose as ``M[x] * M[y] == M[x*y]``.
+form of a table: the constructors build it by index arithmetic and every
+query and search reads it. ``table`` only exports it as tuples of ints. Group
+actions on vector modules are *right* actions on row vectors (``a * M``), so
+action matrices compose as ``M[x] * M[y] == M[x*y]``.
 """
 
 from __future__ import annotations
@@ -54,20 +53,22 @@ def _close(members: list[int], inside: bytearray, cols: list[list[int]], start: 
                 members.append(y)
 
 
-def _generators(arr: np.ndarray) -> tuple[int, ...]:
-    """The least element outside the closure so far, repeated until the
-    closure is everything. The closure is that of the identity under right
-    multiplication by the chosen elements; on a group it is the subgroup they
-    generate, on any magma it holds every left-bracketed product of them."""
+def _generators(arr: np.ndarray, among=None) -> tuple[int, ...]:
+    """Each element of among (by default every element), in turn, that lies
+    outside the closure of those chosen before it. The closure is that of the
+    identity under right multiplication by the chosen elements; on a group it
+    is the subgroup they generate, on any magma it holds every left-bracketed
+    product of them."""
     inside = bytearray(len(arr))
     inside[0] = 1
     members = [0]
     gens: list[int] = []
     cols: list[list[int]] = []
-    while len(members) < len(arr):
-        gens.append(inside.index(0))
-        cols.append(arr[:, gens[-1]].tolist())
-        _close(members, inside, cols, len(members))
+    for x in range(len(arr)) if among is None else among:
+        if not inside[x]:
+            gens.append(x)
+            cols.append(arr[:, x].tolist())
+            _close(members, inside, cols, len(members))
     return tuple(gens)
 
 
@@ -154,11 +155,11 @@ def _powers(arr: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
 class GroupTable:
     """A finite group as an immutable Cayley table.
 
-    The one stored form is ``array``, read-only int16, with ``array[i, j]``
-    the index of i*j; ``table``, its rows as tuples of ints, is derived on
-    first use for the loops that walk the table in Python. Rows (as JSON
-    gives them) are checked for integer entries; an int16 array is frozen
-    and kept without a copy.
+    The one form is ``array``, read-only int16, with ``array[i, j]`` the
+    index of i*j; ``table`` is an export view of its rows as tuples of ints,
+    built anew on every call and kept nowhere. Rows (as JSON gives them) are
+    checked for integer entries; an int16 array is frozen and kept without a
+    copy.
 
     Identity at index 0, permutation rows and associativity are verified
     exactly at construction time, at every order; together they imply Latin
@@ -168,8 +169,8 @@ class GroupTable:
     generated so far, repeated until that subgroup is everything.
     """
 
-    __slots__ = ("order", "array", "labels", "generators", "_rows", "_inverses", "_orders",
-                 "_abelian", "_orbit_cache")
+    __slots__ = ("order", "array", "labels", "generators", "_inverses", "_orders", "_abelian",
+                 "_orbit_cache")
 
     def __init__(self, table, labels):
         try:
@@ -186,7 +187,6 @@ class GroupTable:
         object.__setattr__(self, "array", arr)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "_rows", None)
         object.__setattr__(self, "_inverses", tuple(np.argmin(arr, axis=1).tolist()))
         object.__setattr__(self, "_orders", None)
         object.__setattr__(self, "_abelian", None)
@@ -197,21 +197,19 @@ class GroupTable:
 
     @property
     def table(self) -> tuple[tuple[int, ...], ...]:
-        """The rows of ``array`` as tuples of ints, built on first use."""
-        if self._rows is None:
-            object.__setattr__(self, "_rows", tuple(map(tuple, self.array.tolist())))
-        return self._rows
+        """The rows of ``array`` as tuples of ints, built on every call."""
+        return tuple(map(tuple, self.array.tolist()))
 
     def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
+        return int(self.array[i, j])
 
     def inv(self, i: int) -> int:
         return self._inverses[i]
 
     def conjugate(self, x: int, by: int) -> int:
         """by^-1 * x * by."""
-        t = self.table
-        return t[t[self._inverses[by]][x]][by]
+        a = self.array
+        return int(a[a[self._inverses[by], x], by])
 
     @property
     def is_abelian(self) -> bool:

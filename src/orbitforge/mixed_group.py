@@ -258,35 +258,13 @@ def random_element(rng: random.Random, spec: MixedGroupSpec, outside: bool = Fal
     return MixedElement(k, random_vector(rng, spec.n))
 
 
-def verify_automorphism(
-    phi: MixedAutomorphism, spec: MixedGroupSpec, samples: int, seed: int = 0
-) -> Certificate:
-    """Exact certificate that phi is an automorphism.
-
-    Write beta = phi(alpha), and P and R for conjugation by alpha and by
-    beta on A. Every g is alpha^m * u in exactly one way (0 <= m < p, u in
-    A), and phi sends it to beta^m * (u * L). As (alpha^m u)(alpha^l v) =
-    alpha^(m+l) (u * P^l + v), that map preserves products exactly when
-    P * L == L * R (``intertwining``, one matrix identity; a failure names
-    the first differing row) and beta^p == 1. It is bijective when det L != 0
-    (``linear_invertible``) and beta lies outside A. Every beta = h^k b
-    outside A has order p, because (h^k b)^p = h^0 (b * Phi_p(M^k)) and
-    Phi_p(M^k) = Phi_p(M) = 0 for the spec, so ``image_order`` checks only
-    that beta lies outside A. These three decide the certificate;
-    ``homomorphism_samples`` tests the product law on ``samples`` random
-    pairs through ``apply_automorphism``, a redundant spot check.
-    """
+def _exact_checks(phi: MixedAutomorphism, spec: MixedGroupSpec) -> list[CheckResult]:
+    """The three exact checks that decide ``verify_automorphism``."""
     p = spec.p
     if phi.alpha.k % p == 0:
         raise ValueError("anchor element must lie outside A")
-    if samples < 0:
-        raise ValueError(f"sample count must be nonnegative, got {samples}")
-    checks: list[CheckResult] = []
-
     det = phi.linear.det()
-    checks.append(
-        CheckResult("linear_invertible", det != 0, f"det(L) = {det}")
-    )
+    checks = [CheckResult("linear_invertible", det != 0, f"det(L) = {det}")]
 
     pm = spec.powers[phi.alpha.k % p]
     rm = spec.powers[phi.image_of_alpha.k % p] if phi.image_of_alpha.k % p else None
@@ -307,6 +285,30 @@ def verify_automorphism(
     checks.append(
         CheckResult("image_order", order_ok, f"phi(alpha)^{p} == identity: {order_ok}")
     )
+    return checks
+
+
+def verify_automorphism(
+    phi: MixedAutomorphism, spec: MixedGroupSpec, samples: int, seed: int = 0
+) -> Certificate:
+    """Exact certificate that phi is an automorphism.
+
+    Write beta = phi(alpha), and P and R for conjugation by alpha and by
+    beta on A. Every g is alpha^m * u in exactly one way (0 <= m < p, u in
+    A), and phi sends it to beta^m * (u * L). As (alpha^m u)(alpha^l v) =
+    alpha^(m+l) (u * P^l + v), that map preserves products exactly when
+    P * L == L * R (``intertwining``, one matrix identity; a failure names
+    the first differing row) and beta^p == 1. It is bijective when det L != 0
+    (``linear_invertible``) and beta lies outside A. Every beta = h^k b
+    outside A has order p, because (h^k b)^p = h^0 (b * Phi_p(M^k)) and
+    Phi_p(M^k) = Phi_p(M) = 0 for the spec, so ``image_order`` checks only
+    that beta lies outside A. These three decide the certificate;
+    ``homomorphism_samples`` tests the product law on ``samples`` random
+    pairs through ``apply_automorphism``, a redundant spot check.
+    """
+    if samples < 0:
+        raise ValueError(f"sample count must be nonnegative, got {samples}")
+    checks = _exact_checks(phi, spec)
 
     rng = random.Random(seed)
     failures = 0
@@ -435,9 +437,8 @@ def omega_certificate(
         for _ in range(pairs_per_class):
             b, c, alpha, beta = draw()
             phi = build_automorphism(b, c, alpha, beta, spec)
-            cert = verify_automorphism(phi, spec, samples=0)
-            if not cert.ok:
-                failed = ", ".join(ch.name for ch in cert.checks if not ch.passed)
+            failed = ", ".join(ch.name for ch in _exact_checks(phi, spec) if not ch.passed)
+            if failed:
                 detail = f"witness construction failed: automorphism verification failed: {failed}"
                 break
             if b * phi.linear != c:

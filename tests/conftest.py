@@ -8,7 +8,9 @@ so the frozen constants in the test modules stay honest.
 from __future__ import annotations
 
 import ast
+import importlib.util
 import math
+import pathlib
 import random
 from bisect import insort
 from fractions import Fraction
@@ -20,8 +22,18 @@ from orbitforge import catalog
 from orbitforge import cocycle_split as cs
 from orbitforge import group_core as gc
 from orbitforge import mixed_group as mg
-from orbitforge.arith import is_prime
+from orbitforge.arith import factorize, is_prime
 from orbitforge.exact_linear import QMatrix, QPoly, QVector, cyclotomic_prime, minimal_polynomial
+
+INPUTS_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+
+
+def perfbench_inputs():
+    """The benchmark's input module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", INPUTS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def brute_force_automorphisms(g) -> set[tuple[int, ...]]:
@@ -48,7 +60,7 @@ def enumerate_automorphisms(g) -> list[tuple[int, ...]]:
     so keep |Aut(G)| to a few tens of thousands."""
     t = g.table
     n = g.order
-    orders = [independent_element_order(g, i) for i in range(n)]
+    orders = independent_element_orders(g)
 
     # the first element outside the subgroup generated so far, until it is all of g
     gens: list[int] = []
@@ -312,20 +324,27 @@ def compose_automorphisms(first, second, spec) -> "mg.MixedAutomorphism":
     )
 
 
+def independent_element_orders(g) -> list[int]:
+    """The order of every element by walking the table, written separately
+    from the packaged implementation."""
+    t = g.table
+    orders = []
+    for i in range(g.order):
+        k, x = 1, i
+        while x != 0:
+            x = t[x][i]
+            k += 1
+        orders.append(k)
+    return orders
+
+
 def independent_element_order(g, i: int) -> int:
-    """Order of an element by walking the table, written separately from the
-    packaged implementation."""
-    k, x = 1, i
-    while x != 0:
-        x = g.table[x][i]
-        k += 1
-    return k
+    return independent_element_orders(g)[i]
 
 
 def independent_order_profile(g) -> dict[int, int]:
     profile: dict[int, int] = {}
-    for i in range(g.order):
-        o = independent_element_order(g, i)
+    for o in independent_element_orders(g):
         profile[o] = profile.get(o, 0) + 1
     return profile
 
@@ -565,9 +584,9 @@ def loop_elementary_abelian(q: int, k: int) -> gc.GroupTable:
 
 
 def loop_direct_product(g: gc.GroupTable, h: gc.GroupTable) -> gc.GroupTable:
-    hn = h.order
+    hn, gt, ht = h.order, g.table, h.table
     table = [
-        [g.table[i1][j1] * hn + h.table[i2][j2] for j1 in range(g.order) for j2 in range(hn)]
+        [gt[i1][j1] * hn + ht[i2][j2] for j1 in range(g.order) for j2 in range(hn)]
         for i1 in range(g.order)
         for i2 in range(hn)
     ]
@@ -644,7 +663,7 @@ def loop_alternating(n: int) -> gc.GroupTable:
 
 
 def loop_finite_semidirect(q: int, n: int, action, b: gc.GroupTable) -> gc.GroupTable:
-    qn = q**n
+    qn, bt = q**n, b.table
     vecs = [_digits(v, q, n) for v in range(qn)]
     table = []
     for k in range(b.order):
@@ -653,13 +672,56 @@ def loop_finite_semidirect(q: int, n: int, action, b: gc.GroupTable) -> gc.Group
             for l in range(b.order):
                 m = action.matrices[l]
                 moved = tuple(sum(v[r] * m[r][c] for r in range(n)) % q for c in range(n))
-                kl = b.table[k][l]
+                kl = bt[k][l]
                 for w in vecs:
                     combined = sum(((moved[c] + w[c]) % q) * q**c for c in range(n))
                     row.append(kl * qn + combined)
             table.append(row)
     labels = [f"({b.labels[k]}, {v})" for k in range(b.order) for v in vecs]
     return gc.GroupTable(table, labels)
+
+
+def loop_pq_structure_evidence(g, p: int, q: int, nexp: int) -> dict | None:
+    """The p * q^n evidence of ``classify`` by its definition, in loops over
+    the table: every product and every conjugate of Q, and every nontrivial
+    power of h, as the package checked it before it checked generators."""
+    t, n = g.table, g.order
+    inv = [row.index(0) for row in t]
+    orders = independent_element_orders(g)
+    qsub = [x for x in range(n) if orders[x] in (1, q)]
+    if len(qsub) != q**nexp:
+        return None
+    qset = set(qsub)
+    for a in qsub:
+        for b in qsub:
+            if t[a][b] not in qset:
+                return None
+            if t[a][b] != t[b][a]:
+                return None
+    for u in qsub:
+        for x in range(n):
+            if t[t[inv[x]][u]][x] not in qset:
+                return None
+    h = next((x for x in range(n) if orders[x] == p), None)
+    if h is None:
+        return None
+    hk = h
+    for _ in range(1, p):
+        for u in qsub:
+            if u != 0 and t[t[inv[hk]][u]][hk] == u:
+                return None
+        hk = t[hk][h]
+    return {
+        "order": n,
+        "factorization": {str(r): e for r, e in sorted(factorize(n).items())},
+        "p": p,
+        "q": q,
+        "n": nexp,
+        "sylow_q": qsub,
+        "p_element": h,
+        "p_element_label": g.labels[h],
+        "fixed_point_free": True,
+    }
 
 
 @pytest.fixture(scope="session")

@@ -239,7 +239,6 @@ def test_orbit_partition_memory_is_bounded():
     # strong generators and level orbits as point sets; one permutation per
     # orbit point peaked at 18.9 MiB on this group
     g = gc.elementary_abelian(2, 9)
-    g.table  # the row view belongs to the table, not to the search
     tracemalloc.start()
     try:
         part = orbit_partition(g)

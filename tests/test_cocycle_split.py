@@ -224,12 +224,13 @@ def test_zero_cocycle_is_semidirect_law():
     values = tuple(tuple(zero for _ in range(6)) for _ in range(6))
     c = cs.Cocycle(s3, action, values)
     rng = random.Random(0)
+    t = s3.table
     for _ in range(15):
         x, y = rng.randrange(6), rng.randrange(6)
         a = QVector.of(rng.randint(-5, 5), rng.randint(-5, 5))
         b = QVector.of(rng.randint(-5, 5), rng.randint(-5, 5))
         got = cs.extension_multiply(cs.ExtensionElement(x, a), cs.ExtensionElement(y, b), c)
-        assert got == cs.ExtensionElement(s3.table[x][y], a * action.matrices[y] + b)
+        assert got == cs.ExtensionElement(t[x][y], a * action.matrices[y] + b)
 
 
 def test_extension_multiply_associative_for_verified_cocycle():
@@ -285,9 +286,10 @@ def test_trivialize_satisfies_relation_independently():
     s3, action = _sign_action_s3(3)
     c = random_cocycle(s3, action, seed=123)
     e = cs.trivialize(c)
+    t = s3.table
     for y in range(6):
         for z in range(6):
-            assert c.values[y][z] == e[s3.table[y][z]] - e[y] * action.matrices[z] - e[z]
+            assert c.values[y][z] == e[t[y][z]] - e[y] * action.matrices[z] - e[z]
 
 
 def test_trivialize_need_not_recover_the_cochain():
@@ -330,9 +332,10 @@ def test_complement_is_multiplicative_section():
     h = cs.complement(c)
     assert len(h) == 6
     assert len({s.x for s in h}) == 6  # injective
+    t = s3.table
     for y in range(6):
         for z in range(6):
-            assert cs.extension_multiply(h[y], h[z], c) == h[s3.table[y][z]]
+            assert cs.extension_multiply(h[y], h[z], c) == h[t[y][z]]
 
 
 def test_complement_reads_inverse_matrices_off_the_table(monkeypatch):
@@ -349,9 +352,10 @@ def test_complement_reads_inverse_matrices_off_the_table(monkeypatch):
     monkeypatch.setattr(QMatrix, "det", no_elimination)
     monkeypatch.setattr(QMatrix, "inverse", no_elimination)
     h = cs.complement(c)
+    t = c3.table
     for y in range(3):
         for z in range(3):
-            assert cs.extension_multiply(h[y], h[z], c) == h[c3.table[y][z]]
+            assert cs.extension_multiply(h[y], h[z], c) == h[t[y][z]]
 
 
 def test_complement_multiplies_no_extension_elements(monkeypatch):

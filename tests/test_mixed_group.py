@@ -446,6 +446,22 @@ def test_omega_certificate_makes_no_group_products(monkeypatch):
     assert calls[0] == 0
 
 
+def test_omega_certificate_formats_only_its_own_spec(monkeypatch):
+    # the witness checks are read for their verdicts only; formatting each
+    # witness's L and spec into metadata nobody reads cost about 60 ms a pass
+    calls = 0
+    real = QMatrix.to_json
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        return real(self)
+
+    monkeypatch.setattr(QMatrix, "to_json", counting)
+    assert mg.omega_certificate(mg.build(7, 2), 20).ok
+    assert calls <= 1
+
+
 def test_omega_certificate_deterministic(s21):
     a = mg.omega_certificate(s21, pairs_per_class=3, seed=2).to_json()
     b = mg.omega_certificate(s21, pairs_per_class=3, seed=2).to_json()
