@@ -10,7 +10,8 @@ a product. Determinant, inverse, echelon form and minimal polynomial share
 one elimination routine, ``_clear``, on integer rows that are divided by
 the gcd of their entries after every update (primitive rows, in the
 fraction-free style of Bareiss, 1968), so entries grow with the minors of
-the input and not with a power of its common denominator.
+the input and not with a power of its common denominator; ``inverse``
+eliminates the sparsest rows first.
 
 Convention: linear maps act on *row* vectors from the right, ``v * m``.
 Matrix products therefore compose left to right, which matches the
@@ -311,11 +312,14 @@ class QMatrix:
 
     def inverse(self) -> "QMatrix":
         """Exact inverse: ``_clear`` reduces the integer rows of [A | I] until
-        the left half is diagonal; raises on singular input."""
-        n, d = self.n, self.den
+        the left half is diagonal; raises on singular input. Rows go in by
+        nonzero count, then bit length: sparse rows then reduce nothing, and
+        the inverse is unique, so the order changes only the work."""
+        n, d, nums = self.n, self.den, self.nums
         rows: list[tuple[int, list[int]]] = []
-        for i, r in enumerate(self.nums):
-            v = _clear([*r, *(d if j == i else 0 for j in range(n))], rows)[0]
+        for i in sorted(range(n), key=lambda i: (n - nums[i].count(0),
+                                                 sum(x.bit_length() for x in nums[i]))):
+            v = _clear([*nums[i], *(d if j == i else 0 for j in range(n))], rows)[0]
             if _insert(rows, v, n) is None:
                 raise ValueError("matrix is singular")
         # the pivots are now 0..n-1; clear above each, last first, so every
@@ -507,11 +511,15 @@ def cyclic_decomposition(m: QMatrix, p: int, seed: QVector) -> QMatrix:
     block starting outside the current span extends it directly. Later seeds
     are chosen greedily: the first standard basis vector outside the span.
 
-    The blocks certify that precondition as they are built: each must be
-    independent of the span so far, and each seed must satisfy
-    seed * (I + m + ... + m^(p-1)) = 0. That sum commutes with m, so it then
-    kills every block and hence a basis; it is zero, and the irreducible
-    1 + x + ... + x^(p-1) is the minimal polynomial. Either failure raises.
+    The blocks certify that precondition as they are built: each seed must
+    satisfy seed * Phi_p(m) = 0, Phi_p = 1 + x + ... + x^(p-1), or this raises.
+    Phi_p is irreducible, so it is the local minimal polynomial of the nonzero
+    seed: the block is independent and spans a simple m-invariant subspace,
+    so the block of a seed outside the invariant span of the earlier blocks
+    meets that span only in 0. No row is checked, and only blocks that a
+    later seed is tested against are echeloned. Phi_p(m) commutes with m, so
+    it kills every block, hence a basis: it is zero, and Phi_p is the
+    minimal polynomial of m.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -522,25 +530,23 @@ def cyclic_decomposition(m: QMatrix, p: int, seed: QVector) -> QMatrix:
         raise ValueError("seed must be nonzero")
     if n % (p - 1) != 0:
         raise ValueError(f"dimension {n} is not divisible by {p - 1}")
-    not_cyclotomic = "minimal polynomial is not the prime cyclotomic polynomial"
 
     ech = _Echelon()
     rows: list[QVector] = []
-
-    def add_block(v: QVector) -> None:
-        w = total = v
+    w = seed
+    while True:
+        block, total = [], w
         for _ in range(p - 1):
-            if not ech.add(w):
-                raise ValueError(not_cyclotomic)
-            rows.append(w)
+            block.append(w)
             w = w * m
             total = total + w
         if not total.is_zero:
-            raise ValueError(not_cyclotomic)
-
-    add_block(seed)
-    while ech.rank < n:
-        nxt = next(i for i in range(n) if not ech.contains(QVector.unit(n, i)))
-        add_block(QVector.unit(n, nxt))
-    den = math.lcm(*(w.den for w in rows))
-    return _matrix([[x * (den // w.den) for x in w.nums] for w in rows], den)
+            raise ValueError("minimal polynomial is not the prime cyclotomic polynomial")
+        rows += block
+        if len(rows) == n:
+            break
+        for v in block:
+            ech.add(v)
+        w = QVector.unit(n, next(i for i in range(n) if not ech.contains(QVector.unit(n, i))))
+    den = math.lcm(*(v.den for v in rows))
+    return _matrix([[x * (den // v.den) for x in v.nums] for v in rows], den)

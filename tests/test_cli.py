@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
 from conftest import permutation_action, random_cocycle
+import orbitforge
 from orbitforge import cocycle_split as cs
 from orbitforge import group_core as gc
 from orbitforge.cli import main
@@ -158,6 +163,25 @@ def test_mixed_auto_verifies_its_witness_once(capsys, monkeypatch):
     code, _, _ = _run(capsys, ["mixed", "auto", "--p", "13", "--t", "2"])
     assert code == 0
     assert calls[0] == 1
+
+
+@pytest.mark.parametrize("p", ["2305843009213693951", "1009"])
+def test_mixed_spec_above_the_dimension_cap_exits_2_at_once(capsys, p):
+    # the first hung in trial division, the second built 1009 dense powers
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["mixed", "build", "--p", p, "--t", "1"])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and not out
+    assert err.startswith("error: n = t*(p-1) must be at most")
+
+
+def test_python_dash_m_orbitforge_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(orbitforge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "orbitforge", "catalog"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "S3" in done.stdout
 
 
 def test_negative_max_order_exits_2(capsys):

@@ -3,6 +3,7 @@ import operator
 import random
 from fractions import Fraction
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from conftest import (
     poly_value,
     zero_matrix,
 )
+from orbitforge import exact_linear as el
 from orbitforge import mixed_group as mg
 from orbitforge.exact_linear import (
     QMatrix,
@@ -353,6 +355,66 @@ def test_cyclic_decomposition_certifies_the_seed_sum():
         cyclic_decomposition(swap, 3, QVector.of(1, 0))
 
 
+def test_cyclic_decomposition_certifies_the_block_left_out_of_the_echelon():
+    # the seed's block passes; the greedy second seed is the last block, which
+    # never enters the echelon, so only its seed sum can reject it
+    x2_plus_1 = companion(QPoly.of(1, 0, 1))
+    m = QMatrix.block_diag([companion(cyclotomic_prime(3)), x2_plus_1])
+    with pytest.raises(ValueError, match="minimal polynomial"):
+        cyclic_decomposition(m, 3, QVector.unit(4, 0))
+    m = QMatrix.block_diag([companion(cyclotomic_prime(5)), QMatrix.identity(4)])
+    with pytest.raises(ValueError, match="minimal polynomial"):
+        cyclic_decomposition(m, 5, QVector.of(1, 2, 0, -1, 0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("p, t", [(19, 1), (13, 2), (5, 4)])
+def test_cyclic_decomposition_echelons_only_blocks_a_later_seed_meets(monkeypatch, p, t):
+    # a block is independent by its seed sum alone: t = 1 eliminates
+    # nothing, and the last of t blocks is never eliminated
+    spec = mg.build(p, t)
+    seed = mg.random_vector(random.Random(1), spec.n, nonzero=True)
+    calls = [0]
+    real = _Echelon.add
+
+    def counting(self, v):
+        calls[0] += 1
+        return real(self, v)
+
+    monkeypatch.setattr(_Echelon, "add", counting)
+    basis = cyclic_decomposition(spec.action, p, seed)
+    assert calls[0] == (t - 1) * (p - 1)
+    assert basis.det() != 0
+
+
+def _p13_witness_bases():
+    """The two cyclic bases of `mixed auto --p 13 --t 2 --seed 0`."""
+    spec = mg.build(13, 2)
+    rng = random.Random(0)
+    alpha = mg.random_element(rng, spec, outside=True)
+    beta = mg.random_element(rng, spec, outside=True)
+    b = mg.random_vector(rng, spec.n, nonzero=True)
+    c = mg.random_vector(rng, spec.n, nonzero=True)
+    return (cyclic_decomposition(spec.powers[alpha.k], 13, b),
+            cyclic_decomposition(spec.powers[beta.k], 13, c))
+
+
+def test_inverse_of_a_witness_basis_clears_only_the_dense_block(monkeypatch):
+    # _clear takes one two-argument gcd per row update, the gcd of the two
+    # pivot entries; rows in input order made 492 updates on this basis
+    left = _p13_witness_bases()[0]
+    updates = [0]
+
+    def gcd(*args):
+        updates[0] += len(args) == 2
+        return math.gcd(*args)
+
+    monkeypatch.setattr(el, "math", SimpleNamespace(gcd=gcd, lcm=math.lcm))
+    inverse = left.inverse()
+    monkeypatch.undo()
+    assert updates[0] <= 300
+    assert inverse == gauss_jordan_inverse(left)
+
+
 # ---------------------------------------------------------------------------
 # the integer kernels against the Fraction oracles in conftest
 
@@ -381,8 +443,28 @@ def _matrices(draw, sizes=st.integers(1, 5), entries=_ENTRIES):
     return QMatrix(tuple(tuple(row) for row in rows))
 
 
-@given(m=_matrices())
-@settings(max_examples=150, deadline=None)
+@st.composite
+def _sparse_and_dense_rows(draw):
+    """Square matrices whose rows are a unit row, a row with two nonzeros or
+    a dense row, shuffled, as the rows of a witness basis are."""
+    n = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["unit", "pair", "dense"]))
+        if kind == "dense":
+            rows.append([draw(_ENTRIES) for _ in range(n)])
+            continue
+        row = [Fraction(0)] * n
+        for j in draw(st.lists(st.integers(0, n - 1), min_size=1,
+                               max_size=1 if kind == "unit" else 2, unique=True)):
+            row[j] = draw(_ENTRIES.filter(bool))
+        rows.append(row)
+    order = draw(st.permutations(range(n)))
+    return QMatrix([rows[i] for i in order])
+
+
+@given(m=st.one_of(_matrices(), _sparse_and_dense_rows()))
+@settings(max_examples=250, deadline=None)
 def test_det_and_inverse_match_fraction_oracles(m):
     det = bareiss_det(m)
     assert m.det() == det
@@ -507,14 +589,7 @@ def test_minimal_polynomial_matches_fraction_oracle(m, twice):
 def test_kernels_on_the_p13_witness_match_fraction_oracles():
     # L of `mixed auto --p 13 --t 2 --seed 0`: its entries share a common
     # denominator of more than 500 bits, the case the primitive rows are for
-    spec = mg.build(13, 2)
-    rng = random.Random(0)
-    alpha = mg.random_element(rng, spec, outside=True)
-    beta = mg.random_element(rng, spec, outside=True)
-    b = mg.random_vector(rng, spec.n, nonzero=True)
-    c = mg.random_vector(rng, spec.n, nonzero=True)
-    left = cyclic_decomposition(spec.powers[alpha.k], 13, b)
-    right = cyclic_decomposition(spec.powers[beta.k], 13, c)
+    left, right = _p13_witness_bases()
     linear = left.inverse() * right
     assert linear == fraction_matmul(gauss_jordan_inverse(left), right)
     den = 1
@@ -525,4 +600,5 @@ def test_kernels_on_the_p13_witness_match_fraction_oracles():
     assert linear.det() == bareiss_det(linear) != 0
     assert linear.inverse() == gauss_jordan_inverse(linear)
     assert linear * linear == fraction_matmul(linear, linear)
+    b = QVector(left.rows[0])  # the seed is row 0 of its basis
     assert b * linear == fraction_vecmul(b, linear)
