@@ -23,7 +23,14 @@ from orbitforge import cocycle_split as cs
 from orbitforge import group_core as gc
 from orbitforge import mixed_group as mg
 from orbitforge.arith import factorize, is_prime
-from orbitforge.exact_linear import QMatrix, QPoly, QVector, cyclotomic_prime, minimal_polynomial
+from orbitforge.exact_linear import (
+    QMatrix,
+    QPoly,
+    QVector,
+    companion,
+    cyclotomic_prime,
+    minimal_polynomial,
+)
 
 INPUTS_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
 
@@ -264,6 +271,18 @@ def is_fixed_point_free(m: QMatrix, p: int) -> bool:
             return False
         power = power * m
     return power == ident
+
+
+#: A rational 4 x 4 conjugator with det != 0, under which the companion
+#: matrix of Phi_5 loses the shifted identity of its first three columns.
+CONJUGATOR = QMatrix.of([[1, "1/2", 0, 0], [0, 1, 0, -3], [2, 0, 1, 0], [0, 0, "1/3", 1]])
+
+
+def rational_action() -> QMatrix:
+    """block_diag(q^-1 * C * q, C) for C the companion matrix of Phi_5 and
+    q = ``CONJUGATOR``: a p = 5, t = 2 action over the denominator 24."""
+    c = companion(cyclotomic_prime(5))
+    return QMatrix.block_diag([CONJUGATOR.inverse() * c * CONJUGATOR, c])
 
 
 def telescope(spec: "mg.MixedGroupSpec", k: int) -> QMatrix:

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from conftest import permutation_action, random_cocycle
+from conftest import permutation_action, random_cocycle, rational_action
 import orbitforge
 from orbitforge import cocycle_split as cs
 from orbitforge import group_core as gc
@@ -236,6 +236,38 @@ def test_mixed_certificates_are_frozen(capsys, argv, digest):
     code, out, _ = _run(capsys, ["--json", "--seed", "0"] + argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+#: SHA-256 of the --json output at --seed 0 on ``rational_action``, the one
+#: frozen action with a denominator (24), recorded while every witness still
+#: computed det(L) and inverted its Krylov basis in full.
+RATIONAL_SHA256 = [
+    (["mixed", "omega", "--pairs", "3"],
+     "5ee9e1e5f38f321002d0758d82aa83913488ba2e46d0d42c951a6c8901e89f77"),
+    (["mixed", "auto"],
+     "dba400debde40a483c65d689a80b999825788c1f7eb603b9e49bef4e49400457"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", RATIONAL_SHA256)
+def test_mixed_certificates_of_a_rational_action_are_frozen(capsys, tmp_path, argv, digest):
+    path = _write(tmp_path, rational_action().to_json())
+    code, out, _ = _run(capsys, ["--json", "--seed", "0"] + argv + ["--p", "5", "--matrix", path])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+#: SHA-256 of `--json --seed 0 mixed omega --p 43 --t 1 --pairs 1`, recorded
+#: with the same witness path as ``RATIONAL_SHA256``; no other test builds a
+#: spec above p = 31.
+LARGE_P_SHA256 = "53fb5a2b754ae107f5810982084bf3b20b9e63583909dd4dd5a206377be45955"
+
+
+def test_mixed_omega_at_p43_is_frozen(capsys):
+    code, out, _ = _run(capsys, ["--json", "--seed", "0", "mixed", "omega",
+                                 "--p", "43", "--t", "1", "--pairs", "1"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_P_SHA256
 
 
 #: SHA-256 of the cocycle commands on one seeded S4 permutation coboundary,

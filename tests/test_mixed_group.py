@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    CONJUGATOR,
     compose_automorphisms,
     matrix_power,
     mixed_element_order,
@@ -80,8 +81,7 @@ def test_build_rejects_order_p_action_with_fixed_vectors():
 
 def test_build_accepts_rational_conjugate_of_companion():
     c = companion(cyclotomic_prime(5))
-    q = QMatrix.of([[1, "1/2", 0, 0], [0, 1, 0, -3], [2, 0, 1, 0], [0, 0, "1/3", 1]])
-    m = q.inverse() * c * q
+    m = CONJUGATOR.inverse() * c * CONJUGATOR
     # every companion matrix has the shifted identity in its first n - 1 columns
     assert [r[:3] for r in m.rows] != [r[:3] for r in c.rows]
     spec = mg.build(5, m=m)
