@@ -10,8 +10,11 @@ a product. Determinant, inverse, echelon form and minimal polynomial share
 one elimination routine, ``_clear``, on integer rows that are divided by
 the gcd of their entries after every update (primitive rows, in the
 fraction-free style of Bareiss, 1968), so entries grow with the minors of
-the input and not with a power of its common denominator; ``inverse``
-eliminates the sparsest rows first.
+the input and not with a power of its common denominator. ``inverse`` is
+one solve, ``QMatrix._solve``, on all n columns of the identity, sparsest
+rows first; a ``cyclic_decomposition`` (Krylov) basis of t orbit blocks is
+inverted by the same solve on t columns, one per block, and the other
+columns follow from the block structure by sparse products.
 
 Convention: linear maps act on *row* vectors from the right, ``v * m``.
 Matrix products therefore compose left to right, which matches the
@@ -311,24 +314,30 @@ class QMatrix:
         return -result if inversions % 2 else result
 
     def inverse(self) -> "QMatrix":
-        """Exact inverse: ``_clear`` reduces the integer rows of [A | I] until
-        the left half is diagonal; raises on singular input. Rows go in by
-        nonzero count, then bit length: sparse rows then reduce nothing, and
-        the inverse is unique, so the order changes only the work."""
+        """Exact inverse: ``_solve`` on every column; raises on singular input."""
+        return _matrix(*self._solve(range(self.n)))
+
+    def _solve(self, cols: Sequence[int]) -> tuple[list[list[int]], int]:
+        """The columns ``cols`` of the inverse, as integer rows over one
+        denominator: ``_clear`` reduces the integer rows of [A | I_cols],
+        the identity cut to those columns, until the left half is diagonal;
+        raises on singular input. Rows go in by nonzero count, then bit
+        length: sparse rows then reduce nothing, and the inverse is unique,
+        so the order changes only the work."""
         n, d, nums = self.n, self.den, self.nums
         rows: list[tuple[int, list[int]]] = []
         for i in sorted(range(n), key=lambda i: (n - nums[i].count(0),
                                                  sum(x.bit_length() for x in nums[i]))):
-            v = _clear([*nums[i], *(d if j == i else 0 for j in range(n))], rows)[0]
+            v = _clear([*nums[i], *(d if j == i else 0 for j in cols)], rows)[0]
             if _insert(rows, v, n) is None:
                 raise ValueError("matrix is singular")
         # the pivots are now 0..n-1; clear above each, last first, so every
         # row is reduced by rows whose left half is zero off their pivot
         for k in range(n - 2, -1, -1):
             rows[k] = (k, _clear(rows[k][1], rows[k + 1:])[0])
-        # row k of the inverse is row[n:] / row[k], put over the lcm of the pivots
+        # row k of the result is row[n:] / row[k], put over the lcm of the pivots
         den = math.lcm(*(row[k] for k, row in rows))
-        return _matrix([[x * (den // row[k]) for x in row[n:]] for k, row in rows], den)
+        return [[x * (den // row[k]) for x in row[n:]] for k, row in rows], den
 
     def _check_dim(self, other: "QMatrix") -> None:
         if self.n != other.n:
@@ -550,3 +559,34 @@ def cyclic_decomposition(m: QMatrix, p: int, seed: QVector) -> QMatrix:
         w = QVector.unit(n, next(i for i in range(n) if not ech.contains(QVector.unit(n, i))))
     den = math.lcm(*(v.den for v in rows))
     return _matrix([[x * (den // v.den) for x in v.nums] for v in rows], den)
+
+
+def _krylov_inverse(basis: QMatrix, m: QMatrix, p: int) -> QMatrix:
+    """The inverse of ``basis = cyclic_decomposition(m, p, seed)``, solved
+    for only one column per orbit block.
+
+    Precondition: ``basis`` is a ``cyclic_decomposition`` output under this
+    m and p; any other matrix gives a wrong result, not an error. Each block
+    is b, b * m, ..., b * m^(p-2) with a zero seed sum, so basis * m = S *
+    basis for S block-diagonal: each block of S shifts its rows up by one,
+    and its last row is all -1. Hence m * X = X * S for X the inverse, and
+    its columns satisfy x_(j-1) = m * x_j + x_last inside each block, x_last
+    the column at the block's last row. Only those t columns are solved for;
+    the rest follow by sparse products with m, exactly for a rational m.
+    """
+    n, k = basis.n, p - 1
+    lasts = range(k - 1, n, k)
+    nums, den = basis._solve(lasts)
+    sparse, m_den = m._sparse, m.den
+    cols: list[QVector] = []
+    for c in range(len(lasts)):
+        x = x_last = _vector([row[c] for row in nums], den)
+        block = [x]
+        for _ in range(k - 1):
+            xs = x.nums
+            x = _vector([sum(w * xs[i] for i, w in row) for row in sparse], x.den * m_den) + x_last
+            block.append(x)
+        cols += reversed(block)
+    d = math.lcm(*(x.den for x in cols))
+    scaled = [[v * (d // x.den) for v in x.nums] for x in cols]
+    return _matrix(list(zip(*scaled)), d)

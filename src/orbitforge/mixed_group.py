@@ -17,8 +17,11 @@ These groups are infinite, so the three-orbit certificate cannot be an
 enumeration: it combines an exact separating invariant (element order is
 1 on the identity, infinite on the rest of A, and exactly p outside A)
 with constructed automorphism witnesses for transitivity inside each class.
-A witness (L, alpha, beta) is certified by three exact identities: det L != 0,
-P * L == L * R, and beta outside A (see ``verify_automorphism``).
+``verify_automorphism`` certifies a witness (L, alpha, beta) by three exact
+identities: det L != 0, P * L == L * R, and beta outside A. A constructed
+witness has L = B^-1 * C for two bases B and C that ``cyclic_decomposition``
+proves, so ``omega_certificate`` derives det L = det C / det B != 0 and
+checks only the other two.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .arith import is_prime
 from .exact_linear import (
     QMatrix,
     QVector,
+    _krylov_inverse,
     companion,
     cyclic_decomposition,
     cyclotomic_prime,
@@ -272,34 +276,28 @@ def random_element(rng: random.Random, spec: MixedGroupSpec, outside: bool = Fal
     return MixedElement(k, random_vector(rng, spec.n))
 
 
-def _exact_checks(phi: MixedAutomorphism, spec: MixedGroupSpec) -> list[CheckResult]:
-    """The three exact checks that decide ``verify_automorphism``."""
+def _product_checks(phi: MixedAutomorphism, spec: MixedGroupSpec) -> list[CheckResult]:
+    """The exact checks of ``verify_automorphism`` other than det L != 0:
+    P * L == L * R and beta outside A."""
     p = spec.p
     if phi.alpha.k % p == 0:
         raise ValueError("anchor element must lie outside A")
-    det = phi.linear.det()
-    checks = [CheckResult("linear_invertible", det != 0, f"det(L) = {det}")]
-
     pm = spec.powers[phi.alpha.k % p]
     rm = spec.powers[phi.image_of_alpha.k % p] if phi.image_of_alpha.k % p else None
     if rm is None:
-        checks.append(CheckResult("intertwining", False, "image of anchor lies inside A"))
+        intertwining = CheckResult("intertwining", False, "image of anchor lies inside A")
     else:
         diff = pm * phi.linear - phi.linear * rm
         bad = next((i for i, row in enumerate(diff.nums) if any(row)), None)
-        checks.append(
-            CheckResult(
-                "intertwining",
-                bad is None,
-                "P*L == L*R on the standard basis" if bad is None else f"fails at basis vector {bad}",
-            )
+        intertwining = CheckResult(
+            "intertwining",
+            bad is None,
+            "P*L == L*R on the standard basis" if bad is None else f"fails at basis vector {bad}",
         )
 
     order_ok = phi.image_of_alpha.k % p != 0
-    checks.append(
-        CheckResult("image_order", order_ok, f"phi(alpha)^{p} == identity: {order_ok}")
-    )
-    return checks
+    return [intertwining,
+            CheckResult("image_order", order_ok, f"phi(alpha)^{p} == identity: {order_ok}")]
 
 
 def verify_automorphism(
@@ -322,7 +320,9 @@ def verify_automorphism(
     """
     if samples < 0:
         raise ValueError(f"sample count must be nonnegative, got {samples}")
-    checks = _exact_checks(phi, spec)
+    product_checks = _product_checks(phi, spec)
+    det = phi.linear.det()
+    checks = [CheckResult("linear_invertible", det != 0, f"det(L) = {det}"), *product_checks]
 
     rng = random.Random(seed)
     failures = 0
@@ -366,8 +366,9 @@ def build_automorphism(
 
     Both seeds are extended to full bases by cyclic decomposition with respect
     to the respective conjugation matrices; L is the unique linear map
-    matching them block by block. The map is returned unverified; its
-    certificate is ``verify_automorphism``.
+    matching them block by block, B^-1 * C, with B^-1 solved for one column
+    per block (``exact_linear._krylov_inverse``). The map is returned
+    unverified; its certificate is ``verify_automorphism``.
     """
     if b.is_zero or c.is_zero:
         raise ValueError("seed vectors must be nonzero")
@@ -376,7 +377,7 @@ def build_automorphism(
         raise ValueError("alpha and beta must lie outside A")
     pm = conjugation_matrix(alpha, spec)
     rm = conjugation_matrix(beta, spec)
-    linear = cyclic_decomposition(pm, p, b).inverse() * cyclic_decomposition(rm, p, c)
+    linear = _krylov_inverse(cyclic_decomposition(pm, p, b), pm, p) * cyclic_decomposition(rm, p, c)
     return MixedAutomorphism(linear=linear, alpha=alpha, image_of_alpha=beta)
 
 
@@ -419,6 +420,11 @@ def omega_certificate(
     spec's identity Phi_p(M) = 0 (see ``verify_automorphism``). Transitivity
     is constructive: for sampled pairs inside each nontrivial class an
     explicit automorphism carrying one to the other is built and verified.
+
+    A witness is verified by P * L == L * R, beta outside A and b * L == c,
+    with no determinant: ``cyclic_decomposition`` proves that B and C are
+    bases (zero seed sums, the irreducible Phi_p, and each later seed chosen
+    outside the span), so L = B^-1 * C has det L = det C / det B != 0.
     """
     if pairs_per_class < 1:
         raise ValueError("pairs_per_class must be positive")
@@ -451,7 +457,7 @@ def omega_certificate(
         for _ in range(pairs_per_class):
             b, c, alpha, beta = draw()
             phi = build_automorphism(b, c, alpha, beta, spec)
-            failed = ", ".join(ch.name for ch in _exact_checks(phi, spec) if not ch.passed)
+            failed = ", ".join(ch.name for ch in _product_checks(phi, spec) if not ch.passed)
             if failed:
                 detail = f"witness construction failed: automorphism verification failed: {failed}"
                 break

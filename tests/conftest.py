@@ -285,6 +285,19 @@ def rational_action() -> QMatrix:
     return QMatrix.block_diag([CONJUGATOR.inverse() * c * CONJUGATOR, c])
 
 
+def count_calls(monkeypatch, owner, *names: str) -> dict[str, int]:
+    """Patch each named attribute of owner to count its calls, in the dict
+    returned (name -> calls so far)."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _name=name, _real=getattr(owner, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 def telescope(spec: "mg.MixedGroupSpec", k: int) -> QMatrix:
     """I + M^k + M^(2k) + ... + M^((p-1)k), summed from ``spec.powers``."""
     p = spec.p

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from conftest import permutation_action, random_cocycle, rational_action
+from conftest import count_calls, permutation_action, random_cocycle, rational_action
 import orbitforge
 from orbitforge import cocycle_split as cs
 from orbitforge import group_core as gc
@@ -263,11 +263,14 @@ def test_mixed_certificates_of_a_rational_action_are_frozen(capsys, tmp_path, ar
 LARGE_P_SHA256 = "53fb5a2b754ae107f5810982084bf3b20b9e63583909dd4dd5a206377be45955"
 
 
-def test_mixed_omega_at_p43_is_frozen(capsys):
+def test_mixed_omega_at_p43_is_frozen_and_computes_no_det_or_inverse(capsys, monkeypatch):
+    # the two eliminations made it take 3 s here; no time bound is asserted
+    calls = count_calls(monkeypatch, QMatrix, "det", "inverse")
     code, out, _ = _run(capsys, ["--json", "--seed", "0", "mixed", "omega",
                                  "--p", "43", "--t", "1", "--pairs", "1"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == LARGE_P_SHA256
+    assert calls == {"det": 0, "inverse": 0}
 
 
 #: SHA-256 of the cocycle commands on one seeded S4 permutation coboundary,

@@ -6,7 +6,7 @@ from itertools import permutations
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -31,6 +31,7 @@ from orbitforge.exact_linear import (
     QPoly,
     QVector,
     _Echelon,
+    _krylov_inverse,
     companion,
     cyclic_decomposition,
     cyclotomic_prime,
@@ -417,6 +418,38 @@ def test_inverse_of_a_witness_basis_clears_only_the_dense_block(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # the integer kernels against the Fraction oracles in conftest
+
+@pytest.mark.parametrize("p, t", [(p, t) for p in (2, 3, 5, 7, 13) for t in (1, 2, 4)
+                                  if t * (p - 1) <= mg.MAX_DIM])
+def test_krylov_inverse_of_witness_bases_matches_the_oracle(p, t):
+    # under every P = M^k, a basis from a random seed, as inside A, and
+    # from e_1, as outside A
+    spec = mg.build(p, t)
+    rng = random.Random(p * t)
+    for k in range(1, p):
+        m = spec.powers[k]
+        seed = mg.random_vector(rng, spec.n, nonzero=True) if k % 2 else QVector.unit(spec.n, 0)
+        basis = cyclic_decomposition(m, p, seed)
+        assert _krylov_inverse(basis, m, p) == gauss_jordan_inverse(basis)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_krylov_inverse_under_rational_conjugates_matches_the_oracle(data):
+    p = data.draw(st.sampled_from([2, 3, 5]), label="p")
+    t = data.draw(st.sampled_from([1, 2]), label="t")
+    n = t * (p - 1)
+    entries = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    q = QMatrix.of(data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                      min_size=n, max_size=n), label="Q"))
+    assume(q.det() != 0)
+    spec = mg.build(p, m=q.inverse() * QMatrix.block_diag([companion(cyclotomic_prime(p))] * t) * q)
+    m = spec.powers[data.draw(st.integers(1, p - 1), label="k")]
+    seed = QVector(data.draw(st.lists(entries, min_size=n, max_size=n), label="seed"))
+    assume(not seed.is_zero)
+    basis = cyclic_decomposition(m, p, seed)
+    assert _krylov_inverse(basis, m, p) == gauss_jordan_inverse(basis)
+
 
 #: denominators up to 10^6, and small entries that make zeros and sparsity
 _ENTRIES = st.one_of(

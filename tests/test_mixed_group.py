@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from conftest import (
     CONJUGATOR,
     compose_automorphisms,
+    count_calls,
     matrix_power,
     mixed_element_order,
+    rational_action,
     spec_checks_oracle,
     telescope,
     zero_matrix,
@@ -439,11 +441,21 @@ def test_omega_certificate_small(s21):
 
 def test_omega_certificate_makes_no_group_products(monkeypatch):
     # separation is the spec's identity and each witness is certified by
-    # det L, P*L == L*R and beta outside A, none of which multiplies
+    # P*L == L*R, beta outside A and b*L == c, none of which multiplies
     spec = mg.build(7, 2)
     calls = _count_multiply(monkeypatch)
     assert mg.omega_certificate(spec, 20).ok
     assert calls[0] == 0
+
+
+@pytest.mark.parametrize("spec", [mg.build(7, 2), mg.build(19, 1), mg.build(5, m=rational_action())],
+                         ids=["p7_t2", "p19_t1", "rational"])
+def test_omega_certificate_computes_no_det_and_no_full_inverse(monkeypatch, spec):
+    # det L != 0 follows from the two bases cyclic_decomposition proves, and
+    # B^-1 is solved for one column per block
+    calls = count_calls(monkeypatch, QMatrix, "det", "inverse")
+    assert mg.omega_certificate(spec, 3).ok
+    assert calls == {"det": 0, "inverse": 0}
 
 
 def test_omega_certificate_formats_only_its_own_spec(monkeypatch):
