@@ -577,14 +577,14 @@ def _krylov_inverse(basis: QMatrix, m: QMatrix, p: int) -> QMatrix:
     n, k = basis.n, p - 1
     lasts = range(k - 1, n, k)
     nums, den = basis._solve(lasts)
-    sparse, m_den = m._sparse, m.den
+    # a column x taken as a row vector: m * x is x * m^T
+    m_t = _matrix(list(zip(*m.nums)), m.den)
     cols: list[QVector] = []
     for c in range(len(lasts)):
         x = x_last = _vector([row[c] for row in nums], den)
         block = [x]
         for _ in range(k - 1):
-            xs = x.nums
-            x = _vector([sum(w * xs[i] for i, w in row) for row in sparse], x.den * m_den) + x_last
+            x = x * m_t + x_last
             block.append(x)
         cols += reversed(block)
     d = math.lcm(*(x.den for x in cols))
