@@ -152,17 +152,10 @@ def test_json_selftest_prints_one_json_document(capsys):
 
 def test_mixed_auto_verifies_its_witness_once(capsys, monkeypatch):
     # one certificate, so one determinant of L
-    calls = [0]
-    real = QMatrix.det
-
-    def counting(self):
-        calls[0] += 1
-        return real(self)
-
-    monkeypatch.setattr(QMatrix, "det", counting)
+    calls = count_calls(monkeypatch, QMatrix, "det")
     code, _, _ = _run(capsys, ["mixed", "auto", "--p", "13", "--t", "2"])
     assert code == 0
-    assert calls[0] == 1
+    assert calls["det"] == 1
 
 
 @pytest.mark.parametrize("p", ["2305843009213693951", "1009"])
@@ -264,7 +257,7 @@ LARGE_P_SHA256 = "53fb5a2b754ae107f5810982084bf3b20b9e63583909dd4dd5a206377be459
 
 
 def test_mixed_omega_at_p43_is_frozen_and_computes_no_det_or_inverse(capsys, monkeypatch):
-    # the two eliminations made it take 3 s here; no time bound is asserted
+    # no wall-clock bound: timings on a shared host vary too much
     calls = count_calls(monkeypatch, QMatrix, "det", "inverse")
     code, out, _ = _run(capsys, ["--json", "--seed", "0", "mixed", "omega",
                                  "--p", "43", "--t", "1", "--pairs", "1"])
