@@ -212,21 +212,16 @@ class OrbitPartition:
 def orbit_partition(g: GroupTable) -> OrbitPartition:
     """Aut(G)-orbits as closures under the strong generators, one from the
     least element of each orbit."""
-    if g._orbit_cache is not None:
-        return g._orbit_cache
-
     strong, sizes = _stabilizer_chain(g)
     seen = bytearray(g.order)
     classes = [sorted(_orbit(x, strong, seen)) for x in range(g.order) if not seen[x]]
     orders = g.element_orders()
     classes.sort(key=lambda c: (orders[c[0]], len(c), c[0]))
-    part = OrbitPartition(
+    return OrbitPartition(
         classes=tuple(map(tuple, classes)),
         generators=tuple(Automorphism(p) for p in strong),
         aut_order=prod(sizes),
     )
-    object.__setattr__(g, "_orbit_cache", part)
-    return part
 
 
 def omega(g: GroupTable) -> int:

@@ -6,7 +6,8 @@ and ``array[i, j]`` is the product i*j. That read-only int16 array is the one
 form of a table: the constructors build it by index arithmetic and every
 query and search reads it. ``table`` only exports it as tuples of ints. Group
 actions on vector modules are *right* actions on row vectors (``a * M``), so
-action matrices compose as ``M[x] * M[y] == M[x*y]``.
+action matrices compose as ``M[x] * M[y] == M[x*y]``; over F_q they are
+likewise one read-only int64 array, of shape (|B|, n, n), reduced mod q.
 """
 
 from __future__ import annotations
@@ -133,7 +134,8 @@ def exact_int(x) -> int:
 
 
 def _int_row(row) -> tuple[int, ...]:
-    """One table row as a tuple of ints, each entry checked by ``exact_int``."""
+    """One table row, or one row of an F_q matrix (``_fq_array``), as a tuple
+    of ints, each entry checked by ``exact_int``."""
     r = tuple(row)
     if not _EXACT_INT.issuperset(map(type, r)):
         r = tuple(map(exact_int, r))
@@ -169,8 +171,7 @@ class GroupTable:
     generated so far, repeated until that subgroup is everything.
     """
 
-    __slots__ = ("order", "array", "labels", "generators", "_inverses", "_orders", "_abelian",
-                 "_orbit_cache")
+    __slots__ = ("order", "array", "labels", "generators", "_inverses", "_orders", "_abelian")
 
     def __init__(self, table, labels):
         try:
@@ -190,7 +191,6 @@ class GroupTable:
         object.__setattr__(self, "_inverses", tuple(np.argmin(arr, axis=1).tolist()))
         object.__setattr__(self, "_orders", None)
         object.__setattr__(self, "_abelian", None)
-        object.__setattr__(self, "_orbit_cache", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupTable is immutable")
@@ -378,30 +378,48 @@ def alternating(n: int) -> GroupTable:
 # ---------------------------------------------------------------------------
 # actions and semidirect products
 
-def _mat_mul_mod(a, b, q: int):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % q for j in range(n)) for i in range(n)
-    )
+def _fq_array(mats, n: int, q: int) -> np.ndarray:
+    """mats over F_q as one read-only int64 array of shape (len(mats), n, n).
+    Each entry passes ``exact_int`` (via ``_int_row``) and is reduced mod q in
+    Python first; q <= MAX_ORDER keeps every product exact in int64."""
+    if not (q <= MAX_ORDER and is_prime(q)):
+        raise ValueError(f"characteristic must be 0 or a prime <= {MAX_ORDER}")
+    try:
+        rows = [[[e % q for e in _int_row(r)] for r in m] for m in mats]
+    except TypeError as exc:
+        raise ValueError(f"matrix entries must be integers: {exc}") from exc
+    if any(len(m) != n or any(len(r) != n for r in m) for m in rows):
+        raise ValueError("matrices must be n x n")
+    arr = np.array(rows, dtype=np.int64)
+    arr.flags.writeable = False
+    return arr
 
 
-@dataclass(frozen=True)
+def _arithmetic(q: int, n: int):
+    """Identity, product and equality of n x n matrices over Q (q = 0) or F_q."""
+    if q == 0:
+        return QMatrix.identity(n), QMatrix.__mul__, operator.eq
+    return np.eye(n, dtype=np.int64), lambda a, c: a @ c % q, np.array_equal
+
+
+@dataclass(frozen=True, eq=False)
 class FiniteAction:
     """A right action of a finite group on a vector module.
 
-    For characteristic q the matrices are integer tuples reduced mod q, for
-    characteristic 0 they are exact QMatrix values. Validation enforces that
-    the identity acts trivially and that ``matrices[x] * matrices[y] ==
-    matrices[x*y]``; together these make every matrix invertible. The
-    product rule is checked for y in ``domain.generators`` only: the y for
-    which it holds at every x are closed under products, since
-    M_x M_(yz) = M_x M_y M_z = M_(xy) M_z = M_(xyz).
+    The matrices are exact QMatrix values for characteristic 0, and for a
+    prime q <= MAX_ORDER one read-only int64 array of shape (|B|, n, n)
+    reduced mod q (``_fq_array``). Validation enforces that the identity
+    acts trivially and that ``matrices[x] * matrices[y] == matrices[x*y]``;
+    together these make every matrix invertible. The product rule is checked
+    for y in ``domain.generators`` only: the y for which it holds at every x
+    are closed under products, since M_x M_(yz) = M_x M_y M_z = M_(xy) M_z =
+    M_(xyz). Actions compare by identity, as tables do.
     """
 
     domain: GroupTable
     module_dim: int
     characteristic: int
-    matrices: tuple
+    matrices: tuple | np.ndarray
 
     def __post_init__(self):
         b = self.domain
@@ -409,45 +427,30 @@ class FiniteAction:
         q = self.characteristic
         if n < 1:
             raise ValueError("module dimension must be positive")
-        if q != 0 and not is_prime(q):
-            raise ValueError("characteristic must be 0 or a prime")
         if len(self.matrices) != b.order:
             raise ValueError("need one matrix per group element")
         if q == 0:
             mats = self.matrices
             if any(not isinstance(m, QMatrix) or m.n != n for m in mats):
                 raise ValueError("characteristic-0 action needs n x n QMatrix values")
-            ident = QMatrix.identity(n)
-            mul = QMatrix.__mul__
         else:
-            mats = tuple(
-                tuple(tuple(int(e) % q for e in row) for row in m) for m in self.matrices
-            )
+            mats = _fq_array(self.matrices, n, q)
             object.__setattr__(self, "matrices", mats)
-            ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-            if any(len(m) != n or any(len(r) != n for r in m) for m in mats):
-                raise ValueError("matrices must be n x n")
-
-            def mul(a, c):
-                return _mat_mul_mod(a, c, q)
-        if mats[0] != ident:
+        ident, mul, eq = _arithmetic(q, n)
+        if not eq(mats[0], ident):
             raise ValueError("identity element must act as the identity matrix")
         arr = b.array
-        if any(mul(mats[x], mats[y]) != mats[xy]
-               for y in b.generators for x, xy in enumerate(arr[:, y].tolist())):
+        if not all(eq(mul(mats[x], mats[y]), mats[xy])
+                   for y in b.generators for x, xy in enumerate(arr[:, y].tolist())):
             # name the first failing pair of the full scan
             x, y = next((x, y) for x, row in enumerate(arr.tolist()) for y, xy in enumerate(row)
-                        if mul(mats[x], mats[y]) != mats[xy])
+                        if not eq(mul(mats[x], mats[y]), mats[xy]))
             raise ValueError(f"action is not a homomorphism at pair ({x}, {y})")
 
 
 def trivial_action(b: GroupTable, dim: int, characteristic: int = 0) -> FiniteAction:
-    if characteristic == 0:
-        mats = tuple(QMatrix.identity(dim) for _ in range(b.order))
-    else:
-        ident = tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
-        mats = tuple(ident for _ in range(b.order))
-    return FiniteAction(b, dim, characteristic, mats)
+    ident = _arithmetic(characteristic, dim)[0]
+    return FiniteAction(b, dim, characteristic, (ident,) * b.order)
 
 
 def cyclic_matrix_action(base: GroupTable, generator_matrix, characteristic: int = 0) -> FiniteAction:
@@ -458,18 +461,15 @@ def cyclic_matrix_action(base: GroupTable, generator_matrix, characteristic: int
         raise ValueError("base must be a cyclic() table (index = exponent)")
     if characteristic == 0:
         gen = generator_matrix if isinstance(generator_matrix, QMatrix) else QMatrix.of(generator_matrix)
-        mats = [QMatrix.identity(gen.n)]
-        for _ in range(n - 1):
-            mats.append(mats[-1] * gen)
-        return FiniteAction(base, gen.n, 0, tuple(mats))
-    q = characteristic
-    gen = tuple(tuple(int(e) % q for e in row) for row in generator_matrix)
-    dim = len(gen)
-    ident = tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
+        dim = gen.n
+    else:
+        dim = len(generator_matrix)
+        gen = _fq_array([generator_matrix], dim, characteristic)[0]
+    ident, mul, _ = _arithmetic(characteristic, dim)
     mats = [ident]
     for _ in range(n - 1):
-        mats.append(_mat_mul_mod(mats[-1], gen, q))
-    return FiniteAction(base, dim, q, tuple(mats))
+        mats.append(mul(mats[-1], gen))
+    return FiniteAction(base, dim, characteristic, tuple(mats))
 
 
 def finite_semidirect(q: int, n: int, action: FiniteAction, b: GroupTable) -> GroupTable:
@@ -492,8 +492,7 @@ def finite_semidirect(q: int, n: int, action: FiniteAction, b: GroupTable) -> Gr
     _check_order(qn * b.order)
     # moved[v, l] is the index of v * M_l, for the digit vector v of index v
     digits = np.arange(qn)[:, None] // q ** np.arange(n) % q
-    mats = np.array(action.matrices, dtype=np.int64)
-    moved = (digits @ mats % q @ q ** np.arange(n)).T
+    moved = (digits @ action.matrices % q @ q ** np.arange(n)).T
     # (k, v)(l, w) = (k*l, v*M_l + w), at index (k*l)*q^n + (v*M_l + w)
     ea = _elementary_abelian_array(q, n)
     table = (b.array[:, None, :, None] * qn + ea[moved][None]).reshape(qn * b.order, -1)

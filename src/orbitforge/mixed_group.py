@@ -26,9 +26,9 @@ checks only the other two.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .arith import is_prime
 from .exact_linear import (
@@ -260,13 +260,14 @@ def apply_automorphism(phi: MixedAutomorphism, g: MixedElement, spec: MixedGroup
     return multiply(image_powers[m], MixedElement(0, u * phi.linear), spec)
 
 
-def _random_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND), rng.randint(1, SAMPLE_BOUND))
-
-
 def random_vector(rng: random.Random, n: int, nonzero: bool = False) -> QVector:
+    """n entries x / d, each drawn as x in [-SAMPLE_BOUND, SAMPLE_BOUND] and
+    then d in [1, SAMPLE_BOUND], over the lcm of the d."""
     while True:
-        v = QVector(tuple(_random_fraction(rng) for _ in range(n)))
+        pairs = [(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND), rng.randint(1, SAMPLE_BOUND))
+                 for _ in range(n)]
+        den = math.lcm(*(d for _, d in pairs))
+        v = QVector.from_ints([x * (den // d) for x, d in pairs], den)
         if not nonzero or not v.is_zero:
             return v
 

@@ -245,6 +245,52 @@ def test_every_generator_is_checked_in_an_action():
         gc.FiniteAction(v4, 1, 5, tuple(((k,),) for k in (1, 1, 2, 2)))
 
 
+def test_fq_matrices_are_one_read_only_int64_array():
+    c5 = gc.cyclic(5)
+    companion = ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1))  # x^4+x^3+x^2+x+1
+    for action in (gc.cyclic_matrix_action(c5, companion, characteristic=2),
+                   gc.trivial_action(c5, 3, characteristic=7),
+                   gc.FiniteAction(gc.cyclic(2), 1, 3, ([[1]], [[-1]]))):
+        mats = action.matrices
+        assert isinstance(mats, np.ndarray) and mats.dtype == np.int64
+        assert mats.shape == (action.domain.order, action.module_dim, action.module_dim)
+        assert not mats.flags.writeable
+        assert mats.min() >= 0 and mats.max() < action.characteristic
+    # entries are reduced in Python before they enter the array
+    big = gc.cyclic_matrix_action(gc.cyclic(2), ((10**30 - 1,),), characteristic=2)
+    assert big.matrices.tolist() == [[[1]], [[1]]]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gc.FiniteAction(gc.cyclic(2), 1, 5, (((1,),), ((4.9,),))),
+    lambda: gc.cyclic_matrix_action(gc.cyclic(3), ((2.5,),), characteristic=7),
+    lambda: gc.cyclic_matrix_action(gc.cyclic(2), ((True,),), characteristic=3),
+    lambda: gc.FiniteAction(gc.cyclic(2), 1, 3, (((1,),), ((np.float64(2.0),),))),
+], ids=["float-4.9", "float-2.5", "bool", "numpy-float"])
+def test_fq_entries_must_be_exact_integers(build):
+    with pytest.raises(ValueError, match="integers"):
+        build()
+
+
+def test_fq_characteristic_above_the_cap_is_rejected():
+    q = 4099  # the least prime above MAX_ORDER
+    assert gc.MAX_ORDER < q
+    c2 = gc.cyclic(2)
+    for build in (lambda: gc.trivial_action(c2, 1, characteristic=q),
+                  lambda: gc.cyclic_matrix_action(c2, ((1,),), characteristic=q),
+                  lambda: gc.FiniteAction(c2, 1, q, (((1,),), ((1,),))),
+                  lambda: gc.cyclic_matrix_action(c2, ((1,),), characteristic=2**89 - 1)):
+        with pytest.raises(ValueError, match="characteristic"):
+            build()
+
+
+@pytest.mark.parametrize("matrix", [((1, 0), (0,)), ((1, 0, 0), (0, 1, 0)), ((1, 0), (0, 1), (0, 0))],
+                         ids=["ragged", "2x3", "3x2"])
+def test_non_square_fq_generator_is_rejected(matrix):
+    with pytest.raises(ValueError, match="n x n"):
+        gc.cyclic_matrix_action(gc.cyclic(2), matrix, characteristic=3)
+
+
 def test_quaternion_and_dihedral_profiles():
     q8 = gc.quaternion()
     assert independent_order_profile(q8) == {1: 1, 2: 1, 4: 6}
