@@ -18,10 +18,15 @@ enumeration: it combines an exact separating invariant (element order is
 1 on the identity, infinite on the rest of A, and exactly p outside A)
 with constructed automorphism witnesses for transitivity inside each class.
 ``verify_automorphism`` certifies a witness (L, alpha, beta) by three exact
-identities: det L != 0, P * L == L * R, and beta outside A. A constructed
-witness has L = B^-1 * C for two bases B and C that ``cyclic_decomposition``
-proves, so ``omega_certificate`` derives det L = det C / det B != 0 and
-checks only the other two.
+identities: det L != 0, P * L == L * R, and beta outside A.
+
+Since Phi_p(M) = 0 and Phi_p is irreducible, A is a vector space F^t over
+the field F = Q(zeta_p) = Q[x]/Phi_p, with M acting as multiplication by x;
+one cyclic basis K of the spec, ``MixedGroupSpec.krylov``, gives the
+coordinates. ``build_automorphism`` solves each witness there, as a t x t
+system over F, and L is invertible by construction: det L = +-N(det C_F) /
+N(det B_F) for two F-bases B_F and C_F, N the norm of F. So
+``omega_certificate`` checks only the other two identities.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .arith import is_prime
 from .exact_linear import (
@@ -38,6 +44,7 @@ from .exact_linear import (
     companion,
     cyclic_decomposition,
     cyclotomic_prime,
+    semilinear_map,
 )
 
 #: Bound on numerators and denominators drawn for randomized witnesses;
@@ -141,6 +148,16 @@ class MixedGroupSpec:
     @property
     def n(self) -> int:
         return self.t * (self.p - 1)
+
+    @cached_property
+    def krylov(self) -> tuple[QMatrix, QMatrix]:
+        """(K, K^-1) for K = ``cyclic_decomposition(M, p, e_1)``, built at
+        the first witness and kept. v -> v * K^-1 reads v in F^t,
+        F = Q[x]/Phi_p, block i of p - 1 coordinates holding the
+        coefficients of entry i, and turns v -> v * M into multiplication by
+        x; row j of K^-1 holds the F-coordinates of e_j."""
+        basis = cyclic_decomposition(self.action, self.p, QVector.unit(self.n, 0))
+        return basis, _krylov_inverse(basis, self.action, self.p)
 
     def to_json(self) -> dict:
         return {"p": self.p, "t": self.t, "n": self.n, "action": self.action.to_json()}
@@ -365,20 +382,44 @@ def build_automorphism(
     """The automorphism sending the orbit basis over alpha seeded at b to the
     orbit basis over beta seeded at c, and alpha itself to beta.
 
-    Both seeds are extended to full bases by cyclic decomposition with respect
-    to the respective conjugation matrices; L is the unique linear map
-    matching them block by block, B^-1 * C, with B^-1 solved for one column
-    per block (``exact_linear._krylov_inverse``). The map is returned
-    unverified; its certificate is ``verify_automorphism``.
+    The orbit basis over alpha is that of ``cyclic_decomposition(P, p, b)``
+    for P = M^(k_alpha): the blocks b_i * P^j, 0 <= j < p - 1, of b_1 = b and
+    of greedy seeds b_2, ..., b_t, each the first e_j outside the span of the
+    blocks so far; likewise over beta with R = M^(k_beta) and c. L is the
+    unique linear map sending each b_i * P^j to c_i * R^j, which is B^-1 * C
+    for the two bases, but it is solved in the spec's F-coordinates
+    v -> v * K^-1 (``MixedGroupSpec.krylov``), with no basis and no
+    elimination over Q per witness:
+
+    - Q[M^k] = Q[M] = F for p not dividing k, so a block spans the F-line of
+      its seed, and e_j lies outside the span of the earlier blocks exactly
+      when its F-coordinates are F-independent of the earlier seeds'. The
+      greedy seeds over F are those of ``cyclic_decomposition``.
+    - P and R act as x^(k_alpha) and x^(k_beta), so L * R == P * L makes L
+      semilinear for sigma_g: x -> x^g, g = k_beta / k_alpha mod p, and L
+      is u -> sigma_g(u * B_F^-1) * C_F for the t x t matrices B_F and C_F
+      of the seeds (``exact_linear.semilinear_map``); then L = K^-1 * L' * K.
+    - det L = +-N(det C_F) / N(det B_F) != 0, N the norm of F: u -> u * A
+      has determinant N(det A) over Q, and sigma_g, of finite order, has
+      determinant +-1.
+
+    Seeds that are zero or of the wrong length, and an alpha or beta inside
+    A, are refused before any of this. The map is returned unverified; its
+    certificate is ``verify_automorphism``.
     """
     if b.is_zero or c.is_zero:
         raise ValueError("seed vectors must be nonzero")
     p = spec.p
     if alpha.k % p == 0 or beta.k % p == 0:
         raise ValueError("alpha and beta must lie outside A")
-    pm = conjugation_matrix(alpha, spec)
-    rm = conjugation_matrix(beta, spec)
-    linear = _krylov_inverse(cyclic_decomposition(pm, p, b), pm, p) * cyclic_decomposition(rm, p, c)
+    _check_dim(alpha, spec)
+    _check_dim(beta, spec)
+    if b.dim != spec.n or c.dim != spec.n:
+        raise ValueError(f"seed dimensions {b.dim}, {c.dim} do not match the spec's {spec.n}")
+    basis, basis_inv = spec.krylov
+    g = beta.k * pow(alpha.k, -1, p) % p
+    field_map = semilinear_map(b * basis_inv, c * basis_inv, basis_inv, p, g)
+    linear = basis_inv * (field_map * basis)
     return MixedAutomorphism(linear=linear, alpha=alpha, image_of_alpha=beta)
 
 
@@ -423,9 +464,10 @@ def omega_certificate(
     explicit automorphism carrying one to the other is built and verified.
 
     A witness is verified by P * L == L * R, beta outside A and b * L == c,
-    with no determinant: ``cyclic_decomposition`` proves that B and C are
-    bases (zero seed sums, the irreducible Phi_p, and each later seed chosen
-    outside the span), so L = B^-1 * C has det L = det C / det B != 0.
+    with no determinant: ``build_automorphism`` solves L over F = Q(zeta_p)
+    between two F-bases B_F and C_F of A = F^t, so det L = +-N(det C_F) /
+    N(det B_F) != 0 (see there). The spec's one cyclic basis K and its
+    inverse serve every witness.
     """
     if pairs_per_class < 1:
         raise ValueError("pairs_per_class must be positive")

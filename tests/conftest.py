@@ -27,7 +27,9 @@ from orbitforge.exact_linear import (
     QMatrix,
     QPoly,
     QVector,
+    _krylov_inverse,
     companion,
+    cyclic_decomposition,
     cyclotomic_prime,
     minimal_polynomial,
 )
@@ -298,6 +300,16 @@ def count_calls(monkeypatch, owner, *names: str) -> dict[str, int]:
     return calls
 
 
+def count_eliminations(monkeypatch):
+    """Count the eliminations over Q of the mixed-group code: ``det``,
+    ``inverse`` and ``_solve`` of QMatrix, and the ``cyclic_decomposition``
+    bases that ``mixed_group`` builds. The result returns the counts so far
+    when called."""
+    matrix = count_calls(monkeypatch, QMatrix, "det", "inverse", "_solve")
+    bases = count_calls(monkeypatch, mg, "cyclic_decomposition")
+    return lambda: {**matrix, **bases}
+
+
 def telescope(spec: "mg.MixedGroupSpec", k: int) -> QMatrix:
     """I + M^k + M^(2k) + ... + M^((p-1)k), summed from ``spec.powers``."""
     p = spec.p
@@ -345,6 +357,16 @@ def mixed_element_order(g: "mg.MixedElement", spec: "mg.MixedGroupSpec") -> int 
     if acc != mg.identity_element(spec):
         raise mg.SpecValidationError("element outside A failed to have order p; spec invalid")
     return spec.p
+
+
+def krylov_witness_linear(b: QVector, c: QVector, alpha: "mg.MixedElement",
+                          beta: "mg.MixedElement", spec: "mg.MixedGroupSpec") -> QMatrix:
+    """L of ``mg.build_automorphism`` by elimination over Q: B^-1 * C for the
+    cyclic bases B of b under P = M^(alpha.k) and C of c under R = M^(beta.k),
+    each block b_i * P^j sent to c_i * R^j."""
+    p = spec.p
+    pm, rm = spec.powers[alpha.k % p], spec.powers[beta.k % p]
+    return _krylov_inverse(cyclic_decomposition(pm, p, b), pm, p) * cyclic_decomposition(rm, p, c)
 
 
 def compose_automorphisms(first, second, spec) -> "mg.MixedAutomorphism":

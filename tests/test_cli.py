@@ -7,7 +7,13 @@ import time
 
 import pytest
 
-from conftest import count_calls, permutation_action, random_cocycle, rational_action
+from conftest import (
+    count_calls,
+    count_eliminations,
+    permutation_action,
+    random_cocycle,
+    rational_action,
+)
 import orbitforge
 from orbitforge import cocycle_split as cs
 from orbitforge import group_core as gc
@@ -255,15 +261,30 @@ def test_mixed_certificates_of_a_rational_action_are_frozen(capsys, tmp_path, ar
 #: spec above p = 31.
 LARGE_P_SHA256 = "53fb5a2b754ae107f5810982084bf3b20b9e63583909dd4dd5a206377be45955"
 
+#: SHA-256 of `--json --seed 0 mixed omega --p 61 --t 1 --pairs 1`, recorded
+#: while each witness still built two Krylov bases and solved one by
+#: elimination over Q, as ``LARGE_P_SHA256``; L is now solved in F^t.
+P61_SHA256 = "460ff53acf5f5e06560b6019cc0095e8dd38e96f4d7935e7674ec1f08377f6e9"
+
 
 def test_mixed_omega_at_p43_is_frozen_and_computes_no_det_or_inverse(capsys, monkeypatch):
-    # no wall-clock bound: timings on a shared host vary too much
-    calls = count_calls(monkeypatch, QMatrix, "det", "inverse")
+    # no wall-clock bound: timings on a shared host vary too much. The one
+    # cyclic basis and its solve are the spec's, shared by both witnesses
+    counts = count_eliminations(monkeypatch)
     code, out, _ = _run(capsys, ["--json", "--seed", "0", "mixed", "omega",
                                  "--p", "43", "--t", "1", "--pairs", "1"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == LARGE_P_SHA256
-    assert calls == {"det": 0, "inverse": 0}
+    assert counts() == {"det": 0, "inverse": 0, "_solve": 1, "cyclic_decomposition": 1}
+
+
+def test_mixed_omega_at_p61_is_frozen(capsys, monkeypatch):
+    counts = count_eliminations(monkeypatch)
+    code, out, _ = _run(capsys, ["--json", "--seed", "0", "mixed", "omega",
+                                 "--p", "61", "--t", "1", "--pairs", "1"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == P61_SHA256
+    assert counts() == {"det": 0, "inverse": 0, "_solve": 1, "cyclic_decomposition": 1}
 
 
 #: SHA-256 of the cocycle commands on one seeded S4 permutation coboundary,

@@ -10,6 +10,8 @@ from conftest import (
     CONJUGATOR,
     compose_automorphisms,
     count_calls,
+    count_eliminations,
+    krylov_witness_linear,
     matrix_power,
     mixed_element_order,
     rational_action,
@@ -381,12 +383,81 @@ def test_sampled_pairs_never_overrule_the_exact_identities(data):
         assert mg.verify_automorphism(phi, spec, samples=10, seed=p * t).ok == exact
 
 
+_ORACLE_SPECS = {f"p{p}_t{t}": (p, t, None) for p in (2, 3, 5, 7, 13, 19) for t in (1, 2, 4)
+                 if t * (p - 1) <= mg.MAX_DIM}
+_ORACLE_SPECS["rational"] = (5, None, rational_action())
+
+
+@pytest.mark.parametrize("p, t, m", _ORACLE_SPECS.values(), ids=_ORACLE_SPECS.keys())
+def test_build_automorphism_matches_the_krylov_oracle(p, t, m):
+    # L by arithmetic in F^t against B^-1 * C by elimination over Q. Outside
+    # draws (b = c = e_1, as omega_certificate makes them) take every
+    # (k_alpha, k_beta) up to n = 12, and above it p - 1 pairs that take every
+    # k_alpha, every k_beta and every ratio g = k_beta / k_alpha once. Inside
+    # draws (dense random b and c, over small denominators to keep the oracle
+    # fast) take k_alpha = k_beta = 1, as omega_certificate does, and one
+    # random pair.
+    spec = mg.build(p, t, m)
+    n = spec.n
+    rng = random.Random(p * spec.t)
+    if n <= 12:
+        pairs = [(ka, kb) for ka in range(1, p) for kb in range(1, p)]
+    else:
+        pairs = [(ka, ka * g % p) for ka, g in zip(range(1, p), rng.sample(range(1, p), p - 1))]
+    e1 = QVector.unit(n, 0)
+    draws = [(e1, e1, ka, kb) for ka, kb in pairs]
+    for ka, kb in ((1, 1), (rng.randrange(1, p), rng.randrange(1, p))):
+        b, c = (QVector.from_ints([rng.randint(-9, 9) for _ in range(n - 1)] + [1], rng.randint(1, 9))
+                for _ in range(2))
+        draws.append((b, c, ka, kb))
+    for b, c, ka, kb in draws:
+        alpha, beta = E(ka, mg.random_vector(rng, n)), E(kb, mg.random_vector(rng, n))
+        linear = mg.build_automorphism(b, c, alpha, beta, spec).linear
+        assert linear == krylov_witness_linear(b, c, alpha, beta, spec), (b, c, ka, kb)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_build_automorphism_under_rational_conjugates_matches_the_krylov_oracle(data):
+    p = data.draw(st.sampled_from([2, 3, 5]), label="p")
+    t = data.draw(st.sampled_from([1, 2]), label="t")
+    n = t * (p - 1)
+    entries = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    q = QMatrix.of(data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                      min_size=n, max_size=n), label="Q"))
+    assume(q.det() != 0)
+    spec = mg.build(p, m=q.inverse() * QMatrix.block_diag([companion(cyclotomic_prime(p))] * t) * q)
+    ka, kb = (data.draw(st.integers(1, p - 1), label=label) for label in ("k_alpha", "k_beta"))
+    b, c = (QVector(data.draw(st.lists(entries, min_size=n, max_size=n), label=label))
+            for label in ("b", "c"))
+    assume(not b.is_zero and not c.is_zero)
+    alpha, beta = E(ka, QVector.zero(n)), E(kb, QVector.zero(n))
+    linear = mg.build_automorphism(b, c, alpha, beta, spec).linear
+    assert linear == krylov_witness_linear(b, c, alpha, beta, spec)
+
+
 def test_build_automorphism_rejections(s21):
     alpha = E(1, QVector.of(0))
     with pytest.raises(ValueError, match="nonzero"):
         mg.build_automorphism(QVector.zero(1), QVector.of(1), alpha, alpha, s21)
     with pytest.raises(ValueError, match="outside"):
         mg.build_automorphism(QVector.of(1), QVector.of(1), E(0, QVector.of(1)), alpha, s21)
+
+
+def test_build_automorphism_rejects_bad_input_before_field_arithmetic(monkeypatch, s32):
+    # a zero seed has no inverse in F^t, and a seed of the wrong length no
+    # coordinates: each is refused before any basis or field kernel runs
+    calls = count_calls(monkeypatch, mg, "semilinear_map", "cyclic_decomposition")
+    alpha, inside = E(1, QVector.zero(4)), E(0, QVector.zero(4))
+    b = QVector.of(1, 2, 0, 1)
+    for args, match in (((b, QVector.zero(4), alpha, alpha), "nonzero"),
+                        ((b, b, alpha, inside), "outside"),
+                        ((QVector.of(1, 2), b, alpha, alpha), "dimension"),
+                        ((b, QVector.of(1, 2, 3, 4, 5), alpha, alpha), "dimension"),
+                        ((b, b, alpha, E(1, QVector.of(1))), "dimension")):
+        with pytest.raises(ValueError, match=match):
+            mg.build_automorphism(*args, s32)
+    assert calls == {"semilinear_map": 0, "cyclic_decomposition": 0}
 
 
 def test_tampered_linear_part_fails_verification(s32):
@@ -456,6 +527,16 @@ def test_omega_certificate_computes_no_det_and_no_full_inverse(monkeypatch, spec
     calls = count_calls(monkeypatch, QMatrix, "det", "inverse")
     assert mg.omega_certificate(spec, 3).ok
     assert calls == {"det": 0, "inverse": 0}
+
+
+def test_omega_certificate_builds_one_krylov_basis_per_spec(monkeypatch):
+    # every witness is solved in F^t through the spec's cyclic basis K and
+    # K^-1, built once; per witness there is no basis and no solve over Q
+    spec = mg.build(7, 2)
+    counts = count_eliminations(monkeypatch)
+    for seed in (0, 1):
+        assert mg.omega_certificate(spec, 20, seed=seed).ok
+        assert counts() == {"det": 0, "inverse": 0, "_solve": 1, "cyclic_decomposition": 1}
 
 
 def test_omega_certificate_formats_only_its_own_spec(monkeypatch):
