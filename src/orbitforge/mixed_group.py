@@ -10,8 +10,9 @@ is written additively; the group law is
     (h^k a)(h^l b) = h^(k+l) (a * M^l + b).
 
 The one fact established about a spec is Phi_p(M) = I + M + ... + M^(p-1)
-= 0, proved when a ``MixedGroupSpec`` is built; every check that it implies
-is derived from it, not recomputed.
+= 0, proved when a ``MixedGroupSpec`` is built by the zero seed sums of its
+one cyclic basis K; every check that it implies is derived from it, not
+recomputed.
 
 These groups are infinite, so the three-orbit certificate cannot be an
 enumeration: it combines an exact separating invariant (element order is
@@ -22,8 +23,8 @@ identities: det L != 0, P * L == L * R, and beta outside A.
 
 Since Phi_p(M) = 0 and Phi_p is irreducible, A is a vector space F^t over
 the field F = Q(zeta_p) = Q[x]/Phi_p, with M acting as multiplication by x;
-one cyclic basis K of the spec, ``MixedGroupSpec.krylov``, gives the
-coordinates. ``build_automorphism`` solves each witness there, as a t x t
+the cyclic basis K that proved the spec, ``MixedGroupSpec.krylov``, gives
+the coordinates. ``build_automorphism`` solves each witness there, as a t x t
 system over F, and L is invertible by construction: det L = +-N(det C_F) /
 N(det B_F) for two F-bases B_F and C_F, N the norm of F. So
 ``omega_certificate`` checks only the other two identities.
@@ -40,7 +41,6 @@ from .arith import is_prime
 from .exact_linear import (
     QMatrix,
     QVector,
-    _krylov_inverse,
     companion,
     cyclic_decomposition,
     cyclotomic_prime,
@@ -52,10 +52,11 @@ from .exact_linear import (
 SAMPLE_BOUND = 100
 
 
-#: Cap on the dimension n = t * (p - 1) of a spec. A spec caches the p
-#: dense n x n powers of its action, so the worst spec under the cap is
-#: p = 127, t = 1: ``build`` takes 0.35 s and peaks at 17 MiB (tracemalloc),
-#: where p = 257, t = 1 (n = 256) takes 2.8 s and 134 MiB, on a 2 vCPU host.
+#: Cap on the dimension n = t * (p - 1) of a spec. The worst spec under it
+#: is p = 127, t = 1: ``build`` (K and K^-1) takes 25 ms and peaks at
+#: 1.0 MiB (tracemalloc), and its p dense n x n powers of M, built at the
+#: first witness check, 0.15 s and 16 MiB; at p = 257, t = 1 (n = 256) the
+#: powers take 1.4 s and 132 MiB, on a 2 vCPU host.
 MAX_DIM = 128
 
 
@@ -114,15 +115,22 @@ class MixedGroupSpec:
     M^p = I, M != I, and no M^k with 0 < k < p fixes a nonzero vector
     (x^k - 1 and Phi_p are coprime).
 
-    ``powers[k]`` caches M^k for 0 <= k < p. Applying M^k to a vector is
-    ``a * powers[k]``: each power computes its sparse integer rows once, at
-    its first product, and keeps them.
+    ``krylov`` = (K, K^-1) for K = ``cyclic_decomposition(M, p, e_1)``
+    proves it: every seed of K has a zero sum seed * Phi_p(M), and Phi_p(M)
+    commutes with M, so it kills the basis K. v -> v * K^-1 reads v in F^t,
+    F = Q[x]/Phi_p, block i of p - 1 coordinates holding entry i, and turns
+    v -> v * M into multiplication by x; row j of K^-1 is e_j in F^t. Only
+    a rejected M is powered.
+
+    ``powers[k]`` is M^k for 0 <= k < p, built at its first use (the group
+    law, the witness checks) and kept; each power computes its sparse
+    integer rows once, at its first product.
     """
 
     p: int
     t: int
     action: QMatrix
-    powers: tuple[QMatrix, ...] = field(init=False, repr=False, compare=False)
+    krylov: tuple[QMatrix, QMatrix] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p, t, m = self.p, self.t, self.action
@@ -133,31 +141,26 @@ class MixedGroupSpec:
         ident = QMatrix.identity(n)
         if m == ident:
             raise SpecValidationError("action matrix must not be the identity")
-        powers = [ident]
-        for _ in range(p - 1):
-            powers.append(powers[-1] * m)
-        if powers[-1] * m != ident:
-            raise SpecValidationError(f"action matrix does not have order {p}")
-        # the two checks above only name common failures; this one decides
-        if not sum(powers[1:], ident).is_zero:
+        try:
+            basis = cyclic_decomposition(m, p, QVector.unit(n, 0))
+        except ValueError:  # a seed sum is not zero, so Phi_p(M) != 0: name why
+            if math.prod([m] * p, start=ident) != ident:
+                raise SpecValidationError(f"action matrix does not have order {p}") from None
             raise SpecValidationError(
                 "I + M + ... + M^(p-1) is not zero: some power of the action fixes a nonzero vector"
-            )
-        object.__setattr__(self, "powers", tuple(powers))
+            ) from None
+        object.__setattr__(self, "krylov", (basis, basis.inverse()))
 
     @property
     def n(self) -> int:
         return self.t * (self.p - 1)
 
     @cached_property
-    def krylov(self) -> tuple[QMatrix, QMatrix]:
-        """(K, K^-1) for K = ``cyclic_decomposition(M, p, e_1)``, built at
-        the first witness and kept. v -> v * K^-1 reads v in F^t,
-        F = Q[x]/Phi_p, block i of p - 1 coordinates holding the
-        coefficients of entry i, and turns v -> v * M into multiplication by
-        x; row j of K^-1 holds the F-coordinates of e_j."""
-        basis = cyclic_decomposition(self.action, self.p, QVector.unit(self.n, 0))
-        return basis, _krylov_inverse(basis, self.action, self.p)
+    def powers(self) -> tuple[QMatrix, ...]:
+        out = [QMatrix.identity(self.n)]
+        for _ in range(self.p - 1):
+            out.append(out[-1] * self.action)
+        return tuple(out)
 
     def to_json(self) -> dict:
         return {"p": self.p, "t": self.t, "n": self.n, "action": self.action.to_json()}
@@ -225,15 +228,6 @@ def power(g: MixedElement, m: int, spec: MixedGroupSpec) -> MixedElement:
     for _ in range(abs(m)):
         acc = multiply(acc, base, spec)
     return acc
-
-
-def conjugation_matrix(g: MixedElement, spec: MixedGroupSpec) -> QMatrix:
-    """Action of conjugation by g on A, which is M^k because A is abelian."""
-    _check_dim(g, spec)
-    k = g.k % spec.p
-    if k == 0:
-        raise ValueError("conjugation matrix is only defined for elements outside A")
-    return spec.powers[k]
 
 
 @dataclass(frozen=True)
@@ -388,8 +382,8 @@ def build_automorphism(
     blocks so far; likewise over beta with R = M^(k_beta) and c. L is the
     unique linear map sending each b_i * P^j to c_i * R^j, which is B^-1 * C
     for the two bases, but it is solved in the spec's F-coordinates
-    v -> v * K^-1 (``MixedGroupSpec.krylov``), with no basis and no
-    elimination over Q per witness:
+    v -> v * K^-1 (``MixedGroupSpec.krylov``, built with the spec), with no
+    basis and no elimination over Q per witness:
 
     - Q[M^k] = Q[M] = F for p not dividing k, so a block spans the F-line of
       its seed, and e_j lies outside the span of the earlier blocks exactly
@@ -404,8 +398,8 @@ def build_automorphism(
       determinant +-1.
 
     Seeds that are zero or of the wrong length, and an alpha or beta inside
-    A, are refused before any of this. The map is returned unverified; its
-    certificate is ``verify_automorphism``.
+    A, are refused before any of this. No power of M is built; the map is
+    returned unverified, and its certificate is ``verify_automorphism``.
     """
     if b.is_zero or c.is_zero:
         raise ValueError("seed vectors must be nonzero")
@@ -466,8 +460,8 @@ def omega_certificate(
     A witness is verified by P * L == L * R, beta outside A and b * L == c,
     with no determinant: ``build_automorphism`` solves L over F = Q(zeta_p)
     between two F-bases B_F and C_F of A = F^t, so det L = +-N(det C_F) /
-    N(det B_F) != 0 (see there). The spec's one cyclic basis K and its
-    inverse serve every witness.
+    N(det B_F) != 0 (see there). The cyclic basis K that proved the spec,
+    and its inverse, serve every witness: this makes no elimination over Q.
     """
     if pairs_per_class < 1:
         raise ValueError("pairs_per_class must be positive")

@@ -27,7 +27,6 @@ from orbitforge.exact_linear import (
     QMatrix,
     QPoly,
     QVector,
-    _krylov_inverse,
     companion,
     cyclic_decomposition,
     cyclotomic_prime,
@@ -301,13 +300,32 @@ def count_calls(monkeypatch, owner, *names: str) -> dict[str, int]:
 
 
 def count_eliminations(monkeypatch):
-    """Count the eliminations over Q of the mixed-group code: ``det``,
-    ``inverse`` and ``_solve`` of QMatrix, and the ``cyclic_decomposition``
-    bases that ``mixed_group`` builds. The result returns the counts so far
-    when called."""
-    matrix = count_calls(monkeypatch, QMatrix, "det", "inverse", "_solve")
+    """Count the eliminations over Q of the mixed-group code: ``det`` and
+    ``inverse`` of QMatrix, and the ``cyclic_decomposition`` bases that
+    ``mixed_group`` builds. The result returns the counts so far when
+    called."""
+    matrix = count_calls(monkeypatch, QMatrix, "det", "inverse")
     bases = count_calls(monkeypatch, mg, "cyclic_decomposition")
     return lambda: {**matrix, **bases}
+
+
+def powers_sum_verdict(p: int, m: QMatrix) -> str | None:
+    """The message with which an n x n action m, n a multiple of p - 1, must
+    be refused, or None if it is valid: the package's earlier validity
+    check, which built the p powers of m and summed them. M = I is named
+    first, then M^p != I, and any other nonzero sum I + M + ... + M^(p-1)
+    means that some power of m fixes a nonzero vector."""
+    ident = QMatrix.identity(m.n)
+    if m == ident:
+        return "action matrix must not be the identity"
+    powers = [ident]
+    for _ in range(p - 1):
+        powers.append(powers[-1] * m)
+    if powers[-1] * m != ident:
+        return f"action matrix does not have order {p}"
+    if not sum(powers[1:], ident).is_zero:
+        return "I + M + ... + M^(p-1) is not zero: some power of the action fixes a nonzero vector"
+    return None
 
 
 def telescope(spec: "mg.MixedGroupSpec", k: int) -> QMatrix:
@@ -366,7 +384,17 @@ def krylov_witness_linear(b: QVector, c: QVector, alpha: "mg.MixedElement",
     each block b_i * P^j sent to c_i * R^j."""
     p = spec.p
     pm, rm = spec.powers[alpha.k % p], spec.powers[beta.k % p]
-    return _krylov_inverse(cyclic_decomposition(pm, p, b), pm, p) * cyclic_decomposition(rm, p, c)
+    return cyclic_decomposition(pm, p, b).inverse() * cyclic_decomposition(rm, p, c)
+
+
+def conjugation_matrix(g: "mg.MixedElement", spec: "mg.MixedGroupSpec") -> QMatrix:
+    """Action of conjugation by g on A, which is M^k because A is abelian."""
+    if g.a.dim != spec.n:
+        raise ValueError(f"element vector has dimension {g.a.dim}, spec needs {spec.n}")
+    k = g.k % spec.p
+    if k == 0:
+        raise ValueError("conjugation matrix is only defined for elements outside A")
+    return spec.powers[k]
 
 
 def compose_automorphisms(first, second, spec) -> "mg.MixedAutomorphism":

@@ -267,24 +267,36 @@ LARGE_P_SHA256 = "53fb5a2b754ae107f5810982084bf3b20b9e63583909dd4dd5a206377be459
 P61_SHA256 = "460ff53acf5f5e06560b6019cc0095e8dd38e96f4d7935e7674ec1f08377f6e9"
 
 
-def test_mixed_omega_at_p43_is_frozen_and_computes_no_det_or_inverse(capsys, monkeypatch):
-    # no wall-clock bound: timings on a shared host vary too much. The one
-    # cyclic basis and its solve are the spec's, shared by both witnesses
+def _omega_counts(capsys, monkeypatch, p: int, pairs: int) -> tuple[str, dict]:
+    """The SHA-256 of `--json --seed 0 mixed omega --p p --t 1 --pairs
+    pairs` and the eliminations over Q the whole command made."""
     counts = count_eliminations(monkeypatch)
     code, out, _ = _run(capsys, ["--json", "--seed", "0", "mixed", "omega",
-                                 "--p", "43", "--t", "1", "--pairs", "1"])
+                                 "--p", str(p), "--t", "1", "--pairs", str(pairs)])
+    monkeypatch.undo()
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_P_SHA256
-    assert counts() == {"det": 0, "inverse": 0, "_solve": 1, "cyclic_decomposition": 1}
+    return hashlib.sha256(out.encode()).hexdigest(), counts()
+
+
+#: The eliminations over Q of a whole `mixed omega` command: the spec's
+#: cyclic basis K and its inverse, made when the spec is built, and no
+#: determinant; witnesses add none, whatever --pairs is.
+OMEGA_COUNTS = {"det": 0, "inverse": 1, "cyclic_decomposition": 1}
+
+
+def test_mixed_omega_at_p43_is_frozen_and_inverts_only_its_spec_basis(capsys, monkeypatch):
+    # no wall-clock bound: timings on a shared host vary too much
+    digest, counts = _omega_counts(capsys, monkeypatch, 43, 1)
+    assert digest == LARGE_P_SHA256
+    assert counts == OMEGA_COUNTS
+    assert _omega_counts(capsys, monkeypatch, 43, 3)[1] == OMEGA_COUNTS
 
 
 def test_mixed_omega_at_p61_is_frozen(capsys, monkeypatch):
-    counts = count_eliminations(monkeypatch)
-    code, out, _ = _run(capsys, ["--json", "--seed", "0", "mixed", "omega",
-                                 "--p", "61", "--t", "1", "--pairs", "1"])
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == P61_SHA256
-    assert counts() == {"det": 0, "inverse": 0, "_solve": 1, "cyclic_decomposition": 1}
+    digest, counts = _omega_counts(capsys, monkeypatch, 61, 1)
+    assert digest == P61_SHA256
+    assert counts == OMEGA_COUNTS
+    assert _omega_counts(capsys, monkeypatch, 61, 3)[1] == OMEGA_COUNTS
 
 
 #: SHA-256 of the cocycle commands on one seeded S4 permutation coboundary,

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 from conftest import (
     CONJUGATOR,
     compose_automorphisms,
+    conjugation_matrix,
     count_calls,
     count_eliminations,
     krylov_witness_linear,
     matrix_power,
     mixed_element_order,
+    powers_sum_verdict,
     rational_action,
     spec_checks_oracle,
     telescope,
@@ -81,6 +84,97 @@ def test_build_rejects_order_p_action_with_fixed_vectors():
     assert m != QMatrix.identity(4) and matrix_power(m, 3) == QMatrix.identity(4)
     with pytest.raises(mg.SpecValidationError, match="fixes a nonzero vector"):
         mg.build(3, m=m)
+
+
+_BOUNDED = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+def _draw_action(data, p: int) -> tuple[str, int, QMatrix]:
+    """(kind, p, M) for an n x n action M, n a multiple of p - 1: block
+    companions of Phi_p (valid), Phi_3 blocks beside Phi_5 blocks with p
+    set to 5 (order 15 or 3), companion(Phi_p) + I or a p-cycle permutation
+    + I (order p, each fixing a vector), or small integer entries. Each of
+    size n <= 8 may be conjugated by a rational matrix, which keeps its
+    verdict."""
+    k = p - 1
+    kind = data.draw(st.sampled_from(["companions", "phi3_blocks", "companion_plus_identity",
+                                      "cycle_plus_identity", "integers"]), label="kind")
+    if kind == "companions":
+        m = QMatrix.block_diag([companion(cyclotomic_prime(p))] * data.draw(st.integers(1, 2)))
+    elif kind == "phi3_blocks":
+        p = 5
+        fives = data.draw(st.integers(0, 1), label="Phi_5 blocks")
+        m = QMatrix.block_diag([companion(cyclotomic_prime(5))] * fives
+                               + [companion(cyclotomic_prime(3))] * 2 * (2 - fives))
+    elif kind == "companion_plus_identity":
+        m = QMatrix.block_diag([companion(cyclotomic_prime(p)), QMatrix.identity(k)])
+    elif kind == "cycle_plus_identity":
+        cycle = QMatrix.of([[1 if j == (i + 1) % p else 0 for j in range(p)] for i in range(p)])
+        m = QMatrix.block_diag([cycle, QMatrix.identity(p - 2)])
+    else:
+        n = k * data.draw(st.integers(1, 2), label="t")
+        m = QMatrix.of(data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                                          min_size=n, max_size=n), label="M"))
+    n = m.n
+    if n <= 8 and data.draw(st.booleans(), label="conjugate"):
+        q = QMatrix.of(data.draw(st.lists(st.lists(_BOUNDED, min_size=n, max_size=n),
+                                          min_size=n, max_size=n), label="Q"))
+        assume(q.det() != 0)
+        m = q.inverse() * m * q
+    return kind, p, m
+
+
+_KIND_VERDICTS = {
+    "companions": None,
+    "phi3_blocks": "action matrix does not have order 5",
+    "companion_plus_identity": "fixes a nonzero vector",
+    "cycle_plus_identity": "fixes a nonzero vector",
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_build_accepts_exactly_what_the_powers_sum_accepts(data):
+    # a spec is proved by the zero seed sums of its cyclic basis; the oracle
+    # is the earlier proof, the p powers of M, M^p and their sum
+    kind, p, m = _draw_action(data, data.draw(st.sampled_from([2, 3, 5, 7]), label="p"))
+    expected = powers_sum_verdict(p, m)
+    if kind in _KIND_VERDICTS:
+        want = _KIND_VERDICTS[kind]
+        assert (expected is None) if want is None else (want in (expected or ""))
+    if expected is None:
+        assert mg.build(p, m=m).action == m
+    else:
+        with pytest.raises(mg.SpecValidationError) as err:
+            mg.build(p, m=m)
+        assert str(err.value) == expected
+
+
+def test_build_makes_no_matrix_products(monkeypatch):
+    # Phi_p(M) = 0 is proved by the zero seed sums of the spec's cyclic basis
+    # K, built once and inverted once; no power of M is built until a
+    # witness is checked
+    rational = rational_action()
+    matrix = count_calls(monkeypatch, QMatrix, "__mul__", "inverse")
+    bases = count_calls(monkeypatch, mg, "cyclic_decomposition")
+    for p, t, m in ((31, 1, None), (13, 4, None), (5, None, rational)):
+        before = {**matrix, **bases}
+        spec = mg.build(p, t, m)
+        made = {name: count - before[name] for name, count in {**matrix, **bases}.items()}
+        assert made == {"__mul__": 0, "inverse": 1, "cyclic_decomposition": 1}, (p, t)
+        assert "powers" not in vars(spec)
+
+
+def test_build_at_the_dimension_cap_peaks_under_4_mib():
+    # p = 127, t = 1 is the largest spec under MAX_DIM; its 127 dense powers
+    # of M took 16.8 MiB when the spec was proved by summing them
+    tracemalloc.start()
+    try:
+        mg.build(127, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_build_accepts_rational_conjugate_of_companion():
@@ -220,11 +314,11 @@ def test_telescoping_matrix_identity():
 # conjugation
 
 def test_conjugation_matrix(s21, s32):
-    assert mg.conjugation_matrix(E(1, QVector.of(99)), s21) == QMatrix.of([[-1]])
+    assert conjugation_matrix(E(1, QVector.of(99)), s21) == QMatrix.of([[-1]])
     s31 = mg.build(3, 1)
-    assert mg.conjugation_matrix(E(2, QVector.zero(2)), s31) == s31.powers[2]
+    assert conjugation_matrix(E(2, QVector.zero(2)), s31) == s31.powers[2]
     with pytest.raises(ValueError, match="outside"):
-        mg.conjugation_matrix(E(0, QVector.of(1)), s21)
+        conjugation_matrix(E(0, QVector.of(1)), s21)
 
 
 def test_conjugation_matches_multiplication(s32):
@@ -233,7 +327,7 @@ def test_conjugation_matches_multiplication(s32):
         g = mg.random_element(rng, s32, outside=True)
         u = mg.random_vector(rng, 4)
         conj = mg.multiply(mg.multiply(mg.inverse(g, s32), E(0, u), s32), g, s32)
-        assert conj == E(0, u * mg.conjugation_matrix(g, s32))
+        assert conj == E(0, u * conjugation_matrix(g, s32))
 
 
 def test_outside_elements_act_fixed_point_freely(s32):
@@ -241,7 +335,7 @@ def test_outside_elements_act_fixed_point_freely(s32):
     for _ in range(20):
         g = mg.random_element(rng, s32, outside=True)
         u = mg.random_vector(rng, 4, nonzero=True)
-        assert u * mg.conjugation_matrix(g, s32) != u
+        assert u * conjugation_matrix(g, s32) != u
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +422,9 @@ def test_build_automorphism_work_is_bounded(monkeypatch):
 
 
 def test_spec_and_witness_build_no_fraction(monkeypatch):
-    # matrices are integer rows over one denominator: the powers of M, the
-    # M^p = I check, the Phi_p(M) sum, the cyclic bases, the inverse and the
-    # product of a witness make no Fraction in exact_linear
+    # matrices are integer rows over one denominator: the cyclic basis K and
+    # its inverse, which prove the spec, and the field solve and the change
+    # of basis of a witness make no Fraction in exact_linear
     made = []
 
     class Counting(type):
@@ -522,8 +616,8 @@ def test_omega_certificate_makes_no_group_products(monkeypatch):
 @pytest.mark.parametrize("spec", [mg.build(7, 2), mg.build(19, 1), mg.build(5, m=rational_action())],
                          ids=["p7_t2", "p19_t1", "rational"])
 def test_omega_certificate_computes_no_det_and_no_full_inverse(monkeypatch, spec):
-    # det L != 0 follows from the two bases cyclic_decomposition proves, and
-    # B^-1 is solved for one column per block
+    # det L != 0 follows from the two F-bases of the witness, and K^-1, the
+    # one inverse, was computed when the spec was built
     calls = count_calls(monkeypatch, QMatrix, "det", "inverse")
     assert mg.omega_certificate(spec, 3).ok
     assert calls == {"det": 0, "inverse": 0}
@@ -531,12 +625,12 @@ def test_omega_certificate_computes_no_det_and_no_full_inverse(monkeypatch, spec
 
 def test_omega_certificate_builds_one_krylov_basis_per_spec(monkeypatch):
     # every witness is solved in F^t through the spec's cyclic basis K and
-    # K^-1, built once; per witness there is no basis and no solve over Q
+    # K^-1, built with the spec; the certificate makes no elimination over Q
     spec = mg.build(7, 2)
     counts = count_eliminations(monkeypatch)
     for seed in (0, 1):
         assert mg.omega_certificate(spec, 20, seed=seed).ok
-        assert counts() == {"det": 0, "inverse": 0, "_solve": 1, "cyclic_decomposition": 1}
+        assert counts() == {"det": 0, "inverse": 0, "cyclic_decomposition": 0}
 
 
 def test_omega_certificate_formats_only_its_own_spec(monkeypatch):
