@@ -26,7 +26,8 @@ Group Algorithms*, 2003). Every orbit is a plain point set, closed under
 the strong generators by ``group_core._close``: a level orbit grows by one
 closure step each time a strong generator joins, and each orbit of Aut(G) on
 the elements is the closure of its least element. Only
-``automorphism_group`` lists Aut(G).
+``automorphism_group`` lists Aut(G). An automorphism is a plain tuple p
+of element indices, sending x to p[x].
 """
 
 from __future__ import annotations
@@ -40,16 +41,6 @@ from .group_core import GroupTable, _close
 
 #: The automorphism search is only attempted up to this order.
 MAX_AUT_ORDER = 512
-
-
-@dataclass(frozen=True)
-class Automorphism:
-    """A bijection of element indices satisfying the homomorphism law."""
-
-    perm: tuple[int, ...]
-
-    def __call__(self, i: int) -> int:
-        return self.perm[i]
 
 
 def _spanning_edges(cols: list, gens: list[int]) -> tuple[list, list]:
@@ -167,8 +158,8 @@ def _stabilizer_chain(g: GroupTable) -> tuple[list[tuple[int, ...]], list[int]]:
     return strong, sizes
 
 
-def automorphism_group(g: GroupTable) -> list[Automorphism]:
-    """All automorphisms of g, as explicit permutations sorted for determinism.
+def automorphism_group(g: GroupTable) -> list[tuple[int, ...]]:
+    """All automorphisms of g, as permutation tuples sorted for determinism.
 
     Lists the whole group as the closure of the identity under composition
     with the strong generators; orbit computations never need it."""
@@ -181,7 +172,7 @@ def automorphism_group(g: GroupTable) -> list[Automorphism]:
             if p not in perms:
                 perms.add(p)
                 frontier.append(p)
-    return [Automorphism(p) for p in sorted(perms)]
+    return sorted(perms)
 
 
 @dataclass
@@ -190,11 +181,12 @@ class OrbitPartition:
 
     classes are sorted by (element order, class size, least index) and each
     class is internally sorted, so output is deterministic. generators are
-    the strong generators of the stabilizer chain and aut_order is |Aut(G)|.
+    the strong generators of the stabilizer chain, as permutation tuples,
+    and aut_order is |Aut(G)|.
     """
 
     classes: tuple[tuple[int, ...], ...]
-    generators: tuple[Automorphism, ...]
+    generators: tuple[tuple[int, ...], ...]
     aut_order: int
 
     @property
@@ -205,7 +197,7 @@ class OrbitPartition:
         return {
             "omega": self.omega,
             "classes": [list(c) for c in self.classes],
-            "generators": [list(a.perm) for a in self.generators],
+            "generators": [list(p) for p in self.generators],
         }
 
 
@@ -219,7 +211,7 @@ def orbit_partition(g: GroupTable) -> OrbitPartition:
     classes.sort(key=lambda c: (orders[c[0]], len(c), c[0]))
     return OrbitPartition(
         classes=tuple(map(tuple, classes)),
-        generators=tuple(Automorphism(p) for p in strong),
+        generators=tuple(strong),
         aut_order=prod(sizes),
     )
 

@@ -6,9 +6,11 @@ and a matrix as integer rows over one positive denominator, each reduced
 so the form is unique; their arithmetic is integer arithmetic with one lcm
 per operation, and ``entries`` and ``rows`` derive ``Fraction``s for output
 only. A matrix keeps the sparse form of its rows once it is first used in
-a product. Determinant, inverse, echelon form and minimal polynomial share
-one elimination routine, ``_clear``, on integer rows that are divided by
-the gcd of their entries after every update (primitive rows, in the
+a product; the products are vector and matrix times matrix, with no scalar
+product. ``det``, ``inverse``, ``minimal_polynomial`` and the echelon of
+``cyclic_decomposition`` share one elimination routine, ``_clear``, with
+``_insert`` keeping the (pivot, row) list, on integer rows that are divided
+by the gcd of their entries after every update (primitive rows, in the
 fraction-free style of Bareiss, 1968), so entries grow with the minors of
 the input and not with a power of its common denominator. ``inverse`` is
 the one solve: [A | I] reduced until its left half is diagonal, sparsest
@@ -26,7 +28,8 @@ Matrix products therefore compose left to right, which matches the
 group-action convention used by the rest of the package.
 
 Vectors and matrices serialize as JSON arrays of ``"num/den"`` strings so
-that output is exact and independent of any binary float format.
+that output is exact and independent of any binary float format; one
+formatter, ``_format_row``, writes them and one parser, ``_num_den``, reads.
 """
 
 from __future__ import annotations
@@ -43,18 +46,16 @@ from typing import Iterable, Sequence
 from .arith import factorize, is_prime
 
 
-def format_rat(x: Fraction) -> str:
-    """Canonical "num/den" form, e.g. ``-1/2`` or ``3/1``."""
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _format_row(nums: Iterable[int], d: int) -> list[str]:
-    """``format_rat`` of each x / d, for d > 0, with no Fraction built."""
+    """Each x / d, for d > 0, in the canonical "num/den" form: reduced, the
+    sign on the numerator, an integer over 1 (``-1/2``, ``3/1``)."""
     return [f"{x // g}/{d // g}" for x in nums for g in (math.gcd(x, d),)]
 
 
 def _num_den(s: str | int) -> tuple[int, int]:
-    """(num, den > 0), not reduced, of a string or int as ``parse_rat`` accepts."""
+    """(num, den > 0), not reduced, of a JSON rational: "num/den", a bare
+    integer string, or an int. Anything else, a float, a bool or a zero or
+    signed denominator included, is a ValueError."""
     if isinstance(s, str):
         num, slash, den = s.partition("/")
         # a denominator is digits only: no sign, no space, not empty
@@ -64,12 +65,6 @@ def _num_den(s: str | int) -> tuple[int, int]:
     elif isinstance(s, int) and not isinstance(s, bool):
         return s, 1
     raise ValueError(f"invalid rational {s!r}: expected \"num/den\", an integer string or an int")
-
-
-def parse_rat(s: str | int) -> Fraction:
-    """Accepts "num/den", a bare integer string, or an int; anything else,
-    a float or a bool included, is a ValueError."""
-    return Fraction(*_num_den(s))
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -177,13 +172,7 @@ class QVector:
             if self.dim != other.n:
                 raise ValueError(f"dimension mismatch: vector {self.dim}, matrix {other.n}")
             return _vector(int_vecmul(self.nums, other._sparse), self.den * other.den)
-        if isinstance(other, (int, Fraction)):
-            k = other.numerator
-            return _vector([x * k for x in self.nums], self.den * other.denominator)
         return NotImplemented
-
-    def __rmul__(self, scalar):
-        return self.__mul__(scalar) if isinstance(scalar, (int, Fraction)) else NotImplemented
 
     def to_json(self) -> list[str]:
         return _format_row(self.nums, self.den)
@@ -212,6 +201,12 @@ def _matrix(nums: Sequence[Sequence[int]], den: int, m: "QMatrix | None" = None)
     return m
 
 
+def _square(rows: list) -> list:
+    if any(len(r) != len(rows) for r in rows):
+        raise ValueError("matrix must be square")
+    return rows
+
+
 @dataclass(frozen=True, init=False, repr=False)
 class QMatrix:
     """Immutable square rational matrix acting on row vectors from the right:
@@ -224,9 +219,7 @@ class QMatrix:
 
     def __init__(self, rows: Iterable[Iterable]) -> None:
         """The matrix of the given rows of ints and Fractions."""
-        rows = [tuple(r) for r in rows]
-        if any(len(r) != len(rows) for r in rows):
-            raise ValueError("matrix must be square")
+        rows = _square([tuple(r) for r in rows])
         d = math.lcm(*(e.denominator for r in rows for e in r))
         _matrix([[e.numerator * (d // e.denominator) for e in r] for r in rows], d, self)
 
@@ -290,13 +283,7 @@ class QMatrix:
             # sparse companion powers this package lives on stay cheap
             rows = other._sparse
             return _matrix([int_vecmul(r, rows) for r in self.nums], self.den * other.den)
-        if isinstance(other, (int, Fraction)):
-            k = other.numerator
-            return _matrix([[x * k for x in row] for row in self.nums], self.den * other.denominator)
         return NotImplemented
-
-    def __rmul__(self, scalar):
-        return self.__mul__(scalar) if isinstance(scalar, (int, Fraction)) else NotImplemented
 
     def det(self) -> Fraction:
         """Exact determinant: the product of the pivots of Gaussian
@@ -350,7 +337,9 @@ class QMatrix:
     def from_json(cls, data: list[list[str | int]]) -> "QMatrix":
         if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
             raise ValueError("matrix must be a list of rows of rationals")
-        return cls([[parse_rat(e) for e in row] for row in data])
+        pairs = _square([[_num_den(e) for e in row] for row in data])
+        d = math.lcm(*(den for row in pairs for _, den in row))
+        return _matrix([[num * (d // den) for num, den in row] for row in pairs], d)
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(e) for e in row) for row in self.rows)
@@ -463,29 +452,6 @@ def _insert(rows: list[tuple[int, list[int]]], v: list[int], width: int) -> int 
     return piv
 
 
-class _Echelon:
-    """Incremental exact row echelon form on primitive integer rows."""
-
-    def __init__(self) -> None:
-        self._rows: list[tuple[int, list[int]]] = []
-
-    def _reduce(self, v: QVector) -> list[int]:
-        # the span of v is that of its numerators
-        return _clear(list(v.nums), self._rows)[0]
-
-    def contains(self, v: QVector) -> bool:
-        return not any(self._reduce(v))
-
-    def add(self, v: QVector) -> bool:
-        """Insert a vector; False if it was already in the span."""
-        w = self._reduce(v)
-        return _insert(self._rows, w, len(w)) is not None
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-
 def minimal_polynomial(m: QMatrix) -> QPoly:
     """Monic minimal polynomial, via exact elimination on the Krylov flats I, m, m^2, ...
 
@@ -540,8 +506,8 @@ def cyclic_decomposition(m: QMatrix, p: int, seed: QVector) -> QMatrix:
     if n % (p - 1) != 0:
         raise ValueError(f"dimension {n} is not divisible by {p - 1}")
 
-    ech = _Echelon()
-    rows: list[QVector] = []
+    echelon: list[tuple[int, list[int]]] = []  # of the blocks so far, by numerators
+    basis: list[QVector] = []
     w = seed
     while True:
         block, total = [], w
@@ -551,14 +517,15 @@ def cyclic_decomposition(m: QMatrix, p: int, seed: QVector) -> QMatrix:
             total = total + w
         if not total.is_zero:
             raise ValueError("minimal polynomial is not the prime cyclotomic polynomial")
-        rows += block
-        if len(rows) == n:
+        basis += block
+        if len(basis) == n:
             break
         for v in block:
-            ech.add(v)
-        w = QVector.unit(n, next(i for i in range(n) if not ech.contains(QVector.unit(n, i))))
-    den = math.lcm(*(v.den for v in rows))
-    return _matrix([[x * (den // v.den) for x in v.nums] for v in rows], den)
+            _insert(echelon, _clear(list(v.nums), echelon)[0], n)
+        w = QVector.unit(n, next(i for i in range(n)
+                                 if any(_clear([int(j == i) for j in range(n)], echelon)[0])))
+    den = math.lcm(*(v.den for v in basis))
+    return _matrix([[x * (den // v.den) for x in v.nums] for v in basis], den)
 
 
 # ---------------------------------------------------------------------------
@@ -619,11 +586,10 @@ def _elem_inverse(a: _Elem) -> _Elem:
     a nonzero rational. The sigma_h form a cyclic group generated by one
     primitive root r, so the product of sigma_(r^i)(a) for i < k doubles to
     i < 2k by one product with its own image under sigma_(r^k): O(log p)
-    products in all."""
+    products in all. At p = 2, F = Q and the one conjugate taken is a
+    itself, so the inverse is a / a^2."""
     nums, den = a
     p = len(nums) + 1
-    if p == 2:  # F = Q
-        return _elem([den], nums[0])
     r = _primitive_root(p)
     # q = prod of sigma_(r^i)(nums) for 0 <= i < k, from k = 1 to p - 2
     q, k = nums, 1
@@ -744,13 +710,9 @@ def semilinear_map(b: QVector, c: QVector, units: QMatrix, p: int, g: int) -> QM
     sigma_g(row i of B^-1) * C. Every inverse is of a minor: one per pivot
     of B after its first, one per pivot of C after its first but for its
     last, and one of det B, so det B alone at t = 1. No Fraction is made.
+    The caller, ``mixed_group.build_automorphism``, checks the seeds.
     """
-    k, n = p - 1, b.dim
-    if b.is_zero or c.is_zero:
-        raise ValueError("seed vectors must be nonzero")
-    if c.dim != n or units.n != n or n % k:
-        raise ValueError(f"dimensions {b.dim}, {c.dim}, {units.n} do not fit F^t for p = {p}")
-    t, g_inv = n // k, pow(g, -1, p)
+    k, t, g_inv = p - 1, b.dim // (p - 1), pow(g, -1, p)
     right = _choose_basis(_field_row(c.nums, c.den, k), units, k, [[]] * t)[0]
     tails = [[(_poly_map(e, g_inv, 0), d) for e, d in row] for row in right]
     _, rows, d, last = _choose_basis(_field_row(b.nums, b.den, k), units, k, tails)

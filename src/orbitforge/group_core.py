@@ -246,7 +246,7 @@ class GroupTable:
             labels = data.get("labels")
             if not isinstance(labels, (list, type(None))):
                 raise TypeError(f"labels must be a list, got {type(labels).__name__}")
-            labels = labels or [str(i) for i in range(len(table))]
+            labels = [str(i) for i in range(len(table))] if labels is None else labels
             declared = data.get("order")
             declared = None if declared is None else exact_int(declared)
         except (TypeError, KeyError) as exc:

@@ -201,6 +201,11 @@ def zero_matrix(n: int) -> QMatrix:
     return QMatrix(tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n)))
 
 
+def scalar_matrix(n: int, c) -> QMatrix:
+    """c times the n x n identity: the package has no scalar product."""
+    return QMatrix.of([[c if i == j else 0 for j in range(n)] for i in range(n)])
+
+
 def matrix_power(m: QMatrix, k: int) -> QMatrix:
     """m^k by repeated squaring; a negative k powers the inverse."""
     base = m if k >= 0 else m.inverse()
@@ -635,9 +640,8 @@ def fraction_minimal_polynomial(m: QMatrix) -> QPoly:
 def poly_eval(f: QPoly, m: QMatrix) -> QMatrix:
     """Evaluate f at the matrix m (Horner), exactly."""
     acc = zero_matrix(m.n)
-    ident = QMatrix.identity(m.n)
     for c in reversed(f.coeffs):
-        acc = acc * m + ident * c
+        acc = acc * m + scalar_matrix(m.n, c)
     return acc
 
 

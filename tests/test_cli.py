@@ -139,6 +139,22 @@ def test_malformed_group_and_cocycle_files_exit_2(capsys, tmp_path, command, dat
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("labels, got", [([], 0), (["a"], 1)])
+def test_wrong_label_count_exits_2(capsys, tmp_path, labels, got):
+    # an empty label list is a list of the wrong length, not a missing key;
+    # it took the default labels and exited 0 before
+    path = _write(tmp_path, {"table": [[0, 1], [1, 0]], "labels": labels})
+    code, out, err = _run(capsys, ["omega", path])
+    assert code == 2 and not out
+    assert f"expected 2 labels, got {got}" in err
+
+
+def test_absent_or_null_labels_take_the_default(capsys, tmp_path):
+    for data in ({"table": [[0, 1], [1, 0]]}, {"table": [[0, 1], [1, 0]], "labels": None}):
+        code, out, _ = _run(capsys, ["orbits", _write(tmp_path, data)])
+        assert code == 0 and "size   1: 1" in out
+
+
 def test_negative_pairs_exits_2(capsys):
     # a negative sample count certified "-4/-4 sampled pairs" before
     code, out, err = _run(capsys, ["--json", "mixed", "auto", "--p", "3", "--t", "1",

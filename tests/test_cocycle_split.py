@@ -33,11 +33,11 @@ def _sign_action_s3(dim: int) -> tuple[gc.GroupTable, gc.FiniteAction]:
     """S3 acting on Q^dim through its sign quotient: odd permutations negate."""
     s3 = gc.symmetric(3)
     perms = sorted(permutations(range(3)))
+    ident = QMatrix.identity(dim)
     mats = []
     for p in perms:
         inversions = sum(p[i] > p[j] for i in range(3) for j in range(i + 1, 3))
-        sign = -1 if inversions % 2 else 1
-        mats.append(QMatrix.identity(dim) * sign)
+        mats.append(-ident if inversions % 2 else ident)
     return s3, gc.FiniteAction(s3, dim, 0, tuple(mats))
 
 

@@ -14,6 +14,7 @@ from conftest import (
     independent_order_profile,
     intercalate_loop,
     relabeled_table,
+    scalar_matrix,
 )
 from orbitforge import group_core as gc
 from orbitforge.exact_linear import QMatrix
@@ -215,7 +216,7 @@ def test_non_homomorphic_action_names_the_first_failing_pair(data):
     scalar = data.draw(st.sampled_from([-1, 2, 3]), label="scalar")
     if q == 0:
         mats = [QMatrix.identity(2)] * b.order
-        mats[k] = QMatrix.identity(2) * scalar
+        mats[k] = scalar_matrix(2, scalar)
         mul = QMatrix.__mul__
     else:
         mats = [((1, 0), (0, 1))] * b.order

@@ -18,6 +18,7 @@ from conftest import (
     mixed_element_order,
     powers_sum_verdict,
     rational_action,
+    scalar_matrix,
     spec_checks_oracle,
     telescope,
     zero_matrix,
@@ -463,7 +464,7 @@ def test_sampled_pairs_never_overrule_the_exact_identities(data):
     q = data.draw(st.lists(_FRACTIONS, min_size=p - 1, max_size=p - 1).filter(any), label="q")
     q_of_r = zero_matrix(spec.n)
     for j, coeff in enumerate(q):
-        q_of_r = q_of_r + spec.powers[(beta.k * j) % p] * coeff
+        q_of_r = q_of_r + spec.powers[(beta.k * j) % p] * scalar_matrix(spec.n, coeff)
     rows = [list(r) for r in linear.rows]
     i = data.draw(st.integers(0, spec.n - 1), label="row")
     j = data.draw(st.integers(0, spec.n - 1), label="column")
