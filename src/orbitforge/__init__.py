@@ -8,6 +8,7 @@ from . import (
     catalog,
     classify,
     cocycle_split,
+    cyclotomic,
     exact_linear,
     group_core,
     mixed_group,
@@ -21,6 +22,7 @@ __all__ = [
     "catalog",
     "classify",
     "cocycle_split",
+    "cyclotomic",
     "exact_linear",
     "group_core",
     "mixed_group",

@@ -14,14 +14,8 @@ by the gcd of their entries after every update (primitive rows, in the
 fraction-free style of Bareiss, 1968), so entries grow with the minors of
 the input and not with a power of its common denominator. ``inverse`` is
 the one solve: [A | I] reduced until its left half is diagonal, sparsest
-rows first.
-
-A ``cyclic_decomposition`` (Krylov) basis turns Q^n into F^t for the
-field F = Q[x]/Phi_p(x), the p-th cyclotomic field, and ``semilinear_map``
-solves t x t systems over F with five integer operations on elements: the
-product, the monomial shift, the Galois maps x -> x^g, the inverse by
-Galois conjugates over the norm, and fraction-free Gauss-Jordan
-elimination.
+rows first. The cyclic bases of ``cyclic_decomposition`` read Q^n as F^t
+over the p-th cyclotomic field F, whose arithmetic is ``cyclotomic``.
 
 Convention: linear maps act on *row* vectors from the right, ``v * m``.
 Matrix products therefore compose left to right, which matches the
@@ -43,7 +37,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .arith import factorize, is_prime
+from .arith import is_prime
 
 
 def _format_row(nums: Iterable[int], d: int) -> list[str]:
@@ -54,13 +48,15 @@ def _format_row(nums: Iterable[int], d: int) -> list[str]:
 
 def _num_den(s: str | int) -> tuple[int, int]:
     """(num, den > 0), not reduced, of a JSON rational: "num/den", a bare
-    integer string, or an int. Anything else, a float, a bool or a zero or
-    signed denominator included, is a ValueError."""
-    if isinstance(s, str):
+    integer string, or an int. Anything else, a float, a bool, a space, an
+    underscore, a non-ASCII digit or a zero or signed denominator included,
+    is a ValueError."""
+    if isinstance(s, str) and s.isascii():
         num, slash, den = s.partition("/")
-        # a denominator is digits only: no sign, no space, not empty
+        # ASCII digits only, after one optional sign on the numerator: int()
+        # also reads spaces, underscores and other scripts' digits
         d = int(den) if den.isdigit() else 0 if slash else 1
-        if d:
+        if d and (num.isdigit() or num[1:].isdigit() and num[0] in "+-"):
             return int(num), d
     elif isinstance(s, int) and not isinstance(s, bool):
         return s, 1
@@ -526,202 +522,3 @@ def cyclic_decomposition(m: QMatrix, p: int, seed: QVector) -> QMatrix:
                                  if any(_clear([int(j == i) for j in range(n)], echelon)[0])))
     den = math.lcm(*(v.den for v in basis))
     return _matrix([[x * (den // v.den) for x in v.nums] for v in basis], den)
-
-
-# ---------------------------------------------------------------------------
-# the field F = Q[x] / Phi_p(x), Phi_p = 1 + x + ... + x^(p-1), in which x is
-# a primitive p-th root of unity. An element is its p - 1 coefficients on
-# 1, x, ..., x^(p-2): an integer list over a positive denominator, divided
-# through by their gcd (``_elem``), so the form is unique. Products are taken
-# mod x^p - 1 and then reduced by x^(p-1) = -(1 + x + ... + x^(p-2)).
-
-_Elem = tuple[list[int], int]
-
-
-def _elem(nums: list[int], den: int) -> _Elem:
-    """nums / den for den != 0, divided through by their gcd, den > 0."""
-    g = math.gcd(den, *nums)
-    if den < 0:
-        g = -g
-    return ([x // g for x in nums], den // g) if g != 1 else (nums, den)
-
-
-def _reduce_phi(acc: list[int]) -> list[int]:
-    """The p coefficients of a polynomial mod x^p - 1, reduced mod Phi_p."""
-    top = acc.pop()
-    return [x - top for x in acc] if top else acc
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """The product of two integer elements of F."""
-    p = len(a) + 1
-    acc = [0] * (2 * p)
-    for i, x in enumerate(a):
-        if x:
-            for k, y in enumerate(b, i):
-                acc[k] += x * y
-    return _reduce_phi([x + y for x, y in zip(acc, acc[p:])])
-
-
-def _poly_map(a: Sequence[int], h: int, s: int) -> list[int]:
-    """x^s * sigma_h(a) for the Galois map sigma_h: x -> x^h, h prime to p:
-    the coefficient of x^j moves to x^((h*j + s) mod p). With h = 1 it is
-    the monomial shift, with s = 0 the Galois map alone."""
-    p = len(a) + 1
-    acc = [0] * p
-    for j, x in enumerate(a):
-        acc[(h * j + s) % p] = x
-    return _reduce_phi(acc)
-
-
-def _primitive_root(p: int) -> int:
-    """The least generator of the multiplicative group mod the prime p."""
-    qs = factorize(p - 1)
-    return next(r for r in range(1, p) if all(pow(r, (p - 1) // q, p) != 1 for q in qs))
-
-
-def _elem_inverse(a: _Elem) -> _Elem:
-    """The inverse of a nonzero element: the product of its p - 2 Galois
-    conjugates other than itself, over its norm N(a) = a * (that product),
-    a nonzero rational. The sigma_h form a cyclic group generated by one
-    primitive root r, so the product of sigma_(r^i)(a) for i < k doubles to
-    i < 2k by one product with its own image under sigma_(r^k): O(log p)
-    products in all. At p = 2, F = Q and the one conjugate taken is a
-    itself, so the inverse is a / a^2."""
-    nums, den = a
-    p = len(nums) + 1
-    r = _primitive_root(p)
-    # q = prod of sigma_(r^i)(nums) for 0 <= i < k, from k = 1 to p - 2
-    q, k = nums, 1
-    for bit in bin(p - 2)[3:]:
-        q = _poly_mul(q, _poly_map(q, pow(r, k, p), 0))
-        k *= 2
-        if bit == "1":
-            q = _poly_mul(q, _poly_map(nums, pow(r, k, p), 0))
-            k += 1
-    conj = _poly_map(q, r, 0)
-    # nums * conj is the constant N. Mod x^p - 1 every coefficient but that
-    # of x^0 equals the one of x^(p-1), so N is the difference of the two:
-    # the sums over i + j = p (or 0) and over i + j = p - 1
-    const = nums[0] * conj[0] + sum(x * y for x, y in zip(nums[2:], reversed(conj[2:])))
-    top = sum(x * y for x, y in zip(nums[1:], reversed(conj[1:])))
-    return _elem([x * den for x in conj], const - top)
-
-
-def _elem_mul(a: _Elem, b: _Elem) -> _Elem:
-    return _elem(_poly_mul(a[0], b[0]), a[1] * b[1])
-
-
-def _elem_sub(a: _Elem, b: _Elem) -> _Elem:
-    (x, da), (y, db) = a, b
-    d = math.lcm(da, db)
-    ma, mb = d // da, d // db
-    return _elem([u * ma - v * mb for u, v in zip(x, y)], d)
-
-
-def _field_row(nums: Sequence[int], den: int, k: int) -> list[_Elem]:
-    """The vector nums / den of Q^(t*k) as a row of F^t, k = p - 1 entries
-    per block."""
-    return [_elem(list(nums[i:i + k]), den) for i in range(0, len(nums), k)]
-
-
-def _field_residual(v: list[_Elem], rows: Sequence[tuple[int, list[_Elem]]], d: _Elem,
-                    cols: range) -> list[_Elem]:
-    """The entries ``cols`` of d * v minus its components along rows, (pivot,
-    row) pairs of a fraction-free reduced echelon form: every row is d at its
-    pivot and 0 at the other pivots, so the component along it is v[pivot].
-    Zero entries are skipped, so a sparse v or echelon costs little."""
-    pivots = {c for c, _ in rows}
-    along = [(v[c], row) for c, row in rows if any(v[c][0])]
-    zero = ([0] * len(d[0]), 1)
-    out = []
-    for j in cols:
-        if j in pivots:
-            out.append(zero)
-            continue
-        e = _elem_mul(d, v[j]) if any(v[j][0]) else v[j]
-        for f, row in along:
-            if any(row[j][0]):
-                e = _elem_sub(e, _elem_mul(f, row[j]))
-        out.append(e)
-    return out
-
-
-def _field_insert(w: list[_Elem], rows: list[tuple[int, list[_Elem]]], d: _Elem) -> _Elem:
-    """Add a nonzero ``_field_residual`` w to the echelon rows of common
-    pivot d, in fraction-free Gauss-Jordan style: the first nonzero entry e
-    of w marks its pivot, and every other row r becomes
-    (e * r - r[pivot] * w) / d, so e is the new common pivot, returned. As in
-    Bareiss (1968), every entry stays a minor of the rows inserted, so only
-    minors are ever inverted: the inverse of a quotient of two elements
-    would cost p times the size of the quotient, itself p times theirs."""
-    c = next(j for j, (x, _) in enumerate(w) if any(x))
-    e = w[c]
-    if rows:
-        inv = _elem_inverse(d)
-        for i, (q, row) in enumerate(rows):
-            f = row[c]
-            row = [_elem_mul(e, x) if any(x[0]) else x for x in row]
-            if any(f[0]):
-                row = [_elem_sub(x, _elem_mul(f, y)) if any(y[0]) else x for x, y in zip(row, w)]
-            rows[i] = (q, [_elem_mul(inv, x) if any(x[0]) else x for x in row])
-    rows.append((c, w))
-    return e
-
-
-def _choose_basis(first: list[_Elem], units: QMatrix, k: int, tails: Sequence[list[_Elem]]):
-    """The F-basis of F^t made of first and then each row of ``units`` in
-    turn that is F-independent of the rows chosen so far; the chosen row i
-    is extended by tails[i], which takes no part in the choice. Returns the
-    chosen rows, unextended, the echelon form of all but the last extended
-    row with its common pivot, and the last one's residual against it."""
-    t = len(first)
-    chosen, rows, d = [first], [], ([1] + [0] * (k - 1), 1)
-    last = first + tails[0]
-    for u in units.nums:
-        if len(chosen) == t:
-            break
-        if last is not None:
-            d = _field_insert(last, rows, d)
-            last = None
-        v = _field_row(u, units.den, k)
-        left = _field_residual(v, rows, d, range(t))
-        if any(any(e) for e, _ in left):
-            tail = tails[len(chosen)]
-            last = left + _field_residual(v + tail, rows, d, range(t, t + len(tail)))
-            chosen.append(v)
-    return chosen, rows, d, last
-
-
-def semilinear_map(b: QVector, c: QVector, units: QMatrix, p: int, g: int) -> QMatrix:
-    """The sigma_g-semilinear map of F^t that sends one F-basis to another.
-
-    A vector of Q^n, n = t * (p - 1), is read as a row of F^t, block i of
-    its p - 1 coordinates holding the coefficients of entry i. The bases
-    start at b and at c, then take each row of ``units`` in turn that is
-    F-independent of the rows so far (``units`` must span F^t). With B and C
-    the t x t matrices of the two bases over F, the map is
-    u -> sigma_g(u * B^-1) * C, so row (i, j) of its matrix, the image of
-    x^j in entry i, is x^(g*j) * sigma_g(row i of B^-1) * C.
-
-    Fraction-free Gauss-Jordan on [B | sigma_(g^-1)(C)] over F, run while the
-    rows of B are chosen, ends at [D | D * X] with D = +-det B times the
-    identity and X = B^-1 * sigma_(g^-1)(C); row i of sigma_g(X) is
-    sigma_g(row i of B^-1) * C. Every inverse is of a minor: one per pivot
-    of B after its first, one per pivot of C after its first but for its
-    last, and one of det B, so det B alone at t = 1. No Fraction is made.
-    The caller, ``mixed_group.build_automorphism``, checks the seeds.
-    """
-    k, t, g_inv = p - 1, b.dim // (p - 1), pow(g, -1, p)
-    right = _choose_basis(_field_row(c.nums, c.den, k), units, k, [[]] * t)[0]
-    tails = [[(_poly_map(e, g_inv, 0), d) for e, d in row] for row in right]
-    _, rows, d, last = _choose_basis(_field_row(b.nums, b.den, k), units, k, tails)
-    # every pivot is now det(B) (up to sign): X is the right half over it
-    inv = _elem_inverse(_field_insert(last, rows, d))
-    rows.sort(key=_PIVOT)
-    # sigma_g of X, then the p - 1 shifts of each of its rows, over one denominator
-    xs = [[(_poly_map(e, g, 0), d) for e, d in (_elem_mul(inv, x) for x in row[t:])]
-          for _, row in rows]
-    den = math.lcm(*(d for row in xs for _, d in row))
-    return _matrix([[y * (den // d) for e, d in row for y in _poly_map(e, 1, g * j)]
-                    for row in xs for j in range(k)], den)

@@ -21,12 +21,9 @@ with constructed automorphism witnesses for transitivity inside each class.
 ``verify_automorphism`` certifies a witness (L, alpha, beta) by three exact
 identities: det L != 0, P * L == L * R, and beta outside A.
 
-Since Phi_p(M) = 0 and Phi_p is irreducible, A is a vector space F^t over
-the field F = Q(zeta_p) = Q[x]/Phi_p, with M acting as multiplication by x;
-the cyclic basis K that proved the spec, ``MixedGroupSpec.krylov``, gives
-the coordinates. ``build_automorphism`` solves each witness there, as a t x t
-system over F, and L is invertible by construction: det L = +-N(det C_F) /
-N(det B_F) for two F-bases B_F and C_F, N the norm of F. So
+Since Phi_p(M) = 0, A = F^t over the cyclotomic field F = Q(zeta_p), and
+``build_automorphism`` solves each witness there as a semilinear map,
+invertible by construction (the facts are stated in ``cyclotomic``). So
 ``omega_certificate`` checks only the other two identities.
 """
 
@@ -38,13 +35,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .arith import is_prime
+from .cyclotomic import semilinear_map
 from .exact_linear import (
     QMatrix,
     QVector,
     companion,
     cyclic_decomposition,
     cyclotomic_prime,
-    semilinear_map,
 )
 
 #: Bound on numerators and denominators drawn for randomized witnesses;
@@ -117,10 +114,9 @@ class MixedGroupSpec:
 
     ``krylov`` = (K, K^-1) for K = ``cyclic_decomposition(M, p, e_1)``
     proves it: every seed of K has a zero sum seed * Phi_p(M), and Phi_p(M)
-    commutes with M, so it kills the basis K. v -> v * K^-1 reads v in F^t,
-    F = Q[x]/Phi_p, block i of p - 1 coordinates holding entry i, and turns
-    v -> v * M into multiplication by x; row j of K^-1 is e_j in F^t. Only
-    a rejected M is powered.
+    commutes with M, so it kills the basis K. K also reads A as F^t, F the
+    p-th cyclotomic field (see ``cyclotomic``). Only a rejected M is
+    powered.
 
     ``powers[k]`` is M^k for 0 <= k < p, built at its first use (the group
     law, the witness checks) and kept; each power computes its sparse
@@ -377,25 +373,12 @@ def build_automorphism(
     orbit basis over beta seeded at c, and alpha itself to beta.
 
     The orbit basis over alpha is that of ``cyclic_decomposition(P, p, b)``
-    for P = M^(k_alpha): the blocks b_i * P^j, 0 <= j < p - 1, of b_1 = b and
-    of greedy seeds b_2, ..., b_t, each the first e_j outside the span of the
-    blocks so far; likewise over beta with R = M^(k_beta) and c. L is the
-    unique linear map sending each b_i * P^j to c_i * R^j, which is B^-1 * C
-    for the two bases, but it is solved in the spec's F-coordinates
-    v -> v * K^-1 (``MixedGroupSpec.krylov``, built with the spec), with no
-    basis and no elimination over Q per witness:
-
-    - Q[M^k] = Q[M] = F for p not dividing k, so a block spans the F-line of
-      its seed, and e_j lies outside the span of the earlier blocks exactly
-      when its F-coordinates are F-independent of the earlier seeds'. The
-      greedy seeds over F are those of ``cyclic_decomposition``.
-    - P and R act as x^(k_alpha) and x^(k_beta), so L * R == P * L makes L
-      semilinear for sigma_g: x -> x^g, g = k_beta / k_alpha mod p, and L
-      is u -> sigma_g(u * B_F^-1) * C_F for the t x t matrices B_F and C_F
-      of the seeds (``exact_linear.semilinear_map``); then L = K^-1 * L' * K.
-    - det L = +-N(det C_F) / N(det B_F) != 0, N the norm of F: u -> u * A
-      has determinant N(det A) over Q, and sigma_g, of finite order, has
-      determinant +-1.
+    for P = M^(k_alpha): the blocks b_i * P^j of b_1 = b and of greedy seeds
+    b_2, ..., b_t; likewise over beta with R = M^(k_beta) and c. L sends each
+    b_i * P^j to c_i * R^j: it is the sigma_g-semilinear map of A = F^t,
+    g = k_beta / k_alpha mod p, between the F-bases of the seeds, and
+    det L != 0 (see ``cyclotomic``). ``semilinear_map`` solves it in the
+    coordinates of the spec's cyclic basis, with no elimination over Q.
 
     Seeds that are zero or of the wrong length, and an alpha or beta inside
     A, are refused before any of this. No power of M is built; the map is
@@ -410,10 +393,8 @@ def build_automorphism(
     _check_dim(beta, spec)
     if b.dim != spec.n or c.dim != spec.n:
         raise ValueError(f"seed dimensions {b.dim}, {c.dim} do not match the spec's {spec.n}")
-    basis, basis_inv = spec.krylov
     g = beta.k * pow(alpha.k, -1, p) % p
-    field_map = semilinear_map(b * basis_inv, c * basis_inv, basis_inv, p, g)
-    linear = basis_inv * (field_map * basis)
+    linear = semilinear_map(b, c, spec.krylov, p, g)
     return MixedAutomorphism(linear=linear, alpha=alpha, image_of_alpha=beta)
 
 
@@ -458,10 +439,10 @@ def omega_certificate(
     explicit automorphism carrying one to the other is built and verified.
 
     A witness is verified by P * L == L * R, beta outside A and b * L == c,
-    with no determinant: ``build_automorphism`` solves L over F = Q(zeta_p)
-    between two F-bases B_F and C_F of A = F^t, so det L = +-N(det C_F) /
-    N(det B_F) != 0 (see there). The cyclic basis K that proved the spec,
-    and its inverse, serve every witness: this makes no elimination over Q.
+    with no determinant: ``build_automorphism`` solves L as a semilinear map
+    between two F-bases of A = F^t, so det L != 0 (see ``cyclotomic``). The
+    cyclic basis K that proved the spec, and its inverse, serve every
+    witness: this makes no elimination over Q.
     """
     if pairs_per_class < 1:
         raise ValueError("pairs_per_class must be positive")

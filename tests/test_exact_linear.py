@@ -69,10 +69,12 @@ def test_rat_format_parse_roundtrip():
     0.5, 1e30, 2.0,  # a JSON float is not an exact rational: 0.5 is not read as 1/2
     True, False,
     "1/0", "1/-2", "1/", "0.5", "1e3", "x", None, [1],
+    # not rational notation, though int() reads all but the last
+    "1_0/3", " 7/2", "\u0663/4", "3/\u0664", "\u00b2/1",
 ])
 def test_parse_rat_rejects_what_is_not_num_over_den(bad):
     # one entry parser behind both from_json methods: the same message
-    with pytest.raises(ValueError) as vector:
+    with pytest.raises(ValueError, match="invalid rational") as vector:
         QVector.from_json([bad])
     with pytest.raises(ValueError) as matrix:
         QMatrix.from_json([[bad]])
@@ -422,7 +424,7 @@ def test_inverse_of_a_witness_basis_clears_only_the_dense_block(monkeypatch):
 
 @pytest.mark.parametrize("p, t", [(p, t) for p in (2, 3, 5, 7, 13) for t in (1, 2, 4)
                                   if t * (p - 1) <= mg.MAX_DIM])
-def test_krylov_inverse_of_witness_bases_matches_the_oracle(p, t):
+def test_qmatrix_inverse_of_witness_bases_matches_the_oracle(p, t):
     # under every P = M^k, a basis from a random seed, as inside A, and
     # from e_1, as outside A
     spec = mg.build(p, t)
@@ -436,7 +438,7 @@ def test_krylov_inverse_of_witness_bases_matches_the_oracle(p, t):
 
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
-def test_krylov_inverse_under_rational_conjugates_matches_the_oracle(data):
+def test_qmatrix_inverse_under_rational_conjugates_matches_the_oracle(data):
     p = data.draw(st.sampled_from([2, 3, 5]), label="p")
     t = data.draw(st.sampled_from([1, 2]), label="t")
     n = t * (p - 1)
@@ -639,40 +641,3 @@ def test_kernels_on_the_p13_witness_match_fraction_oracles():
     assert linear * linear == fraction_matmul(linear, linear)
     b = QVector(left.rows[0])  # the seed is row 0 of its basis
     assert b * linear == fraction_vecmul(b, linear)
-
-
-# ---------------------------------------------------------------------------
-# arithmetic in F = Q[x] / Phi_p against polynomial long division
-
-def _mod_phi(coeffs, p: int) -> list:
-    """coeffs (lowest degree first) reduced mod Phi_p by long division:
-    x^m = -x^(m-p+1) * (1 + x + ... + x^(p-2)) for m >= p - 1."""
-    c = list(coeffs)
-    while len(c) > p - 1:
-        top = c.pop()
-        for j in range(len(c) - p + 1, len(c)):
-            c[j] -= top
-    return c + [0] * (p - 1 - len(c))
-
-
-_F_ELEMENTS = st.lists(st.integers(-50, 50), min_size=1, max_size=18)
-
-
-@settings(max_examples=60, deadline=None)
-@given(p=st.sampled_from([2, 3, 5, 7, 13, 19]), a=_F_ELEMENTS, b=_F_ELEMENTS,
-       den=st.integers(1, 30), h=st.integers(1, 18), s=st.integers(0, 40))
-def test_field_kernel_matches_polynomial_division(p, a, b, den, h, s):
-    a, b = _mod_phi(a, p), _mod_phi(b, p)
-    product = [0] * (2 * p)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            product[i + j] += x * y
-    assert el._poly_mul(a, b) == _mod_phi(product, p)
-    h = h % p or 1
-    image = [0] * (h * (p - 2) + s + 1)
-    for j, x in enumerate(a):
-        image[h * j + s] += x
-    assert el._poly_map(a, h, s) == _mod_phi(image, p)
-    if any(a):
-        one = el._elem([1] + [0] * (p - 2), 1)
-        assert el._elem_mul(el._elem(a, den), el._elem_inverse(el._elem(a, den))) == one
