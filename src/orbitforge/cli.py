@@ -5,12 +5,14 @@ cocycle {verify,trivialize,complement}, catalog, selftest. Groups are given
 either as a path to a group JSON file or as catalog:NAME. Certificates are
 the product; pass --json for machine-readable output. Every command is
 deterministic given --seed (default 0), and the exit code is 0 exactly when
-all requested verifications passed.
+all requested verifications passed. The parser is built once per process
+and shared by every ``main`` call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -200,6 +202,7 @@ def cmd_selftest(args) -> int:
     return 0 if failures == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orbitforge",
@@ -251,7 +254,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes included
+        msg = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"error: {msg}", file=sys.stderr)
         return 2
     except (classify.TheoremContradictionError,
             cocycle_split.TrivializationError) as exc:

@@ -94,7 +94,7 @@ class Cocycle:
             values = tuple(
                 tuple(QVector.from_json(v) for v in row) for row in data["values"]
             )
-        except TypeError as exc:
+        except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed cocycle JSON: {exc}") from exc
         return cls(base, action, values)
 

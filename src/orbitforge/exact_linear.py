@@ -29,6 +29,7 @@ formatter, ``_format_row``, writes them and one parser, ``_num_den``, reads.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,15 +50,22 @@ def _format_row(nums: Iterable[int], d: int) -> list[str]:
 def _num_den(s: str | int) -> tuple[int, int]:
     """(num, den > 0), not reduced, of a JSON rational: "num/den", a bare
     integer string, or an int. Anything else, a float, a bool, a space, an
-    underscore, a non-ASCII digit or a zero or signed denominator included,
-    is a ValueError."""
+    underscore, a non-ASCII digit, a zero or signed denominator or a number
+    longer than ``sys.get_int_max_str_digits()`` included, is a ValueError."""
     if isinstance(s, str) and s.isascii():
         num, slash, den = s.partition("/")
         # ASCII digits only, after one optional sign on the numerator: int()
         # also reads spaces, underscores and other scripts' digits
-        d = int(den) if den.isdigit() else 0 if slash else 1
-        if d and (num.isdigit() or num[1:].isdigit() and num[0] in "+-"):
-            return int(num), d
+        try:
+            d = int(den) if den.isdigit() else 0 if slash else 1
+            if d and (num.isdigit() or num[1:].isdigit() and num[0] in "+-"):
+                return int(num), d
+        except ValueError:
+            # the digits are checked, so int() fails only past its length limit
+            raise ValueError(
+                f"invalid rational of {len(s)} characters ({s[:12]!r}...): too many digits,"
+                f" at most {sys.get_int_max_str_digits()} in a numerator or denominator"
+            ) from None
     elif isinstance(s, int) and not isinstance(s, bool):
         return s, 1
     raise ValueError(f"invalid rational {s!r}: expected \"num/den\", an integer string or an int")

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -15,6 +16,7 @@ from conftest import (
     rational_action,
 )
 import orbitforge
+from orbitforge import cli
 from orbitforge import cocycle_split as cs
 from orbitforge import group_core as gc
 from orbitforge.cli import main
@@ -199,6 +201,73 @@ def test_python_dash_m_orbitforge_runs_the_cli():
     assert "S3" in done.stdout
 
 
+# ---------------------------------------------------------------------------
+# one parser per process, and nothing carried from one command to the next
+
+#: Flags that one command sets and the next leaves out, an argparse usage
+#: error, then --json on and off again.
+MIXED_SEQUENCE = [
+    ["--json", "--seed", "3", "mixed", "auto", "--p", "5", "--t", "1"],
+    ["mixed", "auto", "--p", "5", "--t", "1"],  # text output, --seed back to 0
+    ["omega"],  # no group: argparse exits 2 through SystemExit
+    ["--json", "classify", "catalog:S3"],
+    ["classify", "catalog:S3"],
+]
+
+
+def _main_or_exit(capsys, argv) -> tuple[int, str, str]:
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_parser_is_built_during_the_first_call_only(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    after_each = []
+    for argv in MIXED_SEQUENCE:
+        _main_or_exit(capsys, argv)
+        after_each.append(len(built))
+    # the top-level parser and one sub-parser per command, all in the first call
+    assert after_each == [8] * len(MIXED_SEQUENCE)
+
+
+def test_commands_in_one_process_match_fresh_processes(capsys, monkeypatch):
+    # a fixed width, so argparse wraps its usage text alike in both
+    monkeypatch.setenv("COLUMNS", "80")
+    src = os.path.dirname(os.path.dirname(orbitforge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in MIXED_SEQUENCE:
+        fresh = subprocess.run([sys.executable, "-m", "orbitforge", *argv],
+                               env=env, capture_output=True, timeout=60)
+        expected = (fresh.returncode, fresh.stdout.decode(), fresh.stderr.decode())
+        assert _main_or_exit(capsys, argv) == expected, argv
+
+
+def test_build_parser_returns_the_parser_main_parses_with(capsys, monkeypatch):
+    used = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        used.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    assert main(["omega", "catalog:S3"]) == main(["catalog"]) == 0
+    capsys.readouterr()
+    assert len(used) == 2 and all(p is cli.build_parser() for p in used)
+
+
 def test_negative_max_order_exits_2(capsys):
     # a negative bound skipped every catalog group and printed "all passed"
     code, out, err = _run(capsys, ["selftest", "--max-order", "-1"])
@@ -216,6 +285,41 @@ def test_malformed_or_invalid_matrix_exits_2(capsys, tmp_path, matrix):
     code, _, err = _run(capsys, ["mixed", "build", "--p", "3", "--matrix", _write(tmp_path, matrix)])
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("entry", ["-" + "9" * 5000 + "/1", "-1/" + "9" * 5000],
+                         ids=["numerator", "denominator"])
+def test_entry_past_the_digit_limit_exits_2_as_an_invalid_rational(capsys, tmp_path, entry):
+    code, out, err = _run(capsys, ["mixed", "build", "--p", "2", "--matrix",
+                                   _write(tmp_path, [[entry]])])
+    assert code == 2 and not out
+    assert err.startswith("error: invalid rational of 5003 characters")
+    assert "too many digits" in err and "set_int_max_str_digits" not in err
+
+
+def test_entry_at_the_digit_limit_is_read(capsys, tmp_path):
+    # -N/N = -1, the one action of C2 on Q
+    n = "9" * 4300
+    code, out, err = _run(capsys, ["mixed", "build", "--p", "2", "--matrix",
+                                   _write(tmp_path, [[f"-{n}/{n}"]])])
+    assert code == 0, err
+    assert "action matrix rows: -1" in out
+
+
+def test_cocycle_without_values_exits_2_as_malformed(capsys, tmp_path):
+    data = _cocycle_json()
+    del data["values"]
+    code, out, err = _run(capsys, ["cocycle", "verify", _write(tmp_path, data)])
+    assert code == 2 and not out
+    assert err == "error: malformed cocycle JSON: 'values'\n"  # was "error: 'values'"
+
+
+def test_unknown_catalog_group_message_is_not_quoted(capsys):
+    code, out, err = _run(capsys, ["omega", "catalog:nope"])
+    assert code == 2 and not out
+    # str() of the KeyError wrapped the message in double quotes
+    assert err.startswith("error: unknown catalog group 'nope'; known: ")
+    assert err.count('"') == 0
 
 
 def test_matrix_of_strings_exits_2(capsys, tmp_path):

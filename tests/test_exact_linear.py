@@ -81,6 +81,29 @@ def test_parse_rat_rejects_what_is_not_num_over_den(bad):
     assert str(vector.value) == str(matrix.value)
 
 
+#: Longer than int()'s default limit of 4300 digits per string conversion.
+TOO_LONG = "9" * 5000
+
+
+@pytest.mark.parametrize("bad", [TOO_LONG + "/7", "-" + TOO_LONG, "7/" + TOO_LONG],
+                         ids=["numerator", "signed", "denominator"])
+def test_parse_rat_rejects_too_many_digits_with_its_own_message(bad):
+    # int()'s own text named sys.set_int_max_str_digits(), which the CLI
+    # offers no way to change
+    with pytest.raises(ValueError, match="^invalid rational .*: too many digits") as vector:
+        QVector.from_json([bad])
+    with pytest.raises(ValueError) as matrix:
+        QMatrix.from_json([[bad]])
+    assert str(vector.value) == str(matrix.value)
+    assert "set_int_max_str_digits" not in str(vector.value)
+    assert len(str(vector.value)) < 200
+
+
+def test_parse_rat_reads_entries_at_the_digit_limit():
+    num, den = "-" + "9" * 4300, "7" * 4300
+    assert QVector.from_json([f"{num}/{den}"]).entries == (Fraction(int(num), int(den)),)
+
+
 @pytest.mark.parametrize("parse, data", [
     # a string is not the list of its characters: these read as (1, 2, 3)
     # and [[1, 2], [3, 4]] before
