@@ -47,6 +47,11 @@ def _format_row(nums: Iterable[int], d: int) -> list[str]:
     return [f"{x // g}/{d // g}" for x in nums for g in (math.gcd(x, d),)]
 
 
+#: Longest string entry that an "invalid rational" message quotes whole;
+#: a longer one is shown by its first 12 characters and its length.
+_QUOTED_MAX = 64
+
+
 def _num_den(s: str | int) -> tuple[int, int]:
     """(num, den > 0), not reduced, of a JSON rational: "num/den", a bare
     integer string, or an int. Anything else, a float, a bool, a space, an
@@ -68,7 +73,9 @@ def _num_den(s: str | int) -> tuple[int, int]:
             ) from None
     elif isinstance(s, int) and not isinstance(s, bool):
         return s, 1
-    raise ValueError(f"invalid rational {s!r}: expected \"num/den\", an integer string or an int")
+    long = isinstance(s, str) and len(s) > _QUOTED_MAX
+    shown = f"of {len(s)} characters ({s[:12]!r}...)" if long else repr(s)
+    raise ValueError(f"invalid rational {shown}: expected \"num/den\", an integer string or an int")
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)

@@ -16,7 +16,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice, permutations
+from itertools import chain, islice, permutations
 
 import numpy as np
 
@@ -54,12 +54,12 @@ def _close(members: list[int], inside: bytearray, cols: list[list[int]], start: 
                 members.append(y)
 
 
-def _generators(arr: np.ndarray, among=None) -> tuple[int, ...]:
+def _generators(arr: np.ndarray, among=None, limit: int | None = None) -> tuple[int, ...]:
     """Each element of among (by default every element), in turn, that lies
     outside the closure of those chosen before it. The closure is that of the
     identity under right multiplication by the chosen elements; on a group it
     is the subgroup they generate, on any magma it holds every left-bracketed
-    product of them."""
+    product of them. With a limit, stop once that many are chosen."""
     inside = bytearray(len(arr))
     inside[0] = 1
     members = [0]
@@ -67,16 +67,46 @@ def _generators(arr: np.ndarray, among=None) -> tuple[int, ...]:
     cols: list[list[int]] = []
     for x in range(len(arr)) if among is None else among:
         if not inside[x]:
+            if len(gens) == limit:
+                break
             gens.append(x)
             cols.append(arr[:, x].tolist())
             _close(members, inside, cols, len(members))
     return tuple(gens)
 
 
-def _validate_table(arr: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+_NOT_LATIN = "some row is not a permutation (Latin square violated)"
+
+
+def _require_latin_rows(arr: np.ndarray) -> None:
+    """Raise the Latin message unless every row of arr is a permutation."""
+    n = len(arr)
+    idx = np.arange(n, dtype=arr.dtype)
+    if not np.array_equal(np.sort(arr, axis=1), np.broadcast_to(idx, (n, n))):
+        raise ValueError(_NOT_LATIN)
+
+
+def _light_witness(arr: np.ndarray, gens) -> tuple[int, int, int] | None:
+    """The first (x, a, y), generator by generator and then in row-major
+    order, with (x*a)*y != x*(a*y), or None if every a in gens passes."""
+    n = len(arr)
+    for a in gens:
+        right = arr[a]
+        col = np.ascontiguousarray(arr[:, a])
+        for lo in range(0, n, _ASSOC_BLOCK):
+            hi = lo + _ASSOC_BLOCK
+            lhs = arr.take(col[lo:hi], axis=0)    # (x*a)*y
+            rhs = arr[lo:hi].take(right, axis=1)  # x*(a*y)
+            if not np.array_equal(lhs, rhs):
+                x, y = np.argwhere(lhs != rhs)[0]
+                return lo + int(x), a, int(y)
+    return None
+
+
+def _validate_table(arr: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
     """Check that the integer array arr is the Cayley table of a group with
-    identity 0; return it as a read-only int16 array, checked in place, and
-    the generating set of :func:`_generators`.
+    identity 0; return it as a read-only int16 array, checked in place, the
+    generating set of :func:`_generators` and the inverse of every element.
 
     Associativity is exact at every order, by Light's test (Clifford and
     Preston 1961, section 1.2): the elements a with (x*a)*y == x*(a*y) for
@@ -84,11 +114,17 @@ def _validate_table(arr: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     left-bracketed products reach every element proves it for all a. That is
     O(n^2 * d) for d generators, not O(n^3), done in blocks of rows.
 
-    The columns and the inverses need no check of their own. Once 0 is a
-    two-sided identity and every row is a permutation, each x has a right
-    inverse r (x*r = 0, the 0 in row x). An associative table is then a
-    monoid in which every element has a right inverse, which is a group, so
-    r is also a left inverse and every column is a permutation too.
+    Latin rows, Latin columns and inverses are derived, not checked. One
+    argmin pass finds a 0 in every row: x*r = 0 gives each x a right inverse
+    r. An associative table with a two-sided identity is a monoid, and a
+    monoid in which every element has a right inverse is a group, so r is
+    also a left inverse and every row and column of the table is a
+    permutation. The rows are sorted only to name a failure: when Light's
+    test fails, a table whose rows are not all permutations gets the Latin
+    message rather than the associativity one; and before Light's test when
+    there are more than floor(log2 n) generators, which a group never has
+    (each one at least doubles the subgroup generated so far), so a table far
+    from Latin cannot drive the test to O(n^3).
     """
     if arr.dtype.kind not in "iu":
         raise ValueError(f"table entries must be integers, got {arr.dtype}")
@@ -105,21 +141,23 @@ def _validate_table(arr: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     idx = np.arange(n, dtype=arr.dtype)
     if not (np.array_equal(arr[0], idx) and np.array_equal(arr[:, 0], idx)):
         raise ValueError("index 0 is not a two-sided identity")
-    if not np.array_equal(np.sort(arr, axis=1), np.broadcast_to(idx, (n, n))):
-        raise ValueError("some row is not a permutation (Latin square violated)")
-    gens = _generators(arr)
-    for a in gens:
-        right = arr[a]
-        for lo in range(0, n, _ASSOC_BLOCK):
-            block = arr[lo:lo + _ASSOC_BLOCK]
-            lhs = arr[block[:, a]]  # (x*a)*y
-            rhs = block[:, right]   # x*(a*y)
-            if not np.array_equal(lhs, rhs):
-                x, y = np.argwhere(lhs != rhs)[0]
-                raise ValueError(
-                    f"associativity fails: ({lo + x}*{a})*{y} != {lo + x}*({a}*{y})"
-                )
-    return arr, gens
+    # argmin copies a read-only array whole, so it goes a block at a time
+    inverses = np.concatenate([arr[lo:lo + _ASSOC_BLOCK].argmin(axis=1)
+                               for lo in range(0, n, _ASSOC_BLOCK)])
+    if arr[idx, inverses].any():  # some row holds no 0
+        raise ValueError(_NOT_LATIN)
+    bound = n.bit_length() - 1  # floor(log2 n)
+    gens = _generators(arr, limit=bound + 1)
+    if len(gens) > bound:
+        _require_latin_rows(arr)
+        gens = _generators(arr)
+    witness = _light_witness(arr, gens)
+    if witness is not None:
+        if len(gens) <= bound:  # the rows are not sorted yet
+            _require_latin_rows(arr)
+        x, a, y = witness
+        raise ValueError(f"associativity fails: ({x}*{a})*{y} != {x}*({a}*{y})")
+    return arr, gens, inverses
 
 
 _EXACT_INT = frozenset({int})
@@ -140,6 +178,25 @@ def _int_row(row) -> tuple[int, ...]:
     if not _EXACT_INT.issuperset(map(type, r)):
         r = tuple(map(exact_int, r))
     return r
+
+
+def _import_rows(table) -> np.ndarray:
+    """The rows of table as one int64 array. List or tuple rows whose
+    entries are all exactly int go in with one type check over every entry.
+    Anything else sends each row through ``_int_row``, which raises on a
+    float or a bool, each row read from table only once those before it
+    are checked."""
+    rows = []
+    it = iter(table)
+    for row in it:
+        if type(row) not in (list, tuple):
+            rows = [_int_row(r) for r in chain(rows, (row,), it)]
+            break
+        rows.append(row)
+    else:
+        if not _EXACT_INT.issuperset(map(type, chain.from_iterable(rows))):
+            rows = [_int_row(r) for r in rows]
+    return np.array(rows, dtype=np.int64)
 
 
 def _powers(arr: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
@@ -163,12 +220,13 @@ class GroupTable:
     checked for integer entries; an int16 array is frozen and kept without a
     copy.
 
-    Identity at index 0, permutation rows and associativity are verified
+    Identity at index 0, a 0 in every row and associativity are verified
     exactly at construction time, at every order; together they imply Latin
-    columns and two-sided inverses, so holding a GroupTable is itself a
-    certificate that the table is a group. ``generators`` is the generating
-    set the associativity check used: the least element outside the subgroup
-    generated so far, repeated until that subgroup is everything.
+    rows and columns and two-sided inverses (:func:`_validate_table`), so
+    holding a GroupTable is itself a certificate that the table is a group.
+    ``generators`` is the generating set the associativity check used: the
+    least element outside the subgroup generated so far, repeated until that
+    subgroup is everything.
     """
 
     __slots__ = ("order", "array", "labels", "generators", "_inverses", "_orders", "_abelian")
@@ -176,11 +234,11 @@ class GroupTable:
     def __init__(self, table, labels):
         try:
             if not isinstance(table, np.ndarray):
-                table = np.array([_int_row(row) for row in table], dtype=np.int64)
+                table = _import_rows(table)
             labels = tuple(str(x) for x in labels)
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"table must be a list of rows of integers: {exc}") from exc
-        arr, gens = _validate_table(table)
+        arr, gens, inverses = _validate_table(table)
         n = arr.shape[0]
         if len(labels) != n:
             raise ValueError(f"expected {n} labels, got {len(labels)}")
@@ -188,7 +246,7 @@ class GroupTable:
         object.__setattr__(self, "array", arr)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "_inverses", tuple(np.argmin(arr, axis=1).tolist()))
+        object.__setattr__(self, "_inverses", tuple(inverses.tolist()))
         object.__setattr__(self, "_orders", None)
         object.__setattr__(self, "_abelian", None)
 
@@ -264,8 +322,12 @@ class GroupTable:
 # constructors
 
 def _cyclic_array(n: int) -> np.ndarray:
-    idx = np.arange(n, dtype=np.int16)
-    return (idx[:, None] + idx) % n
+    """The table of C_n, contiguous read-only int16: row i is 0..n-1 rotated
+    left by i, a window of the doubled range, so no entry needs a modulo."""
+    doubled = np.tile(np.arange(n, dtype=np.int16), 2)
+    arr = np.lib.stride_tricks.sliding_window_view(doubled, n)[:n].copy()
+    arr.flags.writeable = False
+    return arr
 
 
 def _product_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -320,10 +382,13 @@ def dihedral(n: int) -> GroupTable:
     if n < 1:
         raise ValueError("rotation order must be positive")
     _check_order(2 * n)
-    # (f1, a1)(f2, a2) = (f1 ^ f2, (-1)^f2 * a1 + a2 mod n)
-    idx = np.arange(2 * n, dtype=np.int16)
-    f, a = idx // n, idx % n
-    table = (f[:, None] ^ f) * n + (a[:, None] * (1 - 2 * f) + a) % n
+    # (f1, a1)(f2, a2) = (f1 ^ f2, (-1)^f2 * a1 + a2 mod n): with c the
+    # table of C_n, the f2 = 1 blocks are the rows of c at -a1
+    c = _cyclic_array(n)
+    neg = np.arange(n, 0, -1)
+    neg[0] = 0  # -a mod n at index a
+    c_neg = c.take(neg, axis=0)
+    table = np.block([[c, c_neg + np.int16(n)], [c + np.int16(n), c_neg]])
     labels = [f"r^{a}" for a in range(n)] + [f"sr^{a}" for a in range(n)]
     return GroupTable(table, labels)
 

@@ -16,6 +16,7 @@ from bisect import insort
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from orbitforge import catalog
@@ -643,6 +644,74 @@ def poly_eval(f: QPoly, m: QMatrix) -> QMatrix:
     for c in reversed(f.coeffs):
         acc = acc * m + scalar_matrix(m.n, c)
     return acc
+
+
+# ---------------------------------------------------------------------------
+# oracles for table validation and import: the package's earlier code, which
+# sorted every row before Light's test and checked each row's entry types
+
+def validate_table_oracle(arr: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The table check as ``group_core._validate_table`` made it before the
+    Latin property was derived: identity, then a sort of every row, then
+    Light's test by 2-D fancy indexing over every generator. Returns the
+    read-only int16 table and its generators, or raises the ValueError
+    whose message the package must give."""
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"table entries must be integers, got {arr.dtype}")
+    n = len(arr)
+    if arr.shape != (n, n):
+        raise ValueError(f"table must be square, got shape {arr.shape}")
+    if n == 0:
+        raise ValueError("empty table")
+    if n > gc.MAX_ORDER:
+        raise ValueError(f"order {n} exceeds cap {gc.MAX_ORDER}")
+    if arr.min() < 0 or arr.max() >= n:
+        raise ValueError("table entries must be element indices")
+    arr = arr.astype(np.int16)
+    arr.flags.writeable = False
+    idx = np.arange(n, dtype=arr.dtype)
+    if not (np.array_equal(arr[0], idx) and np.array_equal(arr[:, 0], idx)):
+        raise ValueError("index 0 is not a two-sided identity")
+    if not np.array_equal(np.sort(arr, axis=1), np.broadcast_to(idx, (n, n))):
+        raise ValueError("some row is not a permutation (Latin square violated)")
+    gens = gc._generators(arr)
+    for a in gens:
+        right = arr[a]
+        for lo in range(0, n, 256):
+            block = arr[lo:lo + 256]
+            lhs = arr[block[:, a]]  # (x*a)*y
+            rhs = block[:, right]   # x*(a*y)
+            if not np.array_equal(lhs, rhs):
+                x, y = np.argwhere(lhs != rhs)[0]
+                raise ValueError(
+                    f"associativity fails: ({lo + x}*{a})*{y} != {lo + x}*({a}*{y})"
+                )
+    return arr, gens
+
+
+def int_row_import_oracle(table) -> np.ndarray:
+    """The rows of a table as ``GroupTable`` read them before one type check
+    covered every entry: each row through ``group_core._int_row``, with the
+    same ValueError for a TypeError or an OverflowError."""
+    try:
+        return np.array([gc._int_row(row) for row in table], dtype=np.int64)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"table must be a list of rows of integers: {exc}") from exc
+
+
+def modulo_cyclic_array(n: int) -> np.ndarray:
+    """The table of C_n by an n^2 modulo, as ``_cyclic_array`` built it."""
+    idx = np.arange(n, dtype=np.int16)
+    return (idx[:, None] + idx) % n
+
+
+def modulo_dihedral_array(n: int) -> np.ndarray:
+    """The table of the dihedral group of order 2n by its product rule
+    (f1, a1)(f2, a2) = (f1 ^ f2, (-1)^f2 * a1 + a2 mod n), as ``dihedral``
+    built it."""
+    idx = np.arange(2 * n, dtype=np.int16)
+    f, a = idx // n, idx % n
+    return (f[:, None] ^ f) * n + (a[:, None] * (1 - 2 * f) + a) % n
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,16 @@ def test_entry_past_the_digit_limit_exits_2_as_an_invalid_rational(capsys, tmp_p
     assert "too many digits" in err and "set_int_max_str_digits" not in err
 
 
+def test_long_invalid_entry_gets_a_short_error_line(capsys, tmp_path):
+    # quoting the whole entry would write a 3076-byte line for this one
+    code, out, err = _run(capsys, ["mixed", "build", "--p", "2", "--matrix",
+                                   _write(tmp_path, [["x" * 3000]])])
+    assert code == 2 and not out
+    assert err == ("error: invalid rational of 3000 characters ('xxxxxxxxxxxx'...):"
+                   " expected \"num/den\", an integer string or an int\n")
+    assert len(err.encode()) < 120
+
+
 def test_entry_at_the_digit_limit_is_read(capsys, tmp_path):
     # -N/N = -1, the one action of C2 on Q
     n = "9" * 4300

@@ -81,6 +81,18 @@ def test_parse_rat_rejects_what_is_not_num_over_den(bad):
     assert str(vector.value) == str(matrix.value)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("x" * 64, f"invalid rational {'x' * 64!r}"),
+    ("1/2/3" + "4" * 59, f"invalid rational {'1/2/3' + '4' * 59!r}"),
+    ("x" * 65, "invalid rational of 65 characters ('xxxxxxxxxxxx'...)"),
+    ("1/2/3" + "4" * 3000, "invalid rational of 3005 characters ('1/2/34444444'...)"),
+], ids=["64 quoted", "64 digits quoted", "65 shortened", "3005 shortened"])
+def test_parse_rat_quotes_an_entry_up_to_64_characters(bad, message):
+    with pytest.raises(ValueError) as vector:
+        QVector.from_json([bad])
+    assert str(vector.value) == message + ': expected "num/den", an integer string or an int'
+
+
 #: Longer than int()'s default limit of 4300 digits per string conversion.
 TOO_LONG = "9" * 5000
 

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import conftest
@@ -133,8 +133,31 @@ def test_array_is_read_only_int16(catalog_groups):
             g.array[0, 0] = 1
 
 
+def _contiguous_frozen_int16(arr: np.ndarray) -> None:
+    assert arr.dtype == np.int16
+    assert arr.flags.c_contiguous
+    assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("n", [*range(1, 71), 512, 2048, 4096])
+def test_cyclic_array_matches_the_modulo_formula(n):
+    expected = conftest.modulo_cyclic_array(n)
+    for arr in (gc._cyclic_array(n), gc.cyclic(n).array):
+        _contiguous_frozen_int16(arr)
+        assert np.array_equal(arr, expected)
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 1024, 2048])
+def test_dihedral_array_matches_the_modulo_formula(n):
+    arr = gc.dihedral(n).array
+    _contiguous_frozen_int16(arr)
+    assert np.array_equal(arr, conftest.modulo_dihedral_array(n))
+
+
 def test_order_4096_builds_and_queries_in_bounded_memory():
-    # int16 storage with no Python rows; the tuple rows took about 1.2 GB
+    # int16 storage with no Python rows and no whole-table temporaries: the
+    # table itself is 32 MiB and the peak measured 38.4 MiB, so one more
+    # table-sized copy (a sort, or an argmin of the read-only table) fails
     tracemalloc.start()
     try:
         g = gc.cyclic(4096)
@@ -145,7 +168,7 @@ def test_order_4096_builds_and_queries_in_bounded_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 200 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+    assert peak < 48 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------
@@ -464,3 +487,155 @@ def test_small_loops_are_rejected(data):
     assert not brute_force_associative(table)
     with pytest.raises(ValueError, match="associativity"):
         gc.GroupTable(table, g.labels)
+
+
+# ---------------------------------------------------------------------------
+# the table check against the sort-first validator
+
+def _outcome(build) -> str | None:
+    """None if build() returns, else the message of its ValueError."""
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+_SMALL_GROUPS = [gc.cyclic(n) for n in range(1, 9)] + [
+    gc.elementary_abelian(2, 2), gc.elementary_abelian(2, 3), gc.symmetric(3),
+    gc.dihedral(4), gc.quaternion(),
+]
+
+
+@st.composite
+def tables_with_identity(draw):
+    """A table of order n <= 8 whose row and column 0 are the identity: a
+    relabeled group with a few entries redrawn, or arbitrary entries; either
+    way every row may then be made to hold a 0, so that non-Latin tables
+    pass the cheap row check and reach Light's test."""
+    if draw(st.booleans(), label="from a group"):
+        g = draw(st.sampled_from(_SMALL_GROUPS), label="group")
+        n = g.order
+        sigma = (0,) + tuple(draw(st.permutations(range(1, n)), label="sigma"))
+        table = relabeled_table(g.table, sigma)
+        if n > 1:
+            cells = st.tuples(st.integers(1, n - 1), st.integers(1, n - 1))
+            for i, j in draw(st.lists(cells, max_size=3), label="redrawn cells"):
+                table[i][j] = draw(st.integers(0, n - 1), label=f"entry {i}, {j}")
+    else:
+        n = draw(st.integers(1, 6), label="order")
+        table = [list(range(n))] + [
+            [i] + draw(st.lists(st.integers(0, n - 1), min_size=n - 1, max_size=n - 1), label=f"row {i}")
+            for i in range(1, n)
+        ]
+    if n > 1 and draw(st.booleans(), label="a 0 in every row"):
+        for row in table[1:]:
+            if 0 not in row:
+                row[draw(st.integers(1, n - 1), label="zero at")] = 0
+    return table
+
+
+@settings(max_examples=500, deadline=None)
+@given(table=tables_with_identity())
+@example(table=[[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 1]])  # Light's test fails
+@example(table=[[0, 1, 2], [1, 0, 0], [2, 0, 1]])  # 2 > log2(3) generators
+def test_table_check_matches_the_sort_first_oracle(table):
+    # the same tables accepted, the same message for each rejected one, and
+    # the same generators and inverses for each accepted one
+    n = len(table)
+    expected = _outcome(lambda: conftest.validate_table_oracle(np.array(table, dtype=np.int64)))
+    assert _outcome(lambda: gc.GroupTable(table, [str(x) for x in range(n)])) == expected
+    if expected is None:
+        g = gc.GroupTable(table, [str(x) for x in range(n)])
+        assert g.generators == conftest.validate_table_oracle(np.array(table))[1]
+        assert g._inverses == tuple(row.index(0) for row in table)
+
+
+def test_non_latin_table_that_fails_light_gets_the_latin_message(monkeypatch):
+    # every row holds a 0, the one generator 1 reaches everything, and row 3
+    # repeats 1: Light's test fails, then the rows are sorted to name it
+    table = [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 1]]
+    calls = conftest.count_calls(monkeypatch, gc, "_light_witness", "_require_latin_rows")
+    with pytest.raises(ValueError, match=r"^some row is not a permutation \(Latin square violated\)$"):
+        gc.GroupTable(table, list("abcd"))
+    assert calls == {"_light_witness": 1, "_require_latin_rows": 1}
+
+
+def test_group_rows_are_never_sorted(monkeypatch, catalog_groups):
+    calls = conftest.count_calls(monkeypatch, gc, "_require_latin_rows")
+    for g in catalog_groups.values():
+        gc.GroupTable(g.array, g.labels)
+    assert calls == {"_require_latin_rows": 0}
+
+
+def test_magma_with_more_than_log2_n_generators_skips_light(monkeypatch):
+    # order 4096 with x*y = 0 for x, y != 0: every row holds a 0 but no row
+    # past the first is a permutation, and each x != 0 closes only {0, x}, so
+    # all 4095 elements would be generators; past floor(log2 4096) = 12 the
+    # rows are sorted instead of running Light's test on each
+    n = 4096
+    arr = np.zeros((n, n), dtype=np.int16)
+    arr[0] = arr[:, 0] = np.arange(n)
+    message = "some row is not a permutation (Latin square violated)"
+    assert _outcome(lambda: conftest.validate_table_oracle(arr)) == message
+    found, real = [], gc._generators
+
+    def recording(*args, **kwargs):
+        found.append(real(*args, **kwargs))
+        return found[-1]
+
+    monkeypatch.setattr(gc, "_generators", recording)
+    calls = conftest.count_calls(monkeypatch, gc, "_light_witness", "_require_latin_rows")
+    assert _outcome(lambda: gc._validate_table(arr)) == message
+    assert [len(gens) for gens in found] == [13]
+    assert calls == {"_light_witness": 0, "_require_latin_rows": 1}
+
+
+#: Tables with entries of each type, as factories, since generator rows are
+#: used up by one read.
+ENTRY_TABLES = {
+    "bool": lambda: [[0, 1], [1, True]],
+    "float": lambda: [[0, 1], [1, 0.0]],
+    "numpy float": lambda: [[0, 1], [1, np.float64(0)]],
+    "str": lambda: [[0, 1], [1, "0"]],
+    "2**70": lambda: [[0, 1], [1, 2**70]],
+    "ragged": lambda: [[0, 1], [1]],
+    "numpy int32": lambda: [[np.int32(0), np.int32(1)], [np.int32(1), np.int32(0)]],
+    "tuple rows": lambda: ((0, 1), (1, 0)),
+    "generator rows": lambda: ((x ^ y for y in range(2)) for x in range(2)),
+    "array rows": lambda: [np.array([0, 1]), np.array([1, 0])],
+    "str row": lambda: [[0, 1], "10"],
+    "int row": lambda: [[0, 1], 5],
+    "float before an int row": lambda: [[0, 1.0], 5],
+    "not iterable": lambda: 5,
+    "not Latin": lambda: [[0, 1], [1, 1]],
+}
+
+#: The outcome of each, as the parent's row-by-row import gave it.
+ENTRY_OUTCOMES = {
+    "bool": "table must be a list of rows of integers: a boolean is not an integer",
+    "float": "table must be a list of rows of integers: 'float' object cannot be interpreted as an integer",
+    "numpy float": "table must be a list of rows of integers: 'numpy.float64' object cannot be interpreted as an integer",
+    "str": "table must be a list of rows of integers: 'str' object cannot be interpreted as an integer",
+    "2**70": "table must be a list of rows of integers: Python int too large to convert to C long",
+    "numpy int32": None,
+    "tuple rows": None,
+    "generator rows": None,
+    "array rows": None,
+    "str row": "table must be a list of rows of integers: 'str' object cannot be interpreted as an integer",
+    "int row": "table must be a list of rows of integers: 'int' object is not iterable",
+    "float before an int row": "table must be a list of rows of integers: 'float' object cannot be interpreted as an integer",
+    "not iterable": "table must be a list of rows of integers: 'int' object is not iterable",
+    "not Latin": "some row is not a permutation (Latin square violated)",
+}
+
+
+@pytest.mark.parametrize("case", ENTRY_TABLES)
+def test_table_entry_types_match_the_row_by_row_import(case):
+    make = ENTRY_TABLES[case]
+    expected = _outcome(lambda: conftest.validate_table_oracle(conftest.int_row_import_oracle(make())))
+    assert _outcome(lambda: gc.GroupTable(make(), ["e", "a"])) == expected
+    if case in ENTRY_OUTCOMES:
+        assert expected == ENTRY_OUTCOMES[case]
+    if expected is None:
+        assert gc.GroupTable(make(), ["e", "a"]).table == ((0, 1), (1, 0))
