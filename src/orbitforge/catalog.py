@@ -64,8 +64,7 @@ def entries() -> list[CatalogEntry]:
 
 
 def get(name: str) -> gc.GroupTable:
-    try:
-        return CATALOG[name].build()
-    except KeyError:
+    if name not in CATALOG:
         known = ", ".join(sorted(CATALOG))
-        raise KeyError(f"unknown catalog group {name!r}; known: {known}") from None
+        raise ValueError(f"unknown catalog group {name!r}; known: {known}")
+    return CATALOG[name].build()

@@ -15,6 +15,8 @@ multiply as (x, a)(y, b) = (xy, a * M_y + b + c(x, y)).
 
 Cocycles here are normalized, c(1, y) = c(x, 1) = 0; that loses no
 generality and makes the complement meet A trivially by construction.
+Building a ``Cocycle`` verifies the identity, as building a ``GroupTable``
+proves associativity, so holding one certifies it.
 
 The checks run on plain integers. A cocycle scales its values once to one
 common denominator D and its action matrices to one common denominator E,
@@ -49,7 +51,9 @@ class TrivializationError(RuntimeError):
 
 @dataclass(frozen=True)
 class Cocycle:
-    """A normalized 2-cocycle of a finite group with values in Q^n."""
+    """A normalized 2-cocycle of a finite group with values in Q^n, verified
+    when it is built: construction raises ``CocycleError`` with the first
+    failing triple, so every ``Cocycle`` satisfies the identity."""
 
     base: GroupTable
     action: FiniteAction
@@ -69,8 +73,10 @@ class Cocycle:
         for y in range(b.order):
             if not self.values[0][y].is_zero or not self.values[y][0].is_zero:
                 raise ValueError("cocycle must be normalized: c(1, y) = c(x, 1) = 0")
-        object.__setattr__(self, "_verified", None)
-        object.__setattr__(self, "_ints", None)
+        object.__setattr__(self, "_ints", _integer_form(self))
+        ok, witness = verify_cocycle(self)
+        if not ok:
+            raise CocycleError(witness)
 
     @property
     def module_dim(self) -> int:
@@ -96,31 +102,30 @@ class Cocycle:
             )
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed cocycle JSON: {exc}") from exc
+        del data  # free the parsed document before the identity is verified
         return cls(base, action, values)
 
 
 def _integer_form(c: Cocycle) -> tuple[int, list, int, list]:
-    """(D, vals, E, rows), built on first use and cached on c: D and E are
-    the least common denominators of the values and of the action
-    matrices, vals[x][y] = D * c(x, y), and rows[z] holds the sparse rows
-    of E * M_z, as (column, entry) pairs of integers."""
-    if c._ints is None:
-        d = math.lcm(*(v.den for row in c.values for v in row))
-        vals = [[v.nums if v.den == d else tuple([x * (d // v.den) for x in v.nums])
-                 for v in row] for row in c.values]
-        mats = c.action.matrices
-        e = math.lcm(*(m.den for m in mats))
-        rows = [m._sparse if m.den == e else [[(j, w * (e // m.den)) for j, w in row]
-                                              for row in m._sparse] for m in mats]
-        object.__setattr__(c, "_ints", (d, vals, e, rows))
-    return c._ints
+    """(D, vals, E, rows), kept on c when it is built: D and E are the least
+    common denominators of the values and of the action matrices,
+    vals[x][y] = D * c(x, y), and rows[z] holds the sparse rows of E * M_z,
+    as (column, entry) pairs of integers."""
+    d = math.lcm(*(v.den for row in c.values for v in row))
+    vals = [[v.nums if v.den == d else tuple([x * (d // v.den) for x in v.nums])
+             for v in row] for row in c.values]
+    mats = c.action.matrices
+    e = math.lcm(*(m.den for m in mats))
+    rows = [m._sparse if m.den == e else [[(j, w * (e // m.den)) for j, w in row]
+                                          for row in m._sparse] for m in mats]
+    return d, vals, e, rows
 
 
 def _first_failure(c: Cocycle, middles: Sequence[int]) -> tuple[int, int, int] | None:
     """The first (x, y, z) in lexicographic order, y drawn from middles, at
     which E * (c(xy, z) - c(x, yz) - c(y, z)) + c(x, y) * (E * M_z) != 0,
     the cocycle identity times E; None if there is none."""
-    _, vals, e, rows = _integer_form(c)
+    _, vals, e, rows = c._ints
     arr = c.base.array
     order = range(c.base.order)
     vecmul = int_vecmul
@@ -138,8 +143,9 @@ def _first_failure(c: Cocycle, middles: Sequence[int]) -> tuple[int, int, int] |
 
 
 def verify_cocycle(c: Cocycle) -> tuple[bool, tuple[int, int, int] | None]:
-    """Exact check of the cocycle identity; on failure the lexicographically
-    first offending (x, y, z) is returned.
+    """Exact check of the cocycle identity, which ``Cocycle`` runs once when
+    it is built; on failure the lexicographically first offending (x, y, z)
+    is returned.
 
     The identity at (x, y, z) is associativity of the extension at the
     triple ((x, 0), (y, 0), (z, 0)) with y in the middle, so by Light's test
@@ -157,15 +163,6 @@ def verify_cocycle(c: Cocycle) -> tuple[bool, tuple[int, int, int] | None]:
     return False, _first_failure(c, range(c.base.order))
 
 
-def ensure_verified(c: Cocycle) -> None:
-    """Verify once and cache; raises CocycleError with a witness on failure."""
-    if c._verified is None:
-        object.__setattr__(c, "_verified", verify_cocycle(c))
-    ok, witness = c._verified
-    if not ok:
-        raise CocycleError(witness)
-
-
 @dataclass(frozen=True)
 class ExtensionElement:
     """An element (x, a) of the extension of B by Q^n determined by a cocycle."""
@@ -175,9 +172,9 @@ class ExtensionElement:
 
 
 def extension_multiply(e1: ExtensionElement, e2: ExtensionElement, c: Cocycle) -> ExtensionElement:
-    """(x, a)(y, b) = (xy, a * M_y + b + c(x, y)); requires a verified cocycle,
-    since the cocycle identity is exactly associativity of this product."""
-    ensure_verified(c)
+    """(x, a)(y, b) = (xy, a * M_y + b + c(x, y)); associative, because the
+    cocycle identity that ``Cocycle`` proves is exactly associativity of this
+    product."""
     if e1.a.dim != c.module_dim or e2.a.dim != c.module_dim:
         raise ValueError("extension element dimension mismatch")
     x, y = e1.x, e2.x
@@ -203,8 +200,7 @@ def trivialize(c: Cocycle) -> tuple[QVector, ...]:
     the relation times |B| * D * E is
     E * (|B| * D * c(y, z) + s(yz) - s(z)) - s(y) * (E * M_z) == 0.
     """
-    ensure_verified(c)
-    d, vals, e, rows = _integer_form(c)
+    d, vals, e, rows = c._ints
     nb = c.base.order
     vecmul = int_vecmul
     sums = [[sum(col) for col in zip(*column)] for column in zip(*vals)]

@@ -350,13 +350,13 @@ def _digits(v: int, q: int, k: int) -> tuple[int, ...]:
 
 
 def _elementary_abelian_array(q: int, k: int) -> np.ndarray:
-    # (C_q)^k is C_q x ... x C_q; every factor is C_q, so the digit order of
-    # the folded product index agrees with the vector index sum v_i * q^i
-    cq = _cyclic_array(q)
-    arr = cq
-    for _ in range(k - 1):
-        arr = _product_array(arr, cq)
-    return arr
+    # (C_q)^k is (C_q)^(k//2) x (C_q)^(k - k//2), halved recursively; its table
+    # is digit-wise addition mod q, so the grouping of the factors cannot
+    # change it, and the product index agrees with the vector index sum v_i * q^i
+    if k == 1:
+        return _cyclic_array(q)
+    return _product_array(_elementary_abelian_array(q, k // 2),
+                          _elementary_abelian_array(q, k - k // 2))
 
 
 def elementary_abelian(q: int, k: int) -> GroupTable:

@@ -174,8 +174,8 @@ def build(p: int, t: int | None = None, m: QMatrix | None = None) -> MixedGroupS
         m = QMatrix.block_diag([block] * t)
     if t is None:
         _check_params(p, 1)
-        if m.n % (p - 1) != 0:
-            raise SpecValidationError(f"matrix size {m.n} is not a multiple of {p - 1}")
+        if m.n == 0 or m.n % (p - 1) != 0:
+            raise SpecValidationError(f"matrix size {m.n} is not a positive multiple of {p - 1}")
         t = m.n // (p - 1)
     return MixedGroupSpec(p, t, m)
 

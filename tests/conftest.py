@@ -233,7 +233,7 @@ def random_cocycle(base, action, seed: int):
 
     Over Q^n every cocycle of a finite group is a coboundary (that is what
     trivialize computes), so coboundaries are fully representative test
-    inputs. The result is still run through verify_cocycle.
+    inputs. Like every ``Cocycle``, the result is verified when it is built.
     """
     rng = random.Random(seed)
     n = action.module_dim
@@ -242,9 +242,7 @@ def random_cocycle(base, action, seed: int):
         f.append(
             QVector(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)))
         )
-    c = cs.coboundary(f, base, action)
-    cs.ensure_verified(c)
-    return c
+    return cs.coboundary(f, base, action)
 
 
 def permutation_action(g) -> "gc.FiniteAction":
@@ -466,14 +464,15 @@ def brute_force_associative(table) -> bool:
                for x in range(n) for y in range(n) for z in range(n))
 
 
-def brute_force_cocycle(c) -> tuple[bool, tuple[int, int, int] | None]:
-    """The cocycle identity c(xy, z) + c(x, y) M_z == c(x, yz) + c(y, z) over
-    all |B|^3 triples in lexicographic order, with the first failure; in
-    plain Fractions read off ``entries`` and ``rows``, with no QVector
-    arithmetic."""
-    t, mats = c.base.table, [m.rows for m in c.action.matrices]
-    v = [[list(e.entries) for e in row] for row in c.values]
-    n, d = c.base.order, c.module_dim
+def brute_force_cocycle(base, action, values) -> tuple[bool, tuple[int, int, int] | None]:
+    """The cocycle identity c(xy, z) + c(x, y) M_z == c(x, yz) + c(y, z) of the
+    value table c = values over all |B|^3 triples in lexicographic order,
+    with the first failure; in plain Fractions read off ``entries`` and
+    ``rows``, with no QVector arithmetic. It takes the raw table, since a
+    failing one cannot be built into a ``Cocycle``."""
+    t, mats = base.table, [m.rows for m in action.matrices]
+    v = [[list(e.entries) for e in row] for row in values]
+    n, d = base.order, action.module_dim
     for x in range(n):
         for y in range(n):
             for z in range(n):
@@ -703,6 +702,16 @@ def modulo_cyclic_array(n: int) -> np.ndarray:
     """The table of C_n by an n^2 modulo, as ``_cyclic_array`` built it."""
     idx = np.arange(n, dtype=np.int16)
     return (idx[:, None] + idx) % n
+
+
+def folded_elementary_abelian_array(q: int, k: int) -> np.ndarray:
+    """The table of (C_q)^k folded one factor at a time, (((C_q x C_q) x C_q)
+    x ...), as ``_elementary_abelian_array`` built it."""
+    cq = gc._cyclic_array(q)
+    arr = cq
+    for _ in range(k - 1):
+        arr = gc._product_array(arr, cq)
+    return arr
 
 
 def modulo_dihedral_array(n: int) -> np.ndarray:

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,14 +10,16 @@ import time
 import pytest
 
 from conftest import (
+    brute_force_cocycle,
     count_calls,
     count_eliminations,
+    perfbench_inputs,
     permutation_action,
     random_cocycle,
     rational_action,
 )
 import orbitforge
-from orbitforge import cli
+from orbitforge import auto_orbits, cli
 from orbitforge import cocycle_split as cs
 from orbitforge import group_core as gc
 from orbitforge.cli import main
@@ -35,15 +38,21 @@ def _write(tmp_path, data) -> str:
     return str(path)
 
 
-def _c3_cocycle(corrupt: bool) -> cs.Cocycle:
+def _cocycle_json(**override) -> dict:
+    """A valid cocycle file over C3 with the trivial action on Q^1, with the
+    given keys replaced."""
     c3 = gc.cyclic(3)
-    action = gc.trivial_action(c3, 1)
-    if not corrupt:
-        return random_cocycle(c3, action, seed=0)
-    zero = QVector.zero(1)
-    rows = [[zero] * 3 for _ in range(3)]
-    rows[1][1] = QVector.of(1)  # c(g, g) = 1 is not a cocycle over C3
-    return cs.Cocycle(c3, action, tuple(tuple(r) for r in rows))
+    data = random_cocycle(c3, gc.trivial_action(c3, 1), seed=0).to_json()
+    data.update(override)
+    return data
+
+
+def _corrupted_cocycle_json() -> dict:
+    """The zero cochain over C3 with c(g, g) = 1, which is not a cocycle, so
+    no Cocycle can hold it."""
+    values = [[[0]] * 3 for _ in range(3)]
+    values[1][1] = [1]
+    return _cocycle_json(values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +71,7 @@ def test_success_exits_0(capsys, argv):
 
 
 def test_valid_cocycle_exits_0(capsys, tmp_path):
-    path = _write(tmp_path, _c3_cocycle(corrupt=False).to_json())
+    path = _write(tmp_path, _cocycle_json())
     for sub in ("verify", "trivialize", "complement"):
         assert _run(capsys, ["cocycle", sub, path])[0] == 0
 
@@ -71,24 +80,62 @@ def test_valid_cocycle_exits_0(capsys, tmp_path):
 # exit 1: a verification failed, with its witness
 
 def test_corrupted_cocycle_exits_1_with_witness(capsys, tmp_path):
-    c = _c3_cocycle(corrupt=True)
-    code, out, _ = _run(capsys, ["--json", "cocycle", "verify", _write(tmp_path, c.to_json())])
+    data = _corrupted_cocycle_json()
+    code, out, _ = _run(capsys, ["--json", "cocycle", "verify", _write(tmp_path, data)])
     assert code == 1
     payload = json.loads(out)
     assert payload["ok"] is False
+    c3 = gc.cyclic(3)
+    v = tuple(tuple(QVector.from_json(e) for e in row) for row in data["values"])
     x, y, z = payload["witness"]
-    t, v = c.base.table, c.values
+    assert (x, y, z) == brute_force_cocycle(c3, gc.trivial_action(c3, 1), v)[1]
+    t = c3.table
     assert v[t[x][y]][z] + v[x][y] != v[x][t[y][z]] + v[y][z]
+
+
+def test_verification_failure_exits_1(capsys, tmp_path, monkeypatch):
+    def failing(c):
+        raise cs.TrivializationError("trivialization relation fails at pair (1, 1)")
+
+    monkeypatch.setattr(cs, "trivialize", failing)
+    path = _write(tmp_path, _cocycle_json())
+    code, out, err = _run(capsys, ["cocycle", "trivialize", path])
+    assert code == 1 and not out
+    assert err == "verification failure: trivialization relation fails at pair (1, 1)\n"
+
+
+@pytest.fixture(scope="module")
+def a4_corrupted_document() -> str:
+    """The benchmark's corrupted A4 cocycle, whose first failing triple is
+    (1, 1, 1)."""
+    a4 = gc.alternating(4)
+    data = perfbench_inputs().corrupted_json(a4, permutation_action(a4), random.Random(0))
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("command", ["verify", "trivialize", "complement"])
+@pytest.mark.parametrize("corrupt", [False, True], ids=["valid", "corrupted"])
+def test_each_cocycle_command_verifies_once(capsys, tmp_path, monkeypatch, a4_corrupted_document,
+                                            command, corrupt):
+    path = tmp_path / "cocycle.json"
+    if corrupt:
+        path.write_text(a4_corrupted_document)
+    else:
+        path.write_text(json.dumps(_cocycle_json()))
+    calls = count_calls(monkeypatch, cs, "verify_cocycle")
+    code, out, err = _run(capsys, ["--json", "cocycle", command, str(path)])
+    assert calls["verify_cocycle"] == 1
+    if not corrupt:
+        assert code == 0 and not err
+    elif command == "verify":
+        assert code == 1 and json.loads(out) == {"ok": False, "witness": [1, 1, 1]}
+    else:
+        assert code == 2 and not out
+        assert err == "error: cocycle identity fails at triple (1, 1, 1)\n"
 
 
 # ---------------------------------------------------------------------------
 # exit 2: malformed input, reported as "error:" and never a traceback
-
-def _cocycle_json(**override) -> dict:
-    data = _c3_cocycle(corrupt=False).to_json()
-    data.update(override)
-    return data
-
 
 def _cocycle_json_with_value(entry) -> dict:
     """The valid C3 cocycle with c(g, g) replaced by [entry], off the
@@ -167,7 +214,7 @@ def test_negative_pairs_exits_2(capsys):
 
 
 def test_json_selftest_prints_one_json_document(capsys):
-    code, out, _ = _run(capsys, ["--json", "selftest", "--max-order", "8"])
+    code, out, _ = _run(capsys, ["--json", "selftest"])
     assert code == 0
     payload = json.loads(out)
     assert payload["ok"] is True
@@ -268,13 +315,6 @@ def test_build_parser_returns_the_parser_main_parses_with(capsys, monkeypatch):
     assert len(used) == 2 and all(p is cli.build_parser() for p in used)
 
 
-def test_negative_max_order_exits_2(capsys):
-    # a negative bound skipped every catalog group and printed "all passed"
-    code, out, err = _run(capsys, ["selftest", "--max-order", "-1"])
-    assert code == 2 and not out
-    assert err.startswith("error:")
-
-
 @pytest.mark.parametrize("matrix", [
     5,
     [1, 2],
@@ -327,9 +367,26 @@ def test_cocycle_without_values_exits_2_as_malformed(capsys, tmp_path):
 def test_unknown_catalog_group_message_is_not_quoted(capsys):
     code, out, err = _run(capsys, ["omega", "catalog:nope"])
     assert code == 2 and not out
-    # str() of the KeyError wrapped the message in double quotes
     assert err.startswith("error: unknown catalog group 'nope'; known: ")
     assert err.count('"') == 0
+
+
+def test_key_error_inside_a_command_is_not_reported_as_bad_input(capsys, monkeypatch):
+    # only ValueError and OSError are input errors; a KeyError is a bug
+    def failing(g):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(auto_orbits, "orbit_partition", failing)
+    with pytest.raises(KeyError, match="bug"):
+        main(["omega", "catalog:S3"])
+
+
+def test_empty_action_matrix_names_its_size(capsys, tmp_path):
+    # the 0 x 0 matrix passed the divisibility check, t became 0, and the
+    # error blamed a --t that was never given
+    code, out, err = _run(capsys, ["mixed", "build", "--p", "3", "--matrix", _write(tmp_path, [])])
+    assert code == 2 and not out
+    assert err == "error: matrix size 0 is not a positive multiple of 2\n"
 
 
 def test_matrix_of_strings_exits_2(capsys, tmp_path):

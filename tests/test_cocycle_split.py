@@ -41,6 +41,18 @@ def _sign_action_s3(dim: int) -> tuple[gc.GroupTable, gc.FiniteAction]:
     return s3, gc.FiniteAction(s3, dim, 0, tuple(mats))
 
 
+def _construction_verdict(base, action, values) -> tuple[bool, tuple[int, int, int] | None]:
+    """verify_cocycle's verdict on a raw value table, as construction reports
+    it: (True, None) when the Cocycle builds, (False, witness) when it raises
+    CocycleError."""
+    try:
+        c = cs.Cocycle(base, action, values)
+    except cs.CocycleError as exc:
+        return False, exc.witness
+    assert cs.verify_cocycle(c) == (True, None)
+    return True, None
+
+
 BASES = {
     "C2": lambda: gc.cyclic(2),
     "C3": lambda: gc.cyclic(3),
@@ -71,15 +83,17 @@ def test_coboundaries_verify():
 
 def test_corrupted_cocycle_fails_with_witness():
     c3 = gc.cyclic(3)
+    action = gc.trivial_action(c3, 1)
     zero = QVector.zero(1)
     rows = [[zero for _ in range(3)] for _ in range(3)]
     rows[1][1] = QVector.of(1)  # c(g, g) = 1 is not a cocycle over C3
-    c = cs.Cocycle(c3, gc.trivial_action(c3, 1), tuple(tuple(r) for r in rows))
-    ok, witness = cs.verify_cocycle(c)
-    assert not ok and witness is not None
-    x, y, z = witness
-    lhs = c.values[c3.table[x][y]][z] + c.values[x][y]
-    rhs = c.values[x][c3.table[y][z]] + c.values[y][z]
+    values = tuple(tuple(r) for r in rows)
+    with pytest.raises(cs.CocycleError, match="cocycle identity fails at triple") as info:
+        cs.Cocycle(c3, action, values)
+    x, y, z = witness = info.value.witness
+    assert witness == brute_force_cocycle(c3, action, values)[1]
+    lhs = values[c3.table[x][y]][z] + values[x][y]
+    rhs = values[x][c3.table[y][z]] + values[y][z]
     assert lhs != rhs
 
 
@@ -124,8 +138,8 @@ def test_verify_cocycle_matches_all_triples_oracle(data):
     for x, y in cells:
         bump = [Fraction(data.draw(st.integers(-3, 3), label="bump")) for _ in range(action.module_dim)]
         rows[x][y] = rows[x][y] + QVector(tuple(bump))
-    bad = cs.Cocycle(b, action, tuple(tuple(r) for r in rows))
-    assert cs.verify_cocycle(bad) == brute_force_cocycle(bad)
+    values = tuple(tuple(r) for r in rows)
+    assert _construction_verdict(b, action, values) == brute_force_cocycle(b, action, values)
 
 
 def test_rational_action_has_matrices_over_different_denominators():
@@ -160,12 +174,14 @@ def test_every_generator_is_checked_as_a_middle():
     zero, one = QVector.zero(1), QVector.of(1)
     rows = [[zero] * 4 for _ in range(4)]
     rows[2][3] = rows[3][2] = one
-    c = cs.Cocycle(v4, gc.trivial_action(v4, 1), tuple(tuple(r) for r in rows))
-    t, v = v4.table, c.values
+    action, v = gc.trivial_action(v4, 1), tuple(tuple(r) for r in rows)
+    t = v4.table
     assert all(v[t[x][1]][z] + v[x][1] == v[x][t[1][z]] + v[1][z] for x in range(4) for z in range(4))
-    ok, witness = brute_force_cocycle(c)
+    ok, witness = brute_force_cocycle(v4, action, v)
     assert not ok
-    assert cs.verify_cocycle(c) == (False, witness)
+    with pytest.raises(cs.CocycleError) as info:
+        cs.Cocycle(v4, action, v)
+    assert info.value.witness == witness
 
 
 def test_verify_and_trivialize_work_is_bounded_by_generators(monkeypatch):
@@ -187,7 +203,7 @@ def test_verify_and_trivialize_work_is_bounded_by_generators(monkeypatch):
     assert cs.verify_cocycle(c) == (True, None)
     assert 0 < calls <= a5.order ** 2 * d
     calls = 0
-    cs.trivialize(c)  # already verified by random_cocycle
+    cs.trivialize(c)  # c was verified when it was built
     # |B| * d relation checks; the averaging itself is a plain sum
     assert 0 < calls <= a5.order * (d + 1)
 
@@ -252,13 +268,16 @@ def test_extension_multiply_associative_for_verified_cocycle():
 
 
 def test_extension_multiply_refuses_invalid_cocycle():
+    # extension_multiply takes a Cocycle, and a failing table never becomes one
     c3 = gc.cyclic(3)
+    action = gc.trivial_action(c3, 1)
     zero = QVector.zero(1)
     rows = [[zero for _ in range(3)] for _ in range(3)]
     rows[1][1] = QVector.of(1)
-    bad = cs.Cocycle(c3, gc.trivial_action(c3, 1), tuple(tuple(r) for r in rows))
-    with pytest.raises(cs.CocycleError):
-        cs.extension_multiply(cs.ExtensionElement(0, zero), cs.ExtensionElement(0, zero), bad)
+    values = tuple(tuple(r) for r in rows)
+    with pytest.raises(cs.CocycleError) as info:
+        cs.Cocycle(c3, action, values)
+    assert info.value.witness == brute_force_cocycle(c3, action, values)[1]
 
 
 # ---------------------------------------------------------------------------

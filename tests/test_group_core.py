@@ -17,6 +17,7 @@ from conftest import (
     scalar_matrix,
 )
 from orbitforge import group_core as gc
+from orbitforge.arith import is_prime
 from orbitforge.exact_linear import QMatrix
 
 
@@ -145,6 +146,20 @@ def test_cyclic_array_matches_the_modulo_formula(n):
     for arr in (gc._cyclic_array(n), gc.cyclic(n).array):
         _contiguous_frozen_int16(arr)
         assert np.array_equal(arr, expected)
+
+
+_PRIME_POWERS = [(q, k) for q in range(2, 4097) if is_prime(q)
+                 for k in range(1, 13) if q**k <= 4096]
+
+
+@pytest.mark.parametrize("q, k", _PRIME_POWERS, ids=[f"{q}^{k}" for q, k in _PRIME_POWERS])
+def test_halved_elementary_abelian_array_matches_the_folded_product(q, k):
+    # (C_q)^k is built as (C_q)^(k//2) x (C_q)^(k - k//2); the table is
+    # digit-wise addition mod q, so it must equal the factor-by-factor fold
+    arr = gc._elementary_abelian_array(q, k)
+    assert arr.dtype == np.int16
+    assert arr.flags.c_contiguous
+    assert np.array_equal(arr, conftest.folded_elementary_abelian_array(q, k))
 
 
 @pytest.mark.parametrize("n", [*range(1, 41), 1024, 2048])
