@@ -18,21 +18,30 @@ generality and makes the complement meet A trivially by construction.
 Building a ``Cocycle`` verifies the identity, as building a ``GroupTable``
 proves associativity, so holding one certifies it.
 
-The checks run on plain integers. A cocycle scales its values once to one
-common denominator D and its action matrices to one common denominator E,
-and every identity is checked multiplied through by those; a
-vector-matrix product is then ``int_vecmul`` on integer rows.
+The checks run on integers, in whole-array numpy passes. A cocycle is held
+in one integer form, built once: its values over one common denominator D,
+as the array V of shape (|B|, |B|, d) with V[x, y] = D * c(x, y), and its
+action matrices over one common denominator E, as the array of the E * M_z,
+of shape (|B|, d, d). Every identity is checked multiplied through by D and
+E. The arrays are int64 only where every intermediate of a check is proved
+to stay below 2^63 in absolute value. With |V| <= v and |E * M| <= m (so
+E <= m, as M_1 = I), every entry, partial sum and residue of the cocycle
+check is at most max(m, v * (3E + d * m)); the trivialization relation
+adds up |B| values, so its bound is |B| times that. Past 2^63 the same
+expressions run on arrays of Python ints (dtype object), so every result is
+exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .exact_linear import QMatrix, QVector, int_vecmul
+from .exact_linear import QMatrix, QVector, _common_den, _format_row, _matrix, _num_dens
 from .group_core import FiniteAction, GroupTable, exact_int
 
 
@@ -49,31 +58,97 @@ class TrivializationError(RuntimeError):
     cannot happen over Q^n; seeing it means a bug, not a property of input."""
 
 
-@dataclass(frozen=True)
+def _dtype(bound: int) -> type:
+    """int64 when ``bound``, a proved bound on every intermediate of a
+    check, is below 2^63; Python ints otherwise."""
+    return np.int64 if bound < 2**63 else object
+
+
+def _flat(data, shape: tuple[int, ...]) -> list | None:
+    """The entries of data, nested lists of exactly the given shape, in
+    row-major order; None for data of any other shape."""
+    level = [data]
+    for size in shape:
+        if set(map(type, level)) != {list} or set(map(len, level)) != {size}:
+            return None
+        level = list(chain.from_iterable(level))
+    return level
+
+
+def _action_matrices(data, order: int, n: int) -> tuple[QMatrix, ...]:
+    """The action matrices of a cocycle's JSON. |B| lists of n rows of n
+    entries are read in one pass of ``_num_dens``; anything else goes
+    through ``QMatrix.from_json`` per matrix, whose errors name the fault."""
+    flat = _flat(data, (order, n, n))
+    if flat is None:
+        return tuple(QMatrix.from_json(m) for m in data)
+    nums, dens = _num_dens(flat)
+    k = n * n
+    mats = []
+    for i in range(order):
+        d, entries = _common_den(nums[i * k:(i + 1) * k], dens[i * k:(i + 1) * k])
+        mats.append(_matrix([entries[j * n:(j + 1) * n] for j in range(n)], d))
+    return tuple(mats)
+
+
+def _check_action(base: GroupTable, action: FiniteAction) -> None:
+    if action.characteristic != 0:
+        raise ValueError("cocycle values live in Q^n; the action must have characteristic 0")
+    if not np.array_equal(action.domain.array, base.array):
+        raise ValueError("action domain must be the base group")
+
+
+def _action_ints(action: FiniteAction) -> tuple[int, list[int]]:
+    """(E, the row-major entries of every E * M_z), E the lcm of the
+    matrices' denominators."""
+    mats = action.matrices
+    e = math.lcm(*(m.den for m in mats))
+    return e, [x * (e // m.den) for m in mats for row in m.nums for x in row]
+
+
 class Cocycle:
     """A normalized 2-cocycle of a finite group with values in Q^n, verified
     when it is built: construction raises ``CocycleError`` with the first
-    failing triple, so every ``Cocycle`` satisfies the identity."""
+    failing triple, so every ``Cocycle`` satisfies the identity.
 
-    base: GroupTable
-    action: FiniteAction
-    values: tuple[tuple[QVector, ...], ...]
+    It keeps only the integer form of the module docstring: D, V, E and the
+    E * M_z. ``values`` builds the QVectors from it on each access."""
 
-    def __post_init__(self):
-        b, act = self.base, self.action
-        if act.characteristic != 0:
-            raise ValueError("cocycle values live in Q^n; the action must have characteristic 0")
-        if not np.array_equal(act.domain.array, b.array):
-            raise ValueError("action domain must be the base group")
-        n = act.module_dim
-        if len(self.values) != b.order or any(len(row) != b.order for row in self.values):
+    def __init__(self, base: GroupTable, action: FiniteAction,
+                 values: Sequence[Sequence[QVector]]):
+        _check_action(base, action)
+        n = action.module_dim
+        if len(values) != base.order or any(len(row) != base.order for row in values):
             raise ValueError("values table must be |B| x |B|")
-        if any(v.dim != n for row in self.values for v in row):
+        if any(v.dim != n for row in values for v in row):
             raise ValueError(f"every cocycle value must have dimension {n}")
-        for y in range(b.order):
-            if not self.values[0][y].is_zero or not self.values[y][0].is_zero:
-                raise ValueError("cocycle must be normalized: c(1, y) = c(x, 1) = 0")
-        object.__setattr__(self, "_ints", _integer_form(self))
+        d = math.lcm(*(v.den for row in values for v in row))
+        self._build(base, action, d, [x * (d // v.den) for row in values for v in row for x in v.nums])
+
+    @classmethod
+    def _of_ints(cls, base: GroupTable, action: FiniteAction, d: int, nums: list[int]) -> "Cocycle":
+        """The cocycle with D = d and the row-major entries nums of V, over a
+        characteristic-0 action on base."""
+        c = cls.__new__(cls)
+        c._build(base, action, d, nums)
+        return c
+
+    def _build(self, base: GroupTable, action: FiniteAction, d: int, nums: list[int]) -> None:
+        """Set the integer form, check that the cocycle is normalized, and
+        verify the identity."""
+        nb, n = base.order, action.module_dim
+        e, em = _action_ints(action)
+        max_v, max_em = max(map(abs, nums)), max(map(abs, em))
+        self.base, self.action = base, action
+        self._d, self._e = d, e
+        #: the bound of the module docstring on every intermediate of verify_cocycle
+        self._bound = max(max_em, max_v * (3 * e + n * max_em))
+        dtype = _dtype(self._bound)
+        self._v = np.array(nums, dtype).reshape(nb, nb, n)
+        self._em = np.array(em, dtype).reshape(nb, n, n)
+        self._v.flags.writeable = self._em.flags.writeable = False
+        if (self._v[0] != 0).any() or (self._v[:, 0] != 0).any():
+            raise ValueError("cocycle must be normalized: c(1, y) = c(x, 1) = 0")
         ok, witness = verify_cocycle(self)
         if not ok:
             raise CocycleError(witness)
@@ -82,64 +157,68 @@ class Cocycle:
     def module_dim(self) -> int:
         return self.action.module_dim
 
+    @property
+    def values(self) -> tuple[tuple[QVector, ...], ...]:
+        """c(x, y) at [x][y], built from D and V on each access."""
+        d = self._d
+        return tuple(tuple(QVector.from_ints(v, d) for v in row) for row in self._v.tolist())
+
     def to_json(self) -> dict:
+        d = self._d
         return {
             "base": self.base.to_json(),
             "module_dim": self.module_dim,
             "action": [m.to_json() for m in self.action.matrices],
-            "values": [[v.to_json() for v in row] for row in self.values],
+            "values": [[_format_row(v, d) for v in row] for row in self._v.tolist()],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "Cocycle":
+        """The cocycle of a JSON document. Its action matrices and its value
+        table are each read in one pass of ``_num_dens``; a table that is not
+        |B| lists of |B| lists of d entries is read per vector instead, so
+        its errors read as they always have."""
         try:
             base = GroupTable.from_json(data["base"])
             n = exact_int(data["module_dim"])
-            matrices = tuple(QMatrix.from_json(m) for m in data["action"])
-            action = FiniteAction(base, n, 0, matrices)
-            values = tuple(
-                tuple(QVector.from_json(v) for v in row) for row in data["values"]
+            action = FiniteAction(base, n, 0, _action_matrices(data["action"], base.order, n))
+            rows = data["values"]
+            flat = _flat(rows, (base.order, base.order, n))
+            values = None if flat is not None else tuple(
+                tuple(QVector.from_json(v) for v in row) for row in rows
             )
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed cocycle JSON: {exc}") from exc
-        del data  # free the parsed document before the identity is verified
-        return cls(base, action, values)
+        del data, rows  # free the parsed document before the identity is verified
+        if values is not None:
+            return cls(base, action, values)
+        d, nums = _common_den(*_num_dens(flat))
+        del flat
+        return cls._of_ints(base, action, d, nums)
 
 
-def _integer_form(c: Cocycle) -> tuple[int, list, int, list]:
-    """(D, vals, E, rows), kept on c when it is built: D and E are the least
-    common denominators of the values and of the action matrices,
-    vals[x][y] = D * c(x, y), and rows[z] holds the sparse rows of E * M_z,
-    as (column, entry) pairs of integers."""
-    d = math.lcm(*(v.den for row in c.values for v in row))
-    vals = [[v.nums if v.den == d else tuple([x * (d // v.den) for x in v.nums])
-             for v in row] for row in c.values]
-    mats = c.action.matrices
-    e = math.lcm(*(m.den for m in mats))
-    rows = [m._sparse if m.den == e else [[(j, w * (e // m.den)) for j, w in row]
-                                          for row in m._sparse] for m in mats]
-    return d, vals, e, rows
+def _middle_failures(c: Cocycle, y: int, stop: int) -> np.ndarray:
+    """The stop x |B| mask of the (x, z), x < stop, at which the cocycle
+    identity times D * E fails with y in the middle: where
+    E * (V[xy, z] - V[x, yz] - V[y, z]) + V[x, y] (E M_z) is not zero."""
+    v, arr = c._v, c.base.array
+    moved = np.matmul(v[:stop, y], c._em).swapaxes(0, 1)  # [x, z] = V[x, y] (E M_z)
+    return (c._e * (v[arr[:stop, y]] - v[:stop, arr[y]] - v[y]) + moved != 0).any(axis=2)
 
 
 def _first_failure(c: Cocycle, middles: Sequence[int]) -> tuple[int, int, int] | None:
-    """The first (x, y, z) in lexicographic order, y drawn from middles, at
-    which E * (c(xy, z) - c(x, yz) - c(y, z)) + c(x, y) * (E * M_z) != 0,
-    the cocycle identity times E; None if there is none."""
-    _, vals, e, rows = c._ints
-    arr = c.base.array
-    order = range(c.base.order)
-    vecmul = int_vecmul
-    # per middle y: the column x -> xy and the row z -> yz
-    by_y = [(y, arr[:, y].tolist(), arr[y].tolist()) for y in middles]
-    for x in order:
-        vx = vals[x]
-        for y, col_y, row_y in by_y:
-            cxy, vxy, vy = vx[y], vals[col_y[x]], vals[y]
-            for z in order:
-                if any(e * (u - v - w) + q
-                       for u, v, w, q in zip(vxy[z], vx[row_y[z]], vy[z], vecmul(cxy, rows[z]))):
-                    return x, y, z
-    return None
+    """The first failing (x, y, z) in lexicographic order, y drawn from
+    middles in their order; None if there is none. Each middle is one pass
+    of ``_middle_failures``, whose first failure in row-major order is its
+    least (x, z); once one is found, a later middle can only come first
+    at a smaller x, so its pass stops there."""
+    first, stop = None, c.base.order
+    for y in middles:
+        bad = _middle_failures(c, y, stop)
+        if bad.any():
+            x, z = divmod(int(bad.argmax()), c.base.order)
+            first, stop = (x, y, z), x
+    return first
 
 
 def verify_cocycle(c: Cocycle) -> tuple[bool, tuple[int, int, int] | None]:
@@ -149,14 +228,20 @@ def verify_cocycle(c: Cocycle) -> tuple[bool, tuple[int, int, int] | None]:
 
     The identity at (x, y, z) is associativity of the extension at the
     triple ((x, 0), (y, 0), (z, 0)) with y in the middle, so by Light's test
-    it suffices to check y in ``base.generators`` (O(|B|^2 * d), not
-    O(|B|^3)). The middles m, with (u m) v = u (m v) for all u, v, are
+    it suffices to check y in ``base.generators`` (|B|^2 triples for each,
+    not |B|^3 in all). The middles m, with (u m) v = u (m v) for all u, v, are
     closed under products. Every (1, a) is one, since c is normalized; (s, 0)
     is one exactly when the identity holds at every (x, s, z), given that
     M_s M_z = M_sz (the action is a homomorphism). The (1, a) and the (s, 0)
     for generators s generate the extension, so every element is a middle.
     Only when the generator check fails is every y scanned, so the witness
     is the first one in lexicographic order.
+
+    Each middle is one pass of numpy operations over all (x, z): |B|^2
+    products of a d-vector by a d x d matrix, with temporaries of
+    O(|B|^2 * d) entries. A valid cocycle takes one pass per generator;
+    after a failure, each further pass stops at the x of the first failure
+    found so far.
     """
     if _first_failure(c, c.base.generators) is None:
         return True, None
@@ -179,7 +264,8 @@ def extension_multiply(e1: ExtensionElement, e2: ExtensionElement, c: Cocycle) -
         raise ValueError("extension element dimension mismatch")
     x, y = e1.x, e2.x
     return ExtensionElement(
-        int(c.base.array[x, y]), e1.a * c.action.matrices[y] + e2.a + c.values[x][y]
+        int(c.base.array[x, y]),
+        e1.a * c.action.matrices[y] + e2.a + QVector.from_ints(c._v[x, y].tolist(), c._d),
     )
 
 
@@ -199,18 +285,29 @@ def trivialize(c: Cocycle) -> tuple[QVector, ...]:
     On integers, e(y) = -s(y) / (|B| * D) for s(y) = sum_x D * c(x, y), and
     the relation times |B| * D * E is
     E * (|B| * D * c(y, z) + s(yz) - s(z)) - s(y) * (E * M_z) == 0.
+    The sums cost O(|B|^2 * d); each generator z is then one pass of numpy
+    operations over all y, |B| products of a d-vector by a d x d matrix. Past
+    the int64 bound V is first copied to Python ints, a temporary of
+    O(|B|^2 * d) entries; the other temporaries are O(|B| * d).
     """
-    d, vals, e, rows = c._ints
     nb = c.base.order
-    vecmul = int_vecmul
-    sums = [[sum(col) for col in zip(*column)] for column in zip(*vals)]
-    by_z = [(z, c.base.array[:, z].tolist()) for z in c.base.generators]
-    for y in range(nb):
-        for z, col_z in by_z:
-            if any(e * (nb * v + a - b) - q for v, a, b, q
-                   in zip(vals[y][z], sums[col_z[y]], sums[z], vecmul(sums[y], rows[z]))):
-                raise TrivializationError(f"trivialization relation fails at pair ({y}, {z})")
-    return tuple(QVector.from_ints([-x for x in sy], nb * d) for sy in sums)
+    dtype = _dtype(nb * c._bound)  # the bound of the module docstring
+    v, em = c._v.astype(dtype, copy=False), c._em.astype(dtype, copy=False)
+    sums = v.sum(axis=0)
+    for z in c.base.generators:
+        bad = _relation_failures(c, v, em, sums, z)
+        if bad.any():
+            raise TrivializationError(f"trivialization relation fails at pair ({int(bad.argmax())}, {z})")
+    return tuple(QVector.from_ints([-x for x in s], nb * c._d) for s in sums.tolist())
+
+
+def _relation_failures(c: Cocycle, v: np.ndarray, em: np.ndarray, sums: np.ndarray,
+                       z: int) -> np.ndarray:
+    """The mask of the y at which the trivialization relation times
+    |B| * D * E fails at (y, z): where
+    E * (|B| * V[y, z] + s(yz) - s(z)) - s(y) (E M_z) is not zero."""
+    residue = c._e * (c.base.order * v[:, z] + sums[c.base.array[:, z]] - sums[z])
+    return (residue - np.matmul(sums, em[z]) != 0).any(axis=1)
 
 
 def complement(c: Cocycle) -> list[ExtensionElement]:
@@ -238,9 +335,18 @@ def coboundary(f: Sequence[QVector], base: GroupTable, action: FiniteAction) -> 
         raise ValueError("need one cochain value per group element")
     if not f[0].is_zero:
         raise ValueError("cochain must vanish at the identity")
-    mats = action.matrices
-    values = tuple(
-        tuple(f[xy] - fx * mats[y] - f[y] for y, xy in enumerate(row))
-        for fx, row in zip(f, base.array.tolist())
-    )
-    return Cocycle(base, action, values)
+    _check_action(base, action)
+    n = action.module_dim
+    for v in f:
+        if v.dim != n:
+            raise ValueError(f"dimension mismatch: vector {v.dim}, matrix {n}")
+    # in Python ints: F = df * f, and D * c(x, y) = E F(xy) - F(x) (E M_y) - E F(y)
+    # for D = df * E, divided through by the gcd of D and every entry
+    df = math.lcm(*(v.den for v in f))
+    fs = np.array([x * (df // v.den) for v in f for x in v.nums], dtype=object).reshape(base.order, n)
+    e, em = _action_ints(action)
+    em = np.array(em, dtype=object).reshape(base.order, n, n)
+    moved = np.matmul(fs, em).swapaxes(0, 1)  # [x, y] = F(x) (E M_y)
+    nums = (e * (fs[base.array] - fs) - moved).ravel().tolist()
+    g = math.gcd(df * e, *nums)
+    return Cocycle._of_ints(base, action, df * e // g, [x // g for x in nums])

@@ -464,6 +464,37 @@ def brute_force_associative(table) -> bool:
                for x in range(n) for y in range(n) for z in range(n))
 
 
+# ---------------------------------------------------------------------------
+# JSON rationals the parser rejects, shared by the tests of the entry parser
+# and of the cocycle table
+
+#: Entries rejected with the generic "invalid rational" message.
+BAD_RATIONALS = [
+    0.5, 1e30, 2.0,  # a JSON float is not an exact rational: 0.5 is not read as 1/2
+    True, False,
+    "1/0", "1/-2", "1/", "0.5", "1e3", "x", None, [1],
+    # not rational notation, though int() reads all but the last
+    "1_0/3", " 7/2", "\u0663/4", "3/\u0664", "\u00b2/1",
+]
+
+#: Entry and message, up to its ': expected ...' tail, by name: an entry of
+#: up to 64 characters is quoted whole, a longer one shortened.
+QUOTED_RATIONALS = {
+    "64 quoted": ("x" * 64, f"invalid rational {'x' * 64!r}"),
+    "64 digits quoted": ("1/2/3" + "4" * 59, f"invalid rational {'1/2/3' + '4' * 59!r}"),
+    "65 shortened": ("x" * 65, "invalid rational of 65 characters ('xxxxxxxxxxxx'...)"),
+    "3005 shortened": ("1/2/3" + "4" * 3000,
+                       "invalid rational of 3005 characters ('1/2/34444444'...)"),
+}
+
+#: Longer than int()'s default limit of 4300 digits per string conversion.
+TOO_LONG = "9" * 5000
+
+#: Entries with a number past that limit, by where it is.
+TOO_MANY_DIGITS = {"numerator": TOO_LONG + "/7", "signed": "-" + TOO_LONG,
+                   "denominator": "7/" + TOO_LONG}
+
+
 def brute_force_cocycle(base, action, values) -> tuple[bool, tuple[int, int, int] | None]:
     """The cocycle identity c(xy, z) + c(x, y) M_z == c(x, yz) + c(y, z) of the
     value table c = values over all |B|^3 triples in lexicographic order,

@@ -3,11 +3,15 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    BAD_RATIONALS,
+    QUOTED_RATIONALS,
+    TOO_MANY_DIGITS,
     brute_force_cocycle,
     extension_identity,
     fraction_vecmul,
@@ -17,7 +21,7 @@ from conftest import (
 )
 from orbitforge import cocycle_split as cs
 from orbitforge import group_core as gc
-from orbitforge.exact_linear import QMatrix, QVector, companion, cyclotomic_prime
+from orbitforge.exact_linear import QMatrix, QVector, _num_den, companion, cyclotomic_prime
 
 
 def _c2_instance():
@@ -185,27 +189,28 @@ def test_every_generator_is_checked_as_a_middle():
 
 
 def test_verify_and_trivialize_work_is_bounded_by_generators(monkeypatch):
-    # one vector-matrix product per checked triple: |B|^2 * d for d
-    # generators; a silent return to the |B|^3 scan would take 20x more on A5.
-    # Every such product of the cocycle kernels goes through int_vecmul.
+    # one whole-array pass over (x, z) per middle, and only the generators are
+    # middles of a valid cocycle: a silent return to the |B|^3 scan would make
+    # 60 passes on A5. trivialize makes one relation pass per generator.
     a5 = gc.alternating(5)
     c = random_cocycle(a5, gc.trivial_action(a5, 2), seed=5)
-    d = len(a5.generators)
-    calls = 0
-    vecmul = cs.int_vecmul
+    middles, seconds = [], []
+    middle_failures, relation_failures = cs._middle_failures, cs._relation_failures
 
-    def counting_vecmul(v, rows):
-        nonlocal calls
-        calls += 1
-        return vecmul(v, rows)
+    def counting_middle(c, y, stop):
+        middles.append(y)
+        return middle_failures(c, y, stop)
 
-    monkeypatch.setattr(cs, "int_vecmul", counting_vecmul)
+    def counting_relation(c, v, em, sums, z):
+        seconds.append(z)
+        return relation_failures(c, v, em, sums, z)
+
+    monkeypatch.setattr(cs, "_middle_failures", counting_middle)
+    monkeypatch.setattr(cs, "_relation_failures", counting_relation)
     assert cs.verify_cocycle(c) == (True, None)
-    assert 0 < calls <= a5.order ** 2 * d
-    calls = 0
+    assert middles == list(a5.generators)
     cs.trivialize(c)  # c was verified when it was built
-    # |B| * d relation checks; the averaging itself is a plain sum
-    assert 0 < calls <= a5.order * (d + 1)
+    assert seconds == list(a5.generators)
 
 
 def test_normalization_enforced_at_construction():
@@ -420,3 +425,165 @@ def test_cocycle_json_roundtrip():
     assert back.values == c.values
     assert back.base.table == c.base.table
     assert cs.verify_cocycle(back) == (True, None)
+
+
+# ---------------------------------------------------------------------------
+# the integer form: a coboundary built from arrays, and exactness past int64
+
+def _fraction_coboundary(f, b, action):
+    """c(x, y) = f(xy) - f(x) M_y - f(y) at every pair, in the entry-wise
+    Fraction oracles."""
+    t, mats = b.table, action.matrices
+    return [[fraction_vecsub(fraction_vecsub(f[t[x][y]], fraction_vecmul(f[x], mats[y])), f[y])
+             for y in range(b.order)] for x in range(b.order)]
+
+
+def _fraction_trivializer(values, order):
+    """e(y) = -(1/|B|) * sum_x c(x, y), summed in Fractions."""
+    dim = values[0][0].dim
+    return [QVector(tuple(-sum(values[x][y].entries[i] for x in range(order)) / order
+                          for i in range(dim)))
+            for y in range(order)]
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_ACTIONS))
+def test_coboundary_values_match_the_fraction_oracle(name):
+    b, action = SMALL_ACTIONS[name]
+    rng = random.Random(len(name))
+    f = [QVector.zero(action.module_dim)] + [
+        QVector(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(action.module_dim)))
+        for _ in range(b.order - 1)]
+    c = cs.coboundary(f, b, action)
+    assert [list(row) for row in c.values] == _fraction_coboundary(f, b, action)
+    # the constructor and the JSON reader build the same integer form
+    assert cs.Cocycle(b, action, c.values).to_json() == c.to_json()
+    assert cs.Cocycle.from_json(json.loads(json.dumps(c.to_json()))).values == c.values
+
+
+#: Distinct primes, two of them above 2^60, whose product as one common
+#: denominator D is far past 2^63.
+_PRIMES = (2**61 - 1, 2**31 - 1, 10**9 + 7, 10**9 + 9, 998244353, 2**89 - 1, 65537, 257)
+
+
+def _past_int64_cochains():
+    rng = random.Random(11)
+    b, action = SMALL_ACTIONS["A4_perm_rational"]
+    n = action.module_dim
+    by_prime = [QVector.zero(n)] + [
+        QVector(tuple(Fraction(rng.randint(-9, 9), rng.choice(_PRIMES)) for _ in range(n)))
+        for _ in range(b.order - 1)]
+    near_2_62 = [QVector.zero(n)] + [
+        QVector(tuple(Fraction(2**62 - rng.randint(0, 99) * rng.choice((1, -1))) for _ in range(n)))
+        for _ in range(b.order - 1)]
+    return {"prime denominators": (b, action, by_prime), "numerators near 2^62": (b, action, near_2_62)}
+
+
+def _corrupted_entry(values, rng):
+    """values with one entry off the identity row and column moved by 1
+    toward 0, or set to 1 if it lies strictly between -1 and 1: an integer
+    entry never grows in size."""
+    rows = [list(r) for r in values]
+    x, y = rng.randrange(1, len(rows)), rng.randrange(1, len(rows))
+    i = rng.randrange(rows[x][y].dim)
+    entries = list(rows[x][y].entries)
+    entries[i] = entries[i] - 1 if entries[i] >= 1 else entries[i] + 1 if entries[i] <= -1 else Fraction(1)
+    rows[x][y] = QVector(tuple(entries))
+    return tuple(tuple(r) for r in rows)
+
+
+def _check_exact(b, action, f):
+    """The cocycle of f against the Fraction oracles: it verifies, its
+    trivializer is the averaged one, and a corrupted entry is reported at
+    the witness of the all-triples scan."""
+    c = cs.coboundary(f, b, action)
+    assert cs.verify_cocycle(c) == (True, None)
+    expected = _fraction_coboundary(f, b, action)
+    assert [list(row) for row in c.values] == expected
+    assert list(cs.trivialize(c)) == _fraction_trivializer(expected, b.order)
+    values = _corrupted_entry(c.values, random.Random(b.order))
+    with pytest.raises(cs.CocycleError) as info:
+        cs.Cocycle(b, action, values)
+    assert info.value.witness == brute_force_cocycle(b, action, values)[1]
+    return c
+
+
+@pytest.mark.parametrize("name", ["prime denominators", "numerators near 2^62"])
+def test_cocycles_past_int64_run_exactly_on_python_ints(name):
+    b, action, f = _past_int64_cochains()[name]
+    c = _check_exact(b, action, f)
+    assert c._v.dtype == object and c._bound >= 2**63
+
+
+@pytest.mark.parametrize("scale, trivialize_dtype", [(1, np.int64), (2, object)],
+                         ids=["both int64", "trivialize on python ints"])
+def test_cocycles_just_under_the_int64_bound_stay_exact(scale, trivialize_dtype):
+    # an integer cochain K * g, with K the largest for which |B| times the
+    # bound of the checks is below 2^63: verify and trivialize both run on
+    # int64. At 2K, only trivialize's bound is past 2^63.
+    b, action = SMALL_ACTIONS["S3_perm"]
+    rng = random.Random(3)
+    g = [QVector.zero(3)] + [QVector.of(*(rng.randint(-9, 9) for _ in range(3))) for _ in range(5)]
+    unit = cs.coboundary(g, b, action)
+    k = scale * (2**63 - 1) // (b.order * unit._bound)
+    c = _check_exact(b, action, [QVector.from_ints([k * x for x in v.nums], 1) for v in g])
+    assert c._v.dtype == np.int64
+    assert c._bound == k * unit._bound
+    nb_bound = b.order * c._bound
+    assert (nb_bound < 2**63 <= 2 * nb_bound) if scale == 1 else nb_bound >= 2**63
+    assert cs._dtype(nb_bound) is trivialize_dtype
+
+
+# ---------------------------------------------------------------------------
+# the JSON table path reads entries exactly as the entry parser does
+
+def _s3_document() -> dict:
+    b, action = SMALL_ACTIONS["S3_perm"]
+    return json.loads(json.dumps(random_cocycle(b, action, seed=8).to_json()))
+
+
+_REJECTED = [*BAD_RATIONALS, *(bad for bad, _ in QUOTED_RATIONALS.values()), *TOO_MANY_DIGITS.values()]
+
+
+@pytest.mark.parametrize("where", ["values", "action"])
+@pytest.mark.parametrize("bad", _REJECTED, ids=[f"{i}:{ascii(bad)[:14]}" for i, bad in enumerate(_REJECTED)])
+def test_cocycle_json_rejects_an_entry_with_the_vector_message(where, bad):
+    data = _s3_document()
+    if where == "values":
+        data["values"][2][3][1] = bad
+    else:
+        data["action"][3][1][0] = bad
+    with pytest.raises(ValueError) as table:
+        cs.Cocycle.from_json(data)
+    with pytest.raises(ValueError) as vector:
+        QVector.from_json([bad])
+    assert str(table.value) == str(vector.value)
+
+
+def test_cocycle_json_names_the_first_bad_entry():
+    # the action is read before the values, each in row-major order
+    data = _s3_document()
+    data["values"][1][2][0], data["values"][2][1][0] = "first", "second"
+    with pytest.raises(ValueError, match="'first'"):
+        cs.Cocycle.from_json(data)
+    data["action"][4][2][2] = "action"
+    with pytest.raises(ValueError, match="'action'"):
+        cs.Cocycle.from_json(data)
+
+
+@pytest.mark.parametrize("entries", [
+    [3, -7, 0], ["3", "-7", "0"], ["+3/4", "2/4", "-6/4"], ["007/010", "-0/5", "+0"], [3, "1/3", "-2"],
+], ids=["ints", "integer strings", "signs and unreduced", "leading zeros", "mixed"])
+def test_cocycle_json_reads_entries_as_the_entry_parser_does(entries):
+    # C2 acting trivially on Q^3: any c(g, g) is a cocycle, and M_g is the
+    # identity written entry by entry in the same forms
+    data = {"base": {"order": 2, "table": [[0, 1], [1, 0]]}, "module_dim": 3,
+            "action": [[["1", 0, "0/9"], [0, "2/2", 0], ["0", "0", 1]]] * 2,
+            "values": [[["0"] * 3, ["0"] * 3], [["0"] * 3, entries]]}
+    c = cs.Cocycle.from_json(data)
+    assert c.values[1][1].entries == tuple(Fraction(*_num_den(e)) for e in entries)
+    assert c.action.matrices[1] == QMatrix.identity(3)
+    for where in ("values", "action"):
+        bad = json.loads(json.dumps(data))
+        (bad["values"][1][1] if where == "values" else bad["action"][1][0])[1] = True
+        with pytest.raises(ValueError, match="invalid rational True"):
+            cs.Cocycle.from_json(bad)

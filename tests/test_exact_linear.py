@@ -10,6 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    BAD_RATIONALS,
+    QUOTED_RATIONALS,
+    TOO_MANY_DIGITS,
     FractionEchelon,
     bareiss_det,
     fraction_matmul,
@@ -65,13 +68,7 @@ def test_rat_format_parse_roundtrip():
     assert QMatrix.from_json([["7"]]).rows == ((Fraction(7),),)
 
 
-@pytest.mark.parametrize("bad", [
-    0.5, 1e30, 2.0,  # a JSON float is not an exact rational: 0.5 is not read as 1/2
-    True, False,
-    "1/0", "1/-2", "1/", "0.5", "1e3", "x", None, [1],
-    # not rational notation, though int() reads all but the last
-    "1_0/3", " 7/2", "\u0663/4", "3/\u0664", "\u00b2/1",
-])
+@pytest.mark.parametrize("bad", BAD_RATIONALS)
 def test_parse_rat_rejects_what_is_not_num_over_den(bad):
     # one entry parser behind both from_json methods: the same message
     with pytest.raises(ValueError, match="invalid rational") as vector:
@@ -81,24 +78,14 @@ def test_parse_rat_rejects_what_is_not_num_over_den(bad):
     assert str(vector.value) == str(matrix.value)
 
 
-@pytest.mark.parametrize("bad, message", [
-    ("x" * 64, f"invalid rational {'x' * 64!r}"),
-    ("1/2/3" + "4" * 59, f"invalid rational {'1/2/3' + '4' * 59!r}"),
-    ("x" * 65, "invalid rational of 65 characters ('xxxxxxxxxxxx'...)"),
-    ("1/2/3" + "4" * 3000, "invalid rational of 3005 characters ('1/2/34444444'...)"),
-], ids=["64 quoted", "64 digits quoted", "65 shortened", "3005 shortened"])
+@pytest.mark.parametrize("bad, message", list(QUOTED_RATIONALS.values()), ids=list(QUOTED_RATIONALS))
 def test_parse_rat_quotes_an_entry_up_to_64_characters(bad, message):
     with pytest.raises(ValueError) as vector:
         QVector.from_json([bad])
     assert str(vector.value) == message + ': expected "num/den", an integer string or an int'
 
 
-#: Longer than int()'s default limit of 4300 digits per string conversion.
-TOO_LONG = "9" * 5000
-
-
-@pytest.mark.parametrize("bad", [TOO_LONG + "/7", "-" + TOO_LONG, "7/" + TOO_LONG],
-                         ids=["numerator", "signed", "denominator"])
+@pytest.mark.parametrize("bad", list(TOO_MANY_DIGITS.values()), ids=list(TOO_MANY_DIGITS))
 def test_parse_rat_rejects_too_many_digits_with_its_own_message(bad):
     # int()'s own text named sys.set_int_max_str_digits(), which the CLI
     # offers no way to change
@@ -109,6 +96,25 @@ def test_parse_rat_rejects_too_many_digits_with_its_own_message(bad):
     assert str(vector.value) == str(matrix.value)
     assert "set_int_max_str_digits" not in str(vector.value)
     assert len(str(vector.value)) < 200
+
+
+@settings(max_examples=400, deadline=None)
+@given(entries=st.lists(st.one_of(st.from_regex(r"[+-]?[0-9]{1,3}(/[0-9]{1,3})?", fullmatch=True),
+                                  st.text(alphabet="0123456789+-/, \u0663", max_size=5),
+                                  st.integers(), st.booleans(), st.sampled_from(BAD_RATIONALS)),
+                        max_size=5))
+def test_bulk_parse_matches_the_entry_parser(entries):
+    # _num_dens reads a list in one pass; it must accept, read and reject
+    # exactly as _num_den does entry by entry, naming the first bad entry
+    try:
+        expected = [el._num_den(e) for e in entries]
+    except ValueError as exc:
+        with pytest.raises(ValueError) as bulk:
+            el._num_dens(entries)
+        assert str(bulk.value) == str(exc)
+    else:
+        nums, dens = el._num_dens(entries)
+        assert list(zip(nums, dens)) == expected
 
 
 def test_parse_rat_reads_entries_at_the_digit_limit():
