@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact_linear import QMatrix, QVector, _common_den, _format_row, _matrix, _num_dens
+from .exact_linear import QMatrix, QVector, _format_row
 from .group_core import FiniteAction, GroupTable, exact_int
 
 
@@ -75,22 +75,6 @@ def _flat(data, shape: tuple[int, ...]) -> list | None:
     return level
 
 
-def _action_matrices(data, order: int, n: int) -> tuple[QMatrix, ...]:
-    """The action matrices of a cocycle's JSON. |B| lists of n rows of n
-    entries are read in one pass of ``_num_dens``; anything else goes
-    through ``QMatrix.from_json`` per matrix, whose errors name the fault."""
-    flat = _flat(data, (order, n, n))
-    if flat is None:
-        return tuple(QMatrix.from_json(m) for m in data)
-    nums, dens = _num_dens(flat)
-    k = n * n
-    mats = []
-    for i in range(order):
-        d, entries = _common_den(nums[i * k:(i + 1) * k], dens[i * k:(i + 1) * k])
-        mats.append(_matrix([entries[j * n:(j + 1) * n] for j in range(n)], d))
-    return tuple(mats)
-
-
 def _check_action(base: GroupTable, action: FiniteAction) -> None:
     if action.characteristic != 0:
         raise ValueError("cocycle values live in Q^n; the action must have characteristic 0")
@@ -106,13 +90,26 @@ def _action_ints(action: FiniteAction) -> tuple[int, list[int]]:
     return e, [x * (e // m.den) for m in mats for row in m.nums for x in row]
 
 
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
 class Cocycle:
     """A normalized 2-cocycle of a finite group with values in Q^n, verified
     when it is built: construction raises ``CocycleError`` with the first
-    failing triple, so every ``Cocycle`` satisfies the identity.
+    failing triple, so every ``Cocycle`` satisfies the identity. Its fields
+    cannot be reassigned, so that stays true.
 
     It keeps only the integer form of the module docstring: D, V, E and the
-    E * M_z. ``values`` builds the QVectors from it on each access."""
+    E * M_z, with the bound that picks their dtype."""
+
+    base: GroupTable
+    action: FiniteAction
+    _d: int
+    _e: int
+    _bound: int
+    _v: np.ndarray
+    _em: np.ndarray
 
     def __init__(self, base: GroupTable, action: FiniteAction,
                  values: Sequence[Sequence[QVector]]):
@@ -126,28 +123,28 @@ class Cocycle:
         self._build(base, action, d, [x * (d // v.den) for row in values for v in row for x in v.nums])
 
     @classmethod
-    def _of_ints(cls, base: GroupTable, action: FiniteAction, d: int, nums: list[int]) -> "Cocycle":
+    def _of_ints(cls, base: GroupTable, action: FiniteAction, d: int, nums: Sequence[int]) -> "Cocycle":
         """The cocycle with D = d and the row-major entries nums of V, over a
         characteristic-0 action on base."""
         c = cls.__new__(cls)
         c._build(base, action, d, nums)
         return c
 
-    def _build(self, base: GroupTable, action: FiniteAction, d: int, nums: list[int]) -> None:
+    def _build(self, base: GroupTable, action: FiniteAction, d: int, nums: Sequence[int]) -> None:
         """Set the integer form, check that the cocycle is normalized, and
         verify the identity."""
         nb, n = base.order, action.module_dim
         e, em = _action_ints(action)
         max_v, max_em = max(map(abs, nums)), max(map(abs, em))
-        self.base, self.action = base, action
-        self._d, self._e = d, e
         #: the bound of the module docstring on every intermediate of verify_cocycle
-        self._bound = max(max_em, max_v * (3 * e + n * max_em))
-        dtype = _dtype(self._bound)
-        self._v = np.array(nums, dtype).reshape(nb, nb, n)
-        self._em = np.array(em, dtype).reshape(nb, n, n)
-        self._v.flags.writeable = self._em.flags.writeable = False
-        if (self._v[0] != 0).any() or (self._v[:, 0] != 0).any():
+        bound = max(max_em, max_v * (3 * e + n * max_em))
+        v = np.array(nums, _dtype(bound)).reshape(nb, nb, n)
+        em = np.array(em, v.dtype).reshape(nb, n, n)
+        v.flags.writeable = em.flags.writeable = False
+        for name, value in (("base", base), ("action", action), ("_d", d), ("_e", e),
+                            ("_bound", bound), ("_v", v), ("_em", em)):
+            _set(self, name, value)
+        if (v[0] != 0).any() or (v[:, 0] != 0).any():
             raise ValueError("cocycle must be normalized: c(1, y) = c(x, 1) = 0")
         ok, witness = verify_cocycle(self)
         if not ok:
@@ -159,7 +156,9 @@ class Cocycle:
 
     @property
     def values(self) -> tuple[tuple[QVector, ...], ...]:
-        """c(x, y) at [x][y], built from D and V on each access."""
+        """c(x, y) at [x][y]. Each access builds all |B|^2 QVectors from D
+        and V, O(|B|^2 * d) work, so a caller that reads several values
+        should take the table once."""
         d = self._d
         return tuple(tuple(QVector.from_ints(v, d) for v in row) for row in self._v.tolist())
 
@@ -174,14 +173,16 @@ class Cocycle:
 
     @classmethod
     def from_json(cls, data: dict) -> "Cocycle":
-        """The cocycle of a JSON document. Its action matrices and its value
-        table are each read in one pass of ``_num_dens``; a table that is not
-        |B| lists of |B| lists of d entries is read per vector instead, so
-        its errors read as they always have."""
+        """The cocycle of a JSON document. A value table of |B| lists of |B|
+        lists of d entries is read one row c(x, -) at a time, as one QVector
+        of its |B| * d entries, and scaled to D and V, so no QVector is built
+        per value; any other table is read per vector, so its errors read as
+        they always have."""
         try:
             base = GroupTable.from_json(data["base"])
             n = exact_int(data["module_dim"])
-            action = FiniteAction(base, n, 0, _action_matrices(data["action"], base.order, n))
+            matrices = tuple(QMatrix.from_json(m) for m in data["action"])
+            action = FiniteAction(base, n, 0, matrices)
             rows = data["values"]
             flat = _flat(rows, (base.order, base.order, n))
             values = None if flat is not None else tuple(
@@ -192,9 +193,11 @@ class Cocycle:
         del data, rows  # free the parsed document before the identity is verified
         if values is not None:
             return cls(base, action, values)
-        d, nums = _common_den(*_num_dens(flat))
+        k = base.order * n  # the entries of one row, c(x, -)
+        parts = [QVector.from_json(flat[i:i + k]) for i in range(0, len(flat), k)]
         del flat
-        return cls._of_ints(base, action, d, nums)
+        d = math.lcm(*(part.den for part in parts))
+        return cls._of_ints(base, action, d, [x * (d // part.den) for part in parts for x in part.nums])
 
 
 def _middle_failures(c: Cocycle, y: int, stop: int) -> np.ndarray:
@@ -288,16 +291,20 @@ def trivialize(c: Cocycle) -> tuple[QVector, ...]:
     The sums cost O(|B|^2 * d); each generator z is then one pass of numpy
     operations over all y, |B| products of a d-vector by a d x d matrix. Past
     the int64 bound V is first copied to Python ints, a temporary of
-    O(|B|^2 * d) entries; the other temporaries are O(|B| * d).
+    O(|B|^2 * d) entries; the other temporaries are O(|B| * d), and the
+    failure masks O(|generators| * |B|). A failure names the least y, and
+    the first generator z in ``base.generators`` that fails with it.
     """
     nb = c.base.order
     dtype = _dtype(nb * c._bound)  # the bound of the module docstring
     v, em = c._v.astype(dtype, copy=False), c._em.astype(dtype, copy=False)
     sums = v.sum(axis=0)
-    for z in c.base.generators:
-        bad = _relation_failures(c, v, em, sums, z)
-        if bad.any():
-            raise TrivializationError(f"trivialization relation fails at pair ({int(bad.argmax())}, {z})")
+    # [i, y]: the relation fails at (y, the i-th generator)
+    bad = np.array([_relation_failures(c, v, em, sums, z) for z in c.base.generators])
+    if bad.any():
+        y = int(bad.any(axis=0).argmax())
+        z = c.base.generators[int(bad[:, y].argmax())]
+        raise TrivializationError(f"trivialization relation fails at pair ({y}, {z})")
     return tuple(QVector.from_ints([-x for x in s], nb * c._d) for s in sums.tolist())
 
 

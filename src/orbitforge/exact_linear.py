@@ -23,16 +23,12 @@ group-action convention used by the rest of the package.
 
 Vectors and matrices serialize as JSON arrays of ``"num/den"`` strings so
 that output is exact and independent of any binary float format; one
-formatter, ``_format_row``, writes them and one parser reads them:
-``_num_dens`` reads a whole list of entries in bulk, accepting exactly
-what ``_num_den`` accepts of one entry and rejecting the rest with its
-message.
+formatter, ``_format_row``, writes them and one parser, ``_num_den``, reads.
 """
 
 from __future__ import annotations
 
 import math
-import re
 import sys
 from bisect import insort
 from dataclasses import dataclass
@@ -80,52 +76,6 @@ def _num_den(s: str | int) -> tuple[int, int]:
     long = isinstance(s, str) and len(s) > _QUOTED_MAX
     shown = f"of {len(s)} characters ({s[:12]!r}...)" if long else repr(s)
     raise ValueError(f"invalid rational {shown}: expected \"num/den\", an integer string or an int")
-
-
-#: Entries that ``_num_den`` reads, joined by ",": an optional sign and
-#: ASCII digits, then optionally "/" and ASCII digits that are not all 0.
-#: Compiled by ``re`` on first use, not when the module is imported.
-_RATIONALS = r"[+-]?[0-9]+(?:/0*[1-9][0-9]*)?(?:,[+-]?[0-9]+(?:/0*[1-9][0-9]*)?)*"
-
-#: Entries per match of ``_RATIONALS``: the matcher keeps state for every
-#: repetition it could backtrack into, a few hundred bytes an entry.
-_SLICE = 1024
-
-
-def _num_dens(entries: list) -> tuple[list[int], list[int]]:
-    """The numerators and the denominators of a list of JSON rationals, as
-    ``_num_den`` reads each. Strings are read in bulk: a slice of entries,
-    none holding a ",", is joined by ",", matched by ``_RATIONALS`` and
-    converted by ``map(int, ...)``. A list with another entry, and any
-    rejected list, is read entry by entry, so the first bad entry raises
-    ``_num_den``'s own message."""
-    nums, dens = [], []
-    for i in range(0, len(entries), _SLICE):
-        part = entries[i:i + _SLICE]
-        try:
-            text = ",".join(part)
-        except TypeError:  # an entry that is not a string
-            break
-        if text.count(",") != len(part) - 1 or not re.fullmatch(_RATIONALS, text):
-            break
-        if text.count("/") != len(part):
-            text = ",".join(e if "/" in e else e + "/1" for e in part)
-        read = text.replace(",", "/").split("/")
-        try:
-            nums += map(int, read[::2])
-            dens += map(int, read[1::2])
-        except ValueError:  # a number longer than int() reads
-            break
-    else:
-        return nums, dens
-    pairs = [_num_den(e) for e in entries]
-    return [num for num, _ in pairs], [den for _, den in pairs]
-
-
-def _common_den(nums: Sequence[int], dens: Sequence[int]) -> tuple[int, list[int]]:
-    """(D, [num * D / den, ...]) for D the lcm of the denominators."""
-    d = math.lcm(*set(dens))
-    return d, [num * (d // den) for num, den in zip(nums, dens)]
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -242,8 +192,9 @@ class QVector:
     def from_json(cls, data: list[str | int]) -> "QVector":
         if not isinstance(data, list):
             raise ValueError(f"vector must be a list of rationals, got {type(data).__name__}")
-        d, nums = _common_den(*_num_dens(data))
-        return _vector(nums, d)
+        pairs = [_num_den(e) for e in data]
+        d = math.lcm(*(den for _, den in pairs))
+        return _vector([num * (d // den) for num, den in pairs], d)
 
     def __repr__(self) -> str:
         return "QVector(" + ", ".join(str(e) for e in self.entries) + ")"
@@ -397,9 +348,9 @@ class QMatrix:
     def from_json(cls, data: list[list[str | int]]) -> "QMatrix":
         if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
             raise ValueError("matrix must be a list of rows of rationals")
-        d, nums = _common_den(*_num_dens(list(chain.from_iterable(data))))
-        n = len(_square(data))
-        return _matrix([nums[i * n:(i + 1) * n] for i in range(n)], d)
+        pairs = _square([[_num_den(e) for e in row] for row in data])
+        d = math.lcm(*(den for row in pairs for _, den in row))
+        return _matrix([[num * (d // den) for num, den in row] for row in pairs], d)
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(e) for e in row) for row in self.rows)

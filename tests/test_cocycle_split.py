@@ -213,6 +213,37 @@ def test_verify_and_trivialize_work_is_bounded_by_generators(monkeypatch):
     assert seconds == list(a5.generators)
 
 
+def test_trivialization_error_names_the_least_y_then_the_first_generator(monkeypatch):
+    # the relation cannot fail on a verified cocycle, so fake the masks: the
+    # first generator fails at y = 3, the second at y = 1 and y = 3; the pair
+    # named is the least y, then the first generator failing with it
+    a5 = gc.alternating(5)
+    c = random_cocycle(a5, gc.trivial_action(a5, 1), seed=2)
+    first, second = a5.generators[:2]
+    fails = {first: {3}, second: {1, 3}}
+
+    def failing(c, v, em, sums, z):
+        return np.isin(np.arange(c.base.order), list(fails.get(z, ())))
+
+    monkeypatch.setattr(cs, "_relation_failures", failing)
+    with pytest.raises(cs.TrivializationError, match=rf"^trivialization relation fails at pair \(1, {second}\)$"):
+        cs.trivialize(c)
+
+
+@pytest.mark.parametrize("field", ["base", "action", "_d", "_e", "_bound", "_v", "_em"])
+def test_a_built_cocycle_cannot_be_changed(field):
+    # construction verified the identity on these fields, so none may be
+    # reassigned, and the arrays are read-only
+    c = _c2_instance()
+    with pytest.raises(AttributeError):
+        setattr(c, field, None)
+    with pytest.raises(ValueError, match="read-only"):
+        c._v[1, 1, 0] = 2
+    with pytest.raises(ValueError, match="read-only"):
+        c._em[1, 0, 0] = 2
+    assert c.values[1][1] == QVector.of(1)
+
+
 def test_normalization_enforced_at_construction():
     c2 = gc.cyclic(2)
     one = QVector.of(1)

@@ -98,25 +98,6 @@ def test_parse_rat_rejects_too_many_digits_with_its_own_message(bad):
     assert len(str(vector.value)) < 200
 
 
-@settings(max_examples=400, deadline=None)
-@given(entries=st.lists(st.one_of(st.from_regex(r"[+-]?[0-9]{1,3}(/[0-9]{1,3})?", fullmatch=True),
-                                  st.text(alphabet="0123456789+-/, \u0663", max_size=5),
-                                  st.integers(), st.booleans(), st.sampled_from(BAD_RATIONALS)),
-                        max_size=5))
-def test_bulk_parse_matches_the_entry_parser(entries):
-    # _num_dens reads a list in one pass; it must accept, read and reject
-    # exactly as _num_den does entry by entry, naming the first bad entry
-    try:
-        expected = [el._num_den(e) for e in entries]
-    except ValueError as exc:
-        with pytest.raises(ValueError) as bulk:
-            el._num_dens(entries)
-        assert str(bulk.value) == str(exc)
-    else:
-        nums, dens = el._num_dens(entries)
-        assert list(zip(nums, dens)) == expected
-
-
 def test_parse_rat_reads_entries_at_the_digit_limit():
     num, den = "-" + "9" * 4300, "7" * 4300
     assert QVector.from_json([f"{num}/{den}"]).entries == (Fraction(int(num), int(den)),)
