@@ -20,16 +20,18 @@ proves associativity, so holding one certifies it.
 
 The checks run on integers, in whole-array numpy passes. A cocycle is held
 in one integer form, built once: its values over one common denominator D,
-as the array V of shape (|B|, |B|, d) with V[x, y] = D * c(x, y), and its
-action matrices over one common denominator E, as the array of the E * M_z,
-of shape (|B|, d, d). Every identity is checked multiplied through by D and
-E. The arrays are int64 only where every intermediate of a check is proved
-to stay below 2^63 in absolute value. With |V| <= v and |E * M| <= m (so
-E <= m, as M_1 = I), every entry, partial sum and residue of the cocycle
-check is at most max(m, v * (3E + d * m)); the trivialization relation
-adds up |B| values, so its bound is |B| times that. Past 2^63 the same
-expressions run on arrays of Python ints (dtype object), so every result is
-exact.
+as the array V of shape (|B|, |B|, d) with V[x, y] = D * c(x, y). Its action
+brings the one integer form of ``FiniteAction``: the array of the E * M_z,
+of shape (|B|, d, d), over the least common denominator E, which the
+cocycle casts to its own dtype. Every identity is checked multiplied through
+by D and E, and the cocycle identity by ``_first_failure``, the same Light
+test that proves the action a homomorphism. The arrays are int64 only where
+every intermediate of a check is proved to stay below 2^63 in absolute
+value. With |V| <= v and |E * M| <= m (so E <= m, as M_1 = I), every
+entry, partial sum and residue of the cocycle check is at most
+max(m, v * (3E + d * m)); the trivialization relation adds up |B| values,
+so its bound is |B| times that. Past 2^63 the same expressions run on
+arrays of Python ints (dtype object), so every result is exact.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .exact_linear import QMatrix, QVector, _format_row
-from .group_core import FiniteAction, GroupTable, exact_int
+from .group_core import FiniteAction, GroupTable, _dtype, _first_failure, exact_int
 
 
 class CocycleError(ValueError):
@@ -56,12 +58,6 @@ class CocycleError(ValueError):
 class TrivializationError(RuntimeError):
     """The averaged 1-cochain does not trivialize a verified cocycle. This
     cannot happen over Q^n; seeing it means a bug, not a property of input."""
-
-
-def _dtype(bound: int) -> type:
-    """int64 when ``bound``, a proved bound on every intermediate of a
-    check, is below 2^63; Python ints otherwise."""
-    return np.int64 if bound < 2**63 else object
 
 
 def _flat(data, shape: tuple[int, ...]) -> list | None:
@@ -82,14 +78,6 @@ def _check_action(base: GroupTable, action: FiniteAction) -> None:
         raise ValueError("action domain must be the base group")
 
 
-def _action_ints(action: FiniteAction) -> tuple[int, list[int]]:
-    """(E, the row-major entries of every E * M_z), E the lcm of the
-    matrices' denominators."""
-    mats = action.matrices
-    e = math.lcm(*(m.den for m in mats))
-    return e, [x * (e // m.den) for m in mats for row in m.nums for x in row]
-
-
 _set = object.__setattr__
 
 
@@ -100,16 +88,15 @@ class Cocycle:
     failing triple, so every ``Cocycle`` satisfies the identity. Its fields
     cannot be reassigned, so that stays true.
 
-    It keeps only the integer form of the module docstring: D, V, E and the
-    E * M_z, with the bound that picks their dtype."""
+    It keeps only the integer form of the module docstring: D and V, with
+    the bound that picks their dtype; E and the E * M_z are the action's
+    ``den`` and ``matrices``."""
 
     base: GroupTable
     action: FiniteAction
     _d: int
-    _e: int
     _bound: int
     _v: np.ndarray
-    _em: np.ndarray
 
     def __init__(self, base: GroupTable, action: FiniteAction,
                  values: Sequence[Sequence[QVector]]):
@@ -134,15 +121,12 @@ class Cocycle:
         """Set the integer form, check that the cocycle is normalized, and
         verify the identity."""
         nb, n = base.order, action.module_dim
-        e, em = _action_ints(action)
-        max_v, max_em = max(map(abs, nums)), max(map(abs, em))
+        max_v, max_em = max(map(abs, nums)), int(abs(action.matrices).max())
         #: the bound of the module docstring on every intermediate of verify_cocycle
-        bound = max(max_em, max_v * (3 * e + n * max_em))
+        bound = max(max_em, max_v * (3 * action.den + n * max_em))
         v = np.array(nums, _dtype(bound)).reshape(nb, nb, n)
-        em = np.array(em, v.dtype).reshape(nb, n, n)
-        v.flags.writeable = em.flags.writeable = False
-        for name, value in (("base", base), ("action", action), ("_d", d), ("_e", e),
-                            ("_bound", bound), ("_v", v), ("_em", em)):
+        v.flags.writeable = False
+        for name, value in (("base", base), ("action", action), ("_d", d), ("_bound", bound), ("_v", v)):
             _set(self, name, value)
         if (v[0] != 0).any() or (v[:, 0] != 0).any():
             raise ValueError("cocycle must be normalized: c(1, y) = c(x, 1) = 0")
@@ -163,36 +147,30 @@ class Cocycle:
         return tuple(tuple(QVector.from_ints(v, d) for v in row) for row in self._v.tolist())
 
     def to_json(self) -> dict:
-        d = self._d
+        d, e = self._d, self.action.den
         return {
             "base": self.base.to_json(),
             "module_dim": self.module_dim,
-            "action": [m.to_json() for m in self.action.matrices],
+            "action": [[_format_row(row, e) for row in m] for m in self.action.matrices.tolist()],
             "values": [[_format_row(v, d) for v in row] for row in self._v.tolist()],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "Cocycle":
-        """The cocycle of a JSON document. A value table of |B| lists of |B|
-        lists of d entries is read one row c(x, -) at a time, as one QVector
-        of its |B| * d entries, and scaled to D and V, so no QVector is built
-        per value; any other table is read per vector, so its errors read as
-        they always have."""
+        """The cocycle of a JSON document. The value table must be |B| lists
+        of |B| lists of d entries; it is read one row c(x, -) at a time, as
+        one QVector of its |B| * d entries, and scaled to D and V, so no
+        QVector is built per value."""
         try:
             base = GroupTable.from_json(data["base"])
             n = exact_int(data["module_dim"])
-            matrices = tuple(QMatrix.from_json(m) for m in data["action"])
-            action = FiniteAction(base, n, 0, matrices)
-            rows = data["values"]
-            flat = _flat(rows, (base.order, base.order, n))
-            values = None if flat is not None else tuple(
-                tuple(QVector.from_json(v) for v in row) for row in rows
-            )
+            action = FiniteAction(base, n, 0, tuple(QMatrix.from_json(m) for m in data["action"]))
+            flat = _flat(data["values"], (base.order, base.order, n))
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed cocycle JSON: {exc}") from exc
-        del data, rows  # free the parsed document before the identity is verified
-        if values is not None:
-            return cls(base, action, values)
+        del data  # free the parsed document before the identity is verified
+        if flat is None:
+            raise ValueError(f"values table must be {base.order} x {base.order} lists of {n} rationals")
         k = base.order * n  # the entries of one row, c(x, -)
         parts = [QVector.from_json(flat[i:i + k]) for i in range(0, len(flat), k)]
         del flat
@@ -205,23 +183,9 @@ def _middle_failures(c: Cocycle, y: int, stop: int) -> np.ndarray:
     identity times D * E fails with y in the middle: where
     E * (V[xy, z] - V[x, yz] - V[y, z]) + V[x, y] (E M_z) is not zero."""
     v, arr = c._v, c.base.array
-    moved = np.matmul(v[:stop, y], c._em).swapaxes(0, 1)  # [x, z] = V[x, y] (E M_z)
-    return (c._e * (v[arr[:stop, y]] - v[:stop, arr[y]] - v[y]) + moved != 0).any(axis=2)
-
-
-def _first_failure(c: Cocycle, middles: Sequence[int]) -> tuple[int, int, int] | None:
-    """The first failing (x, y, z) in lexicographic order, y drawn from
-    middles in their order; None if there is none. Each middle is one pass
-    of ``_middle_failures``, whose first failure in row-major order is its
-    least (x, z); once one is found, a later middle can only come first
-    at a smaller x, so its pass stops there."""
-    first, stop = None, c.base.order
-    for y in middles:
-        bad = _middle_failures(c, y, stop)
-        if bad.any():
-            x, z = divmod(int(bad.argmax()), c.base.order)
-            first, stop = (x, y, z), x
-    return first
+    em = c.action.matrices.astype(v.dtype, copy=False)
+    moved = np.matmul(v[:stop, y], em).swapaxes(0, 1)  # [x, z] = V[x, y] (E M_z)
+    return (c.action.den * (v[arr[:stop, y]] - v[:stop, arr[y]] - v[y]) + moved != 0).any(axis=2)
 
 
 def verify_cocycle(c: Cocycle) -> tuple[bool, tuple[int, int, int] | None]:
@@ -237,18 +201,15 @@ def verify_cocycle(c: Cocycle) -> tuple[bool, tuple[int, int, int] | None]:
     is one exactly when the identity holds at every (x, s, z), given that
     M_s M_z = M_sz (the action is a homomorphism). The (1, a) and the (s, 0)
     for generators s generate the extension, so every element is a middle.
-    Only when the generator check fails is every y scanned, so the witness
-    is the first one in lexicographic order.
 
-    Each middle is one pass of numpy operations over all (x, z): |B|^2
-    products of a d-vector by a d x d matrix, with temporaries of
-    O(|B|^2 * d) entries. A valid cocycle takes one pass per generator;
-    after a failure, each further pass stops at the x of the first failure
-    found so far.
+    The test is ``group_core._first_failure``, which also proves the action
+    a homomorphism: each middle is one pass of ``_middle_failures``, |B|^2
+    products of a d-vector by a d x d integer matrix, with temporaries of
+    O(|B|^2 * d) entries, and only after a generator fails is every y
+    scanned, for the lexicographically first witness.
     """
-    if _first_failure(c, c.base.generators) is None:
-        return True, None
-    return False, _first_failure(c, range(c.base.order))
+    witness = _first_failure(c.base, lambda y, stop: _middle_failures(c, y, stop))
+    return witness is None, witness
 
 
 @dataclass(frozen=True)
@@ -266,10 +227,9 @@ def extension_multiply(e1: ExtensionElement, e2: ExtensionElement, c: Cocycle) -
     if e1.a.dim != c.module_dim or e2.a.dim != c.module_dim:
         raise ValueError("extension element dimension mismatch")
     x, y = e1.x, e2.x
-    return ExtensionElement(
-        int(c.base.array[x, y]),
-        e1.a * c.action.matrices[y] + e2.a + QVector.from_ints(c._v[x, y].tolist(), c._d),
-    )
+    moved = (np.array(e1.a.nums, dtype=object) @ c.action.matrices[y]).tolist()  # E * a M_y
+    return ExtensionElement(int(c.base.array[x, y]), QVector.from_ints(moved, e1.a.den * c.action.den)
+                            + e2.a + QVector.from_ints(c._v[x, y].tolist(), c._d))
 
 
 def trivialize(c: Cocycle) -> tuple[QVector, ...]:
@@ -297,7 +257,7 @@ def trivialize(c: Cocycle) -> tuple[QVector, ...]:
     """
     nb = c.base.order
     dtype = _dtype(nb * c._bound)  # the bound of the module docstring
-    v, em = c._v.astype(dtype, copy=False), c._em.astype(dtype, copy=False)
+    v, em = c._v.astype(dtype, copy=False), c.action.matrices.astype(dtype, copy=False)
     sums = v.sum(axis=0)
     # [i, y]: the relation fails at (y, the i-th generator)
     bad = np.array([_relation_failures(c, v, em, sums, z) for z in c.base.generators])
@@ -313,7 +273,7 @@ def _relation_failures(c: Cocycle, v: np.ndarray, em: np.ndarray, sums: np.ndarr
     """The mask of the y at which the trivialization relation times
     |B| * D * E fails at (y, z): where
     E * (|B| * V[y, z] + s(yz) - s(z)) - s(y) (E M_z) is not zero."""
-    residue = c._e * (c.base.order * v[:, z] + sums[c.base.array[:, z]] - sums[z])
+    residue = c.action.den * (c.base.order * v[:, z] + sums[c.base.array[:, z]] - sums[z])
     return (residue - np.matmul(sums, em[z]) != 0).any(axis=1)
 
 
@@ -351,9 +311,8 @@ def coboundary(f: Sequence[QVector], base: GroupTable, action: FiniteAction) -> 
     # for D = df * E, divided through by the gcd of D and every entry
     df = math.lcm(*(v.den for v in f))
     fs = np.array([x * (df // v.den) for v in f for x in v.nums], dtype=object).reshape(base.order, n)
-    e, em = _action_ints(action)
-    em = np.array(em, dtype=object).reshape(base.order, n, n)
-    moved = np.matmul(fs, em).swapaxes(0, 1)  # [x, y] = F(x) (E M_y)
+    e = action.den
+    moved = np.matmul(fs, action.matrices.astype(object)).swapaxes(0, 1)  # [x, y] = F(x) (E M_y)
     nums = (e * (fs[base.array] - fs) - moved).ravel().tolist()
     g = math.gcd(df * e, *nums)
     return Cocycle._of_ints(base, action, df * e // g, [x // g for x in nums])

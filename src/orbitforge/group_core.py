@@ -6,8 +6,10 @@ and ``array[i, j]`` is the product i*j. That read-only int16 array is the one
 form of a table: the constructors build it by index arithmetic and every
 query and search reads it. ``table`` only exports it as tuples of ints. Group
 actions on vector modules are *right* actions on row vectors (``a * M``), so
-action matrices compose as ``M[x] * M[y] == M[x*y]``; over F_q they are
-likewise one read-only int64 array, of shape (|B|, n, n), reduced mod q.
+action matrices compose as ``M[x] * M[y] == M[x*y]``. At every
+characteristic an action likewise has one form, a read-only integer array of
+shape (|B|, n, n) over one denominator (``FiniteAction``), and one check,
+the whole-array Light test of ``_first_failure`` that cocycles share.
 """
 
 from __future__ import annotations
@@ -172,8 +174,8 @@ def exact_int(x) -> int:
 
 
 def _int_row(row) -> tuple[int, ...]:
-    """One table row, or one row of an F_q matrix (``_fq_array``), as a tuple
-    of ints, each entry checked by ``exact_int``."""
+    """One table row, or one row of an action matrix (``_integer_form``), as
+    a tuple of ints, each entry checked by ``exact_int``."""
     r = tuple(row)
     if not _EXACT_INT.issuperset(map(type, r)):
         r = tuple(map(exact_int, r))
@@ -443,98 +445,132 @@ def alternating(n: int) -> GroupTable:
 # ---------------------------------------------------------------------------
 # actions and semidirect products
 
-def _fq_array(mats, n: int, q: int) -> np.ndarray:
-    """mats over F_q as one read-only int64 array of shape (len(mats), n, n).
-    Each entry passes ``exact_int`` (via ``_int_row``) and is reduced mod q in
-    Python first; q <= MAX_ORDER keeps every product exact in int64."""
-    if not (q <= MAX_ORDER and is_prime(q)):
+def _dtype(bound: int) -> type:
+    """int64 when ``bound``, a proved bound on every intermediate of an
+    integer check, is below 2^63; Python ints (dtype object) otherwise."""
+    return np.int64 if bound < 2**63 else object
+
+
+def _first_failure(b: GroupTable, failures) -> tuple[int, ...] | None:
+    """Light's test with a witness, for an identity with y in the middle
+    whose passing y are closed under products; ``failures(y, stop)`` is its
+    failure mask over x < stop (axis 0) and any further arguments. None if
+    every y in ``b.generators`` passes; else every y is scanned for the
+    lexicographically first failing (x, y, ...). A mask's first failure in
+    row-major order is its least, and a later y can only come first at a
+    smaller x, so its pass stops there."""
+    if not any(failures(y, b.order).any() for y in b.generators):
+        return None
+    first, stop = None, b.order
+    for y in range(b.order):
+        bad = failures(y, stop)
+        if bad.any():
+            x, *rest = map(int, np.unravel_index(bad.argmax(), bad.shape))
+            first, stop = (x, y, *rest), x
+    return first
+
+
+def _integer_form(mats, n: int, q: int, den: int) -> tuple[list[int], int]:
+    """(A, E), A the row-major entries of the integer matrices A[x] with
+    A[x] / E = mats[x] / den: over Q, E is the least common denominator (the
+    gcd of E and every entry is 1), and over F_q the entries are reduced mod
+    q, with E = den = 1. Each input matrix is n x n rows of integers (each
+    entry passing ``exact_int``) or, over Q, a QMatrix."""
+    if q and not (q <= MAX_ORDER and is_prime(q)):
         raise ValueError(f"characteristic must be 0 or a prime <= {MAX_ORDER}")
+    if type(den) is not int or den < 1 or q and den != 1:
+        raise ValueError("den must be a positive int, and 1 over F_q")
     try:
-        rows = [[[e % q for e in _int_row(r)] for r in m] for m in mats]
+        forms = [(m.nums, m.den) if q == 0 and isinstance(m, QMatrix) else (list(map(_int_row, m)), 1)
+                 for m in mats]
     except TypeError as exc:
         raise ValueError(f"matrix entries must be integers: {exc}") from exc
-    if any(len(m) != n or any(len(r) != n for r in m) for m in rows):
-        raise ValueError("matrices must be n x n")
-    arr = np.array(rows, dtype=np.int64)
-    arr.flags.writeable = False
-    return arr
-
-
-def _arithmetic(q: int, n: int):
-    """Identity, product and equality of n x n matrices over Q (q = 0) or F_q."""
-    if q == 0:
-        return QMatrix.identity(n), QMatrix.__mul__, operator.eq
-    return np.eye(n, dtype=np.int64), lambda a, c: a @ c % q, np.array_equal
+    if any(len(a) != n or any(len(r) != n for r in a) for a, _ in forms):
+        raise ValueError("matrices must be n x n" if q
+                         else "characteristic-0 action needs n x n QMatrix values")
+    if q:
+        return [x % q for a, _ in forms for r in a for x in r], 1
+    lcm = math.lcm(*(d for _, d in forms))
+    flat = [x * (lcm // d) for a, d in forms for r in a for x in r]
+    g = math.gcd(lcm * den, *flat)
+    return [x // g for x in flat], lcm * den // g
 
 
 @dataclass(frozen=True, eq=False)
 class FiniteAction:
-    """A right action of a finite group on a vector module.
+    """A right action of a finite group B on a vector module of dimension n,
+    over Q (characteristic 0) or over F_q for a prime q <= MAX_ORDER.
 
-    The matrices are exact QMatrix values for characteristic 0, and for a
-    prime q <= MAX_ORDER one read-only int64 array of shape (|B|, n, n)
-    reduced mod q (``_fq_array``). Validation enforces that the identity
-    acts trivially and that ``matrices[x] * matrices[y] == matrices[x*y]``;
-    together these make every matrix invertible. The product rule is checked
-    for y in ``domain.generators`` only: the y for which it holds at every x
-    are closed under products, since M_x M_(yz) = M_x M_y M_z = M_(xy) M_z =
-    M_(xyz). Actions compare by identity, as tables do.
+    Every characteristic has one form: M_x = matrices[x] / den, with
+    ``matrices`` one read-only integer array of shape (|B|, n, n). Over Q,
+    den is the lcm E of the denominators of the M_x, and the array holds the
+    E * M_x; over F_q, it holds the M_x reduced mod q, and den = 1. Input is
+    integer matrices over ``den`` or, over Q, QMatrix values
+    (``_integer_form``). The array is int64 while (n + 1) * m^2, for m the
+    largest of den and |entries|, bounds every entry of the check below
+    under 2^63, and holds Python ints (dtype object) past that.
+
+    Validation enforces matrices[0] = den * I and M_x M_y = M_xy, that is
+    matrices[x] @ matrices[y] = den * matrices[xy] (mod q over F_q), which
+    make every matrix invertible. That is ``_first_failure``'s Light test,
+    one whole-array pass over x per generator y: the y for which it holds
+    at every x are closed under products, as M_x M_(yz) = M_x M_y M_z =
+    M_(xy) M_z = M_(xyz). Actions compare by identity, as tables do.
     """
 
     domain: GroupTable
     module_dim: int
     characteristic: int
-    matrices: tuple | np.ndarray
+    matrices: np.ndarray
+    den: int = 1
 
     def __post_init__(self):
-        b = self.domain
-        n = self.module_dim
-        q = self.characteristic
+        b, n, q = self.domain, self.module_dim, self.characteristic
         if n < 1:
             raise ValueError("module dimension must be positive")
         if len(self.matrices) != b.order:
             raise ValueError("need one matrix per group element")
-        if q == 0:
-            mats = self.matrices
-            if any(not isinstance(m, QMatrix) or m.n != n for m in mats):
-                raise ValueError("characteristic-0 action needs n x n QMatrix values")
-        else:
-            mats = _fq_array(self.matrices, n, q)
-            object.__setattr__(self, "matrices", mats)
-        ident, mul, eq = _arithmetic(q, n)
-        if not eq(mats[0], ident):
+        flat, den = _integer_form(self.matrices, n, q, self.den)
+        if flat[:n * n] != [den * (i == j) for i in range(n) for j in range(n)]:
             raise ValueError("identity element must act as the identity matrix")
-        arr = b.array
-        if not all(eq(mul(mats[x], mats[y]), mats[xy])
-                   for y in b.generators for x, xy in enumerate(arr[:, y].tolist())):
-            # name the first failing pair of the full scan
-            x, y = next((x, y) for x, row in enumerate(arr.tolist()) for y, xy in enumerate(row)
-                        if not eq(mul(mats[x], mats[y]), mats[xy]))
-            raise ValueError(f"action is not a homomorphism at pair ({x}, {y})")
+        m = max(den, max(map(abs, flat)))
+        mats = np.array(flat, _dtype((n + 1) * m * m)).reshape(b.order, n, n)
+        mats.flags.writeable = False
+        object.__setattr__(self, "matrices", mats)
+        object.__setattr__(self, "den", den)
+
+        def failures(y: int, stop: int) -> np.ndarray:
+            diff = mats[:stop] @ mats[y] - den * mats[b.array[:stop, y]]
+            return (diff % q if q else diff).any(axis=(1, 2))
+
+        witness = _first_failure(b, failures)
+        if witness is not None:
+            raise ValueError(f"action is not a homomorphism at pair {witness}")
 
 
 def trivial_action(b: GroupTable, dim: int, characteristic: int = 0) -> FiniteAction:
-    ident = _arithmetic(characteristic, dim)[0]
-    return FiniteAction(b, dim, characteristic, (ident,) * b.order)
+    return FiniteAction(b, dim, characteristic, (np.identity(dim, int).tolist(),) * b.order)
 
 
 def cyclic_matrix_action(base: GroupTable, generator_matrix, characteristic: int = 0) -> FiniteAction:
-    """Action of a cyclic(n) table where index k acts by the k-th power of the
-    given generator matrix. The base must come from :func:`cyclic`."""
-    n = base.order
+    """Action of a cyclic(n) table where index k acts by the k-th power of
+    the given generator matrix: integer rows, or over Q also a QMatrix or
+    rows of rationals. The base must come from :func:`cyclic`."""
+    n, q = base.order, characteristic
     if not np.array_equal(base.array, _cyclic_array(n)):
         raise ValueError("base must be a cyclic() table (index = exponent)")
-    if characteristic == 0:
-        gen = generator_matrix if isinstance(generator_matrix, QMatrix) else QMatrix.of(generator_matrix)
-        dim = gen.n
-    else:
-        dim = len(generator_matrix)
-        gen = _fq_array([generator_matrix], dim, characteristic)[0]
-    ident, mul, _ = _arithmetic(characteristic, dim)
-    mats = [ident]
+    gen = generator_matrix
+    if q == 0 and not isinstance(gen, QMatrix):
+        gen = QMatrix.of(gen)
+    dim = gen.n if isinstance(gen, QMatrix) else len(gen)
+    a, g = _integer_form([gen], dim, q, 1)
+    a = np.array(a, np.int64 if q else object).reshape(dim, dim)
+    powers = [np.identity(dim, a.dtype)]
     for _ in range(n - 1):
-        mats.append(mul(mats[-1], gen))
-    return FiniteAction(base, dim, characteristic, tuple(mats))
+        powers.append(powers[-1] @ a % q if q else powers[-1] @ a)
+    # M^k = powers[k] / g^k, put over g^(n-1); FiniteAction reduces that
+    return FiniteAction(base, dim, q, [(p * g ** (n - 1 - k)).tolist() for k, p in enumerate(powers)],
+                        g ** (n - 1))
 
 
 def finite_semidirect(q: int, n: int, action: FiniteAction, b: GroupTable) -> GroupTable:

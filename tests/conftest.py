@@ -255,6 +255,13 @@ def permutation_action(g) -> "gc.FiniteAction":
     return gc.FiniteAction(g, d, 0, mats)
 
 
+def action_matrices(action) -> tuple[QMatrix, ...]:
+    """Every M_x of an action as a QMatrix, read off its one integer form:
+    matrices[x] over den."""
+    return tuple(QMatrix([[Fraction(e, action.den) for e in row] for row in m])
+                 for m in action.matrices.tolist())
+
+
 def extension_identity(c) -> "cs.ExtensionElement":
     return cs.ExtensionElement(0, QVector.zero(c.module_dim))
 
@@ -501,7 +508,7 @@ def brute_force_cocycle(base, action, values) -> tuple[bool, tuple[int, int, int
     with the first failure; in plain Fractions read off ``entries`` and
     ``rows``, with no QVector arithmetic. It takes the raw table, since a
     failing one cannot be built into a ``Cocycle``."""
-    t, mats = base.table, [m.rows for m in action.matrices]
+    t, mats = base.table, [m.rows for m in action_matrices(action)]
     v = [[list(e.entries) for e in row] for row in values]
     n, d = base.order, action.module_dim
     for x in range(n):

@@ -13,6 +13,7 @@ from conftest import (
     QUOTED_RATIONALS,
     TOO_MANY_DIGITS,
     brute_force_cocycle,
+    action_matrices,
     extension_identity,
     fraction_vecmul,
     fraction_vecsub,
@@ -108,7 +109,7 @@ _P = QMatrix.of([[2, "1/2", 0, 0], [0, 1, "1/3", 0], [0, 0, "3/2", 1], [0, 0, 0,
 def _conjugated(g: gc.GroupTable, action: gc.FiniteAction, p: QMatrix) -> gc.FiniteAction:
     """x -> P^-1 M_x P, an action isomorphic to the given one."""
     p_inv = p.inverse()
-    return gc.FiniteAction(g, action.module_dim, 0, tuple(p_inv * m * p for m in action.matrices))
+    return gc.FiniteAction(g, action.module_dim, 0, tuple(p_inv * m * p for m in action_matrices(action)))
 
 
 def _small_actions():
@@ -150,7 +151,7 @@ def test_rational_action_has_matrices_over_different_denominators():
     # the common denominator E of the action is only exercised when the
     # matrices have non-integer entries, and unequal denominators
     _, action = SMALL_ACTIONS["A4_perm_rational"]
-    dens = {max(e.denominator for row in m.rows for e in row) for m in action.matrices}
+    dens = {max(e.denominator for row in m.rows for e in row) for m in action_matrices(action)}
     assert 1 in dens and len(dens) > 2
 
 
@@ -161,10 +162,10 @@ def test_trivializer_satisfies_relation_in_fractions(name):
     b, action = SMALL_ACTIONS[name]
     c = random_cocycle(b, action, seed=len(name))
     e = cs.trivialize(c)
-    t = b.table
+    t, mats = b.table, action_matrices(action)
     for y in range(b.order):
         for z in range(b.order):
-            rhs = fraction_vecsub(fraction_vecsub(e[t[y][z]], fraction_vecmul(e[y], action.matrices[z])),
+            rhs = fraction_vecsub(fraction_vecsub(e[t[y][z]], fraction_vecmul(e[y], mats[z])),
                                   e[z])
             assert c.values[y][z] == rhs, (y, z)
 
@@ -230,17 +231,17 @@ def test_trivialization_error_names_the_least_y_then_the_first_generator(monkeyp
         cs.trivialize(c)
 
 
-@pytest.mark.parametrize("field", ["base", "action", "_d", "_e", "_bound", "_v", "_em"])
+@pytest.mark.parametrize("field", ["base", "action", "_d", "_bound", "_v"])
 def test_a_built_cocycle_cannot_be_changed(field):
     # construction verified the identity on these fields, so none may be
-    # reassigned, and the arrays are read-only
+    # reassigned, and the arrays, the action's included, are read-only
     c = _c2_instance()
     with pytest.raises(AttributeError):
         setattr(c, field, None)
     with pytest.raises(ValueError, match="read-only"):
         c._v[1, 1, 0] = 2
     with pytest.raises(ValueError, match="read-only"):
-        c._em[1, 0, 0] = 2
+        c.action.matrices[1, 0, 0] = 2
     assert c.values[1][1] == QVector.of(1)
 
 
@@ -276,13 +277,13 @@ def test_zero_cocycle_is_semidirect_law():
     values = tuple(tuple(zero for _ in range(6)) for _ in range(6))
     c = cs.Cocycle(s3, action, values)
     rng = random.Random(0)
-    t = s3.table
+    t, mats = s3.table, action_matrices(action)
     for _ in range(15):
         x, y = rng.randrange(6), rng.randrange(6)
         a = QVector.of(rng.randint(-5, 5), rng.randint(-5, 5))
         b = QVector.of(rng.randint(-5, 5), rng.randint(-5, 5))
         got = cs.extension_multiply(cs.ExtensionElement(x, a), cs.ExtensionElement(y, b), c)
-        assert got == cs.ExtensionElement(t[x][y], a * action.matrices[y] + b)
+        assert got == cs.ExtensionElement(t[x][y], a * mats[y] + b)
 
 
 def test_extension_multiply_associative_for_verified_cocycle():
@@ -341,10 +342,10 @@ def test_trivialize_satisfies_relation_independently():
     s3, action = _sign_action_s3(3)
     c = random_cocycle(s3, action, seed=123)
     e = cs.trivialize(c)
-    t = s3.table
+    t, mats = s3.table, action_matrices(action)
     for y in range(6):
         for z in range(6):
-            assert c.values[y][z] == e[t[y][z]] - e[y] * action.matrices[z] - e[z]
+            assert c.values[y][z] == e[t[y][z]] - e[y] * mats[z] - e[z]
 
 
 def test_trivialize_need_not_recover_the_cochain():
@@ -359,7 +360,7 @@ def test_trivialize_need_not_recover_the_cochain():
     c = cs.coboundary(f, c2, action)
     e = cs.trivialize(c)
     assert e[1] != f[1]
-    assert c.values[1][1] == e[0] - e[1] * action.matrices[1] - e[1]
+    assert c.values[1][1] == e[0] - e[1] * action_matrices(action)[1] - e[1]
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +465,7 @@ def test_cocycle_json_roundtrip():
 def _fraction_coboundary(f, b, action):
     """c(x, y) = f(xy) - f(x) M_y - f(y) at every pair, in the entry-wise
     Fraction oracles."""
-    t, mats = b.table, action.matrices
+    t, mats = b.table, action_matrices(action)
     return [[fraction_vecsub(fraction_vecsub(f[t[x][y]], fraction_vecmul(f[x], mats[y])), f[y])
              for y in range(b.order)] for x in range(b.order)]
 
@@ -590,6 +591,33 @@ def test_cocycle_json_rejects_an_entry_with_the_vector_message(where, bad):
     assert str(table.value) == str(vector.value)
 
 
+@pytest.mark.parametrize("misshape", [
+    lambda values: values[4].pop(),
+    lambda values: values[4][5].pop(),
+    lambda values: values[4].__setitem__(5, "1/2"),
+], ids=["ragged row", "short value", "string value"])
+def test_misshapen_value_table_names_the_expected_shape(misshape):
+    # before, these read "values table must be |B| x |B|", "every cocycle
+    # value must have dimension 3" and "vector must be a list of rationals,
+    # got str"
+    data = _s3_document()
+    misshape(data["values"])
+    with pytest.raises(ValueError, match=r"^values table must be 6 x 6 lists of 3 rationals$"):
+        cs.Cocycle.from_json(data)
+
+
+def test_rational_action_round_trips_through_cocycle_json():
+    # the cocycle writes each M_z from the action's integer form over E > 1;
+    # it must read exactly as the input QMatrix writes itself
+    b, action = SMALL_ACTIONS["A4_perm_rational"]
+    p_inv = _P.inverse()
+    inputs = [p_inv * m * _P for m in action_matrices(permutation_action(b))]
+    assert action.den > 1
+    data = random_cocycle(b, action, seed=13).to_json()
+    assert data["action"] == [m.to_json() for m in inputs]
+    assert cs.Cocycle.from_json(json.loads(json.dumps(data))).to_json() == data
+
+
 def test_cocycle_json_names_the_first_bad_entry():
     # the action is read before the values, each in row-major order
     data = _s3_document()
@@ -612,7 +640,7 @@ def test_cocycle_json_reads_entries_as_the_entry_parser_does(entries):
             "values": [[["0"] * 3, ["0"] * 3], [["0"] * 3, entries]]}
     c = cs.Cocycle.from_json(data)
     assert c.values[1][1].entries == tuple(Fraction(*_num_den(e)) for e in entries)
-    assert c.action.matrices[1] == QMatrix.identity(3)
+    assert action_matrices(c.action)[1] == QMatrix.identity(3)
     for where in ("values", "action"):
         bad = json.loads(json.dumps(data))
         (bad["values"][1][1] if where == "values" else bad["action"][1][0])[1] = True

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,11 +9,13 @@ from hypothesis import strategies as st
 
 import conftest
 from conftest import (
+    action_matrices,
     brute_force_associative,
     first_non_homomorphic_pair,
     independent_element_order,
     independent_order_profile,
     intercalate_loop,
+    matrix_power,
     relabeled_table,
     scalar_matrix,
 )
@@ -242,6 +245,14 @@ def test_action_must_be_homomorphism():
         gc.FiniteAction(c2, 1, 0, (QMatrix.identity(1), QMatrix.of([[2]])))
 
 
+#: Changes of basis of Q^2 for the characteristic-0 cases: with P, the
+#: conjugates P^-1 M P of diag(s, 1) have a common denominator E > 1; with
+#: the second, E * M has entries near 2^42, so (n + 1) * m^2 passes 2^63 and
+#: the check runs on Python ints.
+_CONJUGATORS = {"rational": QMatrix.of([[2, "1/2"], [0, "1/3"]]),
+                "past 2^63": QMatrix.of([[2**41 + 1, 1], [3, "1/7"]])}
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_non_homomorphic_action_names_the_first_failing_pair(data):
@@ -254,7 +265,16 @@ def test_non_homomorphic_action_names_the_first_failing_pair(data):
     scalar = data.draw(st.sampled_from([-1, 2, 3]), label="scalar")
     if q == 0:
         mats = [QMatrix.identity(2)] * b.order
-        mats[k] = scalar_matrix(2, scalar)
+        basis = data.draw(st.sampled_from(["integer", *_CONJUGATORS]), label="basis")
+        if basis == "integer":
+            mats[k] = scalar_matrix(2, scalar)
+        else:
+            # a conjugate of diag(scalar, 1): the check must carry the factor E
+            p = _CONJUGATORS[basis]
+            mats[k] = p.inverse() * QMatrix.of([[scalar, 0], [0, 1]]) * p
+            e = mats[k].den
+            m = max(e, *(abs(x) for row in mats[k].nums for x in row))
+            assert e > 1 and (3 * m * m >= 2**63) == (basis == "past 2^63")
         mul = QMatrix.__mul__
     else:
         mats = [((1, 0), (0, 1))] * b.order
@@ -284,17 +304,41 @@ def test_every_generator_is_checked_in_an_action():
         gc.FiniteAction(v4, 1, 5, tuple(((k,),) for k in (1, 1, 2, 2)))
 
 
-def test_fq_matrices_are_one_read_only_int64_array():
-    c5 = gc.cyclic(5)
+def test_action_matrices_are_one_read_only_integer_array():
+    # every characteristic holds M_x as matrices[x] / den: over Q, den is the
+    # least common denominator, and over F_q, den is 1 and entries are
+    # reduced mod q
+    c3, c5 = gc.cyclic(3), gc.cyclic(5)
     companion = ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1))  # x^4+x^3+x^2+x+1
-    for action in (gc.cyclic_matrix_action(c5, companion, characteristic=2),
-                   gc.trivial_action(c5, 3, characteristic=7),
-                   gc.FiniteAction(gc.cyclic(2), 1, 3, ([[1]], [[-1]]))):
-        mats = action.matrices
-        assert isinstance(mats, np.ndarray) and mats.dtype == np.int64
+    rotation = QMatrix.of([[0, 1], [-1, -1]])  # order 3
+    p = QMatrix.of([[2, "1/2"], [0, "1/3"]])
+    rational = [matrix_power(p.inverse() * rotation * p, k) for k in range(3)]
+    stretch = QMatrix.of([[2**40, 0], [0, 1]])
+    wide = [stretch.inverse() * matrix_power(rotation, k) * stretch for k in range(3)]  # E = 2^40
+    cases = [  # (action, input matrices over Q or None, expected dtype)
+        (gc.cyclic_matrix_action(c5, companion, characteristic=2), None, np.int64),
+        (gc.trivial_action(c5, 3, characteristic=7), None, np.int64),
+        (gc.FiniteAction(gc.cyclic(2), 1, 3, ([[1]], [[-1]])), None, np.int64),
+        (gc.trivial_action(c5, 3), [QMatrix.identity(3)] * 5, np.int64),
+        (gc.cyclic_matrix_action(c3, rotation), [matrix_power(rotation, k) for k in range(3)], np.int64),
+        (gc.FiniteAction(c3, 2, 0, tuple(rational)), rational, np.int64),
+        (gc.FiniteAction(c3, 2, 0, tuple(wide)), wide, object),
+        # integer matrices over den are reduced to the least denominator
+        (gc.FiniteAction(gc.cyclic(2), 1, 0, ([[6]], [[-6]]), den=6),
+         [QMatrix.identity(1), QMatrix.of([[-1]])], np.int64),
+    ]
+    for action, inputs, dtype in cases:
+        mats, den, q = action.matrices, action.den, action.characteristic
+        assert isinstance(mats, np.ndarray) and mats.dtype == dtype
         assert mats.shape == (action.domain.order, action.module_dim, action.module_dim)
         assert not mats.flags.writeable
-        assert mats.min() >= 0 and mats.max() < action.characteristic
+        assert dtype is np.int64 or all(type(x) is int for x in mats.flat)
+        if q:
+            assert den == 1 and mats.min() >= 0 and mats.max() < q
+        else:
+            assert den == math.lcm(*(m.den for m in inputs))
+            assert list(action_matrices(action)) == inputs
+    assert gc.FiniteAction(c3, 2, 0, tuple(rational)).den > 1
     # entries are reduced in Python before they enter the array
     big = gc.cyclic_matrix_action(gc.cyclic(2), ((10**30 - 1,),), characteristic=2)
     assert big.matrices.tolist() == [[[1]], [[1]]]
