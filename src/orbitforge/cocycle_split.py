@@ -19,9 +19,10 @@ Building a ``Cocycle`` verifies the identity, as building a ``GroupTable``
 proves associativity, so holding one certifies it.
 
 The checks run on integers, in whole-array numpy passes. A cocycle is held
-in one integer form, built once: its values over one common denominator D,
-as the array V of shape (|B|, |B|, d) with V[x, y] = D * c(x, y). Its action
-brings the one integer form of ``FiniteAction``: the array of the E * M_z,
+in one integer form, built by its one constructor: its values over one
+common denominator D, in lowest terms (``group_core._lowest_terms``, as an
+action is), as the array V of shape (|B|, |B|, d) with V[x, y] = D * c(x, y).
+Its action brings the one integer form of ``FiniteAction``: the E * M_z,
 of shape (|B|, d, d), over the least common denominator E, which the
 cocycle casts to its own dtype. Every identity is checked multiplied through
 by D and E, and the cocycle identity by ``_first_failure``, the same Light
@@ -37,14 +38,14 @@ arrays of Python ints (dtype object), so every result is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .exact_linear import QMatrix, QVector, _format_row
-from .group_core import FiniteAction, GroupTable, _dtype, _first_failure, exact_int
+from .exact_linear import QVector, _format_row
+from .group_core import _EXACT_INT, FiniteAction, GroupTable, _dtype, _first_failure, _lowest_terms, exact_int
 
 
 class CocycleError(ValueError):
@@ -78,56 +79,61 @@ def _check_action(base: GroupTable, action: FiniteAction) -> None:
         raise ValueError("action domain must be the base group")
 
 
-_set = object.__setattr__
+def _read_rows(flat: list, shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    """(A, D) for the JSON rationals flat, in row-major order: A / D their
+    values, A an object array of the given shape over their least common
+    denominator D. Each row along the first axis is one ``QVector.from_json``,
+    and flat is emptied once read, which frees its entries early."""
+    k = len(flat) // shape[0]
+    parts = [QVector.from_json(flat[i:i + k]) for i in range(0, len(flat), k)]
+    flat.clear()
+    d = math.lcm(*(part.den for part in parts))
+    nums = [x * (d // part.den) for part in parts for x in part.nums]
+    return np.array(nums, dtype=object).reshape(shape), d
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Cocycle:
     """A normalized 2-cocycle of a finite group with values in Q^n, verified
     when it is built: construction raises ``CocycleError`` with the first
     failing triple, so every ``Cocycle`` satisfies the identity. Its fields
-    cannot be reassigned, so that stays true.
+    cannot be reassigned and its array cannot be written, so that stays true.
 
-    It keeps only the integer form of the module docstring: D and V, with
-    the bound that picks their dtype; E and the E * M_z are the action's
-    ``den`` and ``matrices``."""
+    Like ``FiniteAction`` it has one constructor: ``values`` is an integer
+    table of shape (|B|, |B|, d), a numpy array or nested lists, over ``den``,
+    so c(x, y) = values[x, y] / den. ``__post_init__`` checks the shape and
+    the int entries, reduces the table to D and V of the module docstring
+    with ``_lowest_terms``, and keeps V read-only in the dtype its bound
+    picks; then it checks normalization and the identity."""
 
     base: GroupTable
     action: FiniteAction
-    _d: int
-    _bound: int
-    _v: np.ndarray
+    values: np.ndarray
+    den: int = 1
+    #: the bound of the module docstring on every intermediate of verify_cocycle
+    _bound: int = field(init=False)
 
-    def __init__(self, base: GroupTable, action: FiniteAction,
-                 values: Sequence[Sequence[QVector]]):
+    def __post_init__(self):
+        base, action = self.base, self.action
         _check_action(base, action)
-        n = action.module_dim
-        if len(values) != base.order or any(len(row) != base.order for row in values):
-            raise ValueError("values table must be |B| x |B|")
-        if any(v.dim != n for row in values for v in row):
-            raise ValueError(f"every cocycle value must have dimension {n}")
-        d = math.lcm(*(v.den for row in values for v in row))
-        self._build(base, action, d, [x * (d // v.den) for row in values for v in row for x in v.nums])
-
-    @classmethod
-    def _of_ints(cls, base: GroupTable, action: FiniteAction, d: int, nums: Sequence[int]) -> "Cocycle":
-        """The cocycle with D = d and the row-major entries nums of V, over a
-        characteristic-0 action on base."""
-        c = cls.__new__(cls)
-        c._build(base, action, d, nums)
-        return c
-
-    def _build(self, base: GroupTable, action: FiniteAction, d: int, nums: Sequence[int]) -> None:
-        """Set the integer form, check that the cocycle is normalized, and
-        verify the identity."""
-        nb, n = base.order, action.module_dim
-        max_v, max_em = max(map(abs, nums)), int(abs(action.matrices).max())
-        #: the bound of the module docstring on every intermediate of verify_cocycle
-        bound = max(max_em, max_v * (3 * action.den + n * max_em))
-        v = np.array(nums, _dtype(bound)).reshape(nb, nb, n)
+        shape = (base.order, base.order, action.module_dim)
+        values = self.values
+        flat = values.ravel().tolist() if isinstance(values, np.ndarray) and values.shape == shape \
+            else _flat(values, shape)
+        if flat is None:
+            raise ValueError(f"cocycle values must be an integer table of shape {shape}")
+        if not _EXACT_INT.issuperset(map(type, flat)):
+            bad = next(x for x in flat if type(x) is not int)
+            raise ValueError(f"cocycle values must be integers, got {bad!r}")
+        if type(self.den) is not int or self.den < 1:
+            raise ValueError("den must be a positive int")
+        flat, den = _lowest_terms(flat, self.den)
+        max_em = int(abs(action.matrices).max())
+        bound = max(max_em, max(map(abs, flat)) * (3 * action.den + shape[2] * max_em))
+        v = np.array(flat, _dtype(bound)).reshape(shape)
         v.flags.writeable = False
-        for name, value in (("base", base), ("action", action), ("_d", d), ("_bound", bound), ("_v", v)):
-            _set(self, name, value)
+        for name, value in (("values", v), ("den", den), ("_bound", bound)):
+            object.__setattr__(self, name, value)
         if (v[0] != 0).any() or (v[:, 0] != 0).any():
             raise ValueError("cocycle must be normalized: c(1, y) = c(x, 1) = 0")
         ok, witness = verify_cocycle(self)
@@ -138,51 +144,43 @@ class Cocycle:
     def module_dim(self) -> int:
         return self.action.module_dim
 
-    @property
-    def values(self) -> tuple[tuple[QVector, ...], ...]:
-        """c(x, y) at [x][y]. Each access builds all |B|^2 QVectors from D
-        and V, O(|B|^2 * d) work, so a caller that reads several values
-        should take the table once."""
-        d = self._d
-        return tuple(tuple(QVector.from_ints(v, d) for v in row) for row in self._v.tolist())
-
     def to_json(self) -> dict:
-        d, e = self._d, self.action.den
         return {
             "base": self.base.to_json(),
             "module_dim": self.module_dim,
-            "action": [[_format_row(row, e) for row in m] for m in self.action.matrices.tolist()],
-            "values": [[_format_row(v, d) for v in row] for row in self._v.tolist()],
+            "action": [[_format_row(row, self.action.den) for row in m] for m in self.action.matrices.tolist()],
+            "values": [[_format_row(v, self.den) for v in row] for row in self.values.tolist()],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "Cocycle":
-        """The cocycle of a JSON document. The value table must be |B| lists
-        of |B| lists of d entries; it is read one row c(x, -) at a time, as
-        one QVector of its |B| * d entries, and scaled to D and V, so no
-        QVector is built per value."""
+        """The cocycle of a JSON document: an action of |B| lists of d lists of
+        d rationals, read a matrix at a time, and a value table of |B| lists of
+        |B| lists of d, read a row c(x, -) at a time, both by ``_read_rows``."""
         try:
             base = GroupTable.from_json(data["base"])
-            n = exact_int(data["module_dim"])
-            action = FiniteAction(base, n, 0, tuple(QMatrix.from_json(m) for m in data["action"]))
-            flat = _flat(data["values"], (base.order, base.order, n))
+            nb, n = base.order, exact_int(data["module_dim"])
+            if n < 1:  # before the action's shape, whose message would hide it
+                raise ValueError("module dimension must be positive")
+            mats = _flat(data["action"], (nb, n, n))
+            if mats is None:
+                raise ValueError(f"action must be {nb} lists of {n} lists of {n} rationals")
+            mats, e = _read_rows(mats, (nb, n, n))
+            action = FiniteAction(base, n, 0, mats.tolist(), e)
+            flat = _flat(data["values"], (nb, nb, n))
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed cocycle JSON: {exc}") from exc
         del data  # free the parsed document before the identity is verified
         if flat is None:
-            raise ValueError(f"values table must be {base.order} x {base.order} lists of {n} rationals")
-        k = base.order * n  # the entries of one row, c(x, -)
-        parts = [QVector.from_json(flat[i:i + k]) for i in range(0, len(flat), k)]
-        del flat
-        d = math.lcm(*(part.den for part in parts))
-        return cls._of_ints(base, action, d, [x * (d // part.den) for part in parts for x in part.nums])
+            raise ValueError(f"values table must be {nb} x {nb} lists of {n} rationals")
+        return cls(base, action, *_read_rows(flat, (nb, nb, n)))
 
 
 def _middle_failures(c: Cocycle, y: int, stop: int) -> np.ndarray:
     """The stop x |B| mask of the (x, z), x < stop, at which the cocycle
     identity times D * E fails with y in the middle: where
     E * (V[xy, z] - V[x, yz] - V[y, z]) + V[x, y] (E M_z) is not zero."""
-    v, arr = c._v, c.base.array
+    v, arr = c.values, c.base.array
     em = c.action.matrices.astype(v.dtype, copy=False)
     moved = np.matmul(v[:stop, y], em).swapaxes(0, 1)  # [x, z] = V[x, y] (E M_z)
     return (c.action.den * (v[arr[:stop, y]] - v[:stop, arr[y]] - v[y]) + moved != 0).any(axis=2)
@@ -229,7 +227,7 @@ def extension_multiply(e1: ExtensionElement, e2: ExtensionElement, c: Cocycle) -
     x, y = e1.x, e2.x
     moved = (np.array(e1.a.nums, dtype=object) @ c.action.matrices[y]).tolist()  # E * a M_y
     return ExtensionElement(int(c.base.array[x, y]), QVector.from_ints(moved, e1.a.den * c.action.den)
-                            + e2.a + QVector.from_ints(c._v[x, y].tolist(), c._d))
+                            + e2.a + QVector.from_ints(c.values[x, y].tolist(), c.den))
 
 
 def trivialize(c: Cocycle) -> tuple[QVector, ...]:
@@ -257,7 +255,7 @@ def trivialize(c: Cocycle) -> tuple[QVector, ...]:
     """
     nb = c.base.order
     dtype = _dtype(nb * c._bound)  # the bound of the module docstring
-    v, em = c._v.astype(dtype, copy=False), c.action.matrices.astype(dtype, copy=False)
+    v, em = c.values.astype(dtype, copy=False), c.action.matrices.astype(dtype, copy=False)
     sums = v.sum(axis=0)
     # [i, y]: the relation fails at (y, the i-th generator)
     bad = np.array([_relation_failures(c, v, em, sums, z) for z in c.base.generators])
@@ -265,7 +263,7 @@ def trivialize(c: Cocycle) -> tuple[QVector, ...]:
         y = int(bad.any(axis=0).argmax())
         z = c.base.generators[int(bad[:, y].argmax())]
         raise TrivializationError(f"trivialization relation fails at pair ({y}, {z})")
-    return tuple(QVector.from_ints([-x for x in s], nb * c._d) for s in sums.tolist())
+    return tuple(QVector.from_ints([-x for x in s], nb * c.den) for s in sums.tolist())
 
 
 def _relation_failures(c: Cocycle, v: np.ndarray, em: np.ndarray, sums: np.ndarray,
@@ -308,11 +306,9 @@ def coboundary(f: Sequence[QVector], base: GroupTable, action: FiniteAction) -> 
         if v.dim != n:
             raise ValueError(f"dimension mismatch: vector {v.dim}, matrix {n}")
     # in Python ints: F = df * f, and D * c(x, y) = E F(xy) - F(x) (E M_y) - E F(y)
-    # for D = df * E, divided through by the gcd of D and every entry
+    # for D = df * E; the constructor puts that in lowest terms
     df = math.lcm(*(v.den for v in f))
     fs = np.array([x * (df // v.den) for v in f for x in v.nums], dtype=object).reshape(base.order, n)
     e = action.den
     moved = np.matmul(fs, action.matrices.astype(object)).swapaxes(0, 1)  # [x, y] = F(x) (E M_y)
-    nums = (e * (fs[base.array] - fs) - moved).ravel().tolist()
-    g = math.gcd(df * e, *nums)
-    return Cocycle._of_ints(base, action, df * e // g, [x // g for x in nums])
+    return Cocycle(base, action, e * (fs[base.array] - fs) - moved, df * e)

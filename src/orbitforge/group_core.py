@@ -8,8 +8,9 @@ query and search reads it. ``table`` only exports it as tuples of ints. Group
 actions on vector modules are *right* actions on row vectors (``a * M``), so
 action matrices compose as ``M[x] * M[y] == M[x*y]``. At every
 characteristic an action likewise has one form, a read-only integer array of
-shape (|B|, n, n) over one denominator (``FiniteAction``), and one check,
-the whole-array Light test of ``_first_failure`` that cocycles share.
+shape (|B|, n, n) over one denominator, one constructor, ``FiniteAction``,
+whose reduction over Q, ``_lowest_terms``, a cocycle's table shares, and one
+check, the whole-array Light test of ``_first_failure`` that cocycles share.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice, permutations
+from itertools import accumulate, chain, islice, permutations, repeat
 
 import numpy as np
 
@@ -491,9 +492,13 @@ def _integer_form(mats, n: int, q: int, den: int) -> tuple[list[int], int]:
     if q:
         return [x % q for a, _ in forms for r in a for x in r], 1
     lcm = math.lcm(*(d for _, d in forms))
-    flat = [x * (lcm // d) for a, d in forms for r in a for x in r]
-    g = math.gcd(lcm * den, *flat)
-    return [x // g for x in flat], lcm * den // g
+    return _lowest_terms([x * (lcm // d) for a, d in forms for r in a for x in r], lcm * den)
+
+
+def _lowest_terms(flat: list[int], den: int) -> tuple[list[int], int]:
+    """(flat, den) divided by the gcd of den > 0 and every entry: one step for actions and cocycles."""
+    g = math.gcd(den, *flat)
+    return ([x // g for x in flat], den // g) if g > 1 else (flat, den)
 
 
 @dataclass(frozen=True, eq=False)
@@ -504,9 +509,10 @@ class FiniteAction:
     Every characteristic has one form: M_x = matrices[x] / den, with
     ``matrices`` one read-only integer array of shape (|B|, n, n). Over Q,
     den is the lcm E of the denominators of the M_x, and the array holds the
-    E * M_x; over F_q, it holds the M_x reduced mod q, and den = 1. Input is
-    integer matrices over ``den`` or, over Q, QMatrix values
-    (``_integer_form``). The array is int64 while (n + 1) * m^2, for m the
+    E * M_x; over F_q, it holds the M_x reduced mod q, and den = 1. The one
+    constructor takes integer matrices over ``den`` or, over Q, QMatrix
+    values; ``_integer_form`` reduces them, over Q by ``_lowest_terms``, the
+    step a ``Cocycle`` shares. The array is int64 while (n + 1) * m^2, for m the
     largest of den and |entries|, bounds every entry of the check below
     under 2^63, and holds Python ints (dtype object) past that.
 
@@ -555,22 +561,19 @@ def trivial_action(b: GroupTable, dim: int, characteristic: int = 0) -> FiniteAc
 def cyclic_matrix_action(base: GroupTable, generator_matrix, characteristic: int = 0) -> FiniteAction:
     """Action of a cyclic(n) table where index k acts by the k-th power of
     the given generator matrix: integer rows, or over Q also a QMatrix or
-    rows of rationals. The base must come from :func:`cyclic`."""
+    rows of rationals. The base must be a :func:`cyclic` table, which its
+    column 1 fixes: in a group, k * 1 = k + 1 makes each k the power 1^k."""
     n, q = base.order, characteristic
-    if not np.array_equal(base.array, _cyclic_array(n)):
+    if not np.array_equal(base.array[:, 1 % n], (np.arange(n) + 1) % n):
         raise ValueError("base must be a cyclic() table (index = exponent)")
-    gen = generator_matrix
-    if q == 0 and not isinstance(gen, QMatrix):
-        gen = QMatrix.of(gen)
-    dim = gen.n if isinstance(gen, QMatrix) else len(gen)
-    a, g = _integer_form([gen], dim, q, 1)
-    a = np.array(a, np.int64 if q else object).reshape(dim, dim)
-    powers = [np.identity(dim, a.dtype)]
-    for _ in range(n - 1):
-        powers.append(powers[-1] @ a % q if q else powers[-1] @ a)
-    # M^k = powers[k] / g^k, put over g^(n-1); FiniteAction reduces that
-    return FiniteAction(base, dim, q, [(p * g ** (n - 1 - k)).tolist() for k, p in enumerate(powers)],
-                        g ** (n - 1))
+    if q:
+        dim = len(generator_matrix)
+        gen = np.array(_integer_form([generator_matrix], dim, q, 1)[0]).reshape(dim, dim)
+        one, mul = np.identity(dim, int).tolist(), lambda p, m: (p @ m % q).tolist()
+    else:  # a QMatrix product is in lowest terms, so each power keeps its own denominator
+        gen = generator_matrix if isinstance(generator_matrix, QMatrix) else QMatrix.of(generator_matrix)
+        dim, one, mul = gen.n, QMatrix.identity(gen.n), operator.mul
+    return FiniteAction(base, dim, q, list(accumulate(repeat(gen, n - 1), mul, initial=one)))
 
 
 def finite_semidirect(q: int, n: int, action: FiniteAction, b: GroupTable) -> GroupTable:

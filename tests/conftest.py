@@ -262,6 +262,19 @@ def action_matrices(action) -> tuple[QMatrix, ...]:
                  for m in action.matrices.tolist())
 
 
+def cocycle_of(base, action, values) -> "cs.Cocycle":
+    """The Cocycle of a |B| x |B| table of QVectors, through its one
+    constructor: the integer table over the lcm of their denominators."""
+    d = math.lcm(*(v.den for row in values for v in row))
+    return cs.Cocycle(base, action, [[[x * (d // v.den) for x in v.nums] for v in row] for row in values], d)
+
+
+def cocycle_values(c) -> tuple[tuple[QVector, ...], ...]:
+    """Every c(x, y) as a QVector at [x][y], read off the one integer form:
+    values[x, y] over den."""
+    return tuple(tuple(QVector.from_ints(v, c.den) for v in row) for row in c.values.tolist())
+
+
 def extension_identity(c) -> "cs.ExtensionElement":
     return cs.ExtensionElement(0, QVector.zero(c.module_dim))
 

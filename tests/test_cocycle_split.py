@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import permutations
 
@@ -14,6 +15,8 @@ from conftest import (
     TOO_MANY_DIGITS,
     brute_force_cocycle,
     action_matrices,
+    cocycle_of,
+    cocycle_values,
     extension_identity,
     fraction_vecmul,
     fraction_vecsub,
@@ -31,7 +34,7 @@ def _c2_instance():
     action = gc.trivial_action(c2, 1)
     zero = QVector.zero(1)
     values = ((zero, zero), (zero, QVector.of(1)))
-    return cs.Cocycle(c2, action, values)
+    return cocycle_of(c2, action, values)
 
 
 def _sign_action_s3(dim: int) -> tuple[gc.GroupTable, gc.FiniteAction]:
@@ -51,7 +54,7 @@ def _construction_verdict(base, action, values) -> tuple[bool, tuple[int, int, i
     it: (True, None) when the Cocycle builds, (False, witness) when it raises
     CocycleError."""
     try:
-        c = cs.Cocycle(base, action, values)
+        c = cocycle_of(base, action, values)
     except cs.CocycleError as exc:
         return False, exc.witness
     assert cs.verify_cocycle(c) == (True, None)
@@ -75,7 +78,7 @@ def test_zero_cocycle_verifies():
         b = build()
         zero = QVector.zero(2)
         values = tuple(tuple(zero for _ in range(b.order)) for _ in range(b.order))
-        c = cs.Cocycle(b, gc.trivial_action(b, 2), values)
+        c = cocycle_of(b, gc.trivial_action(b, 2), values)
         assert cs.verify_cocycle(c) == (True, None), name
 
 
@@ -94,7 +97,7 @@ def test_corrupted_cocycle_fails_with_witness():
     rows[1][1] = QVector.of(1)  # c(g, g) = 1 is not a cocycle over C3
     values = tuple(tuple(r) for r in rows)
     with pytest.raises(cs.CocycleError, match="cocycle identity fails at triple") as info:
-        cs.Cocycle(c3, action, values)
+        cocycle_of(c3, action, values)
     x, y, z = witness = info.value.witness
     assert witness == brute_force_cocycle(c3, action, values)[1]
     lhs = values[c3.table[x][y]][z] + values[x][y]
@@ -137,7 +140,7 @@ def test_verify_cocycle_matches_all_triples_oracle(data):
     name = data.draw(st.sampled_from(sorted(SMALL_ACTIONS)), label="action")
     b, action = SMALL_ACTIONS[name]
     c = random_cocycle(b, action, seed=data.draw(st.integers(0, 999), label="seed"))
-    rows = [list(r) for r in c.values]
+    rows = [list(r) for r in cocycle_values(c)]
     cells = data.draw(st.lists(st.tuples(st.integers(1, b.order - 1), st.integers(1, b.order - 1)),
                                min_size=1, max_size=2), label="cells")
     for x, y in cells:
@@ -167,7 +170,7 @@ def test_trivializer_satisfies_relation_in_fractions(name):
         for z in range(b.order):
             rhs = fraction_vecsub(fraction_vecsub(e[t[y][z]], fraction_vecmul(e[y], mats[z])),
                                   e[z])
-            assert c.values[y][z] == rhs, (y, z)
+            assert cocycle_values(c)[y][z] == rhs, (y, z)
 
 
 def test_every_generator_is_checked_as_a_middle():
@@ -185,7 +188,7 @@ def test_every_generator_is_checked_as_a_middle():
     ok, witness = brute_force_cocycle(v4, action, v)
     assert not ok
     with pytest.raises(cs.CocycleError) as info:
-        cs.Cocycle(v4, action, v)
+        cocycle_of(v4, action, v)
     assert info.value.witness == witness
 
 
@@ -231,7 +234,7 @@ def test_trivialization_error_names_the_least_y_then_the_first_generator(monkeyp
         cs.trivialize(c)
 
 
-@pytest.mark.parametrize("field", ["base", "action", "_d", "_bound", "_v"])
+@pytest.mark.parametrize("field", ["base", "action", "den", "_bound", "values"])
 def test_a_built_cocycle_cannot_be_changed(field):
     # construction verified the identity on these fields, so none may be
     # reassigned, and the arrays, the action's included, are read-only
@@ -239,10 +242,10 @@ def test_a_built_cocycle_cannot_be_changed(field):
     with pytest.raises(AttributeError):
         setattr(c, field, None)
     with pytest.raises(ValueError, match="read-only"):
-        c._v[1, 1, 0] = 2
+        c.values[1, 1, 0] = 2
     with pytest.raises(ValueError, match="read-only"):
         c.action.matrices[1, 0, 0] = 2
-    assert c.values[1][1] == QVector.of(1)
+    assert cocycle_values(c)[1][1] == QVector.of(1)
 
 
 def test_normalization_enforced_at_construction():
@@ -250,7 +253,7 @@ def test_normalization_enforced_at_construction():
     one = QVector.of(1)
     zero = QVector.zero(1)
     with pytest.raises(ValueError, match="normalized"):
-        cs.Cocycle(c2, gc.trivial_action(c2, 1), ((one, zero), (zero, zero)))
+        cocycle_of(c2, gc.trivial_action(c2, 1), ((one, zero), (zero, zero)))
 
 
 def test_characteristic_zero_required():
@@ -258,7 +261,45 @@ def test_characteristic_zero_required():
     act = gc.trivial_action(c2, 1, characteristic=3)
     zero = QVector.zero(1)
     with pytest.raises(ValueError, match="characteristic"):
-        cs.Cocycle(c2, act, ((zero, zero), (zero, zero)))
+        cocycle_of(c2, act, ((zero, zero), (zero, zero)))
+
+
+@pytest.mark.parametrize("k", [1, 6, 2**70], ids=["k=1", "k=6", "k=2^70"])
+@pytest.mark.parametrize("name", ["A4_perm_rational", "S3_sign"])
+def test_a_cocycle_over_a_multiple_of_its_denominator_builds_the_same_form(name, k):
+    # the constructor puts the table in lowest terms before it picks the
+    # dtype, so k * values over k * den is the same cocycle, dtype included;
+    # at k = 2^70 the unreduced entries are far past int64
+    b, action = SMALL_ACTIONS[name]
+    c = random_cocycle(b, action, seed=5)
+    assert c.den > 1 and c.values.dtype == np.int64
+    scaled = c.values.astype(object) * k
+    for table in (scaled, scaled.tolist()):
+        same = cs.Cocycle(b, action, table, c.den * k)
+        assert same.den == c.den
+        assert same.values.dtype == c.values.dtype and np.array_equal(same.values, c.values)
+        assert same.to_json() == c.to_json()
+
+
+@pytest.mark.parametrize("bad", [True, 0.5, "1/2", Fraction(1, 2)], ids=["bool", "float", "str", "Fraction"])
+def test_cocycle_entries_must_be_ints(bad):
+    c2 = gc.cyclic(2)
+    table = [[[0], [0]], [[0], [bad]]]
+    with pytest.raises(ValueError, match=rf"^cocycle values must be integers, got {re.escape(repr(bad))}$"):
+        cs.Cocycle(c2, gc.trivial_action(c2, 1), table)
+
+
+@pytest.mark.parametrize("table", [
+    [[[0], [0]], [[0]]],
+    [[[0], [0]], [[0], [0, 1]]],
+    [[[0], [0]], [[0], 1]],
+    [[[0], [0]], [[0], [0]], [[0], [0]]],
+    np.zeros((2, 2, 2), dtype=np.int64),
+], ids=["ragged row", "long value", "int value", "three rows", "array of the wrong shape"])
+def test_misshapen_cocycle_table_names_the_expected_shape(table):
+    c2 = gc.cyclic(2)
+    with pytest.raises(ValueError, match=r"^cocycle values must be an integer table of shape \(2, 2, 1\)$"):
+        cs.Cocycle(c2, gc.trivial_action(c2, 1), table)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +316,7 @@ def test_zero_cocycle_is_semidirect_law():
     s3, action = _sign_action_s3(2)
     zero = QVector.zero(2)
     values = tuple(tuple(zero for _ in range(6)) for _ in range(6))
-    c = cs.Cocycle(s3, action, values)
+    c = cocycle_of(s3, action, values)
     rng = random.Random(0)
     t, mats = s3.table, action_matrices(action)
     for _ in range(15):
@@ -313,7 +354,7 @@ def test_extension_multiply_refuses_invalid_cocycle():
     rows[1][1] = QVector.of(1)
     values = tuple(tuple(r) for r in rows)
     with pytest.raises(cs.CocycleError) as info:
-        cs.Cocycle(c3, action, values)
+        cocycle_of(c3, action, values)
     assert info.value.witness == brute_force_cocycle(c3, action, values)[1]
 
 
@@ -334,7 +375,7 @@ def test_trivialize_zero_cocycle():
     c3 = gc.cyclic(3)
     zero = QVector.zero(2)
     values = tuple(tuple(zero for _ in range(3)) for _ in range(3))
-    c = cs.Cocycle(c3, gc.trivial_action(c3, 2), values)
+    c = cocycle_of(c3, gc.trivial_action(c3, 2), values)
     assert all(v.is_zero for v in cs.trivialize(c))
 
 
@@ -345,7 +386,7 @@ def test_trivialize_satisfies_relation_independently():
     t, mats = s3.table, action_matrices(action)
     for y in range(6):
         for z in range(6):
-            assert c.values[y][z] == e[t[y][z]] - e[y] * mats[z] - e[z]
+            assert cocycle_values(c)[y][z] == e[t[y][z]] - e[y] * mats[z] - e[z]
 
 
 def test_trivialize_need_not_recover_the_cochain():
@@ -360,7 +401,7 @@ def test_trivialize_need_not_recover_the_cochain():
     c = cs.coboundary(f, c2, action)
     e = cs.trivialize(c)
     assert e[1] != f[1]
-    assert c.values[1][1] == e[0] - e[1] * action_matrices(action)[1] - e[1]
+    assert cocycle_values(c)[1][1] == e[0] - e[1] * action_matrices(action)[1] - e[1]
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +419,7 @@ def test_complement_zero_cocycle_is_obvious():
     c3 = gc.cyclic(3)
     zero = QVector.zero(1)
     values = tuple(tuple(zero for _ in range(3)) for _ in range(3))
-    c = cs.Cocycle(c3, gc.trivial_action(c3, 1), values)
+    c = cocycle_of(c3, gc.trivial_action(c3, 1), values)
     assert cs.complement(c) == [cs.ExtensionElement(x, zero) for x in range(3)]
 
 
@@ -445,8 +486,8 @@ def test_random_cocycle_deterministic():
     c1 = random_cocycle(s3, action, seed=9)
     c2 = random_cocycle(s3, action, seed=9)
     c3 = random_cocycle(s3, action, seed=10)
-    assert c1.values == c2.values
-    assert c1.values != c3.values
+    assert cocycle_values(c1) == cocycle_values(c2)
+    assert cocycle_values(c1) != cocycle_values(c3)
 
 
 def test_cocycle_json_roundtrip():
@@ -454,7 +495,7 @@ def test_cocycle_json_roundtrip():
     c = random_cocycle(s3, action, seed=2)
     data = json.loads(json.dumps(c.to_json()))
     back = cs.Cocycle.from_json(data)
-    assert back.values == c.values
+    assert cocycle_values(back) == cocycle_values(c)
     assert back.base.table == c.base.table
     assert cs.verify_cocycle(back) == (True, None)
 
@@ -486,10 +527,10 @@ def test_coboundary_values_match_the_fraction_oracle(name):
         QVector(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(action.module_dim)))
         for _ in range(b.order - 1)]
     c = cs.coboundary(f, b, action)
-    assert [list(row) for row in c.values] == _fraction_coboundary(f, b, action)
+    assert [list(row) for row in cocycle_values(c)] == _fraction_coboundary(f, b, action)
     # the constructor and the JSON reader build the same integer form
-    assert cs.Cocycle(b, action, c.values).to_json() == c.to_json()
-    assert cs.Cocycle.from_json(json.loads(json.dumps(c.to_json()))).values == c.values
+    assert cocycle_of(b, action, cocycle_values(c)).to_json() == c.to_json()
+    assert cocycle_values(cs.Cocycle.from_json(json.loads(json.dumps(c.to_json())))) == cocycle_values(c)
 
 
 #: Distinct primes, two of them above 2^60, whose product as one common
@@ -530,11 +571,11 @@ def _check_exact(b, action, f):
     c = cs.coboundary(f, b, action)
     assert cs.verify_cocycle(c) == (True, None)
     expected = _fraction_coboundary(f, b, action)
-    assert [list(row) for row in c.values] == expected
+    assert [list(row) for row in cocycle_values(c)] == expected
     assert list(cs.trivialize(c)) == _fraction_trivializer(expected, b.order)
-    values = _corrupted_entry(c.values, random.Random(b.order))
+    values = _corrupted_entry(cocycle_values(c), random.Random(b.order))
     with pytest.raises(cs.CocycleError) as info:
-        cs.Cocycle(b, action, values)
+        cocycle_of(b, action, values)
     assert info.value.witness == brute_force_cocycle(b, action, values)[1]
     return c
 
@@ -543,7 +584,7 @@ def _check_exact(b, action, f):
 def test_cocycles_past_int64_run_exactly_on_python_ints(name):
     b, action, f = _past_int64_cochains()[name]
     c = _check_exact(b, action, f)
-    assert c._v.dtype == object and c._bound >= 2**63
+    assert c.values.dtype == object and c._bound >= 2**63
 
 
 @pytest.mark.parametrize("scale, trivialize_dtype", [(1, np.int64), (2, object)],
@@ -558,7 +599,7 @@ def test_cocycles_just_under_the_int64_bound_stay_exact(scale, trivialize_dtype)
     unit = cs.coboundary(g, b, action)
     k = scale * (2**63 - 1) // (b.order * unit._bound)
     c = _check_exact(b, action, [QVector.from_ints([k * x for x in v.nums], 1) for v in g])
-    assert c._v.dtype == np.int64
+    assert c.values.dtype == np.int64
     assert c._bound == k * unit._bound
     nb_bound = b.order * c._bound
     assert (nb_bound < 2**63 <= 2 * nb_bound) if scale == 1 else nb_bound >= 2**63
@@ -606,6 +647,20 @@ def test_misshapen_value_table_names_the_expected_shape(misshape):
         cs.Cocycle.from_json(data)
 
 
+@pytest.mark.parametrize("misshape", [
+    lambda action: action[4][1].pop(),
+    lambda action: action.pop(),
+    lambda action: [row.append("0") for row in action[4]],
+], ids=["ragged matrix", "five matrices", "3 x 4 matrix"])
+def test_misshapen_action_names_the_expected_shape(misshape):
+    # before, these read "matrix must be square", "need one matrix per group
+    # element" and "matrix must be square"
+    data = _s3_document()
+    misshape(data["action"])
+    with pytest.raises(ValueError, match=r"^action must be 6 lists of 3 lists of 3 rationals$"):
+        cs.Cocycle.from_json(data)
+
+
 def test_rational_action_round_trips_through_cocycle_json():
     # the cocycle writes each M_z from the action's integer form over E > 1;
     # it must read exactly as the input QMatrix writes itself
@@ -639,7 +694,7 @@ def test_cocycle_json_reads_entries_as_the_entry_parser_does(entries):
             "action": [[["1", 0, "0/9"], [0, "2/2", 0], ["0", "0", 1]]] * 2,
             "values": [[["0"] * 3, ["0"] * 3], [["0"] * 3, entries]]}
     c = cs.Cocycle.from_json(data)
-    assert c.values[1][1].entries == tuple(Fraction(*_num_den(e)) for e in entries)
+    assert cocycle_values(c)[1][1].entries == tuple(Fraction(*_num_den(e)) for e in entries)
     assert action_matrices(c.action)[1] == QMatrix.identity(3)
     for where in ("values", "action"):
         bad = json.loads(json.dumps(data))

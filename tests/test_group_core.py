@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -372,6 +373,40 @@ def test_fq_characteristic_above_the_cap_is_rejected():
 def test_non_square_fq_generator_is_rejected(matrix):
     with pytest.raises(ValueError, match="n x n"):
         gc.cyclic_matrix_action(gc.cyclic(2), matrix, characteristic=3)
+
+
+def test_rational_cyclic_action_builds_each_power_in_lowest_terms():
+    # M has order 2 and denominator 3, so M^k is I or M. Over the common
+    # denominator 3^(n-1), the powers on cyclic(4096) grow to ~6500 bits each
+    # (a 29 MiB peak), and a base check that builds a second cyclic(4096)
+    # table peaks at 48 MiB; in lowest terms, with one column read, 1.8 MiB
+    m = QMatrix.of([["1/3", "8/3"], ["1/3", "-1/3"]])
+    assert matrix_power(m, 2) == QMatrix.identity(2)
+    c = gc.cyclic(4096)
+    tracemalloc.start()
+    try:
+        action = gc.cyclic_matrix_action(c, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert action.den == 3 and action.matrices.dtype == np.int64
+    assert action.matrices.tolist() == [[[3, 0], [0, 3]], [[1, 8], [1, -1]]] * 2048
+
+
+def test_cyclic_action_accepts_exactly_the_cyclic_tables(catalog_groups):
+    # the base check reads one column; a group passes it exactly when its
+    # table is cyclic(n)'s, the whole-table comparison it replaces
+    bases = list(catalog_groups.values())
+    for n in (4, 5, 6):
+        table = gc.cyclic(n).table
+        bases += [gc.GroupTable(relabeled_table(table, (0, *p)), range(n)) for p in permutations(range(1, n))]
+    for g in bases:
+        if np.array_equal(g.array, gc.cyclic(g.order).array):
+            assert gc.cyclic_matrix_action(g, [[1]]).domain is g
+        else:
+            with pytest.raises(ValueError, match="cyclic"):
+                gc.cyclic_matrix_action(g, [[1]])
 
 
 def test_quaternion_and_dihedral_profiles():
