@@ -77,7 +77,10 @@ def _mixed_spec(args) -> mixed_group.MixedGroupSpec:
     m = None
     if getattr(args, "matrix", None):
         with open(args.matrix, "r", encoding="utf-8") as fh:
-            m = QMatrix.from_json(json.load(fh))
+            data = json.load(fh)
+        if isinstance(data, list) and len(data) > mixed_group.MAX_DIM:  # before any entry is parsed
+            raise ValueError(f"matrix size {len(data)} must be at most {mixed_group.MAX_DIM}")
+        m = QMatrix.from_json(data)
     return mixed_group.build(args.p, args.t, m)
 
 

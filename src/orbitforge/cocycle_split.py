@@ -20,8 +20,8 @@ proves associativity, so holding one certifies it.
 
 The checks run on integers, in whole-array numpy passes. A cocycle is held
 in one integer form, built by its one constructor: its values over one
-common denominator D, in lowest terms (``group_core._lowest_terms``, as an
-action is), as the array V of shape (|B|, |B|, d) with V[x, y] = D * c(x, y).
+common denominator D, in lowest terms (``exact_linear._lowest_terms``, as
+an action is), as the array V of shape (|B|, |B|, d) with V[x, y] = D * c(x, y).
 Its action brings the one integer form of ``FiniteAction``: the E * M_z,
 of shape (|B|, d, d), over the least common denominator E, which the
 cocycle casts to its own dtype. Every identity is checked multiplied through
@@ -44,8 +44,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact_linear import QVector, _format_row
-from .group_core import _EXACT_INT, FiniteAction, GroupTable, _dtype, _first_failure, _lowest_terms, exact_int
+from .exact_linear import QVector, _format_row, _lowest_terms
+from .group_core import _EXACT_INT, FiniteAction, GroupTable, _dtype, _first_failure, exact_int
 
 
 class CocycleError(ValueError):
@@ -103,8 +103,8 @@ class Cocycle:
     table of shape (|B|, |B|, d), a numpy array or nested lists, over ``den``,
     so c(x, y) = values[x, y] / den. ``__post_init__`` checks the shape and
     the int entries, reduces the table to D and V of the module docstring
-    with ``_lowest_terms``, and keeps V read-only in the dtype its bound
-    picks; then it checks normalization and the identity."""
+    with ``exact_linear._lowest_terms``, and keeps V read-only in the dtype
+    its bound picks; then it checks normalization and the identity."""
 
     base: GroupTable
     action: FiniteAction

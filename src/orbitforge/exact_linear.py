@@ -1,21 +1,24 @@
-"""Exact rational linear algebra: vectors, matrices, polynomials.
+"""Exact rational linear algebra: vectors, matrices, polynomials as tuples.
 
 Every result is exact; no floating point is used anywhere in the package.
 A vector is stored as integer numerators over one positive denominator,
-and a matrix as integer rows over one positive denominator, each reduced
-so the form is unique; their arithmetic is integer arithmetic with one lcm
-per operation, and ``entries`` and ``rows`` derive ``Fraction``s for output
-only. A matrix keeps the sparse form of its rows once it is first used in
-a product; the products are vector and matrix times matrix, with no scalar
-product. ``det``, ``inverse``, ``minimal_polynomial`` and the echelon of
-``cyclic_decomposition`` share one elimination routine, ``_clear``, with
-``_insert`` keeping the (pivot, row) list, on integer rows that are divided
-by the gcd of their entries after every update (primitive rows, in the
-fraction-free style of Bareiss, 1968), so entries grow with the minors of
-the input and not with a power of its common denominator. ``inverse`` is
-the one solve: [A | I] reduced until its left half is diagonal, sparsest
-rows first. The cyclic bases of ``cyclic_decomposition`` read Q^n as F^t
-over the p-th cyclotomic field F, whose arithmetic is ``cyclotomic``.
+and a matrix as integer rows over one positive denominator, each put in
+lowest terms by ``_lowest_terms`` (as ``FiniteAction`` and ``Cocycle``
+are) so the form is unique; their arithmetic is integer arithmetic with
+one lcm per operation, and ``entries`` and ``rows`` derive ``Fraction``s
+for output only. A polynomial is the tuple of its coefficients, lowest
+degree first. A matrix keeps the sparse form of its rows once it is first
+used in a product; the products are vector and matrix times matrix, with
+no scalar product. ``det``, ``inverse``, ``minimal_polynomial`` and the
+echelon of ``cyclic_decomposition`` share one elimination routine,
+``_clear``, with ``_insert`` keeping the (pivot, row) list, on integer
+rows that are divided by the gcd of their entries after every update
+(primitive rows, in the fraction-free style of Bareiss, 1968), so entries
+grow with the minors of the input and not with a power of its common
+denominator. ``inverse`` is the one solve: [A | I] reduced until its left
+half is diagonal, sparsest rows first. The cyclic bases of
+``cyclic_decomposition`` read Q^n as F^t over the p-th cyclotomic field F,
+whose arithmetic is ``cyclotomic``.
 
 Convention: linear maps act on *row* vectors from the right, ``v * m``.
 Matrix products therefore compose left to right, which matches the
@@ -101,12 +104,15 @@ _new = object.__new__
 _set = object.__setattr__
 
 
+def _lowest_terms(flat: Sequence[int], den: int) -> tuple[Sequence[int], int]:
+    """(flat, den) divided by the gcd of den > 0 and every entry: the one lowest-terms step."""
+    g = math.gcd(den, *flat) if den > 1 else 1
+    return ([x // g for x in flat], den // g) if g > 1 else (flat, den)
+
+
 def _vector(nums: Sequence[int], den: int, v: "QVector | None" = None) -> "QVector":
-    """nums / den for den > 0, divided through by their gcd, set in v or in
-    a new QVector."""
-    g = math.gcd(den, *nums) if den > 1 else 1
-    if g > 1:
-        nums, den = [x // g for x in nums], den // g
+    """nums / den for den > 0, in lowest terms, set in v or in a new QVector."""
+    nums, den = _lowest_terms(nums, den)
     v = _new(QVector) if v is None else v
     _set(v, "nums", tuple(nums))
     _set(v, "den", den)
@@ -201,11 +207,10 @@ class QVector:
 
 
 def _matrix(nums: Sequence[Sequence[int]], den: int, m: "QMatrix | None" = None) -> "QMatrix":
-    """nums / den for den > 0, divided through by the gcd of all entries and
-    den, set in m or in a new QMatrix."""
-    g = math.gcd(den, *chain.from_iterable(nums)) if den > 1 else 1
-    if g > 1:
-        nums, den = [[x // g for x in row] for row in nums], den // g
+    """The square nums / den for den > 0, in lowest terms, set in m or in a new QMatrix."""
+    if den > 1:  # only then can it reduce, so only then are the rows flattened
+        flat, den = _lowest_terms(list(chain.from_iterable(nums)), den)
+        nums = zip(*[iter(flat)] * len(nums))
     m = _new(QMatrix) if m is None else m
     _set(m, "nums", tuple(map(tuple, nums)))
     _set(m, "den", den)
@@ -348,7 +353,7 @@ class QMatrix:
     def from_json(cls, data: list[list[str | int]]) -> "QMatrix":
         if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
             raise ValueError("matrix must be a list of rows of rationals")
-        pairs = _square([[_num_den(e) for e in row] for row in data])
+        pairs = [[_num_den(e) for e in row] for row in _square(data)]
         d = math.lcm(*(den for row in pairs for _, den in row))
         return _matrix([[num * (d // den) for num, den in row] for row in pairs], d)
 
@@ -357,64 +362,28 @@ class QMatrix:
         return f"QMatrix[{body}]"
 
 
-@dataclass(frozen=True)
-class QPoly:
-    """Rational polynomial, coefficients lowest degree first, no trailing zeros."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if self.coeffs and self.coeffs[-1] == 0:
-            raise ValueError("trailing zero coefficient; use QPoly.of for normalization")
-
-    @classmethod
-    def of(cls, *coeffs) -> "QPoly":
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return cls(tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "QPoly(0)"
-        terms = [f"{c}*x^{i}" for i, c in enumerate(self.coeffs) if c != 0]
-        return "QPoly(" + " + ".join(terms) + ")"
-
-
-def cyclotomic_prime(p: int) -> QPoly:
-    """1 + x + ... + x^(p-1) for prime p (irreducible over the rationals)."""
+def cyclotomic_prime(p: int) -> tuple[int, ...]:
+    """1 + x + ... + x^(p-1), irreducible over Q for prime p, as its coefficients: p ones."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return QPoly((_ONE,) * p)
+    return (1,) * p
 
 
-def companion(f: QPoly) -> QMatrix:
-    """Companion matrix of a monic polynomial of degree >= 1.
+def companion(f: Sequence[int | Fraction]) -> QMatrix:
+    """Companion matrix of the monic polynomial f of degree >= 1, given by its
+    int or Fraction coefficients lowest degree first (a trailing 0 is not monic).
 
     Ones on the subdiagonal, the negated low-order coefficients in the last
     column; under the row-vector right action its minimal polynomial is f.
     """
-    d = f.degree
+    d = len(f) - 1
     if d < 1:
         raise ValueError("companion requires degree >= 1")
-    if not f.is_monic:
+    if f[-1] != 1:
         raise ValueError("companion requires a monic polynomial")
-    den = math.lcm(*(c.denominator for c in f.coeffs))
+    den = math.lcm(*(c.denominator for c in f))
     rows = [[den if j == i - 1 else 0 for j in range(d)] for i in range(d)]
-    for i, c in enumerate(f.coeffs[:d]):
+    for i, c in enumerate(f[:d]):
         rows[i][d - 1] = -c.numerator * (den // c.denominator)
     return _matrix(rows, den)
 
@@ -463,8 +432,9 @@ def _insert(rows: list[tuple[int, list[int]]], v: list[int], width: int) -> int 
     return piv
 
 
-def minimal_polynomial(m: QMatrix) -> QPoly:
-    """Monic minimal polynomial, via exact elimination on the Krylov flats I, m, m^2, ...
+def minimal_polynomial(m: QMatrix) -> tuple[Fraction, ...]:
+    """Monic minimal polynomial, as its coefficients lowest degree first, via
+    exact elimination on the Krylov flats I, m, m^2, ...
 
     The first power that is linearly dependent on the earlier ones yields the
     (unique) monic annihilating polynomial of least degree. Each flat carries
@@ -481,7 +451,7 @@ def minimal_polynomial(m: QMatrix) -> QPoly:
         v = _clear([x for row in power.nums for x in row] + tail, rows)[0]
         if _insert(rows, v, width) is None:
             combo = v[width:width + k + 1]
-            return QPoly(_over(combo, combo[k]))
+            return _over(combo, combo[k])
         power = power * m
     raise AssertionError("powers of an n x n matrix must be dependent by degree n")
 

@@ -9,8 +9,9 @@ actions on vector modules are *right* actions on row vectors (``a * M``), so
 action matrices compose as ``M[x] * M[y] == M[x*y]``. At every
 characteristic an action likewise has one form, a read-only integer array of
 shape (|B|, n, n) over one denominator, one constructor, ``FiniteAction``,
-whose reduction over Q, ``_lowest_terms``, a cocycle's table shares, and one
-check, the whole-array Light test of ``_first_failure`` that cocycles share.
+which reduces it over Q with ``exact_linear._lowest_terms``, the step of
+every exact form, and one check, the whole-array Light test of
+``_first_failure`` that cocycles share.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from itertools import accumulate, chain, islice, permutations, repeat
 import numpy as np
 
 from .arith import factorize, is_prime
-from .exact_linear import QMatrix
+from .exact_linear import QMatrix, _lowest_terms
 
 #: Hard cap on group order for every table; it keeps entries inside int16.
 MAX_ORDER = 4096
@@ -495,12 +496,6 @@ def _integer_form(mats, n: int, q: int, den: int) -> tuple[list[int], int]:
     return _lowest_terms([x * (lcm // d) for a, d in forms for r in a for x in r], lcm * den)
 
 
-def _lowest_terms(flat: list[int], den: int) -> tuple[list[int], int]:
-    """(flat, den) divided by the gcd of den > 0 and every entry: one step for actions and cocycles."""
-    g = math.gcd(den, *flat)
-    return ([x // g for x in flat], den // g) if g > 1 else (flat, den)
-
-
 @dataclass(frozen=True, eq=False)
 class FiniteAction:
     """A right action of a finite group B on a vector module of dimension n,
@@ -511,10 +506,11 @@ class FiniteAction:
     den is the lcm E of the denominators of the M_x, and the array holds the
     E * M_x; over F_q, it holds the M_x reduced mod q, and den = 1. The one
     constructor takes integer matrices over ``den`` or, over Q, QMatrix
-    values; ``_integer_form`` reduces them, over Q by ``_lowest_terms``, the
-    step a ``Cocycle`` shares. The array is int64 while (n + 1) * m^2, for m the
-    largest of den and |entries|, bounds every entry of the check below
-    under 2^63, and holds Python ints (dtype object) past that.
+    values; ``_integer_form`` reduces them, over Q by
+    ``exact_linear._lowest_terms``, the step of every exact form. The array
+    is int64 while (n + 1) * m^2, for m the largest of den and |entries|,
+    bounds every entry of the check below under 2^63, and holds Python
+    ints (dtype object) past that.
 
     Validation enforces matrices[0] = den * I and M_x M_y = M_xy, that is
     matrices[x] @ matrices[y] = den * matrices[xy] (mod q over F_q), which

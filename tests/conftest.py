@@ -26,7 +26,6 @@ from orbitforge import mixed_group as mg
 from orbitforge.arith import factorize, is_prime
 from orbitforge.exact_linear import (
     QMatrix,
-    QPoly,
     QVector,
     companion,
     cyclic_decomposition,
@@ -220,10 +219,10 @@ def matrix_power(m: QMatrix, k: int) -> QMatrix:
     return result
 
 
-def poly_value(f: QPoly, x: Fraction | int) -> Fraction:
-    """f(x) at a rational x (Horner)."""
+def poly_value(f: tuple, x: Fraction | int) -> Fraction:
+    """f(x) at a rational x (Horner), for f its coefficients lowest degree first."""
     acc = Fraction(0)
-    for c in reversed(f.coeffs):
+    for c in reversed(f):
         acc = acc * x + c
     return acc
 
@@ -660,9 +659,10 @@ class FractionEchelon:
         return len(self._rows)
 
 
-def fraction_minimal_polynomial(m: QMatrix) -> QPoly:
-    """Monic minimal polynomial by Fraction elimination on the Krylov flats
-    I, m, m^2, ..., with the combination of powers carried per row."""
+def fraction_minimal_polynomial(m: QMatrix) -> tuple[Fraction, ...]:
+    """Monic minimal polynomial, its coefficients lowest degree first, by
+    Fraction elimination on the Krylov flats I, m, m^2, ..., with the
+    combination of powers carried per row."""
     n = m.n
     rows: list[tuple[int, list[Fraction], list[Fraction]]] = []
     power = QMatrix.identity(n)
@@ -680,7 +680,7 @@ def fraction_minimal_polynomial(m: QMatrix) -> QPoly:
                         combo[i] -= f * c
         piv = next((i for i, x in enumerate(vec) if x), None)
         if piv is None:
-            return QPoly(tuple(combo))
+            return tuple(combo)
         pval = vec[piv]
         insort(rows, (piv, [x / pval for x in vec], [c / pval for c in combo]),
                key=lambda r: r[0])
@@ -688,10 +688,11 @@ def fraction_minimal_polynomial(m: QMatrix) -> QPoly:
     raise AssertionError("powers of an n x n matrix must be dependent by degree n")
 
 
-def poly_eval(f: QPoly, m: QMatrix) -> QMatrix:
-    """Evaluate f at the matrix m (Horner), exactly."""
+def poly_eval(f: tuple, m: QMatrix) -> QMatrix:
+    """Evaluate f, its coefficients lowest degree first, at the matrix m
+    (Horner), exactly."""
     acc = zero_matrix(m.n)
-    for c in reversed(f.coeffs):
+    for c in reversed(f):
         acc = acc * m + scalar_matrix(m.n, c)
     return acc
 

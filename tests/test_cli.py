@@ -356,6 +356,32 @@ def test_entry_at_the_digit_limit_is_read(capsys, tmp_path):
     assert "action matrix rows: -1" in out
 
 
+def test_matrix_above_the_dimension_cap_is_refused_before_its_entries_are_read(capsys, tmp_path, monkeypatch):
+    # 129 rows of invalid entries: the size error wins over "invalid rational",
+    # and no entry is parsed; a 1500 x 1500 file parsed 2.25 M entries first
+    read = []
+    monkeypatch.setattr(QMatrix, "from_json", lambda data: read.append(data))
+    code, out, err = _run(capsys, ["mixed", "build", "--p", "3", "--matrix",
+                                   _write(tmp_path, [["x"] * 129] * 129)])
+    assert code == 2 and not out and not read
+    assert err == "error: matrix size 129 must be at most 128\n"
+
+
+def test_matrix_at_the_dimension_cap_is_read(capsys, tmp_path):
+    # 128 rows pass the size check and reach the entry parser
+    code, out, err = _run(capsys, ["mixed", "build", "--p", "3", "--matrix",
+                                   _write(tmp_path, [["x"] * 128] * 128)])
+    assert code == 2 and not out
+    assert err == "error: invalid rational 'x': expected \"num/den\", an integer string or an int\n"
+
+
+def test_non_square_matrix_is_refused_before_its_entries_are_read(capsys, tmp_path):
+    code, out, err = _run(capsys, ["mixed", "build", "--p", "3", "--matrix",
+                                   _write(tmp_path, [["x", "y"], ["1"]])])
+    assert code == 2 and not out
+    assert err == "error: matrix must be square\n"
+
+
 def test_cocycle_without_values_exits_2_as_malformed(capsys, tmp_path):
     data = _cocycle_json()
     del data["values"]

@@ -28,11 +28,12 @@ from conftest import (
     scalar_matrix,
     zero_matrix,
 )
+from orbitforge import cocycle_split as cs
 from orbitforge import exact_linear as el
+from orbitforge import group_core as gc
 from orbitforge import mixed_group as mg
 from orbitforge.exact_linear import (
     QMatrix,
-    QPoly,
     QVector,
     _clear,
     _insert,
@@ -234,19 +235,18 @@ def test_nonsquare_rejected():
 # ---------------------------------------------------------------------------
 # polynomials
 
-def test_qpoly_normalization():
-    f = QPoly.of(1, 2, 0, 0)
-    assert f.coeffs == (1, 2)
-    assert f.degree == 1
-    assert QPoly.of().is_zero and QPoly.of(0, 0).is_zero
-    assert QPoly.of(2, 1).is_monic and not QPoly.of(1, 2).is_monic
-    assert poly_value(QPoly.of(1, 1, 1), 2) == 7
+def test_poly_value_of_coefficient_tuples():
+    # a polynomial is its coefficients, lowest degree first; trailing zeros add nothing
+    assert poly_value((1, 2, 0, 0), 3) == poly_value((1, 2), 3) == 7
+    assert poly_value((), 5) == 0
+    assert poly_value((1, 1, 1), 2) == 7
 
 
 def test_cyclotomic_prime_values():
-    assert cyclotomic_prime(2).coeffs == (1, 1)
-    assert cyclotomic_prime(3).coeffs == (1, 1, 1)
-    assert cyclotomic_prime(5).coeffs == (1, 1, 1, 1, 1)
+    assert cyclotomic_prime(2) == (1, 1)
+    assert cyclotomic_prime(3) == (1, 1, 1)
+    assert cyclotomic_prime(5) == (1, 1, 1, 1, 1)
+    assert all(type(c) is int for c in cyclotomic_prime(7))
     with pytest.raises(ValueError):
         cyclotomic_prime(4)
     with pytest.raises(ValueError):
@@ -254,30 +254,42 @@ def test_cyclotomic_prime_values():
 
 
 def test_companion_frozen_examples():
-    assert companion(QPoly.of(1, 1)) == QMatrix.of([[-1]])
-    assert companion(QPoly.of(-1, 1)) == QMatrix.of([[1]])
+    assert companion((1, 1)) == QMatrix.of([[-1]])
+    assert companion((-1, 1)) == QMatrix.of([[1]])
     m = companion(cyclotomic_prime(3))
     assert m == QMatrix.of([[0, -1], [1, -1]])
     assert matrix_power(m, 3) == QMatrix.identity(2)
     assert m.det() == 1
 
 
+def test_companion_of_rational_coefficients():
+    assert companion((Fraction(1, 2), 1)) == QMatrix.of([["-1/2"]])
+    m = companion((Fraction(-1, 3), Fraction(5, 6), 1))  # x^2 + 5/6 x - 1/3
+    assert m == QMatrix.of([[0, "1/3"], [1, "-5/6"]])
+    assert (m.nums, m.den) == (((0, 2), (6, -5)), 6)
+    assert companion((Fraction(2), Fraction(1))) == companion((2, 1))
+
+
 def test_companion_rejects_bad_input():
     with pytest.raises(ValueError, match="monic"):
-        companion(QPoly.of(1, 2))
+        companion((1, 2))
+    with pytest.raises(ValueError, match="monic"):
+        companion((1, 1, 0))  # a trailing zero: the leading coefficient is 0
     with pytest.raises(ValueError, match="degree"):
-        companion(QPoly.of(5))
+        companion((5,))
+    with pytest.raises(ValueError, match="degree"):
+        companion(())
 
 
 def test_poly_eval_annihilates_companion():
     phi3 = cyclotomic_prime(3)
     assert poly_eval(phi3, companion(phi3)).is_zero
     # evaluating x - 1 at I gives 0
-    assert poly_eval(QPoly.of(-1, 1), QMatrix.identity(3)).is_zero
+    assert poly_eval((-1, 1), QMatrix.identity(3)).is_zero
 
 
 def test_minimal_polynomial_basics():
-    assert minimal_polynomial(QMatrix.identity(3)).coeffs == (-1, 1)
+    assert minimal_polynomial(QMatrix.identity(3)) == (-1, 1)
     phi3 = cyclotomic_prime(3)
     m = companion(phi3)
     assert minimal_polynomial(m) == phi3
@@ -290,8 +302,17 @@ def test_minimal_polynomial_basics():
 )
 @settings(max_examples=60, deadline=None)
 def test_minimal_polynomial_of_companion_is_the_polynomial(coeffs):
-    f = QPoly.of(*coeffs, 1)  # force monic, degree = len(coeffs)
+    f = (*coeffs, 1)  # force monic, degree = len(coeffs)
     assert minimal_polynomial(companion(f)) == f
+
+
+@given(coeffs=st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6), min_size=1, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_minimal_polynomial_of_a_rational_companion_matches_the_fraction_oracle(coeffs):
+    f = (*coeffs, Fraction(1))
+    m = companion(f)
+    assert minimal_polynomial(m) == fraction_minimal_polynomial(m) == f
+    assert type(minimal_polynomial(m)) is tuple
 
 
 def test_fixed_point_free():
@@ -384,7 +405,7 @@ def test_cyclic_decomposition_certifies_the_seed_sum():
 def test_cyclic_decomposition_certifies_the_block_left_out_of_the_echelon():
     # the seed's block passes; the greedy second seed is the last block, which
     # never enters the echelon, so only its seed sum can reject it
-    x2_plus_1 = companion(QPoly.of(1, 0, 1))
+    x2_plus_1 = companion((1, 0, 1))
     m = QMatrix.block_diag([companion(cyclotomic_prime(3)), x2_plus_1])
     with pytest.raises(ValueError, match="minimal polynomial"):
         cyclic_decomposition(m, 3, QVector.unit(4, 0))
@@ -615,6 +636,40 @@ def test_matrix_canonical_form_frozen_example():
         assert other == m and hash(other) == hash(m)
     assert QMatrix.of([[4, 0], [0, 8]]).den == 1
     assert QMatrix.of([[4, 0], [0, 8]]) * scalar_matrix(2, Fraction(1, 4)) == QMatrix.of([[1, 0], [0, 2]])
+
+
+def test_lowest_terms_divides_by_the_gcd_of_den_and_every_entry():
+    assert el._lowest_terms([4, -6, 0], 8) == ([2, -3, 0], 4)
+    assert el._lowest_terms([3, 5], 4) == ([3, 5], 4)
+    assert el._lowest_terms([0, 0], 6) == ([0, 0], 1)
+    assert el._lowest_terms([4, 6], 1) == ([4, 6], 1)
+
+
+@given(nums=st.lists(st.integers(-60, 60), min_size=4, max_size=4), x=st.integers(-60, 60),
+       den=st.integers(1, 36), k=st.integers(2, 12))
+@settings(max_examples=100, deadline=None)
+def test_every_exact_form_is_reduced_by_the_one_lowest_terms_step(nums, x, den, k):
+    # the same rationals written over den and over k * den must give one
+    # (nums, den) in a vector, a matrix, an action and a cocycle
+    c2 = gc.cyclic(2)
+
+    def forms(c):
+        d, scaled = c * den, [c * y for y in nums]
+        vector = QVector.from_ints(scaled, d)
+        matrix = QMatrix.from_json([[f"{y}/{d}" for y in scaled[:2]], [f"{y}/{d}" for y in scaled[2:]]])
+        # C2 acting on Q^2 by the involution [[1, 0], [x / den, -1]]
+        action = gc.FiniteAction(c2, 2, 0, [[[d, 0], [0, d]], [[d, 0], [c * x, -d]]], d)
+        cocycle = cs.Cocycle(c2, gc.trivial_action(c2, 4), [[[0] * 4] * 2, [[0] * 4, scaled]], d)
+        return ((vector.nums, vector.den), (matrix.nums, matrix.den),
+                (action.matrices.tolist(), action.den), (cocycle.values.tolist(), cocycle.den))
+
+    assert forms(1) == forms(k)
+    g = math.gcd(den, *nums)
+    reduced = tuple(y // g for y in nums)
+    assert forms(1)[0] == (reduced, den // g)
+    assert forms(1)[1] == ((reduced[:2], reduced[2:]), den // g)
+    assert forms(1)[3] == ([[[0] * 4] * 2, [[0] * 4, list(reduced)]], den // g)
+    assert forms(1)[2][1] == den // math.gcd(den, x)
 
 
 @given(
