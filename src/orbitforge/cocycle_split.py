@@ -32,7 +32,10 @@ value. With |V| <= v and |E * M| <= m (so E <= m, as M_1 = I), every
 entry, partial sum and residue of the cocycle check is at most
 max(m, v * (3E + d * m)); the trivialization relation adds up |B| values,
 so its bound is |B| times that. Past 2^63 the same expressions run on
-arrays of Python ints (dtype object), so every result is exact.
+arrays of Python ints (dtype object), so every result is exact. A JSON
+document is read by ``exact_linear._rationals``, whose int64 table the
+constructor takes as it is, with no pass through Python lists; only
+entries or products past 2^63 make Python ints.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact_linear import QVector, _format_row, _lowest_terms
-from .group_core import _EXACT_INT, FiniteAction, GroupTable, _dtype, _first_failure, exact_int
+from .exact_linear import QVector, _dtype, _format_row, _lowest_terms, _rationals
+from .group_core import _EXACT_INT, FiniteAction, GroupTable, _first_failure, exact_int
 
 
 class CocycleError(ValueError):
@@ -79,19 +82,6 @@ def _check_action(base: GroupTable, action: FiniteAction) -> None:
         raise ValueError("action domain must be the base group")
 
 
-def _read_rows(flat: list, shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    """(A, D) for the JSON rationals flat, in row-major order: A / D their
-    values, A an object array of the given shape over their least common
-    denominator D. Each row along the first axis is one ``QVector.from_json``,
-    and flat is emptied once read, which frees its entries early."""
-    k = len(flat) // shape[0]
-    parts = [QVector.from_json(flat[i:i + k]) for i in range(0, len(flat), k)]
-    flat.clear()
-    d = math.lcm(*(part.den for part in parts))
-    nums = [x * (d // part.den) for part in parts for x in part.nums]
-    return np.array(nums, dtype=object).reshape(shape), d
-
-
 @dataclass(frozen=True, repr=False, eq=False)
 class Cocycle:
     """A normalized 2-cocycle of a finite group with values in Q^n, verified
@@ -102,9 +92,11 @@ class Cocycle:
     Like ``FiniteAction`` it has one constructor: ``values`` is an integer
     table of shape (|B|, |B|, d), a numpy array or nested lists, over ``den``,
     so c(x, y) = values[x, y] / den. ``__post_init__`` checks the shape and
-    the int entries, reduces the table to D and V of the module docstring
-    with ``exact_linear._lowest_terms``, and keeps V read-only in the dtype
-    its bound picks; then it checks normalization and the identity."""
+    the int entries (an int64 array of the right shape has nothing more to
+    check; any other input is made an array of Python ints), reduces the
+    table to D and V of the module docstring with
+    ``exact_linear._lowest_terms``, and keeps a read-only copy of V in the
+    dtype its bound picks; then it checks normalization and the identity."""
 
     base: GroupTable
     action: FiniteAction
@@ -117,20 +109,21 @@ class Cocycle:
         base, action = self.base, self.action
         _check_action(base, action)
         shape = (base.order, base.order, action.module_dim)
-        values = self.values
-        flat = values.ravel().tolist() if isinstance(values, np.ndarray) and values.shape == shape \
-            else _flat(values, shape)
-        if flat is None:
-            raise ValueError(f"cocycle values must be an integer table of shape {shape}")
-        if not _EXACT_INT.issuperset(map(type, flat)):
-            bad = next(x for x in flat if type(x) is not int)
-            raise ValueError(f"cocycle values must be integers, got {bad!r}")
+        v = self.values
+        if not (isinstance(v, np.ndarray) and v.dtype == np.int64 and v.shape == shape):
+            flat = v.ravel().tolist() if isinstance(v, np.ndarray) and v.shape == shape else _flat(v, shape)
+            if flat is None:
+                raise ValueError(f"cocycle values must be an integer table of shape {shape}")
+            if not _EXACT_INT.issuperset(map(type, flat)):
+                bad = next(x for x in flat if type(x) is not int)
+                raise ValueError(f"cocycle values must be integers, got {bad!r}")
+            v = np.array(flat, dtype=object).reshape(shape)
         if type(self.den) is not int or self.den < 1:
             raise ValueError("den must be a positive int")
-        flat, den = _lowest_terms(flat, self.den)
+        v, den = _lowest_terms(v, self.den)
         max_em = int(abs(action.matrices).max())
-        bound = max(max_em, max(map(abs, flat)) * (3 * action.den + shape[2] * max_em))
-        v = np.array(flat, _dtype(bound)).reshape(shape)
+        bound = max(max_em, max(abs(int(v.max())), abs(int(v.min()))) * (3 * action.den + shape[2] * max_em))
+        v = v.astype(_dtype(bound))  # a copy: the caller's array is never held
         v.flags.writeable = False
         for name, value in (("values", v), ("den", den), ("_bound", bound)):
             object.__setattr__(self, name, value)
@@ -155,8 +148,9 @@ class Cocycle:
     @classmethod
     def from_json(cls, data: dict) -> "Cocycle":
         """The cocycle of a JSON document: an action of |B| lists of d lists of
-        d rationals, read a matrix at a time, and a value table of |B| lists of
-        |B| lists of d, read a row c(x, -) at a time, both by ``_read_rows``."""
+        d rationals, then a value table of |B| lists of |B| lists of d, each
+        checked for its shape and read whole by ``exact_linear._rationals``,
+        which names the first bad entry in row-major order."""
         try:
             base = GroupTable.from_json(data["base"])
             nb, n = base.order, exact_int(data["module_dim"])
@@ -165,15 +159,16 @@ class Cocycle:
             mats = _flat(data["action"], (nb, n, n))
             if mats is None:
                 raise ValueError(f"action must be {nb} lists of {n} lists of {n} rationals")
-            mats, e = _read_rows(mats, (nb, n, n))
-            action = FiniteAction(base, n, 0, mats.tolist(), e)
+            mats, e = _rationals(mats)
+            action = FiniteAction(base, n, 0, mats.reshape(nb, n, n).tolist(), e)
             flat = _flat(data["values"], (nb, nb, n))
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed cocycle JSON: {exc}") from exc
         del data  # free the parsed document before the identity is verified
         if flat is None:
             raise ValueError(f"values table must be {nb} x {nb} lists of {n} rationals")
-        return cls(base, action, *_read_rows(flat, (nb, nb, n)))
+        values, d = _rationals(flat)
+        return cls(base, action, values.reshape(nb, nb, n), d)
 
 
 def _middle_failures(c: Cocycle, y: int, stop: int) -> np.ndarray:

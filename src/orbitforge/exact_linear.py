@@ -26,12 +26,15 @@ group-action convention used by the rest of the package.
 
 Vectors and matrices serialize as JSON arrays of ``"num/den"`` strings so
 that output is exact and independent of any binary float format; one
-formatter, ``_format_row``, writes them and one parser, ``_num_den``, reads.
+formatter, ``_format_row``, writes them and one bulk parser, ``_rationals``,
+reads a whole flat list of them at once (a vector, a matrix, or a cocycle's
+action and value table) into one integer array over one denominator.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import sys
 from bisect import insort
 from dataclasses import dataclass
@@ -40,6 +43,8 @@ from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .arith import is_prime
 
@@ -54,31 +59,98 @@ def _format_row(nums: Iterable[int], d: int) -> list[str]:
 #: a longer one is shown by its first 12 characters and its length.
 _QUOTED_MAX = 64
 
+#: A line start not followed by a whole line that is a JSON rational, with
+#: ``{digits}`` the digits of each number: an optional ASCII sign and ASCII
+#: digits, then optionally "/" and ASCII digits that are not all zero. The
+#: negative lookahead keeps a search's memory O(1) whatever the text's length.
+_NOT_RATIONAL = r"^(?![+-]?{digits}(?:/(?=0*[1-9]){digits})?$)"
+_NOT_LINE = re.compile(_NOT_RATIONAL.format(digits="[0-9]+"), re.M)
+#: ... or that has a number over 18 digits, which int64 may not hold
+_NOT_SHORT_LINE = re.compile(_NOT_RATIONAL.format(digits="[0-9]{1,18}"), re.M)
+_BARE_LINE = re.compile(r"^[+-]?[0-9]+$", re.M)
 
-def _num_den(s: str | int) -> tuple[int, int]:
-    """(num, den > 0), not reduced, of a JSON rational: "num/den", a bare
-    integer string, or an int. Anything else, a float, a bool, a space, an
-    underscore, a non-ASCII digit, a zero or signed denominator or a number
-    longer than ``sys.get_int_max_str_digits()`` included, is a ValueError."""
-    if isinstance(s, str) and s.isascii():
-        num, slash, den = s.partition("/")
-        # ASCII digits only, after one optional sign on the numerator: int()
-        # also reads spaces, underscores and other scripts' digits
-        try:
-            d = int(den) if den.isdigit() else 0 if slash else 1
-            if d and (num.isdigit() or num[1:].isdigit() and num[0] in "+-"):
-                return int(num), d
-        except ValueError:
-            # the digits are checked, so int() fails only past its length limit
-            raise ValueError(
-                f"invalid rational of {len(s)} characters ({s[:12]!r}...): too many digits,"
-                f" at most {sys.get_int_max_str_digits()} in a numerator or denominator"
-            ) from None
-    elif isinstance(s, int) and not isinstance(s, bool):
-        return s, 1
-    long = isinstance(s, str) and len(s) > _QUOTED_MAX
-    shown = f"of {len(s)} characters ({s[:12]!r}...)" if long else repr(s)
-    raise ValueError(f"invalid rational {shown}: expected \"num/den\", an integer string or an int")
+
+def _invalid(e) -> ValueError:
+    long = isinstance(e, str) and len(e) > _QUOTED_MAX
+    shown = f"of {len(e)} characters ({e[:12]!r}...)" if long else repr(e)
+    return ValueError(f"invalid rational {shown}: expected \"num/den\", an integer string or an int")
+
+
+def _line(e) -> str:
+    """Entry e as one line of text: a str with its newlines made spaces (so
+    it stays one line, and an invalid one), an int (not a bool) in decimal,
+    and anything else as a line that is not a rational."""
+    if isinstance(e, str):
+        return e.replace("\n", " ")
+    return str(int(e)) if isinstance(e, int) and not isinstance(e, bool) else "?"
+
+
+def _first_error(entries: list, text: str, start: int) -> ValueError | None:
+    """The error of the first entry, on a line of text at or after start,
+    that is not a rational or has a number longer than
+    ``sys.get_int_max_str_digits()``; None when there is none."""
+    limit = sys.get_int_max_str_digits()
+    bad = _NOT_LINE.search(text, start)
+    long = re.compile(f"[0-9]{{{limit + 1}}}").search(text, start, bad.start() if bad else len(text)) \
+        if limit else None
+    if long:  # a valid line before the first bad one, with a number int() does not read
+        s = entries[text.count("\n", 0, long.start())]
+        return ValueError(f"invalid rational of {len(s)} characters ({s[:12]!r}...): too many digits,"
+                          f" at most {limit} in a numerator or denominator")
+    return bad and _invalid(entries[text.count("\n", 0, bad.start())])
+
+
+def _rationals(entries: list) -> tuple[np.ndarray, int]:
+    """(A, D) for a flat list of JSON rationals, each "num/den", a bare
+    integer string or an int: A / D their values, A one integer per entry
+    over D, the lcm of their denominators. A is int64 when every |A[i]| is
+    below 2^63, and holds Python ints (dtype object) past that. entries is
+    emptied once checked, before the numbers are converted, which frees its
+    strings early.
+
+    The entries are read as one text, a line each, in whole-text passes. One
+    search of ``_NOT_SHORT_LINE`` checks them all. When it finds no line,
+    ``np.fromstring`` converts every number; otherwise ``_first_error`` looks
+    for a bad entry, and if there is none the numbers, some over 18 digits,
+    are converted by int(). Anything that is not rational notation, a float,
+    a bool, a space, an underscore, a non-ASCII digit, a zero or signed
+    denominator or a number longer than ``sys.get_int_max_str_digits()``
+    included, raises a ValueError that names the first such entry."""
+    n = len(entries)
+    if not n:
+        return np.zeros(0, np.int64), 1
+    try:
+        text = "\n".join(entries)
+    except TypeError:  # an entry that is not a str
+        text = None
+    if text is None or text.count("\n") >= n:  # or one that holds a newline
+        text = "\n".join(map(_line, entries))
+    long = _NOT_SHORT_LINE.search(text)
+    if long and (error := _first_error(entries, text, long.start())):
+        raise error
+    entries.clear()
+    if text.count("/") != n:
+        text = _BARE_LINE.sub(r"\g<0>/1", text)
+    text = text.replace("/", " ")
+    if long is None:
+        pairs = np.fromstring(text, dtype=np.int64, sep=" ")
+        nums, dens = pairs[0::2], pairs[1::2]
+        d = math.lcm(*set(dens.tolist()))
+        if d * int(np.abs(nums).max(initial=1)) < 2**63:
+            return nums * (d // dens), d
+        nums, dens = nums.tolist(), dens.tolist()
+    else:
+        pairs = list(map(int, text.split()))
+        nums, dens = pairs[0::2], pairs[1::2]
+        d = math.lcm(*set(dens))
+    flat = [x * (d // y) for x, y in zip(nums, dens)]
+    return np.array(flat, _dtype(max(map(abs, flat)))), d
+
+
+def _dtype(bound: int) -> type:
+    """int64 when ``bound``, a proved bound on every intermediate of an
+    integer check, is below 2^63; Python ints (dtype object) otherwise."""
+    return np.int64 if bound < 2**63 else object
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -104,9 +176,15 @@ _new = object.__new__
 _set = object.__setattr__
 
 
-def _lowest_terms(flat: Sequence[int], den: int) -> tuple[Sequence[int], int]:
-    """(flat, den) divided by the gcd of den > 0 and every entry: the one lowest-terms step."""
-    g = math.gcd(den, *flat) if den > 1 else 1
+def _lowest_terms(flat: Sequence[int] | np.ndarray, den: int) -> tuple[Sequence[int] | np.ndarray, int]:
+    """(flat, den) divided by the gcd of den > 0 and every entry of flat, a
+    sequence of ints or an integer array: the one lowest-terms step."""
+    if den == 1:
+        return flat, den
+    if type(flat) is np.ndarray:
+        g = math.gcd(den, int(np.gcd.reduce(flat, axis=None)))
+        return (flat // g, den // g) if g > 1 else (flat, den)
+    g = math.gcd(den, *flat)
     return ([x // g for x in flat], den // g) if g > 1 else (flat, den)
 
 
@@ -198,9 +276,8 @@ class QVector:
     def from_json(cls, data: list[str | int]) -> "QVector":
         if not isinstance(data, list):
             raise ValueError(f"vector must be a list of rationals, got {type(data).__name__}")
-        pairs = [_num_den(e) for e in data]
-        d = math.lcm(*(den for _, den in pairs))
-        return _vector([num * (d // den) for num, den in pairs], d)
+        nums, d = _rationals(list(data))
+        return _vector(nums.tolist(), d)
 
     def __repr__(self) -> str:
         return "QVector(" + ", ".join(str(e) for e in self.entries) + ")"
@@ -209,8 +286,9 @@ class QVector:
 def _matrix(nums: Sequence[Sequence[int]], den: int, m: "QMatrix | None" = None) -> "QMatrix":
     """The square nums / den for den > 0, in lowest terms, set in m or in a new QMatrix."""
     if den > 1:  # only then can it reduce, so only then are the rows flattened
-        flat, den = _lowest_terms(list(chain.from_iterable(nums)), den)
-        nums = zip(*[iter(flat)] * len(nums))
+        flat, d = _lowest_terms(list(chain.from_iterable(nums)), den)
+        if d < den:  # and only when it did are they cut into rows again
+            nums, den = zip(*[iter(flat)] * len(nums)), d
     m = _new(QMatrix) if m is None else m
     _set(m, "nums", tuple(map(tuple, nums)))
     _set(m, "den", den)
@@ -353,9 +431,8 @@ class QMatrix:
     def from_json(cls, data: list[list[str | int]]) -> "QMatrix":
         if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
             raise ValueError("matrix must be a list of rows of rationals")
-        pairs = [[_num_den(e) for e in row] for row in _square(data)]
-        d = math.lcm(*(den for row in pairs for _, den in row))
-        return _matrix([[num * (d // den) for num, den in row] for row in pairs], d)
+        nums, d = _rationals(list(chain.from_iterable(_square(data))))
+        return _matrix(nums.reshape(len(data), len(data)).tolist(), d)
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(e) for e in row) for row in self.rows)

@@ -25,7 +25,7 @@ from itertools import accumulate, chain, islice, permutations, repeat
 import numpy as np
 
 from .arith import factorize, is_prime
-from .exact_linear import QMatrix, _lowest_terms
+from .exact_linear import QMatrix, _dtype, _lowest_terms
 
 #: Hard cap on group order for every table; it keeps entries inside int16.
 MAX_ORDER = 4096
@@ -446,12 +446,6 @@ def alternating(n: int) -> GroupTable:
 
 # ---------------------------------------------------------------------------
 # actions and semidirect products
-
-def _dtype(bound: int) -> type:
-    """int64 when ``bound``, a proved bound on every intermediate of an
-    integer check, is below 2^63; Python ints (dtype object) otherwise."""
-    return np.int64 if bound < 2**63 else object
-
 
 def _first_failure(b: GroupTable, failures) -> tuple[int, ...] | None:
     """Light's test with a witness, for an identity with y in the middle

@@ -12,6 +12,7 @@ import importlib.util
 import math
 import pathlib
 import random
+import sys
 from bisect import insort
 from fractions import Fraction
 from itertools import permutations
@@ -484,8 +485,36 @@ def brute_force_associative(table) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# JSON rationals the parser rejects, shared by the tests of the entry parser
-# and of the cocycle table
+# JSON rationals: the one-entry oracle of the bulk parser, and the entries it
+# rejects, shared by the tests of the parser and of the cocycle table
+
+def num_den(s: str | int) -> tuple[int, int]:
+    """(num, den > 0), not reduced, of one JSON rational: "num/den", a bare
+    integer string or an int; anything else, a float, a bool, a space, an
+    underscore, a non-ASCII digit, a zero or signed denominator or a number
+    longer than ``sys.get_int_max_str_digits()`` included, is a ValueError
+    with the message the bulk parser ``exact_linear._rationals`` gives it.
+    One entry at a time, by string methods and no regular expression."""
+    if isinstance(s, str) and s.isascii():
+        num, slash, den = s.partition("/")
+        # ASCII digits only, after one optional sign on the numerator: int()
+        # also reads spaces, underscores and other scripts' digits
+        try:
+            d = int(den) if den.isdigit() else 0 if slash else 1
+            if d and (num.isdigit() or num[1:].isdigit() and num[0] in "+-"):
+                return int(num), d
+        except ValueError:
+            # the digits are checked, so int() fails only past its length limit
+            raise ValueError(
+                f"invalid rational of {len(s)} characters ({s[:12]!r}...): too many digits,"
+                f" at most {sys.get_int_max_str_digits()} in a numerator or denominator"
+            ) from None
+    elif isinstance(s, int) and not isinstance(s, bool):
+        return s, 1
+    long = isinstance(s, str) and len(s) > 64
+    shown = f"of {len(s)} characters ({s[:12]!r}...)" if long else repr(s)
+    raise ValueError(f"invalid rational {shown}: expected \"num/den\", an integer string or an int")
+
 
 #: Entries rejected with the generic "invalid rational" message.
 BAD_RATIONALS = [

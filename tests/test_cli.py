@@ -390,6 +390,59 @@ def test_cocycle_without_values_exits_2_as_malformed(capsys, tmp_path):
     assert err == "error: malformed cocycle JSON: 'values'\n"  # was "error: 'values'"
 
 
+_EXPECTED = ": expected \"num/den\", an integer string or an int\n"
+
+
+def test_bad_entry_deep_in_a_cocycle_table_is_named(capsys, tmp_path):
+    # the A5 file of the benchmark, bad at c(50, 40): entry 50 * 180 + 40 * 3 + 1
+    a5 = gc.alternating(5)
+    data = perfbench_inputs().coboundary_json(a5, gc.trivial_action(a5, 3), random.Random(1))
+    data["values"][50][40][1] = "7/-2"
+    code, out, err = _run(capsys, ["cocycle", "complement", _write(tmp_path, data)])
+    assert code == 2 and not out
+    assert err == "error: invalid rational '7/-2'" + _EXPECTED
+
+
+def test_bad_entry_in_the_action_wins_over_one_in_the_values(capsys, tmp_path):
+    s3 = gc.symmetric(3)
+    data = random_cocycle(s3, permutation_action(s3), seed=2).to_json()
+    data["values"][1][1][0], data["action"][5][2][2] = "values", "action"
+    code, out, err = _run(capsys, ["cocycle", "verify", _write(tmp_path, data)])
+    assert code == 2 and not out
+    assert err == "error: invalid rational 'action'" + _EXPECTED
+
+
+@pytest.mark.parametrize("argv", [["--json", "cocycle", "complement"], ["cocycle", "complement"]])
+def test_integer_tables_written_as_ints_or_bare_strings_give_the_same_output(capsys, tmp_path, argv):
+    # a coboundary of an integer cochain under the permutation action: every
+    # entry of its file is "k/1"
+    s3 = gc.symmetric(3)
+    rng = random.Random(4)
+    f = [QVector.zero(3)] + [QVector.from_ints([rng.randint(-9, 9) for _ in range(3)], 1) for _ in range(5)]
+    data = cs.coboundary(f, s3, permutation_action(s3)).to_json()
+    outputs = []
+    for write in (str, lambda k: int(k.removesuffix("/1")), lambda k: k.removesuffix("/1")):
+        doc = dict(data, action=[[[write(e) for e in row] for row in m] for m in data["action"]],
+                   values=[[[write(e) for e in v] for v in row] for row in data["values"]])
+        code, out, err = _run(capsys, argv + [_write(tmp_path, doc)])
+        assert code == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("big", [10**18 + 7, -(10**18 + 9), 2**63 + 1, 3**60],
+                         ids=["19 digits", "19 digits negative", "past 2^63", "29 digits"])
+def test_cocycle_entries_of_19_and_more_digits_round_trip_exactly(capsys, tmp_path, big):
+    # C2 acting trivially on Q: c(g, g) = big is a cocycle, and e(g) = -big / 2
+    data = {"base": {"order": 2, "table": [[0, 1], [1, 0]]}, "module_dim": 1,
+            "action": [[["1"]], [["1"]]], "values": [[["0"], ["0"]], [["0"], [f"{big}/1"]]]}
+    code, out, err = _run(capsys, ["--json", "cocycle", "trivialize", _write(tmp_path, data)])
+    assert code == 0, err
+    g = 2 if big % 2 == 0 else 1
+    assert json.loads(out)["trivializer"] == [["0/1"], [f"{-big // g}/{2 // g}"]]
+    assert cs.Cocycle.from_json(json.loads(json.dumps(data))).to_json()["values"][1][1] == [f"{big}/1"]
+
+
 def test_unknown_catalog_group_message_is_not_quoted(capsys):
     code, out, err = _run(capsys, ["omega", "catalog:nope"])
     assert code == 2 and not out

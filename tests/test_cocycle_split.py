@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -20,12 +21,14 @@ from conftest import (
     extension_identity,
     fraction_vecmul,
     fraction_vecsub,
+    num_den,
+    perfbench_inputs,
     permutation_action,
     random_cocycle,
 )
 from orbitforge import cocycle_split as cs
 from orbitforge import group_core as gc
-from orbitforge.exact_linear import QMatrix, QVector, _num_den, companion, cyclotomic_prime
+from orbitforge.exact_linear import QMatrix, QVector, companion, cyclotomic_prime
 
 
 def _c2_instance():
@@ -684,6 +687,24 @@ def test_cocycle_json_names_the_first_bad_entry():
         cs.Cocycle.from_json(data)
 
 
+def test_cocycle_json_of_an_s5_table_reads_in_bounded_memory():
+    # 120 x 120 x 2 = 28,800 value entries. The tracemalloc peak of
+    # from_json, after json.loads, read 1.43 MiB (2.50 MiB with one
+    # QVector.from_json per row and the table turned back into Python lists);
+    # the 2 MiB bound leaves a 40 % margin
+    s5 = gc.symmetric(5)
+    doc = json.dumps(random_cocycle(s5, perfbench_inputs().sign_action(s5, 2), seed=3).to_json())
+    docs = [json.loads(doc)]
+    tracemalloc.start()
+    try:
+        c = cs.Cocycle.from_json(docs.pop())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.values.shape == (120, 120, 2) and c.values.dtype == np.int64
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 @pytest.mark.parametrize("entries", [
     [3, -7, 0], ["3", "-7", "0"], ["+3/4", "2/4", "-6/4"], ["007/010", "-0/5", "+0"], [3, "1/3", "-2"],
 ], ids=["ints", "integer strings", "signs and unreduced", "leading zeros", "mixed"])
@@ -694,7 +715,7 @@ def test_cocycle_json_reads_entries_as_the_entry_parser_does(entries):
             "action": [[["1", 0, "0/9"], [0, "2/2", 0], ["0", "0", 1]]] * 2,
             "values": [[["0"] * 3, ["0"] * 3], [["0"] * 3, entries]]}
     c = cs.Cocycle.from_json(data)
-    assert cocycle_values(c)[1][1].entries == tuple(Fraction(*_num_den(e)) for e in entries)
+    assert cocycle_values(c)[1][1].entries == tuple(Fraction(*num_den(e)) for e in entries)
     assert action_matrices(c.action)[1] == QMatrix.identity(3)
     for where in ("values", "action"):
         bad = json.loads(json.dumps(data))

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import permutations
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from conftest import (
     gauss_jordan_inverse,
     is_fixed_point_free,
     matrix_power,
+    num_den,
     poly_eval,
     poly_value,
     scalar_matrix,
@@ -117,6 +119,64 @@ def test_parse_rat_reads_entries_at_the_digit_limit():
 def test_from_json_requires_lists(parse, data):
     with pytest.raises(ValueError, match="must be a list"):
         parse(data)
+
+
+#: Lists of valid JSON rationals: signs, leading zeros, unreduced and zero
+#: entries, bare integer strings, JSON ints, numbers of 18 and 19 digits (the
+#: int64 read and the int() read), one past 2^63 and one of 4300 digits.
+_GOOD_LISTS = {
+    "forms": ["+3", "0004/0006", "-0/5", "7", 7, "-12/8", 0, "+0/1"],
+    "ints": [3, -7, 0, 10**17],
+    "18 digits": ["9" * 18, "-" + "9" * 18 + "/7", "1/" + "9" * 18],
+    "19 digits": ["1" + "0" * 18, "-3/" + "1" * 19, "2/3"],
+    "past 2^63": [str(2**63 + 1), "1/2", -(2**63 + 5)],
+    "lcm past 2^63": [f"1/{2**62 + 1}", f"1/{2**62 - 1}"],
+    "4300 digits": ["-" + "9" * 4300 + "/" + "7" * 4300, "+1"],
+    "mixed": [1, "2", "3/4", -5, "-6/1", "007/010"],
+    "one": ["5/15"],
+}
+
+
+@pytest.mark.parametrize("entries", list(_GOOD_LISTS.values()), ids=list(_GOOD_LISTS))
+def test_bulk_parser_reads_what_the_one_entry_oracle_reads(entries):
+    pairs = [num_den(e) for e in entries]
+    d = math.lcm(*(den for _, den in pairs))
+    given = list(entries)
+    nums, den = el._rationals(given)
+    expected = [num * (d // y) for num, y in pairs]
+    assert den == d and nums.tolist() == expected
+    assert nums.dtype == (object if max(map(abs, expected)) >= 2**63 else np.int64)
+    assert given == []  # emptied once checked
+
+
+@pytest.mark.parametrize("bad", [
+    True, 1.0, "", "/3", "3/", "1/0", "1/00", "-1/-2", "1/2/3", " 7/2", "1_0/3", "\u0663", None,
+    "1\n2", "3\n", "\n", "9" * 4301, "1/" + "9" * 4301,
+])
+@pytest.mark.parametrize("place", ["alone", "after good", "before bad"])
+def test_bulk_parser_names_the_first_bad_entry_with_the_oracle_message(bad, place):
+    # "1\n2" must not read as the two entries 1 and 2
+    entries = {"alone": [bad], "after good": ["1/2", 3, "4", bad], "before bad": [bad, "x", True]}[place]
+    with pytest.raises(ValueError) as oracle:
+        for e in entries:
+            num_den(e)
+    with pytest.raises(ValueError) as bulk:
+        el._rationals(list(entries))
+    assert str(bulk.value) == str(oracle.value)
+
+
+def test_bulk_parser_names_a_too_long_entry_before_a_later_invalid_one():
+    entries = ["1/2", "9" * 4301 + "/3", "x"]
+    with pytest.raises(ValueError, match=r"^invalid rational of 4303 characters .*: too many digits"):
+        el._rationals(list(entries))
+    with pytest.raises(ValueError, match=r"^invalid rational 'x'"):
+        el._rationals(entries[::-1])
+
+
+def test_bulk_parser_reads_an_empty_list():
+    nums, den = el._rationals([])
+    assert (nums.tolist(), den) == ([], 1)
+    assert QVector.from_json([]).dim == 0 and QMatrix.from_json([]).n == 0
 
 
 # ---------------------------------------------------------------------------
@@ -638,11 +698,28 @@ def test_matrix_canonical_form_frozen_example():
     assert QMatrix.of([[4, 0], [0, 8]]) * scalar_matrix(2, Fraction(1, 4)) == QMatrix.of([[1, 0], [0, 2]])
 
 
+def test_products_over_den_7_store_the_reduced_form():
+    # a * b and a * a keep their denominators 7 and 49 (gcd 1: the rows are
+    # stored as computed); a * 7I falls to den 1 and is cut into rows again
+    a, b, seven = QMatrix.of([["1/7", "2/7"], ["3/7", 1]]), QMatrix.of([[1, 1], [0, 1]]), scalar_matrix(2, 7)
+    for x, y, nums, den in ((a, b, ((1, 3), (3, 10)), 7), (a, a, ((7, 16), (24, 55)), 49),
+                            (a, seven, ((1, 2), (3, 7)), 1)):
+        m, oracle = x * y, fraction_matmul(x, y)
+        assert (m.nums, m.den) == (nums, den) == (oracle.nums, oracle.den)
+        assert type(m.nums) is tuple and all(type(row) is tuple for row in m.nums)
+
+
 def test_lowest_terms_divides_by_the_gcd_of_den_and_every_entry():
     assert el._lowest_terms([4, -6, 0], 8) == ([2, -3, 0], 4)
     assert el._lowest_terms([3, 5], 4) == ([3, 5], 4)
     assert el._lowest_terms([0, 0], 6) == ([0, 0], 1)
     assert el._lowest_terms([4, 6], 1) == ([4, 6], 1)
+    # an integer array, int64 or of Python ints, is reduced by one np.gcd pass
+    for dtype in (np.int64, object):
+        flat, den = el._lowest_terms(np.array([4, -6, 0], dtype), 8)
+        assert (flat.tolist(), den, flat.dtype) == ([2, -3, 0], 4, dtype)
+        flat, den = el._lowest_terms(np.array([3, 5], dtype), 4)
+        assert (flat.tolist(), den) == ([3, 5], 4)
 
 
 @given(nums=st.lists(st.integers(-60, 60), min_size=4, max_size=4), x=st.integers(-60, 60),
