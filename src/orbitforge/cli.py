@@ -14,47 +14,61 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import random
 import sys
+from typing import Callable, Iterable
 
 from . import auto_orbits, catalog, classify, cocycle_split, group_core, mixed_group
 from .exact_linear import QMatrix
 
 
+def _load_json(path: str):
+    """The JSON document in the file at path; one nested past the decoder's
+    recursion depth is an input error (ValueError), not a RecursionError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
+
+
 def _resolve_group(ref: str) -> group_core.GroupTable:
     if ref.startswith("catalog:"):
         return catalog.get(ref[len("catalog:"):])
-    with open(ref, "r", encoding="utf-8") as fh:
-        return group_core.GroupTable.from_json(json.load(fh))
+    return group_core.GroupTable.from_json(_load_json(ref))
 
 
-def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
+def _emit(payload: dict, as_json: bool, lines: Callable[[], Iterable[str]]) -> None:
+    """Print payload as JSON, or else the text lines, built only then."""
     if as_json:
         print(json.dumps(payload, indent=2))
     else:
-        for line in lines:
+        for line in lines():
             print(line)
 
 
 def cmd_omega(args) -> int:
     g = _resolve_group(args.group)
     part = auto_orbits.orbit_partition(g)
-    lines = [
+    _emit(part.to_json(), args.json, lambda: [
         f"group: {args.group} (order {g.order})",
         f"omega = {part.omega}",
         "class sizes: " + ", ".join(str(len(c)) for c in part.classes),
-    ]
-    _emit(part.to_json(), args.json, lines)
+    ])
     return 0
 
 
 def cmd_orbits(args) -> int:
     g = _resolve_group(args.group)
     part = auto_orbits.orbit_partition(g)
-    orders = g.element_orders()
-    lines = [f"group: {args.group} (order {g.order}), omega = {part.omega}"]
-    for cls in part.classes:
-        labels = ", ".join(g.labels[i] for i in cls)
-        lines.append(f"  order {orders[cls[0]]:>3}, size {len(cls):>3}: {labels}")
+
+    def lines():
+        orders = g.element_orders()
+        yield f"group: {args.group} (order {g.order}), omega = {part.omega}"
+        for cls in part.classes:
+            labels = ", ".join(g.labels[i] for i in cls)
+            yield f"  order {orders[cls[0]]:>3}, size {len(cls):>3}: {labels}"
+
     _emit(part.to_json(), args.json, lines)
     return 0
 
@@ -62,22 +76,19 @@ def cmd_orbits(args) -> int:
 def cmd_classify(args) -> int:
     g = _resolve_group(args.group)
     report = classify.classify_group(g)
-    lines = [
+    _emit(report.to_json(), args.json, lambda: [
         f"group: {args.group} (order {g.order})",
         f"omega = {report.omega}",
         f"verdict: {report.verdict}",
-    ]
-    for key, value in report.evidence.items():
-        lines.append(f"  {key}: {value}")
-    _emit(report.to_json(), args.json, lines)
+        *(f"  {key}: {value}" for key, value in report.evidence.items()),
+    ])
     return 0
 
 
 def _mixed_spec(args) -> mixed_group.MixedGroupSpec:
     m = None
     if getattr(args, "matrix", None):
-        with open(args.matrix, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = _load_json(args.matrix)
         if isinstance(data, list) and len(data) > mixed_group.MAX_DIM:  # before any entry is parsed
             raise ValueError(f"matrix size {len(data)} must be at most {mixed_group.MAX_DIM}")
         m = QMatrix.from_json(data)
@@ -85,29 +96,26 @@ def _mixed_spec(args) -> mixed_group.MixedGroupSpec:
 
 
 def _print_certificate(cert: mixed_group.Certificate, as_json: bool, header: str) -> int:
-    lines = [header]
-    for c in cert.checks:
-        lines.append(f"  {c.name}: {'PASS' if c.passed else 'FAIL'} ({c.detail})")
-    lines.append("result: " + ("all checks passed" if cert.ok else "FAILED"))
-    _emit(cert.to_json(), as_json, lines)
+    _emit(cert.to_json(), as_json, lambda: [
+        header,
+        *(f"  {c.name}: {'PASS' if c.passed else 'FAIL'} ({c.detail})" for c in cert.checks),
+        "result: " + ("all checks passed" if cert.ok else "FAILED"),
+    ])
     return 0 if cert.ok else 1
 
 
 def cmd_mixed(args) -> int:
     spec = _mixed_spec(args)
     if args.subcommand == "build":
-        lines = [
+        _emit(spec.to_json(), args.json, lambda: [
             f"validated mixed-order spec: p={spec.p}, t={spec.t}, n={spec.n}",
             "action matrix rows: " + "; ".join(" ".join(map(str, r)) for r in spec.action.rows),
-        ]
-        _emit(spec.to_json(), args.json, lines)
+        ])
         return 0
     if args.subcommand == "verify":
         cert = mixed_group.spec_checks(spec)
         return _print_certificate(cert, args.json, f"spec checks for p={spec.p}, t={spec.t}:")
     if args.subcommand == "auto":
-        import random
-
         rng = random.Random(args.seed)
         alpha = mixed_group.random_element(rng, spec, outside=True)
         beta = mixed_group.random_element(rng, spec, outside=True)
@@ -132,26 +140,25 @@ def cmd_mixed(args) -> int:
 def cmd_cocycle(args) -> int:
     # building the Cocycle verifies it: verify reports a failure, the other
     # commands let the CocycleError reach main as an input error
-    with open(args.path, "r", encoding="utf-8") as fh:
-        try:
-            c, witness = cocycle_split.Cocycle.from_json(json.load(fh)), None
-        except cocycle_split.CocycleError as exc:
-            if args.subcommand != "verify":
-                raise
-            witness = exc.witness
+    data = _load_json(args.path)
+    try:
+        c, witness = cocycle_split.Cocycle.from_json(data), None
+    except cocycle_split.CocycleError as exc:
+        if args.subcommand != "verify":
+            raise
+        witness = exc.witness
     if args.subcommand == "verify":
         payload = {"ok": witness is None, "witness": list(witness) if witness else None}
-        lines = [f"cocycle identity: FAIL at triple {witness}" if witness
-                 else "cocycle identity: PASS"]
-        _emit(payload, args.json, lines)
+        _emit(payload, args.json, lambda: [f"cocycle identity: FAIL at triple {witness}" if witness
+                                           else "cocycle identity: PASS"])
         return 1 if witness else 0
     if args.subcommand == "trivialize":
         e = cocycle_split.trivialize(c)
-        payload = {"trivializer": [v.to_json() for v in e]}
-        lines = ["trivializing cochain:"]
-        for x, v in enumerate(e):
-            lines.append(f"  e({c.base.labels[x]}) = ({', '.join(map(str, v.entries))})")
-        _emit(payload, args.json, lines)
+        _emit({"trivializer": [v.to_json() for v in e]}, args.json, lambda: [
+            "trivializing cochain:",
+            *(f"  e({c.base.labels[x]}) = ({', '.join(map(str, v.entries))})"
+              for x, v in enumerate(e)),
+        ])
         return 0
     if args.subcommand == "complement":
         h = cocycle_split.complement(c)
@@ -159,51 +166,40 @@ def cmd_cocycle(args) -> int:
             "complement": [{"x": s.x, "a": s.a.to_json()} for s in h],
             "size": len(h),
         }
-        lines = [f"verified complement of size {len(h)}:"]
-        for s in h:
-            lines.append(f"  s_{c.base.labels[s.x]} = ({', '.join(map(str, s.a.entries))})")
-        _emit(payload, args.json, lines)
+        _emit(payload, args.json, lambda: [
+            f"verified complement of size {len(h)}:",
+            *(f"  s_{c.base.labels[s.x]} = ({', '.join(map(str, s.a.entries))})" for s in h),
+        ])
         return 0
     raise AssertionError(args.subcommand)
 
 
 def cmd_catalog(args) -> int:
-    rows = []
-    for e in catalog.entries():
-        g = e.build()
-        rows.append(
-            {
-                "name": e.name,
-                "order": g.order,
-                "description": e.description,
-                "expected_omega": e.expected_omega,
-                "provenance": e.provenance,
-            }
-        )
-    lines = [
+    rows = [{"name": e.name, "order": e.build().order, "description": e.description,
+             "expected_omega": e.expected_omega, "provenance": e.provenance}
+            for e in catalog.entries()]
+    _emit({"catalog": rows}, args.json, lambda: [
         f"{r['name']:>8}  order {r['order']:>4}  omega={r['expected_omega']}"
         f" [{r['provenance']}]  {r['description']}"
         for r in rows
-    ]
-    _emit({"catalog": rows}, args.json, lines)
+    ])
     return 0
 
 
 def cmd_selftest(args) -> int:
-    failures = 0
     results = []
-    lines = []
     for e in catalog.entries():
         if e.expected_omega is None:
             continue
         got = auto_orbits.omega(e.build())
-        ok = got == e.expected_omega
-        failures += 0 if ok else 1
-        results.append({"name": e.name, "expected": e.expected_omega, "got": got, "ok": ok})
-        lines.append(f"{'PASS' if ok else 'FAIL'}  {e.name}: omega expected {e.expected_omega}, "
-                     f"got {got}")
-    lines.append("selftest: " + ("all passed" if failures == 0 else f"{failures} failures"))
-    _emit({"results": results, "ok": failures == 0}, args.json, lines)
+        results.append({"name": e.name, "expected": e.expected_omega, "got": got,
+                        "ok": got == e.expected_omega})
+    failures = sum(not r["ok"] for r in results)
+    _emit({"results": results, "ok": failures == 0}, args.json, lambda: [
+        *(f"{'PASS' if r['ok'] else 'FAIL'}  {r['name']}: omega expected {r['expected']}, "
+          f"got {r['got']}" for r in results),
+        "selftest: " + ("all passed" if failures == 0 else f"{failures} failures"),
+    ])
     return 0 if failures == 0 else 1
 
 

@@ -24,6 +24,11 @@ so Q[M] is a copy of F, and:
 - det L = +-N(det C) / N(det B) != 0, N the norm of F: u -> u * X over F
   has determinant N(det X) over Q, and sigma_g, of finite order, has
   determinant +-1.
+- K * M = C * K for C the block companion of Phi_p, as row (i, j) of K is
+  b_i * M^j and b_i * Phi_p(M) = 0. K is invertible, so for L' = K * L *
+  K^-1, P * L == L * R (P = M^a, R = M^b) holds iff C^a * L' == L' * C^b,
+  and b * L == c iff (b * K^-1) * L' == c * K^-1: O(n^2) checks
+  (``_first_mismatch``), with no product over Q and no power of M.
 """
 
 from __future__ import annotations
@@ -61,6 +66,22 @@ def _poly_map(a: Sequence[int], h: int, s: int) -> list[int]:
     for j, x in enumerate(a):
         acc[(h * j + s) % p] = x
     return _reduce_phi(acc)
+
+
+def _first_mismatch(nums: Sequence[Sequence[int]], p: int, a: int, b: int) -> int | None:
+    """The first row at which C^a * L' and L' * C^b differ (module
+    docstring), for L' of integer rows nums; None if none does. Row (i, j)
+    of C^a * L' is row (i, j + a mod p) of L', row (i, p - 1) being minus
+    the sum of block i; row (i, j) of L' * C^b has each block times x^b."""
+    k = p - 1
+    for i in range(0, len(nums), k):
+        block = [list(row) for row in nums[i:i + k]]
+        block.append([-sum(col) for col in zip(*block)])
+        for j, row in enumerate(block[:k]):
+            if block[(j + a) % p] != [y for s in range(0, len(row), k)
+                                      for y in _poly_map(row[s:s + k], 1, b)]:
+                return i + j
+    return None
 
 
 def _primitive_root(p: int) -> int:
@@ -181,15 +202,15 @@ def _choose_basis(first: list[QVector], units: QMatrix, k: int, tails: Sequence[
     return chosen, rows, d, last
 
 
-def semilinear_map(b: QVector, c: QVector, krylov: tuple[QMatrix, QMatrix], p: int,
-                   g: int) -> QMatrix:
-    """The sigma_g-semilinear map L of A = F^t, as a matrix over Q, that
-    sends the F-basis starting at the nonzero b of Q^n to the one starting
-    at c, for krylov = (K, K^-1) the cyclic basis that reads Q^n as F^t (see
-    the module docstring). Each basis takes, after its seed, each e_j (row j
-    of K^-1) in turn that is F-independent of the rows so far. For B and C
-    the t x t matrices of the bases over F, row (i, j) of L' = K * L * K^-1,
-    the image of x^j in entry i, is x^(g*j) * sigma_g(row i of B^-1) * C.
+def semilinear_map(b: QVector, c: QVector, basis_inv: QMatrix, p: int, g: int) -> QMatrix:
+    """L' = K * L * K^-1, the matrix in the spec's cyclic coordinates of
+    the sigma_g-semilinear map L of A = F^t that sends the F-basis starting
+    at the nonzero b of Q^n to the one starting at c, for basis_inv = K^-1
+    of the cyclic basis K that reads Q^n as F^t (see the module docstring).
+    Each basis takes, after its seed, each e_j (row j of K^-1) in turn that
+    is F-independent of the rows so far. For B and C the t x t matrices of
+    the bases over F, row (i, j) of L', the image of x^j in entry i, is
+    x^(g*j) * sigma_g(row i of B^-1) * C; L over Q is K^-1 * L' * K.
 
     Fraction-free Gauss-Jordan on [B | sigma_(g^-1)(C)] over F, run while the
     rows of B are chosen, ends at [D | D * X] with D = +-det B times the
@@ -199,7 +220,6 @@ def semilinear_map(b: QVector, c: QVector, krylov: tuple[QMatrix, QMatrix], p: i
     last, and one of det B, so det B alone at t = 1. No Fraction is made.
     The caller, ``mixed_group.build_automorphism``, checks the seeds.
     """
-    basis, basis_inv = krylov
     k, t, g_inv = p - 1, b.dim // (p - 1), pow(g, -1, p)
     b, c = b * basis_inv, c * basis_inv
     right = _choose_basis(_field_row(c.nums, c.den, k), basis_inv, k, [[]] * t)[0]
@@ -211,6 +231,5 @@ def semilinear_map(b: QVector, c: QVector, krylov: tuple[QMatrix, QMatrix], p: i
     # row (i, j) of L' is x^(g*j) * sigma_g(row i of X), over one denominator
     xs = [[_elem_mul(inv, x) for x in row[t:]] for _, row in rows]
     den = math.lcm(*(e.den for row in xs for e in row))
-    field_map = _matrix([[y * (den // e.den) for e in row for y in _poly_map(e.nums, g, g * j)]
-                         for row in xs for j in range(k)], den)
-    return basis_inv * (field_map * basis)
+    return _matrix([[y * (den // e.den) for e in row for y in _poly_map(e.nums, g, g * j)]
+                    for row in xs for j in range(k)], den)

@@ -24,7 +24,9 @@ identities: det L != 0, P * L == L * R, and beta outside A.
 Since Phi_p(M) = 0, A = F^t over the cyclotomic field F = Q(zeta_p), and
 ``build_automorphism`` solves each witness there as a semilinear map,
 invertible by construction (the facts are stated in ``cyclotomic``). So
-``omega_certificate`` checks only the other two identities.
+``omega_certificate`` checks only the other two identities. A witness
+holds L' = K * L * K^-1 and is checked in K's coordinates in O(n^2) (see
+``cyclotomic``); only the printed L and the group law work over Q.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .arith import is_prime
-from .cyclotomic import semilinear_map
+from .cyclotomic import _first_mismatch, semilinear_map
 from .exact_linear import (
     QMatrix,
     QVector,
@@ -51,9 +53,9 @@ SAMPLE_BOUND = 100
 
 #: Cap on the dimension n = t * (p - 1) of a spec. The worst spec under it
 #: is p = 127, t = 1: ``build`` (K and K^-1) takes 25 ms and peaks at
-#: 1.0 MiB (tracemalloc), and its p dense n x n powers of M, built at the
-#: first witness check, 0.15 s and 16 MiB; at p = 257, t = 1 (n = 256) the
-#: powers take 1.4 s and 132 MiB, on a 2 vCPU host.
+#: 1.0 MiB (tracemalloc); the p dense n x n powers of M, which only the group
+#: law builds, 0.15 s and 16 MiB, and at p = 257, t = 1 (n = 256), 1.4 s and
+#: 132 MiB, on a 2 vCPU host.
 MAX_DIM = 128
 
 
@@ -118,9 +120,9 @@ class MixedGroupSpec:
     p-th cyclotomic field (see ``cyclotomic``). Only a rejected M is
     powered.
 
-    ``powers[k]`` is M^k for 0 <= k < p, built at its first use (the group
-    law, the witness checks) and kept; each power computes its sparse
-    integer rows once, at its first product.
+    ``powers[k]`` is M^k for 0 <= k < p, built at its first use by the
+    group law (no witness check uses one) and kept; each power computes its
+    sparse integer rows once, at its first product.
     """
 
     p: int
@@ -230,14 +232,24 @@ def power(g: MixedElement, m: int, spec: MixedGroupSpec) -> MixedElement:
 class MixedAutomorphism:
     """An automorphism determined by an invertible restriction L to A and the
     image of the anchor element alpha; every g factors as alpha^m * a and
-    maps to image_of_alpha^m * (a * L)."""
+    maps to image_of_alpha^m * (a * L). ``field_map`` is L' = K * L * K^-1,
+    L in the coordinates of the spec's cyclic basis K (see ``cyclotomic``)."""
 
-    linear: QMatrix
+    field_map: QMatrix
     alpha: MixedElement
     image_of_alpha: MixedElement
     # (spec, alpha^m for 0 <= m < p, image_of_alpha^m for 0 <= m < p), built
     # by the first apply_automorphism with that spec
     _anchor_powers: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # (spec, L), built by the first call of linear with that spec
+    _linear: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def linear(self, spec: MixedGroupSpec) -> QMatrix:
+        """L = K^-1 * L' * K over Q, built at the first call with spec."""
+        if self._linear is None or self._linear[0] is not spec:
+            basis, basis_inv = spec.krylov
+            object.__setattr__(self, "_linear", (spec, basis_inv * (self.field_map * basis)))
+        return self._linear[1]
 
 
 def _powers_of(g: MixedElement, spec: MixedGroupSpec) -> tuple[MixedElement, ...]:
@@ -264,7 +276,7 @@ def apply_automorphism(phi: MixedAutomorphism, g: MixedElement, spec: MixedGroup
     alpha_powers, image_powers = _anchor_tables(phi, spec)
     m = (g.k * pow(phi.alpha.k % p, -1, p)) % p
     u = g.a - alpha_powers[m].a
-    return multiply(image_powers[m], MixedElement(0, u * phi.linear), spec)
+    return multiply(image_powers[m], MixedElement(0, u * phi.linear(spec)), spec)
 
 
 def random_vector(rng: random.Random, n: int, nonzero: bool = False) -> QVector:
@@ -286,26 +298,18 @@ def random_element(rng: random.Random, spec: MixedGroupSpec, outside: bool = Fal
 
 def _product_checks(phi: MixedAutomorphism, spec: MixedGroupSpec) -> list[CheckResult]:
     """The exact checks of ``verify_automorphism`` other than det L != 0:
-    P * L == L * R and beta outside A."""
+    P * L == L * R, as C^a * L' == L' * C^b in K's coordinates (see
+    ``cyclotomic``; a failure names the first differing row of L'), and
+    beta outside A."""
     p = spec.p
-    if phi.alpha.k % p == 0:
+    a, b = phi.alpha.k % p, phi.image_of_alpha.k % p
+    if a == 0:
         raise ValueError("anchor element must lie outside A")
-    pm = spec.powers[phi.alpha.k % p]
-    rm = spec.powers[phi.image_of_alpha.k % p] if phi.image_of_alpha.k % p else None
-    if rm is None:
-        intertwining = CheckResult("intertwining", False, "image of anchor lies inside A")
-    else:
-        diff = pm * phi.linear - phi.linear * rm
-        bad = next((i for i, row in enumerate(diff.nums) if any(row)), None)
-        intertwining = CheckResult(
-            "intertwining",
-            bad is None,
-            "P*L == L*R on the standard basis" if bad is None else f"fails at basis vector {bad}",
-        )
-
-    order_ok = phi.image_of_alpha.k % p != 0
-    return [intertwining,
-            CheckResult("image_order", order_ok, f"phi(alpha)^{p} == identity: {order_ok}")]
+    bad = _first_mismatch(phi.field_map.nums, p, a, b) if b else -1
+    detail = ("image of anchor lies inside A" if not b else "P*L == L*R on the standard basis"
+              if bad is None else f"fails at row {bad} of the cyclic basis")
+    return [CheckResult("intertwining", bad is None, detail),
+            CheckResult("image_order", b != 0, f"phi(alpha)^{p} == identity: {b != 0}")]
 
 
 def verify_automorphism(
@@ -319,45 +323,34 @@ def verify_automorphism(
     alpha^(m+l) (u * P^l + v), that map preserves products exactly when
     P * L == L * R (``intertwining``, one matrix identity; a failure names
     the first differing row) and beta^p == 1. It is bijective when det L != 0
-    (``linear_invertible``) and beta lies outside A. Every beta = h^k b
-    outside A has order p, because (h^k b)^p = h^0 (b * Phi_p(M^k)) and
-    Phi_p(M^k) = Phi_p(M) = 0 for the spec, so ``image_order`` checks only
-    that beta lies outside A. These three decide the certificate;
-    ``homomorphism_samples`` tests the product law on ``samples`` random
-    pairs through ``apply_automorphism``, a redundant spot check.
+    (``linear_invertible``, read as det L', of the similar L') and beta lies
+    outside A. Every beta = h^k b outside A has order p, because
+    (h^k b)^p = h^0 (b * Phi_p(M^k)) and Phi_p(M^k) = Phi_p(M) = 0 for the
+    spec, so ``image_order`` checks only that beta lies outside A. These
+    three decide the certificate; ``homomorphism_samples`` tests the product
+    law on ``samples`` random pairs through ``apply_automorphism``, a
+    redundant spot check that stops at the first failing pair.
     """
     if samples < 0:
         raise ValueError(f"sample count must be nonnegative, got {samples}")
     product_checks = _product_checks(phi, spec)
-    det = phi.linear.det()
+    det = phi.field_map.det()
     checks = [CheckResult("linear_invertible", det != 0, f"det(L) = {det}"), *product_checks]
 
-    rng = random.Random(seed)
-    failures = 0
-    first_failure = ""
+    rng, failure = random.Random(seed), None
     for _ in range(samples):
-        g1 = random_element(rng, spec)
-        g2 = random_element(rng, spec)
-        lhs = apply_automorphism(phi, multiply(g1, g2, spec), spec)
-        rhs = multiply(
-            apply_automorphism(phi, g1, spec), apply_automorphism(phi, g2, spec), spec
-        )
-        if lhs != rhs:
-            failures += 1
-            if not first_failure:
-                first_failure = f"phi(g1*g2) != phi(g1)*phi(g2) for g1={g1!r}, g2={g2!r}"
-    checks.append(
-        CheckResult(
-            "homomorphism_samples",
-            failures == 0,
-            first_failure or f"{samples}/{samples} sampled pairs multiplicative",
-        )
-    )
+        g1, g2 = random_element(rng, spec), random_element(rng, spec)
+        if apply_automorphism(phi, multiply(g1, g2, spec), spec) != multiply(
+                apply_automorphism(phi, g1, spec), apply_automorphism(phi, g2, spec), spec):
+            failure = f"phi(g1*g2) != phi(g1)*phi(g2) for g1={g1!r}, g2={g2!r}"
+            break
+    checks.append(CheckResult("homomorphism_samples", failure is None,
+                              failure or f"{samples}/{samples} sampled pairs multiplicative"))
 
     return Certificate(
         kind="mixed-automorphism",
         meta={"spec": spec.to_json(), "samples": samples, "seed": seed,
-              "linear": phi.linear.to_json()},
+              "linear": phi.linear(spec).to_json()},
         checks=checks,
     )
 
@@ -377,8 +370,8 @@ def build_automorphism(
     b_2, ..., b_t; likewise over beta with R = M^(k_beta) and c. L sends each
     b_i * P^j to c_i * R^j: it is the sigma_g-semilinear map of A = F^t,
     g = k_beta / k_alpha mod p, between the F-bases of the seeds, and
-    det L != 0 (see ``cyclotomic``). ``semilinear_map`` solves it in the
-    coordinates of the spec's cyclic basis, with no elimination over Q.
+    det L != 0 (see ``cyclotomic``). ``semilinear_map`` solves it as L', in
+    the coordinates of the spec's cyclic basis, with no elimination over Q.
 
     Seeds that are zero or of the wrong length, and an alpha or beta inside
     A, are refused before any of this. No power of M is built; the map is
@@ -394,8 +387,7 @@ def build_automorphism(
     if b.dim != spec.n or c.dim != spec.n:
         raise ValueError(f"seed dimensions {b.dim}, {c.dim} do not match the spec's {spec.n}")
     g = beta.k * pow(alpha.k, -1, p) % p
-    linear = semilinear_map(b, c, spec.krylov, p, g)
-    return MixedAutomorphism(linear=linear, alpha=alpha, image_of_alpha=beta)
+    return MixedAutomorphism(semilinear_map(b, c, spec.krylov[1], p, g), alpha, beta)
 
 
 def spec_checks(spec: MixedGroupSpec) -> Certificate:
@@ -442,24 +434,21 @@ def omega_certificate(
     with no determinant: ``build_automorphism`` solves L as a semilinear map
     between two F-bases of A = F^t, so det L != 0 (see ``cyclotomic``). The
     cyclic basis K that proved the spec, and its inverse, serve every
-    witness: this makes no elimination over Q.
+    witness: this makes no elimination over Q, and the identities are
+    checked on L' in O(n^2), with no matrix product and no power of M.
     """
     if pairs_per_class < 1:
         raise ValueError("pairs_per_class must be positive")
     rng = random.Random(seed)
     p, n = spec.p, spec.n
-    checks = [
-        CheckResult(
-            "order_separation",
-            True,
-            f"orders 1 / infinite / {p} split the classes; telescoping sums vanish for k=1..{p - 1}",
-        )
-    ]
+    checks = [CheckResult("order_separation", True, f"orders 1 / infinite / {p} split the classes;"
+                          f" telescoping sums vanish for k=1..{p - 1}")]
 
     # each draw is (b, c, alpha, beta) for build_automorphism, drawn in this
     # order; the witness carries h^0 b to h^0 c and alpha to beta
     base = MixedElement(1, QVector.zero(n))
     e1 = QVector.unit(n, 0)
+    basis_inv = spec.krylov[1]
 
     def inside():
         b = random_vector(rng, n, nonzero=True)
@@ -479,22 +468,14 @@ def omega_certificate(
             if failed:
                 detail = f"witness construction failed: automorphism verification failed: {failed}"
                 break
-            if b * phi.linear != c:
+            if b * basis_inv * phi.field_map != c * basis_inv:
                 detail = f"constructed map does not carry {b!r} to {c!r}"
                 break
             verified += 1
-        checks.append(
-            CheckResult(
-                name,
-                verified == pairs_per_class,
-                detail or f"{verified}/{pairs_per_class} verified automorphism witnesses",
-            )
-        )
+        checks.append(CheckResult(name, verified == pairs_per_class, detail
+                                  or f"{verified}/{pairs_per_class} verified automorphism witnesses"))
 
-    cert = Certificate(
-        kind="mixed-omega",
-        meta={"spec": spec.to_json(), "pairs_per_class": pairs_per_class, "seed": seed},
-        checks=checks,
-    )
+    cert = Certificate("mixed-omega", {"spec": spec.to_json(), "pairs_per_class": pairs_per_class,
+                                       "seed": seed}, checks)
     cert.meta["omega"] = 3 if cert.ok else None
     return cert

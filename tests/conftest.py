@@ -422,12 +422,34 @@ def conjugation_matrix(g: "mg.MixedElement", spec: "mg.MixedGroupSpec") -> QMatr
 
 
 def compose_automorphisms(first, second, spec) -> "mg.MixedAutomorphism":
-    """The map applying first, then second; anchored at first.alpha."""
+    """The map applying first, then second; anchored at first.alpha. In K's
+    coordinates, K * L1 * L2 * K^-1 is L1' * L2'."""
     return mg.MixedAutomorphism(
-        linear=first.linear * second.linear,
-        alpha=first.alpha,
-        image_of_alpha=mg.apply_automorphism(second, first.image_of_alpha, spec),
+        first.field_map * second.field_map,
+        first.alpha,
+        mg.apply_automorphism(second, first.image_of_alpha, spec),
     )
+
+
+def field_form(linear: QMatrix, spec: "mg.MixedGroupSpec") -> QMatrix:
+    """L' = K * L * K^-1 for a map L of A over Q: the form in which a
+    ``MixedAutomorphism`` holds it, so a test can tamper with L over Q."""
+    basis, basis_inv = spec.krylov
+    return basis * linear * basis_inv
+
+
+def dense_product_checks(phi: "mg.MixedAutomorphism", spec: "mg.MixedGroupSpec") -> dict[str, bool]:
+    """The verdicts of ``mg._product_checks`` recomputed over Q in the
+    standard basis: L = K^-1 * L' * K, and P * L == L * R by dense products
+    of ``spec.powers``, P and R the powers of M for alpha and beta. This is
+    how every witness was checked before the checks moved to K's
+    coordinates."""
+    p = spec.p
+    a, b = phi.alpha.k % p, phi.image_of_alpha.k % p
+    basis, basis_inv = spec.krylov
+    linear = basis_inv * phi.field_map * basis
+    return {"intertwining": b != 0 and spec.powers[a] * linear == linear * spec.powers[b],
+            "image_order": b != 0}
 
 
 def independent_element_orders(g) -> list[int]:

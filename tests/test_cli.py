@@ -443,6 +443,45 @@ def test_cocycle_entries_of_19_and_more_digits_round_trip_exactly(capsys, tmp_pa
     assert cs.Cocycle.from_json(json.loads(json.dumps(data))).to_json()["values"][1][1] == [f"{big}/1"]
 
 
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("argv", [
+    ["omega", "{path}"], ["orbits", "{path}"], ["classify", "{path}"],
+    ["cocycle", "verify", "{path}"], ["cocycle", "trivialize", "{path}"],
+    ["cocycle", "complement", "{path}"],
+    ["mixed", "omega", "--p", "3", "--matrix", "{path}"],
+    ["mixed", "build", "--p", "3", "--matrix", "{path}"],
+], ids=lambda argv: "-".join(a for a in argv if a != "{path}"))
+def test_deeply_nested_json_exits_2(capsys, tmp_path, argv):
+    # json.load raised RecursionError, a traceback and exit 1, the code of a
+    # failed verification; a group, cocycle and matrix file are each read
+    # through the one loader
+    path = tmp_path / "deep.json"
+    path.write_text(_DEEP)
+    code, out, err = _run(capsys, [a.format(path=path) for a in argv])
+    assert (code, out, err) == (2, "", "error: JSON nested too deeply\n")
+
+
+def test_json_output_formats_no_text_line(capsys, tmp_path, monkeypatch, s4_cocycle_document):
+    # the text lines format each entry through Fractions: --json builds none
+    path = tmp_path / "cocycle.json"
+    path.write_text(s4_cocycle_document)
+    formatted = []
+    for owner, name in ((QVector, "entries"), (QMatrix, "rows")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, property(lambda self, _real=real, _name=name:
+                                                  formatted.append(_name) or _real.fget(self)))
+    commands = (["cocycle", "trivialize", str(path)], ["cocycle", "complement", str(path)],
+                ["mixed", "build", "--p", "5", "--t", "2"])
+    for argv in commands:
+        assert _run(capsys, ["--json", *argv])[0] == 0
+    assert formatted == []
+    for argv in commands:
+        assert _run(capsys, argv)[0] == 0
+    assert set(formatted) == {"entries", "rows"}
+
+
 def test_unknown_catalog_group_message_is_not_quoted(capsys):
     code, out, err = _run(capsys, ["omega", "catalog:nope"])
     assert code == 2 and not out

@@ -4,10 +4,12 @@ in ``HELD`` with its holder: ROADMAP item 8 as a checked list. A name that
 only tests call fails here; delete it, or move what a test still needs into
 ``tests/conftest.py``.
 
-A function or class counts as called wherever ``src/`` reads its name, as a
-name or an attribute, and a method wherever ``src/`` reads an attribute of
-its name. So a method shares its callers with every attribute of the same
-name: ``GroupTable.mul`` passes through ``operator.mul``."""
+A function or class counts as called wherever ``src/`` reads its name as
+an attribute, or as a name that is not a local of the function that reads
+it; a method wherever ``src/`` reads an attribute of its name whose object
+is not an imported module. So the local variable ``power`` of
+``minimal_polynomial`` does not call ``mixed_group.power``, and
+``operator.mul`` does not call ``GroupTable.mul``."""
 
 import ast
 import pathlib
@@ -26,13 +28,74 @@ HELD = {
     "exact_linear.minimal_polynomial": "tracing.py",
     "group_core.GroupTable.conjugate": "tracing.py",
     "group_core.GroupTable.inv": "tracing.py",
+    "group_core.GroupTable.mul": "tracing.py",
     "group_core.GroupTable.table": "inputs.py",
     "group_core.derived_subgroup": "tracing.py",
     "group_core.direct_product": "workloads.py",
     "group_core.element_order": "tracing.py",
     "group_core.order_profile": "tracing.py",
     "group_core.trivial_action": "workloads.py",
+    "mixed_group.power": "tracing.py",
 }
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _own_nodes(scope: ast.AST) -> list[ast.AST]:
+    """The nodes under scope that are not inside a nested function."""
+    out, stack = [], list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def _locals(scope: ast.AST, nodes: list[ast.AST]) -> set[str]:
+    """The names that a function binds in its own scope: its parameters, and
+    every name it assigns, defines, imports or catches, but those it
+    declares global or nonlocal."""
+    args = scope.args
+    bound = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg,
+                             args.kwarg) if a}
+    for node in nodes:
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, (*_SCOPES[:2], ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+    return bound - {x for node in nodes if isinstance(node, (ast.Global, ast.Nonlocal))
+                    for x in node.names}
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    """Every name that tree reads where it is not a local of the enclosing
+    function, or of a function around that."""
+    read = set()
+
+    def visit(scope: ast.AST, outer: frozenset[str]) -> None:
+        nodes = _own_nodes(scope)
+        local = outer | _locals(scope, nodes) if isinstance(scope, _SCOPES) else outer
+        read.update(node.id for node in nodes if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load) and node.id not in local)
+        for node in nodes:
+            if isinstance(node, _SCOPES):
+                visit(node, frozenset(local))
+
+    visit(tree, frozenset())
+    return read
+
+
+def _modules(tree: ast.Module) -> set[str]:
+    """The names that tree binds to a module: by ``import x`` or
+    ``import x as y`` anywhere, and by ``from . import x``."""
+    return {(a.asname or a.name).split(".")[0] for node in ast.walk(tree)
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and not node.module)
+            for a in node.names}
 
 
 def _uncalled(sources: dict[str, str]) -> set[str]:
@@ -40,9 +103,16 @@ def _uncalled(sources: dict[str, str]) -> set[str]:
     module-level function and class, and every public method of a public
     class, that no module of ``sources`` calls."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
-    attrs = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
-    read = attrs | {node.id for node in nodes if isinstance(node, ast.Name)}
+    attrs, methods, read = set(), set(), set()
+    for tree in trees.values():
+        modules = _modules(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+                if not (isinstance(node.value, ast.Name) and node.value.id in modules):
+                    methods.add(node.attr)
+        read |= _names_read(tree)
+    read |= attrs
     out = set()
     for module, tree in trees.items():
         for node in tree.body:
@@ -53,7 +123,7 @@ def _uncalled(sources: dict[str, str]) -> set[str]:
             if isinstance(node, ast.ClassDef):
                 out.update(f"{module}.{node.name}.{m.name}" for m in node.body
                            if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
-                           and m.name not in attrs)
+                           and m.name not in methods)
     return out
 
 
@@ -76,8 +146,14 @@ def test_a_name_that_only_tests_call_is_found():
     sources["exact_linear"] += "\n\ndef only_tests():\n    pass\n\n\nclass Spare:\n    def helper(self):\n        pass\n"
     assert _uncalled(sources) - set(HELD) == {"exact_linear.only_tests", "exact_linear.Spare",
                                               "exact_linear.Spare.helper"}
+    # a function is not called by a local variable of its name in the
+    # function that reads it, or in one nested in that
+    sources["cli"] += "\n\ndef _local(x):\n    only_tests = x\n    return only_tests, lambda: only_tests\n"
+    # nor a method by an attribute of its name on an imported module
+    sources["cli"] += "\n\ndef _module_attribute():\n    import json\n    return json.helper, Spare\n"
+    assert _uncalled(sources) - set(HELD) == {"exact_linear.only_tests", "exact_linear.Spare.helper"}
     # a method is not called by a local variable of its name, only by an attribute
     sources["cli"] += "\nhelper = exact_linear.only_tests()\n"
-    assert _uncalled(sources) - set(HELD) == {"exact_linear.Spare", "exact_linear.Spare.helper"}
+    assert _uncalled(sources) - set(HELD) == {"exact_linear.Spare.helper"}
     sources["cli"] += "\nSpare().helper()\n"
     assert _uncalled(sources) - set(HELD) == set()

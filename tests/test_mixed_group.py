@@ -1,3 +1,5 @@
+import functools
+import json
 import math
 import random
 import tracemalloc
@@ -13,6 +15,8 @@ from conftest import (
     conjugation_matrix,
     count_calls,
     count_eliminations,
+    dense_product_checks,
+    field_form,
     krylov_witness_linear,
     matrix_power,
     mixed_element_order,
@@ -23,7 +27,7 @@ from conftest import (
     telescope,
     zero_matrix,
 )
-from orbitforge import exact_linear
+from orbitforge import cli, exact_linear
 from orbitforge import mixed_group as mg
 from orbitforge.exact_linear import QMatrix, QVector, companion, cyclotomic_prime
 
@@ -153,8 +157,8 @@ def test_build_accepts_exactly_what_the_powers_sum_accepts(data):
 
 def test_build_makes_no_matrix_products(monkeypatch):
     # Phi_p(M) = 0 is proved by the zero seed sums of the spec's cyclic basis
-    # K, built once and inverted once; no power of M is built until a
-    # witness is checked
+    # K, built once and inverted once; no power of M is built until the
+    # group law needs one
     rational = rational_action()
     matrix = count_calls(monkeypatch, QMatrix, "__mul__", "inverse")
     bases = count_calls(monkeypatch, mg, "cyclic_decomposition")
@@ -346,7 +350,7 @@ def test_build_automorphism_frozen_example(s21):
     phi = mg.build_automorphism(
         QVector.of(3), QVector.of(5), E(1, QVector.of(0)), E(1, QVector.of(7)), s21
     )
-    assert phi.linear == QMatrix.of([["5/3"]])
+    assert phi.linear(s21) == QMatrix.of([["5/3"]])
     assert phi.image_of_alpha == E(1, QVector.of(7))
     # phi((1, a)) = (1, 5a/3 + 7), hand-checked to preserve products
     for a in (0, 1, Fraction(3, 2), -4):
@@ -358,7 +362,7 @@ def test_identity_automorphism(s32):
     alpha = E(1, QVector.zero(4))
     b = QVector.unit(4, 0)
     phi = mg.build_automorphism(b, b, alpha, alpha, s32)
-    assert phi.linear == QMatrix.identity(4)
+    assert phi.linear(s32) == QMatrix.identity(4)
     cert = mg.verify_automorphism(phi, s32, samples=20)
     assert cert.ok
 
@@ -459,7 +463,7 @@ def test_sampled_pairs_never_overrule_the_exact_identities(data):
     t = data.draw(st.sampled_from([1, 2]), label="t")
     spec = _SPECS[p, t]
     b, c, alpha, beta = _witness_inputs(spec, data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    linear = mg.build_automorphism(b, c, alpha, beta, spec).linear
+    linear = mg.build_automorphism(b, c, alpha, beta, spec).linear(spec)
 
     q = data.draw(st.lists(_FRACTIONS, min_size=p - 1, max_size=p - 1).filter(any), label="q")
     q_of_r = zero_matrix(spec.n)
@@ -471,7 +475,7 @@ def test_sampled_pairs_never_overrule_the_exact_identities(data):
     rows[i][j] += data.draw(_FRACTIONS.filter(bool), label="bump")
 
     for varied, must_pass in ((linear * q_of_r, True), (QMatrix.of(rows), False)):
-        phi = mg.MixedAutomorphism(varied, alpha, beta)
+        phi = mg.MixedAutomorphism(field_form(varied, spec), alpha, beta)
         exact = mg.verify_automorphism(phi, spec, samples=0).ok
         if must_pass:
             assert exact
@@ -507,7 +511,7 @@ def test_build_automorphism_matches_the_krylov_oracle(p, t, m):
         draws.append((b, c, ka, kb))
     for b, c, ka, kb in draws:
         alpha, beta = E(ka, mg.random_vector(rng, n)), E(kb, mg.random_vector(rng, n))
-        linear = mg.build_automorphism(b, c, alpha, beta, spec).linear
+        linear = mg.build_automorphism(b, c, alpha, beta, spec).linear(spec)
         assert linear == krylov_witness_linear(b, c, alpha, beta, spec), (b, c, ka, kb)
 
 
@@ -527,7 +531,7 @@ def test_build_automorphism_under_rational_conjugates_matches_the_krylov_oracle(
             for label in ("b", "c"))
     assume(not b.is_zero and not c.is_zero)
     alpha, beta = E(ka, QVector.zero(n)), E(kb, QVector.zero(n))
-    linear = mg.build_automorphism(b, c, alpha, beta, spec).linear
+    linear = mg.build_automorphism(b, c, alpha, beta, spec).linear(spec)
     assert linear == krylov_witness_linear(b, c, alpha, beta, spec)
 
 
@@ -560,9 +564,9 @@ def test_tampered_linear_part_fails_verification(s32):
     phi = mg.build_automorphism(
         QVector.unit(4, 0), QVector.of(1, 2, 0, 1), alpha, alpha, s32
     )
-    rows = [list(r) for r in phi.linear.rows]
+    rows = [list(r) for r in phi.linear(s32).rows]
     rows[1][2] += 1
-    bad = mg.MixedAutomorphism(QMatrix.of(rows), phi.alpha, phi.image_of_alpha)
+    bad = mg.MixedAutomorphism(field_form(QMatrix.of(rows), s32), phi.alpha, phi.image_of_alpha)
     cert = mg.verify_automorphism(bad, s32, samples=10)
     assert not cert.ok
     failed = {c.name for c in cert.checks if not c.passed}
@@ -592,6 +596,132 @@ def test_compose_automorphisms(s32):
         g = mg.random_element(rng, s32)
         step = mg.apply_automorphism(psi, mg.apply_automorphism(phi, g, s32), s32)
         assert mg.apply_automorphism(chained, g, s32) == step
+
+
+# ---------------------------------------------------------------------------
+# witness checks in the coordinates of the spec's cyclic basis K
+
+def _unit_triangular(rng: random.Random, n: int, upper: bool) -> QMatrix:
+    """A unit triangular n x n matrix with small random rationals off the
+    diagonal, so of determinant 1."""
+    return QMatrix.of([[1 if i == j else Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                        if (j > i) == upper else 0 for j in range(n)] for i in range(n)])
+
+
+@functools.cache
+def _verdict_spec(p: int, t: int, conjugated: bool) -> mg.MixedGroupSpec:
+    """The block companion spec, or its conjugate by a product of two random
+    unit triangular rational matrices."""
+    m = QMatrix.block_diag([companion(cyclotomic_prime(p))] * t)
+    if conjugated:
+        rng = random.Random(p * 10 + t)
+        q = _unit_triangular(rng, m.n, True) * _unit_triangular(rng, m.n, False)
+        m = q.inverse() * m * q
+    return mg.build(p, t, m)
+
+
+def _small_vector(rng: random.Random, n: int) -> QVector:
+    while True:
+        v = QVector.from_ints([rng.randint(-9, 9) for _ in range(n)], rng.randint(1, 9))
+        if not v.is_zero:
+            return v
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_k_coordinate_verdicts_equal_the_dense_oracle(data):
+    # C^a * L' == L' * C^b exactly when P * L == L * R over Q, and
+    # (b * K^-1) * L' == c * K^-1 exactly when b * L == c: on the honest
+    # witness, on L' with one entry bumped, and with beta's exponent redrawn
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13]), label="p")
+    t = data.draw(st.sampled_from([t for t in (1, 2, 3) if t * (p - 1) <= 36]), label="t")
+    n = t * (p - 1)
+    spec = _verdict_spec(p, t, n <= 12 and data.draw(st.booleans(), label="conjugated"))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    ka, kb = (data.draw(st.integers(1, p - 1), label=label) for label in ("k_alpha", "k_beta"))
+    b, c = _small_vector(rng, n), _small_vector(rng, n)
+    alpha, beta = E(ka, _small_vector(rng, n)), E(kb, _small_vector(rng, n))
+    phi = mg.build_automorphism(b, c, alpha, beta, spec)
+    rows = [list(r) for r in phi.field_map.rows]
+    i, j = (data.draw(st.integers(0, n - 1), label=label) for label in ("row", "column"))
+    rows[i][j] += data.draw(_FRACTIONS.filter(bool), label="bump")
+    redrawn = E(data.draw(st.integers(0, p - 1), label="k_beta redrawn"), beta.a)
+    basis_inv = spec.krylov[1]
+    for w in (phi, mg.MixedAutomorphism(QMatrix(rows), alpha, beta),
+              mg.MixedAutomorphism(phi.field_map, alpha, redrawn)):
+        verdicts = {ch.name: ch.passed for ch in mg._product_checks(w, spec)}
+        assert verdicts == dense_product_checks(w, spec)
+        carried = b * basis_inv * w.field_map == c * basis_inv
+        assert carried == (b * w.linear(spec) == c)
+        if w is phi:
+            assert carried and all(verdicts.values())
+
+
+def test_a_tampered_witness_fails_its_named_check():
+    spec = mg.build(5, 2)
+    b, c, alpha, beta = _witness_inputs(spec, 0)
+    phi = mg.build_automorphism(b, c, alpha, beta, spec)
+
+    def failed(field_map, a, image):
+        cert = mg.verify_automorphism(mg.MixedAutomorphism(field_map, a, image), spec, samples=0)
+        return {ch.name: ch.detail for ch in cert.checks if not ch.passed}
+
+    assert failed(phi.field_map, alpha, beta) == {}
+    # another k_alpha or k_beta changes g = k_beta / k_alpha, so L' no
+    # longer intertwines; the failure names a row of L'
+    for a, image in ((E(alpha.k % 4 + 1, alpha.a), beta), (alpha, E(beta.k % 4 + 1, beta.a))):
+        got = failed(phi.field_map, a, image)
+        assert list(got) == ["intertwining"] and got["intertwining"].startswith("fails at row ")
+    assert failed(phi.field_map, alpha, E(0, beta.a)) == {
+        "intertwining": "image of anchor lies inside A",
+        "image_order": "phi(alpha)^5 == identity: False"}
+    rows = [list(r) for r in phi.field_map.rows]
+    rows[3][6] += 1
+    assert list(failed(QMatrix(rows), alpha, beta)) == ["intertwining"]
+    # the zero map intertwines everything and is not invertible
+    assert list(failed(QMatrix.of([[0] * 8] * 8), alpha, beta)) == ["linear_invertible"]
+
+
+def test_omega_certificate_fails_a_witness_that_misses_its_seed(monkeypatch):
+    # 2 * L' intertwines whenever L' does, but carries b to 2 * c
+    real = mg.semilinear_map
+    monkeypatch.setattr(mg, "semilinear_map", lambda *args: real(*args) + real(*args))
+    cert = mg.omega_certificate(mg.build(5, 2), 2)
+    failed = {ch.name: ch.detail for ch in cert.checks if not ch.passed}
+    assert list(failed) == ["transitivity_inside_A", "transitivity_outside_A"]
+    assert all(d.startswith("constructed map does not carry") for d in failed.values())
+    assert cert.meta["omega"] is None
+
+
+def test_mixed_omega_builds_no_power_and_no_matrix_product(monkeypatch, capsys, tmp_path):
+    # every witness is checked on L' in K's coordinates; only the group law
+    # of mixed auto's sampled pairs powers M
+    path = tmp_path / "action.json"
+    path.write_text(json.dumps(rational_action().to_json()))
+    built = []
+    real = mg.MixedGroupSpec.__dict__["powers"].func
+    monkeypatch.setattr(mg.MixedGroupSpec, "powers",
+                        property(lambda spec: built.append(spec.p) or real(spec)))
+    products = count_calls(monkeypatch, QMatrix, "__mul__")
+    for argv in (["--p", "13", "--t", "2", "--pairs", "5"], ["--p", "5", "--matrix", str(path)]):
+        assert cli.main(["--json", "mixed", "omega", *argv]) == 0
+    assert built == [] and products == {"__mul__": 0}
+    assert cli.main(["--json", "mixed", "auto", "--p", "5", "--t", "1"]) == 0
+    assert built and products["__mul__"] > 0
+    capsys.readouterr()
+
+
+def test_omega_certificate_at_the_dimension_cap_peaks_under_64_mib():
+    # p = 127, t = 1: checking the witnesses over Q built the 127 dense
+    # powers of M (16 MiB) and L next to L', a 123 MiB peak in all
+    spec = mg.build(127, 1)
+    tracemalloc.start()
+    try:
+        assert mg.omega_certificate(spec, 1).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 # ---------------------------------------------------------------------------
