@@ -25,8 +25,10 @@ an action is), as the array V of shape (|B|, |B|, d) with V[x, y] = D * c(x, y).
 Its action brings the one integer form of ``FiniteAction``: the E * M_z,
 of shape (|B|, d, d), over the least common denominator E, which the
 cocycle casts to its own dtype. Every identity is checked multiplied through
-by D and E, and the cocycle identity by ``_first_failure``, the same Light
-test that proves the action a homomorphism. The arrays are int64 only where
+by D and E; the cocycle identity and the trivialization relation by
+``group_core._first_failure``, the Light test that also proves tables and
+actions, which names the first failure of the first failing generator, in
+blocks of 256 rows. The arrays are int64 only where
 every intermediate of a check is proved to stay below 2^63 in absolute
 value. With |V| <= v and |E * M| <= m (so E <= m, as M_1 = I), every
 entry, partial sum and residue of the cocycle check is at most
@@ -47,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact_linear import QVector, _dtype, _format_row, _lowest_terms, _rationals
+from .exact_linear import QVector, _dtype, _format_row, _lowest_terms, _rationals, _shown
 from .group_core import _EXACT_INT, FiniteAction, GroupTable, _first_failure, exact_int
 
 
@@ -85,9 +87,10 @@ def _check_action(base: GroupTable, action: FiniteAction) -> None:
 @dataclass(frozen=True, repr=False, eq=False)
 class Cocycle:
     """A normalized 2-cocycle of a finite group with values in Q^n, verified
-    when it is built: construction raises ``CocycleError`` with the first
-    failing triple, so every ``Cocycle`` satisfies the identity. Its fields
-    cannot be reassigned and its array cannot be written, so that stays true.
+    when it is built: construction raises ``CocycleError`` with the witness
+    of :func:`verify_cocycle`, so every ``Cocycle`` satisfies the identity.
+    Its fields cannot be reassigned and its array cannot be written, so that
+    stays true.
 
     Like ``FiniteAction`` it has one constructor: ``values`` is an integer
     table of shape (|B|, |B|, d), a numpy array or nested lists, over ``den``,
@@ -116,7 +119,7 @@ class Cocycle:
                 raise ValueError(f"cocycle values must be an integer table of shape {shape}")
             if not _EXACT_INT.issuperset(map(type, flat)):
                 bad = next(x for x in flat if type(x) is not int)
-                raise ValueError(f"cocycle values must be integers, got {bad!r}")
+                raise ValueError(f"cocycle values must be integers, got {_shown(bad)}")
             v = np.array(flat, dtype=object).reshape(shape)
         if type(self.den) is not int or self.den < 1:
             raise ValueError("den must be a positive int")
@@ -171,37 +174,36 @@ class Cocycle:
         return cls(base, action, values.reshape(nb, nb, n), d)
 
 
-def _middle_failures(c: Cocycle, y: int, stop: int) -> np.ndarray:
-    """The stop x |B| mask of the (x, z), x < stop, at which the cocycle
-    identity times D * E fails with y in the middle: where
+def _middle_failures(c: Cocycle, y: int, lo: int, hi: int) -> np.ndarray:
+    """The mask of the (x, z), x in [lo, hi), at which the cocycle identity
+    times D * E fails with y in the middle: where
     E * (V[xy, z] - V[x, yz] - V[y, z]) + V[x, y] (E M_z) is not zero."""
     v, arr = c.values, c.base.array
     em = c.action.matrices.astype(v.dtype, copy=False)
-    moved = np.matmul(v[:stop, y], em).swapaxes(0, 1)  # [x, z] = V[x, y] (E M_z)
-    return (c.action.den * (v[arr[:stop, y]] - v[:stop, arr[y]] - v[y]) + moved != 0).any(axis=2)
+    moved = np.matmul(v[lo:hi, y], em).swapaxes(0, 1)  # [x, z] = V[x, y] (E M_z)
+    return (c.action.den * (v[arr[lo:hi, y]] - v[lo:hi, arr[y]] - v[y]) + moved != 0).any(axis=2)
 
 
 def verify_cocycle(c: Cocycle) -> tuple[bool, tuple[int, int, int] | None]:
     """Exact check of the cocycle identity, which ``Cocycle`` runs once when
-    it is built; on failure the lexicographically first offending (x, y, z)
-    is returned.
+    it is built; on failure the witness (x, y, z) of ``_first_failure`` is
+    returned, the first failure of the first failing generator y.
 
     The identity at (x, y, z) is associativity of the extension at the
     triple ((x, 0), (y, 0), (z, 0)) with y in the middle, so by Light's test
-    it suffices to check y in ``base.generators`` (|B|^2 triples for each,
-    not |B|^3 in all). The middles m, with (u m) v = u (m v) for all u, v, are
-    closed under products. Every (1, a) is one, since c is normalized; (s, 0)
-    is one exactly when the identity holds at every (x, s, z), given that
-    M_s M_z = M_sz (the action is a homomorphism). The (1, a) and the (s, 0)
-    for generators s generate the extension, so every element is a middle.
+    it suffices to check y in ``base.generators``. The middles m, with
+    (u m) v = u (m v) for all u, v, are closed under products. Every (1, a)
+    is one, since c is normalized; (s, 0) is one exactly when the identity
+    holds at every (x, s, z), given that M_s M_z = M_sz (the action is a
+    homomorphism). The (1, a) and the (s, 0) for generators s generate the
+    extension, so every element is a middle.
 
-    The test is ``group_core._first_failure``, which also proves the action
-    a homomorphism: each middle is one pass of ``_middle_failures``, |B|^2
-    products of a d-vector by a d x d integer matrix, with temporaries of
-    O(|B|^2 * d) entries, and only after a generator fails is every y
-    scanned, for the lexicographically first witness.
+    Each middle costs |B|^2 products of a d-vector by a d x d integer
+    matrix, in passes of ``_middle_failures`` over blocks of 256 rows x,
+    with temporaries of O(256 * |B| * d) entries.
     """
-    witness = _first_failure(c.base, lambda y, stop: _middle_failures(c, y, stop))
+    witness = _first_failure(c.base.generators, c.base.order,
+                             lambda y, lo, hi: _middle_failures(c, y, lo, hi))
     return witness is None, witness
 
 
@@ -241,33 +243,31 @@ def trivialize(c: Cocycle) -> tuple[QVector, ...]:
     On integers, e(y) = -s(y) / (|B| * D) for s(y) = sum_x D * c(x, y), and
     the relation times |B| * D * E is
     E * (|B| * D * c(y, z) + s(yz) - s(z)) - s(y) * (E * M_z) == 0.
-    The sums cost O(|B|^2 * d); each generator z is then one pass of numpy
-    operations over all y, |B| products of a d-vector by a d x d matrix. Past
-    the int64 bound V is first copied to Python ints, a temporary of
-    O(|B|^2 * d) entries; the other temporaries are O(|B| * d), and the
-    failure masks O(|generators| * |B|). A failure names the least y, and
-    the first generator z in ``base.generators`` that fails with it.
+    The sums cost O(|B|^2 * d); each generator z is then the Light test of
+    ``_first_failure``, with z in the middle: |B| products of a d-vector by
+    a d x d matrix, in passes of ``_relation_failures`` over blocks of y.
+    Past the int64 bound V is first copied to Python ints, a temporary of
+    O(|B|^2 * d) entries; the other temporaries are O(|B| * d). A failure
+    names the kernel's witness (x, middle) as the pair (y, z).
     """
     nb = c.base.order
     dtype = _dtype(nb * c._bound)  # the bound of the module docstring
     v, em = c.values.astype(dtype, copy=False), c.action.matrices.astype(dtype, copy=False)
     sums = v.sum(axis=0)
-    # [i, y]: the relation fails at (y, the i-th generator)
-    bad = np.array([_relation_failures(c, v, em, sums, z) for z in c.base.generators])
-    if bad.any():
-        y = int(bad.any(axis=0).argmax())
-        z = c.base.generators[int(bad[:, y].argmax())]
-        raise TrivializationError(f"trivialization relation fails at pair ({y}, {z})")
+    witness = _first_failure(c.base.generators, nb,
+                             lambda z, lo, hi: _relation_failures(c, v, em, sums, z, lo, hi))
+    if witness is not None:
+        raise TrivializationError(f"trivialization relation fails at pair {witness}")
     return tuple(QVector.from_ints([-x for x in s], nb * c.den) for s in sums.tolist())
 
 
 def _relation_failures(c: Cocycle, v: np.ndarray, em: np.ndarray, sums: np.ndarray,
-                       z: int) -> np.ndarray:
-    """The mask of the y at which the trivialization relation times
-    |B| * D * E fails at (y, z): where
+                       z: int, lo: int, hi: int) -> np.ndarray:
+    """The mask of the y in [lo, hi) at which the trivialization relation
+    times |B| * D * E fails at (y, z): where
     E * (|B| * V[y, z] + s(yz) - s(z)) - s(y) (E M_z) is not zero."""
-    residue = c.action.den * (c.base.order * v[:, z] + sums[c.base.array[:, z]] - sums[z])
-    return (residue - np.matmul(sums, em[z]) != 0).any(axis=1)
+    residue = c.action.den * (c.base.order * v[lo:hi, z] + sums[c.base.array[lo:hi, z]] - sums[z])
+    return (residue - np.matmul(sums[lo:hi], em[z]) != 0).any(axis=1)
 
 
 def complement(c: Cocycle) -> list[ExtensionElement]:

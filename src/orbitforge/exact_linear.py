@@ -70,9 +70,21 @@ _NOT_SHORT_LINE = re.compile(_NOT_RATIONAL.format(digits="[0-9]{1,18}"), re.M)
 _BARE_LINE = re.compile(r"^[+-]?[0-9]+$", re.M)
 
 
+def _shown(e) -> str:
+    """repr(e) for an error message, or past ``_QUOTED_MAX`` characters its
+    type, length and first 12 characters."""
+    r = repr(e)
+    short = f"a {type(e).__name__} whose repr has {len(r)} characters ({r[:12]}...)"
+    return short if len(r) > _QUOTED_MAX else r
+
+
 def _invalid(e) -> ValueError:
-    long = isinstance(e, str) and len(e) > _QUOTED_MAX
-    shown = f"of {len(e)} characters ({e[:12]!r}...)" if long else repr(e)
+    """The error for entry e: a str is shortened past ``_QUOTED_MAX`` of its
+    own characters, anything else by ``_shown``."""
+    if isinstance(e, str):
+        shown = f"of {len(e)} characters ({e[:12]!r}...)" if len(e) > _QUOTED_MAX else repr(e)
+    else:
+        shown = _shown(e)
     return ValueError(f"invalid rational {shown}: expected \"num/den\", an integer string or an int")
 
 

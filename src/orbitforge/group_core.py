@@ -10,8 +10,10 @@ action matrices compose as ``M[x] * M[y] == M[x*y]``. At every
 characteristic an action likewise has one form, a read-only integer array of
 shape (|B|, n, n) over one denominator, one constructor, ``FiniteAction``,
 which reduces it over Q with ``exact_linear._lowest_terms``, the step of
-every exact form, and one check, the whole-array Light test of
-``_first_failure`` that cocycles share.
+every exact form. One kernel, the Light test of ``_first_failure``, proves
+a table associative, an action a homomorphism and, in ``cocycle_split``,
+the cocycle identity and its trivialization; each names the first failure
+of its first failing generator.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ from .exact_linear import QMatrix, _dtype, _lowest_terms
 #: Hard cap on group order for every table; it keeps entries inside int16.
 MAX_ORDER = 4096
 
-#: Rows per block in the associativity check; bounds its temporaries at
-#: 2 * 256 * n int16 entries (4 MB at n = 4096).
+#: Rows per block of the Light test ``_first_failure``; bounds its
+#: temporaries at 2 * 256 * n int16 entries for a table of order n (4 MB at
+#: n = 4096), and at O(256 * |B| * d) for a cocycle.
 _ASSOC_BLOCK = 256
 
 
@@ -90,20 +93,23 @@ def _require_latin_rows(arr: np.ndarray) -> None:
         raise ValueError(_NOT_LATIN)
 
 
-def _light_witness(arr: np.ndarray, gens) -> tuple[int, int, int] | None:
-    """The first (x, a, y), generator by generator and then in row-major
-    order, with (x*a)*y != x*(a*y), or None if every a in gens passes."""
-    n = len(arr)
-    for a in gens:
-        right = arr[a]
-        col = np.ascontiguousarray(arr[:, a])
+def _first_failure(gens, n: int, failures) -> tuple[int, ...] | None:
+    """Light's test (Clifford and Preston 1961, section 1.2) of an identity
+    with y in the middle, with a witness. The y at which it holds for every x
+    (and every further argument) are closed under products and hold the
+    identity, so checking each y in gens, whose left-bracketed products
+    reach all n elements, proves it for every y: O(n^2) checks for each
+    generator, not O(n^3) in all. ``failures(y, lo, hi)`` is the failure
+    mask over the x in [lo, hi) (axis 0) and any further arguments, taken in
+    blocks of ``_ASSOC_BLOCK`` rows, which bound its temporaries. The
+    witness is (x, y, ...) at the first failure, in row-major order, of the
+    first failing y in gens; None if every y passes."""
+    for y in gens:
         for lo in range(0, n, _ASSOC_BLOCK):
-            hi = lo + _ASSOC_BLOCK
-            lhs = arr.take(col[lo:hi], axis=0)    # (x*a)*y
-            rhs = arr[lo:hi].take(right, axis=1)  # x*(a*y)
-            if not np.array_equal(lhs, rhs):
-                x, y = np.argwhere(lhs != rhs)[0]
-                return lo + int(x), a, int(y)
+            bad = failures(y, lo, min(lo + _ASSOC_BLOCK, n))
+            if bad.any():
+                x, *rest = map(int, np.unravel_index(bad.argmax(), bad.shape))
+                return (lo + x, y, *rest)
     return None
 
 
@@ -112,11 +118,8 @@ def _validate_table(arr: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], np.nd
     identity 0; return it as a read-only int16 array, checked in place, the
     generating set of :func:`_generators` and the inverse of every element.
 
-    Associativity is exact at every order, by Light's test (Clifford and
-    Preston 1961, section 1.2): the elements a with (x*a)*y == x*(a*y) for
-    all x, y are closed under products, so checking every a in a set whose
-    left-bracketed products reach every element proves it for all a. That is
-    O(n^2 * d) for d generators, not O(n^3), done in blocks of rows.
+    Associativity is exact at every order: (x*a)*y == x*(a*y) is the
+    Light test of :func:`_first_failure`, with a in the middle.
 
     Latin rows, Latin columns and inverses are derived, not checked. One
     argmin pass finds a 0 in every row: x*r = 0 gives each x a right inverse
@@ -155,7 +158,11 @@ def _validate_table(arr: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], np.nd
     if len(gens) > bound:
         _require_latin_rows(arr)
         gens = _generators(arr)
-    witness = _light_witness(arr, gens)
+
+    def failures(a: int, lo: int, hi: int) -> np.ndarray:  # (x*a)*y != x*(a*y)
+        return arr.take(arr[lo:hi, a], axis=0) != arr[lo:hi].take(arr[a], axis=1)
+
+    witness = _first_failure(gens, n, failures)
     if witness is not None:
         if len(gens) <= bound:  # the rows are not sorted yet
             _require_latin_rows(arr)
@@ -447,25 +454,6 @@ def alternating(n: int) -> GroupTable:
 # ---------------------------------------------------------------------------
 # actions and semidirect products
 
-def _first_failure(b: GroupTable, failures) -> tuple[int, ...] | None:
-    """Light's test with a witness, for an identity with y in the middle
-    whose passing y are closed under products; ``failures(y, stop)`` is its
-    failure mask over x < stop (axis 0) and any further arguments. None if
-    every y in ``b.generators`` passes; else every y is scanned for the
-    lexicographically first failing (x, y, ...). A mask's first failure in
-    row-major order is its least, and a later y can only come first at a
-    smaller x, so its pass stops there."""
-    if not any(failures(y, b.order).any() for y in b.generators):
-        return None
-    first, stop = None, b.order
-    for y in range(b.order):
-        bad = failures(y, stop)
-        if bad.any():
-            x, *rest = map(int, np.unravel_index(bad.argmax(), bad.shape))
-            first, stop = (x, y, *rest), x
-    return first
-
-
 def _integer_form(mats, n: int, q: int, den: int) -> tuple[list[int], int]:
     """(A, E), A the row-major entries of the integer matrices A[x] with
     A[x] / E = mats[x] / den: over Q, E is the least common denominator (the
@@ -508,10 +496,9 @@ class FiniteAction:
 
     Validation enforces matrices[0] = den * I and M_x M_y = M_xy, that is
     matrices[x] @ matrices[y] = den * matrices[xy] (mod q over F_q), which
-    make every matrix invertible. That is ``_first_failure``'s Light test,
-    one whole-array pass over x per generator y: the y for which it holds
-    at every x are closed under products, as M_x M_(yz) = M_x M_y M_z =
-    M_(xy) M_z = M_(xyz). Actions compare by identity, as tables do.
+    make every matrix invertible. That is the Light test of
+    :func:`_first_failure`, with y in the middle, as M_x M_(yz) = M_x M_y M_z
+    = M_(xy) M_z = M_(xyz). Actions compare by identity, as tables do.
     """
 
     domain: GroupTable
@@ -535,11 +522,11 @@ class FiniteAction:
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "den", den)
 
-        def failures(y: int, stop: int) -> np.ndarray:
-            diff = mats[:stop] @ mats[y] - den * mats[b.array[:stop, y]]
+        def failures(y: int, lo: int, hi: int) -> np.ndarray:
+            diff = mats[lo:hi] @ mats[y] - den * mats[b.array[lo:hi, y]]
             return (diff % q if q else diff).any(axis=(1, 2))
 
-        witness = _first_failure(b, failures)
+        witness = _first_failure(b.generators, b.order, failures)
         if witness is not None:
             raise ValueError(f"action is not a homomorphism at pair {witness}")
 

@@ -533,8 +533,13 @@ def num_den(s: str | int) -> tuple[int, int]:
             ) from None
     elif isinstance(s, int) and not isinstance(s, bool):
         return s, 1
-    long = isinstance(s, str) and len(s) > 64
-    shown = f"of {len(s)} characters ({s[:12]!r}...)" if long else repr(s)
+    text = s if isinstance(s, str) else repr(s)
+    if len(text) <= 64:
+        shown = repr(s)
+    elif isinstance(s, str):
+        shown = f"of {len(s)} characters ({s[:12]!r}...)"
+    else:
+        shown = f"a {type(s).__name__} whose repr has {len(text)} characters ({text[:12]}...)"
     raise ValueError(f"invalid rational {shown}: expected \"num/den\", an integer string or an int")
 
 
@@ -547,14 +552,18 @@ BAD_RATIONALS = [
     "1_0/3", " 7/2", "\u0663/4", "3/\u0664", "\u00b2/1",
 ]
 
-#: Entry and message, up to its ': expected ...' tail, by name: an entry of
-#: up to 64 characters is quoted whole, a longer one shortened.
+#: Entry and message, up to its ': expected ...' tail, by name: a str of up
+#: to 64 characters, or anything else whose repr has up to 64, is quoted
+#: whole, a longer one shortened.
 QUOTED_RATIONALS = {
     "64 quoted": ("x" * 64, f"invalid rational {'x' * 64!r}"),
     "64 digits quoted": ("1/2/3" + "4" * 59, f"invalid rational {'1/2/3' + '4' * 59!r}"),
     "65 shortened": ("x" * 65, "invalid rational of 65 characters ('xxxxxxxxxxxx'...)"),
     "3005 shortened": ("1/2/3" + "4" * 3000,
                        "invalid rational of 3005 characters ('1/2/34444444'...)"),
+    "repr of 64 quoted": ([10] * 16, f"invalid rational {[10] * 16!r}"),
+    "repr of 67 shortened": ([10] * 16 + [1],
+                             "invalid rational a list whose repr has 67 characters ([10, 10, 10,...)"),
 }
 
 #: Longer than int()'s default limit of 4300 digits per string conversion.
@@ -565,29 +574,47 @@ TOO_MANY_DIGITS = {"numerator": TOO_LONG + "/7", "signed": "-" + TOO_LONG,
                    "denominator": "7/" + TOO_LONG}
 
 
-def brute_force_cocycle(base, action, values) -> tuple[bool, tuple[int, int, int] | None]:
-    """The cocycle identity c(xy, z) + c(x, y) M_z == c(x, yz) + c(y, z) of the
-    value table c = values over all |B|^3 triples in lexicographic order,
-    with the first failure; in plain Fractions read off ``entries`` and
-    ``rows``, with no QVector arithmetic. It takes the raw table, since a
-    failing one cannot be built into a ``Cocycle``."""
+def cocycle_check(base, action, values):
+    """fails(x, y, z): whether the cocycle identity
+    c(xy, z) + c(x, y) M_z == c(x, yz) + c(y, z) of the value table
+    c = values fails at (x, y, z); in plain Fractions read off ``entries``
+    and ``rows``, with no QVector arithmetic. It takes the raw table, since
+    a failing one cannot be built into a ``Cocycle``."""
     t, mats = base.table, [m.rows for m in action_matrices(action)]
     v = [[list(e.entries) for e in row] for row in values]
-    n, d = base.order, action.module_dim
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                moved = [sum(v[x][y][i] * mats[z][i][j] for i in range(d)) for j in range(d)]
-                lhs = [a + b for a, b in zip(v[t[x][y]][z], moved)]
-                if lhs != [a + b for a, b in zip(v[x][t[y][z]], v[y][z])]:
-                    return False, (x, y, z)
-    return True, None
+    d = action.module_dim
+
+    def fails(x: int, y: int, z: int) -> bool:
+        moved = [sum(v[x][y][i] * mats[z][i][j] for i in range(d)) for j in range(d)]
+        lhs = [a + b for a, b in zip(v[t[x][y]][z], moved)]
+        return lhs != [a + b for a, b in zip(v[x][t[y][z]], v[y][z])]
+
+    return fails
 
 
-def first_non_homomorphic_pair(g, mats, mul) -> tuple[int, int] | None:
-    """The first (x, y) over all pairs with mul(M_x, M_y) != M_xy."""
+def cocycle_witness(base, action, values, middles) -> tuple[int, int, int] | None:
+    """The first (x, y, z), y in middles in order and then (x, z) in
+    row-major order, at which ``cocycle_check`` fails; None if there is
+    none. With ``base.generators`` as the middles, this is the witness that
+    the Light test ``group_core._first_failure`` names."""
+    fails, n = cocycle_check(base, action, values), base.order
+    return next(((x, y, z) for y in middles for x in range(n) for z in range(n) if fails(x, y, z)), None)
+
+
+def brute_force_cocycle(base, action, values) -> tuple[bool, tuple[int, int, int] | None]:
+    """The verdict of the cocycle identity over all |B|^3 triples, with no
+    shortcut, and its first failure, middle by middle."""
+    witness = cocycle_witness(base, action, values, range(base.order))
+    return witness is None, witness
+
+
+def non_homomorphic_pair(g, mats, mul, middles) -> tuple[int, int] | None:
+    """The first (x, y), y in middles in order and then x, with
+    mul(M_x, M_y) != M_xy; None if there is none. Over every y it is the
+    verdict of the action law; over ``g.generators``, the witness of
+    ``group_core._first_failure``."""
     t = g.table
-    return next(((x, y) for x in range(g.order) for y in range(g.order)
+    return next(((x, y) for y in middles for x in range(g.order)
                  if mul(mats[x], mats[y]) != mats[t[x][y]]), None)
 
 

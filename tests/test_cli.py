@@ -10,7 +10,7 @@ import time
 import pytest
 
 from conftest import (
-    brute_force_cocycle,
+    cocycle_witness,
     count_calls,
     count_eliminations,
     perfbench_inputs,
@@ -88,7 +88,7 @@ def test_corrupted_cocycle_exits_1_with_witness(capsys, tmp_path):
     c3 = gc.cyclic(3)
     v = tuple(tuple(QVector.from_json(e) for e in row) for row in data["values"])
     x, y, z = payload["witness"]
-    assert (x, y, z) == brute_force_cocycle(c3, gc.trivial_action(c3, 1), v)[1]
+    assert (x, y, z) == cocycle_witness(c3, gc.trivial_action(c3, 1), v, c3.generators)
     t = c3.table
     assert v[t[x][y]][z] + v[x][y] != v[x][t[y][z]] + v[y][z]
 
@@ -345,6 +345,18 @@ def test_long_invalid_entry_gets_a_short_error_line(capsys, tmp_path):
     assert err == ("error: invalid rational of 3000 characters ('xxxxxxxxxxxx'...):"
                    " expected \"num/den\", an integer string or an int\n")
     assert len(err.encode()) < 120
+
+
+def test_deeply_nested_invalid_entry_gets_a_short_error_line(capsys, tmp_path):
+    # quoting the whole repr would write a 1877-byte line for this one
+    entry = [0]
+    for _ in range(899):
+        entry = [entry]
+    code, out, err = _run(capsys, ["mixed", "omega", "--p", "3", "--matrix",
+                                   _write(tmp_path, [[entry]])])
+    assert code == 2 and not out
+    assert err == ("error: invalid rational a list whose repr has 1801 characters ([[[[[[[[[[[[...):"
+                   " expected \"num/den\", an integer string or an int\n")
 
 
 def test_entry_at_the_digit_limit_is_read(capsys, tmp_path):

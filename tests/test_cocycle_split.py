@@ -16,8 +16,10 @@ from conftest import (
     TOO_MANY_DIGITS,
     brute_force_cocycle,
     action_matrices,
+    cocycle_check,
     cocycle_of,
     cocycle_values,
+    cocycle_witness,
     extension_identity,
     fraction_vecmul,
     fraction_vecsub,
@@ -102,7 +104,7 @@ def test_corrupted_cocycle_fails_with_witness():
     with pytest.raises(cs.CocycleError, match="cocycle identity fails at triple") as info:
         cocycle_of(c3, action, values)
     x, y, z = witness = info.value.witness
-    assert witness == brute_force_cocycle(c3, action, values)[1]
+    assert witness == cocycle_witness(c3, action, values, c3.generators)
     lhs = values[c3.table[x][y]][z] + values[x][y]
     rhs = values[x][c3.table[y][z]] + values[y][z]
     assert lhs != rhs
@@ -138,8 +140,9 @@ SMALL_ACTIONS = _small_actions()
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_verify_cocycle_matches_all_triples_oracle(data):
-    # verify_cocycle checks generator middles first and scans every triple
-    # only after a failure; verdict and witness must match the full scan
+    # verify_cocycle checks generator middles only: its verdict must match
+    # the all-triples scan, and its witness the generator-order scan, a
+    # triple at which the identity fails
     name = data.draw(st.sampled_from(sorted(SMALL_ACTIONS)), label="action")
     b, action = SMALL_ACTIONS[name]
     c = random_cocycle(b, action, seed=data.draw(st.integers(0, 999), label="seed"))
@@ -150,7 +153,10 @@ def test_verify_cocycle_matches_all_triples_oracle(data):
         bump = [Fraction(data.draw(st.integers(-3, 3), label="bump")) for _ in range(action.module_dim)]
         rows[x][y] = rows[x][y] + QVector(tuple(bump))
     values = tuple(tuple(r) for r in rows)
-    assert _construction_verdict(b, action, values) == brute_force_cocycle(b, action, values)
+    ok, witness = _construction_verdict(b, action, values)
+    assert ok == brute_force_cocycle(b, action, values)[0]
+    assert witness == cocycle_witness(b, action, values, b.generators)
+    assert ok or cocycle_check(b, action, values)(*witness)
 
 
 def test_rational_action_has_matrices_over_different_denominators():
@@ -188,11 +194,10 @@ def test_every_generator_is_checked_as_a_middle():
     action, v = gc.trivial_action(v4, 1), tuple(tuple(r) for r in rows)
     t = v4.table
     assert all(v[t[x][1]][z] + v[x][1] == v[x][t[1][z]] + v[1][z] for x in range(4) for z in range(4))
-    ok, witness = brute_force_cocycle(v4, action, v)
-    assert not ok
+    assert not brute_force_cocycle(v4, action, v)[0]
     with pytest.raises(cs.CocycleError) as info:
         cocycle_of(v4, action, v)
-    assert info.value.witness == witness
+    assert info.value.witness == cocycle_witness(v4, action, v, v4.generators)
 
 
 def test_verify_and_trivialize_work_is_bounded_by_generators(monkeypatch):
@@ -204,13 +209,13 @@ def test_verify_and_trivialize_work_is_bounded_by_generators(monkeypatch):
     middles, seconds = [], []
     middle_failures, relation_failures = cs._middle_failures, cs._relation_failures
 
-    def counting_middle(c, y, stop):
+    def counting_middle(c, y, lo, hi):
         middles.append(y)
-        return middle_failures(c, y, stop)
+        return middle_failures(c, y, lo, hi)
 
-    def counting_relation(c, v, em, sums, z):
+    def counting_relation(c, v, em, sums, z, lo, hi):
         seconds.append(z)
-        return relation_failures(c, v, em, sums, z)
+        return relation_failures(c, v, em, sums, z, lo, hi)
 
     monkeypatch.setattr(cs, "_middle_failures", counting_middle)
     monkeypatch.setattr(cs, "_relation_failures", counting_relation)
@@ -220,20 +225,67 @@ def test_verify_and_trivialize_work_is_bounded_by_generators(monkeypatch):
     assert seconds == list(a5.generators)
 
 
-def test_trivialization_error_names_the_least_y_then_the_first_generator(monkeypatch):
+def test_a_corrupted_cocycle_checks_no_middle_past_its_first_failing_generator(monkeypatch):
+    # c(1, 1) = 1 on A5 fails with the first generator in the middle: the
+    # witness is that generator's first failure, found in one pass, with no
+    # rescan of the other middles
+    a5 = gc.alternating(5)
+    action = gc.trivial_action(a5, 1)
+    rows = [[QVector.zero(1)] * 60 for _ in range(60)]
+    rows[1][1] = QVector.of(1)
+    expected = cocycle_witness(a5, action, rows, a5.generators)
+    assert expected[1] == a5.generators[0]
+    calls = []
+    middle_failures = cs._middle_failures
+
+    def counting(c, y, lo, hi):
+        calls.append((y, lo, hi))
+        return middle_failures(c, y, lo, hi)
+
+    monkeypatch.setattr(cs, "_middle_failures", counting)
+    with pytest.raises(cs.CocycleError) as info:
+        cocycle_of(a5, action, rows)
+    assert info.value.witness == expected
+    assert calls == [(a5.generators[0], 0, 60)]
+
+
+def test_a_failure_in_the_second_row_block_is_found_there(monkeypatch):
+    # over C300 the rows x go in blocks of 256; c(280, 7) = 1 breaks the
+    # identity with the one generator 1 in the middle only at x = 279 and
+    # x = 280, so the first block passes and the second names the witness
+    b = gc.cyclic(300)
+    action = gc.trivial_action(b, 1)
+    rows = [[QVector.zero(1)] * 300 for _ in range(300)]
+    rows[280][7] = QVector.of(1)
+    calls = []
+    middle_failures = cs._middle_failures
+
+    def recording(c, y, lo, hi):
+        calls.append((y, lo, hi))
+        return middle_failures(c, y, lo, hi)
+
+    monkeypatch.setattr(cs, "_middle_failures", recording)
+    with pytest.raises(cs.CocycleError) as info:
+        cocycle_of(b, action, rows)
+    assert info.value.witness == (279, 1, 7) == cocycle_witness(b, action, rows, b.generators)
+    assert cocycle_check(b, action, rows)(*info.value.witness)
+    assert calls == [(1, 0, 256), (1, 256, 300)]
+
+
+def test_trivialization_error_names_the_first_failure_of_the_first_failing_generator(monkeypatch):
     # the relation cannot fail on a verified cocycle, so fake the masks: the
     # first generator fails at y = 3, the second at y = 1 and y = 3; the pair
-    # named is the least y, then the first generator failing with it
+    # named is the first generator's least failing y, with that generator
     a5 = gc.alternating(5)
     c = random_cocycle(a5, gc.trivial_action(a5, 1), seed=2)
     first, second = a5.generators[:2]
     fails = {first: {3}, second: {1, 3}}
 
-    def failing(c, v, em, sums, z):
-        return np.isin(np.arange(c.base.order), list(fails.get(z, ())))
+    def failing(c, v, em, sums, z, lo, hi):
+        return np.isin(np.arange(lo, hi), list(fails.get(z, ())))
 
     monkeypatch.setattr(cs, "_relation_failures", failing)
-    with pytest.raises(cs.TrivializationError, match=rf"^trivialization relation fails at pair \(1, {second}\)$"):
+    with pytest.raises(cs.TrivializationError, match=rf"^trivialization relation fails at pair \(3, {first}\)$"):
         cs.trivialize(c)
 
 
@@ -290,6 +342,16 @@ def test_cocycle_entries_must_be_ints(bad):
     table = [[[0], [0]], [[0], [bad]]]
     with pytest.raises(ValueError, match=rf"^cocycle values must be integers, got {re.escape(repr(bad))}$"):
         cs.Cocycle(c2, gc.trivial_action(c2, 1), table)
+
+
+def test_a_long_cocycle_entry_is_shortened_in_its_message():
+    # its repr has 114 characters; quoted whole, a longer one grows the line
+    c2 = gc.cyclic(2)
+    table = [[[0], [0]], [[0], [Fraction(10**100, 3)]]]
+    with pytest.raises(ValueError) as info:
+        cs.Cocycle(c2, gc.trivial_action(c2, 1), table)
+    assert str(info.value) == ("cocycle values must be integers,"
+                               " got a Fraction whose repr has 114 characters (Fraction(100...)")
 
 
 @pytest.mark.parametrize("table", [
@@ -358,7 +420,7 @@ def test_extension_multiply_refuses_invalid_cocycle():
     values = tuple(tuple(r) for r in rows)
     with pytest.raises(cs.CocycleError) as info:
         cocycle_of(c3, action, values)
-    assert info.value.witness == brute_force_cocycle(c3, action, values)[1]
+    assert info.value.witness == cocycle_witness(c3, action, values, c3.generators)
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +631,9 @@ def _corrupted_entry(values, rng):
 
 def _check_exact(b, action, f):
     """The cocycle of f against the Fraction oracles: it verifies, its
-    trivializer is the averaged one, and a corrupted entry is reported at
-    the witness of the all-triples scan."""
+    trivializer is the averaged one, and a corrupted entry fails the
+    all-triples scan and is reported at the witness of the generator-order
+    scan."""
     c = cs.coboundary(f, b, action)
     assert cs.verify_cocycle(c) == (True, None)
     expected = _fraction_coboundary(f, b, action)
@@ -579,7 +642,8 @@ def _check_exact(b, action, f):
     values = _corrupted_entry(cocycle_values(c), random.Random(b.order))
     with pytest.raises(cs.CocycleError) as info:
         cocycle_of(b, action, values)
-    assert info.value.witness == brute_force_cocycle(b, action, values)[1]
+    assert not brute_force_cocycle(b, action, values)[0]
+    assert info.value.witness == cocycle_witness(b, action, values, b.generators)
     return c
 
 

@@ -12,11 +12,12 @@ import conftest
 from conftest import (
     action_matrices,
     brute_force_associative,
-    first_non_homomorphic_pair,
+    fraction_matmul,
     independent_element_order,
     independent_order_profile,
     intercalate_loop,
     matrix_power,
+    non_homomorphic_pair,
     relabeled_table,
     scalar_matrix,
 )
@@ -257,8 +258,9 @@ _CONJUGATORS = {"rational": QMatrix.of([[2, "1/2"], [0, "1/3"]]),
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_non_homomorphic_action_names_the_first_failing_pair(data):
-    # the check runs on generators only; its error must still name the first
-    # failing pair of the all-pairs scan
+    # the check runs on generators only: it must accept exactly what the
+    # all-pairs scan accepts, and name the first failure of the first
+    # failing generator, a pair at which the law fails
     name = data.draw(st.sampled_from(["C6", "S3", "A4"]), label="base")
     b = {"C6": gc.cyclic(6), "S3": gc.symmetric(3), "A4": gc.alternating(4)}[name]
     q = data.draw(st.sampled_from([0, 5]), label="characteristic")
@@ -276,7 +278,7 @@ def test_non_homomorphic_action_names_the_first_failing_pair(data):
             e = mats[k].den
             m = max(e, *(abs(x) for row in mats[k].nums for x in row))
             assert e > 1 and (3 * m * m >= 2**63) == (basis == "past 2^63")
-        mul = QMatrix.__mul__
+        mul = fraction_matmul
     else:
         mats = [((1, 0), (0, 1))] * b.order
         mats[k] = ((scalar % q, 0), (0, 1))
@@ -284,11 +286,14 @@ def test_non_homomorphic_action_names_the_first_failing_pair(data):
         def mul(a, c):
             return tuple(tuple(sum(a[i][r] * c[r][j] for r in range(2)) % q for j in range(2))
                          for i in range(2))
-    expected = first_non_homomorphic_pair(b, mats, mul)
+    expected = non_homomorphic_pair(b, mats, mul, b.generators)
+    assert (expected is None) == (non_homomorphic_pair(b, mats, mul, range(b.order)) is None)
     if expected is None:
         gc.FiniteAction(b, 2, q, tuple(mats))
     else:
-        with pytest.raises(ValueError, match=rf"homomorphism at pair \({expected[0]}, {expected[1]}\)"):
+        x, y = expected
+        assert mul(mats[x], mats[y]) != mats[b.table[x][y]]
+        with pytest.raises(ValueError, match=rf"homomorphism at pair \({x}, {y}\)$"):
             gc.FiniteAction(b, 2, q, tuple(mats))
 
 
@@ -649,10 +654,10 @@ def test_non_latin_table_that_fails_light_gets_the_latin_message(monkeypatch):
     # every row holds a 0, the one generator 1 reaches everything, and row 3
     # repeats 1: Light's test fails, then the rows are sorted to name it
     table = [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 1]]
-    calls = conftest.count_calls(monkeypatch, gc, "_light_witness", "_require_latin_rows")
+    calls = conftest.count_calls(monkeypatch, gc, "_first_failure", "_require_latin_rows")
     with pytest.raises(ValueError, match=r"^some row is not a permutation \(Latin square violated\)$"):
         gc.GroupTable(table, list("abcd"))
-    assert calls == {"_light_witness": 1, "_require_latin_rows": 1}
+    assert calls == {"_first_failure": 1, "_require_latin_rows": 1}
 
 
 def test_group_rows_are_never_sorted(monkeypatch, catalog_groups):
@@ -679,10 +684,10 @@ def test_magma_with_more_than_log2_n_generators_skips_light(monkeypatch):
         return found[-1]
 
     monkeypatch.setattr(gc, "_generators", recording)
-    calls = conftest.count_calls(monkeypatch, gc, "_light_witness", "_require_latin_rows")
+    calls = conftest.count_calls(monkeypatch, gc, "_first_failure", "_require_latin_rows")
     assert _outcome(lambda: gc._validate_table(arr)) == message
     assert [len(gens) for gens in found] == [13]
-    assert calls == {"_light_witness": 0, "_require_latin_rows": 1}
+    assert calls == {"_first_failure": 0, "_require_latin_rows": 1}
 
 
 #: Tables with entries of each type, as factories, since generator rows are

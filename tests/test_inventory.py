@@ -9,7 +9,9 @@ an attribute, or as a name that is not a local of the function that reads
 it; a method wherever ``src/`` reads an attribute of its name whose object
 is not an imported module. So the local variable ``power`` of
 ``minimal_polynomial`` does not call ``mixed_group.power``, and
-``operator.mul`` does not call ``GroupTable.mul``."""
+``operator.mul`` does not call ``GroupTable.mul``. A read inside a ``HELD``
+function calls nothing, since only the benchmark calls that function: so
+``derived_subgroup`` does not call ``subgroup_closure``."""
 
 import ast
 import pathlib
@@ -34,6 +36,7 @@ HELD = {
     "group_core.direct_product": "workloads.py",
     "group_core.element_order": "tracing.py",
     "group_core.order_profile": "tracing.py",
+    "group_core.subgroup_closure": "tracing.py",
     "group_core.trivial_action": "workloads.py",
     "mixed_group.power": "tracing.py",
 }
@@ -98,11 +101,26 @@ def _modules(tree: ast.Module) -> set[str]:
             for a in node.names}
 
 
+def _defs(module: str, tree: ast.Module):
+    """("module.name", node) of every module-level function and class of
+    tree, and ("module.Class.method", node) of every method of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node
+            if isinstance(node, ast.ClassDef):
+                yield from ((f"{module}.{node.name}.{m.name}", m) for m in node.body
+                            if isinstance(m, ast.FunctionDef))
+
+
 def _uncalled(sources: dict[str, str]) -> set[str]:
     """The "module.name" and "module.Class.method" of every public
     module-level function and class, and every public method of a public
-    class, that no module of ``sources`` calls."""
+    class, that no module of ``sources`` calls outside a ``HELD`` function."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
+    for module, tree in trees.items():
+        for name, node in _defs(module, tree):
+            if name in HELD and isinstance(node, ast.FunctionDef):
+                node.body = [ast.Pass()]
     attrs, methods, read = set(), set(), set()
     for tree in trees.values():
         modules = _modules(tree)
@@ -113,18 +131,9 @@ def _uncalled(sources: dict[str, str]) -> set[str]:
                     methods.add(node.attr)
         read |= _names_read(tree)
     read |= attrs
-    out = set()
-    for module, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
-            if node.name not in read:
-                out.add(f"{module}.{node.name}")
-            if isinstance(node, ast.ClassDef):
-                out.update(f"{module}.{node.name}.{m.name}" for m in node.body
-                           if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
-                           and m.name not in methods)
-    return out
+    return {name for module, tree in trees.items() for name, node in _defs(module, tree)
+            if not any(part.startswith("_") for part in name.split(".")[1:])
+            and node.name not in (methods if name.count(".") == 2 else read)}
 
 
 def _package_sources() -> dict[str, str]:
@@ -156,4 +165,10 @@ def test_a_name_that_only_tests_call_is_found():
     sources["cli"] += "\nhelper = exact_linear.only_tests()\n"
     assert _uncalled(sources) - set(HELD) == {"exact_linear.Spare.helper"}
     sources["cli"] += "\nSpare().helper()\n"
+    assert _uncalled(sources) - set(HELD) == set()
+    # a read inside a held function calls nothing: the benchmark alone calls it
+    sources["exact_linear"] += "\n\ndef only_held():\n    pass\n"
+    sources["mixed_group"] += "\n\ndef power(x):\n    return only_held(x)\n"
+    assert _uncalled(sources) - set(HELD) == {"exact_linear.only_held"}
+    sources["cli"] += "\n\ndef _not_held():\n    return only_held()\n"
     assert _uncalled(sources) - set(HELD) == set()
