@@ -122,7 +122,7 @@ def cmd_mixed(args) -> int:
         b = mixed_group.random_vector(rng, spec.n, nonzero=True)
         c = mixed_group.random_vector(rng, spec.n, nonzero=True)
         phi = mixed_group.build_automorphism(b, c, alpha, beta, spec)
-        cert = mixed_group.verify_automorphism(phi, spec, samples=args.pairs, seed=args.seed)
+        cert = mixed_group.verify_automorphism(phi, samples=args.pairs, seed=args.seed)
         return _print_certificate(
             cert, args.json, f"automorphism {alpha!r} -> {beta!r} with L verified:"
         )

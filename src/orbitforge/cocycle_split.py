@@ -49,8 +49,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact_linear import QVector, _dtype, _format_row, _lowest_terms, _rationals, _shown
-from .group_core import _EXACT_INT, FiniteAction, GroupTable, _first_failure, exact_int
+from .exact_linear import QVector, _dtype, _format_row, _int_table, _lowest_terms, _rationals, _rows, exact_int
+from .group_core import FiniteAction, GroupTable, _first_failure
 
 
 class CocycleError(ValueError):
@@ -64,17 +64,6 @@ class CocycleError(ValueError):
 class TrivializationError(RuntimeError):
     """The averaged 1-cochain does not trivialize a verified cocycle. This
     cannot happen over Q^n; seeing it means a bug, not a property of input."""
-
-
-def _flat(data, shape: tuple[int, ...]) -> list | None:
-    """The entries of data, nested lists of exactly the given shape, in
-    row-major order; None for data of any other shape."""
-    level = [data]
-    for size in shape:
-        if set(map(type, level)) != {list} or set(map(len, level)) != {size}:
-            return None
-        level = list(chain.from_iterable(level))
-    return level
 
 
 def _check_action(base: GroupTable, action: FiniteAction) -> None:
@@ -94,10 +83,10 @@ class Cocycle:
 
     Like ``FiniteAction`` it has one constructor: ``values`` is an integer
     table of shape (|B|, |B|, d), a numpy array or nested lists, over ``den``,
-    so c(x, y) = values[x, y] / den. ``__post_init__`` checks the shape and
-    the int entries (an int64 array of the right shape has nothing more to
-    check; any other input is made an array of Python ints), reduces the
-    table to D and V of the module docstring with
+    so c(x, y) = values[x, y] / den. ``__post_init__`` reads it through
+    ``exact_linear._int_table``, the intake of every integer table (an
+    integer array of the right shape has nothing more to check), reduces
+    the table to D and V of the module docstring with
     ``exact_linear._lowest_terms``, and keeps a read-only copy of V in the
     dtype its bound picks; then it checks normalization and the identity."""
 
@@ -112,15 +101,7 @@ class Cocycle:
         base, action = self.base, self.action
         _check_action(base, action)
         shape = (base.order, base.order, action.module_dim)
-        v = self.values
-        if not (isinstance(v, np.ndarray) and v.dtype == np.int64 and v.shape == shape):
-            flat = v.ravel().tolist() if isinstance(v, np.ndarray) and v.shape == shape else _flat(v, shape)
-            if flat is None:
-                raise ValueError(f"cocycle values must be an integer table of shape {shape}")
-            if not _EXACT_INT.issuperset(map(type, flat)):
-                bad = next(x for x in flat if type(x) is not int)
-                raise ValueError(f"cocycle values must be integers, got {_shown(bad)}")
-            v = np.array(flat, dtype=object).reshape(shape)
+        v = _int_table(self.values, shape, "cocycle values")
         if type(self.den) is not int or self.den < 1:
             raise ValueError("den must be a positive int")
         v, den = _lowest_terms(v, self.den)
@@ -152,25 +133,26 @@ class Cocycle:
     def from_json(cls, data: dict) -> "Cocycle":
         """The cocycle of a JSON document: an action of |B| lists of d lists of
         d rationals, then a value table of |B| lists of |B| lists of d, each
-        checked for its shape and read whole by ``exact_linear._rationals``,
-        which names the first bad entry in row-major order."""
+        checked for its shape by ``exact_linear._rows`` and read whole by
+        ``exact_linear._rationals``, which names the first bad entry in
+        row-major order."""
         try:
             base = GroupTable.from_json(data["base"])
             nb, n = base.order, exact_int(data["module_dim"])
             if n < 1:  # before the action's shape, whose message would hide it
                 raise ValueError("module dimension must be positive")
-            mats = _flat(data["action"], (nb, n, n))
-            if mats is None:
+            rows = _rows(data["action"], (nb, n, n))
+            if rows is None:
                 raise ValueError(f"action must be {nb} lists of {n} lists of {n} rationals")
-            mats, e = _rationals(mats)
-            action = FiniteAction(base, n, 0, mats.reshape(nb, n, n).tolist(), e)
-            flat = _flat(data["values"], (nb, nb, n))
+            mats, e = _rationals(list(chain.from_iterable(rows)))
+            action = FiniteAction(base, n, 0, mats.reshape(nb, n, n), e)
+            rows = _rows(data["values"], (nb, nb, n))
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed cocycle JSON: {exc}") from exc
         del data  # free the parsed document before the identity is verified
-        if flat is None:
+        if rows is None:
             raise ValueError(f"values table must be {nb} x {nb} lists of {n} rationals")
-        values, d = _rationals(flat)
+        values, d = _rationals(list(chain.from_iterable(rows)))
         return cls(base, action, values.reshape(nb, nb, n), d)
 
 

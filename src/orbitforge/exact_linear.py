@@ -27,13 +27,17 @@ group-action convention used by the rest of the package.
 Vectors and matrices serialize as JSON arrays of ``"num/den"`` strings so
 that output is exact and independent of any binary float format; one
 formatter, ``_format_row``, writes them and one bulk parser, ``_rationals``,
-reads a whole flat list of them at once (a vector, a matrix, or a cocycle's
-action and value table) into one integer array over one denominator.
+reads a whole flat list of them at once (a matrix, or a cocycle's action
+and value table) into one integer array over one denominator.
+Integer tables (Cayley tables, action matrices, cocycle values) come in
+through one intake, ``_int_table``, with one entry rule, ``exact_int``; its
+shape walker ``_rows`` also checks the nesting of rational strings.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 from bisect import insort
@@ -157,6 +161,59 @@ def _rationals(entries: list) -> tuple[np.ndarray, int]:
         d = math.lcm(*set(dens))
     flat = [x * (d // y) for x, y in zip(nums, dens)]
     return np.array(flat, _dtype(max(map(abs, flat)))), d
+
+
+def exact_int(x) -> int:
+    """x as an int. A float or a bool is rejected (TypeError), not truncated;
+    other integer types (numpy's) go through ``operator.index``."""
+    if isinstance(x, bool):
+        raise TypeError("a boolean is not an integer")
+    return operator.index(x)
+
+
+_EXACT_INT = frozenset({int})
+_CONTAINERS = frozenset({list, tuple, np.ndarray})
+
+
+def _rows(data, shape: tuple[int, ...]) -> list | None:
+    """The shape walker: the innermost containers (lists, tuples or arrays)
+    of data, nested to exactly the given shape, in row-major order; None for
+    data of any other shape. Each level is checked before the next is
+    listed, and the entries of the last level are left to the caller."""
+    rows = [data]
+    for depth, size in enumerate(shape):
+        rows = list(chain.from_iterable(rows)) if depth else rows
+        if not _CONTAINERS.issuperset(map(type, rows)) or set(map(len, rows)) - {size}:
+            return None
+    return rows
+
+
+def _int_table(data, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """The one intake of an integer table (a Cayley table, action matrices,
+    cocycle values): data as one array of the given shape. An integer array
+    of that shape is returned as it is; any other data must pass the shape
+    walker ``_rows``. Entries that are all int pass one streamed type check,
+    and any other goes through ``exact_int``, so numpy integers pass while
+    a bool, a float or a str raises a ValueError that names the first, in
+    row-major order. The array is int64, or holds Python ints (dtype object)
+    when an entry is past int64. No flat list of the entries is built."""
+    if isinstance(data, np.ndarray):
+        if data.dtype.kind in "iu" and data.shape == shape:
+            return data
+        data = data.tolist()
+    rows = _rows(data, shape)
+    if rows is None:
+        raise ValueError(f"{what} must be an integer table of shape {shape}")
+    if not _EXACT_INT.issuperset(map(type, chain.from_iterable(rows))):
+        for x in chain.from_iterable(rows):
+            try:
+                exact_int(x)
+            except TypeError:
+                raise ValueError(f"{what} must be integers, got {_shown(x)}") from None
+    try:
+        return np.array(rows, np.int64).reshape(shape)
+    except OverflowError:
+        return np.array([list(map(int, r)) for r in rows], object).reshape(shape)
 
 
 def _dtype(bound: int) -> type:
@@ -283,13 +340,6 @@ class QVector:
 
     def to_json(self) -> list[str]:
         return _format_row(self.nums, self.den)
-
-    @classmethod
-    def from_json(cls, data: list[str | int]) -> "QVector":
-        if not isinstance(data, list):
-            raise ValueError(f"vector must be a list of rationals, got {type(data).__name__}")
-        nums, d = _rationals(list(data))
-        return _vector(nums.tolist(), d)
 
     def __repr__(self) -> str:
         return "QVector(" + ", ".join(str(e) for e in self.entries) + ")"

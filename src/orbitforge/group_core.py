@@ -22,12 +22,12 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice, permutations, repeat
+from itertools import accumulate, islice, permutations, repeat
 
 import numpy as np
 
 from .arith import factorize, is_prime
-from .exact_linear import QMatrix, _dtype, _lowest_terms
+from .exact_linear import QMatrix, _dtype, _int_table, _lowest_terms, exact_int
 
 #: Hard cap on group order for every table; it keeps entries inside int16.
 MAX_ORDER = 4096
@@ -171,45 +171,6 @@ def _validate_table(arr: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], np.nd
     return arr, gens, inverses
 
 
-_EXACT_INT = frozenset({int})
-
-
-def exact_int(x) -> int:
-    """x as an int. A float or a bool is rejected (TypeError), not truncated;
-    other integer types (numpy's) go through ``operator.index``."""
-    if isinstance(x, bool):
-        raise TypeError("a boolean is not an integer")
-    return operator.index(x)
-
-
-def _int_row(row) -> tuple[int, ...]:
-    """One table row, or one row of an action matrix (``_integer_form``), as
-    a tuple of ints, each entry checked by ``exact_int``."""
-    r = tuple(row)
-    if not _EXACT_INT.issuperset(map(type, r)):
-        r = tuple(map(exact_int, r))
-    return r
-
-
-def _import_rows(table) -> np.ndarray:
-    """The rows of table as one int64 array. List or tuple rows whose
-    entries are all exactly int go in with one type check over every entry.
-    Anything else sends each row through ``_int_row``, which raises on a
-    float or a bool, each row read from table only once those before it
-    are checked."""
-    rows = []
-    it = iter(table)
-    for row in it:
-        if type(row) not in (list, tuple):
-            rows = [_int_row(r) for r in chain(rows, (row,), it)]
-            break
-        rows.append(row)
-    else:
-        if not _EXACT_INT.issuperset(map(type, chain.from_iterable(rows))):
-            rows = [_int_row(r) for r in rows]
-    return np.array(rows, dtype=np.int64)
-
-
 def _powers(arr: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
     """x_i^m for every element x_i of x and m >= 1, by repeated squaring."""
     out = None
@@ -227,9 +188,10 @@ class GroupTable:
 
     The one form is ``array``, read-only int16, with ``array[i, j]`` the
     index of i*j; ``table`` is an export view of its rows as tuples of ints,
-    built anew on every call and kept nowhere. Rows (as JSON gives them) are
-    checked for integer entries; an int16 array is frozen and kept without a
-    copy.
+    built anew on every call and kept nowhere. Rows (as JSON gives them) come
+    in through ``exact_linear._int_table``, the one intake of integer tables;
+    an integer array goes straight to the checks, and an int16 one is frozen
+    and kept without a copy.
 
     Identity at index 0, a 0 in every row and associativity are verified
     exactly at construction time, at every order; together they imply Latin
@@ -244,11 +206,15 @@ class GroupTable:
 
     def __init__(self, table, labels):
         try:
-            if not isinstance(table, np.ndarray):
-                table = _import_rows(table)
-            labels = tuple(str(x) for x in labels)
-        except (TypeError, OverflowError) as exc:
-            raise ValueError(f"table must be a list of rows of integers: {exc}") from exc
+            labels = tuple(map(str, labels))
+        except TypeError as exc:
+            raise ValueError(f"labels must be iterable: {exc}") from exc
+        if not isinstance(table, np.ndarray):
+            # rows give the order; a table with no rows to count, the labels
+            n = len(table) if isinstance(table, (list, tuple)) else len(labels)
+            table = _int_table(table, (n, n), "table entries")
+            if table.dtype == object:  # an entry past int64
+                raise ValueError("table entries must be element indices")
         arr, gens, inverses = _validate_table(table)
         n = arr.shape[0]
         if len(labels) != n:
@@ -454,28 +420,9 @@ def alternating(n: int) -> GroupTable:
 # ---------------------------------------------------------------------------
 # actions and semidirect products
 
-def _integer_form(mats, n: int, q: int, den: int) -> tuple[list[int], int]:
-    """(A, E), A the row-major entries of the integer matrices A[x] with
-    A[x] / E = mats[x] / den: over Q, E is the least common denominator (the
-    gcd of E and every entry is 1), and over F_q the entries are reduced mod
-    q, with E = den = 1. Each input matrix is n x n rows of integers (each
-    entry passing ``exact_int``) or, over Q, a QMatrix."""
+def _check_characteristic(q: int) -> None:
     if q and not (q <= MAX_ORDER and is_prime(q)):
         raise ValueError(f"characteristic must be 0 or a prime <= {MAX_ORDER}")
-    if type(den) is not int or den < 1 or q and den != 1:
-        raise ValueError("den must be a positive int, and 1 over F_q")
-    try:
-        forms = [(m.nums, m.den) if q == 0 and isinstance(m, QMatrix) else (list(map(_int_row, m)), 1)
-                 for m in mats]
-    except TypeError as exc:
-        raise ValueError(f"matrix entries must be integers: {exc}") from exc
-    if any(len(a) != n or any(len(r) != n for r in a) for a, _ in forms):
-        raise ValueError("matrices must be n x n" if q
-                         else "characteristic-0 action needs n x n QMatrix values")
-    if q:
-        return [x % q for a, _ in forms for r in a for x in r], 1
-    lcm = math.lcm(*(d for _, d in forms))
-    return _lowest_terms([x * (lcm // d) for a, d in forms for r in a for x in r], lcm * den)
 
 
 @dataclass(frozen=True, eq=False)
@@ -487,8 +434,10 @@ class FiniteAction:
     ``matrices`` one read-only integer array of shape (|B|, n, n). Over Q,
     den is the lcm E of the denominators of the M_x, and the array holds the
     E * M_x; over F_q, it holds the M_x reduced mod q, and den = 1. The one
-    constructor takes integer matrices over ``den`` or, over Q, QMatrix
-    values; ``_integer_form`` reduces them, over Q by
+    constructor takes the integer matrices over ``den`` as one table of
+    ``exact_linear._int_table``, the intake of every integer table, or, over
+    Q, a list of QMatrix values, first put over the lcm of their
+    denominators. It reduces them mod q, or over Q by
     ``exact_linear._lowest_terms``, the step of every exact form. The array
     is int64 while (n + 1) * m^2, for m the largest of den and |entries|,
     bounds every entry of the check below under 2^63, and holds Python
@@ -508,19 +457,28 @@ class FiniteAction:
     den: int = 1
 
     def __post_init__(self):
-        b, n, q = self.domain, self.module_dim, self.characteristic
+        b, q, den, mats = self.domain, self.characteristic, self.den, self.matrices
+        try:
+            n = exact_int(self.module_dim)
+        except TypeError:
+            n = 0  # refused below, with every other n < 1
         if n < 1:
-            raise ValueError("module dimension must be positive")
-        if len(self.matrices) != b.order:
-            raise ValueError("need one matrix per group element")
-        flat, den = _integer_form(self.matrices, n, q, self.den)
-        if flat[:n * n] != [den * (i == j) for i in range(n) for j in range(n)]:
+            raise ValueError("module dimension must be a positive int")
+        _check_characteristic(q)
+        if type(den) is not int or den < 1 or q and den != 1:
+            raise ValueError("den must be a positive int, and 1 over F_q")
+        if not q and isinstance(mats, (list, tuple)) and mats and all(isinstance(m, QMatrix) for m in mats):
+            e = math.lcm(*(m.den for m in mats))
+            mats, den = [[[x * (e // m.den) for x in r] for r in m.nums] for m in mats], den * e
+        mats = _int_table(mats, (b.order, n, n), "action matrices")
+        mats, den = (mats % q, 1) if q else _lowest_terms(mats, den)
+        m = max(den, int(mats.max()), -int(mats.min()))
+        mats = mats.astype(_dtype((n + 1) * m * m))  # a copy: the caller's array is never held
+        if not np.array_equal(mats[0], den * np.identity(n, mats.dtype)):
             raise ValueError("identity element must act as the identity matrix")
-        m = max(den, max(map(abs, flat)))
-        mats = np.array(flat, _dtype((n + 1) * m * m)).reshape(b.order, n, n)
         mats.flags.writeable = False
-        object.__setattr__(self, "matrices", mats)
-        object.__setattr__(self, "den", den)
+        for name, value in (("module_dim", n), ("matrices", mats), ("den", den)):
+            object.__setattr__(self, name, value)
 
         def failures(y: int, lo: int, hi: int) -> np.ndarray:
             diff = mats[lo:hi] @ mats[y] - den * mats[b.array[lo:hi, y]]
@@ -532,7 +490,7 @@ class FiniteAction:
 
 
 def trivial_action(b: GroupTable, dim: int, characteristic: int = 0) -> FiniteAction:
-    return FiniteAction(b, dim, characteristic, (np.identity(dim, int).tolist(),) * b.order)
+    return FiniteAction(b, dim, characteristic, np.broadcast_to(np.identity(dim, np.int64), (b.order, dim, dim)))
 
 
 def cyclic_matrix_action(base: GroupTable, generator_matrix, characteristic: int = 0) -> FiniteAction:
@@ -544,13 +502,15 @@ def cyclic_matrix_action(base: GroupTable, generator_matrix, characteristic: int
     if not np.array_equal(base.array[:, 1 % n], (np.arange(n) + 1) % n):
         raise ValueError("base must be a cyclic() table (index = exponent)")
     if q:
+        _check_characteristic(q)
         dim = len(generator_matrix)
-        gen = np.array(_integer_form([generator_matrix], dim, q, 1)[0]).reshape(dim, dim)
-        one, mul = np.identity(dim, int).tolist(), lambda p, m: (p @ m % q).tolist()
+        gen = (_int_table(generator_matrix, (dim, dim), "generator matrix") % q).astype(np.int64)
+        one, mul = np.identity(dim, np.int64), lambda p, m: p @ m % q
     else:  # a QMatrix product is in lowest terms, so each power keeps its own denominator
         gen = generator_matrix if isinstance(generator_matrix, QMatrix) else QMatrix.of(generator_matrix)
         dim, one, mul = gen.n, QMatrix.identity(gen.n), operator.mul
-    return FiniteAction(base, dim, q, list(accumulate(repeat(gen, n - 1), mul, initial=one)))
+    powers = list(accumulate(repeat(gen, n - 1), mul, initial=one))
+    return FiniteAction(base, dim, q, np.array(powers) if q else powers)
 
 
 def finite_semidirect(q: int, n: int, action: FiniteAction, b: GroupTable) -> GroupTable:

@@ -35,6 +35,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, repeat
 
 from .arith import is_prime
 from .cyclotomic import _first_mismatch, semilinear_map
@@ -230,53 +231,40 @@ def power(g: MixedElement, m: int, spec: MixedGroupSpec) -> MixedElement:
 
 @dataclass(frozen=True)
 class MixedAutomorphism:
-    """An automorphism determined by an invertible restriction L to A and the
-    image of the anchor element alpha; every g factors as alpha^m * a and
-    maps to image_of_alpha^m * (a * L). ``field_map`` is L' = K * L * K^-1,
-    L in the coordinates of the spec's cyclic basis K (see ``cyclotomic``)."""
+    """An automorphism of the group of ``spec``, determined by an invertible
+    restriction L to A and the image of the anchor element alpha; every g
+    factors as alpha^m * a and maps to image_of_alpha^m * (a * L).
+    ``field_map`` is L' = K * L * K^-1, L in the coordinates of the spec's
+    cyclic basis K (see ``cyclotomic``)."""
 
     field_map: QMatrix
     alpha: MixedElement
     image_of_alpha: MixedElement
-    # (spec, alpha^m for 0 <= m < p, image_of_alpha^m for 0 <= m < p), built
-    # by the first apply_automorphism with that spec
-    _anchor_powers: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    # (spec, L), built by the first call of linear with that spec
-    _linear: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    spec: MixedGroupSpec = field(repr=False, compare=False)
 
-    def linear(self, spec: MixedGroupSpec) -> QMatrix:
-        """L = K^-1 * L' * K over Q, built at the first call with spec."""
-        if self._linear is None or self._linear[0] is not spec:
-            basis, basis_inv = spec.krylov
-            object.__setattr__(self, "_linear", (spec, basis_inv * (self.field_map * basis)))
-        return self._linear[1]
+    @cached_property
+    def linear(self) -> QMatrix:
+        """L = K^-1 * L' * K over Q, built at its first use."""
+        basis, basis_inv = self.spec.krylov
+        return basis_inv * (self.field_map * basis)
 
-
-def _powers_of(g: MixedElement, spec: MixedGroupSpec) -> tuple[MixedElement, ...]:
-    """g^m for 0 <= m < p, by p - 1 products."""
-    out = [identity_element(spec)]
-    for _ in range(spec.p - 1):
-        out.append(multiply(out[-1], g, spec))
-    return tuple(out)
+    @cached_property
+    def anchor_powers(self) -> tuple[tuple[MixedElement, ...], ...]:
+        """(alpha^m, image_of_alpha^m for 0 <= m < p), by p - 1 products
+        each, built at their first use."""
+        spec = self.spec
+        return tuple(tuple(accumulate(repeat(g, spec.p - 1), lambda x, y: multiply(x, y, spec),
+                                      initial=identity_element(spec))) for g in (self.alpha, self.image_of_alpha))
 
 
-def _anchor_tables(phi: MixedAutomorphism, spec: MixedGroupSpec) -> tuple:
-    """(alpha^m, phi(alpha)^m for 0 <= m < p), built once per spec and cached
-    on phi."""
-    tables = phi._anchor_powers
-    if tables is None or tables[0] is not spec:
-        tables = (spec, _powers_of(phi.alpha, spec), _powers_of(phi.image_of_alpha, spec))
-        object.__setattr__(phi, "_anchor_powers", tables)
-    return tables[1:]
-
-
-def apply_automorphism(phi: MixedAutomorphism, g: MixedElement, spec: MixedGroupSpec) -> MixedElement:
+def apply_automorphism(phi: MixedAutomorphism, g: MixedElement) -> MixedElement:
+    spec = phi.spec
     _check_dim(g, spec)
     p = spec.p
-    alpha_powers, image_powers = _anchor_tables(phi, spec)
+    alpha_powers, image_powers = phi.anchor_powers
     m = (g.k * pow(phi.alpha.k % p, -1, p)) % p
     u = g.a - alpha_powers[m].a
-    return multiply(image_powers[m], MixedElement(0, u * phi.linear(spec)), spec)
+    return multiply(image_powers[m], MixedElement(0, u * phi.linear), spec)
 
 
 def random_vector(rng: random.Random, n: int, nonzero: bool = False) -> QVector:
@@ -296,12 +284,12 @@ def random_element(rng: random.Random, spec: MixedGroupSpec, outside: bool = Fal
     return MixedElement(k, random_vector(rng, spec.n))
 
 
-def _product_checks(phi: MixedAutomorphism, spec: MixedGroupSpec) -> list[CheckResult]:
+def _product_checks(phi: MixedAutomorphism) -> list[CheckResult]:
     """The exact checks of ``verify_automorphism`` other than det L != 0:
     P * L == L * R, as C^a * L' == L' * C^b in K's coordinates (see
     ``cyclotomic``; a failure names the first differing row of L'), and
     beta outside A."""
-    p = spec.p
+    p = phi.spec.p
     a, b = phi.alpha.k % p, phi.image_of_alpha.k % p
     if a == 0:
         raise ValueError("anchor element must lie outside A")
@@ -312,10 +300,8 @@ def _product_checks(phi: MixedAutomorphism, spec: MixedGroupSpec) -> list[CheckR
             CheckResult("image_order", b != 0, f"phi(alpha)^{p} == identity: {b != 0}")]
 
 
-def verify_automorphism(
-    phi: MixedAutomorphism, spec: MixedGroupSpec, samples: int, seed: int = 0
-) -> Certificate:
-    """Exact certificate that phi is an automorphism.
+def verify_automorphism(phi: MixedAutomorphism, samples: int, seed: int = 0) -> Certificate:
+    """Exact certificate that phi is an automorphism of the group of its spec.
 
     Write beta = phi(alpha), and P and R for conjugation by alpha and by
     beta on A. Every g is alpha^m * u in exactly one way (0 <= m < p, u in
@@ -333,15 +319,16 @@ def verify_automorphism(
     """
     if samples < 0:
         raise ValueError(f"sample count must be nonnegative, got {samples}")
-    product_checks = _product_checks(phi, spec)
+    spec = phi.spec
+    product_checks = _product_checks(phi)
     det = phi.field_map.det()
     checks = [CheckResult("linear_invertible", det != 0, f"det(L) = {det}"), *product_checks]
 
     rng, failure = random.Random(seed), None
     for _ in range(samples):
         g1, g2 = random_element(rng, spec), random_element(rng, spec)
-        if apply_automorphism(phi, multiply(g1, g2, spec), spec) != multiply(
-                apply_automorphism(phi, g1, spec), apply_automorphism(phi, g2, spec), spec):
+        if apply_automorphism(phi, multiply(g1, g2, spec)) != multiply(
+                apply_automorphism(phi, g1), apply_automorphism(phi, g2), spec):
             failure = f"phi(g1*g2) != phi(g1)*phi(g2) for g1={g1!r}, g2={g2!r}"
             break
     checks.append(CheckResult("homomorphism_samples", failure is None,
@@ -350,7 +337,7 @@ def verify_automorphism(
     return Certificate(
         kind="mixed-automorphism",
         meta={"spec": spec.to_json(), "samples": samples, "seed": seed,
-              "linear": phi.linear(spec).to_json()},
+              "linear": phi.linear.to_json()},
         checks=checks,
     )
 
@@ -387,7 +374,7 @@ def build_automorphism(
     if b.dim != spec.n or c.dim != spec.n:
         raise ValueError(f"seed dimensions {b.dim}, {c.dim} do not match the spec's {spec.n}")
     g = beta.k * pow(alpha.k, -1, p) % p
-    return MixedAutomorphism(semilinear_map(b, c, spec.krylov[1], p, g), alpha, beta)
+    return MixedAutomorphism(semilinear_map(b, c, spec.krylov[1], p, g), alpha, beta, spec)
 
 
 def spec_checks(spec: MixedGroupSpec) -> Certificate:
@@ -464,7 +451,7 @@ def omega_certificate(
         for _ in range(pairs_per_class):
             b, c, alpha, beta = draw()
             phi = build_automorphism(b, c, alpha, beta, spec)
-            failed = ", ".join(ch.name for ch in _product_checks(phi, spec) if not ch.passed)
+            failed = ", ".join(ch.name for ch in _product_checks(phi) if not ch.passed)
             if failed:
                 detail = f"witness construction failed: automorphism verification failed: {failed}"
                 break

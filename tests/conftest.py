@@ -427,7 +427,8 @@ def compose_automorphisms(first, second, spec) -> "mg.MixedAutomorphism":
     return mg.MixedAutomorphism(
         first.field_map * second.field_map,
         first.alpha,
-        mg.apply_automorphism(second, first.image_of_alpha, spec),
+        mg.apply_automorphism(second, first.image_of_alpha),
+        spec,
     )
 
 
@@ -777,7 +778,7 @@ def poly_eval(f: tuple, m: QMatrix) -> QMatrix:
 
 # ---------------------------------------------------------------------------
 # oracles for table validation and import: the package's earlier code, which
-# sorted every row before Light's test and checked each row's entry types
+# sorted every row before Light's test, and an entry-by-entry table reader
 
 def validate_table_oracle(arr: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     """The table check as ``group_core._validate_table`` made it before the
@@ -818,14 +819,25 @@ def validate_table_oracle(arr: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]
     return arr, gens
 
 
-def int_row_import_oracle(table) -> np.ndarray:
-    """The rows of a table as ``GroupTable`` read them before one type check
-    covered every entry: each row through ``group_core._int_row``, with the
-    same ValueError for a TypeError or an OverflowError."""
-    try:
-        return np.array([gc._int_row(row) for row in table], dtype=np.int64)
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"table must be a list of rows of integers: {exc}") from exc
+def int_table_oracle(table, n: int) -> np.ndarray:
+    """The n x n rows of a Cayley table as the one intake,
+    ``exact_linear._int_table``, must read them, checked one container and
+    one entry at a time: lists, tuples or arrays of n rows of n entries
+    each, else the shape message; then, in row-major order, each entry an
+    integer that is not a bool, else the entry message; then an int64 array,
+    or the index message for an entry past int64."""
+    if type(table) not in (list, tuple, np.ndarray) or len(table) != n \
+            or any(type(row) not in (list, tuple, np.ndarray) or len(row) != n for row in table):
+        raise ValueError(f"table entries must be an integer table of shape {(n, n)}")
+    entries = []
+    for row in table:
+        for x in row:
+            if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)):
+                raise ValueError(f"table entries must be integers, got {x!r}")
+            entries.append(int(x))
+    if any(not -2**63 <= x < 2**63 for x in entries):
+        raise ValueError("table entries must be element indices")
+    return np.array(entries, dtype=np.int64).reshape(n, n)
 
 
 def modulo_cyclic_array(n: int) -> np.ndarray:

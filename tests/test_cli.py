@@ -86,7 +86,7 @@ def test_corrupted_cocycle_exits_1_with_witness(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["ok"] is False
     c3 = gc.cyclic(3)
-    v = tuple(tuple(QVector.from_json(e) for e in row) for row in data["values"])
+    v = tuple(tuple(QVector.of(*e) for e in row) for row in data["values"])
     x, y, z = payload["witness"]
     assert (x, y, z) == cocycle_witness(c3, gc.trivial_action(c3, 1), v, c3.generators)
     t = c3.table

@@ -30,7 +30,7 @@ from conftest import (
 )
 from orbitforge import cocycle_split as cs
 from orbitforge import group_core as gc
-from orbitforge.exact_linear import QMatrix, QVector, companion, cyclotomic_prime
+from orbitforge.exact_linear import QMatrix, QVector, _rationals, companion, cyclotomic_prime
 
 
 def _c2_instance():
@@ -695,7 +695,7 @@ def test_cocycle_json_rejects_an_entry_with_the_vector_message(where, bad):
     with pytest.raises(ValueError) as table:
         cs.Cocycle.from_json(data)
     with pytest.raises(ValueError) as vector:
-        QVector.from_json([bad])
+        _rationals([bad])
     assert str(table.value) == str(vector.value)
 
 

@@ -376,7 +376,9 @@ def test_fq_characteristic_above_the_cap_is_rejected():
 @pytest.mark.parametrize("matrix", [((1, 0), (0,)), ((1, 0, 0), (0, 1, 0)), ((1, 0), (0, 1), (0, 0))],
                          ids=["ragged", "2x3", "3x2"])
 def test_non_square_fq_generator_is_rejected(matrix):
-    with pytest.raises(ValueError, match="n x n"):
+    # the intake names the shape that the generator's row count implies
+    n = len(matrix)
+    with pytest.raises(ValueError, match=rf"^generator matrix must be an integer table of shape \({n}, {n}\)$"):
         gc.cyclic_matrix_action(gc.cyclic(2), matrix, characteristic=3)
 
 
@@ -707,34 +709,41 @@ ENTRY_TABLES = {
     "int row": lambda: [[0, 1], 5],
     "float before an int row": lambda: [[0, 1.0], 5],
     "not iterable": lambda: 5,
+    "empty": lambda: [],
     "not Latin": lambda: [[0, 1], [1, 1]],
 }
 
-#: The outcome of each, as the parent's row-by-row import gave it.
+#: The outcome of each through the one intake: the shape is checked before
+#: any entry, and a table with no rows to count takes its order from the
+#: labels.
+_SHAPE = "table entries must be an integer table of shape (2, 2)"
 ENTRY_OUTCOMES = {
-    "bool": "table must be a list of rows of integers: a boolean is not an integer",
-    "float": "table must be a list of rows of integers: 'float' object cannot be interpreted as an integer",
-    "numpy float": "table must be a list of rows of integers: 'numpy.float64' object cannot be interpreted as an integer",
-    "str": "table must be a list of rows of integers: 'str' object cannot be interpreted as an integer",
-    "2**70": "table must be a list of rows of integers: Python int too large to convert to C long",
+    "bool": "table entries must be integers, got True",
+    "float": "table entries must be integers, got 0.0",
+    "numpy float": "table entries must be integers, got np.float64(0.0)",
+    "str": "table entries must be integers, got '0'",
+    "2**70": "table entries must be element indices",
+    "ragged": _SHAPE,
     "numpy int32": None,
     "tuple rows": None,
-    "generator rows": None,
+    "generator rows": _SHAPE,
     "array rows": None,
-    "str row": "table must be a list of rows of integers: 'str' object cannot be interpreted as an integer",
-    "int row": "table must be a list of rows of integers: 'int' object is not iterable",
-    "float before an int row": "table must be a list of rows of integers: 'float' object cannot be interpreted as an integer",
-    "not iterable": "table must be a list of rows of integers: 'int' object is not iterable",
+    "str row": _SHAPE,
+    "int row": _SHAPE,
+    "float before an int row": _SHAPE,
+    "not iterable": _SHAPE,
+    "empty": "empty table",
     "not Latin": "some row is not a permutation (Latin square violated)",
 }
 
 
 @pytest.mark.parametrize("case", ENTRY_TABLES)
-def test_table_entry_types_match_the_row_by_row_import(case):
+def test_table_entry_types_match_the_entry_by_entry_reader(case):
     make = ENTRY_TABLES[case]
-    expected = _outcome(lambda: conftest.validate_table_oracle(conftest.int_row_import_oracle(make())))
-    assert _outcome(lambda: gc.GroupTable(make(), ["e", "a"])) == expected
-    if case in ENTRY_OUTCOMES:
-        assert expected == ENTRY_OUTCOMES[case]
+    table = make()
+    n = len(table) if isinstance(table, (list, tuple)) else 2
+    expected = _outcome(lambda: conftest.validate_table_oracle(conftest.int_table_oracle(make(), n)))
+    assert _outcome(lambda: gc.GroupTable(make(), ["e", "a"][:n])) == expected
+    assert expected == ENTRY_OUTCOMES[case]
     if expected is None:
         assert gc.GroupTable(make(), ["e", "a"]).table == ((0, 1), (1, 0))

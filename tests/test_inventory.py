@@ -11,7 +11,11 @@ is not an imported module. So the local variable ``power`` of
 ``minimal_polynomial`` does not call ``mixed_group.power``, and
 ``operator.mul`` does not call ``GroupTable.mul``. A read inside a ``HELD``
 function calls nothing, since only the benchmark calls that function: so
-``derived_subgroup`` does not call ``subgroup_closure``."""
+``derived_subgroup`` does not call ``subgroup_closure``.
+
+Every private module-level function and class must likewise be read by
+``src/`` code outside its own body, and outside a ``HELD`` function, so a
+helper that its callers no longer reach is found too."""
 
 import ast
 import pathlib
@@ -112,15 +116,22 @@ def _defs(module: str, tree: ast.Module):
                             if isinstance(m, ast.FunctionDef))
 
 
-def _uncalled(sources: dict[str, str]) -> set[str]:
-    """The "module.name" and "module.Class.method" of every public
-    module-level function and class, and every public method of a public
-    class, that no module of ``sources`` calls outside a ``HELD`` function."""
+def _trees(sources: dict[str, str]) -> dict[str, ast.Module]:
+    """The parsed modules of ``sources``, with the body of every ``HELD``
+    function emptied, since only the benchmark calls it."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     for module, tree in trees.items():
         for name, node in _defs(module, tree):
             if name in HELD and isinstance(node, ast.FunctionDef):
                 node.body = [ast.Pass()]
+    return trees
+
+
+def _uncalled(sources: dict[str, str]) -> set[str]:
+    """The "module.name" and "module.Class.method" of every public
+    module-level function and class, and every public method of a public
+    class, that no module of ``sources`` calls outside a ``HELD`` function."""
+    trees = _trees(sources)
     attrs, methods, read = set(), set(), set()
     for tree in trees.values():
         modules = _modules(tree)
@@ -136,12 +147,33 @@ def _uncalled(sources: dict[str, str]) -> set[str]:
             and node.name not in (methods if name.count(".") == 2 else read)}
 
 
+def _unread_private(sources: dict[str, str]) -> set[str]:
+    """The "module._name" of every private module-level function and class
+    that no module of ``sources`` reads, as a name or an attribute, outside
+    its own definition and outside a ``HELD`` function."""
+    readers: dict[str, list[ast.stmt]] = {}
+    helpers = []
+    for module, tree in _trees(sources).items():
+        for stmt in tree.body:
+            read = _names_read(ast.Module(body=[stmt], type_ignores=[]))
+            for name in read | {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}:
+                readers.setdefault(name, []).append(stmt)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_") \
+                    and not stmt.name.startswith("__"):
+                helpers.append((f"{module}.{stmt.name}", stmt))
+    return {name for name, stmt in helpers if not any(r is not stmt for r in readers.get(stmt.name, ()))}
+
+
 def _package_sources() -> dict[str, str]:
     return {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
 
 
 def test_every_public_name_has_a_source_caller_or_a_benchmark_holder():
     assert _uncalled(_package_sources()) == set(HELD)
+
+
+def test_every_private_helper_is_read_outside_its_own_body():
+    assert _unread_private(_package_sources()) == set()
 
 
 @pytest.mark.parametrize("name, holder", sorted(HELD.items()))
@@ -172,3 +204,12 @@ def test_a_name_that_only_tests_call_is_found():
     assert _uncalled(sources) - set(HELD) == {"exact_linear.only_held"}
     sources["cli"] += "\n\ndef _not_held():\n    return only_held()\n"
     assert _uncalled(sources) - set(HELD) == set()
+    # a private helper is found when only its own body reads it, or only a
+    # held function, and is read once code outside both reads it
+    unread = _unread_private(sources)  # the private functions added above
+    sources["exact_linear"] += "\n\ndef _helper(n):\n    return _helper(n - 1) if n else 0\n"
+    sources["exact_linear"] += "\n\nclass _Spare:\n    pass\n"
+    sources["mixed_group"] += "\n\ndef power(x):\n    return _helper(x), _Spare\n"
+    assert _unread_private(sources) - unread == {"exact_linear._helper", "exact_linear._Spare"}
+    sources["cli"] += "\n\nREAD = exact_linear._helper(1), _Spare\n"
+    assert _unread_private(sources) == unread

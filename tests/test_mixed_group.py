@@ -350,11 +350,11 @@ def test_build_automorphism_frozen_example(s21):
     phi = mg.build_automorphism(
         QVector.of(3), QVector.of(5), E(1, QVector.of(0)), E(1, QVector.of(7)), s21
     )
-    assert phi.linear(s21) == QMatrix.of([["5/3"]])
+    assert phi.linear == QMatrix.of([["5/3"]])
     assert phi.image_of_alpha == E(1, QVector.of(7))
     # phi((1, a)) = (1, 5a/3 + 7), hand-checked to preserve products
     for a in (0, 1, Fraction(3, 2), -4):
-        got = mg.apply_automorphism(phi, E(1, QVector.of(a)), s21)
+        got = mg.apply_automorphism(phi, E(1, QVector.of(a)))
         assert got == E(1, QVector.of(Fraction(5, 3) * a + 7))
 
 
@@ -362,8 +362,8 @@ def test_identity_automorphism(s32):
     alpha = E(1, QVector.zero(4))
     b = QVector.unit(4, 0)
     phi = mg.build_automorphism(b, b, alpha, alpha, s32)
-    assert phi.linear(s32) == QMatrix.identity(4)
-    cert = mg.verify_automorphism(phi, s32, samples=20)
+    assert phi.linear == QMatrix.identity(4)
+    cert = mg.verify_automorphism(phi, samples=20)
     assert cert.ok
 
 
@@ -375,8 +375,8 @@ def test_random_admissible_automorphisms_verify(s32):
         b = mg.random_vector(rng, 4, nonzero=True)
         c = mg.random_vector(rng, 4, nonzero=True)
         phi = mg.build_automorphism(b, c, alpha, beta, s32)
-        assert mg.apply_automorphism(phi, alpha, s32) == beta
-        cert = mg.verify_automorphism(phi, s32, samples=10, seed=3)
+        assert mg.apply_automorphism(phi, alpha) == beta
+        cert = mg.verify_automorphism(phi, samples=10, seed=3)
         assert cert.ok
 
 
@@ -412,9 +412,9 @@ def test_verify_automorphism_work_is_bounded(monkeypatch):
     spec = mg.build(p, 2)
     phi = mg.build_automorphism(*_witness_inputs(spec, 0), spec)
     calls = _count_multiply(monkeypatch)
-    assert mg.verify_automorphism(phi, spec, samples=0).ok
+    assert mg.verify_automorphism(phi, samples=0).ok
     assert calls[0] == 0
-    assert mg.verify_automorphism(phi, spec, samples=samples).ok
+    assert mg.verify_automorphism(phi, samples=samples).ok
     assert calls[0] == 2 * (p - 1) + 5 * samples
 
 
@@ -463,7 +463,7 @@ def test_sampled_pairs_never_overrule_the_exact_identities(data):
     t = data.draw(st.sampled_from([1, 2]), label="t")
     spec = _SPECS[p, t]
     b, c, alpha, beta = _witness_inputs(spec, data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    linear = mg.build_automorphism(b, c, alpha, beta, spec).linear(spec)
+    linear = mg.build_automorphism(b, c, alpha, beta, spec).linear
 
     q = data.draw(st.lists(_FRACTIONS, min_size=p - 1, max_size=p - 1).filter(any), label="q")
     q_of_r = zero_matrix(spec.n)
@@ -475,11 +475,11 @@ def test_sampled_pairs_never_overrule_the_exact_identities(data):
     rows[i][j] += data.draw(_FRACTIONS.filter(bool), label="bump")
 
     for varied, must_pass in ((linear * q_of_r, True), (QMatrix.of(rows), False)):
-        phi = mg.MixedAutomorphism(field_form(varied, spec), alpha, beta)
-        exact = mg.verify_automorphism(phi, spec, samples=0).ok
+        phi = mg.MixedAutomorphism(field_form(varied, spec), alpha, beta, spec)
+        exact = mg.verify_automorphism(phi, samples=0).ok
         if must_pass:
             assert exact
-        assert mg.verify_automorphism(phi, spec, samples=10, seed=p * t).ok == exact
+        assert mg.verify_automorphism(phi, samples=10, seed=p * t).ok == exact
 
 
 _ORACLE_SPECS = {f"p{p}_t{t}": (p, t, None) for p in (2, 3, 5, 7, 13, 19) for t in (1, 2, 4)
@@ -511,7 +511,7 @@ def test_build_automorphism_matches_the_krylov_oracle(p, t, m):
         draws.append((b, c, ka, kb))
     for b, c, ka, kb in draws:
         alpha, beta = E(ka, mg.random_vector(rng, n)), E(kb, mg.random_vector(rng, n))
-        linear = mg.build_automorphism(b, c, alpha, beta, spec).linear(spec)
+        linear = mg.build_automorphism(b, c, alpha, beta, spec).linear
         assert linear == krylov_witness_linear(b, c, alpha, beta, spec), (b, c, ka, kb)
 
 
@@ -531,7 +531,7 @@ def test_build_automorphism_under_rational_conjugates_matches_the_krylov_oracle(
             for label in ("b", "c"))
     assume(not b.is_zero and not c.is_zero)
     alpha, beta = E(ka, QVector.zero(n)), E(kb, QVector.zero(n))
-    linear = mg.build_automorphism(b, c, alpha, beta, spec).linear(spec)
+    linear = mg.build_automorphism(b, c, alpha, beta, spec).linear
     assert linear == krylov_witness_linear(b, c, alpha, beta, spec)
 
 
@@ -564,10 +564,10 @@ def test_tampered_linear_part_fails_verification(s32):
     phi = mg.build_automorphism(
         QVector.unit(4, 0), QVector.of(1, 2, 0, 1), alpha, alpha, s32
     )
-    rows = [list(r) for r in phi.linear(s32).rows]
+    rows = [list(r) for r in phi.linear.rows]
     rows[1][2] += 1
-    bad = mg.MixedAutomorphism(field_form(QMatrix.of(rows), s32), phi.alpha, phi.image_of_alpha)
-    cert = mg.verify_automorphism(bad, s32, samples=10)
+    bad = mg.MixedAutomorphism(field_form(QMatrix.of(rows), s32), phi.alpha, phi.image_of_alpha, s32)
+    cert = mg.verify_automorphism(bad, samples=10)
     assert not cert.ok
     failed = {c.name for c in cert.checks if not c.passed}
     assert failed & {"intertwining", "homomorphism_samples"}
@@ -582,8 +582,8 @@ def test_automorphism_preserves_orbit_classes(s32):
     for _ in range(10):
         inside = E(0, mg.random_vector(rng, 4, nonzero=True))
         outside = mg.random_element(rng, s32, outside=True)
-        assert mg.apply_automorphism(phi, inside, s32).k == 0
-        assert mg.apply_automorphism(phi, outside, s32).k % 3 != 0
+        assert mg.apply_automorphism(phi, inside).k == 0
+        assert mg.apply_automorphism(phi, outside).k % 3 != 0
 
 
 def test_compose_automorphisms(s32):
@@ -594,8 +594,8 @@ def test_compose_automorphisms(s32):
     chained = compose_automorphisms(phi, psi, s32)
     for _ in range(10):
         g = mg.random_element(rng, s32)
-        step = mg.apply_automorphism(psi, mg.apply_automorphism(phi, g, s32), s32)
-        assert mg.apply_automorphism(chained, g, s32) == step
+        step = mg.apply_automorphism(psi, mg.apply_automorphism(phi, g))
+        assert mg.apply_automorphism(chained, g) == step
 
 
 # ---------------------------------------------------------------------------
@@ -647,12 +647,12 @@ def test_k_coordinate_verdicts_equal_the_dense_oracle(data):
     rows[i][j] += data.draw(_FRACTIONS.filter(bool), label="bump")
     redrawn = E(data.draw(st.integers(0, p - 1), label="k_beta redrawn"), beta.a)
     basis_inv = spec.krylov[1]
-    for w in (phi, mg.MixedAutomorphism(QMatrix(rows), alpha, beta),
-              mg.MixedAutomorphism(phi.field_map, alpha, redrawn)):
-        verdicts = {ch.name: ch.passed for ch in mg._product_checks(w, spec)}
+    for w in (phi, mg.MixedAutomorphism(QMatrix(rows), alpha, beta, spec),
+              mg.MixedAutomorphism(phi.field_map, alpha, redrawn, spec)):
+        verdicts = {ch.name: ch.passed for ch in mg._product_checks(w)}
         assert verdicts == dense_product_checks(w, spec)
         carried = b * basis_inv * w.field_map == c * basis_inv
-        assert carried == (b * w.linear(spec) == c)
+        assert carried == (b * w.linear == c)
         if w is phi:
             assert carried and all(verdicts.values())
 
@@ -663,7 +663,7 @@ def test_a_tampered_witness_fails_its_named_check():
     phi = mg.build_automorphism(b, c, alpha, beta, spec)
 
     def failed(field_map, a, image):
-        cert = mg.verify_automorphism(mg.MixedAutomorphism(field_map, a, image), spec, samples=0)
+        cert = mg.verify_automorphism(mg.MixedAutomorphism(field_map, a, image, spec), samples=0)
         return {ch.name: ch.detail for ch in cert.checks if not ch.passed}
 
     assert failed(phi.field_map, alpha, beta) == {}
