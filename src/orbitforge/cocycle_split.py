@@ -35,7 +35,7 @@ entry, partial sum and residue of the cocycle check is at most
 max(m, v * (3E + d * m)); the trivialization relation adds up |B| values,
 so its bound is |B| times that. Past 2^63 the same expressions run on
 arrays of Python ints (dtype object), so every result is exact. A JSON
-document is read by ``exact_linear._rationals``, whose int64 table the
+document is read by ``exact_linear._rational_table``, whose int64 table the
 constructor takes as it is, with no pass through Python lists; only
 entries or products past 2^63 make Python ints.
 """
@@ -44,12 +44,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .exact_linear import QVector, _dtype, _format_row, _int_table, _lowest_terms, _rationals, _rows, exact_int
+from .exact_linear import QVector, _dtype, _format_row, _int_table, _lowest_terms, _rational_table, exact_int
 from .group_core import FiniteAction, GroupTable, _first_failure
 
 
@@ -133,27 +132,22 @@ class Cocycle:
     def from_json(cls, data: dict) -> "Cocycle":
         """The cocycle of a JSON document: an action of |B| lists of d lists of
         d rationals, then a value table of |B| lists of |B| lists of d, each
-        checked for its shape by ``exact_linear._rows`` and read whole by
-        ``exact_linear._rationals``, which names the first bad entry in
-        row-major order."""
+        read by ``exact_linear._rational_table``, which checks its shape and
+        names the first bad entry in row-major order."""
         try:
             base = GroupTable.from_json(data["base"])
             nb, n = base.order, exact_int(data["module_dim"])
             if n < 1:  # before the action's shape, whose message would hide it
                 raise ValueError("module dimension must be positive")
-            rows = _rows(data["action"], (nb, n, n))
-            if rows is None:
-                raise ValueError(f"action must be {nb} lists of {n} lists of {n} rationals")
-            mats, e = _rationals(list(chain.from_iterable(rows)))
-            action = FiniteAction(base, n, 0, mats.reshape(nb, n, n), e)
-            rows = _rows(data["values"], (nb, nb, n))
+            mats, e = _rational_table(data["action"], (nb, n, n),
+                                      f"action must be {nb} lists of {n} lists of {n} rationals")
+            action = FiniteAction(base, n, 0, mats, e)
+            values = data["values"]
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed cocycle JSON: {exc}") from exc
         del data  # free the parsed document before the identity is verified
-        if rows is None:
-            raise ValueError(f"values table must be {nb} x {nb} lists of {n} rationals")
-        values, d = _rationals(list(chain.from_iterable(rows)))
-        return cls(base, action, values.reshape(nb, nb, n), d)
+        values, d = _rational_table(values, (nb, nb, n), f"values table must be {nb} x {nb} lists of {n} rationals")
+        return cls(base, action, values, d)
 
 
 def _middle_failures(c: Cocycle, y: int, lo: int, hi: int) -> np.ndarray:

@@ -26,12 +26,15 @@ group-action convention used by the rest of the package.
 
 Vectors and matrices serialize as JSON arrays of ``"num/den"`` strings so
 that output is exact and independent of any binary float format; one
-formatter, ``_format_row``, writes them and one bulk parser, ``_rationals``,
-reads a whole flat list of them at once (a matrix, or a cocycle's action
-and value table) into one integer array over one denominator.
-Integer tables (Cayley tables, action matrices, cocycle values) come in
-through one intake, ``_int_table``, with one entry rule, ``exact_int``; its
-shape walker ``_rows`` also checks the nesting of rational strings.
+formatter, ``_format_row``, writes them. Input comes in through two
+intakes that share one shape walker, ``_rows``, each with one entry rule:
+``_int_table`` reads integer tables (Cayley tables, action matrices over
+F_q) by ``exact_int``, and ``_rational_table`` rational ones (a matrix, a
+cocycle's action and values) by its bulk parser ``_rationals``, which also
+reads a vector and a polynomial's coefficients. That rule admits a
+``"num/den"`` or integer string, an integer that is not a bool and a
+``Fraction``, and reads a whole flat list at once into one integer array
+over one denominator; a float is refused, never read as its binary value.
 """
 
 from __future__ import annotations
@@ -94,11 +97,18 @@ def _invalid(e) -> ValueError:
 
 def _line(e) -> str:
     """Entry e as one line of text: a str with its newlines made spaces (so
-    it stays one line, and an invalid one), an int (not a bool) in decimal,
-    and anything else as a line that is not a rational."""
+    it stays one line, and an invalid one), a Fraction as "num/den", an
+    integer (not a bool) in decimal, anything else as a line that is not a
+    rational, and a number past ``sys.get_int_max_str_digits()`` (which str()
+    does not write) as a line one digit longer, which ``_first_error`` names."""
     if isinstance(e, str):
         return e.replace("\n", " ")
-    return str(int(e)) if isinstance(e, int) and not isinstance(e, bool) else "?"
+    try:
+        return f"{e.numerator}/{e.denominator}" if isinstance(e, Fraction) else str(exact_int(e))
+    except TypeError:
+        return "?"
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return "0" * (sys.get_int_max_str_digits() + 1)
 
 
 def _first_error(entries: list, text: str, start: int) -> ValueError | None:
@@ -111,27 +121,29 @@ def _first_error(entries: list, text: str, start: int) -> ValueError | None:
         if limit else None
     if long:  # a valid line before the first bad one, with a number int() does not read
         s = entries[text.count("\n", 0, long.start())]
-        return ValueError(f"invalid rational of {len(s)} characters ({s[:12]!r}...): too many digits,"
+        shown = f"{len(s)} characters ({s[:12]!r}...)" if isinstance(s, str) else f"type {type(s).__name__}"
+        return ValueError(f"invalid rational of {shown}: too many digits,"
                           f" at most {limit} in a numerator or denominator")
     return bad and _invalid(entries[text.count("\n", 0, bad.start())])
 
 
 def _rationals(entries: list) -> tuple[np.ndarray, int]:
-    """(A, D) for a flat list of JSON rationals, each "num/den", a bare
-    integer string or an int: A / D their values, A one integer per entry
-    over D, the lcm of their denominators. A is int64 when every |A[i]| is
-    below 2^63, and holds Python ints (dtype object) past that. entries is
-    emptied once checked, before the numbers are converted, which frees its
-    strings early.
+    """(A, D) for a flat list of rationals, each "num/den", a bare integer
+    string, an integer (an int or a numpy integer, not a bool) or a
+    Fraction: A / D their values, A one integer per entry over D, the lcm of
+    their denominators. A is int64 when every |A[i]| is below 2^63, and
+    holds Python ints (dtype object) past that. entries is emptied once
+    checked, before the numbers are converted, which frees its strings early.
 
     The entries are read as one text, a line each, in whole-text passes. One
     search of ``_NOT_SHORT_LINE`` checks them all. When it finds no line,
     ``np.fromstring`` converts every number; otherwise ``_first_error`` looks
     for a bad entry, and if there is none the numbers, some over 18 digits,
-    are converted by int(). Anything that is not rational notation, a float,
-    a bool, a space, an underscore, a non-ASCII digit, a zero or signed
-    denominator or a number longer than ``sys.get_int_max_str_digits()``
-    included, raises a ValueError that names the first such entry."""
+    are converted by int(). Any other entry, a float, a bool, a str with a
+    space, an underscore, an exponent, a decimal point, a non-ASCII digit or
+    a zero or signed denominator included, and a number longer than
+    ``sys.get_int_max_str_digits()``, raises a ValueError that names the
+    first such entry."""
     n = len(entries)
     if not n:
         return np.zeros(0, np.int64), 1
@@ -216,6 +228,18 @@ def _int_table(data, shape: tuple[int, ...], what: str) -> np.ndarray:
         return np.array([list(map(int, r)) for r in rows], object).reshape(shape)
 
 
+def _rational_table(data, shape: tuple[int, ...], message: str) -> tuple[np.ndarray, int]:
+    """The one intake of a rational table (a matrix, a cocycle's action and
+    values): (A, D), with A of the given shape and A / D the entries of data.
+    data must pass the shape walker ``_rows``, or ValueError(message) is
+    raised before any entry is read; its entries are read by ``_rationals``."""
+    rows = _rows(data, shape)
+    if rows is None:
+        raise ValueError(message)
+    nums, d = _rationals(list(chain.from_iterable(rows)))
+    return nums.reshape(shape), d
+
+
 def _dtype(bound: int) -> type:
     """int64 when ``bound``, a proved bound on every intermediate of an
     integer check, is below 2^63; Python ints (dtype object) otherwise."""
@@ -276,14 +300,9 @@ class QVector:
     den: int
 
     def __init__(self, entries: Iterable) -> None:
-        """The vector of the given ints and Fractions."""
-        es = tuple(entries)
-        d = math.lcm(*(e.denominator for e in es))
-        _vector([e.numerator * (d // e.denominator) for e in es], d, self)
-
-    @classmethod
-    def of(cls, *entries) -> "QVector":
-        return cls(tuple(Fraction(e) for e in entries))
+        """The vector of the given rationals, read by ``_rationals``."""
+        nums, d = _rationals(list(entries))
+        _vector(nums.tolist(), d, self)
 
     @classmethod
     def from_ints(cls, nums: Sequence[int], den: int) -> "QVector":
@@ -357,12 +376,6 @@ def _matrix(nums: Sequence[Sequence[int]], den: int, m: "QMatrix | None" = None)
     return m
 
 
-def _square(rows: list) -> list:
-    if any(len(r) != len(rows) for r in rows):
-        raise ValueError("matrix must be square")
-    return rows
-
-
 @dataclass(frozen=True, init=False, repr=False)
 class QMatrix:
     """Immutable square rational matrix acting on row vectors from the right:
@@ -373,15 +386,19 @@ class QMatrix:
     nums: tuple[tuple[int, ...], ...]
     den: int
 
-    def __init__(self, rows: Iterable[Iterable]) -> None:
-        """The matrix of the given rows of ints and Fractions."""
-        rows = _square([tuple(r) for r in rows])
-        d = math.lcm(*(e.denominator for r in rows for e in r))
-        _matrix([[e.numerator * (d // e.denominator) for e in r] for r in rows], d, self)
+    def __init__(self, rows: Sequence[Sequence]) -> None:
+        """The matrix of n lists (or tuples, or arrays) of n rationals, read
+        by ``_rational_table``."""
+        n = len(rows) if type(rows) in _CONTAINERS else 1  # a scalar is held to the shape [[x]]
+        nums, d = _rational_table(rows, (n, n), f"matrix must be {n} lists of {n} rationals")
+        _matrix(nums.tolist(), d, self)
 
     @classmethod
-    def of(cls, rows: Iterable[Iterable]) -> "QMatrix":
-        return cls(tuple(tuple(Fraction(e) for e in row) for row in rows))
+    def from_json(cls, rows: Sequence[Sequence]) -> "QMatrix":
+        """``QMatrix(rows)``: the one reader, for parsed JSON and rows alike."""
+        return cls(rows)
+
+    of = from_json
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
@@ -406,35 +423,18 @@ class QMatrix:
     def n(self) -> int:
         return len(self.nums)
 
-    @property
-    def is_zero(self) -> bool:
-        return not any(map(any, self.nums))
-
     @cached_property
     def _sparse(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per row, the (column, numerator) pairs of its nonzero entries."""
         return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in self.nums)
-
-    def _combine(self, other: "QMatrix", sign: int) -> "QMatrix":
-        """self + sign * other over the lcm of the two denominators."""
-        self._check_dim(other)
-        d = math.lcm(self.den, other.den)
-        ma, mb = d // self.den, sign * (d // other.den)
-        return _matrix([[x * ma + y * mb for x, y in zip(ra, rb)]
-                        for ra, rb in zip(self.nums, other.nums)], d)
-
-    def __add__(self, other: "QMatrix") -> "QMatrix":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "QMatrix") -> "QMatrix":
-        return self._combine(other, -1)
 
     def __neg__(self) -> "QMatrix":
         return _matrix([[-x for x in row] for row in self.nums], self.den)
 
     def __mul__(self, other):
         if isinstance(other, QMatrix):
-            self._check_dim(other)
+            if self.n != other.n:
+                raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
             # each row of self times the cached sparse rows of other, so the
             # sparse companion powers this package lives on stay cheap
             rows = other._sparse
@@ -482,19 +482,8 @@ class QMatrix:
         den = math.lcm(*(row[k] for k, row in rows))
         return _matrix([[x * (den // row[k]) for x in row[n:]] for k, row in rows], den)
 
-    def _check_dim(self, other: "QMatrix") -> None:
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-
     def to_json(self) -> list[list[str]]:
         return [_format_row(row, self.den) for row in self.nums]
-
-    @classmethod
-    def from_json(cls, data: list[list[str | int]]) -> "QMatrix":
-        if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
-            raise ValueError("matrix must be a list of rows of rationals")
-        nums, d = _rationals(list(chain.from_iterable(_square(data))))
-        return _matrix(nums.reshape(len(data), len(data)).tolist(), d)
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(e) for e in row) for row in self.rows)
@@ -508,9 +497,10 @@ def cyclotomic_prime(p: int) -> tuple[int, ...]:
     return (1,) * p
 
 
-def companion(f: Sequence[int | Fraction]) -> QMatrix:
+def companion(f: Sequence) -> QMatrix:
     """Companion matrix of the monic polynomial f of degree >= 1, given by its
-    int or Fraction coefficients lowest degree first (a trailing 0 is not monic).
+    rational coefficients lowest degree first (a trailing 0 is not monic),
+    read by ``_rationals``.
 
     Ones on the subdiagonal, the negated low-order coefficients in the last
     column; under the row-vector right action its minimal polynomial is f.
@@ -518,12 +508,13 @@ def companion(f: Sequence[int | Fraction]) -> QMatrix:
     d = len(f) - 1
     if d < 1:
         raise ValueError("companion requires degree >= 1")
-    if f[-1] != 1:
+    nums, den = _rationals(list(f))
+    nums = nums.tolist()
+    if nums[-1] != den:
         raise ValueError("companion requires a monic polynomial")
-    den = math.lcm(*(c.denominator for c in f))
     rows = [[den if j == i - 1 else 0 for j in range(d)] for i in range(d)]
-    for i, c in enumerate(f[:d]):
-        rows[i][d - 1] = -c.numerator * (den // c.denominator)
+    for i, c in enumerate(nums[:d]):
+        rows[i][d - 1] = -c
     return _matrix(rows, den)
 
 

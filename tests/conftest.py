@@ -15,6 +15,7 @@ import random
 import sys
 from bisect import insort
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations
 
 import numpy as np
@@ -292,7 +293,7 @@ def is_fixed_point_free(m: QMatrix, p: int) -> bool:
         return False
     power = m
     for _ in range(1, p):
-        if (power - ident).det() == 0:
+        if fraction_matsub(power, ident).det() == 0:
             return False
         power = power * m
     return power == ident
@@ -347,7 +348,7 @@ def powers_sum_verdict(p: int, m: QMatrix) -> str | None:
         powers.append(powers[-1] * m)
     if powers[-1] * m != ident:
         return f"action matrix does not have order {p}"
-    if not sum(powers[1:], ident).is_zero:
+    if reduce(fraction_matadd, powers[1:], ident) != zero_matrix(m.n):
         return "I + M + ... + M^(p-1) is not zero: some power of the action fixes a nonzero vector"
     return None
 
@@ -355,7 +356,7 @@ def powers_sum_verdict(p: int, m: QMatrix) -> str | None:
 def telescope(spec: "mg.MixedGroupSpec", k: int) -> QMatrix:
     """I + M^k + M^(2k) + ... + M^((p-1)k), summed from ``spec.powers``."""
     p = spec.p
-    return sum((spec.powers[(k * j) % p] for j in range(1, p)), spec.powers[0])
+    return reduce(fraction_matadd, (spec.powers[(k * j) % p] for j in range(1, p)), spec.powers[0])
 
 
 def spec_checks_oracle(spec: "mg.MixedGroupSpec") -> dict:
@@ -366,14 +367,14 @@ def spec_checks_oracle(spec: "mg.MixedGroupSpec") -> dict:
     identity Phi_p(M) = 0."""
     p, m = spec.p, spec.action
     ident = QMatrix.identity(spec.n)
-    dets = [(spec.powers[k] - ident).det() for k in range(1, p)]
+    dets = [fraction_matsub(spec.powers[k], ident).det() for k in range(1, p)]
     checks = [
         ("order_p", spec.powers[p - 1] * m == ident and m != ident, f"M^{p} == I and M != I"),
         ("minimal_polynomial", minimal_polynomial(m) == cyclotomic_prime(p),
          "minimal polynomial is 1 + x + ... + x^(p-1)"),
         ("fixed_point_free", all(d != 0 for d in dets),
          f"det(M^k - I) for k=1..{p - 1}: {[str(d) for d in dets]}"),
-        ("telescoping", all(telescope(spec, k).is_zero for k in range(1, p)),
+        ("telescoping", all(telescope(spec, k) == zero_matrix(spec.n) for k in range(1, p)),
          f"I + M^k + ... + M^((p-1)k) == 0 for k=1..{p - 1}"),
     ]
     return mg.Certificate("mixed-spec", spec.to_json(),
@@ -649,6 +650,18 @@ def fraction_matmul(a: QMatrix, b: QMatrix) -> QMatrix:
     return QMatrix(tuple(fraction_vecmul(QVector(row), b).entries for row in a.rows))
 
 
+def fraction_matadd(a: QMatrix, b: QMatrix) -> QMatrix:
+    """a + b, added entry by entry in Fractions; the package has no matrix sum."""
+    if a.n != b.n:
+        raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
+    return QMatrix([[x + y for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows)])
+
+
+def fraction_matsub(a: QMatrix, b: QMatrix) -> QMatrix:
+    """a - b, entry by entry in Fractions."""
+    return fraction_matadd(a, -b)
+
+
 def bareiss_det(m: QMatrix) -> Fraction:
     """Determinant: every entry is scaled by one global common denominator
     D, and the integer matrix is reduced by Bareiss elimination, so the
@@ -772,7 +785,7 @@ def poly_eval(f: tuple, m: QMatrix) -> QMatrix:
     (Horner), exactly."""
     acc = zero_matrix(m.n)
     for c in reversed(f):
-        acc = acc * m + scalar_matrix(m.n, c)
+        acc = fraction_matadd(acc * m, scalar_matrix(m.n, c))
     return acc
 
 

@@ -86,7 +86,7 @@ def test_corrupted_cocycle_exits_1_with_witness(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["ok"] is False
     c3 = gc.cyclic(3)
-    v = tuple(tuple(QVector.of(*e) for e in row) for row in data["values"])
+    v = tuple(tuple(QVector(e) for e in row) for row in data["values"])
     x, y, z = payload["witness"]
     assert (x, y, z) == cocycle_witness(c3, gc.trivial_action(c3, 1), v, c3.generators)
     t = c3.table
@@ -391,7 +391,7 @@ def test_non_square_matrix_is_refused_before_its_entries_are_read(capsys, tmp_pa
     code, out, err = _run(capsys, ["mixed", "build", "--p", "3", "--matrix",
                                    _write(tmp_path, [["x", "y"], ["1"]])])
     assert code == 2 and not out
-    assert err == "error: matrix must be square\n"
+    assert err == "error: matrix must be 2 lists of 2 rationals\n"  # was "error: matrix must be square"
 
 
 def test_cocycle_without_values_exits_2_as_malformed(capsys, tmp_path):
@@ -524,7 +524,7 @@ def test_matrix_of_strings_exits_2(capsys, tmp_path):
     code, out, err = _run(capsys, ["mixed", "verify", "--p", "3", "--matrix",
                                    _write(tmp_path, ["10", "01"])])
     assert code == 2 and not out
-    assert err.startswith("error: matrix must be a list of rows")
+    assert err == "error: matrix must be 2 lists of 2 rationals\n"  # was "... a list of rows of rationals"
 
 
 # ---------------------------------------------------------------------------

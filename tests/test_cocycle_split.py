@@ -38,7 +38,7 @@ def _c2_instance():
     c2 = gc.cyclic(2)
     action = gc.trivial_action(c2, 1)
     zero = QVector.zero(1)
-    values = ((zero, zero), (zero, QVector.of(1)))
+    values = ((zero, zero), (zero, QVector((1,))))
     return cocycle_of(c2, action, values)
 
 
@@ -99,7 +99,7 @@ def test_corrupted_cocycle_fails_with_witness():
     action = gc.trivial_action(c3, 1)
     zero = QVector.zero(1)
     rows = [[zero for _ in range(3)] for _ in range(3)]
-    rows[1][1] = QVector.of(1)  # c(g, g) = 1 is not a cocycle over C3
+    rows[1][1] = QVector((1,))  # c(g, g) = 1 is not a cocycle over C3
     values = tuple(tuple(r) for r in rows)
     with pytest.raises(cs.CocycleError, match="cocycle identity fails at triple") as info:
         cocycle_of(c3, action, values)
@@ -188,7 +188,7 @@ def test_every_generator_is_checked_as_a_middle():
     # generator would accept it
     v4 = gc.elementary_abelian(2, 2)
     assert v4.generators == (1, 2)
-    zero, one = QVector.zero(1), QVector.of(1)
+    zero, one = QVector.zero(1), QVector((1,))
     rows = [[zero] * 4 for _ in range(4)]
     rows[2][3] = rows[3][2] = one
     action, v = gc.trivial_action(v4, 1), tuple(tuple(r) for r in rows)
@@ -232,7 +232,7 @@ def test_a_corrupted_cocycle_checks_no_middle_past_its_first_failing_generator(m
     a5 = gc.alternating(5)
     action = gc.trivial_action(a5, 1)
     rows = [[QVector.zero(1)] * 60 for _ in range(60)]
-    rows[1][1] = QVector.of(1)
+    rows[1][1] = QVector((1,))
     expected = cocycle_witness(a5, action, rows, a5.generators)
     assert expected[1] == a5.generators[0]
     calls = []
@@ -256,7 +256,7 @@ def test_a_failure_in_the_second_row_block_is_found_there(monkeypatch):
     b = gc.cyclic(300)
     action = gc.trivial_action(b, 1)
     rows = [[QVector.zero(1)] * 300 for _ in range(300)]
-    rows[280][7] = QVector.of(1)
+    rows[280][7] = QVector((1,))
     calls = []
     middle_failures = cs._middle_failures
 
@@ -300,12 +300,12 @@ def test_a_built_cocycle_cannot_be_changed(field):
         c.values[1, 1, 0] = 2
     with pytest.raises(ValueError, match="read-only"):
         c.action.matrices[1, 0, 0] = 2
-    assert cocycle_values(c)[1][1] == QVector.of(1)
+    assert cocycle_values(c)[1][1] == QVector((1,))
 
 
 def test_normalization_enforced_at_construction():
     c2 = gc.cyclic(2)
-    one = QVector.of(1)
+    one = QVector((1,))
     zero = QVector.zero(1)
     with pytest.raises(ValueError, match="normalized"):
         cocycle_of(c2, gc.trivial_action(c2, 1), ((one, zero), (zero, zero)))
@@ -372,7 +372,7 @@ def test_misshapen_cocycle_table_names_the_expected_shape(table):
 
 def test_extension_multiply_on_kernel():
     c = _c2_instance()
-    a, b = QVector.of("1/2"), QVector.of(3)
+    a, b = QVector(("1/2",)), QVector((3,))
     prod = cs.extension_multiply(cs.ExtensionElement(0, a), cs.ExtensionElement(0, b), c)
     assert prod == cs.ExtensionElement(0, a + b)
 
@@ -386,8 +386,8 @@ def test_zero_cocycle_is_semidirect_law():
     t, mats = s3.table, action_matrices(action)
     for _ in range(15):
         x, y = rng.randrange(6), rng.randrange(6)
-        a = QVector.of(rng.randint(-5, 5), rng.randint(-5, 5))
-        b = QVector.of(rng.randint(-5, 5), rng.randint(-5, 5))
+        a = QVector((rng.randint(-5, 5), rng.randint(-5, 5)))
+        b = QVector((rng.randint(-5, 5), rng.randint(-5, 5)))
         got = cs.extension_multiply(cs.ExtensionElement(x, a), cs.ExtensionElement(y, b), c)
         assert got == cs.ExtensionElement(t[x][y], a * mats[y] + b)
 
@@ -400,8 +400,8 @@ def test_extension_multiply_associative_for_verified_cocycle():
         es = [
             cs.ExtensionElement(
                 rng.randrange(6),
-                QVector.of(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
-                           Fraction(rng.randint(-6, 6), rng.randint(1, 4))),
+                QVector((Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+                         Fraction(rng.randint(-6, 6), rng.randint(1, 4)))),
             )
             for _ in range(3)
         ]
@@ -416,7 +416,7 @@ def test_extension_multiply_refuses_invalid_cocycle():
     action = gc.trivial_action(c3, 1)
     zero = QVector.zero(1)
     rows = [[zero for _ in range(3)] for _ in range(3)]
-    rows[1][1] = QVector.of(1)
+    rows[1][1] = QVector((1,))
     values = tuple(tuple(r) for r in rows)
     with pytest.raises(cs.CocycleError) as info:
         cocycle_of(c3, action, values)
@@ -430,10 +430,10 @@ def test_trivialize_frozen_c2_example():
     c = _c2_instance()
     e = cs.trivialize(c)
     assert e[0] == QVector.zero(1)
-    assert e[1] == QVector.of(Fraction(-1, 2))
+    assert e[1] == QVector((Fraction(-1, 2),))
     # oracle: with e(1) = 0 and the trivial action, the single unknown solves
     # c(g, g) = e(1) - 2 e(g), so e(g) = -c(g, g) / 2 exactly
-    assert e[1] == QVector.of(-Fraction(1) / 2)
+    assert e[1] == QVector((-Fraction(1) / 2,))
 
 
 def test_trivialize_zero_cocycle():
@@ -462,7 +462,7 @@ def test_trivialize_need_not_recover_the_cochain():
     # (M_g = -1) f = (0, 7) is itself a 1-cocycle, c vanishes and e = 0.
     c2 = gc.cyclic(2)
     action = gc.cyclic_matrix_action(c2, [[-1]])
-    f = [QVector.zero(1), QVector.of(7)]
+    f = [QVector.zero(1), QVector((7,))]
     c = cs.coboundary(f, c2, action)
     e = cs.trivialize(c)
     assert e[1] != f[1]
@@ -476,7 +476,7 @@ def test_complement_frozen_c2_example():
     c = _c2_instance()
     h = cs.complement(c)
     assert h == [cs.ExtensionElement(0, QVector.zero(1)),
-                 cs.ExtensionElement(1, QVector.of(Fraction(-1, 2)))]
+                 cs.ExtensionElement(1, QVector((Fraction(-1, 2),)))]
     assert cs.extension_multiply(h[1], h[1], c) == extension_identity(c)
 
 
@@ -662,7 +662,7 @@ def test_cocycles_just_under_the_int64_bound_stay_exact(scale, trivialize_dtype)
     # int64. At 2K, only trivialize's bound is past 2^63.
     b, action = SMALL_ACTIONS["S3_perm"]
     rng = random.Random(3)
-    g = [QVector.zero(3)] + [QVector.of(*(rng.randint(-9, 9) for _ in range(3))) for _ in range(5)]
+    g = [QVector.zero(3)] + [QVector([rng.randint(-9, 9) for _ in range(3)]) for _ in range(5)]
     unit = cs.coboundary(g, b, action)
     k = scale * (2**63 - 1) // (b.order * unit._bound)
     c = _check_exact(b, action, [QVector.from_ints([k * x for x in v.nums], 1) for v in g])

@@ -16,7 +16,9 @@ from conftest import (
     TOO_MANY_DIGITS,
     FractionEchelon,
     bareiss_det,
+    fraction_matadd,
     fraction_matmul,
+    fraction_matsub,
     fraction_minimal_polynomial,
     fraction_vecadd,
     fraction_vecmul,
@@ -121,8 +123,12 @@ def test_parse_rat_reads_entries_at_the_digit_limit():
     (QMatrix.from_json, 5),
 ])
 def test_from_json_requires_lists(parse, data):
-    with pytest.raises(ValueError, match="must be a list"):
+    # was "matrix must be a list of rows of rationals"; a scalar is held to
+    # the shape of [[x]]
+    n = len(data) if isinstance(data, list) else 1
+    with pytest.raises(ValueError) as refused:
         parse(data)
+    assert str(refused.value) == f"matrix must be {n} lists of {n} rationals"
 
 
 #: Lists of valid JSON rationals: signs, leading zeros, unreduced and zero
@@ -177,6 +183,66 @@ def test_bulk_parser_names_a_too_long_entry_before_a_later_invalid_one():
         el._rationals(entries[::-1])
 
 
+def _action_corner(x) -> Fraction:
+    """x read as the corner of [[1, x], [0, -1]], an involution whatever x
+    is, by the action of C_2 over Q that it generates."""
+    action = gc.cyclic_matrix_action(gc.cyclic(2), [[1, x], [0, -1]])
+    return Fraction(int(action.matrices[1, 0, 1]), action.den)
+
+
+#: Every reader of a rational entry x of the library, each returning the
+#: value it read: the entry of a vector, of a 1 x 1 matrix, the constant
+#: term t of the monic t + y, and the corner of a generator matrix.
+_READERS = {
+    "QVector": lambda x: QVector((x,)).entries[0],
+    "QMatrix": lambda x: QMatrix([[x]]).rows[0][0],
+    "QMatrix.of": lambda x: QMatrix.of([[x]]).rows[0][0],
+    "QMatrix.from_json": lambda x: QMatrix.from_json([[x]]).rows[0][0],
+    "companion": lambda x: -companion((x, 1)).rows[0][0],
+    "cyclic_matrix_action": _action_corner,
+}
+
+#: Entries that the one entry rule refuses, and entries it reads, with their values.
+_REFUSED = [True, 0.5, np.float64(0.5), "0.5", "1e1", " 1/2 ", "1_0"]
+_ACCEPTED = [(3, 3), (np.int64(3), 3), (Fraction(1, 2), Fraction(1, 2)), ("1/2", Fraction(1, 2)), ("-7", -7)]
+
+
+@pytest.mark.parametrize("read", list(_READERS.values()), ids=list(_READERS))
+@pytest.mark.parametrize("bad", _REFUSED, ids=repr)
+def test_every_rational_reader_refuses_what_the_entry_rule_refuses(read, bad):
+    # everywhere but from_json, each was read as some value or raised an
+    # AttributeError; now each reader names it as _rationals does
+    with pytest.raises(ValueError) as refused:
+        read(bad)
+    assert str(refused.value) == f"invalid rational {bad!r}" + ': expected "num/den", an integer string or an int'
+
+
+@pytest.mark.parametrize("read", list(_READERS.values()), ids=list(_READERS))
+@pytest.mark.parametrize("good, value", _ACCEPTED, ids=[repr(g) for g, _ in _ACCEPTED])
+def test_every_rational_reader_reads_what_the_entry_rule_reads(read, good, value):
+    got = read(good)
+    assert got == value and type(got) is Fraction
+
+
+def test_a_float_matrix_is_refused_over_q_as_over_f_q():
+    with pytest.raises(ValueError, match=r"^invalid rational -1\.0: "):
+        gc.cyclic_matrix_action(gc.cyclic(2), [[-1.0]])
+    with pytest.raises(ValueError, match=r"^generator matrix must be integers, got 2\.0$"):
+        gc.cyclic_matrix_action(gc.cyclic(2), [[2.0]], characteristic=3)
+
+
+def test_numbers_past_the_digit_limit_are_refused_as_strings_are():
+    # str() of an int past sys.get_int_max_str_digits() raised its own
+    # ValueError, which named a setting the CLI offers no way to change
+    big = 10**5000
+    for entries, kind in (([big], "int"), (["1/2", Fraction(1, big)], "Fraction")):
+        with pytest.raises(ValueError) as refused:
+            el._rationals(entries)
+        assert str(refused.value) == (f"invalid rational of type {kind}: too many digits,"
+                                      " at most 4300 in a numerator or denominator")
+    assert QVector((10**4299,)).nums == (10**4299,)  # 4300 digits
+
+
 def test_bulk_parser_reads_an_empty_list():
     nums, den = el._rationals([])
     assert (nums.tolist(), den) == ([], 1)
@@ -187,8 +253,8 @@ def test_bulk_parser_reads_an_empty_list():
 # vectors and matrices
 
 def test_vector_arithmetic():
-    v = QVector.of(1, "1/2", -3)
-    w = QVector.of(0, 2, 1)
+    v = QVector((1, "1/2", -3))
+    w = QVector((0, 2, 1))
     assert (v + w).entries == (Fraction(1), Fraction(5, 2), Fraction(-2))
     assert (v - w).entries == (Fraction(1), Fraction(-3, 2), Fraction(-4))
     assert (-v).entries == (Fraction(-1), Fraction(-1, 2), Fraction(3))
@@ -198,9 +264,9 @@ def test_vector_arithmetic():
 
 def test_vector_dimension_mismatch():
     with pytest.raises(ValueError):
-        QVector.of(1) + QVector.of(1, 2)
+        QVector((1,)) + QVector((1, 2))
     with pytest.raises(ValueError):
-        QVector.of(1, 2, 3) * QMatrix.identity(2)
+        QVector((1, 2, 3)) * QMatrix.identity(2)
 
 
 def _naive_matmul(a: QMatrix, b: QMatrix) -> QMatrix:
@@ -287,7 +353,7 @@ def test_det_and_inverse_special_cases():
 def test_matrix_json_roundtrip():
     m = QMatrix.of([[0, "-1/2"], [1, "2/3"]])
     assert QMatrix.from_json(m.to_json()) == m
-    v = QVector.of("5/7", -2)
+    v = QVector(("5/7", -2))
     assert _parsed(v.to_json()) == v
 
 
@@ -347,9 +413,9 @@ def test_companion_rejects_bad_input():
 
 def test_poly_eval_annihilates_companion():
     phi3 = cyclotomic_prime(3)
-    assert poly_eval(phi3, companion(phi3)).is_zero
+    assert poly_eval(phi3, companion(phi3)) == zero_matrix(2)
     # evaluating x - 1 at I gives 0
-    assert poly_eval((-1, 1), QMatrix.identity(3)).is_zero
+    assert poly_eval((-1, 1), QMatrix.identity(3)) == zero_matrix(3)
 
 
 def test_minimal_polynomial_basics():
@@ -383,7 +449,7 @@ def test_fixed_point_free():
     assert is_fixed_point_free(QMatrix.of([[-1]]), 2)
     m = companion(cyclotomic_prime(3))
     assert is_fixed_point_free(m, 3)
-    assert (m - QMatrix.identity(2)).det() == 3
+    assert fraction_matsub(m, QMatrix.identity(2)).det() == 3
     assert not is_fixed_point_free(QMatrix.identity(2), 3)
     # order 2 but with a fixed vector (the second axis)
     assert not is_fixed_point_free(QMatrix.of([[-1, 0], [0, 1]]), 2)
@@ -400,9 +466,9 @@ def test_companion_power_identities(p):
     total = zero_matrix(p - 1)
     power = ident
     for _ in range(p):
-        total = total + power
+        total = fraction_matadd(total, power)
         power = power * m
-    assert total.is_zero
+    assert total == zero_matrix(p - 1)
     assert is_fixed_point_free(m, p)
     assert is_fixed_point_free(QMatrix.block_diag([m, m]), p)
 
@@ -411,14 +477,14 @@ def test_companion_power_identities(p):
 # cyclic decomposition
 
 def test_cyclic_decomposition_frozen_examples():
-    basis = cyclic_decomposition(QMatrix.of([[-1]]), 2, QVector.of(3))
+    basis = cyclic_decomposition(QMatrix.of([[-1]]), 2, QVector((3,)))
     assert basis == QMatrix.of([[3]])
 
     m = companion(cyclotomic_prime(3))
-    basis = cyclic_decomposition(m, 3, QVector.of(1, 0))
+    basis = cyclic_decomposition(m, 3, QVector((1, 0)))
     # the orbit block is {seed, seed*m} = {(1,0), (0,-1)}; its determinant is -1
     assert basis == QMatrix.of([[1, 0], [0, -1]])
-    assert (QVector.of(1, 0) * m) == QVector.of(0, -1)
+    assert (QVector((1, 0)) * m) == QVector((0, -1))
     assert basis.det() == -1
 
     big = QMatrix.block_diag([m, m])
@@ -451,11 +517,11 @@ def test_cyclic_decomposition_errors():
     with pytest.raises(ValueError, match="nonzero"):
         cyclic_decomposition(m, 3, QVector.zero(2))
     with pytest.raises(ValueError, match="match"):
-        cyclic_decomposition(m, 3, QVector.of(1, 2, 3))
+        cyclic_decomposition(m, 3, QVector((1, 2, 3)))
     with pytest.raises(ValueError, match="minimal polynomial"):
-        cyclic_decomposition(QMatrix.identity(2), 3, QVector.of(1, 0))
+        cyclic_decomposition(QMatrix.identity(2), 3, QVector((1, 0)))
     with pytest.raises(ValueError, match="divisible"):
-        cyclic_decomposition(QMatrix.block_diag([QMatrix.of([[-1]])] * 3), 3, QVector.of(1, 0, 0))
+        cyclic_decomposition(QMatrix.block_diag([QMatrix.of([[-1]])] * 3), 3, QVector((1, 0, 0)))
 
 
 def test_cyclic_decomposition_certifies_the_seed_sum():
@@ -463,7 +529,7 @@ def test_cyclic_decomposition_certifies_the_seed_sum():
     # (1,0) * (I + m + m^2) = (2, 1), so only the seed-sum check rejects it
     swap = QMatrix.of([[0, 1], [1, 0]])
     with pytest.raises(ValueError, match="minimal polynomial"):
-        cyclic_decomposition(swap, 3, QVector.of(1, 0))
+        cyclic_decomposition(swap, 3, QVector((1, 0)))
 
 
 def test_cyclic_decomposition_certifies_the_block_left_out_of_the_echelon():
@@ -475,7 +541,7 @@ def test_cyclic_decomposition_certifies_the_block_left_out_of_the_echelon():
         cyclic_decomposition(m, 3, QVector.unit(4, 0))
     m = QMatrix.block_diag([companion(cyclotomic_prime(5)), QMatrix.identity(4)])
     with pytest.raises(ValueError, match="minimal polynomial"):
-        cyclic_decomposition(m, 5, QVector.of(1, 2, 0, -1, 0, 0, 0, 0))
+        cyclic_decomposition(m, 5, QVector((1, 2, 0, -1, 0, 0, 0, 0)))
 
 
 @pytest.mark.parametrize("p, t", [(19, 1), (13, 2), (5, 4)])
@@ -660,17 +726,18 @@ def _entrywise(op, *ms: QMatrix) -> QMatrix:
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_matrix_ops_match_fraction_oracles(data):
-    # one denominator per matrix: sums, negation and scalar products must
-    # land on the same reduced rationals as entry-wise Fraction arithmetic
+    # one denominator per matrix: sums (the conftest oracles), negation and
+    # scalar products must land on the same reduced rationals as entry-wise
+    # Fraction arithmetic
     a = data.draw(_matrices(), label="a")
     b = data.draw(_matrices(sizes=st.just(a.n)), label="b")
     k = data.draw(_ENTRIES, label="scalar")
-    assert a + b == _entrywise(operator.add, a, b)
-    assert a - b == _entrywise(operator.sub, a, b)
-    assert a - a == zero_matrix(a.n) and (a - a).is_zero
+    assert fraction_matadd(a, b) == _entrywise(operator.add, a, b)
+    assert fraction_matsub(a, b) == _entrywise(operator.sub, a, b)
+    assert fraction_matsub(a, a) == zero_matrix(a.n) == QMatrix.from_json([["0"] * a.n] * a.n)
     assert -a == _entrywise(operator.neg, a)
     assert a * scalar_matrix(a.n, k) == _entrywise(lambda e: k * e, a)
-    for m in (a, b, a + b, -a, a * scalar_matrix(a.n, k), a * b):
+    for m in (a, b, fraction_matadd(a, b), -a, a * scalar_matrix(a.n, k), a * b):
         # the stored form is the unique reduced one, so equality is structural
         assert m.den > 0 and math.gcd(m.den, *(x for row in m.nums for x in row)) == 1
         assert QMatrix(m.rows) == m and hash(QMatrix(m.rows)) == hash(m)
@@ -695,7 +762,8 @@ def test_matrix_canonical_form_frozen_example():
     assert (m.nums, m.den) == (((1, -1), (0, 4)), 2)
     for other in (QMatrix.from_json([["1/2", "-1/2"], ["0/7", "2"]]),
                   QMatrix(((Fraction(1, 2), Fraction(-1, 2)), (0, 2))),
-                  m * scalar_matrix(2, 6) * scalar_matrix(2, Fraction(1, 6)), m + m - m,
+                  m * scalar_matrix(2, 6) * scalar_matrix(2, Fraction(1, 6)),
+                  fraction_matsub(fraction_matadd(m, m), m),
                   m.inverse().inverse()):
         assert other == m and hash(other) == hash(m)
     assert QMatrix.of([[4, 0], [0, 8]]).den == 1

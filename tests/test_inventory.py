@@ -15,7 +15,18 @@ function calls nothing, since only the benchmark calls that function: so
 
 Every private module-level function and class must likewise be read by
 ``src/`` code outside its own body, and outside a ``HELD`` function, so a
-helper that its callers no longer reach is found too."""
+helper that its callers no longer reach is found too.
+
+A method read is class-blind: any ``x.to_json()`` counts as a call of
+every ``to_json``. So ``Cocycle.to_json``, which only the benchmark calls,
+and ``GroupTable.to_json``, which only ``Cocycle.to_json`` calls, pass
+without being held.
+
+Every rational enters ``src/`` through one reader: ``Fraction``'s parts are
+read only where ``exact_linear._line`` writes an entry as text, numpy's text
+parser is called only by ``exact_linear._rationals``, and no ``Fraction``
+is built from one non-literal argument, which it would parse by its own,
+looser rule (a float, "1e1", " 1/2 ")."""
 
 import ast
 import pathlib
@@ -164,6 +175,35 @@ def _unread_private(sources: dict[str, str]) -> set[str]:
     return {name for name, stmt in helpers if not any(r is not stmt for r in readers.get(stmt.name, ()))}
 
 
+#: The one function that may read each attribute behind a rational entry:
+#: a Fraction's two parts, and numpy's text parser.
+_READERS = {"numerator": "exact_linear._line", "denominator": "exact_linear._line",
+            "fromstring": "exact_linear._rationals"}
+
+
+def _rational_reads(sources: dict[str, str]) -> set[str]:
+    """The "module.Class.function" (or "module" for module-level code) of
+    every place in sources that reads a rational outside the one entry rule
+    of ``exact_linear._rationals``: an attribute of ``_READERS`` anywhere but
+    in its function there, or a ``Fraction`` call with other than two
+    arguments or one literal, which would parse its argument itself."""
+    found = set()
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and _READERS.get(child.attr, where) != where:
+                found.add(where)
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "Fraction" \
+                    and len(child.args) != 2 and not (len(child.args) == 1 and isinstance(child.args[0], ast.Constant)):
+                found.add(where)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{where}.{child.name}" if named else where)
+
+    for module, text in sources.items():
+        visit(ast.parse(text), module)
+    return found
+
+
 def _package_sources() -> dict[str, str]:
     return {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
 
@@ -213,3 +253,15 @@ def test_a_name_that_only_tests_call_is_found():
     assert _unread_private(sources) - unread == {"exact_linear._helper", "exact_linear._Spare"}
     sources["cli"] += "\n\nREAD = exact_linear._helper(1), _Spare\n"
     assert _unread_private(sources) == unread
+
+
+def test_rationals_enter_through_one_reader():
+    assert _rational_reads(_package_sources()) == set()
+
+
+def test_a_rational_read_outside_the_one_reader_is_found():
+    sources = _package_sources()
+    sources["cli"] += ("\n\nclass _Spare:\n    def of(self, e):\n        return Fraction(e)\n"
+                       "\n\ndef _numerator(f):\n    return f.numerator, Fraction(-1), Fraction(1, 2), Fraction('1/3')\n"
+                       "\n\ndef _parse(text):\n    return np.fromstring(text, sep=' ')\n")
+    assert _rational_reads(sources) == {"cli._Spare.of", "cli._numerator", "cli._parse"}

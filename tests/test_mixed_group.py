@@ -17,6 +17,7 @@ from conftest import (
     count_eliminations,
     dense_product_checks,
     field_form,
+    fraction_matadd,
     krylov_witness_linear,
     matrix_power,
     mixed_element_order,
@@ -198,7 +199,7 @@ def test_telescopes_match_their_definition():
     for k in range(5):
         total = zero_matrix(spec.n)
         for j in range(5):
-            total = total + matrix_power(spec.action, k * j)
+            total = fraction_matadd(total, matrix_power(spec.action, k * j))
         assert telescope(spec, k) == total
 
 
@@ -248,12 +249,12 @@ def test_spec_checks_do_no_matrix_work(monkeypatch):
 # arithmetic
 
 def test_multiply_frozen_example(s21):
-    assert mg.multiply(E(1, QVector.of(3)), E(1, QVector.of(5)), s21) == E(0, QVector.of(2))
+    assert mg.multiply(E(1, QVector((3,))), E(1, QVector((5,))), s21) == E(0, QVector((2,)))
 
 
 def test_a_restriction_is_addition(s32):
-    a = QVector.of(1, 2, "1/3", 0)
-    b = QVector.of(0, -1, 1, "5/2")
+    a = QVector((1, 2, "1/3", 0))
+    b = QVector((0, -1, 1, "5/2"))
     assert mg.multiply(E(0, a), E(0, b), s32) == E(0, a + b)
 
 
@@ -275,7 +276,7 @@ def test_group_laws_fuzzed(s32):
 
 def test_dimension_mismatch(s21, s32):
     with pytest.raises(ValueError, match="dimension"):
-        mg.multiply(E(0, QVector.of(1, 2)), E(0, QVector.of(1)), s21)
+        mg.multiply(E(0, QVector((1, 2))), E(0, QVector((1,))), s21)
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +284,10 @@ def test_dimension_mismatch(s21, s32):
 
 def test_element_orders(s21, s32):
     assert mixed_element_order(mg.identity_element(s21), s21) == 1
-    assert mixed_element_order(E(0, QVector.of(5)), s21) == math.inf
-    assert mixed_element_order(E(1, QVector.of(3)), s21) == 2
+    assert mixed_element_order(E(0, QVector((5,))), s21) == math.inf
+    assert mixed_element_order(E(1, QVector((3,))), s21) == 2
     # 3 * (I + M) = 0 is the telescoping identity at p = 2
-    assert (QVector.of(3) * telescope(s21, 1)).is_zero
+    assert (QVector((3,)) * telescope(s21, 1)).is_zero
 
     rng = random.Random(1)
     for _ in range(10):
@@ -305,25 +306,25 @@ def test_element_order_raises_typed_error_on_a_tampered_spec():
     ident = QMatrix.identity(2)
     object.__setattr__(spec, "powers", (ident, ident, ident))
     with pytest.raises(mg.SpecValidationError, match="telescoping"):
-        mixed_element_order(E(1, QVector.of(1, 0)), spec)
+        mixed_element_order(E(1, QVector((1, 0))), spec)
 
 
 def test_telescoping_matrix_identity():
     for p, t in [(2, 1), (3, 1), (5, 1), (7, 1), (3, 2)]:
         spec = mg.build(p, t)
         for k in range(1, p):
-            assert telescope(spec, k).is_zero
+            assert telescope(spec, k) == zero_matrix(spec.n)
 
 
 # ---------------------------------------------------------------------------
 # conjugation
 
 def test_conjugation_matrix(s21, s32):
-    assert conjugation_matrix(E(1, QVector.of(99)), s21) == QMatrix.of([[-1]])
+    assert conjugation_matrix(E(1, QVector((99,))), s21) == QMatrix.of([[-1]])
     s31 = mg.build(3, 1)
     assert conjugation_matrix(E(2, QVector.zero(2)), s31) == s31.powers[2]
     with pytest.raises(ValueError, match="outside"):
-        conjugation_matrix(E(0, QVector.of(1)), s21)
+        conjugation_matrix(E(0, QVector((1,))), s21)
 
 
 def test_conjugation_matches_multiplication(s32):
@@ -348,14 +349,14 @@ def test_outside_elements_act_fixed_point_freely(s32):
 
 def test_build_automorphism_frozen_example(s21):
     phi = mg.build_automorphism(
-        QVector.of(3), QVector.of(5), E(1, QVector.of(0)), E(1, QVector.of(7)), s21
+        QVector((3,)), QVector((5,)), E(1, QVector((0,))), E(1, QVector((7,))), s21
     )
     assert phi.linear == QMatrix.of([["5/3"]])
-    assert phi.image_of_alpha == E(1, QVector.of(7))
+    assert phi.image_of_alpha == E(1, QVector((7,)))
     # phi((1, a)) = (1, 5a/3 + 7), hand-checked to preserve products
     for a in (0, 1, Fraction(3, 2), -4):
-        got = mg.apply_automorphism(phi, E(1, QVector.of(a)))
-        assert got == E(1, QVector.of(Fraction(5, 3) * a + 7))
+        got = mg.apply_automorphism(phi, E(1, QVector((a,))))
+        assert got == E(1, QVector((Fraction(5, 3) * a + 7,)))
 
 
 def test_identity_automorphism(s32):
@@ -468,7 +469,7 @@ def test_sampled_pairs_never_overrule_the_exact_identities(data):
     q = data.draw(st.lists(_FRACTIONS, min_size=p - 1, max_size=p - 1).filter(any), label="q")
     q_of_r = zero_matrix(spec.n)
     for j, coeff in enumerate(q):
-        q_of_r = q_of_r + spec.powers[(beta.k * j) % p] * scalar_matrix(spec.n, coeff)
+        q_of_r = fraction_matadd(q_of_r, spec.powers[(beta.k * j) % p] * scalar_matrix(spec.n, coeff))
     rows = [list(r) for r in linear.rows]
     i = data.draw(st.integers(0, spec.n - 1), label="row")
     j = data.draw(st.integers(0, spec.n - 1), label="column")
@@ -536,11 +537,11 @@ def test_build_automorphism_under_rational_conjugates_matches_the_krylov_oracle(
 
 
 def test_build_automorphism_rejections(s21):
-    alpha = E(1, QVector.of(0))
+    alpha = E(1, QVector((0,)))
     with pytest.raises(ValueError, match="nonzero"):
-        mg.build_automorphism(QVector.zero(1), QVector.of(1), alpha, alpha, s21)
+        mg.build_automorphism(QVector.zero(1), QVector((1,)), alpha, alpha, s21)
     with pytest.raises(ValueError, match="outside"):
-        mg.build_automorphism(QVector.of(1), QVector.of(1), E(0, QVector.of(1)), alpha, s21)
+        mg.build_automorphism(QVector((1,)), QVector((1,)), E(0, QVector((1,))), alpha, s21)
 
 
 def test_build_automorphism_rejects_bad_input_before_field_arithmetic(monkeypatch, s32):
@@ -548,12 +549,12 @@ def test_build_automorphism_rejects_bad_input_before_field_arithmetic(monkeypatc
     # coordinates: each is refused before any basis or field kernel runs
     calls = count_calls(monkeypatch, mg, "semilinear_map", "cyclic_decomposition")
     alpha, inside = E(1, QVector.zero(4)), E(0, QVector.zero(4))
-    b = QVector.of(1, 2, 0, 1)
+    b = QVector((1, 2, 0, 1))
     for args, match in (((b, QVector.zero(4), alpha, alpha), "nonzero"),
                         ((b, b, alpha, inside), "outside"),
-                        ((QVector.of(1, 2), b, alpha, alpha), "dimension"),
-                        ((b, QVector.of(1, 2, 3, 4, 5), alpha, alpha), "dimension"),
-                        ((b, b, alpha, E(1, QVector.of(1))), "dimension")):
+                        ((QVector((1, 2)), b, alpha, alpha), "dimension"),
+                        ((b, QVector((1, 2, 3, 4, 5)), alpha, alpha), "dimension"),
+                        ((b, b, alpha, E(1, QVector((1,)))), "dimension")):
         with pytest.raises(ValueError, match=match):
             mg.build_automorphism(*args, s32)
     assert calls == {"semilinear_map": 0, "cyclic_decomposition": 0}
@@ -562,7 +563,7 @@ def test_build_automorphism_rejects_bad_input_before_field_arithmetic(monkeypatc
 def test_tampered_linear_part_fails_verification(s32):
     alpha = E(1, QVector.zero(4))
     phi = mg.build_automorphism(
-        QVector.unit(4, 0), QVector.of(1, 2, 0, 1), alpha, alpha, s32
+        QVector.unit(4, 0), QVector((1, 2, 0, 1)), alpha, alpha, s32
     )
     rows = [list(r) for r in phi.linear.rows]
     rows[1][2] += 1
@@ -577,7 +578,7 @@ def test_automorphism_preserves_orbit_classes(s32):
     rng = random.Random(5)
     alpha = E(1, QVector.zero(4))
     phi = mg.build_automorphism(
-        QVector.of(2, 0, 1, 0), QVector.of(0, 1, 0, 3), alpha, alpha, s32
+        QVector((2, 0, 1, 0)), QVector((0, 1, 0, 3)), alpha, alpha, s32
     )
     for _ in range(10):
         inside = E(0, mg.random_vector(rng, 4, nonzero=True))
@@ -590,7 +591,7 @@ def test_compose_automorphisms(s32):
     rng = random.Random(30)
     alpha = E(1, QVector.zero(4))
     phi = mg.build_automorphism(QVector.unit(4, 0), QVector.unit(4, 2), alpha, alpha, s32)
-    psi = mg.build_automorphism(QVector.unit(4, 1), QVector.of(1, 1, 1, 1), alpha, alpha, s32)
+    psi = mg.build_automorphism(QVector.unit(4, 1), QVector((1, 1, 1, 1)), alpha, alpha, s32)
     chained = compose_automorphisms(phi, psi, s32)
     for _ in range(10):
         g = mg.random_element(rng, s32)
@@ -685,7 +686,7 @@ def test_a_tampered_witness_fails_its_named_check():
 def test_omega_certificate_fails_a_witness_that_misses_its_seed(monkeypatch):
     # 2 * L' intertwines whenever L' does, but carries b to 2 * c
     real = mg.semilinear_map
-    monkeypatch.setattr(mg, "semilinear_map", lambda *args: real(*args) + real(*args))
+    monkeypatch.setattr(mg, "semilinear_map", lambda *args: fraction_matadd(real(*args), real(*args)))
     cert = mg.omega_certificate(mg.build(5, 2), 2)
     failed = {ch.name: ch.detail for ch in cert.checks if not ch.passed}
     assert list(failed) == ["transitivity_inside_A", "transitivity_outside_A"]
