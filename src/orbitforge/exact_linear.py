@@ -31,10 +31,10 @@ intakes that share one shape walker, ``_rows``, each with one entry rule:
 ``_int_table`` reads integer tables (Cayley tables, action matrices over
 F_q) by ``exact_int``, and ``_rational_table`` rational ones (a matrix, a
 cocycle's action and values) by its bulk parser ``_rationals``, which also
-reads a vector and a polynomial's coefficients. That rule admits a
-``"num/den"`` or integer string, an integer that is not a bool and a
-``Fraction``, and reads a whole flat list at once into one integer array
-over one denominator; a float is refused, never read as its binary value.
+reads a vector. That rule admits a ``"num/den"`` or integer string, an
+integer that is not a bool and a ``Fraction``, and reads a whole flat list
+at once into one integer array over one denominator; a float is refused,
+never read as its binary value.
 """
 
 from __future__ import annotations
@@ -347,9 +347,6 @@ class QVector:
     def __sub__(self, other: "QVector") -> "QVector":
         return self._combine(other, -1)
 
-    def __neg__(self) -> "QVector":
-        return _vector([-x for x in self.nums], self.den)
-
     def __mul__(self, other):
         if isinstance(other, QMatrix):
             if self.dim != other.n:
@@ -403,16 +400,6 @@ class QMatrix:
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
         return _matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], 1)
-
-    @classmethod
-    def block_diag(cls, blocks: Sequence["QMatrix"]) -> "QMatrix":
-        n, den = sum(b.n for b in blocks), math.lcm(*(b.den for b in blocks))
-        rows, off = [], 0
-        for b in blocks:
-            rows += [[0] * off + [x * (den // b.den) for x in r] + [0] * (n - off - b.n)
-                     for r in b.nums]
-            off += b.n
-        return _matrix(rows, den)
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -488,34 +475,6 @@ class QMatrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(e) for e in row) for row in self.rows)
         return f"QMatrix[{body}]"
-
-
-def cyclotomic_prime(p: int) -> tuple[int, ...]:
-    """1 + x + ... + x^(p-1), irreducible over Q for prime p, as its coefficients: p ones."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return (1,) * p
-
-
-def companion(f: Sequence) -> QMatrix:
-    """Companion matrix of the monic polynomial f of degree >= 1, given by its
-    rational coefficients lowest degree first (a trailing 0 is not monic),
-    read by ``_rationals``.
-
-    Ones on the subdiagonal, the negated low-order coefficients in the last
-    column; under the row-vector right action its minimal polynomial is f.
-    """
-    d = len(f) - 1
-    if d < 1:
-        raise ValueError("companion requires degree >= 1")
-    nums, den = _rationals(list(f))
-    nums = nums.tolist()
-    if nums[-1] != den:
-        raise ValueError("companion requires a monic polynomial")
-    rows = [[den if j == i - 1 else 0 for j in range(d)] for i in range(d)]
-    for i, c in enumerate(nums[:d]):
-        rows[i][d - 1] = -c
-    return _matrix(rows, den)
 
 
 _PIVOT = itemgetter(0)
@@ -596,6 +555,7 @@ def cyclic_decomposition(m: QMatrix, p: int, seed: QVector) -> QMatrix:
     nonzero vector generates a cyclic subspace of dimension exactly p-1 and any
     block starting outside the current span extends it directly. Later seeds
     are chosen greedily: the first standard basis vector outside the span.
+    The span only grows, so each scan resumes after the last seed's index.
 
     The blocks certify that precondition as they are built: each seed must
     satisfy seed * Phi_p(m) = 0, Phi_p = 1 + x + ... + x^(p-1), or this raises.
@@ -619,7 +579,7 @@ def cyclic_decomposition(m: QMatrix, p: int, seed: QVector) -> QMatrix:
 
     echelon: list[tuple[int, list[int]]] = []  # of the blocks so far, by numerators
     basis: list[QVector] = []
-    w = seed
+    w, i = seed, -1  # i: the index of the last unit seed
     while True:
         block, total = [], w
         for _ in range(p - 1):
@@ -633,7 +593,7 @@ def cyclic_decomposition(m: QMatrix, p: int, seed: QVector) -> QMatrix:
             break
         for v in block:
             _insert(echelon, _clear(list(v.nums), echelon)[0], n)
-        w = QVector.unit(n, next(i for i in range(n)
-                                 if any(_clear([int(j == i) for j in range(n)], echelon)[0])))
+        i = next(k for k in range(i + 1, n) if any(_clear([int(j == k) for j in range(n)], echelon)[0]))
+        w = QVector.unit(n, i)
     den = math.lcm(*(v.den for v in basis))
     return _matrix([[x * (den // v.den) for x in v.nums] for v in basis], den)

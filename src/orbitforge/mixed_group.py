@@ -39,13 +39,7 @@ from itertools import accumulate, repeat
 
 from .arith import is_prime
 from .cyclotomic import _first_mismatch, semilinear_map
-from .exact_linear import (
-    QMatrix,
-    QVector,
-    companion,
-    cyclic_decomposition,
-    cyclotomic_prime,
-)
+from .exact_linear import QMatrix, QVector, _matrix, cyclic_decomposition
 
 #: Bound on numerators and denominators drawn for randomized witnesses;
 #: keeps exact-arithmetic growth modest while exercising non-integer points.
@@ -167,14 +161,17 @@ class MixedGroupSpec:
 
 def build(p: int, t: int | None = None, m: QMatrix | None = None) -> MixedGroupSpec:
     """Build a validated spec; with m omitted, the action is the block
-    diagonal of t companion matrices of 1 + x + ... + x^(p-1). The size
+    diagonal of t companion matrices of 1 + x + ... + x^(p-1), written from
+    integers: row r of a block has a 1 at column r - 1, unless r is the
+    block's first row, and a -1 in the block's last column. The size
     n = t * (p - 1) is checked against ``MAX_DIM`` before anything else."""
     if m is None:
         if t is None:
             raise SpecValidationError("either t or an explicit action matrix is required")
         _check_params(p, t)
-        block = companion(cyclotomic_prime(p))
-        m = QMatrix.block_diag([block] * t)
+        n, d = t * (p - 1), p - 1
+        m = _matrix([[(j == r - 1 and r % d > 0) - (j == last) for j in range(n)]
+                     for r in range(n) for last in (r - r % d + d - 1,)], 1)
     if t is None:
         _check_params(p, 1)
         if m.n == 0 or m.n % (p - 1) != 0:
@@ -215,17 +212,13 @@ def multiply(g1: MixedElement, g2: MixedElement, spec: MixedGroupSpec) -> MixedE
     )
 
 
-def inverse(g: MixedElement, spec: MixedGroupSpec) -> MixedElement:
-    _check_dim(g, spec)
-    kk = (-g.k) % spec.p
-    return MixedElement(kk, -_apply_power(g.a, spec, kk))
-
-
 def power(g: MixedElement, m: int, spec: MixedGroupSpec) -> MixedElement:
-    base = g if m >= 0 else inverse(g, spec)
+    """g^m for m >= 0, by m products."""
+    if m < 0:
+        raise ValueError(f"exponent must be nonnegative, got {m}")
     acc = identity_element(spec)
-    for _ in range(abs(m)):
-        acc = multiply(acc, base, spec)
+    for _ in range(m):
+        acc = multiply(acc, g, spec)
     return acc
 
 

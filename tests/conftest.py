@@ -26,14 +26,7 @@ from orbitforge import cocycle_split as cs
 from orbitforge import group_core as gc
 from orbitforge import mixed_group as mg
 from orbitforge.arith import factorize, is_prime
-from orbitforge.exact_linear import (
-    QMatrix,
-    QVector,
-    companion,
-    cyclic_decomposition,
-    cyclotomic_prime,
-    minimal_polynomial,
-)
+from orbitforge.exact_linear import QMatrix, QVector, cyclic_decomposition, minimal_polynomial
 
 INPUTS_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
 
@@ -203,6 +196,31 @@ def zero_matrix(n: int) -> QMatrix:
     return QMatrix(tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n)))
 
 
+def cyclotomic_prime(p: int) -> tuple[int, ...]:
+    """Phi_p = 1 + x + ... + x^(p-1) for a prime p, as its coefficients: p ones."""
+    assert is_prime(p), f"{p} is not prime"
+    return (1,) * p
+
+
+def companion(f: tuple) -> QMatrix:
+    """The companion matrix of the monic f of degree d >= 1, its int or
+    Fraction coefficients lowest degree first: ones on the subdiagonal and
+    -f[0], ..., -f[d-1] in the last column, so that under the row-vector
+    right action its minimal polynomial is f."""
+    d = len(f) - 1
+    assert d >= 1 and f[-1] == 1, "a monic polynomial of degree at least 1"
+    return QMatrix([[int(j == i - 1) for j in range(d - 1)] + [-f[i]] for i in range(d)])
+
+
+def block_diag(blocks: list[QMatrix]) -> QMatrix:
+    """The block diagonal matrix of the given square blocks, in order."""
+    n, rows, off = sum(b.n for b in blocks), [], 0
+    for b in blocks:
+        rows += [[0] * off + list(r) + [0] * (n - off - b.n) for r in b.rows]
+        off += b.n
+    return QMatrix(rows)
+
+
 def scalar_matrix(n: int, c) -> QMatrix:
     """c times the n x n identity: the package has no scalar product."""
     return QMatrix.of([[c if i == j else 0 for j in range(n)] for i in range(n)])
@@ -308,7 +326,7 @@ def rational_action() -> QMatrix:
     """block_diag(q^-1 * C * q, C) for C the companion matrix of Phi_5 and
     q = ``CONJUGATOR``: a p = 5, t = 2 action over the denominator 24."""
     c = companion(cyclotomic_prime(5))
-    return QMatrix.block_diag([CONJUGATOR.inverse() * c * CONJUGATOR, c])
+    return block_diag([CONJUGATOR.inverse() * c * CONJUGATOR, c])
 
 
 def count_calls(monkeypatch, owner, *names: str) -> dict[str, int]:
@@ -379,6 +397,13 @@ def spec_checks_oracle(spec: "mg.MixedGroupSpec") -> dict:
     ]
     return mg.Certificate("mixed-spec", spec.to_json(),
                           [mg.CheckResult(*c) for c in checks]).to_json()
+
+
+def mixed_inverse(g: "mg.MixedElement", spec: "mg.MixedGroupSpec") -> "mg.MixedElement":
+    """The inverse h^(-k) * (-(a * M^(-k))) of g = h^k * a, from the group law
+    (h^k a)(h^l b) = h^(k+l) (a * M^l + b)."""
+    kk = (-g.k) % spec.p
+    return mg.MixedElement(kk, QVector.zero(spec.n) - g.a * spec.powers[kk])
 
 
 def mixed_element_order(g: "mg.MixedElement", spec: "mg.MixedGroupSpec") -> int | float:

@@ -10,9 +10,12 @@ import time
 import pytest
 
 from conftest import (
+    block_diag,
     cocycle_witness,
+    companion,
     count_calls,
     count_eliminations,
+    cyclotomic_prime,
     perfbench_inputs,
     permutation_action,
     random_cocycle,
@@ -21,9 +24,10 @@ from conftest import (
 import orbitforge
 from orbitforge import auto_orbits, cli
 from orbitforge import cocycle_split as cs
+from orbitforge import exact_linear as el
 from orbitforge import group_core as gc
 from orbitforge.cli import main
-from orbitforge.exact_linear import QMatrix, QVector, companion, cyclotomic_prime
+from orbitforge.exact_linear import QMatrix, QVector
 
 
 def _run(capsys, argv):
@@ -229,6 +233,16 @@ def test_mixed_auto_verifies_its_witness_once(capsys, monkeypatch):
     assert calls["det"] == 1
 
 
+@pytest.mark.parametrize("command", ["build", "verify", "auto", "omega"])
+def test_mixed_default_action_parses_no_rational(capsys, monkeypatch, command):
+    # the block companion of Phi_p is written from integers; built as
+    # companion(cyclotomic_prime(p)), it parsed p ones as text
+    calls = count_calls(monkeypatch, el, "_rationals")
+    code, _, _ = _run(capsys, ["mixed", command, "--p", "7", "--t", "2"])
+    assert code == 0
+    assert calls["_rationals"] == 0
+
+
 @pytest.mark.parametrize("p", ["2305843009213693951", "1009"])
 def test_mixed_spec_above_the_dimension_cap_exits_2_at_once(capsys, p):
     # the first hung in trial division, the second built 1009 dense powers
@@ -319,7 +333,7 @@ def test_build_parser_returns_the_parser_main_parses_with(capsys, monkeypatch):
     5,
     [1, 2],
     [[1, 0], [0, 1]],  # the identity is not a valid action
-    QMatrix.block_diag([companion(cyclotomic_prime(3)), QMatrix.identity(2)]).to_json(),
+    block_diag([companion(cyclotomic_prime(3)), QMatrix.identity(2)]).to_json(),
 ])
 def test_malformed_or_invalid_matrix_exits_2(capsys, tmp_path, matrix):
     code, _, err = _run(capsys, ["mixed", "build", "--p", "3", "--matrix", _write(tmp_path, matrix)])

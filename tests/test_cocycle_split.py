@@ -20,6 +20,8 @@ from conftest import (
     cocycle_of,
     cocycle_values,
     cocycle_witness,
+    companion,
+    cyclotomic_prime,
     extension_identity,
     fraction_vecmul,
     fraction_vecsub,
@@ -30,7 +32,7 @@ from conftest import (
 )
 from orbitforge import cocycle_split as cs
 from orbitforge import group_core as gc
-from orbitforge.exact_linear import QMatrix, QVector, _rationals, companion, cyclotomic_prime
+from orbitforge.exact_linear import QMatrix, QVector, _rationals
 
 
 def _c2_instance():

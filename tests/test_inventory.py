@@ -4,23 +4,25 @@ in ``HELD`` with its holder: ROADMAP item 8 as a checked list. A name that
 only tests call fails here; delete it, or move what a test still needs into
 ``tests/conftest.py``.
 
-A function or class counts as called wherever ``src/`` reads its name as
-an attribute, or as a name that is not a local of the function that reads
-it; a method wherever ``src/`` reads an attribute of its name whose object
-is not an imported module. So the local variable ``power`` of
-``minimal_polynomial`` does not call ``mixed_group.power``, and
-``operator.mul`` does not call ``GroupTable.mul``. A read inside a ``HELD``
-function calls nothing, since only the benchmark calls that function: so
+A function or class counts as called only through its own name: wherever
+``src/`` reads it as a name that is not a local of the function that reads
+it, or as an attribute of an imported module (``gc.cyclic``). A method
+counts wherever ``src/`` reads an attribute of its name whose object is not
+an imported module. So the local variable ``power`` of
+``minimal_polynomial`` does not call ``mixed_group.power``, the method read
+``basis.inverse()`` calls no module-level ``inverse``, and ``operator.mul``
+does not call ``GroupTable.mul``. A read inside a ``HELD`` function calls
+nothing, since only the benchmark calls that function: so
 ``derived_subgroup`` does not call ``subgroup_closure``.
 
 Every private module-level function and class must likewise be read by
 ``src/`` code outside its own body, and outside a ``HELD`` function, so a
 helper that its callers no longer reach is found too.
 
-A method read is class-blind: any ``x.to_json()`` counts as a call of
-every ``to_json``. So ``Cocycle.to_json``, which only the benchmark calls,
-and ``GroupTable.to_json``, which only ``Cocycle.to_json`` calls, pass
-without being held.
+A method read is still class-blind: any ``x.to_json()`` counts as a call
+of every ``to_json``. So ``Cocycle.to_json``, which only the benchmark
+calls, and ``GroupTable.to_json``, which only ``Cocycle.to_json`` calls,
+pass without being held.
 
 Every rational enters ``src/`` through one reader: ``Fraction``'s parts are
 read only where ``exact_linear._line`` writes an entry as text, numpy's text
@@ -143,16 +145,14 @@ def _uncalled(sources: dict[str, str]) -> set[str]:
     module-level function and class, and every public method of a public
     class, that no module of ``sources`` calls outside a ``HELD`` function."""
     trees = _trees(sources)
-    attrs, methods, read = set(), set(), set()
+    methods, read = set(), set()
     for tree in trees.values():
         modules = _modules(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
-                attrs.add(node.attr)
-                if not (isinstance(node.value, ast.Name) and node.value.id in modules):
-                    methods.add(node.attr)
+                on_module = isinstance(node.value, ast.Name) and node.value.id in modules
+                (read if on_module else methods).add(node.attr)
         read |= _names_read(tree)
-    read |= attrs
     return {name for module, tree in trees.items() for name, node in _defs(module, tree)
             if not any(part.startswith("_") for part in name.split(".")[1:])
             and node.name not in (methods if name.count(".") == 2 else read)}
@@ -230,11 +230,15 @@ def test_a_name_that_only_tests_call_is_found():
     # a function is not called by a local variable of its name in the
     # function that reads it, or in one nested in that
     sources["cli"] += "\n\ndef _local(x):\n    only_tests = x\n    return only_tests, lambda: only_tests\n"
-    # nor a method by an attribute of its name on an imported module
+    # nor a method by an attribute of its name on an imported module, nor a
+    # function by a method read of its name (``basis.inverse()`` is no call
+    # of a module-level ``inverse``)
     sources["cli"] += "\n\ndef _module_attribute():\n    import json\n    return json.helper, Spare\n"
+    sources["cli"] += "\n\ndef _method_read(x):\n    return x.only_tests()\n"
     assert _uncalled(sources) - set(HELD) == {"exact_linear.only_tests", "exact_linear.Spare.helper"}
-    # a method is not called by a local variable of its name, only by an attribute
-    sources["cli"] += "\nhelper = exact_linear.only_tests()\n"
+    # a method is not called by a local variable of its name, only by an
+    # attribute; a function is called through its imported module
+    sources["cli"] += "\nfrom . import exact_linear\nhelper = exact_linear.only_tests()\n"
     assert _uncalled(sources) - set(HELD) == {"exact_linear.Spare.helper"}
     sources["cli"] += "\nSpare().helper()\n"
     assert _uncalled(sources) - set(HELD) == set()

@@ -11,16 +11,20 @@ from hypothesis import strategies as st
 
 from conftest import (
     CONJUGATOR,
+    block_diag,
+    companion,
     compose_automorphisms,
     conjugation_matrix,
     count_calls,
     count_eliminations,
+    cyclotomic_prime,
     dense_product_checks,
     field_form,
     fraction_matadd,
     krylov_witness_linear,
     matrix_power,
     mixed_element_order,
+    mixed_inverse,
     powers_sum_verdict,
     rational_action,
     scalar_matrix,
@@ -30,7 +34,7 @@ from conftest import (
 )
 from orbitforge import cli, exact_linear
 from orbitforge import mixed_group as mg
-from orbitforge.exact_linear import QMatrix, QVector, companion, cyclotomic_prime
+from orbitforge.exact_linear import QMatrix, QVector
 
 E = mg.MixedElement
 
@@ -53,7 +57,15 @@ def test_build_defaults(s21, s32):
     assert s21.action == QMatrix.of([[-1]])
     assert s32.n == 4
     phi3 = companion(cyclotomic_prime(3))
-    assert s32.action == QMatrix.block_diag([phi3, phi3])
+    assert s32.action == block_diag([phi3, phi3])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 31, 127])
+def test_build_writes_the_block_companion_of_phi_p(p):
+    # the default action, written from integer rows, is entry for entry the
+    # block diagonal of t companions of Phi_p, at every t under MAX_DIM
+    for t in range(1, mg.MAX_DIM // (p - 1) + 1):
+        assert mg.build(p, t).action == block_diag([companion(cyclotomic_prime(p))] * t)
 
 
 def test_build_accepts_valid_custom_matrix():
@@ -68,7 +80,7 @@ def test_build_rejections():
         mg.build(2, m=QMatrix.identity(1))
     with pytest.raises(mg.SpecValidationError, match="order"):
         # right size for p=5 but multiplicative order 3
-        mg.build(5, m=QMatrix.block_diag([companion(cyclotomic_prime(3))] * 2))
+        mg.build(5, m=block_diag([companion(cyclotomic_prime(3))] * 2))
     # order 2 but reducible: fixes the second axis and has the wrong minimal polynomial
     with pytest.raises(mg.SpecValidationError):
         mg.build(2, m=QMatrix.of([[-1, 0], [0, 1]]))
@@ -86,7 +98,7 @@ def test_spec_checks_certificate(s32):
 
 def test_build_rejects_order_p_action_with_fixed_vectors():
     # order 3 and not the identity, but the I_2 block fixes every vector in it
-    m = QMatrix.block_diag([companion(cyclotomic_prime(3)), QMatrix.identity(2)])
+    m = block_diag([companion(cyclotomic_prime(3)), QMatrix.identity(2)])
     assert m != QMatrix.identity(4) and matrix_power(m, 3) == QMatrix.identity(4)
     with pytest.raises(mg.SpecValidationError, match="fixes a nonzero vector"):
         mg.build(3, m=m)
@@ -106,17 +118,17 @@ def _draw_action(data, p: int) -> tuple[str, int, QMatrix]:
     kind = data.draw(st.sampled_from(["companions", "phi3_blocks", "companion_plus_identity",
                                       "cycle_plus_identity", "integers"]), label="kind")
     if kind == "companions":
-        m = QMatrix.block_diag([companion(cyclotomic_prime(p))] * data.draw(st.integers(1, 2)))
+        m = block_diag([companion(cyclotomic_prime(p))] * data.draw(st.integers(1, 2)))
     elif kind == "phi3_blocks":
         p = 5
         fives = data.draw(st.integers(0, 1), label="Phi_5 blocks")
-        m = QMatrix.block_diag([companion(cyclotomic_prime(5))] * fives
-                               + [companion(cyclotomic_prime(3))] * 2 * (2 - fives))
+        m = block_diag([companion(cyclotomic_prime(5))] * fives
+                       + [companion(cyclotomic_prime(3))] * 2 * (2 - fives))
     elif kind == "companion_plus_identity":
-        m = QMatrix.block_diag([companion(cyclotomic_prime(p)), QMatrix.identity(k)])
+        m = block_diag([companion(cyclotomic_prime(p)), QMatrix.identity(k)])
     elif kind == "cycle_plus_identity":
         cycle = QMatrix.of([[1 if j == (i + 1) % p else 0 for j in range(p)] for i in range(p)])
-        m = QMatrix.block_diag([cycle, QMatrix.identity(p - 2)])
+        m = block_diag([cycle, QMatrix.identity(p - 2)])
     else:
         n = k * data.draw(st.integers(1, 2), label="t")
         m = QMatrix.of(data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
@@ -220,7 +232,7 @@ def test_spec_checks_of_rational_conjugates_match_the_oracle(data):
     q = QMatrix.of(data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
                                       min_size=n, max_size=n), label="Q"))
     assume(q.det() != 0)
-    c = QMatrix.block_diag([companion(cyclotomic_prime(p))] * t)
+    c = block_diag([companion(cyclotomic_prime(p))] * t)
     spec = mg.build(p, m=q.inverse() * c * q)
     assert mg.spec_checks(spec).to_json() == spec_checks_oracle(spec)
 
@@ -267,8 +279,8 @@ def test_group_laws_fuzzed(s32):
         g3 = mg.random_element(rng, s32)
         assert mg.multiply(g1, ident, s32) == g1
         assert mg.multiply(ident, g1, s32) == g1
-        assert mg.multiply(g1, mg.inverse(g1, s32), s32) == ident
-        assert mg.multiply(mg.inverse(g1, s32), g1, s32) == ident
+        assert mg.multiply(g1, mixed_inverse(g1, s32), s32) == ident
+        assert mg.multiply(mixed_inverse(g1, s32), g1, s32) == ident
         lhs = mg.multiply(mg.multiply(g1, g2, s32), g3, s32)
         rhs = mg.multiply(g1, mg.multiply(g2, g3, s32), s32)
         assert lhs == rhs
@@ -296,6 +308,12 @@ def test_element_orders(s21, s32):
         assert mg.power(g, 3, s32) == mg.identity_element(s32)
         assert mg.power(g, 1, s32) != mg.identity_element(s32)
         assert mg.power(g, 2, s32) != mg.identity_element(s32)
+
+
+def test_power_refuses_a_negative_exponent(s32):
+    # the package keeps no group inverse: only the benchmark's tracer holds power
+    with pytest.raises(ValueError, match="^exponent must be nonnegative, got -1$"):
+        mg.power(E(2, QVector((1, 0, 0, 0))), -1, s32)
 
 
 def test_element_order_raises_typed_error_on_a_tampered_spec():
@@ -332,7 +350,7 @@ def test_conjugation_matches_multiplication(s32):
     for _ in range(10):
         g = mg.random_element(rng, s32, outside=True)
         u = mg.random_vector(rng, 4)
-        conj = mg.multiply(mg.multiply(mg.inverse(g, s32), E(0, u), s32), g, s32)
+        conj = mg.multiply(mg.multiply(mixed_inverse(g, s32), E(0, u), s32), g, s32)
         assert conj == E(0, u * conjugation_matrix(g, s32))
 
 
@@ -526,7 +544,7 @@ def test_build_automorphism_under_rational_conjugates_matches_the_krylov_oracle(
     q = QMatrix.of(data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
                                       min_size=n, max_size=n), label="Q"))
     assume(q.det() != 0)
-    spec = mg.build(p, m=q.inverse() * QMatrix.block_diag([companion(cyclotomic_prime(p))] * t) * q)
+    spec = mg.build(p, m=q.inverse() * block_diag([companion(cyclotomic_prime(p))] * t) * q)
     ka, kb = (data.draw(st.integers(1, p - 1), label=label) for label in ("k_alpha", "k_beta"))
     b, c = (QVector(data.draw(st.lists(entries, min_size=n, max_size=n), label=label))
             for label in ("b", "c"))
@@ -613,7 +631,7 @@ def _unit_triangular(rng: random.Random, n: int, upper: bool) -> QMatrix:
 def _verdict_spec(p: int, t: int, conjugated: bool) -> mg.MixedGroupSpec:
     """The block companion spec, or its conjugate by a product of two random
     unit triangular rational matrices."""
-    m = QMatrix.block_diag([companion(cyclotomic_prime(p))] * t)
+    m = block_diag([companion(cyclotomic_prime(p))] * t)
     if conjugated:
         rng = random.Random(p * 10 + t)
         q = _unit_triangular(rng, m.n, True) * _unit_triangular(rng, m.n, False)
