@@ -7,6 +7,17 @@ the product; pass --json for machine-readable output. Every command is
 deterministic given --seed (default 0), and the exit code is 0 exactly when
 all requested verifications passed. The parser is built once per process
 and shared by every ``main`` call.
+
+JSON files come in through one text intake, ``_load_json``. The bulk arrays
+of each input, a group's ``table``, a cocycle's ``base.table``, ``action``
+and ``values`` and a ``--matrix`` document, are found in the file's text
+and read by ``exact_linear._text_table`` in whole-array passes, and the rest
+of the document by ``json.loads``; each array goes into its constructor's
+intake as an array. Anything outside the strict form of an array (an
+escape, a float, a leading zero, a number of 19 digits) or of the document
+(non-ASCII text, a key that is repeated or nested elsewhere, bad JSON) sends
+the whole file through ``json.load`` instead, so every outcome, message and
+exit code is that of ``json.load`` and the constructors.
 """
 
 from __future__ import annotations
@@ -15,16 +26,92 @@ import argparse
 import functools
 import json
 import random
+import re
 import sys
 from typing import Callable, Iterable
 
-from . import auto_orbits, catalog, classify, cocycle_split, group_core, mixed_group
+from . import auto_orbits, catalog, classify, cocycle_split, exact_linear, group_core, mixed_group
 from .exact_linear import QMatrix
 
 
-def _load_json(path: str):
-    """The JSON document in the file at path; one nested past the decoder's
-    recursion depth is an input error (ValueError), not a RecursionError."""
+#: JSON whitespace, a key's colon, and a run of closing brackets, by depth.
+_SPACE = re.compile(rb"[ \t\n\r]*")
+_COLON = re.compile(rb"[ \t\n\r]*:[ \t\n\r]*")
+_CLOSE = {depth: re.compile(rb"\]" + rb"[ \t\n\r]*\]" * (depth - 1)) for depth in (2, 3)}
+
+#: The float literal that stands in for a bulk array while the rest of its
+#: document is parsed, followed by the array's index; a document that holds
+#: it anywhere else is read by ``json.load``.
+_MARK = b"0E-999"
+
+#: The bulk arrays of each JSON input, by their path of keys: the depth,
+#: whether the entries are rationals, and the cap on the side of a square.
+_GROUP_ARRAYS = {("table",): (2, False, group_core.MAX_ORDER)}
+_COCYCLE_ARRAYS = {("base", "table"): (2, False, group_core.MAX_ORDER),
+                   ("action",): (3, True, None), ("values",): (3, True, None)}
+_MATRIX_ARRAYS = {(): (2, True, mixed_group.MAX_DIM)}
+
+
+def _read_arrays(raw: bytes, arrays: dict):
+    """The JSON document raw with each of its bulk arrays read from the text
+    by ``exact_linear._text_table``; None when anything is off, a document
+    that ``json.load`` reads differently included.
+
+    An array runs from the "[" after the first occurrence of its path's last
+    key (the document's first "[" for the empty path) to the first run of as
+    many "]" as its depth. The rest of the document is parsed by
+    ``json.loads`` with each array replaced by a ``_MARK`` literal, whose
+    value must then be the one at the array's path: so a key inside a
+    string, nested elsewhere or repeated is not taken for it."""
+    spans = []
+    for path, spec in arrays.items():
+        if path:
+            at = raw.find(b'"%s"' % path[-1].encode())
+            colon = _COLON.match(raw, at + len(path[-1]) + 2) if at >= 0 else None
+            start = colon.end() if colon else -1
+        else:
+            start = _SPACE.match(raw).end()
+        close = _CLOSE[spec[0]].search(raw, start) if raw[start:start + 1] == b"[" else None
+        if not close:
+            return None
+        spans.append((start, close.end(), ("doc", *path), spec))
+    spans.sort()
+    marks, rest, end = {}, [], 0
+    for k, (start, stop, _, _) in enumerate(spans):
+        if start < end:
+            return None
+        rest += [raw[end:start], _MARK + b"%d" % k]
+        marks[rest[-1].decode()] = object()
+        end = stop
+    rest.append(raw[end:])
+    if any(_MARK in piece or not piece.isascii() for piece in rest[::2]):
+        return None
+    try:
+        root = {"doc": json.loads(b"".join(rest), parse_float=lambda s: marks.get(s) or float(s))}
+    except (ValueError, RecursionError):
+        return None
+    for (start, stop, path, spec), mark in zip(spans, marks.values()):
+        holder = root
+        for key in path[:-1]:
+            holder = holder.get(key) if type(holder) is dict else None
+        if type(holder) is not dict or holder.get(path[-1]) is not mark:
+            return None
+        holder[path[-1]] = exact_linear._text_table(raw, start, stop, *spec)
+        if holder[path[-1]] is None:
+            return None
+    return root["doc"]
+
+
+def _load_json(path: str, arrays: dict):
+    """The JSON document in the file at path. Its bulk arrays, at the key
+    paths of ``arrays``, come in by ``_read_arrays`` from the file's text,
+    and the document as a whole by ``json.load`` when that fails; one
+    nested past the decoder's recursion depth is an input error
+    (ValueError), not a RecursionError."""
+    with open(path, "rb") as fh:
+        doc = _read_arrays(fh.read(), arrays)
+    if doc is not None:
+        return doc
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -35,7 +122,7 @@ def _load_json(path: str):
 def _resolve_group(ref: str) -> group_core.GroupTable:
     if ref.startswith("catalog:"):
         return catalog.get(ref[len("catalog:"):])
-    return group_core.GroupTable.from_json(_load_json(ref))
+    return group_core.GroupTable.from_json(_load_json(ref, _GROUP_ARRAYS))
 
 
 def _emit(payload: dict, as_json: bool, lines: Callable[[], Iterable[str]]) -> None:
@@ -88,7 +175,7 @@ def cmd_classify(args) -> int:
 def _mixed_spec(args) -> mixed_group.MixedGroupSpec:
     m = None
     if getattr(args, "matrix", None):
-        data = _load_json(args.matrix)
+        data = _load_json(args.matrix, _MATRIX_ARRAYS)
         if isinstance(data, list) and len(data) > mixed_group.MAX_DIM:  # before any entry is parsed
             raise ValueError(f"matrix size {len(data)} must be at most {mixed_group.MAX_DIM}")
         m = QMatrix.from_json(data)
@@ -140,7 +227,7 @@ def cmd_mixed(args) -> int:
 def cmd_cocycle(args) -> int:
     # building the Cocycle verifies it: verify reports a failure, the other
     # commands let the CocycleError reach main as an input error
-    data = _load_json(args.path)
+    data = _load_json(args.path, _COCYCLE_ARRAYS)
     try:
         c, witness = cocycle_split.Cocycle.from_json(data), None
     except cocycle_split.CocycleError as exc:

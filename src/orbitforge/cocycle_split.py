@@ -35,9 +35,12 @@ entry, partial sum and residue of the cocycle check is at most
 max(m, v * (3E + d * m)); the trivialization relation adds up |B| values,
 so its bound is |B| times that. Past 2^63 the same expressions run on
 arrays of Python ints (dtype object), so every result is exact. A JSON
-document is read by ``exact_linear._rational_table``, whose int64 table the
-constructor takes as it is, with no pass through Python lists; only
-entries or products past 2^63 make Python ints.
+document's action and value table come through
+``exact_linear._rational_table`` as int64 tables, which the constructor
+takes as they are, with no pass through Python lists: read straight from
+the file's text by the CLI's text intake (``exact_linear._text_table``), or
+from parsed JSON by ``exact_linear._rationals``. Only entries or products
+past 2^63 make Python ints.
 """
 
 from __future__ import annotations

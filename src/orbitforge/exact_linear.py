@@ -34,7 +34,12 @@ cocycle's action and values) by its bulk parser ``_rationals``, which also
 reads a vector. That rule admits a ``"num/den"`` or integer string, an
 integer that is not a bool and a ``Fraction``, and reads a whole flat list
 at once into one integer array over one denominator; a float is refused,
-never read as its binary value.
+never read as its binary value. The bulk arrays of a JSON file come from
+its text instead, read by ``_text_table`` in whole-array passes over blocks
+of the text into an int64 array, or a ``_Ratios`` over one denominator,
+which the intakes take as they are. ``_rationals`` writes its entries as
+such a text, so both readers of rationals share one entry check,
+``_rational_words``.
 """
 
 from __future__ import annotations
@@ -66,15 +71,11 @@ def _format_row(nums: Iterable[int], d: int) -> list[str]:
 #: a longer one is shown by its first 12 characters and its length.
 _QUOTED_MAX = 64
 
-#: A line start not followed by a whole line that is a JSON rational, with
-#: ``{digits}`` the digits of each number: an optional ASCII sign and ASCII
-#: digits, then optionally "/" and ASCII digits that are not all zero. The
-#: negative lookahead keeps a search's memory O(1) whatever the text's length.
-_NOT_RATIONAL = r"^(?![+-]?{digits}(?:/(?=0*[1-9]){digits})?$)"
-_NOT_LINE = re.compile(_NOT_RATIONAL.format(digits="[0-9]+"), re.M)
-#: ... or that has a number over 18 digits, which int64 may not hold
-_NOT_SHORT_LINE = re.compile(_NOT_RATIONAL.format(digits="[0-9]{1,18}"), re.M)
-_BARE_LINE = re.compile(r"^[+-]?[0-9]+$", re.M)
+#: A line start not followed by a whole line that is a JSON rational: an
+#: optional ASCII sign and ASCII digits, then optionally "/" and ASCII
+#: digits that are not all zero. The negative lookahead keeps a search's
+#: memory O(1) whatever the text's length.
+_NOT_LINE = re.compile(r"^(?![+-]?[0-9]+(?:/(?=0*[1-9])[0-9]+)?$)", re.M)
 
 
 def _shown(e) -> str:
@@ -98,26 +99,26 @@ def _invalid(e) -> ValueError:
 def _line(e) -> str:
     """Entry e as one line of text: a str with its newlines made spaces (so
     it stays one line, and an invalid one), a Fraction as "num/den", an
-    integer (not a bool) in decimal, anything else as a line that is not a
+    integer (not a bool) as "num/1", anything else as a line that is not a
     rational, and a number past ``sys.get_int_max_str_digits()`` (which str()
     does not write) as a line one digit longer, which ``_first_error`` names."""
     if isinstance(e, str):
         return e.replace("\n", " ")
     try:
-        return f"{e.numerator}/{e.denominator}" if isinstance(e, Fraction) else str(exact_int(e))
+        return f"{e.numerator}/{e.denominator}" if isinstance(e, Fraction) else f"{exact_int(e)}/1"
     except TypeError:
         return "?"
     except ValueError:  # past sys.get_int_max_str_digits()
         return "0" * (sys.get_int_max_str_digits() + 1)
 
 
-def _first_error(entries: list, text: str, start: int) -> ValueError | None:
-    """The error of the first entry, on a line of text at or after start,
-    that is not a rational or has a number longer than
-    ``sys.get_int_max_str_digits()``; None when there is none."""
+def _first_error(entries: list, text: str) -> ValueError | None:
+    """The error of the first entry, each one line of text, that is not a
+    rational or has a number longer than ``sys.get_int_max_str_digits()``;
+    None when there is none."""
     limit = sys.get_int_max_str_digits()
-    bad = _NOT_LINE.search(text, start)
-    long = re.compile(f"[0-9]{{{limit + 1}}}").search(text, start, bad.start() if bad else len(text)) \
+    bad = _NOT_LINE.search(text)
+    long = re.compile(f"[0-9]{{{limit + 1}}}").search(text, 0, bad.start() if bad else len(text)) \
         if limit else None
     if long:  # a valid line before the first bad one, with a number int() does not read
         s = entries[text.count("\n", 0, long.start())]
@@ -127,19 +128,30 @@ def _first_error(entries: list, text: str, start: int) -> ValueError | None:
     return bad and _invalid(entries[text.count("\n", 0, bad.start())])
 
 
+def _over_lcm(nums: np.ndarray, dens: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """(A, D), A / D = nums / dens with D the lcm of dens, when every |A[i]|
+    stays below 2^63; None past that. dens is overwritten."""
+    ordered = np.sort(dens)  # its distinct values come faster so than by np.unique
+    d = math.lcm(int(ordered[0]), *ordered[1:][ordered[1:] != ordered[:-1]].tolist())
+    if d * max(int(nums.max()), -int(nums.min()), 1) >= 2**63:
+        return None
+    return nums * np.floor_divide(d, dens, out=dens), d
+
+
 def _rationals(entries: list) -> tuple[np.ndarray, int]:
     """(A, D) for a flat list of rationals, each "num/den", a bare integer
     string, an integer (an int or a numpy integer, not a bool) or a
     Fraction: A / D their values, A one integer per entry over D, the lcm of
     their denominators. A is int64 when every |A[i]| is below 2^63, and
     holds Python ints (dtype object) past that. entries is emptied once
-    checked, before the numbers are converted, which frees its strings early.
+    read, which frees its strings early.
 
-    The entries are read as one text, a line each, in whole-text passes. One
-    search of ``_NOT_SHORT_LINE`` checks them all. When it finds no line,
-    ``np.fromstring`` converts every number; otherwise ``_first_error`` looks
-    for a bad entry, and if there is none the numbers, some over 18 digits,
-    are converted by int(). Any other entry, a float, a bool, a str with a
+    The entries are written as one JSON array of strings, ints and Fractions
+    as "num/den", and read by ``_text_table``, whose entry check also reads
+    the rationals of a JSON file's text. When that fails, ``_first_error``
+    looks for a bad entry, each one line, and if there is none (a bare integer
+    string, a number over 18 digits or a value past 2^63) the numbers are
+    converted by int(). Any other entry, a float, a bool, a str with a
     space, an underscore, an exponent, a decimal point, a non-ASCII digit or
     a zero or signed denominator included, and a number longer than
     ``sys.get_int_max_str_digits()``, raises a ValueError that names the
@@ -148,29 +160,21 @@ def _rationals(entries: list) -> tuple[np.ndarray, int]:
     if not n:
         return np.zeros(0, np.int64), 1
     try:
-        text = "\n".join(entries)
+        text = '["' + '","'.join(entries) + '"]'
     except TypeError:  # an entry that is not a str
-        text = None
-    if text is None or text.count("\n") >= n:  # or one that holds a newline
-        text = "\n".join(map(_line, entries))
-    long = _NOT_SHORT_LINE.search(text)
-    if long and (error := _first_error(entries, text, long.start())):
+        text = '["' + '","'.join(map(_line, entries)) + '"]'
+    text = text.encode("ascii", "replace")
+    read = _text_table(text, 0, len(text), 1, True, None)
+    if read is not None and len(read) == n:
+        entries.clear()
+        return read.nums, read.den
+    text = "\n".join(map(_line, entries))
+    if error := _first_error(entries, text):
         raise error
     entries.clear()
-    if text.count("/") != n:
-        text = _BARE_LINE.sub(r"\g<0>/1", text)
-    text = text.replace("/", " ")
-    if long is None:
-        pairs = np.fromstring(text, dtype=np.int64, sep=" ")
-        nums, dens = pairs[0::2], pairs[1::2]
-        d = math.lcm(*set(dens.tolist()))
-        if d * int(np.abs(nums).max(initial=1)) < 2**63:
-            return nums * (d // dens), d
-        nums, dens = nums.tolist(), dens.tolist()
-    else:
-        pairs = list(map(int, text.split()))
-        nums, dens = pairs[0::2], pairs[1::2]
-        d = math.lcm(*set(dens))
+    nums, _, dens = zip(*(line.partition("/") for line in text.split("\n")))
+    nums, dens = list(map(int, nums)), [int(x) if x else 1 for x in dens]
+    d = math.lcm(*set(dens))
     flat = [x * (d // y) for x, y in zip(nums, dens)]
     return np.array(flat, _dtype(max(map(abs, flat)))), d
 
@@ -228,16 +232,183 @@ def _int_table(data, shape: tuple[int, ...], what: str) -> np.ndarray:
         return np.array([list(map(int, r)) for r in rows], object).reshape(shape)
 
 
+@dataclass(frozen=True, slots=True)
+class _Ratios:
+    """A rational table read from a JSON file's text by ``_text_table``:
+    nums / den, in the form ``_rational_table`` returns; its length is that
+    of nums, so it is sized like the rows it stands for."""
+
+    nums: np.ndarray
+    den: int
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+
 def _rational_table(data, shape: tuple[int, ...], message: str) -> tuple[np.ndarray, int]:
     """The one intake of a rational table (a matrix, a cocycle's action and
     values): (A, D), with A of the given shape and A / D the entries of data.
-    data must pass the shape walker ``_rows``, or ValueError(message) is
-    raised before any entry is read; its entries are read by ``_rationals``."""
+    A ``_Ratios`` of that shape is returned as it is; any other data must pass
+    the shape walker ``_rows``, or ValueError(message) is raised before any
+    entry is read, and its entries are read by ``_rationals``."""
+    if type(data) is _Ratios:
+        if data.nums.shape != shape:
+            raise ValueError(message)
+        return data.nums, data.den
     rows = _rows(data, shape)
     if rows is None:
         raise ValueError(message)
     nums, d = _rationals(list(chain.from_iterable(rows)))
     return nums.reshape(shape), d
+
+
+#: Bytes per block of ``_text_table``'s whole-array passes: their
+#: temporaries, a few times a block's size, stay small, and the text is
+#: never copied whole.
+_TEXT_BLOCK = 1 << 16
+
+
+def _blocks(text: bytes, start: int, stop: int, cut: bytes) -> list[tuple[int, int]]:
+    """The bounds (lo, hi) of blocks of about ``_TEXT_BLOCK`` bytes that
+    cover text[start:stop], which ends with "]": each block but the last
+    ends with a byte cut of the text, and the next begins with that byte."""
+    cuts = [start]
+    while (at := text.find(cut, cuts[-1] + _TEXT_BLOCK, stop - 1)) >= 0:
+        cuts.append(at)
+    cuts.append(stop - 1)
+    return [(lo, hi + 1) for lo, hi in zip(cuts, cuts[1:])]
+
+
+#: JSON whitespace, and the bytes of a number: ASCII digits and signs. The
+#: rest of an array's text is made spaces, ``_SPACED``, to separate its
+#: numbers for ``np.fromstring``.
+_SPACE, _NUMBER_BYTES = b" \t\n\r", b"0123456789+-"
+_SPACED = bytes(c if c in _NUMBER_BYTES else 32 for c in range(256))
+
+#: What the skeleton of an array's text leaves out: whitespace and digits,
+#: and signs in an array of rationals, whose whitespace goes in a second
+#: pass, so that whitespace inside quotes is seen.
+_NOT_SKELETON = (_SPACE + _NUMBER_BYTES[:10], _NUMBER_BYTES)
+
+
+def _skeleton(shape: tuple[int, ...], entry: bytes) -> bytes:
+    """The skeleton of a rectangular array of the given shape: its JSON text
+    with no whitespace and every entry written as ``entry``."""
+    for size in reversed(shape):
+        entry = b"[" + (entry + b",") * (size - 1) + entry + b"]"
+    return entry
+
+
+def _shape(skeleton: bytes, depth: int, unit: int) -> tuple[int, ...] | None:
+    """The shape whose ``_skeleton``, at the given depth and with entries
+    of unit bytes, this would be, read from the first node at each depth
+    (the innermost first: the one at k levels above it ends at the first
+    k + 1 "]" in a row); None when a count is not a positive whole number."""
+    shape, size = [], unit
+    for level in range(depth):
+        begin = depth - 1 - level
+        end = skeleton.find(b"]" * (level + 1), begin) + level + 1 if begin else len(skeleton)
+        count, rest = divmod(end - begin - 1, size + 1)
+        if rest or count < 1:
+            return None
+        shape.insert(0, count)
+        size = end - begin
+    return tuple(shape)
+
+
+def _int_words(part: bytes, size: int) -> np.ndarray | None:
+    """The entry check of an array of integers. part is a block of
+    ``_blocks`` from such an array whose skeleton is right; when every
+    innermost row holds exactly ``size`` runs of digits, none with a leading
+    zero, and no run lies outside a row, the result is part from its first
+    row on, as a uint8 array, with its brackets made spaces, so that its
+    slots are read as one comma-separated row; None otherwise. Then each
+    slot holds one run when ``np.fromstring`` reads the result with ","
+    between numbers, as it fails on two runs in a slot."""
+    b = np.frombuffer(part, np.uint8)
+    digit = (b >= 48) & (b <= 57)
+    begins = digit.copy()
+    begins[1:] &= ~digit[:-1]  # where a run of digits begins
+    at = (b > 90).nonzero()[0]  # the brackets
+    inner = (b[at[:-1]] == 91) & (b[at[1:]] == 93)
+    opens = at[:-1][inner]
+    bounds = np.zeros(2 * len(opens) + 1, np.intp)  # 0, then each row's "[" and "]"
+    bounds[1::2], bounds[2::2] = opens, at[1:][inner]
+    runs = np.add.reduceat(begins, bounds, dtype=np.intp)  # before the first row, in it, after it, ...
+    if (runs[0::2] != 0).any() or (runs[1::2] != size).any() or (begins[:-1] & (b[:-1] == 48) & digit[1:]).any():
+        return None
+    words = b.copy()
+    words[at] = 32
+    return words[opens[0]:] if len(opens) else words[:0]
+
+
+def _rational_words(part: bytes) -> bytes | None:
+    """The one entry check of both rational intakes. part is a block of
+    ``_blocks`` from an array of quoted rationals whose skeleton is right
+    and whose quotes hold no whitespace, so each entry's quotes hold one "/"
+    and else only digits and signs. When each entry is an optional sign, 1
+    to 18 digits, "/" and 1 to 18 digits, and no digit or sign lies outside
+    the quotes, the result is part with every byte but digits and signs
+    made a space (numerator, denominator, numerator, ...); None otherwise.
+    The positions of quotes and slashes give the length of each number,
+    and counts of digits and signs show that there are no others."""
+    b = np.frombuffer(part, np.uint8)
+    quotes, slashes = (b == 34).nonzero()[0], (b == 47).nonzero()[0]
+    opens, closes = quotes[0::2], quotes[1::2]
+    first = b[opens + 1]
+    signed = (first == 43) | (first == 45)
+    num, den = slashes - opens - 1 - signed, closes - slashes - 1
+    if min(num.min(initial=1), den.min(initial=1)) < 1 or max(num.max(initial=1), den.max(initial=1)) > 18 \
+            or np.count_nonzero((b >= 48) & (b <= 57)) != num.sum() + den.sum() \
+            or part.count(b"+") + part.count(b"-") != np.count_nonzero(signed):
+        return None
+    return part.translate(_SPACED)
+
+
+def _text_table(text: bytes, start: int, stop: int, depth: int, rational: bool,
+                side: int | None) -> np.ndarray | _Ratios | None:
+    """The JSON array text[start:stop], when it is strictly a rectangular
+    array of the given depth, square with a side of at most ``side`` unless
+    that is None: of non-negative ints with no leading zero, as one int64
+    array, or of quoted "num/den" with no whitespace inside the quotes and
+    a nonzero denominator, as ``_Ratios`` over the lcm of the denominators;
+    each number of at most 18 digits. None for any other text, and for
+    rationals whose integer form passes 2^63.
+
+    Whole-array passes over the ``_blocks``: first the skeleton of the whole
+    array is compared with that of the shape it implies, before any entry is
+    read; then each block's entries are checked, by ``_int_words`` or by
+    ``_rational_words``, the entry check of ``_rationals``, and converted by
+    ``np.fromstring``, which this function alone calls."""
+    blocks = _blocks(text, start, stop, b"," if rational else b"]")  # rows of ints stay whole
+    entry = b'"/"' if rational else b""
+    # the text without numbers, and then without whitespace, the skeleton
+    bare = b"".join(text[lo + (lo > start):hi].translate(None, _NOT_SKELETON[rational]) for lo, hi in blocks)
+    skeleton = bare.translate(None, _SPACE) if rational else bare
+    shape = _shape(skeleton, depth, len(entry))
+    if shape is None or side is not None and (len(set(shape)) > 1 or shape[0] > side) \
+            or skeleton != _skeleton(shape, entry) or rational and bare.count(entry) != math.prod(shape):
+        return None  # the last: whitespace inside quotes
+    del bare, skeleton
+    n, size = math.prod(shape), shape[-1]
+    out, pos = np.empty((1 + rational, n), np.int64), 0
+    try:  # a block past n entries fails the assignment
+        for lo, hi in blocks:
+            part = text[lo:hi]
+            words = _rational_words(part) if rational else _int_words(part, size)
+            if words is None:
+                return None
+            read = np.fromstring(words, np.int64, sep=" " if rational else ",").reshape(-1, 1 + rational).T
+            out[:, pos:pos + read.shape[1]] = read
+            pos += read.shape[1]
+    except ValueError:  # np.fromstring's, on two runs in a slot
+        return None
+    if pos != n:
+        return None
+    if not rational:
+        return out[0].reshape(shape) if out.max() < 10**18 else None
+    read = _over_lcm(*out) if out[1].all() else None
+    return read and _Ratios(read[0].reshape(shape), read[1])
 
 
 def _dtype(bound: int) -> type:
@@ -386,7 +557,7 @@ class QMatrix:
     def __init__(self, rows: Sequence[Sequence]) -> None:
         """The matrix of n lists (or tuples, or arrays) of n rationals, read
         by ``_rational_table``."""
-        n = len(rows) if type(rows) in _CONTAINERS else 1  # a scalar is held to the shape [[x]]
+        n = len(rows) if type(rows) in _CONTAINERS or type(rows) is _Ratios else 1  # a scalar: [[x]]
         nums, d = _rational_table(rows, (n, n), f"matrix must be {n} lists of {n} rationals")
         _matrix(nums.tolist(), d, self)
 

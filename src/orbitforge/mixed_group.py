@@ -170,8 +170,12 @@ def build(p: int, t: int | None = None, m: QMatrix | None = None) -> MixedGroupS
             raise SpecValidationError("either t or an explicit action matrix is required")
         _check_params(p, t)
         n, d = t * (p - 1), p - 1
-        m = _matrix([[(j == r - 1 and r % d > 0) - (j == last) for j in range(n)]
-                     for r in range(n) for last in (r - r % d + d - 1,)], 1)
+        rows = [[0] * n for _ in range(n)]
+        for r, row in enumerate(rows):
+            if r % d:
+                row[r - 1] = 1
+            row[r - r % d + d - 1] = -1
+        m = _matrix(rows, 1)
     if t is None:
         _check_params(p, 1)
         if m.n == 0 or m.n % (p - 1) != 0:

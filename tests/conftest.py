@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import json
 import math
 import pathlib
 import random
@@ -568,6 +569,19 @@ def num_den(s: str | int) -> tuple[int, int]:
     else:
         shown = f"a {type(s).__name__} whose repr has {len(text)} characters ({text[:12]}...)"
     raise ValueError(f"invalid rational {shown}: expected \"num/den\", an integer string or an int")
+
+
+def json_load_oracle(path: str, arrays):
+    """The CLI's reader before its text intake: ``json.load`` of the whole
+    document, which builds one Python object per entry for the constructors
+    to read, and over-deep nesting as an input error. With it swapped in for
+    ``cli._load_json``, a command's stdout, stderr and exit code are those
+    of the tree intake alone."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
 
 
 #: Entries rejected with the generic "invalid rational" message.

@@ -19,14 +19,17 @@ Every private module-level function and class must likewise be read by
 ``src/`` code outside its own body, and outside a ``HELD`` function, so a
 helper that its callers no longer reach is found too.
 
-A method read is still class-blind: any ``x.to_json()`` counts as a call
-of every ``to_json``. So ``Cocycle.to_json``, which only the benchmark
-calls, and ``GroupTable.to_json``, which only ``Cocycle.to_json`` calls,
-pass without being held.
+A method read is class-blind, as the class of ``x`` in ``x.to_json()`` is
+not known from the source, except for a held method: only a read on its own
+class (``Cocycle.to_json``, ``cs.Cocycle.to_json``) calls it. So
+``Cocycle.to_json``, which only the benchmark calls, and
+``GroupTable.to_json``, which only ``Cocycle.to_json`` calls, are listed in
+``HELD``, though ``src/`` reads ``.to_json()`` on other classes.
 
 Every rational enters ``src/`` through one reader: ``Fraction``'s parts are
 read only where ``exact_linear._line`` writes an entry as text, numpy's text
-parser is called only by ``exact_linear._rationals``, and no ``Fraction``
+parser is called only by ``exact_linear._text_table``, the reader of JSON
+array text that ``exact_linear._rationals`` also calls, and no ``Fraction``
 is built from one non-literal argument, which it would parse by its own,
 looser rule (a float, "1e1", " 1/2 ")."""
 
@@ -42,12 +45,14 @@ SRC = ROOT / "src" / "orbitforge"
 #: Public names with no caller in src/, each with the perfbench file that uses it.
 HELD = {
     "auto_orbits.automorphism_group": "tracing.py",
+    "cocycle_split.Cocycle.to_json": "inputs.py",
     "cocycle_split.coboundary": "inputs.py",
     "cocycle_split.extension_multiply": "tracing.py",
     "exact_linear.minimal_polynomial": "tracing.py",
     "group_core.GroupTable.conjugate": "tracing.py",
     "group_core.GroupTable.inv": "tracing.py",
     "group_core.GroupTable.mul": "tracing.py",
+    "group_core.GroupTable.to_json": "inputs.py",
     "group_core.GroupTable.table": "inputs.py",
     "group_core.derived_subgroup": "tracing.py",
     "group_core.direct_product": "workloads.py",
@@ -145,17 +150,26 @@ def _uncalled(sources: dict[str, str]) -> set[str]:
     module-level function and class, and every public method of a public
     class, that no module of ``sources`` calls outside a ``HELD`` function."""
     trees = _trees(sources)
+    classes = {node.name for tree in trees.values() for node in tree.body if isinstance(node, ast.ClassDef)}
     methods, read = set(), set()
     for tree in trees.values():
         modules = _modules(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
-                on_module = isinstance(node.value, ast.Name) and node.value.id in modules
+                owner = getattr(node.value, "id", getattr(node.value, "attr", None))
+                on_module = isinstance(node.value, ast.Name) and owner in modules
                 (read if on_module else methods).add(node.attr)
+                if owner in classes:
+                    methods.add(f"{owner}.{node.attr}")
         read |= _names_read(tree)
+
+    def called(name: str, node: ast.AST) -> bool:
+        if name.count(".") < 2:
+            return node.name in read
+        return (name.split(".", 1)[1] if name in HELD else node.name) in methods
+
     return {name for module, tree in trees.items() for name, node in _defs(module, tree)
-            if not any(part.startswith("_") for part in name.split(".")[1:])
-            and node.name not in (methods if name.count(".") == 2 else read)}
+            if not any(part.startswith("_") for part in name.split(".")[1:]) and not called(name, node)}
 
 
 def _unread_private(sources: dict[str, str]) -> set[str]:
@@ -178,13 +192,13 @@ def _unread_private(sources: dict[str, str]) -> set[str]:
 #: The one function that may read each attribute behind a rational entry:
 #: a Fraction's two parts, and numpy's text parser.
 _READERS = {"numerator": "exact_linear._line", "denominator": "exact_linear._line",
-            "fromstring": "exact_linear._rationals"}
+            "fromstring": "exact_linear._text_table"}
 
 
 def _rational_reads(sources: dict[str, str]) -> set[str]:
     """The "module.Class.function" (or "module" for module-level code) of
     every place in sources that reads a rational outside the one entry rule
-    of ``exact_linear._rationals``: an attribute of ``_READERS`` anywhere but
+    of ``exact_linear._text_table``: an attribute of ``_READERS`` anywhere but
     in its function there, or a ``Fraction`` call with other than two
     arguments or one literal, which would parse its argument itself."""
     found = set()
@@ -248,6 +262,12 @@ def test_a_name_that_only_tests_call_is_found():
     assert _uncalled(sources) - set(HELD) == {"exact_linear.only_held"}
     sources["cli"] += "\n\ndef _not_held():\n    return only_held()\n"
     assert _uncalled(sources) - set(HELD) == set()
+    # a held method is not called by a read of its name on another class's
+    # object, only by one on its own class
+    sources["cli"] += "\n\ndef _other(part):\n    return part.to_json()\n"
+    assert "cocycle_split.Cocycle.to_json" in _uncalled(sources)
+    sources["cli"] += "\n\ndef _own(c):\n    return cocycle_split.Cocycle.to_json(c)\n"
+    assert "cocycle_split.Cocycle.to_json" not in _uncalled(sources)
     # a private helper is found when only its own body reads it, or only a
     # held function, and is read once code outside both reads it
     unread = _unread_private(sources)  # the private functions added above
