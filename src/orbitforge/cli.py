@@ -342,8 +342,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (classify.TheoremContradictionError,
-            cocycle_split.TrivializationError) as exc:
+    except classify.TheoremContradictionError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
 

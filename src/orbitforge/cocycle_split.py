@@ -24,18 +24,17 @@ common denominator D, in lowest terms (``exact_linear._lowest_terms``, as
 an action is), as the array V of shape (|B|, |B|, d) with V[x, y] = D * c(x, y).
 Its action brings the one integer form of ``FiniteAction``: the E * M_z,
 of shape (|B|, d, d), over the least common denominator E, which the
-cocycle casts to its own dtype. Every identity is checked multiplied through
-by D and E; the cocycle identity and the trivialization relation by
-``group_core._first_failure``, the Light test that also proves tables and
-actions, which names the first failure of the first failing generator, in
-blocks of 256 rows. The arrays are int64 only where
-every intermediate of a check is proved to stay below 2^63 in absolute
-value. With |V| <= v and |E * M| <= m (so E <= m, as M_1 = I), every
-entry, partial sum and residue of the cocycle check is at most
-max(m, v * (3E + d * m)); the trivialization relation adds up |B| values,
-so its bound is |B| times that. Past 2^63 the same expressions run on
-arrays of Python ints (dtype object), so every result is exact. A JSON
-document's action and value table come through
+cocycle casts to its own dtype. The cocycle identity is checked multiplied
+through by D and E, by ``group_core._first_failure``, the Light test that
+also proves tables and actions, which names the first failure of the first
+failing generator, in blocks of 256 rows. The trivialization is derived
+from that identity, not checked again. The arrays are int64 only where every intermediate of a computation is proved
+to stay below 2^63 in absolute value. With |V| <= v and |E * M| <= m (so
+E <= m, as M_1 = I), every entry, partial sum and residue of the cocycle
+check is at most max(m, v * (3E + d * m)); every partial sum of the
+trivialization's column sums is at most |B| * v. Past 2^63 the same
+expressions run on arrays of Python ints (dtype object), so every result
+is exact. A JSON document's action and value table come through
 ``exact_linear._rational_table`` as int64 tables, which the constructor
 takes as they are, with no pass through Python lists: read straight from
 the file's text by the CLI's text intake (``exact_linear._text_table``), or
@@ -46,7 +45,7 @@ past 2^63 make Python ints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -61,11 +60,6 @@ class CocycleError(ValueError):
     def __init__(self, witness: tuple[int, int, int]):
         self.witness = witness
         super().__init__(f"cocycle identity fails at triple {witness}")
-
-
-class TrivializationError(RuntimeError):
-    """The averaged 1-cochain does not trivialize a verified cocycle. This
-    cannot happen over Q^n; seeing it means a bug, not a property of input."""
 
 
 def _check_action(base: GroupTable, action: FiniteAction) -> None:
@@ -96,8 +90,6 @@ class Cocycle:
     action: FiniteAction
     values: np.ndarray
     den: int = 1
-    #: the bound of the module docstring on every intermediate of verify_cocycle
-    _bound: int = field(init=False)
 
     def __post_init__(self):
         base, action = self.base, self.action
@@ -111,7 +103,7 @@ class Cocycle:
         bound = max(max_em, max(abs(int(v.max())), abs(int(v.min()))) * (3 * action.den + shape[2] * max_em))
         v = v.astype(_dtype(bound))  # a copy: the caller's array is never held
         v.flags.writeable = False
-        for name, value in (("values", v), ("den", den), ("_bound", bound)):
+        for name, value in (("values", v), ("den", den)):
             object.__setattr__(self, name, value)
         if (v[0] != 0).any() or (v[:, 0] != 0).any():
             raise ValueError("cocycle must be normalized: c(1, y) = c(x, 1) = 0")
@@ -207,57 +199,34 @@ def extension_multiply(e1: ExtensionElement, e2: ExtensionElement, c: Cocycle) -
 
 
 def trivialize(c: Cocycle) -> tuple[QVector, ...]:
-    """The averaging 1-cochain e with c(y, z) = e(yz) - e(y) * M_z - e(z).
+    """The averaging 1-cochain e(y) = -(1/|B|) * sum_x c(x, y), which
+    satisfies c(y, z) = e(yz) - e(y) * M_z - e(z) at every pair.
 
-    Summing the cocycle identity over the first argument gives
-    d(z) + d(y) * M_z = d(yz) + |B| * c(y, z) for d(y) = sum_x c(x, y), and
-    dividing by -|B| (exact and unique over Q^n) yields e. The relation is
-    re-verified before returning; failure would be a bug. It says exactly
-    that s_y s_z = s_yz in the extension for s_y = (y, e(y)), and the z for
-    which that holds at every y are closed under products (the extension is
-    associative): s_y s_(zw) = (s_y s_z) s_w = s_(yzw). They include the
-    identity (e(1) = 0, as c is normalized), so checking z in
-    ``base.generators`` proves the relation for every pair.
+    Summing the cocycle identity, which ``Cocycle`` proved when it was
+    built, over its first argument gives d(z) + d(y) * M_z = d(yz) +
+    |B| * c(y, z) for d(y) = sum_x c(x, y), and dividing by -|B| (exact and
+    unique over Q^n) yields that relation for e; so nothing is checked here.
 
-    On integers, e(y) = -s(y) / (|B| * D) for s(y) = sum_x D * c(x, y), and
-    the relation times |B| * D * E is
-    E * (|B| * D * c(y, z) + s(yz) - s(z)) - s(y) * (E * M_z) == 0.
-    The sums cost O(|B|^2 * d); each generator z is then the Light test of
-    ``_first_failure``, with z in the middle: |B| products of a d-vector by
-    a d x d matrix, in passes of ``_relation_failures`` over blocks of y.
-    Past the int64 bound V is first copied to Python ints, a temporary of
-    O(|B|^2 * d) entries; the other temporaries are O(|B| * d). A failure
-    names the kernel's witness (x, middle) as the pair (y, z).
+    On integers e(y) = -s(y) / (|B| * D) for the column sum
+    s(y) = sum_x V[x, y], one O(|B|^2 * d) pass whose partial sums are at
+    most |B| * max|V|: int64 below 2^63, Python ints past it.
     """
-    nb = c.base.order
-    dtype = _dtype(nb * c._bound)  # the bound of the module docstring
-    v, em = c.values.astype(dtype, copy=False), c.action.matrices.astype(dtype, copy=False)
-    sums = v.sum(axis=0)
-    witness = _first_failure(c.base.generators, nb,
-                             lambda z, lo, hi: _relation_failures(c, v, em, sums, z, lo, hi))
-    if witness is not None:
-        raise TrivializationError(f"trivialization relation fails at pair {witness}")
+    nb, v = c.base.order, c.values
+    bound = nb * max(abs(int(v.max())), abs(int(v.min())))
+    sums = v.astype(_dtype(bound), copy=False).sum(axis=0)
     return tuple(QVector.from_ints([-x for x in s], nb * c.den) for s in sums.tolist())
-
-
-def _relation_failures(c: Cocycle, v: np.ndarray, em: np.ndarray, sums: np.ndarray,
-                       z: int, lo: int, hi: int) -> np.ndarray:
-    """The mask of the y in [lo, hi) at which the trivialization relation
-    times |B| * D * E fails at (y, z): where
-    E * (|B| * V[y, z] + s(yz) - s(z)) - s(y) (E M_z) is not zero."""
-    residue = c.action.den * (c.base.order * v[lo:hi, z] + sums[c.base.array[lo:hi, z]] - sums[z])
-    return (residue - np.matmul(sums[lo:hi], em[z]) != 0).any(axis=1)
 
 
 def complement(c: Cocycle) -> list[ExtensionElement]:
     """A verified complement H = {(x, e(x))} with s_y s_z = s_yz.
 
-    Every property of H is proved by :func:`trivialize` and the checks
-    behind it, so nothing is checked again here:
+    Every property of H follows from the identities that ``Cocycle`` and
+    ``FiniteAction`` proved when they were built, so nothing is checked
+    here:
 
     - Multiplicativity of x -> s_x = (x, e(x)) is, term for term, the
-      relation c(y, z) = e(yz) - e(y) * M_z - e(z) that ``trivialize``
-      proves for every pair (on generators, by Light's argument).
+      relation c(y, z) = e(yz) - e(y) * M_z - e(z) that :func:`trivialize`
+      derives for every pair from the cocycle identity.
     - H meets A trivially: e(1) = -(1/|B|) * sum_x c(x, 1) = 0, because
       ``Cocycle`` checks c(x, 1) = 0 when it is built.
     - Every extension element factors uniquely as (1, a) * s_x, because

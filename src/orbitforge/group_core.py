@@ -12,8 +12,8 @@ shape (|B|, n, n) over one denominator, one constructor, ``FiniteAction``,
 which reduces it over Q with ``exact_linear._lowest_terms``, the step of
 every exact form. One kernel, the Light test of ``_first_failure``, proves
 a table associative, an action a homomorphism and, in ``cocycle_split``,
-the cocycle identity and its trivialization; each names the first failure
-of its first failing generator.
+the cocycle identity; each names the first failure of its first failing
+generator.
 """
 
 from __future__ import annotations

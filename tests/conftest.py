@@ -649,6 +649,31 @@ def brute_force_cocycle(base, action, values) -> tuple[bool, tuple[int, int, int
     return witness is None, witness
 
 
+def trivialization_failures(c, e) -> tuple[int, int] | None:
+    """The first pair (y, z) at which the cochain e fails the trivialization
+    relation c(y, z) = e(yz) - e(y) * M_z - e(z), by the Light test
+    ``group_core._first_failure`` with z in the middle; None if it holds at
+    every pair. The relation says s_y s_z = s_yz in the extension for
+    s_y = (y, e(y)), and the z at which that holds for every y are closed
+    under products, as the extension of a cocycle is associative, so the
+    generators z decide it. This is the pass that ``trivialize`` ran before
+    it derived the relation from the cocycle identity.
+
+    On integers, with F the common denominator of e, the relation times
+    D * E * F is E * F * V[y, z] == D * (E * Fe(yz) - Fe(y) (E M_z) - E * Fe(z)),
+    checked on Python ints."""
+    f = math.lcm(*(v.den for v in e))
+    fe = np.array([[x * (f // v.den) for x in v.nums] for v in e], dtype=object)
+    v, em = c.values.astype(object), c.action.matrices.astype(object)
+    big_e, arr = c.action.den, c.base.array
+
+    def failures(z: int, lo: int, hi: int) -> np.ndarray:
+        rhs = c.den * (big_e * fe[arr[lo:hi, z]] - fe[lo:hi] @ em[z] - big_e * fe[z])
+        return (big_e * f * v[lo:hi, z] != rhs).any(axis=1)
+
+    return gc._first_failure(c.base.generators, c.base.order, failures)
+
+
 def non_homomorphic_pair(g, mats, mul, middles) -> tuple[int, int] | None:
     """The first (x, y), y in middles in order and then x, with
     mul(M_x, M_y) != M_xy; None if there is none. Over every y it is the

@@ -22,7 +22,7 @@ from conftest import (
     rational_action,
 )
 import orbitforge
-from orbitforge import auto_orbits, cli
+from orbitforge import auto_orbits, classify, cli
 from orbitforge import cocycle_split as cs
 from orbitforge import exact_linear as el
 from orbitforge import group_core as gc
@@ -97,15 +97,13 @@ def test_corrupted_cocycle_exits_1_with_witness(capsys, tmp_path):
     assert v[t[x][y]][z] + v[x][y] != v[x][t[y][z]] + v[y][z]
 
 
-def test_verification_failure_exits_1(capsys, tmp_path, monkeypatch):
-    def failing(c):
-        raise cs.TrivializationError("trivialization relation fails at pair (1, 1)")
-
-    monkeypatch.setattr(cs, "trivialize", failing)
-    path = _write(tmp_path, _cocycle_json())
-    code, out, err = _run(capsys, ["cocycle", "trivialize", path])
+def test_verification_failure_exits_1(capsys, monkeypatch):
+    # a contradiction of a proved classification is the one verification
+    # failure raised as an exception; fake one through classify's own check
+    monkeypatch.setattr(classify, "is_elementary_abelian", lambda g: (False, None))
+    code, out, err = _run(capsys, ["classify", "catalog:C2"])
     assert code == 1 and not out
-    assert err == "verification failure: trivialization relation fails at pair (1, 1)\n"
+    assert err == "verification failure: omega == 2 but not elementary abelian\n"
 
 
 @pytest.fixture(scope="module")

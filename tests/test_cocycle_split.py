@@ -21,6 +21,7 @@ from conftest import (
     cocycle_values,
     cocycle_witness,
     companion,
+    count_calls,
     cyclotomic_prime,
     extension_identity,
     fraction_vecmul,
@@ -29,6 +30,7 @@ from conftest import (
     perfbench_inputs,
     permutation_action,
     random_cocycle,
+    trivialization_failures,
 )
 from orbitforge import cocycle_split as cs
 from orbitforge import group_core as gc
@@ -205,26 +207,23 @@ def test_every_generator_is_checked_as_a_middle():
 def test_verify_and_trivialize_work_is_bounded_by_generators(monkeypatch):
     # one whole-array pass over (x, z) per middle, and only the generators are
     # middles of a valid cocycle: a silent return to the |B|^3 scan would make
-    # 60 passes on A5. trivialize makes one relation pass per generator.
+    # 60 passes on A5. trivialize derives its relation from the identity that
+    # construction proved, so it runs no Light test at all.
     a5 = gc.alternating(5)
     c = random_cocycle(a5, gc.trivial_action(a5, 2), seed=5)
-    middles, seconds = [], []
-    middle_failures, relation_failures = cs._middle_failures, cs._relation_failures
+    middles = []
+    middle_failures = cs._middle_failures
 
     def counting_middle(c, y, lo, hi):
         middles.append(y)
         return middle_failures(c, y, lo, hi)
 
-    def counting_relation(c, v, em, sums, z, lo, hi):
-        seconds.append(z)
-        return relation_failures(c, v, em, sums, z, lo, hi)
-
     monkeypatch.setattr(cs, "_middle_failures", counting_middle)
-    monkeypatch.setattr(cs, "_relation_failures", counting_relation)
     assert cs.verify_cocycle(c) == (True, None)
     assert middles == list(a5.generators)
+    calls = count_calls(monkeypatch, cs, "_middle_failures", "_first_failure")
     cs.trivialize(c)  # c was verified when it was built
-    assert seconds == list(a5.generators)
+    assert calls == {"_middle_failures": 0, "_first_failure": 0}
 
 
 def test_a_corrupted_cocycle_checks_no_middle_past_its_first_failing_generator(monkeypatch):
@@ -274,24 +273,7 @@ def test_a_failure_in_the_second_row_block_is_found_there(monkeypatch):
     assert calls == [(1, 0, 256), (1, 256, 300)]
 
 
-def test_trivialization_error_names_the_first_failure_of_the_first_failing_generator(monkeypatch):
-    # the relation cannot fail on a verified cocycle, so fake the masks: the
-    # first generator fails at y = 3, the second at y = 1 and y = 3; the pair
-    # named is the first generator's least failing y, with that generator
-    a5 = gc.alternating(5)
-    c = random_cocycle(a5, gc.trivial_action(a5, 1), seed=2)
-    first, second = a5.generators[:2]
-    fails = {first: {3}, second: {1, 3}}
-
-    def failing(c, v, em, sums, z, lo, hi):
-        return np.isin(np.arange(lo, hi), list(fails.get(z, ())))
-
-    monkeypatch.setattr(cs, "_relation_failures", failing)
-    with pytest.raises(cs.TrivializationError, match=rf"^trivialization relation fails at pair \(3, {first}\)$"):
-        cs.trivialize(c)
-
-
-@pytest.mark.parametrize("field", ["base", "action", "den", "_bound", "values"])
+@pytest.mark.parametrize("field", ["base", "action", "den", "values"])
 def test_a_built_cocycle_cannot_be_changed(field):
     # construction verified the identity on these fields, so none may be
     # reassigned, and the arrays, the action's included, are read-only
@@ -469,6 +451,7 @@ def test_trivialize_need_not_recover_the_cochain():
     e = cs.trivialize(c)
     assert e[1] != f[1]
     assert cocycle_values(c)[1][1] == e[0] - e[1] * action_matrices(action)[1] - e[1]
+    assert trivialization_failures(c, e) is None
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +529,7 @@ def test_trivialize_and_complement_across_bases():
                 c = random_cocycle(b, gc.trivial_action(b, n), seed=seed_base * 10 + seed)
                 h = cs.complement(c)
                 assert len(h) == b.order, (name, n)
+                assert trivialization_failures(c, [s.a for s in h]) is None, (name, n)
 
 
 def test_random_cocycle_deterministic():
@@ -653,26 +637,81 @@ def _check_exact(b, action, f):
 def test_cocycles_past_int64_run_exactly_on_python_ints(name):
     b, action, f = _past_int64_cochains()[name]
     c = _check_exact(b, action, f)
-    assert c.values.dtype == object and c._bound >= 2**63
+    assert c.values.dtype == object
 
 
 @pytest.mark.parametrize("scale, trivialize_dtype", [(1, np.int64), (2, object)],
                          ids=["both int64", "trivialize on python ints"])
 def test_cocycles_just_under_the_int64_bound_stay_exact(scale, trivialize_dtype):
-    # an integer cochain K * g, with K the largest for which |B| times the
-    # bound of the checks is below 2^63: verify and trivialize both run on
-    # int64. At 2K, only trivialize's bound is past 2^63.
-    b, action = SMALL_ACTIONS["S3_perm"]
+    # an integer cochain K * g, with K the largest for which the bound
+    # |B| * max|V| of trivialize's column sums is below 2^63: verify and
+    # trivialize both run on int64. At 2K only the sums' bound is past 2^63,
+    # as the bound max|V| * (3E + d * m) of the checks is 4 * max|V| for A4
+    # acting trivially on Q.
+    b, action = SMALL_ACTIONS["A4_trivial"]
     rng = random.Random(3)
-    g = [QVector.zero(3)] + [QVector([rng.randint(-9, 9) for _ in range(3)]) for _ in range(5)]
-    unit = cs.coboundary(g, b, action)
-    k = scale * (2**63 - 1) // (b.order * unit._bound)
+    g = [QVector.zero(1)] + [QVector([rng.randint(-9, 9)]) for _ in range(11)]
+    unit = int(abs(cs.coboundary(g, b, action).values).max())
+    k = scale * (2**63 - 1) // (b.order * unit)
     c = _check_exact(b, action, [QVector.from_ints([k * x for x in v.nums], 1) for v in g])
     assert c.values.dtype == np.int64
-    assert c._bound == k * unit._bound
-    nb_bound = b.order * c._bound
+    nb_bound = b.order * int(abs(c.values).max())
+    assert nb_bound == b.order * k * unit
     assert (nb_bound < 2**63 <= 2 * nb_bound) if scale == 1 else nb_bound >= 2**63
     assert cs._dtype(nb_bound) is trivialize_dtype
+
+
+def _a5_constant_cochain():
+    """A5 acting trivially on Q, and the cochain F = 2^59 + 12345 off the
+    identity. Its coboundary is -F, or -2F where xy = 1: max|V| = 2F < 2^61,
+    so the values and the identity check (bound 8F) stay on int64, but each
+    column off the identity sums to -60F, past 2^63."""
+    a5 = gc.alternating(5)
+    return a5, gc.trivial_action(a5, 1), [QVector.zero(1)] + [QVector((2**59 + 12345,))] * 59
+
+
+def test_column_sums_past_int64_of_int64_values_stay_exact():
+    # a plain int64 V.sum(axis=0) wraps here; |B| * max|V| >= 2^63 sums on
+    # Python ints
+    b, action, f = _a5_constant_cochain()
+    c = cs.coboundary(f, b, action)
+    big = int(abs(c.values).max())
+    assert c.values.dtype == np.int64 and big == 2 * f[1].nums[0] < 2**61 and b.order * big >= 2**63
+    expected = _fraction_coboundary(f, b, action)
+    assert [list(row) for row in cocycle_values(c)] == expected
+    assert list(cs.trivialize(c)) == _fraction_trivializer(expected, b.order) == f
+
+
+def _every_built_cocycle():
+    """name -> a function that builds it, for every cocycle these tests build:
+    ``SMALL_ACTIONS``, the past-int64 cochains, the A5 constant cochain, and
+    the A5 and S5 random cocycles."""
+    cases = {f"small {name}": (lambda b=b, action=action, seed=len(name): random_cocycle(b, action, seed=seed))
+             for name, (b, action) in SMALL_ACTIONS.items()}
+    for name, (b, action, f) in {**_past_int64_cochains(), "A5 constant 2^59": _a5_constant_cochain()}.items():
+        cases[name] = lambda b=b, action=action, f=f: cs.coboundary(f, b, action)
+    a5, s5 = gc.alternating(5), gc.symmetric(5)
+    cases["A5 trivial Q^1"] = lambda: random_cocycle(a5, gc.trivial_action(a5, 1), seed=2)
+    cases["A5 trivial Q^2"] = lambda: random_cocycle(a5, gc.trivial_action(a5, 2), seed=5)
+    cases["S5 sign Q^2"] = lambda: random_cocycle(s5, perfbench_inputs().sign_action(s5, 2), seed=3)
+    return cases
+
+
+_BUILT_COCYCLES = _every_built_cocycle()
+
+
+@pytest.mark.parametrize("name", sorted(_BUILT_COCYCLES))
+def test_trivialize_passes_the_relation_oracle(name):
+    # the relation pass that trivialize no longer runs, on every cocycle; the
+    # oracle itself names a true failure of -e, which trivializes -c, not c
+    c = _BUILT_COCYCLES[name]()
+    e = cs.trivialize(c)
+    assert trivialization_failures(c, e) is None
+    wrong = [QVector.from_ints([-x for x in v.nums], v.den) for v in e]
+    y, z = trivialization_failures(c, wrong)
+    t, mats = c.base.table, action_matrices(c.action)
+    relation = fraction_vecsub(fraction_vecsub(wrong[t[y][z]], fraction_vecmul(wrong[y], mats[z])), wrong[z])
+    assert cocycle_values(c)[y][z] != relation
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,12 @@ read only where ``exact_linear._line`` writes an entry as text, numpy's text
 parser is called only by ``exact_linear._text_table``, the reader of JSON
 array text that ``exact_linear._rationals`` also calls, and no ``Fraction``
 is built from one non-literal argument, which it would parse by its own,
-looser rule (a float, "1e1", " 1/2 ")."""
+looser rule (a float, "1e1", " 1/2 ").
+
+The Light test ``group_core._first_failure`` runs once per certified
+object: only ``_validate_table``, ``FiniteAction.__post_init__`` and
+``verify_cocycle`` call it. Every other identity, such as the relation of
+``trivialize``, is derived from theirs."""
 
 import ast
 import pathlib
@@ -195,20 +200,15 @@ _READERS = {"numerator": "exact_linear._line", "denominator": "exact_linear._lin
             "fromstring": "exact_linear._text_table"}
 
 
-def _rational_reads(sources: dict[str, str]) -> set[str]:
+def _places(sources: dict[str, str], hit) -> set[str]:
     """The "module.Class.function" (or "module" for module-level code) of
-    every place in sources that reads a rational outside the one entry rule
-    of ``exact_linear._text_table``: an attribute of ``_READERS`` anywhere but
-    in its function there, or a ``Fraction`` call with other than two
-    arguments or one literal, which would parse its argument itself."""
+    every place in sources that holds a node for which ``hit(node, place)``
+    is true."""
     found = set()
 
     def visit(node: ast.AST, where: str) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Attribute) and _READERS.get(child.attr, where) != where:
-                found.add(where)
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "Fraction" \
-                    and len(child.args) != 2 and not (len(child.args) == 1 and isinstance(child.args[0], ast.Constant)):
+            if hit(child, where):
                 found.add(where)
             named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             visit(child, f"{where}.{child.name}" if named else where)
@@ -216,6 +216,33 @@ def _rational_reads(sources: dict[str, str]) -> set[str]:
     for module, text in sources.items():
         visit(ast.parse(text), module)
     return found
+
+
+def _rational_reads(sources: dict[str, str]) -> set[str]:
+    """Every place in sources that reads a rational outside the one entry
+    rule of ``exact_linear._text_table``: an attribute of ``_READERS``
+    anywhere but in its function there, or a ``Fraction`` call with other
+    than two arguments or one literal, which would parse its argument
+    itself."""
+    def hit(node: ast.AST, where: str) -> bool:
+        if isinstance(node, ast.Attribute):
+            return _READERS.get(node.attr, where) != where
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Fraction" \
+            and len(node.args) != 2 and not (len(node.args) == 1 and isinstance(node.args[0], ast.Constant))
+
+    return _places(sources, hit)
+
+
+#: The functions that may run the Light test: one pass per certified object.
+_LIGHT_TEST_CALLERS = {"group_core._validate_table", "group_core.FiniteAction.__post_init__",
+                       "cocycle_split.verify_cocycle"}
+
+
+def _light_test_callers(sources: dict[str, str]) -> set[str]:
+    """Every place in sources that reads ``_first_failure``, as a name or an
+    attribute."""
+    return _places(sources, lambda node, where: isinstance(node, ast.Name) and node.id == "_first_failure"
+                   or isinstance(node, ast.Attribute) and node.attr == "_first_failure")
 
 
 def _package_sources() -> dict[str, str]:
@@ -281,6 +308,18 @@ def test_a_name_that_only_tests_call_is_found():
 
 def test_rationals_enter_through_one_reader():
     assert _rational_reads(_package_sources()) == set()
+
+
+def test_the_light_test_runs_once_per_certified_object():
+    assert _light_test_callers(_package_sources()) == _LIGHT_TEST_CALLERS
+
+
+def test_a_light_test_call_outside_the_certified_objects_is_found():
+    sources = _package_sources()
+    sources["cocycle_split"] += ("\n\ndef _again(c):\n    return _first_failure(c.base.generators, 1, None)\n"
+                                 "\n\ndef _through_module(b):\n    return group_core._first_failure((), 0, None)\n")
+    assert _light_test_callers(sources) - _LIGHT_TEST_CALLERS == {"cocycle_split._again",
+                                                                  "cocycle_split._through_module"}
 
 
 def test_a_rational_read_outside_the_one_reader_is_found():
