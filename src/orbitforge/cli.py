@@ -13,8 +13,9 @@ of each input, a group's ``table``, a cocycle's ``base.table``, ``action``
 and ``values`` and a ``--matrix`` document, are found in the file's text
 and read by ``exact_linear._text_table`` in whole-array passes, and the rest
 of the document by ``json.loads``; each array goes into its constructor's
-intake as an array. Anything outside the strict form of an array (an
-escape, a float, a leading zero, a number of 19 digits) or of the document
+intake as an array, a table as int16. Anything outside the strict form of
+an array (an escape, a float, a leading zero, a table entry of 2^15 or
+more, a number of 19 digits in a rational) or of the document
 (non-ASCII text, a key that is repeated or nested elsewhere, bad JSON) sends
 the whole file through ``json.load`` instead, so every outcome, message and
 exit code is that of ``json.load`` and the constructors.

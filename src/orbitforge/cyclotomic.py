@@ -21,9 +21,19 @@ so Q[M] is a copy of F, and:
   (p dividing neither a nor b) says L(x^a * u) = x^b * L(u), so g = b / a
   mod p, and L is u -> sigma_g(u * B^-1) * C for the t x t matrices B and
   C over F of an F-basis and its image (``semilinear_map``).
-- det L = +-N(det C) / N(det B) != 0, N the norm of F: u -> u * X over F
-  has determinant N(det X) over Q, and sigma_g, of finite order, has
-  determinant +-1.
+- det L = (g | p)^t * N(det C) / N(det B), N the norm of F and (g | p)
+  the Legendre symbol: u -> u * X over F has determinant N(det X) over Q,
+  and sigma_g has determinant (g | p) on F, as it permutes the basis x^j of
+  Q[x] / (x^p - 1) by j -> g*j mod p, of sign (g | p) by Zolotarev's lemma
+  (``_zolotarev_sign``), and fixes 1 + x + ... + x^(p-1), which spans the
+  complement of F there. So det L != 0 exactly when det C != 0.
+- This is a derivation, not a restatement of the construction: any L that
+  satisfies M^a * L == L * M^b is sigma_g-semilinear, and one that also
+  sends each row b_i of B to the row c_i of C (t identities over Q) is
+  then the map above, whatever built it. det_F of a basis is the last
+  pivot of the fraction-free elimination that chose it, times the sign of
+  its pivot order (``field_basis``); N(-x) = N(x) but at p = 2, where F =
+  Q, N is the identity and the sign counts.
 - K * M = C * K for C the block companion of Phi_p, as row (i, j) of K is
   b_i * M^j and b_i * Phi_p(M) = 0. K is invertible, so for L' = K * L *
   K^-1, P * L == L * R (P = M^a, R = M^b) holds iff C^a * L' == L' * C^b,
@@ -34,6 +44,7 @@ so Q[M] is a copy of F, and:
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Sequence
 
 from .arith import factorize
@@ -88,6 +99,13 @@ def _primitive_root(p: int) -> int:
     """The least generator of the multiplicative group mod the prime p."""
     qs = factorize(p - 1)
     return next(r for r in range(1, p) if all(pow(r, (p - 1) // q, p) != 1 for q in qs))
+
+
+def _zolotarev_sign(g: int, p: int) -> int:
+    """The sign of the permutation j -> g*j mod p of 0, ..., p - 1, for g
+    prime to the prime p: the Legendre symbol (g | p) by Zolotarev's lemma,
+    so g^((p-1)/2) mod p by Euler's criterion; 1 at p = 2, where g = 1."""
+    return 1 if pow(g, (p - 1) // 2, p) == 1 else -1
 
 
 def _norm(a: Sequence[int]) -> tuple[int, list[int]]:
@@ -182,13 +200,14 @@ def _choose_basis(first: list[QVector], units: QMatrix, k: int, tails: Sequence[
     """The F-basis of F^t made of first and then each row of ``units`` in
     turn that is F-independent of the rows chosen so far; the chosen row i
     is extended by tails[i], which takes no part in the choice. Returns the
-    chosen rows, unextended, the echelon form of all but the last extended
-    row with its common pivot, and the last one's residual against it."""
+    indices in ``units`` of the rows chosen after first, the echelon form
+    of all but the last extended row with its common pivot, and the last
+    one's residual against it."""
     t = len(first)
-    chosen, rows, d = [first], [], QVector.unit(k, 0)
+    picked, rows, d = [], [], QVector.unit(k, 0)
     last = first + tails[0]
-    for u in units.nums:
-        if len(chosen) == t:
+    for r, u in enumerate(units.nums):
+        if len(picked) == t - 1:
             break
         if last is not None:
             d = _field_insert(last, rows, d)
@@ -196,21 +215,47 @@ def _choose_basis(first: list[QVector], units: QMatrix, k: int, tails: Sequence[
         v = _field_row(u, units.den, k)
         left = _field_residual(v, rows, d, range(t))
         if any(any(e.nums) for e in left):
-            tail = tails[len(chosen)]
+            tail = tails[len(picked) + 1]
             last = left + _field_residual(v + tail, rows, d, range(t, t + len(tail)))
-            chosen.append(v)
-    return chosen, rows, d, last
+            picked.append(r)
+    return picked, rows, d, last
+
+
+def field_basis(seed: QVector, units: QMatrix, p: int) -> tuple[list[QVector], QVector]:
+    """The F-basis of F^t that ``semilinear_map`` takes from the nonzero
+    seed, its rows in K's coordinates (seed, then the rows of units = K^-1
+    that ``_choose_basis`` picks), and the determinant over F of its t x t
+    matrix. The last pivot of the fraction-free elimination that chose the
+    rows is the determinant of that matrix with its columns in pivot order,
+    so it is det times the sign of that order."""
+    k = p - 1
+    first = _field_row(seed.nums, seed.den, k)
+    picked, rows, _, last = _choose_basis(first, units, k, [[]] * len(first))
+    c = next(j for j, e in enumerate(last) if any(e.nums))
+    order = [q for q, _ in rows] + [c]
+    odd = sum(a > b for i, a in enumerate(order) for b in order[i + 1:]) % 2
+    det = _vector([-x for x in last[c].nums], last[c].den) if odd else last[c]
+    return [seed, *(_vector(units.nums[r], units.den) for r in picked)], det
+
+
+def semilinear_det(det_b: QVector, det_c: QVector, p: int, g: int, t: int) -> Fraction:
+    """det L = (g | p)^t * N(det C) / N(det B) over Q for the
+    sigma_g-semilinear map L of F^t that sends the rows of B to those of C,
+    given det B and det C over F (module docstring)."""
+    nb, nc = _norm(det_b.nums)[0], _norm(det_c.nums)[0]
+    return Fraction(_zolotarev_sign(g, p) ** t * nc * det_b.den ** (p - 1), nb * det_c.den ** (p - 1))
 
 
 def semilinear_map(b: QVector, c: QVector, basis_inv: QMatrix, p: int, g: int) -> QMatrix:
     """L' = K * L * K^-1, the matrix in the spec's cyclic coordinates of
     the sigma_g-semilinear map L of A = F^t that sends the F-basis starting
-    at the nonzero b of Q^n to the one starting at c, for basis_inv = K^-1
-    of the cyclic basis K that reads Q^n as F^t (see the module docstring).
-    Each basis takes, after its seed, each e_j (row j of K^-1) in turn that
-    is F-independent of the rows so far. For B and C the t x t matrices of
-    the bases over F, row (i, j) of L', the image of x^j in entry i, is
-    x^(g*j) * sigma_g(row i of B^-1) * C; L over Q is K^-1 * L' * K.
+    at b to the one starting at c, for b and c nonzero and given in K's
+    coordinates, and basis_inv = K^-1 of the cyclic basis K that reads Q^n
+    as F^t (see the module docstring). Each basis takes, after its seed,
+    each e_j (row j of K^-1) in turn that is F-independent of the rows so
+    far. For B and C the t x t matrices of the bases over F, row (i, j) of
+    L', the image of x^j in entry i, is x^(g*j) * sigma_g(row i of B^-1) *
+    C; L over Q is K^-1 * L' * K.
 
     Fraction-free Gauss-Jordan on [B | sigma_(g^-1)(C)] over F, run while the
     rows of B are chosen, ends at [D | D * X] with D = +-det B times the
@@ -221,8 +266,7 @@ def semilinear_map(b: QVector, c: QVector, basis_inv: QMatrix, p: int, g: int) -
     The caller, ``mixed_group.build_automorphism``, checks the seeds.
     """
     k, t, g_inv = p - 1, b.dim // (p - 1), pow(g, -1, p)
-    b, c = b * basis_inv, c * basis_inv
-    right = _choose_basis(_field_row(c.nums, c.den, k), basis_inv, k, [[]] * t)[0]
+    right = [_field_row(r.nums, r.den, k) for r in field_basis(c, basis_inv, p)[0]]
     tails = [[_vector(_poly_map(e.nums, g_inv, 0), e.den) for e in row] for row in right]
     _, rows, d, last = _choose_basis(_field_row(b.nums, b.den, k), basis_inv, k, tails)
     # every pivot is now det(B) (up to sign): X is the right half over it

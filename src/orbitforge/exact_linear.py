@@ -36,10 +36,10 @@ integer that is not a bool and a ``Fraction``, and reads a whole flat list
 at once into one integer array over one denominator; a float is refused,
 never read as its binary value. The bulk arrays of a JSON file come from
 its text instead, read by ``_text_table`` in whole-array passes over blocks
-of the text into an int64 array, or a ``_Ratios`` over one denominator,
-which the intakes take as they are. ``_rationals`` writes its entries as
-such a text, so both readers of rationals share one entry check,
-``_rational_words``.
+of the text into an int16 Cayley table, or a ``_Ratios`` over one
+denominator, which the intakes take as they are. ``_rationals`` writes its
+entries as such a text, so both readers of rationals share one entry
+check, ``_rational_words``.
 """
 
 from __future__ import annotations
@@ -369,17 +369,23 @@ def _text_table(text: bytes, start: int, stop: int, depth: int, rational: bool,
                 side: int | None) -> np.ndarray | _Ratios | None:
     """The JSON array text[start:stop], when it is strictly a rectangular
     array of the given depth, square with a side of at most ``side`` unless
-    that is None: of non-negative ints with no leading zero, as one int64
-    array, or of quoted "num/den" with no whitespace inside the quotes and
-    a nonzero denominator, as ``_Ratios`` over the lcm of the denominators;
-    each number of at most 18 digits. None for any other text, and for
+    that is None: of non-negative ints below 2^15 with no leading zero, as
+    one int16 array (a Cayley table, whose entries are below its order, at
+    most ``group_core.MAX_ORDER``), or of quoted "num/den" with no
+    whitespace inside the quotes and a nonzero denominator, as ``_Ratios``
+    over the lcm of the denominators, each number of at most 18 digits.
+    None for any other text, and so for an int table with a larger entry,
+    which ``json.load`` reads and the table check refuses, and for
     rationals whose integer form passes 2^63.
 
     Whole-array passes over the ``_blocks``: first the skeleton of the whole
     array is compared with that of the shape it implies, before any entry is
     read; then each block's entries are checked, by ``_int_words`` or by
     ``_rational_words``, the entry check of ``_rationals``, and converted by
-    ``np.fromstring``, which this function alone calls."""
+    ``np.fromstring``, which this function alone calls, a block at a time
+    into the one output array: no int64 copy of an int table is made.
+    ``np.fromstring`` reads a number past int64 as 2^63 - 1, so a block's
+    maximum below 2^15 proves every entry of it is."""
     blocks = _blocks(text, start, stop, b"," if rational else b"]")  # rows of ints stay whole
     entry = b'"/"' if rational else b""
     # the text without numbers, and then without whitespace, the skeleton
@@ -391,7 +397,7 @@ def _text_table(text: bytes, start: int, stop: int, depth: int, rational: bool,
         return None  # the last: whitespace inside quotes
     del bare, skeleton
     n, size = math.prod(shape), shape[-1]
-    out, pos = np.empty((1 + rational, n), np.int64), 0
+    out, pos = np.empty((1 + rational, n), np.int64 if rational else np.int16), 0
     try:  # a block past n entries fails the assignment
         for lo, hi in blocks:
             part = text[lo:hi]
@@ -399,6 +405,8 @@ def _text_table(text: bytes, start: int, stop: int, depth: int, rational: bool,
             if words is None:
                 return None
             read = np.fromstring(words, np.int64, sep=" " if rational else ",").reshape(-1, 1 + rational).T
+            if not rational and read.max(initial=0) >= 2**15:
+                return None
             out[:, pos:pos + read.shape[1]] = read
             pos += read.shape[1]
     except ValueError:  # np.fromstring's, on two runs in a slot
@@ -406,7 +414,7 @@ def _text_table(text: bytes, start: int, stop: int, depth: int, rational: bool,
     if pos != n:
         return None
     if not rational:
-        return out[0].reshape(shape) if out.max() < 10**18 else None
+        return out[0].reshape(shape)
     read = _over_lcm(*out) if out[1].all() else None
     return read and _Ratios(read[0].reshape(shape), read[1])
 

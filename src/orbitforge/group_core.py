@@ -32,8 +32,8 @@ from .exact_linear import QMatrix, _dtype, _int_table, _lowest_terms, exact_int
 #: Hard cap on group order for every table; it keeps entries inside int16.
 #: At the cap, ``omega`` on an order-4096 JSON table (D256 x C8, 96 MB)
 #: reads and validates it through the CLI, up to the automorphism search
-#: cap, in 1.1-1.5 s at a 251 MiB peak RSS (the file's text and the int64
-#: table), on a 2 vCPU host.
+#: cap, in 0.84-0.85 s at a 170 MiB peak RSS (the file's text and the int16
+#: table, read from it block by block), on a 2 vCPU host.
 MAX_ORDER = 4096
 
 #: Rows per block of the Light test ``_first_failure``; bounds its

@@ -18,15 +18,19 @@ These groups are infinite, so the three-orbit certificate cannot be an
 enumeration: it combines an exact separating invariant (element order is
 1 on the identity, infinite on the rest of A, and exactly p outside A)
 with constructed automorphism witnesses for transitivity inside each class.
-``verify_automorphism`` certifies a witness (L, alpha, beta) by three exact
-identities: det L != 0, P * L == L * R, and beta outside A.
 
 Since Phi_p(M) = 0, A = F^t over the cyclotomic field F = Q(zeta_p), and
-``build_automorphism`` solves each witness there as a semilinear map,
-invertible by construction (the facts are stated in ``cyclotomic``). So
-``omega_certificate`` checks only the other two identities. A witness
-holds L' = K * L * K^-1 and is checked in K's coordinates in O(n^2) (see
-``cyclotomic``); only the printed L and the group law work over Q.
+``build_automorphism`` solves each witness there as the semilinear map
+between the F-bases B and C chosen from its seeds b and c (the facts are
+stated in ``cyclotomic``). ``verify_automorphism`` certifies a witness
+(L, alpha, beta) by exact identities: P * L == L * R, beta outside A, and
+b_i * L == c_i on the t rows of B and C, which with the first make L the
+semilinear map between them, so det L = (g | p)^t * N(det C) / N(det B)
+!= 0 is derived, not eliminated. L is invertible by construction, so
+``omega_certificate`` checks only intertwining, beta and b * L == c. A
+witness holds L' = K * L * K^-1 and its seeds in K's coordinates, and is
+checked there in O(n^2) (see ``cyclotomic``); only the printed L and the
+group law work over Q.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from functools import cached_property
 from itertools import accumulate, repeat
 
 from .arith import is_prime
-from .cyclotomic import _first_mismatch, semilinear_map
+from .cyclotomic import _first_mismatch, field_basis, semilinear_det, semilinear_map
 from .exact_linear import QMatrix, QVector, _matrix, cyclic_decomposition
 
 #: Bound on numerators and denominators drawn for randomized witnesses;
@@ -232,11 +236,14 @@ class MixedAutomorphism:
     restriction L to A and the image of the anchor element alpha; every g
     factors as alpha^m * a and maps to image_of_alpha^m * (a * L).
     ``field_map`` is L' = K * L * K^-1, L in the coordinates of the spec's
-    cyclic basis K (see ``cyclotomic``)."""
+    cyclic basis K (see ``cyclotomic``), and ``seeds`` is (b * K^-1,
+    c * K^-1), the seeds whose F-bases L is claimed to carry one to the
+    other, in the same coordinates."""
 
     field_map: QMatrix
     alpha: MixedElement
     image_of_alpha: MixedElement
+    seeds: tuple[QVector, QVector]
     spec: MixedGroupSpec = field(repr=False, compare=False)
 
     @cached_property
@@ -297,6 +304,32 @@ def _product_checks(phi: MixedAutomorphism) -> list[CheckResult]:
             CheckResult("image_order", b != 0, f"phi(alpha)^{p} == identity: {b != 0}")]
 
 
+def _linear_invertible(phi: MixedAutomorphism, intertwines: bool) -> CheckResult:
+    """The check det L != 0, with det L derived by ``cyclotomic``'s formula
+    from its premises, or failed naming the first premise that does not
+    hold: L' intertwines (so it is sigma_g-semilinear, g = k_beta / k_alpha
+    mod p), b_1 * L' == c_1 for the seeds, c != 0 (else C is singular), and
+    b_i * L' == c_i in K's coordinates for each further row i <= t of the
+    F-bases B and C that ``field_basis`` rebuilds from the seeds, as
+    ``semilinear_map`` chose them. A zero b fails at b_1."""
+    spec, (b, c) = phi.spec, phi.seeds
+    p, basis_inv = spec.p, spec.krylov[1]
+    if not intertwines:
+        failed = "L does not intertwine P and R"
+    elif b * phi.field_map != c:
+        failed = "b_1 * L != c_1"
+    elif c.is_zero:
+        failed = "C_F is singular, as c = 0"
+    else:
+        (rows_b, det_b), (rows_c, det_c) = field_basis(b, basis_inv, p), field_basis(c, basis_inv, p)
+        failed = next((f"b_{i} * L != c_{i}" for i, (u, v) in enumerate(zip(rows_b[1:], rows_c[1:]), 2)
+                       if u * phi.field_map != v), None)
+    if failed:
+        return CheckResult("linear_invertible", False, f"det(L) not derived: {failed}")
+    g = phi.image_of_alpha.k * pow(phi.alpha.k, -1, p) % p
+    return CheckResult("linear_invertible", True, f"det(L) = {semilinear_det(det_b, det_c, p, g, spec.t)}")
+
+
 def verify_automorphism(phi: MixedAutomorphism, samples: int, seed: int = 0) -> Certificate:
     """Exact certificate that phi is an automorphism of the group of its spec.
 
@@ -306,20 +339,24 @@ def verify_automorphism(phi: MixedAutomorphism, samples: int, seed: int = 0) -> 
     alpha^(m+l) (u * P^l + v), that map preserves products exactly when
     P * L == L * R (``intertwining``, one matrix identity; a failure names
     the first differing row) and beta^p == 1. It is bijective when det L != 0
-    (``linear_invertible``, read as det L', of the similar L') and beta lies
-    outside A. Every beta = h^k b outside A has order p, because
-    (h^k b)^p = h^0 (b * Phi_p(M^k)) and Phi_p(M^k) = Phi_p(M) = 0 for the
-    spec, so ``image_order`` checks only that beta lies outside A. These
-    three decide the certificate; ``homomorphism_samples`` tests the product
-    law on ``samples`` random pairs through ``apply_automorphism``, a
-    redundant spot check that stops at the first failing pair.
+    and beta lies outside A. Every beta = h^k b outside A has order p,
+    because (h^k b)^p = h^0 (b * Phi_p(M^k)) and Phi_p(M^k) = Phi_p(M) = 0
+    for the spec, so ``image_order`` checks only that beta lies outside A.
+
+    ``linear_invertible`` derives det L = (g | p)^t * N(det C) / N(det B)
+    (``cyclotomic``) from intertwining, a nonzero seed c and the t identities
+    b_i * L == c_i on the rows of the F-bases B and C of the seeds, checked
+    in K's coordinates; it fails naming the first of these premises that
+    does not hold, and makes no elimination over Q. These three checks
+    decide the certificate; ``homomorphism_samples`` tests the product law
+    on ``samples`` random pairs through ``apply_automorphism``, a redundant
+    spot check that stops at the first failing pair.
     """
     if samples < 0:
         raise ValueError(f"sample count must be nonnegative, got {samples}")
     spec = phi.spec
     product_checks = _product_checks(phi)
-    det = phi.field_map.det()
-    checks = [CheckResult("linear_invertible", det != 0, f"det(L) = {det}"), *product_checks]
+    checks = [_linear_invertible(phi, product_checks[0].passed), *product_checks]
 
     rng, failure = random.Random(seed), None
     for _ in range(samples):
@@ -359,7 +396,8 @@ def build_automorphism(
 
     Seeds that are zero or of the wrong length, and an alpha or beta inside
     A, are refused before any of this. No power of M is built; the map is
-    returned unverified, and its certificate is ``verify_automorphism``.
+    returned unverified, with its seeds in K's coordinates, and its
+    certificate is ``verify_automorphism``.
     """
     if b.is_zero or c.is_zero:
         raise ValueError("seed vectors must be nonzero")
@@ -371,7 +409,9 @@ def build_automorphism(
     if b.dim != spec.n or c.dim != spec.n:
         raise ValueError(f"seed dimensions {b.dim}, {c.dim} do not match the spec's {spec.n}")
     g = beta.k * pow(alpha.k, -1, p) % p
-    return MixedAutomorphism(semilinear_map(b, c, spec.krylov[1], p, g), alpha, beta, spec)
+    basis_inv = spec.krylov[1]
+    seeds = (b * basis_inv, c * basis_inv)
+    return MixedAutomorphism(semilinear_map(*seeds, basis_inv, p, g), alpha, beta, seeds, spec)
 
 
 def spec_checks(spec: MixedGroupSpec) -> Certificate:
@@ -419,7 +459,8 @@ def omega_certificate(
     between two F-bases of A = F^t, so det L != 0 (see ``cyclotomic``). The
     cyclic basis K that proved the spec, and its inverse, serve every
     witness: this makes no elimination over Q, and the identities are
-    checked on L' in O(n^2), with no matrix product and no power of M.
+    checked on L' and the witness's seeds in K's coordinates in O(n^2), with
+    no matrix product and no power of M.
     """
     if pairs_per_class < 1:
         raise ValueError("pairs_per_class must be positive")
@@ -432,7 +473,6 @@ def omega_certificate(
     # order; the witness carries h^0 b to h^0 c and alpha to beta
     base = MixedElement(1, QVector.zero(n))
     e1 = QVector.unit(n, 0)
-    basis_inv = spec.krylov[1]
 
     def inside():
         b = random_vector(rng, n, nonzero=True)
@@ -452,7 +492,7 @@ def omega_certificate(
             if failed:
                 detail = f"witness construction failed: automorphism verification failed: {failed}"
                 break
-            if b * basis_inv * phi.field_map != c * basis_inv:
+            if phi.seeds[0] * phi.field_map != phi.seeds[1]:
                 detail = f"constructed map does not carry {b!r} to {c!r}"
                 break
             verified += 1

@@ -450,11 +450,14 @@ def conjugation_matrix(g: "mg.MixedElement", spec: "mg.MixedGroupSpec") -> QMatr
 
 def compose_automorphisms(first, second, spec) -> "mg.MixedAutomorphism":
     """The map applying first, then second; anchored at first.alpha. In K's
-    coordinates, K * L1 * L2 * K^-1 is L1' * L2'."""
+    coordinates, K * L1 * L2 * K^-1 is L1' * L2', and it carries the seed b
+    of first to c * L2' for the seed c of first."""
+    b, c = first.seeds
     return mg.MixedAutomorphism(
         first.field_map * second.field_map,
         first.alpha,
         mg.apply_automorphism(second, first.image_of_alpha),
+        (b, c * second.field_map),
         spec,
     )
 

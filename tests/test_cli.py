@@ -22,7 +22,7 @@ from conftest import (
     rational_action,
 )
 import orbitforge
-from orbitforge import auto_orbits, classify, cli
+from orbitforge import auto_orbits, classify, cli, mixed_group
 from orbitforge import cocycle_split as cs
 from orbitforge import exact_linear as el
 from orbitforge import group_core as gc
@@ -224,11 +224,14 @@ def test_json_selftest_prints_one_json_document(capsys):
 
 
 def test_mixed_auto_verifies_its_witness_once(capsys, monkeypatch):
-    # one certificate, so one determinant of L
+    # one certificate, so one determinant of L, derived from the two F-bases
+    # of the witness's seeds, and no elimination of L over Q
     calls = count_calls(monkeypatch, QMatrix, "det")
+    derived = count_calls(monkeypatch, mixed_group, "field_basis", "semilinear_det")
     code, _, _ = _run(capsys, ["mixed", "auto", "--p", "13", "--t", "2"])
     assert code == 0
-    assert calls["det"] == 1
+    assert calls["det"] == 0
+    assert derived == {"field_basis": 2, "semilinear_det": 1}
 
 
 @pytest.mark.parametrize("command", ["build", "verify", "auto", "omega"])
@@ -626,6 +629,22 @@ def test_mixed_omega_at_p61_is_frozen(capsys, monkeypatch):
     assert digest == P61_SHA256
     assert counts == OMEGA_COUNTS
     assert _omega_counts(capsys, monkeypatch, 61, 3)[1] == OMEGA_COUNTS
+
+
+#: SHA-256 of `--json --seed 0 mixed auto --p 61 --t 1` (11,995,728 bytes),
+#: recorded while det(L) was still read by elimination of L' over Q.
+AUTO_P61_SHA256 = "2a2f9d450e57dbbeb974f75ff4cc832c0fa67bc7feb044aced3979e297e2e8ed"
+
+
+def test_mixed_auto_at_p61_is_frozen_and_derives_its_det(capsys, monkeypatch):
+    # det(L) comes from two norms in F, so the command eliminates over Q only
+    # to build the spec; no wall-clock bound, as for mixed omega
+    counts = count_eliminations(monkeypatch)
+    code, out, _ = _run(capsys, ["--json", "--seed", "0", "mixed", "auto", "--p", "61", "--t", "1"])
+    assert code == 0
+    assert len(out) == 11_995_728
+    assert hashlib.sha256(out.encode()).hexdigest() == AUTO_P61_SHA256
+    assert counts() == OMEGA_COUNTS
 
 
 #: SHA-256 of the cocycle commands on one seeded S4 permutation coboundary,

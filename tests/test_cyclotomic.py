@@ -5,6 +5,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbitforge import cyclotomic as cy
+from orbitforge.arith import is_prime
 from orbitforge.exact_linear import QMatrix, QVector
 
 # ---------------------------------------------------------------------------
@@ -43,6 +44,23 @@ def test_field_kernel_matches_polynomial_division(p, a, b, den, h, s):
         one = QVector.from_ints([1] + [0] * (p - 2), 1)
         elem = QVector.from_ints(a, den)
         assert cy._elem_mul(elem, cy._elem_inverse(elem)) == one
+
+
+# ---------------------------------------------------------------------------
+# the sign of sigma_g on F: Zolotarev's lemma
+
+@pytest.mark.parametrize("p", [p for p in range(2, 51) if is_prime(p)])
+def test_zolotarev_sign_is_the_sign_of_multiplication_by_g(p):
+    # a permutation of p points with c cycles has sign (-1)^(p - c)
+    for g in range(1, p):
+        seen, cycles = set(), 0
+        for j in range(p):
+            if j not in seen:
+                cycles += 1
+                while j not in seen:
+                    seen.add(j)
+                    j = g * j % p
+        assert cy._zolotarev_sign(g, p) == (-1) ** (p - cycles), (p, g)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,7 @@ HELD = {
     "cocycle_split.Cocycle.to_json": "inputs.py",
     "cocycle_split.coboundary": "inputs.py",
     "cocycle_split.extension_multiply": "tracing.py",
+    "exact_linear.QMatrix.det": "tracing.py",
     "exact_linear.minimal_polynomial": "tracing.py",
     "group_core.GroupTable.conjugate": "tracing.py",
     "group_core.GroupTable.inv": "tracing.py",

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     CONJUGATOR,
+    bareiss_det,
     block_diag,
     companion,
     compose_automorphisms,
@@ -33,6 +34,7 @@ from conftest import (
     zero_matrix,
 )
 from orbitforge import cli, exact_linear
+from orbitforge import cyclotomic as cy
 from orbitforge import mixed_group as mg
 from orbitforge.exact_linear import QMatrix, QVector
 
@@ -476,13 +478,16 @@ _FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 def test_sampled_pairs_never_overrule_the_exact_identities(data):
     # L * q(R) still intertwines, since q(R) commutes with R, and stays
     # invertible: R has the irreducible minimal polynomial Phi_p, of degree
-    # p - 1 > deg q. A one-entry bump of L usually breaks the intertwining.
-    # Either way, sampled pairs must not change the exact verdict.
+    # p - 1 > deg q. But it carries the seeds' bases B and C, on which det L
+    # is derived, only when q(R) = I. A one-entry bump of L usually breaks
+    # the intertwining. Either way, sampled pairs must not change the exact
+    # verdict.
     p = data.draw(st.sampled_from([2, 3, 5]), label="p")
     t = data.draw(st.sampled_from([1, 2]), label="t")
     spec = _SPECS[p, t]
     b, c, alpha, beta = _witness_inputs(spec, data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    linear = mg.build_automorphism(b, c, alpha, beta, spec).linear
+    witness = mg.build_automorphism(b, c, alpha, beta, spec)
+    linear = witness.linear
 
     q = data.draw(st.lists(_FRACTIONS, min_size=p - 1, max_size=p - 1).filter(any), label="q")
     q_of_r = zero_matrix(spec.n)
@@ -493,12 +498,14 @@ def test_sampled_pairs_never_overrule_the_exact_identities(data):
     j = data.draw(st.integers(0, spec.n - 1), label="column")
     rows[i][j] += data.draw(_FRACTIONS.filter(bool), label="bump")
 
-    for varied, must_pass in ((linear * q_of_r, True), (QMatrix.of(rows), False)):
-        phi = mg.MixedAutomorphism(field_form(varied, spec), alpha, beta, spec)
-        exact = mg.verify_automorphism(phi, samples=0).ok
-        if must_pass:
-            assert exact
-        assert mg.verify_automorphism(phi, samples=10, seed=p * t).ok == exact
+    for varied, intertwines in ((linear * q_of_r, True), (QMatrix.of(rows), False)):
+        phi = mg.MixedAutomorphism(field_form(varied, spec), alpha, beta, witness.seeds, spec)
+        cert = mg.verify_automorphism(phi, samples=0)
+        if intertwines:
+            verdicts = {ch.name: ch.passed for ch in cert.checks}
+            assert verdicts == {"linear_invertible": q_of_r == QMatrix.identity(spec.n),
+                                "intertwining": True, "image_order": True, "homomorphism_samples": True}
+        assert mg.verify_automorphism(phi, samples=10, seed=p * t).ok == cert.ok
 
 
 _ORACLE_SPECS = {f"p{p}_t{t}": (p, t, None) for p in (2, 3, 5, 7, 13, 19) for t in (1, 2, 4)
@@ -585,7 +592,7 @@ def test_tampered_linear_part_fails_verification(s32):
     )
     rows = [list(r) for r in phi.linear.rows]
     rows[1][2] += 1
-    bad = mg.MixedAutomorphism(field_form(QMatrix.of(rows), s32), phi.alpha, phi.image_of_alpha, s32)
+    bad = mg.MixedAutomorphism(field_form(QMatrix.of(rows), s32), phi.alpha, phi.image_of_alpha, phi.seeds, s32)
     cert = mg.verify_automorphism(bad, samples=10)
     assert not cert.ok
     failed = {c.name for c in cert.checks if not c.passed}
@@ -666,8 +673,8 @@ def test_k_coordinate_verdicts_equal_the_dense_oracle(data):
     rows[i][j] += data.draw(_FRACTIONS.filter(bool), label="bump")
     redrawn = E(data.draw(st.integers(0, p - 1), label="k_beta redrawn"), beta.a)
     basis_inv = spec.krylov[1]
-    for w in (phi, mg.MixedAutomorphism(QMatrix(rows), alpha, beta, spec),
-              mg.MixedAutomorphism(phi.field_map, alpha, redrawn, spec)):
+    for w in (phi, mg.MixedAutomorphism(QMatrix(rows), alpha, beta, phi.seeds, spec),
+              mg.MixedAutomorphism(phi.field_map, alpha, redrawn, phi.seeds, spec)):
         verdicts = {ch.name: ch.passed for ch in mg._product_checks(w)}
         assert verdicts == dense_product_checks(w, spec)
         carried = b * basis_inv * w.field_map == c * basis_inv
@@ -681,24 +688,79 @@ def test_a_tampered_witness_fails_its_named_check():
     b, c, alpha, beta = _witness_inputs(spec, 0)
     phi = mg.build_automorphism(b, c, alpha, beta, spec)
 
-    def failed(field_map, a, image):
-        cert = mg.verify_automorphism(mg.MixedAutomorphism(field_map, a, image, spec), samples=0)
+    def failed(field_map, a, image, seeds=phi.seeds):
+        cert = mg.verify_automorphism(mg.MixedAutomorphism(field_map, a, image, seeds, spec), samples=0)
         return {ch.name: ch.detail for ch in cert.checks if not ch.passed}
 
     assert failed(phi.field_map, alpha, beta) == {}
     # another k_alpha or k_beta changes g = k_beta / k_alpha, so L' no
-    # longer intertwines; the failure names a row of L'
+    # longer intertwines; the failure names a row of L', and det L, which
+    # rests on the intertwining, is not derived
+    not_semilinear = "det(L) not derived: L does not intertwine P and R"
     for a, image in ((E(alpha.k % 4 + 1, alpha.a), beta), (alpha, E(beta.k % 4 + 1, beta.a))):
         got = failed(phi.field_map, a, image)
-        assert list(got) == ["intertwining"] and got["intertwining"].startswith("fails at row ")
+        assert list(got) == ["linear_invertible", "intertwining"]
+        assert got["linear_invertible"] == not_semilinear and got["intertwining"].startswith("fails at row ")
     assert failed(phi.field_map, alpha, E(0, beta.a)) == {
+        "linear_invertible": not_semilinear,
         "intertwining": "image of anchor lies inside A",
         "image_order": "phi(alpha)^5 == identity: False"}
     rows = [list(r) for r in phi.field_map.rows]
     rows[3][6] += 1
-    assert list(failed(QMatrix(rows), alpha, beta)) == ["intertwining"]
-    # the zero map intertwines everything and is not invertible
-    assert list(failed(QMatrix.of([[0] * 8] * 8), alpha, beta)) == ["linear_invertible"]
+    assert failed(QMatrix(rows), alpha, beta)["linear_invertible"] == not_semilinear
+    # the zero map and 2 * L' intertwine, but miss the seed row; the zero map
+    # carries b to a zero c, whose basis C is singular
+    twice = QMatrix([[2 * x for x in r] for r in phi.field_map.rows])
+    for field_map in (QMatrix.of([[0] * 8] * 8), twice):
+        assert failed(field_map, alpha, beta) == {"linear_invertible": "det(L) not derived: b_1 * L != c_1"}
+    assert failed(QMatrix.of([[0] * 8] * 8), alpha, beta, (phi.seeds[0], QVector.zero(8))) == {
+        "linear_invertible": "det(L) not derived: C_F is singular, as c = 0"}
+    # the semilinear map from b to c between bases that take the rows of
+    # K^-1 in reverse carries the seed row but not the second basis row
+    basis_inv = spec.krylov[1]
+    reversed_units = QMatrix(basis_inv.rows[::-1])
+    g = beta.k * pow(alpha.k, -1, 5) % 5
+    other = cy.semilinear_map(*phi.seeds, reversed_units, 5, g)
+    assert failed(other, alpha, beta) == {"linear_invertible": "det(L) not derived: b_2 * L != c_2"}
+
+
+_DET_SPECS = {f"p{p}_t{t}": (p, t, None) for p in (2, 3, 5, 7, 13) for t in (1, 2, 3) if t * (p - 1) <= 24}
+_DET_SPECS["rational"] = (5, None, rational_action())
+
+
+@pytest.mark.parametrize("p, t, m", _DET_SPECS.values(), ids=_DET_SPECS.keys())
+def test_the_derived_det_equals_the_bareiss_oracle(p, t, m):
+    # det L = (g | p)^t * N(det C) / N(det B) against Bareiss elimination of
+    # L over Q, for every ratio g = k_beta / k_alpha up to p = 7, and a square
+    # and a non-square at p = 13: at odd t a non-square g makes det L < 0.
+    # Seeds are drawn in K's coordinates with many zeros, so B and C are
+    # often chosen in a pivot order that is not the identity, whose sign
+    # counts at p = 2, where N is the identity; the first draw takes the
+    # last coordinate for b and the first for c, of odd pivot order for B
+    # at even t.
+    spec = mg.build(p, t, m)
+    n, basis = spec.n, spec.krylov[0]
+    rng = random.Random(p * 10 + spec.t)
+
+    def seed():
+        while True:
+            u = QVector.from_ints([rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)], rng.randint(1, 4))
+            if not u.is_zero:
+                return u * basis
+
+    draws = [(QVector.unit(n, n - 1) * basis, QVector.unit(n, 0) * basis, 1)]
+    for g in ((1, 2) if p == 13 else range(1, p)):
+        draws += [(seed(), seed(), g) for _ in range(2)]
+    for b, c, g in draws:
+        ka = rng.randrange(1, p)
+        alpha, beta = E(ka, mg.random_vector(rng, n)), E(ka * g % p, mg.random_vector(rng, n))
+        phi = mg.build_automorphism(b, c, alpha, beta, spec)
+        cert = mg.verify_automorphism(phi, samples=0)
+        assert cert.ok
+        det = Fraction(cert.checks[0].detail.removeprefix("det(L) = "))
+        assert det == bareiss_det(phi.linear), (b, c, g)
+        if p > 2:
+            assert (det > 0) == (cy._zolotarev_sign(g, p) ** spec.t > 0)
 
 
 def test_omega_certificate_fails_a_witness_that_misses_its_seed(monkeypatch):

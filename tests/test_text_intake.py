@@ -15,6 +15,7 @@ import json
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from conftest import json_load_oracle, perfbench_inputs, random_cocycle
@@ -198,7 +199,31 @@ FROM_TEXT = [("group", name) for name in ["default", "compact", "indent", "tabs 
 
 @pytest.mark.parametrize("kind, name", FROM_TEXT, ids=[f"{kind}: {name}" for kind, name in FROM_TEXT])
 def test_strict_arrays_are_read_from_the_text(kind, name):
-    assert cli._read_arrays(CASE_SETS[kind][name], ARRAYS[kind]) is not None
+    # a table comes in as int16, and a rational array as int64 numerators
+    doc = cli._read_arrays(CASE_SETS[kind][name], ARRAYS[kind])
+    assert doc is not None
+    for path, (_, rational, _) in ARRAYS[kind].items():
+        array = doc
+        for key in path:
+            array = array[key]
+        assert (array.nums if rational else array).dtype == (np.int64 if rational else np.int16)
+
+
+#: Entries of 2^15 and more, each past any order up to ``gc.MAX_ORDER``; the
+#: text intake leaves them to json.load, whose message is the table check's.
+BIG_ENTRIES = {f"entry {v}": _with(GROUP, ENTRY, str(v)) for v in (2**15 - 1, 2**15, 10**17)}
+
+
+@pytest.mark.parametrize("name", BIG_ENTRIES)
+def test_table_entries_past_int16_are_left_to_json_load(capsys, monkeypatch, tmp_path, name):
+    text = BIG_ENTRIES[name]
+    assert (cli._read_arrays(text, cli._GROUP_ARRAYS) is None) == (name != f"entry {2**15 - 1}")
+    path = tmp_path / "input.json"
+    path.write_bytes(text)
+    got = _outcome(capsys, ["omega", str(path)])
+    assert got == (2, "", "error: table entries must be element indices\n")
+    monkeypatch.setattr(cli, "_load_json", json_load_oracle)
+    assert got == _outcome(capsys, ["omega", str(path)])
 
 
 @pytest.mark.parametrize("kind, name", [("group", "two runs in a slot"), ("group", "run moved out of its row"),
@@ -221,7 +246,8 @@ def order_2048_file(tmp_path_factory) -> str:
 def test_a_large_table_reads_through_the_cli_in_bounded_time_and_memory(capsys, order_2048_file):
     # an order-2048 table (24 MB of JSON) up to the automorphism search cap;
     # through json.load this took 0.60-0.73 s at a tracemalloc peak of
-    # 177 MiB, and from the text 0.17-0.22 s at 54 MiB (in-process, 2 vCPU host)
+    # 177 MiB, and from the text 0.17-0.22 s at 54 MiB, 34 MiB once read
+    # straight into int16 (in-process, 2 vCPU host)
     argv = ["omega", order_2048_file]
     start = time.perf_counter()
     code = cli.main(argv)
@@ -235,3 +261,17 @@ def test_a_large_table_reads_through_the_cli_in_bounded_time_and_memory(capsys, 
     assert (code, capsys.readouterr().err) == (2, "error: order 2048 exceeds automorphism search cap 512\n" * 2)
     assert elapsed < 0.5
     assert peak < 100 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_a_large_table_is_read_into_int16_alone(order_2048_file):
+    # the 22.9 MB text and the 8 MiB int16 table, read block by block; an
+    # int64 table of the text and its int16 copy peaked at 54.9 MiB here
+    # (tracemalloc, order 2048)
+    tracemalloc.start()
+    try:
+        g = gc.GroupTable.from_json(cli._load_json(order_2048_file, cli._GROUP_ARRAYS))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.order == 2048 and g.array.dtype == np.int16
+    assert peak < 40 * 2**20, f"peak {peak / 2**20:.1f} MiB"
