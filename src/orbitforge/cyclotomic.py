@@ -152,6 +152,13 @@ def _field_row(nums: Sequence[int], den: int, k: int) -> list[QVector]:
     return [_vector(nums[i:i + k], den) for i in range(0, len(nums), k)]
 
 
+def _joined_row(row: Sequence[QVector]) -> QVector:
+    """The row of F^t as a vector of Q^(t*k), over one denominator: the
+    inverse of ``_field_row``."""
+    den = math.lcm(*(e.den for e in row))
+    return _vector([x * (den // e.den) for e in row for x in e.nums], den)
+
+
 def _field_residual(v: list[QVector], rows: Sequence[tuple[int, list[QVector]]], d: QVector,
                     cols: range) -> list[QVector]:
     """The entries ``cols`` of d * v minus its components along rows, (pivot,
@@ -200,14 +207,13 @@ def _choose_basis(first: list[QVector], units: QMatrix, k: int, tails: Sequence[
     """The F-basis of F^t made of first and then each row of ``units`` in
     turn that is F-independent of the rows chosen so far; the chosen row i
     is extended by tails[i], which takes no part in the choice. Returns the
-    indices in ``units`` of the rows chosen after first, the echelon form
-    of all but the last extended row with its common pivot, and the last
-    one's residual against it."""
+    chosen rows, unextended, the echelon form of all but the last extended
+    row with its common pivot, and the last one's residual against it."""
     t = len(first)
-    picked, rows, d = [], [], QVector.unit(k, 0)
+    chosen, rows, d = [first], [], QVector.unit(k, 0)
     last = first + tails[0]
-    for r, u in enumerate(units.nums):
-        if len(picked) == t - 1:
+    for u in units.nums:
+        if len(chosen) == t:
             break
         if last is not None:
             d = _field_insert(last, rows, d)
@@ -215,14 +221,14 @@ def _choose_basis(first: list[QVector], units: QMatrix, k: int, tails: Sequence[
         v = _field_row(u, units.den, k)
         left = _field_residual(v, rows, d, range(t))
         if any(any(e.nums) for e in left):
-            tail = tails[len(picked) + 1]
+            tail = tails[len(chosen)]
             last = left + _field_residual(v + tail, rows, d, range(t, t + len(tail)))
-            picked.append(r)
-    return picked, rows, d, last
+            chosen.append(v)
+    return chosen, rows, d, last
 
 
 def field_basis(seed: QVector, units: QMatrix, p: int) -> tuple[list[QVector], QVector]:
-    """The F-basis of F^t that ``semilinear_map`` takes from the nonzero
+    """The F-basis of F^t that ``semilinear_map`` chooses from the nonzero
     seed, its rows in K's coordinates (seed, then the rows of units = K^-1
     that ``_choose_basis`` picks), and the determinant over F of its t x t
     matrix. The last pivot of the fraction-free elimination that chose the
@@ -230,12 +236,12 @@ def field_basis(seed: QVector, units: QMatrix, p: int) -> tuple[list[QVector], Q
     so it is det times the sign of that order."""
     k = p - 1
     first = _field_row(seed.nums, seed.den, k)
-    picked, rows, _, last = _choose_basis(first, units, k, [[]] * len(first))
+    chosen, rows, _, last = _choose_basis(first, units, k, [[]] * len(first))
     c = next(j for j, e in enumerate(last) if any(e.nums))
     order = [q for q, _ in rows] + [c]
     odd = sum(a > b for i, a in enumerate(order) for b in order[i + 1:]) % 2
     det = _vector([-x for x in last[c].nums], last[c].den) if odd else last[c]
-    return [seed, *(_vector(units.nums[r], units.den) for r in picked)], det
+    return [seed, *map(_joined_row, chosen[1:])], det
 
 
 def semilinear_det(det_b: QVector, det_c: QVector, p: int, g: int, t: int) -> Fraction:
@@ -266,7 +272,7 @@ def semilinear_map(b: QVector, c: QVector, basis_inv: QMatrix, p: int, g: int) -
     The caller, ``mixed_group.build_automorphism``, checks the seeds.
     """
     k, t, g_inv = p - 1, b.dim // (p - 1), pow(g, -1, p)
-    right = [_field_row(r.nums, r.den, k) for r in field_basis(c, basis_inv, p)[0]]
+    right = _choose_basis(_field_row(c.nums, c.den, k), basis_inv, k, [[]] * t)[0]
     tails = [[_vector(_poly_map(e.nums, g_inv, 0), e.den) for e in row] for row in right]
     _, rows, d, last = _choose_basis(_field_row(b.nums, b.den, k), basis_inv, k, tails)
     # every pivot is now det(B) (up to sign): X is the right half over it

@@ -331,7 +331,12 @@ def _linear_invertible(phi: MixedAutomorphism, intertwines: bool) -> CheckResult
 
 
 def verify_automorphism(phi: MixedAutomorphism, samples: int, seed: int = 0) -> Certificate:
-    """Exact certificate that phi is an automorphism of the group of its spec.
+    """Exact certificate that phi is an automorphism of the group of its spec:
+    sound, as a pass proves it, but complete only for the semilinear map
+    between the F-bases of phi's seeds that ``build_automorphism`` makes. An
+    automorphism that does not carry those bases row by row (L * q(R), say)
+    fails ``linear_invertible`` as "det(L) not derived", which says that the
+    premises of the derivation fail, not that L is singular.
 
     Write beta = phi(alpha), and P and R for conjugation by alpha and by
     beta on A. Every g is alpha^m * u in exactly one way (0 <= m < p, u in

@@ -450,8 +450,11 @@ def conjugation_matrix(g: "mg.MixedElement", spec: "mg.MixedGroupSpec") -> QMatr
 
 def compose_automorphisms(first, second, spec) -> "mg.MixedAutomorphism":
     """The map applying first, then second; anchored at first.alpha. In K's
-    coordinates, K * L1 * L2 * K^-1 is L1' * L2', and it carries the seed b
-    of first to c * L2' for the seed c of first."""
+    coordinates, K * L1 * L2 * K^-1 is L1' * L2'. It carries first's seed b
+    to c * L2', c first's other seed, so those are its seeds; but at t >= 2
+    it sends the further rows of b's basis to the rows of c's basis times
+    L2', not to the basis chosen from c * L2', so ``verify_automorphism``
+    need not derive its det. It is for ``apply_automorphism`` only."""
     b, c = first.seeds
     return mg.MixedAutomorphism(
         first.field_map * second.field_map,

@@ -707,7 +707,8 @@ def test_a_tampered_witness_fails_its_named_check():
         "image_order": "phi(alpha)^5 == identity: False"}
     rows = [list(r) for r in phi.field_map.rows]
     rows[3][6] += 1
-    assert failed(QMatrix(rows), alpha, beta)["linear_invertible"] == not_semilinear
+    got = failed(QMatrix(rows), alpha, beta)
+    assert list(got) == ["linear_invertible", "intertwining"] and got["linear_invertible"] == not_semilinear
     # the zero map and 2 * L' intertwine, but miss the seed row; the zero map
     # carries b to a zero c, whose basis C is singular
     twice = QMatrix([[2 * x for x in r] for r in phi.field_map.rows])
