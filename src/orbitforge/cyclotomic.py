@@ -4,6 +4,7 @@
 An element of F is the ``QVector`` of its p - 1 coordinates on 1, x, ...,
 x^(p-2); products are taken mod x^p - 1, then reduced by x^(p-1) =
 -(1 + x + ... + x^(p-2)). The arithmetic runs on the integer numerators.
+A row of F^t is a sequence of t elements.
 
 This is the field of the mixed-order groups Q^n x| C_p (``mixed_group``).
 Let M be a rational n x n matrix with Phi_p(M) = 0. Phi_p is irreducible,
@@ -12,33 +13,37 @@ so Q[M] is a copy of F, and:
 - A = Q^n is F^t, n = t * (p - 1), through the cyclic basis K =
   ``cyclic_decomposition(M, p, e_1)`` of blocks b_i * M^j, 0 <= j < p - 1:
   v -> v * K^-1 reads v in F^t, block i of its coordinates holding entry
-  i, and row j of K^-1 is e_j in F^t.
+  i (``_field_row``), and row j of K^-1 is e_j in F^t.
 - M acts as multiplication by x, so M^k acts as x^k, and Q[M^k] = F for p
   not dividing k: a block under M^k spans the F-line of its seed, and e_j
   is outside the span of earlier blocks iff it is F-independent of their
   seeds.
-- A witness L is sigma_g-semilinear, sigma_g: x -> x^g. M^a * L == L * M^b
-  (p dividing neither a nor b) says L(x^a * u) = x^b * L(u), so g = b / a
-  mod p, and L is u -> sigma_g(u * B^-1) * C for the t x t matrices B and
-  C over F of an F-basis and its image (``semilinear_map``).
-- det L = (g | p)^t * N(det C) / N(det B), N the norm of F and (g | p)
-  the Legendre symbol: u -> u * X over F has determinant N(det X) over Q,
-  and sigma_g has determinant (g | p) on F, as it permutes the basis x^j of
-  Q[x] / (x^p - 1) by j -> g*j mod p, of sign (g | p) by Zolotarev's lemma
-  (``_zolotarev_sign``), and fixes 1 + x + ... + x^(p-1), which spans the
-  complement of F there. So det L != 0 exactly when det C != 0.
-- This is a derivation, not a restatement of the construction: any L that
-  satisfies M^a * L == L * M^b is sigma_g-semilinear, and one that also
-  sends each row b_i of B to the row c_i of C (t identities over Q) is
-  then the map above, whatever built it. det_F of a basis is the last
-  pivot of the fraction-free elimination that chose it, times the sign of
-  its pivot order (``field_basis``); N(-x) = N(x) but at p = 2, where F =
-  Q, N is the identity and the sign counts.
-- K * M = C * K for C the block companion of Phi_p, as row (i, j) of K is
-  b_i * M^j and b_i * Phi_p(M) = 0. K is invertible, so for L' = K * L *
-  K^-1, P * L == L * R (P = M^a, R = M^b) holds iff C^a * L' == L' * C^b,
-  and b * L == c iff (b * K^-1) * L' == c * K^-1: O(n^2) checks
-  (``_first_mismatch``), with no product over Q and no power of M.
+
+A witness is a pair (g, X), g prime to p and X a t x t matrix over F: the
+sigma_g-semilinear map L(w) = sigma_g(w * X) of F^t, sigma_g: x -> x^g.
+
+- Intertwining: for p dividing neither a nor b, M^a * L == L * M^b iff
+  g * a == b mod p (for X != 0). L(x^a * w) = x^(g*a) * L(w), which is
+  x^b * L(w) for a w with L(w) != 0 only if x^(g*a) = x^b.
+- Row identities: L sends b to c iff b * X == sigma_(g^-1)(c)
+  (``carries``). On the t rows of F-bases B and C they say B * X =
+  sigma_(g^-1)(C), so X = B^-1 * sigma_(g^-1)(C), whatever built it:
+  ``semilinear_map`` solves it so, and a witness that passes them is that
+  map.
+- det L = (g | p)^t * N(det C) / N(det B) over Q, N the norm of F and
+  (g | p) the Legendre symbol: w -> w * X has determinant N(det X) over Q,
+  N(det sigma_(g^-1)(C)) = N(det C), and sigma_g has determinant (g | p) on
+  F, as it permutes the basis x^j of Q[x] / (x^p - 1) by j -> g*j mod p,
+  of sign (g | p) by Zolotarev's lemma (``_zolotarev_sign``), and fixes
+  1 + x + ... + x^(p-1), which spans the complement of F there. So det L
+  != 0 exactly when det C != 0. det_F of a basis is the last pivot of the
+  fraction-free elimination that chose it, times the sign of its pivot
+  order (``field_basis``); N(-x) = N(x) but at p = 2, where F = Q, N is
+  the identity and the sign counts. The norm of det X itself, a quotient,
+  would cost p times the size of its two factors.
+- Over Q, in K's coordinates, L' = K * L * K^-1 has row (i, j), the image
+  of x^j in entry i, equal to x^(g*j) * sigma_g(row i of X)
+  (``semilinear_matrix``); L = K^-1 * L' * K.
 """
 
 from __future__ import annotations
@@ -77,22 +82,6 @@ def _poly_map(a: Sequence[int], h: int, s: int) -> list[int]:
     for j, x in enumerate(a):
         acc[(h * j + s) % p] = x
     return _reduce_phi(acc)
-
-
-def _first_mismatch(nums: Sequence[Sequence[int]], p: int, a: int, b: int) -> int | None:
-    """The first row at which C^a * L' and L' * C^b differ (module
-    docstring), for L' of integer rows nums; None if none does. Row (i, j)
-    of C^a * L' is row (i, j + a mod p) of L', row (i, p - 1) being minus
-    the sum of block i; row (i, j) of L' * C^b has each block times x^b."""
-    k = p - 1
-    for i in range(0, len(nums), k):
-        block = [list(row) for row in nums[i:i + k]]
-        block.append([-sum(col) for col in zip(*block)])
-        for j, row in enumerate(block[:k]):
-            if block[(j + a) % p] != [y for s in range(0, len(row), k)
-                                      for y in _poly_map(row[s:s + k], 1, b)]:
-                return i + j
-    return None
 
 
 def _primitive_root(p: int) -> int:
@@ -150,13 +139,6 @@ def _field_row(nums: Sequence[int], den: int, k: int) -> list[QVector]:
     """The vector nums / den of Q^(t*k) as a row of F^t, k = p - 1 entries
     per block."""
     return [_vector(nums[i:i + k], den) for i in range(0, len(nums), k)]
-
-
-def _joined_row(row: Sequence[QVector]) -> QVector:
-    """The row of F^t as a vector of Q^(t*k), over one denominator: the
-    inverse of ``_field_row``."""
-    den = math.lcm(*(e.den for e in row))
-    return _vector([x * (den // e.den) for e in row for x in e.nums], den)
 
 
 def _field_residual(v: list[QVector], rows: Sequence[tuple[int, list[QVector]]], d: QVector,
@@ -227,21 +209,19 @@ def _choose_basis(first: list[QVector], units: QMatrix, k: int, tails: Sequence[
     return chosen, rows, d, last
 
 
-def field_basis(seed: QVector, units: QMatrix, p: int) -> tuple[list[QVector], QVector]:
+def field_basis(seed: Sequence[QVector], units: QMatrix, p: int) -> tuple[list[list[QVector]], QVector]:
     """The F-basis of F^t that ``semilinear_map`` chooses from the nonzero
-    seed, its rows in K's coordinates (seed, then the rows of units = K^-1
-    that ``_choose_basis`` picks), and the determinant over F of its t x t
+    seed row, as rows of F^t (seed, then the rows of units = K^-1 that
+    ``_choose_basis`` picks), and the determinant over F of its t x t
     matrix. The last pivot of the fraction-free elimination that chose the
     rows is the determinant of that matrix with its columns in pivot order,
     so it is det times the sign of that order."""
-    k = p - 1
-    first = _field_row(seed.nums, seed.den, k)
-    chosen, rows, _, last = _choose_basis(first, units, k, [[]] * len(first))
+    chosen, rows, _, last = _choose_basis(list(seed), units, p - 1, [[]] * len(seed))
     c = next(j for j, e in enumerate(last) if any(e.nums))
     order = [q for q, _ in rows] + [c]
     odd = sum(a > b for i, a in enumerate(order) for b in order[i + 1:]) % 2
     det = _vector([-x for x in last[c].nums], last[c].den) if odd else last[c]
-    return [seed, *map(_joined_row, chosen[1:])], det
+    return chosen, det
 
 
 def semilinear_det(det_b: QVector, det_c: QVector, p: int, g: int, t: int) -> Fraction:
@@ -252,34 +232,53 @@ def semilinear_det(det_b: QVector, det_c: QVector, p: int, g: int, t: int) -> Fr
     return Fraction(_zolotarev_sign(g, p) ** t * nc * det_b.den ** (p - 1), nb * det_c.den ** (p - 1))
 
 
-def semilinear_map(b: QVector, c: QVector, basis_inv: QMatrix, p: int, g: int) -> QMatrix:
-    """L' = K * L * K^-1, the matrix in the spec's cyclic coordinates of
-    the sigma_g-semilinear map L of A = F^t that sends the F-basis starting
-    at b to the one starting at c, for b and c nonzero and given in K's
-    coordinates, and basis_inv = K^-1 of the cyclic basis K that reads Q^n
-    as F^t (see the module docstring). Each basis takes, after its seed,
-    each e_j (row j of K^-1) in turn that is F-independent of the rows so
-    far. For B and C the t x t matrices of the bases over F, row (i, j) of
-    L', the image of x^j in entry i, is x^(g*j) * sigma_g(row i of B^-1) *
-    C; L over Q is K^-1 * L' * K.
+def _galois_row(row: Sequence[QVector], h: int) -> list[QVector]:
+    """sigma_h of each entry of a row of F^t."""
+    return [_vector(_poly_map(e.nums, h, 0), e.den) for e in row]
+
+
+def carries(b: Sequence[QVector], c: Sequence[QVector], x: Sequence[Sequence[QVector]], g: int) -> bool:
+    """Whether the witness (g, X) sends the row b of F^t to c: b * X ==
+    sigma_(g^-1)(c) (module docstring). Zero entries of b and X are
+    skipped, so a sparse b costs little."""
+    k = len(c[0].nums)
+    image = [QVector.zero(k)] * len(c)
+    for e, row in zip(b, x):
+        if any(e.nums):
+            image = [y + _elem_mul(e, z) if any(z.nums) else y for y, z in zip(image, row)]
+    return image == _galois_row(c, pow(g, -1, k + 1))
+
+
+def semilinear_map(b: Sequence[QVector], c: Sequence[QVector], basis_inv: QMatrix, p: int,
+                   g: int) -> tuple[tuple[QVector, ...], ...]:
+    """X = B^-1 * sigma_(g^-1)(C), so that (g, X) is the sigma_g-semilinear
+    map of A = F^t that sends the F-basis B starting at b to the one C
+    starting at c, for b and c nonzero rows of F^t, and basis_inv = K^-1 of
+    the cyclic basis K that reads Q^n as F^t (see the module docstring).
+    Each basis takes, after its seed, each e_j (row j of K^-1) in turn that
+    is F-independent of the rows so far.
 
     Fraction-free Gauss-Jordan on [B | sigma_(g^-1)(C)] over F, run while the
     rows of B are chosen, ends at [D | D * X] with D = +-det B times the
-    identity and X = B^-1 * sigma_(g^-1)(C); row i of sigma_g(X) is
-    sigma_g(row i of B^-1) * C. Every inverse is of a minor: one per pivot
-    of B after its first, one per pivot of C after its first but for its
-    last, and one of det B, so det B alone at t = 1. No Fraction is made.
-    The caller, ``mixed_group.build_automorphism``, checks the seeds.
+    identity. Every inverse is of a minor: one per pivot of B after its
+    first, one per pivot of C after its first but for its last, and one of
+    det B, so det B alone at t = 1. No Fraction is made. The caller,
+    ``mixed_group.build_automorphism``, checks the seeds.
     """
-    k, t, g_inv = p - 1, b.dim // (p - 1), pow(g, -1, p)
-    right = _choose_basis(_field_row(c.nums, c.den, k), basis_inv, k, [[]] * t)[0]
-    tails = [[_vector(_poly_map(e.nums, g_inv, 0), e.den) for e in row] for row in right]
-    _, rows, d, last = _choose_basis(_field_row(b.nums, b.den, k), basis_inv, k, tails)
+    k, t = p - 1, len(b)
+    right = _choose_basis(list(c), basis_inv, k, [[]] * t)[0]
+    tails = [_galois_row(row, pow(g, -1, p)) for row in right]
+    _, rows, d, last = _choose_basis(list(b), basis_inv, k, tails)
     # every pivot is now det(B) (up to sign): X is the right half over it
     inv = _elem_inverse(_field_insert(last, rows, d))
     rows.sort(key=_PIVOT)
-    # row (i, j) of L' is x^(g*j) * sigma_g(row i of X), over one denominator
-    xs = [[_elem_mul(inv, x) for x in row[t:]] for _, row in rows]
-    den = math.lcm(*(e.den for row in xs for e in row))
+    return tuple(tuple(_elem_mul(inv, e) for e in row[t:]) for _, row in rows)
+
+
+def semilinear_matrix(x: Sequence[Sequence[QVector]], p: int, g: int) -> QMatrix:
+    """L' = K * L * K^-1 over Q for the witness (g, X): row (i, j), the
+    image of x^j in entry i, is x^(g*j) * sigma_g(row i of X), over one
+    denominator (module docstring)."""
+    den = math.lcm(*(e.den for row in x for e in row))
     return _matrix([[y * (den // e.den) for e in row for y in _poly_map(e.nums, g, g * j)]
-                    for row in xs for j in range(k)], den)
+                    for row in x for j in range(p - 1)], den)

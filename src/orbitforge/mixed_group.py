@@ -20,17 +20,10 @@ enumeration: it combines an exact separating invariant (element order is
 with constructed automorphism witnesses for transitivity inside each class.
 
 Since Phi_p(M) = 0, A = F^t over the cyclotomic field F = Q(zeta_p), and
-``build_automorphism`` solves each witness there as the semilinear map
-between the F-bases B and C chosen from its seeds b and c (the facts are
-stated in ``cyclotomic``). ``verify_automorphism`` certifies a witness
-(L, alpha, beta) by exact identities: P * L == L * R, beta outside A, and
-b_i * L == c_i on the t rows of B and C, which with the first make L the
-semilinear map between them, so det L = (g | p)^t * N(det C) / N(det B)
-!= 0 is derived, not eliminated. L is invertible by construction, so
-``omega_certificate`` checks only intertwining, beta and b * L == c. A
-witness holds L' = K * L * K^-1 and its seeds in K's coordinates, and is
-checked there in O(n^2) (see ``cyclotomic``); only the printed L and the
-group law work over Q.
+a witness is the sigma_g-semilinear map (g, X) of F^t between the F-bases
+B and C chosen from its seeds b and c. Its checks, intertwining, the row
+identities and det L, are the facts stated in ``cyclotomic``, checked in
+F^t; only the printed L and the group law work over Q.
 """
 
 from __future__ import annotations
@@ -42,7 +35,7 @@ from functools import cached_property
 from itertools import accumulate, repeat
 
 from .arith import is_prime
-from .cyclotomic import _first_mismatch, field_basis, semilinear_det, semilinear_map
+from .cyclotomic import _field_row, carries, field_basis, semilinear_det, semilinear_map, semilinear_matrix
 from .exact_linear import QMatrix, QVector, _matrix, cyclic_decomposition
 
 #: Bound on numerators and denominators drawn for randomized witnesses;
@@ -235,22 +228,24 @@ class MixedAutomorphism:
     """An automorphism of the group of ``spec``, determined by an invertible
     restriction L to A and the image of the anchor element alpha; every g
     factors as alpha^m * a and maps to image_of_alpha^m * (a * L).
-    ``field_map`` is L' = K * L * K^-1, L in the coordinates of the spec's
-    cyclic basis K (see ``cyclotomic``), and ``seeds`` is (b * K^-1,
-    c * K^-1), the seeds whose F-bases L is claimed to carry one to the
-    other, in the same coordinates."""
+    L is the witness (g, X) on A = F^t, L(w) = sigma_g(w * X) for X the t
+    rows of F^t in ``x`` (see ``cyclotomic``), and ``seeds`` is (b, c) as
+    rows of F^t, the seeds whose F-bases L is claimed to carry one to the
+    other."""
 
-    field_map: QMatrix
+    g: int
+    x: tuple[tuple[QVector, ...], ...]
     alpha: MixedElement
     image_of_alpha: MixedElement
-    seeds: tuple[QVector, QVector]
+    seeds: tuple[tuple[QVector, ...], tuple[QVector, ...]]
     spec: MixedGroupSpec = field(repr=False, compare=False)
 
     @cached_property
     def linear(self) -> QMatrix:
-        """L = K^-1 * L' * K over Q, built at its first use."""
+        """L = K^-1 * L' * K over Q, built at its first use: for the
+        printout of ``verify_automorphism`` and the group law."""
         basis, basis_inv = self.spec.krylov
-        return basis_inv * (self.field_map * basis)
+        return basis_inv * (semilinear_matrix(self.x, self.spec.p, self.g) * basis)
 
     @cached_property
     def anchor_powers(self) -> tuple[tuple[MixedElement, ...], ...]:
@@ -290,43 +285,40 @@ def random_element(rng: random.Random, spec: MixedGroupSpec, outside: bool = Fal
 
 def _product_checks(phi: MixedAutomorphism) -> list[CheckResult]:
     """The exact checks of ``verify_automorphism`` other than det L != 0:
-    P * L == L * R, as C^a * L' == L' * C^b in K's coordinates (see
-    ``cyclotomic``; a failure names the first differing row of L'), and
-    beta outside A."""
-    p = phi.spec.p
+    P * L == L * R, as g * k_alpha == k_beta mod p for the witness's own g
+    (see ``cyclotomic``), and beta outside A."""
+    p, g = phi.spec.p, phi.g
     a, b = phi.alpha.k % p, phi.image_of_alpha.k % p
     if a == 0:
         raise ValueError("anchor element must lie outside A")
-    bad = _first_mismatch(phi.field_map.nums, p, a, b) if b else -1
     detail = ("image of anchor lies inside A" if not b else "P*L == L*R on the standard basis"
-              if bad is None else f"fails at row {bad} of the cyclic basis")
-    return [CheckResult("intertwining", bad is None, detail),
+              if g * a % p == b else f"g * k_alpha = {g * a % p} != k_beta = {b} mod {p}")
+    return [CheckResult("intertwining", b != 0 and g * a % p == b, detail),
             CheckResult("image_order", b != 0, f"phi(alpha)^{p} == identity: {b != 0}")]
 
 
 def _linear_invertible(phi: MixedAutomorphism, intertwines: bool) -> CheckResult:
     """The check det L != 0, with det L derived by ``cyclotomic``'s formula
     from its premises, or failed naming the first premise that does not
-    hold: L' intertwines (so it is sigma_g-semilinear, g = k_beta / k_alpha
-    mod p), b_1 * L' == c_1 for the seeds, c != 0 (else C is singular), and
-    b_i * L' == c_i in K's coordinates for each further row i <= t of the
-    F-bases B and C that ``field_basis`` rebuilds from the seeds, as
-    ``semilinear_map`` chose them. A zero b fails at b_1."""
-    spec, (b, c) = phi.spec, phi.seeds
+    hold: the intertwining, b_1 * L == c_1 for the seeds, c != 0 (else C is
+    singular), and b_i * L == c_i for each further row i <= t of the F-bases
+    B and C that ``field_basis`` rebuilds from the seeds, as
+    ``semilinear_map`` chose them; each row identity is checked in F^t
+    (``carries``). A zero b fails at b_1."""
+    spec, (b, c), g = phi.spec, phi.seeds, phi.g
     p, basis_inv = spec.p, spec.krylov[1]
     if not intertwines:
         failed = "L does not intertwine P and R"
-    elif b * phi.field_map != c:
+    elif not carries(b, c, phi.x, g):
         failed = "b_1 * L != c_1"
-    elif c.is_zero:
+    elif not any(any(e.nums) for e in c):
         failed = "C_F is singular, as c = 0"
     else:
         (rows_b, det_b), (rows_c, det_c) = field_basis(b, basis_inv, p), field_basis(c, basis_inv, p)
         failed = next((f"b_{i} * L != c_{i}" for i, (u, v) in enumerate(zip(rows_b[1:], rows_c[1:]), 2)
-                       if u * phi.field_map != v), None)
+                       if not carries(u, v, phi.x, g)), None)
     if failed:
         return CheckResult("linear_invertible", False, f"det(L) not derived: {failed}")
-    g = phi.image_of_alpha.k * pow(phi.alpha.k, -1, p) % p
     return CheckResult("linear_invertible", True, f"det(L) = {semilinear_det(det_b, det_c, p, g, spec.t)}")
 
 
@@ -334,25 +326,26 @@ def verify_automorphism(phi: MixedAutomorphism, samples: int, seed: int = 0) -> 
     """Exact certificate that phi is an automorphism of the group of its spec:
     sound, as a pass proves it, but complete only for the semilinear map
     between the F-bases of phi's seeds that ``build_automorphism`` makes. An
-    automorphism that does not carry those bases row by row (L * q(R), say)
-    fails ``linear_invertible`` as "det(L) not derived", which says that the
-    premises of the derivation fail, not that L is singular.
+    automorphism that does not carry those bases row by row ((g, s * X) for
+    a scalar s != 1 of F, say) fails ``linear_invertible`` as "det(L) not
+    derived", which says that the premises of the derivation fail, not that
+    L is singular.
 
     Write beta = phi(alpha), and P and R for conjugation by alpha and by
     beta on A. Every g is alpha^m * u in exactly one way (0 <= m < p, u in
     A), and phi sends it to beta^m * (u * L). As (alpha^m u)(alpha^l v) =
     alpha^(m+l) (u * P^l + v), that map preserves products exactly when
-    P * L == L * R (``intertwining``, one matrix identity; a failure names
-    the first differing row) and beta^p == 1. It is bijective when det L != 0
-    and beta lies outside A. Every beta = h^k b outside A has order p,
-    because (h^k b)^p = h^0 (b * Phi_p(M^k)) and Phi_p(M^k) = Phi_p(M) = 0
-    for the spec, so ``image_order`` checks only that beta lies outside A.
+    P * L == L * R (``intertwining``) and beta^p == 1. It is bijective when
+    det L != 0 and beta lies outside A. Every beta = h^k b outside A has
+    order p, because (h^k b)^p = h^0 (b * Phi_p(M^k)) and Phi_p(M^k) =
+    Phi_p(M) = 0 for the spec, so ``image_order`` checks only that beta
+    lies outside A.
 
-    ``linear_invertible`` derives det L = (g | p)^t * N(det C) / N(det B)
-    (``cyclotomic``) from intertwining, a nonzero seed c and the t identities
-    b_i * L == c_i on the rows of the F-bases B and C of the seeds, checked
-    in K's coordinates; it fails naming the first of these premises that
-    does not hold, and makes no elimination over Q. These three checks
+    For the witness (g, X), ``intertwining`` is g * k_alpha == k_beta mod
+    p, and ``linear_invertible`` derives det L from it, a nonzero seed c
+    and the row identities on the F-bases B and C of the seeds, all as
+    stated in ``cyclotomic``; it fails naming the first of these premises
+    that does not hold, and makes no elimination over Q. These three checks
     decide the certificate; ``homomorphism_samples`` tests the product law
     on ``samples`` random pairs through ``apply_automorphism``, a redundant
     spot check that stops at the first failing pair.
@@ -394,15 +387,15 @@ def build_automorphism(
     The orbit basis over alpha is that of ``cyclic_decomposition(P, p, b)``
     for P = M^(k_alpha): the blocks b_i * P^j of b_1 = b and of greedy seeds
     b_2, ..., b_t; likewise over beta with R = M^(k_beta) and c. L sends each
-    b_i * P^j to c_i * R^j: it is the sigma_g-semilinear map of A = F^t,
-    g = k_beta / k_alpha mod p, between the F-bases of the seeds, and
-    det L != 0 (see ``cyclotomic``). ``semilinear_map`` solves it as L', in
-    the coordinates of the spec's cyclic basis, with no elimination over Q.
+    b_i * P^j to c_i * R^j: it is the sigma_g-semilinear map (g, X) of
+    A = F^t, g = k_beta / k_alpha mod p, between the F-bases of the seeds
+    (see ``cyclotomic``), and ``semilinear_map`` solves X with no
+    elimination over Q.
 
     Seeds that are zero or of the wrong length, and an alpha or beta inside
     A, are refused before any of this. No power of M is built; the map is
-    returned unverified, with its seeds in K's coordinates, and its
-    certificate is ``verify_automorphism``.
+    returned unverified, with its seeds as rows of F^t, and its certificate
+    is ``verify_automorphism``.
     """
     if b.is_zero or c.is_zero:
         raise ValueError("seed vectors must be nonzero")
@@ -415,8 +408,8 @@ def build_automorphism(
         raise ValueError(f"seed dimensions {b.dim}, {c.dim} do not match the spec's {spec.n}")
     g = beta.k * pow(alpha.k, -1, p) % p
     basis_inv = spec.krylov[1]
-    seeds = (b * basis_inv, c * basis_inv)
-    return MixedAutomorphism(semilinear_map(*seeds, basis_inv, p, g), alpha, beta, seeds, spec)
+    seeds = tuple(tuple(_field_row(u.nums, u.den, p - 1)) for u in (b * basis_inv, c * basis_inv))
+    return MixedAutomorphism(g, semilinear_map(*seeds, basis_inv, p, g), alpha, beta, seeds, spec)
 
 
 def spec_checks(spec: MixedGroupSpec) -> Certificate:
@@ -459,13 +452,12 @@ def omega_certificate(
     is constructive: for sampled pairs inside each nontrivial class an
     explicit automorphism carrying one to the other is built and verified.
 
-    A witness is verified by P * L == L * R, beta outside A and b * L == c,
-    with no determinant: ``build_automorphism`` solves L as a semilinear map
-    between two F-bases of A = F^t, so det L != 0 (see ``cyclotomic``). The
-    cyclic basis K that proved the spec, and its inverse, serve every
-    witness: this makes no elimination over Q, and the identities are
-    checked on L' and the witness's seeds in K's coordinates in O(n^2), with
-    no matrix product and no power of M.
+    A witness (g, X) is verified by ``_product_checks`` and its first row
+    identity b * L == c, in F^t, with no determinant: ``build_automorphism``
+    solves it as the semilinear map between two F-bases of A = F^t, so
+    det L != 0 (see ``cyclotomic``). The cyclic basis K that proved the
+    spec, and its inverse, serve every witness: this makes no elimination
+    over Q, no matrix product and no power of M, and builds no L.
     """
     if pairs_per_class < 1:
         raise ValueError("pairs_per_class must be positive")
@@ -497,7 +489,7 @@ def omega_certificate(
             if failed:
                 detail = f"witness construction failed: automorphism verification failed: {failed}"
                 break
-            if phi.seeds[0] * phi.field_map != phi.seeds[1]:
+            if not carries(*phi.seeds, phi.x, phi.g):
                 detail = f"constructed map does not carry {b!r} to {c!r}"
                 break
             verified += 1

@@ -24,6 +24,7 @@ import pytest
 
 from orbitforge import catalog
 from orbitforge import cocycle_split as cs
+from orbitforge import cyclotomic as cy
 from orbitforge import group_core as gc
 from orbitforge import mixed_group as mg
 from orbitforge.arith import factorize, is_prime
@@ -448,40 +449,83 @@ def conjugation_matrix(g: "mg.MixedElement", spec: "mg.MixedGroupSpec") -> QMatr
     return spec.powers[k]
 
 
+def field_row_times(row, x) -> list[QVector]:
+    """The row of F^t times the t x t matrix X over F given by its rows."""
+    out = [QVector.zero(len(row[0].nums))] * len(x[0])
+    for e, xrow in zip(row, x):
+        out = [y + cy._elem_mul(e, z) for y, z in zip(out, xrow)]
+    return out
+
+
 def compose_automorphisms(first, second, spec) -> "mg.MixedAutomorphism":
-    """The map applying first, then second; anchored at first.alpha. In K's
-    coordinates, K * L1 * L2 * K^-1 is L1' * L2'. It carries first's seed b
-    to c * L2', c first's other seed, so those are its seeds; but at t >= 2
-    it sends the further rows of b's basis to the rows of c's basis times
-    L2', not to the basis chosen from c * L2', so ``verify_automorphism``
-    need not derive its det. It is for ``apply_automorphism`` only."""
+    """The map applying first, then second; anchored at first.alpha. As
+    sigma_g2(sigma_g1(w * X1) * X2) = sigma_(g1*g2)(w * X1 * sigma_(g1^-1)(X2)),
+    it is the witness (g1 * g2, X1 * sigma_(g1^-1)(X2)). It carries first's
+    seed b to L2(c), c first's other seed, so those are its seeds; but at
+    t >= 2 it sends the further rows of b's basis to the images under L2 of
+    the rows of c's basis, not to the basis chosen from L2(c), so
+    ``verify_automorphism`` need not derive its det. It is for
+    ``apply_automorphism`` only."""
+    p = spec.p
+    x2 = [cy._galois_row(row, pow(first.g, -1, p)) for row in second.x]
     b, c = first.seeds
     return mg.MixedAutomorphism(
-        first.field_map * second.field_map,
+        first.g * second.g % p,
+        tuple(tuple(field_row_times(row, x2)) for row in first.x),
         first.alpha,
         mg.apply_automorphism(second, first.image_of_alpha),
-        (b, c * second.field_map),
+        (b, tuple(cy._galois_row(field_row_times(c, second.x), second.g))),
         spec,
     )
 
 
-def field_form(linear: QMatrix, spec: "mg.MixedGroupSpec") -> QMatrix:
-    """L' = K * L * K^-1 for a map L of A over Q: the form in which a
-    ``MixedAutomorphism`` holds it, so a test can tamper with L over Q."""
-    basis, basis_inv = spec.krylov
-    return basis * linear * basis_inv
+def semilinear_oracle(phi: "mg.MixedAutomorphism") -> QMatrix:
+    """L' = K * L * K^-1 of the witness (g, X) of phi, entry by entry over
+    Q: row (i, j), the image of x^j in entry i, is sigma_g(x^j * X_i), with
+    x -> x^g taken on the exponents mod x^p - 1 and the result reduced mod
+    Phi_p by x^(p-1) = -(1 + ... + x^(p-2))."""
+    p, g = phi.spec.p, phi.g
+    rows = []
+    for xrow in phi.x:
+        for j in range(p - 1):
+            row = []
+            for e in xrow:
+                acc = [Fraction(0)] * p
+                for m, coeff in enumerate(e.entries):
+                    acc[g * (m + j) % p] += coeff
+                row += [y - acc[p - 1] for y in acc[:p - 1]]
+            rows.append(row)
+    return QMatrix(rows)
+
+
+def first_mismatch(field_matrix: QMatrix, p: int, a: int, b: int) -> int | None:
+    """The first row at which C^a * L' and L' * C^b differ, for L' =
+    K * L * K^-1 and C the block companion of Phi_p, with K * M = C * K; None
+    if none does, which holds iff M^a * L == L * M^b. Row (i, j) of C^a * L'
+    is row (i, j + a mod p) of L', row (i, p - 1) being minus the sum of
+    block i; row (i, j) of L' * C^b has each block times x^b. This is how
+    witnesses held as L' were checked, in O(n^2) and with no product over Q."""
+    k, nums = p - 1, field_matrix.nums
+    for i in range(0, len(nums), k):
+        block = [list(row) for row in nums[i:i + k]]
+        block.append([-sum(col) for col in zip(*block)])
+        for j, row in enumerate(block[:k]):
+            if block[(j + a) % p] != [y for s in range(0, len(row), k)
+                                      for y in cy._poly_map(row[s:s + k], 1, b)]:
+                return i + j
+    return None
 
 
 def dense_product_checks(phi: "mg.MixedAutomorphism", spec: "mg.MixedGroupSpec") -> dict[str, bool]:
     """The verdicts of ``mg._product_checks`` recomputed over Q in the
-    standard basis: L = K^-1 * L' * K, and P * L == L * R by dense products
-    of ``spec.powers``, P and R the powers of M for alpha and beta. This is
-    how every witness was checked before the checks moved to K's
-    coordinates."""
+    standard basis: L = K^-1 * L' * K for L' = ``semilinear_oracle(phi)``,
+    and P * L == L * R by dense products of ``spec.powers``, P and R the
+    powers of M for alpha and beta. This is how every witness was checked
+    before the checks moved to K's coordinates, and then to F^t."""
     p = spec.p
     a, b = phi.alpha.k % p, phi.image_of_alpha.k % p
     basis, basis_inv = spec.krylov
-    linear = basis_inv * phi.field_map * basis
+    linear = basis_inv * semilinear_oracle(phi) * basis
     return {"intertwining": b != 0 and spec.powers[a] * linear == linear * spec.powers[b],
             "image_order": b != 0}
 

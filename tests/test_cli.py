@@ -234,6 +234,16 @@ def test_mixed_auto_verifies_its_witness_once(capsys, monkeypatch):
     assert derived == {"field_basis": 2, "semilinear_det": 1}
 
 
+def test_only_mixed_auto_assembles_l_over_q(capsys, monkeypatch):
+    # witnesses are checked as (g, X) in F^t; L' over Q is assembled once,
+    # for mixed auto's printout of L, which its sampled pairs share
+    calls = count_calls(monkeypatch, mixed_group, "semilinear_matrix")
+    assert _run(capsys, ["mixed", "omega", "--p", "13", "--t", "2", "--pairs", "5"])[0] == 0
+    assert calls == {"semilinear_matrix": 0}
+    assert _run(capsys, ["mixed", "auto", "--p", "13", "--t", "2"])[0] == 0
+    assert calls == {"semilinear_matrix": 1}
+
+
 @pytest.mark.parametrize("command", ["build", "verify", "auto", "omega"])
 def test_mixed_default_action_parses_no_rational(capsys, monkeypatch, command):
     # the block companion of Phi_p is written from integers; built as

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -20,7 +21,7 @@ from conftest import (
     count_eliminations,
     cyclotomic_prime,
     dense_product_checks,
-    field_form,
+    first_mismatch,
     fraction_matadd,
     krylov_witness_linear,
     matrix_power,
@@ -28,7 +29,7 @@ from conftest import (
     mixed_inverse,
     powers_sum_verdict,
     rational_action,
-    scalar_matrix,
+    semilinear_oracle,
     spec_checks_oracle,
     telescope,
     zero_matrix,
@@ -473,38 +474,44 @@ _SPECS = {(p, t): mg.build(p, t) for p in (2, 3, 5) for t in (1, 2)}
 _FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
 
+def _bumped(x, i: int, j: int, m: int, bump) -> tuple[tuple[QVector, ...], ...]:
+    """X with bump added to the coefficient of x^m in entry (i, j)."""
+    rows = [list(row) for row in x]
+    e = rows[i][j]
+    rows[i][j] = e + QVector([bump if q == m else 0 for q in range(e.dim)])
+    return tuple(map(tuple, rows))
+
+
+def _draw_bump(data, t: int, p: int):
+    """(i, j, m, bump) for ``_bumped``, drawn by hypothesis."""
+    i, j = (data.draw(st.integers(0, t - 1), label=label) for label in ("row", "column"))
+    m = data.draw(st.integers(0, p - 2), label="power")
+    return i, j, m, data.draw(_FRACTIONS.filter(bool), label="bump")
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_sampled_pairs_never_overrule_the_exact_identities(data):
-    # L * q(R) still intertwines, since q(R) commutes with R, and stays
-    # invertible: R has the irreducible minimal polynomial Phi_p, of degree
-    # p - 1 > deg q. But it carries the seeds' bases B and C, on which det L
-    # is derived, only when q(R) = I. A one-entry bump of L usually breaks
-    # the intertwining. Either way, sampled pairs must not change the exact
-    # verdict.
+    # (g, s * X) for a nonzero scalar s of F is still sigma_g-semilinear, so
+    # it intertwines and is invertible, but it carries the seeds' bases B
+    # and C, on which det L is derived, only when s = 1. X with one
+    # coefficient bumped is semilinear too, but fails a row identity.
+    # Either way, sampled pairs must not change the exact verdict.
     p = data.draw(st.sampled_from([2, 3, 5]), label="p")
     t = data.draw(st.sampled_from([1, 2]), label="t")
     spec = _SPECS[p, t]
     b, c, alpha, beta = _witness_inputs(spec, data.draw(st.integers(0, 2**32 - 1), label="seed"))
     witness = mg.build_automorphism(b, c, alpha, beta, spec)
-    linear = witness.linear
+    s = QVector(data.draw(st.lists(_FRACTIONS, min_size=p - 1, max_size=p - 1).filter(any), label="s"))
+    scaled = tuple(tuple(cy._elem_mul(s, e) for e in row) for row in witness.x)
+    bumped = _bumped(witness.x, *_draw_bump(data, t, p))
 
-    q = data.draw(st.lists(_FRACTIONS, min_size=p - 1, max_size=p - 1).filter(any), label="q")
-    q_of_r = zero_matrix(spec.n)
-    for j, coeff in enumerate(q):
-        q_of_r = fraction_matadd(q_of_r, spec.powers[(beta.k * j) % p] * scalar_matrix(spec.n, coeff))
-    rows = [list(r) for r in linear.rows]
-    i = data.draw(st.integers(0, spec.n - 1), label="row")
-    j = data.draw(st.integers(0, spec.n - 1), label="column")
-    rows[i][j] += data.draw(_FRACTIONS.filter(bool), label="bump")
-
-    for varied, intertwines in ((linear * q_of_r, True), (QMatrix.of(rows), False)):
-        phi = mg.MixedAutomorphism(field_form(varied, spec), alpha, beta, witness.seeds, spec)
+    for x, derived in ((scaled, s == QVector.unit(p - 1, 0)), (bumped, False)):
+        phi = dataclasses.replace(witness, x=x)
         cert = mg.verify_automorphism(phi, samples=0)
-        if intertwines:
-            verdicts = {ch.name: ch.passed for ch in cert.checks}
-            assert verdicts == {"linear_invertible": q_of_r == QMatrix.identity(spec.n),
-                                "intertwining": True, "image_order": True, "homomorphism_samples": True}
+        verdicts = {ch.name: ch.passed for ch in cert.checks}
+        assert verdicts == {"linear_invertible": derived, "intertwining": True, "image_order": True,
+                            "homomorphism_samples": True}
         assert mg.verify_automorphism(phi, samples=10, seed=p * t).ok == cert.ok
 
 
@@ -586,17 +593,20 @@ def test_build_automorphism_rejects_bad_input_before_field_arithmetic(monkeypatc
 
 
 def test_tampered_linear_part_fails_verification(s32):
+    # one coefficient of X bumped keeps L semilinear, so it fails only the
+    # row identities; g off by one fails the intertwining, which the
+    # sampled pairs see too
     alpha = E(1, QVector.zero(4))
     phi = mg.build_automorphism(
         QVector.unit(4, 0), QVector((1, 2, 0, 1)), alpha, alpha, s32
     )
-    rows = [list(r) for r in phi.linear.rows]
-    rows[1][2] += 1
-    bad = mg.MixedAutomorphism(field_form(QMatrix.of(rows), s32), phi.alpha, phi.image_of_alpha, phi.seeds, s32)
-    cert = mg.verify_automorphism(bad, samples=10)
-    assert not cert.ok
-    failed = {c.name for c in cert.checks if not c.passed}
-    assert failed & {"intertwining", "homomorphism_samples"}
+    bumped = dataclasses.replace(phi, x=_bumped(phi.x, 1, 0, 0, 1))
+    off = dataclasses.replace(phi, g=phi.g % 2 + 1)
+    for bad, expected in ((bumped, {"linear_invertible"}),
+                          (off, {"linear_invertible", "intertwining", "homomorphism_samples"})):
+        assert {ch.name: ch.passed for ch in mg._product_checks(bad)} == _q_oracle(bad)[0]
+        cert = mg.verify_automorphism(bad, samples=10)
+        assert {c.name for c in cert.checks if not c.passed} == expected
 
 
 def test_automorphism_preserves_orbit_classes(s32):
@@ -625,7 +635,7 @@ def test_compose_automorphisms(s32):
 
 
 # ---------------------------------------------------------------------------
-# witness checks in the coordinates of the spec's cyclic basis K
+# witness checks in F^t against oracles over Q
 
 def _unit_triangular(rng: random.Random, n: int, upper: bool) -> QMatrix:
     """A unit triangular n x n matrix with small random rationals off the
@@ -653,12 +663,33 @@ def _small_vector(rng: random.Random, n: int) -> QVector:
             return v
 
 
+def _q_oracle(w: mg.MixedAutomorphism) -> tuple[dict[str, bool], bool, QMatrix]:
+    """The verdicts of ``mg._product_checks``, whether L carries the seed b
+    to c, and L itself, all over Q from L' and L = K^-1 * L' * K assembled
+    from (g, X) by ``semilinear_oracle``. Intertwining is read both in K's
+    coordinates (``first_mismatch``) and densely (``dense_product_checks``),
+    which must agree."""
+    spec = w.spec
+    p, (basis, basis_inv) = spec.p, spec.krylov
+    k_alpha, k_beta = w.alpha.k % p, w.image_of_alpha.k % p
+    field_form = semilinear_oracle(w)
+    verdicts = dense_product_checks(w, spec)
+    intertwines = k_beta != 0 and first_mismatch(field_form, p, k_alpha, k_beta) is None
+    assert verdicts["intertwining"] == intertwines
+    b, c = (QVector([y for e in row for y in e.entries]) * basis for row in w.seeds)
+    linear = basis_inv * field_form * basis
+    return verdicts, b * linear == c, linear
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_k_coordinate_verdicts_equal_the_dense_oracle(data):
-    # C^a * L' == L' * C^b exactly when P * L == L * R over Q, and
-    # (b * K^-1) * L' == c * K^-1 exactly when b * L == c: on the honest
-    # witness, on L' with one entry bumped, and with beta's exponent redrawn
+def test_field_verdicts_equal_the_q_oracles(data):
+    # On the honest witness, on X with one coefficient bumped, and with g or
+    # beta's exponent redrawn, for L' and L assembled from (g, X) by the
+    # oracle: g * k_alpha == k_beta mod p exactly when C^a * L' == L' * C^b
+    # in K's coordinates and P * L == L * R over Q; b * X == sigma_(g^-1)(c)
+    # exactly when b * L == c; and det L is derived exactly when L
+    # intertwines and is the witness solved by elimination over Q.
     p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13]), label="p")
     t = data.draw(st.sampled_from([t for t in (1, 2, 3) if t * (p - 1) <= 36]), label="t")
     n = t * (p - 1)
@@ -668,19 +699,21 @@ def test_k_coordinate_verdicts_equal_the_dense_oracle(data):
     b, c = _small_vector(rng, n), _small_vector(rng, n)
     alpha, beta = E(ka, _small_vector(rng, n)), E(kb, _small_vector(rng, n))
     phi = mg.build_automorphism(b, c, alpha, beta, spec)
-    rows = [list(r) for r in phi.field_map.rows]
-    i, j = (data.draw(st.integers(0, n - 1), label=label) for label in ("row", "column"))
-    rows[i][j] += data.draw(_FRACTIONS.filter(bool), label="bump")
+    honest = krylov_witness_linear(b, c, alpha, beta, spec)
     redrawn = E(data.draw(st.integers(0, p - 1), label="k_beta redrawn"), beta.a)
-    basis_inv = spec.krylov[1]
-    for w in (phi, mg.MixedAutomorphism(QMatrix(rows), alpha, beta, phi.seeds, spec),
-              mg.MixedAutomorphism(phi.field_map, alpha, redrawn, phi.seeds, spec)):
-        verdicts = {ch.name: ch.passed for ch in mg._product_checks(w)}
-        assert verdicts == dense_product_checks(w, spec)
-        carried = b * basis_inv * w.field_map == c * basis_inv
-        assert carried == (b * w.linear == c)
+    variants = (phi, dataclasses.replace(phi, x=_bumped(phi.x, *_draw_bump(data, t, p))),
+                dataclasses.replace(phi, g=data.draw(st.integers(1, p - 1), label="g redrawn")),
+                dataclasses.replace(phi, image_of_alpha=redrawn))
+    for w in variants:
+        product_checks = mg._product_checks(w)
+        verdicts = {ch.name: ch.passed for ch in product_checks}
+        oracle, carried, linear = _q_oracle(w)
+        assert verdicts == oracle and cy.carries(*w.seeds, w.x, w.g) == carried
+        assert w.linear == linear
+        derived = mg._linear_invertible(w, verdicts["intertwining"]).passed
+        assert derived == (oracle["intertwining"] and linear == honest)
         if w is phi:
-            assert carried and all(verdicts.values())
+            assert derived and carried and all(verdicts.values())
 
 
 def test_a_tampered_witness_fails_its_named_check():
@@ -688,41 +721,44 @@ def test_a_tampered_witness_fails_its_named_check():
     b, c, alpha, beta = _witness_inputs(spec, 0)
     phi = mg.build_automorphism(b, c, alpha, beta, spec)
 
-    def failed(field_map, a, image, seeds=phi.seeds):
-        cert = mg.verify_automorphism(mg.MixedAutomorphism(field_map, a, image, seeds, spec), samples=0)
+    def failed(witness):
+        assert {ch.name: ch.passed for ch in mg._product_checks(witness)} == _q_oracle(witness)[0]
+        cert = mg.verify_automorphism(witness, samples=0)
         return {ch.name: ch.detail for ch in cert.checks if not ch.passed}
 
-    assert failed(phi.field_map, alpha, beta) == {}
-    # another k_alpha or k_beta changes g = k_beta / k_alpha, so L' no
-    # longer intertwines; the failure names a row of L', and det L, which
-    # rests on the intertwining, is not derived
+    assert failed(phi) == {}
+    # g off by one, or another k_alpha or k_beta: g * k_alpha != k_beta, so
+    # L no longer intertwines, and det L, which rests on it, is not derived
     not_semilinear = "det(L) not derived: L does not intertwine P and R"
-    for a, image in ((E(alpha.k % 4 + 1, alpha.a), beta), (alpha, E(beta.k % 4 + 1, beta.a))):
-        got = failed(phi.field_map, a, image)
-        assert list(got) == ["linear_invertible", "intertwining"]
-        assert got["linear_invertible"] == not_semilinear and got["intertwining"].startswith("fails at row ")
-    assert failed(phi.field_map, alpha, E(0, beta.a)) == {
+    for witness in (dataclasses.replace(phi, g=phi.g % 4 + 1),
+                    dataclasses.replace(phi, alpha=E(alpha.k % 4 + 1, alpha.a)),
+                    dataclasses.replace(phi, image_of_alpha=E(beta.k % 4 + 1, beta.a))):
+        ka, kb = witness.alpha.k % 5, witness.image_of_alpha.k % 5
+        assert failed(witness) == {
+            "linear_invertible": not_semilinear,
+            "intertwining": f"g * k_alpha = {witness.g * ka % 5} != k_beta = {kb} mod 5"}
+    assert failed(dataclasses.replace(phi, image_of_alpha=E(0, beta.a))) == {
         "linear_invertible": not_semilinear,
         "intertwining": "image of anchor lies inside A",
         "image_order": "phi(alpha)^5 == identity: False"}
-    rows = [list(r) for r in phi.field_map.rows]
-    rows[3][6] += 1
-    got = failed(QMatrix(rows), alpha, beta)
-    assert list(got) == ["linear_invertible", "intertwining"] and got["linear_invertible"] == not_semilinear
-    # the zero map and 2 * L' intertwine, but miss the seed row; the zero map
-    # carries b to a zero c, whose basis C is singular
-    twice = QMatrix([[2 * x for x in r] for r in phi.field_map.rows])
-    for field_map in (QMatrix.of([[0] * 8] * 8), twice):
-        assert failed(field_map, alpha, beta) == {"linear_invertible": "det(L) not derived: b_1 * L != c_1"}
-    assert failed(QMatrix.of([[0] * 8] * 8), alpha, beta, (phi.seeds[0], QVector.zero(8))) == {
+    # X with one coefficient bumped, X with two proportional rows, 2 * X,
+    # the zero map, and the seeds swapped: L is semilinear, but misses the
+    # seed row; the zero map carries b to a zero c, whose basis C is singular
+    x = phi.x
+    for tampered in (dict(x=_bumped(x, 1, 0, 2, 1)), dict(x=(x[0], tuple(e + e for e in x[0]))),
+                     dict(x=tuple(tuple(e + e for e in row) for row in x)),
+                     dict(x=((QVector.zero(4),) * 2,) * 2), dict(seeds=phi.seeds[::-1])):
+        assert failed(dataclasses.replace(phi, **tampered)) == {
+            "linear_invertible": "det(L) not derived: b_1 * L != c_1"}, tampered
+    zero_c = (phi.seeds[0], (QVector.zero(4),) * 2)
+    assert failed(dataclasses.replace(phi, x=((QVector.zero(4),) * 2,) * 2, seeds=zero_c)) == {
         "linear_invertible": "det(L) not derived: C_F is singular, as c = 0"}
     # the semilinear map from b to c between bases that take the rows of
     # K^-1 in reverse carries the seed row but not the second basis row
-    basis_inv = spec.krylov[1]
-    reversed_units = QMatrix(basis_inv.rows[::-1])
-    g = beta.k * pow(alpha.k, -1, 5) % 5
-    other = cy.semilinear_map(*phi.seeds, reversed_units, 5, g)
-    assert failed(other, alpha, beta) == {"linear_invertible": "det(L) not derived: b_2 * L != c_2"}
+    reversed_units = QMatrix(spec.krylov[1].rows[::-1])
+    other = cy.semilinear_map(*phi.seeds, reversed_units, 5, phi.g)
+    assert failed(dataclasses.replace(phi, x=other)) == {
+        "linear_invertible": "det(L) not derived: b_2 * L != c_2"}
 
 
 _DET_SPECS = {f"p{p}_t{t}": (p, t, None) for p in (2, 3, 5, 7, 13) for t in (1, 2, 3) if t * (p - 1) <= 24}
@@ -765,9 +801,10 @@ def test_the_derived_det_equals_the_bareiss_oracle(p, t, m):
 
 
 def test_omega_certificate_fails_a_witness_that_misses_its_seed(monkeypatch):
-    # 2 * L' intertwines whenever L' does, but carries b to 2 * c
+    # (g, 2 * X) intertwines whenever (g, X) does, but carries b to 2 * c
     real = mg.semilinear_map
-    monkeypatch.setattr(mg, "semilinear_map", lambda *args: fraction_matadd(real(*args), real(*args)))
+    monkeypatch.setattr(mg, "semilinear_map",
+                        lambda *args: tuple(tuple(e + e for e in row) for row in real(*args)))
     cert = mg.omega_certificate(mg.build(5, 2), 2)
     failed = {ch.name: ch.detail for ch in cert.checks if not ch.passed}
     assert list(failed) == ["transitivity_inside_A", "transitivity_outside_A"]
@@ -776,8 +813,8 @@ def test_omega_certificate_fails_a_witness_that_misses_its_seed(monkeypatch):
 
 
 def test_mixed_omega_builds_no_power_and_no_matrix_product(monkeypatch, capsys, tmp_path):
-    # every witness is checked on L' in K's coordinates; only the group law
-    # of mixed auto's sampled pairs powers M
+    # every witness is checked in F^t; only the group law of mixed auto's
+    # sampled pairs powers M
     path = tmp_path / "action.json"
     path.write_text(json.dumps(rational_action().to_json()))
     built = []
